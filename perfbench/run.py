@@ -10,8 +10,10 @@ source (into $CARGO_TARGET_DIR, default `.bench_build`), then starts one
 fresh `lassi-perfbench` process per repetition until `--seconds` are used:
 the process-wide program cache and report memo have no public reset, so a
 second repetition inside one process would measure a warm memo. Repetition
-i runs inputs derived from (seed, i); the first two repetitions share their
-inputs, and every count they pin must agree exactly.
+i runs inputs derived from (seed, i). Inputs 0 run twice: first with the
+output checks on, then measured; every count the two pin must agree exactly.
+The checked repetition (and the first process start of the run) does not
+count in the figures, so every input counts once.
 
 `--trace 0` prints every end-to-end metric; `--trace 1` adds the untraced
 and traced drives and prints every per-layer metric with the end-to-end
@@ -30,7 +32,7 @@ import subprocess
 import sys
 import time
 
-WORKLOADS = ("grid-cold", "repair-storm", "serve-mixed", "fleet-drain")
+WORKLOADS = ("grid-cold", "repair-storm")
 
 END_TO_END = (
     ("scenarios_per_s", "1/s"),
@@ -79,10 +81,11 @@ PER_LAYER = (
        ("bench.registry_mismatches", "count", "(registry cross-check)")]
 )
 
-MIN_REPS = 3           # repetition 0 twice, then at least one more
+MIN_REPS = 2           # measured repetitions, besides the checked one
 RUN_BUDGET_S = 170     # one invocation, builds excluded, stays under this
 REP_TIMEOUT_S = 120
 NPROC = len(os.sched_getaffinity(0))
+WORKERS = max(1, NPROC - 1)  # busy worker threads; see util::workers()
 
 
 def log(message):
@@ -122,14 +125,14 @@ class Runner:
         self.deadline = deadline
         self.count = 0
 
-    def run(self, mode, seed, **flags):
+    def run(self, mode, workload, seed, **flags):
         """One fresh process; returns its report, or None if it crashed."""
         self.count += 1
         out = os.path.join(self.scratch, f"r{self.count}")
-        cmd = [self.bench_bin, mode, "--workload", self.args.workload, "--seed", str(seed), "--out", out]
+        cmd = [self.bench_bin, mode, "--workload", workload, "--seed", str(seed), "--out", out]
         for key, value in flags.items():
             cmd += ["--" + key.replace("_", "-"), str(value)]
-        if mode == "rep" and self.args.workload == "fleet-drain":
+        if workload == "fleet-drain":
             cmd += ["--worker-bin", self.worker_bin]
         timeout = max(1.0, min(REP_TIMEOUT_S, self.deadline - time.monotonic()))
         spawned = time.time_ns()
@@ -180,19 +183,22 @@ def commit():
 def measure(args, runner):
     """Repetitions until the time is used; returns (reports by kind, failures)."""
     started = time.monotonic()
-    reps = {"rep": [], "drive0": [], "drive1": []}
+    reps = {"check": [], "rep": [], "drive0": [], "drive1": [], "fleet": []}
     failures = []
     durations = []
 
-    def one(kind, seed_index, checks=0):
+    def one(kind, seed_index):
         t = time.monotonic()
-        if kind == "rep":
-            mode, extra = "rep", {"checks": checks}
+        workload = args.workload
+        if kind in ("check", "rep"):
+            mode, extra = "rep", {"checks": int(kind == "check")}
+        elif kind == "fleet":
+            mode, workload, extra = "rep", "fleet-drain", {"checks": 1}
         else:
             mode, extra = "drive", {"traced": kind[-1]}
             if kind == "drive1":
                 extra["spans"] = os.path.abspath(os.path.join(".bench_out", f"spans-{args.workload}.jsonl"))
-        report = runner.run(mode, rep_seed(args.seed, seed_index), **extra)
+        report = runner.run(mode, workload, rep_seed(args.seed, seed_index), **extra)
         durations.append(time.monotonic() - t)
         if report is None:
             failures.append(f"{kind} {seed_index} crashed or timed out")
@@ -200,12 +206,16 @@ def measure(args, runner):
             report["seed_index"] = seed_index
             reps[kind].append(report)
 
-    # Repetition 0 twice: its pinned counts and records must repeat exactly.
-    one("rep", 0, checks=1)
+    # Inputs 0 twice: their pinned counts and records must repeat exactly.
+    one("check", 0)
     one("rep", 0)
     if args.trace:
         one("drive0", 0)
         one("drive1", 0)
+    if args.trace and args.workload == "grid-cold":
+        # The fleet and server layers: inputs 0 drained by worker processes
+        # through the server, checked against a local pool of the same grids.
+        one("fleet", 0)
     index = 1
     while True:
         elapsed = time.monotonic() - started
@@ -230,7 +240,7 @@ def check_pins(reps, failures):
         for report in reports:
             by_index.setdefault(report["seed_index"], []).append((kind, report))
     for index, group in sorted(by_index.items()):
-        pins = [(k, r["pins"]) for k, r in group if k == "rep"]
+        pins = [(k, r["pins"]) for k, r in group if k in ("check", "rep")]
         for kind, other in pins[1:]:
             if other != pins[0][1]:
                 failures.append(f"inputs {index}: pinned counts changed between repetitions: {pins[0][1]} vs {other}")
@@ -244,30 +254,31 @@ def steal_factor(report):
 
     On a shared host the hypervisor takes CPU time from this machine while
     its CPUs have work waiting (`steal` in /proc/stat). Over the timed
-    region that is delay other tenants imposed, spread over the CPUs, so
-    times are scaled by (wall - steal / nproc) / wall; neighbours on the
-    host then do not move the figures.
+    region that is delay other tenants imposed on the CPUs the workers kept
+    busy, so times are scaled by (wall - steal / workers) / wall; neighbours
+    on the host then move the figures less.
     """
     timed = report["metrics"]["timed_s"]
-    stolen = report["metrics"].get("steal_s", 0.0) / NPROC
+    stolen = report["metrics"].get("steal_s", 0.0) / WORKERS
     return max(0.5, 1.0 - stolen / timed) if timed > 0 else 1.0
 
 
-def end_to_end(name, reports):
-    """One end-to-end metric of the run, from its repetitions.
-
-    Throughput is the run's fixed work over its timed wall (a ratio of
-    sums, so a heavy repetition weighs what it cost); latencies are
-    percentiles of every repetition's samples pooled; set-up time is the
-    median. Times are corrected for hypervisor steal (`steal_factor`).
-    """
+def rep_value(name, report):
+    """One end-to-end metric of one repetition; times corrected for steal."""
     if name == "scenarios_per_s":
-        timed = sum(r["metrics"]["timed_s"] * steal_factor(r) for r in reports)
-        return sum(r["metrics"]["scenarios"] for r in reports) / timed if timed else 0.0
+        return report["metrics"]["scenarios"] / (report["metrics"]["timed_s"] * steal_factor(report))
     if name in ("sweep_p50_ms", "sweep_p95_ms"):
-        samples = [v * steal_factor(r) for r in reports for v in r["sweep_ms"]]
-        return nearest_rank(samples, 50 if name == "sweep_p50_ms" else 95) if samples else 0.0
-    values = [r["metrics"][name] for r in reports if name in r["metrics"]]
+        return nearest_rank(report["sweep_ms"], 50 if name == "sweep_p50_ms" else 95) * steal_factor(report)
+    return report["metrics"][name]
+
+
+def end_to_end(name, reports):
+    """One end-to-end metric of the run: the median of its measured
+    repetitions' values. A burst of load on a shared host slows a few
+    repetitions, and a heavy generated program a few more; the median of
+    many short repetitions moves with neither.
+    """
+    values = [rep_value(name, r) for r in reports]
     return statistics.median(values) if values else 0.0
 
 
@@ -275,16 +286,9 @@ def print_end_to_end(reports, metrics):
     """The run record: each metric with the quartiles of its per-repetition values."""
     print(f"{'metric':<18} {'value':>12} {'rep q1':>12} {'rep median':>12} {'rep q3':>12} {'n':>5}  unit")
     for name, unit in END_TO_END:
-        if name in ("sweep_p50_ms", "sweep_p95_ms"):
-            per_rep = [nearest_rank(r["sweep_ms"], 50 if name == "sweep_p50_ms" else 95) * steal_factor(r)
-                       for r in reports if r["sweep_ms"]]
-        elif name == "scenarios_per_s":
-            per_rep = [r["metrics"]["scenarios"] / (r["metrics"]["timed_s"] * steal_factor(r)) for r in reports]
-        else:
-            per_rep = [r["metrics"][name] for r in reports if name in r["metrics"]]
-        q1, q2, q3 = quartiles(per_rep) if per_rep else (0.0, 0.0, 0.0)
+        q1, q2, q3 = quartiles([rep_value(name, r) for r in reports]) if reports else (0.0, 0.0, 0.0)
         print(f"{name:<18} {metrics[name]['value']:>12.4f} {q1:>12.4f} {q2:>12.4f} {q3:>12.4f} "
-              f"{len(per_rep):>5}  {unit}")
+              f"{len(reports):>5}  {unit}")
     stolen = sum(r["metrics"].get("steal_s", 0.0) for r in reports)
     timed = sum(r["metrics"]["timed_s"] for r in reports)
     print(f"hypervisor steal during timed work: {stolen:.2f} CPU-s over {timed:.2f} s of wall on {NPROC} CPUs")
@@ -331,14 +335,14 @@ def main():
         log(f"perfbench: failure: {failure}")
 
     print(f"workload {args.workload}  seed {args.seed}  nproc {NPROC}  commit {commit()}  "
-          f"repetitions {len(reps['rep'])} (inputs 0 twice)  seconds {args.seconds}  trace {args.trace}")
+          f"repetitions {len(reps['rep'])} (+1 checked)  seconds {args.seconds}  trace {args.trace}")
     metrics = {}
     if not args.trace:
         for name, unit in END_TO_END:
             metrics[name] = {"value": end_to_end(name, reps["rep"]), "unit": unit}
         print_end_to_end(reps["rep"], metrics)
     else:
-        layer_reports = reps["rep"] + reps["drive1"]
+        layer_reports = reps["check"] + reps["rep"] + reps["drive1"] + reps["fleet"]
         untraced = [r["metrics"]["drive_scenarios_per_s"] for r in reps["drive0"]]
         traced = [r["metrics"]["drive_scenarios_per_s"] for r in reps["drive1"]]
         overhead = statistics.median(untraced) / statistics.median(traced) - 1 if untraced and traced else 0.0
@@ -350,7 +354,7 @@ def main():
             elif name == "bench.registry_mismatches":
                 value = float(max((len(r["mismatches"]) for r in all_reports), default=0))
             elif name == "bench.peak_rss_mb":
-                value = max((r["metrics"][name] for r in reps["rep"]), default=0.0)
+                value = max((r["metrics"][name] for r in reps["check"] + reps["rep"]), default=0.0)
             else:
                 value = median_of(layer_reports, name)
                 value = 0.0 if value is None else value

@@ -1,7 +1,7 @@
 //! The per-layer run. It drives a workload's distinct scenarios through
 //! `Lassi` directly (what `run_scenario` does), optionally with a timing
-//! `ChatModel` wrapper, on `nproc` threads. Afterwards, outside the timed
-//! drive, it replays the pipeline's calls on the exact inputs the drive saw
+//! `ChatModel` wrapper, on as many threads as the harness has workers.
+//! Afterwards, outside the timed drive, it replays the pipeline's calls on the exact inputs the drive saw
 //! — the baseline sources and every code block the wrapper saw the model
 //! return — timing `parse`, `sema`, bytecode lowering, the VM and similarity
 //! one call at a time. Every span is kept in memory and written when the
@@ -71,9 +71,9 @@ impl ChatModel for TimingModel {
 /// One finished scenario of a drive: its record and the wrapper's calls.
 type Finished = (TranslationRecord, Vec<Call>);
 
-/// Run every job through `Lassi` on `nproc` threads; returns the records in
-/// job order, the wrapper's calls per job (empty when untraced) and the
-/// drive's wall time.
+/// Run every job through `Lassi` on `util::workers()` threads; returns the
+/// records in job order, the wrapper's calls per job (empty when untraced)
+/// and the drive's wall time.
 fn drive(
     jobs: &[Job],
     traced: bool,
@@ -83,7 +83,7 @@ fn drive(
     let slots: Mutex<Vec<Option<Finished>>> = Mutex::new((0..jobs.len()).map(|_| None).collect());
     let started = Instant::now();
     std::thread::scope(|scope| {
-        for _ in 0..util::nproc() {
+        for _ in 0..util::workers() {
             scope.spawn(|| loop {
                 let index = next.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(index) else { break };

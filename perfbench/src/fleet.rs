@@ -1,7 +1,12 @@
-//! `fleet-drain`: `grid-cold`'s grids submitted to an in-process server
-//! with `nproc` of the repository's `worker` processes registered, so every
-//! scenario goes through `harness::lease` and `/v1/work/*` and each worker
-//! pays its own cold memos.
+//! The fleet drain of `grid-cold`'s traced run (`rep --workload
+//! fleet-drain`): `grid-cold`'s grids submitted to an in-process server
+//! with as many of the repository's `worker` processes registered as
+//! `grid-cold` has harness workers, so every scenario goes through
+//! `harness::lease` and `/v1/work/*` and each worker pays its own cold
+//! memos. It is also the only path that reads the server's HTTP surface:
+//! submissions, run polls, record-set reads and a `/v1/metrics` scrape.
+//! Not a workload of its own: with the server, a worker process and the
+//! poller all busy it moved too much with load on a shared host.
 
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
@@ -67,7 +72,7 @@ pub fn run(
     out: &Path,
     report: &mut Report,
 ) -> Result<(), String> {
-    let workers = util::nproc();
+    let workers = util::workers();
     let grids = workload::grids(seed, false);
 
     let mut service = Service::start(out, workers)?;
@@ -87,21 +92,26 @@ pub fn run(
     let started = Instant::now();
     let mut session = Session::new(&service.addr);
     let mut runs = Vec::with_capacity(grids.len());
+    let mut submit_ms = Vec::with_capacity(grids.len());
     for (i, grid) in grids.iter().enumerate() {
         let id = format!("fleet-{i}");
         let body = format!(r#"{{"seed": {}, "run_id": "{id}"}}"#, grid.base.seed);
         report.attempted += 1;
+        let submitted = Instant::now();
         match service::submit(&mut session, &id, &body) {
             Ok(()) => runs.push((id, 0u64, None::<Json>)),
             Err(e) => report.fail(e),
         }
+        submit_ms.push(util::ms(submitted.elapsed()));
     }
+    let mut polls = 0u64;
     // Per-scenario completion times, from the runs' progress counters.
     let mut done_ms = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(120);
     while runs.iter().any(|(_, _, view)| view.is_none()) && Instant::now() < deadline {
         for (id, completed, view) in runs.iter_mut().filter(|r| r.2.is_none()) {
             report.attempted += 1;
+            polls += 1;
             match service::run_view(&mut session, id) {
                 Ok(current) => {
                     let now = current
@@ -150,10 +160,17 @@ pub fn run(
     report.metric("timed_s", wall.as_secs_f64());
     report.sweep_ms = done_ms;
 
+    let scraped = Instant::now();
     let scrape = service
         .get("/v1/metrics")
         .map(|r| r.text())
         .unwrap_or_default();
+    report.metric("server.metrics_scrape_ms", util::ms(scraped.elapsed()));
+    report.metric("server.submit_p50_ms", util::percentile(&submit_ms, 50.0));
+    report.metric(
+        "server.polls_per_sweep",
+        polls as f64 / grids.len().max(1) as f64,
+    );
     let fleet_count = |name: &str| -> u64 {
         runs.iter()
             .filter_map(|(_, _, view)| view.as_ref()?.get("fleet")?.get(name)?.as_u64())
@@ -187,33 +204,53 @@ pub fn run(
         "fleet.complete_handler_s",
         service::handler_seconds("/v1/work/complete"),
     );
+    util::report_stage_seconds(report);
+    util::report_memo_counters(report);
+    drop(fleet);
+
+    // Every record set read over HTTP must equal its artifact file on disk;
+    // the artifact's record sets, concatenated in cell order, are the
+    // records in job order.
+    let mut read_ms = Vec::new();
+    let mut remote: Vec<TranslationRecord> = Vec::with_capacity(scenarios);
+    for (grid, (id, _, _)) in grids.iter().zip(&runs) {
+        let artifact = match state.store().load_run(id) {
+            Ok(artifact) => artifact,
+            Err(e) => {
+                report.fail(format!("artifact {id} does not load: {e}"));
+                continue;
+            }
+        };
+        for cell in grid.cells() {
+            let set = cell.slug();
+            let read = Instant::now();
+            let fetched = session.send("GET", &format!("/v1/runs/{id}/records/{set}"), None);
+            read_ms.push(util::ms(read.elapsed()));
+            let disk = std::fs::read(
+                state
+                    .store()
+                    .run_dir(id)
+                    .join(format!("records-{set}.json")),
+            )
+            .unwrap_or_default();
+            report.check(
+                matches!(&fetched, Ok(resp) if resp.is_success() && resp.body == disk),
+                || format!("GET records of {id}/{set} differs from its artifact on disk"),
+            );
+            match artifact.records(&set) {
+                Ok(records) => remote.extend(records),
+                Err(e) => report.fail(format!("artifact {id}/{set}: {e}")),
+            }
+        }
+    }
+    report.metric("server.read_p95_ms", util::percentile(&read_ms, 95.0));
     for (route, suffix) in service::ROUTES {
         report.metric(
             format!("server.handler_s.{suffix}"),
             service::handler_seconds(route),
         );
     }
-    util::report_stage_seconds(report);
-    util::report_memo_counters(report);
-    drop(fleet);
     service.stop()?;
-
-    // The artifact's record sets, concatenated in cell order, are the
-    // records in job order.
-    let mut remote: Vec<TranslationRecord> = Vec::with_capacity(scenarios);
-    for (grid, (id, _, _)) in grids.iter().zip(&runs) {
-        match state.store().load_run(id) {
-            Ok(artifact) => {
-                for cell in grid.cells() {
-                    match artifact.records(&cell.slug()) {
-                        Ok(records) => remote.extend(records),
-                        Err(e) => report.fail(format!("artifact {id}/{}: {e}", cell.slug())),
-                    }
-                }
-            }
-            Err(e) => report.fail(format!("artifact {id} does not load: {e}")),
-        }
-    }
     report.records_hash = Some(util::records_hash(&remote));
     report.pin("fleet.leases_granted", leases);
     let rounds: u64 = remote.iter().map(|r| r.self_corrections as u64).sum();

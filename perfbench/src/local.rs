@@ -21,7 +21,7 @@ pub fn run(
     out: &Path,
     report: &mut Report,
 ) -> Result<(), String> {
-    let workers = util::nproc();
+    let workers = util::workers();
     let grids = workload::grids(seed, workload == Workload::RepairStorm);
     let jobs = workload::jobs_of(&grids);
 

@@ -22,7 +22,6 @@ mod check;
 mod drive;
 mod fleet;
 mod local;
-mod serve;
 mod service;
 mod util;
 mod workload;
@@ -99,7 +98,6 @@ fn run(args: &Args, report: &mut Report) -> Result<(), String> {
         ("rep", Workload::GridCold | Workload::RepairStorm) => {
             local::run(args.workload, args.seed, args.checks, &args.out, report)
         }
-        ("rep", Workload::ServeMixed) => serve::run(args.seed, args.checks, &args.out, report),
         ("rep", Workload::FleetDrain) => {
             let worker = args
                 .worker_bin
@@ -113,7 +111,6 @@ fn run(args: &Args, report: &mut Report) -> Result<(), String> {
                     workload::jobs_of(&workload::grids(args.seed, false))
                 }
                 Workload::RepairStorm => workload::jobs_of(&workload::grids(args.seed, true)),
-                Workload::ServeMixed => workload::serve_fresh_jobs(args.seed, util::nproc()),
             };
             let spans = args
                 .spans

@@ -103,11 +103,17 @@ impl Report {
     }
 }
 
-/// Worker threads, client threads and fleet size all follow the core count.
-pub fn nproc() -> usize {
+/// Harness workers and fleet size: one less than the core count, at least
+/// one. The benchmark's own threads (the submitter, the scenario cache's
+/// writer, the server's connection handlers, the poller) then have a core
+/// to run on, and a repetition's wall time measures the program rather than
+/// how the scheduler shares too few cores among too many threads: on a
+/// 2-core machine, `repair-storm` runs spread ±11% around their median with
+/// two workers and ±2% with one.
+pub fn workers() -> usize {
     std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+        .map_or(1, |n| n.get().saturating_sub(1))
+        .max(1)
 }
 
 /// SplitMix64: derives independent, reproducible seeds from the workload
@@ -147,30 +153,6 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
     sorted.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Quantile of a registry histogram, interpolated linearly inside the
-/// bucket that holds it (the registry keeps bucket counts, not samples).
-pub fn histogram_quantile(name: &str, labels: &[(&str, &str)], q: f64) -> f64 {
-    let Some(snapshot) = lassi_obs::global().histogram_snapshot(name, labels) else {
-        return 0.0;
-    };
-    if snapshot.count == 0 {
-        return 0.0;
-    }
-    let target = q * snapshot.count as f64;
-    let mut seen = 0.0;
-    let mut lower = 0.0;
-    for (i, &count) in snapshot.buckets.iter().enumerate() {
-        let upper = snapshot.bounds.get(i).copied().unwrap_or(lower);
-        if seen + count as f64 >= target && count > 0 {
-            let within = (target - seen) / count as f64;
-            return lower + (upper - lower) * within;
-        }
-        seen += count as f64;
-        lower = upper;
-    }
-    lower
 }
 
 /// `(count, sum)` of a registry histogram series, zeros when absent.

@@ -5,13 +5,12 @@ use lassi_harness::{Job, SweepGrid};
 use lassi_hecbench::applications;
 use lassi_llm::{all_models, ModelSpec};
 
-use crate::util::{mix, Rng};
+use crate::util::mix;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     GridCold,
     RepairStorm,
-    ServeMixed,
     FleetDrain,
 }
 
@@ -20,7 +19,6 @@ impl Workload {
         match name {
             "grid-cold" => Some(Workload::GridCold),
             "repair-storm" => Some(Workload::RepairStorm),
-            "serve-mixed" => Some(Workload::ServeMixed),
             "fleet-drain" => Some(Workload::FleetDrain),
             _ => None,
         }
@@ -32,15 +30,6 @@ impl Workload {
 /// under its own base seed, so seeds average out fault-path luck while one
 /// repetition stays a few seconds long.
 pub const GRID_SEEDS: u64 = 3;
-
-/// Sweeps each `serve-mixed` client submits per repetition.
-pub const SWEEPS_PER_CLIENT: usize = 160;
-
-/// One in this many `serve-mixed` sweeps is a new grid (cold); the rest
-/// repeat one of the client's own earlier grids and are served from the
-/// scenario cache. With 1 in 4 cold, p50 lies well inside the cached mode
-/// and p95 inside the cold one (its 80th percentile).
-pub const COLD_EVERY: usize = 4;
 
 /// Base seeds of the paper grids a repetition runs. Kept below 2^53 so they
 /// survive any JSON number parser unchanged.
@@ -89,111 +78,4 @@ pub fn grids(seed: u64, degraded: bool) -> Vec<SweepGrid> {
 /// Every job of a list of grids, concatenated in grid order.
 pub fn jobs_of(grids: &[SweepGrid]) -> Vec<Job> {
     grids.iter().flat_map(SweepGrid::jobs).collect()
-}
-
-/// One `serve-mixed` sweep: one model × two applications × one direction.
-#[derive(Debug, Clone)]
-pub struct SweepSpec {
-    pub model: &'static str,
-    pub apps: [&'static str; 2],
-    pub direction: Direction,
-    pub seed: u64,
-    /// Index (in the same client's schedule) of the sweep this one repeats.
-    pub repeats: Option<usize>,
-}
-
-impl SweepSpec {
-    /// The `POST /v1/sweeps` body under a client-chosen run id.
-    pub fn body(&self, run_id: &str) -> String {
-        format!(
-            r#"{{"models": ["{}"], "apps": ["{}", "{}"], "directions": ["{}"], "timing_runs": [1], "seed": {}, "run_id": "{run_id}"}}"#,
-            self.model,
-            self.apps[0],
-            self.apps[1],
-            self.direction.slug(),
-            self.seed
-        )
-    }
-
-    /// The record set the sweep's single grid cell is written as.
-    pub fn record_set(&self) -> String {
-        self.grid().cells()[0].slug()
-    }
-
-    /// The grid the server builds from [`SweepSpec::body`].
-    pub fn grid(&self) -> SweepGrid {
-        let lookup = |name: &str| lassi_hecbench::application(name).expect("known application");
-        SweepGrid {
-            base: PipelineConfig {
-                seed: self.seed,
-                ..PipelineConfig::default()
-            },
-            models: vec![lassi_llm::model_by_name(self.model).expect("known model")],
-            apps: self.apps.iter().map(|a| lookup(a)).collect(),
-            directions: vec![self.direction],
-            max_self_corrections: vec![PipelineConfig::default().max_self_corrections],
-            timing_runs: vec![1],
-        }
-    }
-}
-
-/// Client `client`'s fixed sweep schedule. Every block of [`COLD_EVERY`]
-/// sweeps holds exactly one new grid at a seeded position (the very first
-/// sweep is always new); the others repeat one of this client's own earlier
-/// new grids, which has finished by then, so the expected scenario-cache
-/// hits are known exactly: two per repeat.
-pub fn serve_schedule(seed: u64, client: usize) -> Vec<SweepSpec> {
-    let mut rng = Rng::new(mix(seed ^ mix(0xC11E_0000 + client as u64)));
-    let models = all_models();
-    let apps = applications();
-    let mut schedule: Vec<SweepSpec> = Vec::with_capacity(SWEEPS_PER_CLIENT);
-    let mut fresh: Vec<usize> = Vec::new();
-    // New sweeps pair up the applications of successive seeded shuffles,
-    // so every application appears equally often whatever the seed: the
-    // heavy ones (jacobi) then hold a fixed share of the cold mode and p95
-    // does not move with the seed's luck.
-    let mut order: Vec<usize> = Vec::new();
-    let mut cold_slot = 0;
-    for k in 0..SWEEPS_PER_CLIENT {
-        if k % COLD_EVERY == 0 {
-            cold_slot = if k == 0 { 0 } else { rng.below(COLD_EVERY) };
-        }
-        if k % COLD_EVERY == cold_slot {
-            if order.len() < 2 {
-                order = (0..apps.len()).collect();
-                for i in (1..order.len()).rev() {
-                    order.swap(i, rng.below(i + 1));
-                }
-            }
-            let (first, second) = (
-                order.pop().expect("refilled"),
-                order.pop().expect("refilled"),
-            );
-            fresh.push(k);
-            schedule.push(SweepSpec {
-                model: models[rng.below(models.len())].name,
-                apps: [apps[first].name, apps[second].name],
-                direction: Direction::both()[rng.below(2)],
-                seed: rng.next() & ((1 << 53) - 1),
-                repeats: None,
-            });
-        } else {
-            let original = fresh[rng.below(fresh.len())];
-            let spec = SweepSpec {
-                repeats: Some(original),
-                ..schedule[original].clone()
-            };
-            schedule.push(spec);
-        }
-    }
-    schedule
-}
-
-/// The distinct (new) sweeps of every client, for the traced drive.
-pub fn serve_fresh_jobs(seed: u64, clients: usize) -> Vec<Job> {
-    (0..clients)
-        .flat_map(|c| serve_schedule(seed, c))
-        .filter(|spec| spec.repeats.is_none())
-        .flat_map(|spec| spec.grid().jobs())
-        .collect()
 }
