@@ -12,7 +12,8 @@
 //! printed on stdout and, with `--addr-file`, written atomically to a file
 //! so scripts (CI, `loadgen`) can wait for it and read it. The process
 //! serves until a client `POST`s `/v1/shutdown`, then drains in-flight
-//! connections and sweeps, flushes the scenario cache, and exits 0.
+//! connections and sweeps, and exits 0 (scenario-cache entries are already
+//! on disk: every store is a synchronous write-then-rename).
 //!
 //! Connections are HTTP/1.1 keep-alive by default: `--idle-timeout-ms`
 //! bounds how long one may sit between requests, and

@@ -17,20 +17,15 @@
 //! sweep delete <run-id> [--artifacts DIR]
 //! ```
 //!
-//! The pre-subcommand flag spellings (`--smoke`, `--full`, `--list`,
-//! `--verify <dir>`, `--delete <id>`, and bare `sweep` for `sweep run`)
-//! still work but print a deprecation note to stderr; stdout is unchanged
-//! so existing greps keep passing.
-//!
 //! Lists are comma-separated. Every (direction, max_self_corrections,
 //! timing_runs) cell of the grid becomes one record set in the artifact.
 //!
 //! `--timings` (on `run` and `full`) prints a per-stage pipeline timing
 //! table — parse / sema / compile / llm / execute / similarity — from the
 //! process-wide `lassi-obs` metrics registry after the sweep, followed by
-//! the compiled-program and execution-report cache counters and the execute
-//! stage's share of instrumented stage time; `full` also embeds the same
-//! breakdown as `stage_breakdown` in `BENCH_fullgrid.json`.
+//! the execution-report memo's counters and the execute stage's share of
+//! instrumented stage time; `full` also embeds the same breakdown as
+//! `stage_breakdown` in `BENCH_fullgrid.json`.
 //!
 //! `--diag-summary` (on `run`, `full` and `smoke`) prints the sweep's
 //! structured findings aggregated per stable diagnostic code after the
@@ -42,14 +37,15 @@
 //! `diagnostics.json`.
 //!
 //! `--engine` picks the execution engine for every compile-and-run step:
-//! `bytecode` (the default — each checked program lowers to register
-//! bytecode once, cached process-wide, and runs on the dispatch-loop VM) or
+//! `bytecode` (the default — each distinct checked program lowers to
+//! register bytecode and runs on the dispatch-loop VM once per process,
+//! its report memoized) or
 //! `reference` (the original tree-walking interpreter, kept for
 //! differential comparison). Both produce bit-identical reports; the
 //! scenario-cache key includes the engine, so sweeps under different
 //! engines never share cache entries.
 //!
-//! `--full` runs the paper's complete Table-IV grid — every application ×
+//! `full` runs the paper's complete Table-IV grid — every application ×
 //! every model × both directions (10 × 4 × 2 = 80 scenarios per config
 //! cell) — twice through the worker pool and the scenario cache (cold, then
 //! warm), saves the artifact as `run-fullgrid/` (replacing any previous
@@ -58,25 +54,25 @@
 //! rates). The grid dimensions are fixed by definition; narrowing flags
 //! (`--models`, `--apps`, `--directions`) are rejected.
 //!
-//! `--smoke` is the self-checking CI entry point over a tiny 2-application
+//! `smoke` is the self-checking CI entry point over a tiny 2-application
 //! × 1-model grid. The cold/warm measurement runs against a *throwaway*
 //! cache directory so "cold" genuinely means 0% hits and "warm" 100% — a
 //! pre-warmed shared cache must not be able to fake the cold numbers (it
 //! once did: the committed `cold_cache_hit_rate` read 1.0). A third,
 //! separate pass then goes through the persistent shared cache at
 //! `<artifacts>/cache`; because that cache survives the process, a *second*
-//! `sweep --smoke` invocation reports 100% hits on this shared pass — CI
+//! `sweep smoke` invocation reports 100% hits on this shared pass — CI
 //! asserts exactly that. The artifact is written from the shared pass and
 //! verified to round-trip (including a byte-identical table re-rendering),
 //! and the fresh-cache numbers become `BENCH_harness.json`.
 //!
-//! `--verify <run-dir>` reloads a saved artifact with the round-trip loader,
+//! `verify <run-dir>` reloads a saved artifact with the round-trip loader,
 //! recomputes every summary from the records and compares it against the
 //! stored one.
 //!
-//! `--list` prints the run ids present in the artifact store, one per line.
+//! `list` prints the run ids present in the artifact store, one per line.
 //!
-//! `--delete <run-id>` removes one run directory from the artifact store
+//! `delete <run-id>` removes one run directory from the artifact store
 //! (the first piece of artifact GC — the same operation the server exposes
 //! as `DELETE /v1/runs/{id}`). The scenario cache is never touched.
 
@@ -91,11 +87,10 @@ use lassi_hecbench::{application, applications, Application};
 use lassi_llm::{all_models, model_by_name, ModelSpec};
 use lassi_metrics::AggregateStats;
 
-/// What the invocation asks for — one subcommand (or its legacy-flag
-/// spelling).
+/// What the invocation asks for — one subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// `sweep run` (also bare `sweep`): an arbitrary config-grid sweep.
+    /// `sweep run`: an arbitrary config-grid sweep.
     Run,
     /// `sweep full`: the paper's complete Table-IV grid, cold then warm.
     Full,
@@ -152,7 +147,7 @@ struct SweepArgs {
     apps: Vec<Application>,
     directions: Vec<Direction>,
     /// True once --models/--apps/--directions narrowed the product
-    /// (incompatible with --full, which is the full product by definition).
+    /// (incompatible with `full`, which is the full product by definition).
     narrowed: bool,
     max_self_corrections: Vec<u32>,
     timing_runs: Vec<u32>,
@@ -185,28 +180,8 @@ fn parse_list<T, E: std::fmt::Display>(
     Ok(items)
 }
 
-/// Record a mode request, rejecting contradictory ones (`sweep smoke --full`).
-fn set_mode(current: &mut Option<Mode>, requested: Mode) -> Result<(), String> {
-    match current {
-        Some(existing) if *existing != requested => Err(format!(
-            "conflicting modes: `{}` and `{}`",
-            existing.word(),
-            requested.word()
-        )),
-        _ => {
-            *current = Some(requested);
-            Ok(())
-        }
-    }
-}
-
-/// Stderr note for the pre-subcommand flag spellings. Stdout is untouched
-/// so pipelines grepping pass lines keep working.
-fn deprecation_note(old: &str, new: &str) {
-    eprintln!(
-        "sweep: note: `{old}` is deprecated; use `sweep {new}` (the old spelling still works)"
-    );
-}
+/// The usage hint every argument error ends with.
+const SUBCOMMANDS: &str = "subcommands: run, full, smoke, list, delete <run-id>, verify <run-dir>";
 
 fn parse_args() -> Result<SweepArgs, String> {
     let common = lassi_bench::parse_common_args(std::env::args().skip(1))?;
@@ -226,40 +201,17 @@ fn parse_args() -> Result<SweepArgs, String> {
         diag_summary: false,
         engine: None,
     };
-    let mut mode: Option<Mode> = None;
-    let mut rest = common.rest.into_iter().peekable();
+    let mut iter = common.rest.into_iter();
     // The subcommand word leads; everything after it is flags (plus the
     // operand for `delete` / `verify`).
-    if let Some(word) = rest.peek().and_then(|first| Mode::from_word(first)) {
-        mode = Some(word);
-        rest.next();
-    }
-    let mut iter = rest;
+    args.mode = match iter.next() {
+        Some(word) => Mode::from_word(&word)
+            .ok_or_else(|| format!("unknown subcommand `{word}` ({SUBCOMMANDS})"))?,
+        None => return Err(format!("missing subcommand ({SUBCOMMANDS})")),
+    };
     while let Some(arg) = iter.next() {
         let mut value = |flag: &str| iter.next().ok_or(format!("{flag} needs a value"));
         match arg.as_str() {
-            "--smoke" => {
-                deprecation_note("--smoke", "smoke");
-                set_mode(&mut mode, Mode::Smoke)?;
-            }
-            "--full" => {
-                deprecation_note("--full", "full");
-                set_mode(&mut mode, Mode::Full)?;
-            }
-            "--list" => {
-                deprecation_note("--list", "list");
-                set_mode(&mut mode, Mode::List)?;
-            }
-            "--verify" => {
-                deprecation_note("--verify <run-dir>", "verify <run-dir>");
-                set_mode(&mut mode, Mode::Verify)?;
-                args.operand = Some(value("--verify")?);
-            }
-            "--delete" => {
-                deprecation_note("--delete <run-id>", "delete <run-id>");
-                set_mode(&mut mode, Mode::Delete)?;
-                args.operand = Some(value("--delete")?);
-            }
             "--models" => {
                 args.models = parse_list(&value("--models")?, "model", |s| {
                     model_by_name(s).ok_or("unknown model")
@@ -307,15 +259,10 @@ fn parse_args() -> Result<SweepArgs, String> {
             }
             other if !other.starts_with('-') => {
                 // Positional operand — only `delete` / `verify` take one.
-                let takes_operand =
-                    matches!(mode, Some(Mode::Delete | Mode::Verify)) && args.operand.is_none();
-                if takes_operand {
+                if args.mode.operand_name().is_some() && args.operand.is_none() {
                     args.operand = Some(other.to_string());
                 } else {
-                    return Err(format!(
-                        "unexpected argument `{other}` (subcommands: run, full, \
-                         smoke, list, delete <run-id>, verify <run-dir>)"
-                    ));
+                    return Err(format!("unexpected argument `{other}` ({SUBCOMMANDS})"));
                 }
             }
             other => {
@@ -325,23 +272,12 @@ fn parse_args() -> Result<SweepArgs, String> {
             }
         }
     }
-    if mode.is_none() {
-        deprecation_note("bare `sweep`", "run");
-    }
-    args.mode = mode.unwrap_or(Mode::Run);
     match args.mode.operand_name() {
         Some(name) if args.operand.is_none() => {
-            return Err(format!("`sweep {}` needs {name}", args.mode.word()))
+            Err(format!("`sweep {}` needs {name}", args.mode.word()))
         }
-        None if args.operand.is_some() => {
-            return Err(format!(
-                "`sweep {}` takes no positional argument",
-                args.mode.word()
-            ))
-        }
-        _ => {}
+        _ => Ok(args),
     }
-    Ok(args)
 }
 
 /// One harness pass over the grid's jobs; returns submission-ordered outputs,
@@ -546,8 +482,8 @@ fn stage_rows() -> Vec<(&'static str, u64, f64)> {
 }
 
 /// The `--timings` table: where pipeline wall-clock went, stage by stage,
-/// followed by the compiled-program and execution-report cache counters and
-/// the execute stage's share of instrumented stage time (CI greps the share
+/// followed by the execution-report memo's counters and the execute stage's
+/// share of instrumented stage time (CI greps the share
 /// line to assert the bytecode engine keeps execution off the critical
 /// path).
 fn print_stage_table() {
@@ -574,15 +510,6 @@ fn print_stage_table() {
             execute_total = sum;
         }
     }
-    let programs = lassi_core::progcache::stats();
-    println!(
-        "program cache: {} hits / {} misses ({:.1}% hit rate), {} entries, ~{} bytes",
-        programs.hits,
-        programs.misses,
-        programs.hit_rate() * 100.0,
-        programs.entries,
-        programs.approx_bytes
-    );
     let reports = lassi_core::progcache::report_stats();
     println!(
         "report cache: {} hits / {} misses ({:.1}% hit rate), {} entries, ~{} bytes",
@@ -694,8 +621,8 @@ fn stage_breakdown() -> Json {
     )
 }
 
-/// The `program_cache` / `report_cache` objects of `BENCH_fullgrid.json`:
-/// counters from the same process-wide caches as `--timings`.
+/// The `report_cache` object of `BENCH_fullgrid.json`: the same
+/// process-wide memo counters as `--timings`.
 fn cache_counters_json(s: lassi_core::ProgramCacheStats) -> Json {
     Json::Object(vec![
         ("hits".into(), Json::uint(s.hits)),
@@ -777,7 +704,7 @@ fn smoke(args: &SweepArgs) -> Result<(), String> {
     );
     let shared_harness = lassi_bench::build_harness(&args.common)?;
     if shared_harness.cache().is_none() {
-        return Err("--smoke needs the scenario cache (drop --no-cache)".into());
+        return Err("`sweep smoke` needs the scenario cache (drop --no-cache)".into());
     }
     let options = lassi_harness::HarnessOptions::default().with_workers(args.common.workers);
     let workers = options.workers;
@@ -792,9 +719,7 @@ fn smoke(args: &SweepArgs) -> Result<(), String> {
         .map_err(|e| format!("cannot create throwaway cache: {e}"))?;
     let fresh_harness = lassi_harness::Harness::new(options).with_cache(fresh_cache);
     let measured = cold_then_warm(&fresh_harness, &grid);
-    // Quiesce the batched writer, then clean the throwaway cache up on the
-    // error path too, before `?` bails.
-    fresh_harness.flush_cache();
+    // Clean the throwaway cache up on the error path too, before `?` bails.
     let _ = std::fs::remove_dir_all(&fresh_dir);
     let ((_, cold_wall, cold_delta), (warm_out, warm_wall, warm_delta)) = measured?;
     if cold_delta.hits != 0 {
@@ -813,10 +738,6 @@ fn smoke(args: &SweepArgs) -> Result<(), String> {
         "{}",
         pass_line("shared", &shared_out, shared_wall, shared_delta)
     );
-    // The disk writes behind the shared pass are batched; flush them now so
-    // the next `sweep --smoke` *process* (CI's second invocation) finds
-    // every entry on disk and reports the shared pass at 100% hits.
-    shared_harness.flush_cache();
 
     let jobs = grid.jobs();
     let per_cell = write_artifact(
@@ -907,9 +828,6 @@ fn full_sweep(args: &SweepArgs) -> Result<(), String> {
     let jobs = grid.jobs();
     let (outputs, wall, delta) = run_pass(&harness, jobs.clone());
     println!("{}", pass_line("sweep", &outputs, wall, delta));
-    // Publish the batched cache writes before the process exits, so a
-    // follow-up invocation over an overlapping grid starts warm.
-    harness.flush_cache();
 
     let per_cell = write_artifact(
         args,
@@ -939,16 +857,18 @@ fn full_sweep(args: &SweepArgs) -> Result<(), String> {
 fn full_grid(args: &SweepArgs) -> Result<(), String> {
     if args.narrowed {
         return Err(
-            "--full runs the complete application × model × direction grid; \
+            "`sweep full` runs the complete application × model × direction grid; \
              drop --models/--apps/--directions (use --max-self-corrections / \
              --timing-runs to sweep config cells)"
                 .into(),
         );
     }
     if args.run_id.is_some() {
-        return Err("--full always writes (and replaces) run-fullgrid/; drop \
-             --run-id, or use the default sweep mode for custom run ids"
-            .into());
+        return Err(
+            "`sweep full` always writes (and replaces) run-fullgrid/; drop \
+             --run-id, or use `sweep run` for custom run ids"
+                .into(),
+        );
     }
     let mut base = PipelineConfig::default();
     if let Some(seed) = args.seed {
@@ -967,7 +887,7 @@ fn full_grid(args: &SweepArgs) -> Result<(), String> {
     };
     let harness = lassi_bench::build_harness(&args.common)?;
     if harness.cache().is_none() {
-        return Err("--full needs the scenario cache (drop --no-cache)".into());
+        return Err("`sweep full` needs the scenario cache (drop --no-cache)".into());
     }
     let workers = lassi_harness::HarnessOptions::default()
         .with_workers(args.common.workers)
@@ -984,9 +904,6 @@ fn full_grid(args: &SweepArgs) -> Result<(), String> {
 
     let ((cold_out, cold_wall, cold_delta), (_, warm_wall, warm_delta)) =
         cold_then_warm(&harness, &grid)?;
-    // Flush the batched cache writes: CI's second `--full` invocation
-    // asserts its cold pass is 100% disk-cache hits.
-    harness.flush_cache();
 
     let jobs = grid.jobs();
     let per_cell = write_artifact(
@@ -1019,14 +936,9 @@ fn full_grid(args: &SweepArgs) -> Result<(), String> {
             // pass; warm scenarios are cache-served and never enter the
             // pipeline).
             ("stage_breakdown".into(), stage_breakdown()),
-            // Cache counters: 730 cold executions should compile each
-            // distinct program exactly once (program_cache) and run it on
-            // the VM exactly once (report_cache) — execution is
-            // deterministic, so every repeat replays the first report.
-            (
-                "program_cache".into(),
-                cache_counters_json(lassi_core::progcache::stats()),
-            ),
+            // Memo counters: each distinct program is lowered and run on
+            // the VM exactly once — execution is deterministic, so every
+            // repeat replays the first report.
             (
                 "report_cache".into(),
                 cache_counters_json(lassi_core::progcache::report_stats()),

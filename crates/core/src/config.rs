@@ -4,19 +4,9 @@ use lassi_runtime::RunConfig;
 
 use crate::experiment::Direction;
 
-/// 64-bit FNV-1a. Scenario seeds feed the simulated LLM *and* the harness
-/// scenario-cache keys, so the derivation must be stable across Rust
-/// releases — `std`'s `DefaultHasher` explicitly is not (a toolchain bump
-/// would silently re-seed every scenario, changing every record, table and
-/// committed baseline).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+// Scenario seeds feed the simulated LLM *and* the harness scenario-cache
+// keys, so their derivation uses the toolchain-stable FNV-1a.
+pub(crate) use lassi_hecbench::fnv1a64;
 
 /// Which execution engine runs benchmark programs.
 ///
@@ -25,8 +15,9 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// exercised). The reference interpreter is kept for differential testing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
-    /// Lower each checked program to register bytecode once (cached
-    /// process-wide) and execute it on the dispatch-loop VM. The default.
+    /// Memoize each checked program's execution report process-wide; a miss
+    /// lowers it to register bytecode and runs the dispatch-loop VM. The
+    /// default.
     #[default]
     Bytecode,
     /// The original tree-walking interpreter (`lassi_runtime::reference`).

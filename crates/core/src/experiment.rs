@@ -9,7 +9,7 @@ use lassi_llm::{all_models, ModelSpec, SimulatedLlm};
 use lassi_metrics::ScenarioOutcome;
 
 use crate::config::PipelineConfig;
-use crate::pipeline::{Lassi, TranslationRecord};
+use crate::pipeline::{average_of_runs, Lassi, TranslationRecord};
 
 /// A translation direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,21 +80,17 @@ pub struct Table4Row {
     pub omp_seconds: f64,
 }
 
-/// Reproduce Table IV: run every reference application in both dialects and
-/// report the average of `timing_runs` executions.
+/// Reproduce Table IV: run every reference application once in both
+/// dialects and report the average of `timing_runs` (identical,
+/// deterministic) executions.
 pub fn run_table4(config: &PipelineConfig) -> Vec<Table4Row> {
     applications()
         .par_iter()
         .map(|app| {
             let avg = |dialect| {
-                let runs = config.timing_runs.max(1);
-                let mut total = 0.0;
-                for _ in 0..runs {
-                    let report = run_application(app, dialect)
-                        .unwrap_or_else(|e| panic!("{} reference failed: {e}", app.name));
-                    total += report.simulated_seconds;
-                }
-                total / runs as f64
+                let report = run_application(app, dialect)
+                    .unwrap_or_else(|e| panic!("{} reference failed: {e}", app.name));
+                average_of_runs(report.simulated_seconds, config.timing_runs)
             };
             Table4Row {
                 category: app.category.to_string(),

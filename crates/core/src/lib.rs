@@ -28,7 +28,9 @@ pub use experiment::{
     direction_table, run_direction, run_direction_with, run_scenario, run_table4,
     scenario_outcomes, table4_text, Direction, Table4Row,
 };
-pub use pipeline::{AttemptDiagnostics, Lassi, ScenarioStatus, TranslationRecord, STAGE_NAMES};
+pub use pipeline::{
+    average_of_runs, AttemptDiagnostics, Lassi, ScenarioStatus, TranslationRecord, STAGE_NAMES,
+};
 pub use progcache::ProgramCacheStats;
 
 #[cfg(test)]

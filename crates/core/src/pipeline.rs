@@ -9,7 +9,7 @@ use lassi_llm::prompts::{extract_code_block, PromptDictionary};
 use lassi_llm::ChatModel;
 use lassi_metrics::{runtime_ratio, with_engine};
 use lassi_obs::Histogram;
-use lassi_runtime::{ExecutionReport, HostInterpreter, ParallelBackend};
+use lassi_runtime::{ExecutionReport, HostInterpreter};
 
 use crate::config::{ExecEngine, PipelineConfig};
 
@@ -57,6 +57,18 @@ fn timed<T>(histogram: &Histogram, f: impl FnOnce() -> T) -> T {
     let result = f();
     histogram.observe(started.elapsed().as_secs_f64());
     result
+}
+
+/// The reported runtime of `runs` timing runs (at least one) that each took
+/// `seconds`: their in-order sum divided by `runs`, exactly what averaging
+/// that many separate executions computes. Execution is deterministic, so
+/// one run stands in for all of them — but the result is not simply
+/// `seconds`: `(x + x + x) / 3 != x` for many doubles (0.1 among them), and
+/// records must stay byte-identical.
+pub fn average_of_runs(seconds: f64, runs: u32) -> f64 {
+    let runs = runs.max(1);
+    let total = (0..runs).fold(0.0, |total, _| total + seconds);
+    total / runs as f64
 }
 
 /// How a scenario ended.
@@ -197,19 +209,18 @@ impl<M: ChatModel> Lassi<M> {
         resp.text
     }
 
-    /// Compile and execute a program, averaging `timing_runs` executions the
-    /// way the paper averages three runs. Returns the last report with the
-    /// averaged runtime substituted.
+    /// Compile and execute a program once, reporting the average of
+    /// `timing_runs` runs the way the paper averages three (see
+    /// [`average_of_runs`]: execution is deterministic, so every run would
+    /// take the same simulated time).
     ///
-    /// With [`ExecEngine::Bytecode`] the checked program is lowered to
-    /// register bytecode first (cached process-wide, so each distinct program
-    /// compiles once per sweep) and the VM runs it; execution reports are
-    /// memoized per (program, config, machine) — the simulator is
-    /// deterministic, so the grid's timing repeats and cross-scenario
-    /// re-runs of the same program replay the first run's report bit for
-    /// bit instead of re-executing it. With [`ExecEngine::Reference`] the
-    /// tree-walking interpreter runs the AST directly every time. Reports
-    /// are bit-identical either way.
+    /// With [`ExecEngine::Bytecode`] the report memo is consulted first,
+    /// keyed by [`crate::progcache::cache_key`]; only a miss lowers the
+    /// checked program to register bytecode (timed as `compile`) and runs
+    /// the VM (timed as `execute`), so cross-scenario re-runs of the same
+    /// program replay the first run's report bit for bit. With
+    /// [`ExecEngine::Reference`] the tree-walking interpreter runs the AST
+    /// directly, memo-free. Reports are bit-identical either way.
     ///
     /// On success the compile's non-fatal warnings ride along so callers can
     /// record them; on failure the coded diagnostics come back attached to
@@ -225,51 +236,31 @@ impl<M: ChatModel> Lassi<M> {
                 diagnostics,
             })?
             .warnings;
-        let exec_failure = |msg: String| StageFailure {
-            stage: "execute",
-            diagnostics: vec![Diagnostic::error(0, msg).with_code("exec/runtime-error")],
-        };
-        let runs = self.config.timing_runs.max(1);
-        let mut last: Option<ExecutionReport> = None;
-        let mut total = 0.0;
-        match self.config.engine {
+        let config = &self.config.run_config;
+        let outcome = match self.config.engine {
             ExecEngine::Bytecode => {
-                let compiled = timed(&self.stages.compile, || {
-                    crate::progcache::get_or_compile(program, &self.config.run_config, 0)
-                });
-                let run_key = crate::progcache::report_key(
-                    crate::progcache::cache_key(program, &self.config.run_config, 0),
-                    self.machine.name(),
-                );
-                for _ in 0..runs {
-                    let report = timed(&self.stages.execute, || {
-                        crate::progcache::get_or_run(run_key, || {
-                            lassi_runtime::run_compiled(
-                                &compiled,
-                                &self.config.run_config,
-                                &self.machine,
-                                &[],
-                            )
-                            .map_err(|e| e.to_string())
-                        })
+                let key = crate::progcache::cache_key(program, config, 0);
+                crate::progcache::get_or_run(key, || {
+                    let compiled =
+                        timed(&self.stages.compile, || lassi_runtime::compile(program, 0));
+                    timed(&self.stages.execute, || {
+                        lassi_runtime::run_compiled(&compiled, config, &self.machine, &[])
                     })
-                    .map_err(&exec_failure)?;
-                    total += report.simulated_seconds;
-                    last = Some(report);
-                }
+                    .map_err(|e| e.to_string())
+                })
             }
             ExecEngine::Reference => {
-                for _ in 0..runs {
-                    let mut interp = HostInterpreter::new(program, self.config.run_config.clone());
-                    let report = timed(&self.stages.execute, || interp.run(&self.machine, &[]))
-                        .map_err(|e| exec_failure(e.to_string()))?;
-                    total += report.simulated_seconds;
-                    last = Some(report);
-                }
+                let mut interp = HostInterpreter::new(program, config.clone());
+                timed(&self.stages.execute, || interp.run(&self.machine, &[]))
+                    .map_err(|e| e.to_string())
             }
-        }
-        let mut report = last.expect("at least one run");
-        report.simulated_seconds = total / runs as f64;
+        };
+        let mut report = outcome.map_err(|msg| StageFailure {
+            stage: "execute",
+            diagnostics: vec![Diagnostic::error(0, msg).with_code("exec/runtime-error")],
+        })?;
+        report.simulated_seconds =
+            average_of_runs(report.simulated_seconds, self.config.timing_runs);
         Ok((report, warnings))
     }
 
@@ -565,8 +556,8 @@ mod tests {
     #[test]
     fn bytecode_and_reference_engines_produce_identical_records() {
         // End-to-end differential check through the whole pipeline: the
-        // bytecode engine (compiled-program cache + memoized deterministic
-        // execution reports) must reproduce the reference interpreter's
+        // bytecode engine (memoized deterministic execution reports) must
+        // reproduce the memo-free reference interpreter's
         // TranslationRecord exactly — status, runtimes, ratio, similarity
         // scores and token accounting.
         let app = application("entropy").unwrap();
@@ -585,6 +576,35 @@ mod tests {
                 "engines disagree for source {source:?}"
             );
         }
+    }
+
+    #[test]
+    fn averaging_identical_runs_keeps_the_float_sum() {
+        assert_eq!(average_of_runs(0.1, 3), 0.10000000000000002);
+        assert_eq!(average_of_runs(0.1, 1), 0.1);
+        assert_eq!(average_of_runs(0.1, 0), 0.1, "zero runs count as one");
+    }
+
+    #[test]
+    fn timing_runs_average_one_run_of_each_program() {
+        let app = application("layout").unwrap();
+        let record = |timing_runs| {
+            let config = PipelineConfig {
+                timing_runs,
+                ..PipelineConfig::default()
+            };
+            Lassi::new(perfect_model(), config).translate_application(&app, Dialect::CudaLite)
+        };
+        let once = record(1);
+        let thrice = record(3);
+        assert_eq!(
+            thrice.source_runtime.to_bits(),
+            average_of_runs(once.source_runtime, 3).to_bits()
+        );
+        assert_eq!(
+            thrice.reference_runtime.to_bits(),
+            average_of_runs(once.reference_runtime, 3).to_bits()
+        );
     }
 
     #[test]

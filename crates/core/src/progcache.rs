@@ -1,39 +1,33 @@
-//! Process-wide compiled-program and execution-report caches.
+//! Process-wide execution-report memo.
 //!
-//! A full Table-IV grid compiles and runs 730 programs, but only a handful
+//! A full Table-IV grid compiles and runs ~720 programs, but only a handful
 //! are *distinct* — every scenario re-runs the same reference sources and
-//! the simulated LLM emits the same translations. Lowering to bytecode is
-//! cheap but not free, so compiled programs are cached process-wide, keyed
-//! the same way the harness scenario cache keys runs: a stable FNV-1a hash
-//! over the canonical printed program, its dialect and every
-//! [`RunConfig`] knob that could influence compilation.
-//!
-//! Execution goes one step further: the simulator is *fully deterministic*
-//! (no wall clock, no randomness — simulated time is a pure function of the
-//! step and cost accounting), so re-running an identical program under an
-//! identical `RunConfig` on an identical machine reproduces the previous
+//! the simulated LLM emits the same translations. The simulator is *fully
+//! deterministic* (no wall clock, no randomness — simulated time is a pure
+//! function of the step and cost accounting), so re-running an identical
+//! program under an identical `RunConfig` reproduces the previous
 //! [`ExecutionReport`] bit for bit. [`get_or_run`] memoizes those reports —
 //! including `ExecError` outcomes, which are the *expensive* ones (a
-//! step-limit kill burns the whole budget every time) — turning the grid's
-//! 730 executions into one VM run per distinct program.
+//! step-limit kill burns the whole budget every time) — keyed by
+//! [`cache_key`]: a stable FNV-1a hash over the canonical printed program,
+//! its dialect and every [`RunConfig`] knob that could influence the run.
+//! The memo is process-local and every pipeline runs on the same simulated
+//! machine, so the machine is not part of the key.
 //!
-//! Hit/miss/size counters for both caches are exported through
-//! `/v1/cache/stats`, the metrics registry (`lassi_program_cache_*`,
-//! `lassi_report_cache_*`) and `sweep --timings`.
+//! Only a miss lowers the program to bytecode and runs the VM, so the grid's
+//! ~720 executions become one lowering and one VM run per distinct program.
+//! Hit/miss/size counters are exported through `/v1/cache/stats`, the
+//! metrics registry (`lassi_report_cache_*`) and `sweep --timings`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use lassi_lang::printer::print_program;
 use lassi_lang::Program;
-use lassi_runtime::{CompiledProgram, ExecutionReport, RunConfig};
+use lassi_runtime::{ExecutionReport, RunConfig};
 
 use crate::config::fnv1a64;
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 static REPORT_HITS: AtomicU64 = AtomicU64::new(0);
 static REPORT_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -43,26 +37,21 @@ static REPORT_BYTES: AtomicU64 = AtomicU64::new(0);
 /// pipeline would surface. Both are deterministic for a given key.
 type CachedRun = Result<ExecutionReport, String>;
 
-fn cache() -> &'static Mutex<HashMap<u64, Arc<CompiledProgram>>> {
-    static CACHE: OnceLock<Mutex<HashMap<u64, Arc<CompiledProgram>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 fn report_cache() -> &'static Mutex<HashMap<u64, CachedRun>> {
     static CACHE: OnceLock<Mutex<HashMap<u64, CachedRun>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Counters describing the compiled-program cache.
+/// Counters describing the execution-report memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProgramCacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups answered from the memo.
     pub hits: u64,
-    /// Lookups that had to compile.
+    /// Lookups that had to lower and run the program.
     pub misses: u64,
-    /// Distinct compiled programs currently cached.
+    /// Distinct outcomes currently retained.
     pub entries: u64,
-    /// Approximate retained size of all cached programs, in bytes.
+    /// Approximate retained size of all outcomes, in bytes.
     pub approx_bytes: u64,
 }
 
@@ -78,11 +67,11 @@ impl ProgramCacheStats {
     }
 }
 
-/// Stable cache key for a checked program under a run configuration.
+/// Stable memo key for a checked program under a run configuration.
 ///
 /// Hashes the canonical printed form (not the source text), so textual
 /// variation that parses identically — whitespace, comments — shares one
-/// compiled program.
+/// memoized outcome.
 pub fn cache_key(program: &Program, config: &RunConfig, argc: usize) -> u64 {
     let canonical = format!(
         "v1;dialect={:?};step_limit={};host_op={:016x};startup={:016x};argc={argc};{}",
@@ -95,43 +84,15 @@ pub fn cache_key(program: &Program, config: &RunConfig, argc: usize) -> u64 {
     fnv1a64(canonical.as_bytes())
 }
 
-/// Fetch the compiled form of `program`, lowering it on first sight.
-pub fn get_or_compile(program: &Program, config: &RunConfig, argc: usize) -> Arc<CompiledProgram> {
-    let key = cache_key(program, config, argc);
-    if let Some(found) = cache().lock().unwrap().get(&key) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(found);
-    }
-    // Compile outside the lock; concurrent first-sights of the same program
-    // may compile twice, but only one result is retained (and counted).
-    let compiled = Arc::new(lassi_runtime::compile(program, argc));
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let mut map = cache().lock().unwrap();
-    let entry = map.entry(key).or_insert_with(|| {
-        BYTES.fetch_add(compiled.approx_bytes() as u64, Ordering::Relaxed);
-        Arc::clone(&compiled)
-    });
-    Arc::clone(entry)
-}
-
-/// Key for a memoized execution report: the compiled-program key plus the
-/// fingerprint of the simulated machine the run targets. Everything else
-/// that could change the outcome (program text, dialect, `RunConfig` knobs,
-/// argc) is already folded into the program key.
-pub fn report_key(program_key: u64, machine_fingerprint: &str) -> u64 {
-    fnv1a64(format!("run;prog={program_key:016x};machine={machine_fingerprint}").as_bytes())
-}
-
 /// Fetch the memoized outcome of executing the program behind `key`, running
 /// `run` on first sight.
 ///
 /// Sound because execution is deterministic: the simulator consumes no wall
-/// clock and no randomness, so a (program, config, machine) triple always
-/// produces the same report — the grid's three timing runs per scenario and
-/// its cross-scenario repeats of the same baseline program are bit-identical
-/// replays. Errors are memoized too: a step-limit kill re-burns the entire
-/// step budget on every replay, making failed programs the most expensive
-/// ones to re-execute.
+/// clock and no randomness, so a (program, config) pair always produces the
+/// same report on the one simulated machine — cross-scenario repeats of the
+/// same baseline program are bit-identical replays. Errors are memoized too:
+/// a step-limit kill re-burns the entire step budget on every replay, making
+/// failed programs the most expensive ones to re-execute.
 pub fn get_or_run(key: u64, run: impl FnOnce() -> CachedRun) -> CachedRun {
     if let Some(found) = report_cache().lock().unwrap().get(&key) {
         REPORT_HITS.fetch_add(1, Ordering::Relaxed);
@@ -154,18 +115,20 @@ pub fn get_or_run(key: u64, run: impl FnOnce() -> CachedRun) -> CachedRun {
     entry.clone()
 }
 
-/// Current compiled-program cache counters.
+/// Lowering counters, in the shape the compiled-program cache used to
+/// report. Kept only because the benchmark under `perfbench/` still reads
+/// them: every lowering now happens on a report-memo miss, so `misses`
+/// equals the memo's misses and hits, entries and bytes are zero.
 pub fn stats() -> ProgramCacheStats {
     ProgramCacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        entries: cache().lock().unwrap().len() as u64,
-        approx_bytes: BYTES.load(Ordering::Relaxed),
+        hits: 0,
+        misses: REPORT_MISSES.load(Ordering::Relaxed),
+        entries: 0,
+        approx_bytes: 0,
     }
 }
 
-/// Current execution-report cache counters (same shape as the program
-/// cache's, so callers can render both with one code path).
+/// Current execution-report memo counters.
 pub fn report_stats() -> ProgramCacheStats {
     ProgramCacheStats {
         hits: REPORT_HITS.load(Ordering::Relaxed),
@@ -179,25 +142,6 @@ pub fn report_stats() -> ProgramCacheStats {
 mod tests {
     use super::*;
     use lassi_lang::{parse, Dialect};
-
-    #[test]
-    fn second_lookup_hits_and_shares_the_compiled_program() {
-        let program = parse(
-            "int main() { int trigram_progcache_test = 1; return 0; }",
-            Dialect::CudaLite,
-        )
-        .unwrap();
-        let config = RunConfig::default();
-        let before = stats();
-        let first = get_or_compile(&program, &config, 0);
-        let second = get_or_compile(&program, &config, 0);
-        assert!(Arc::ptr_eq(&first, &second));
-        let after = stats();
-        assert!(after.misses > before.misses);
-        assert!(after.hits > before.hits);
-        assert!(after.entries >= 1);
-        assert!(after.approx_bytes > 0);
-    }
 
     #[test]
     fn key_separates_dialect_argc_and_knobs() {
@@ -223,7 +167,7 @@ mod tests {
 
     #[test]
     fn report_memoization_replays_outcomes_without_rerunning() {
-        let key = report_key(0xdead_beef_cafe_f00d, "test-machine");
+        let key = 0xdead_beef_cafe_f00d;
         let mut runs = 0;
         let before = report_stats();
         for _ in 0..3 {
@@ -239,12 +183,13 @@ mod tests {
         assert!(after.hits >= before.hits + 2);
         assert!(after.entries >= 1);
         assert!(after.approx_bytes > before.approx_bytes);
-    }
-
-    #[test]
-    fn report_key_separates_programs_and_machines() {
-        assert_ne!(report_key(1, "a100"), report_key(2, "a100"));
-        assert_ne!(report_key(1, "a100"), report_key(1, "h100"));
+        // The lowering view mirrors the memo's misses and nothing else.
+        let lowerings = stats();
+        assert_eq!(
+            (lowerings.hits, lowerings.entries, lowerings.approx_bytes),
+            (0, 0, 0)
+        );
+        assert!(lowerings.misses >= after.misses);
     }
 
     #[test]

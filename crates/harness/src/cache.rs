@@ -11,59 +11,30 @@
 //! Two backings share one interface: a process-local in-memory map, and an
 //! optional on-disk layer (one JSON file per scenario) that lets repeated
 //! sweep *invocations* skip already-computed scenarios. Hit/miss counters
-//! prove the speedup (`sweep --smoke` asserts a warm rerun is 100% hits).
+//! prove the speedup (`sweep smoke` asserts a warm rerun is 100% hits).
 //!
-//! ## Scaling under concurrency
-//!
-//! The in-memory map is sharded [`SHARD_COUNT`] ways by key hash, each shard
-//! behind its own (non-poisoning) `parking_lot::Mutex`, so concurrent
-//! clients of a long-lived service do not serialize on one lock. Counters
-//! are kept per shard and summed in [`ScenarioCache::snapshot`], so the
-//! `hits + misses == lookups` invariant survives sharding.
-//!
-//! Disk persistence is *batched*: [`ScenarioCache::store`] enqueues the
-//! record onto a bounded channel drained by one writer thread, so the
-//! request path never does a synchronous file write. [`ScenarioCache::flush`]
-//! blocks until everything enqueued so far is on disk; dropping the cache
-//! flushes implicitly (the writer drains its queue and is joined). Crash
-//! consistency is trivial: an entry that never reached disk is just a
-//! future miss, and the write-then-rename protocol means a reader never
-//! sees a torn file.
+//! The map sits behind one (non-poisoning) `parking_lot::Mutex` that is only
+//! ever held across a map operation and a refcount bump. Disk writes are
+//! synchronous write-then-rename, outside the lock: a reader never sees a
+//! torn file, an entry is on disk once [`ScenarioCache::store`] returns, and
+//! a crash before that is just a future miss.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use lassi_core::TranslationRecord;
+use lassi_hecbench::Machine;
 
 use crate::codec::{record_from_json, record_to_json};
 use crate::json;
 use crate::scheduler::Job;
 
-/// Number of independent in-memory shards (a power of two so the shard
-/// index is a mask over the key hash).
-pub const SHARD_COUNT: usize = 16;
-
-/// Capacity of the disk-writer channel: enough to absorb a burst of stores
-/// without blocking the workers, small enough that a slow disk applies
-/// backpressure instead of ballooning memory.
-const WRITER_QUEUE_CAPACITY: usize = 256;
-
-/// 64-bit FNV-1a over arbitrary bytes: small, stable, good enough dispersion
-/// for a few thousand scenario keys.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use lassi_hecbench::fnv1a64;
 
 /// The content-addressed identity of one scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,16 +45,11 @@ impl ScenarioKey {
     pub fn hex(self) -> String {
         format!("{:016x}", self.0)
     }
-
-    /// Which shard this key lives in: the FNV hash folded down and masked.
-    /// Folding the high half in keeps the shard choice sensitive to every
-    /// input byte, not just the tail the final multiplies mixed last.
-    fn shard_index(self) -> usize {
-        ((self.0 ^ (self.0 >> 32)) as usize) & (SHARD_COUNT - 1)
-    }
 }
 
-/// Derive the cache key for a job from everything that determines its record.
+/// Derive the cache key for a job from everything that determines its record,
+/// including the [`Machine::fingerprint`] of the simulated platform every
+/// pipeline runs on.
 ///
 /// The leading version tag covers the *pipeline semantics* too: bump it when
 /// a code change alters what a record would contain for identical inputs
@@ -97,7 +63,7 @@ pub fn scenario_key(job: &Job) -> ScenarioKey {
     let config = &job.config;
     let canonical = format!(
         "v4;engine={};app={};cuda={:016x};omp={:016x};model={};dir={};seed={};msc={};runs={};\
-         step={};hostop={:016x};startup={:016x}",
+         step={};hostop={:016x};startup={:016x};machine={:016x}",
         config.engine.label(),
         job.application.name,
         fnv1a64(job.application.cuda_source.as_bytes()),
@@ -110,16 +76,9 @@ pub fn scenario_key(job: &Job) -> ScenarioKey {
         config.run_config.step_limit,
         config.run_config.host_op_seconds.to_bits(),
         config.run_config.startup_seconds.to_bits(),
+        Machine::a100().fingerprint(),
     );
     ScenarioKey(fnv1a64(canonical.as_bytes()))
-}
-
-/// Hit/miss/store counters, cheap enough to share across worker threads.
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stores: AtomicU64,
 }
 
 /// A point-in-time copy of the counters (for per-pass deltas).
@@ -154,171 +113,33 @@ impl CacheSnapshot {
     }
 }
 
-/// One in-memory shard: its slice of the key space plus its own counters.
-/// Records are held behind `Arc`s so the lock is only ever held across a
-/// map operation and a refcount bump — deep clones (the records carry the
-/// scenario's source strings) happen outside the lock.
+/// The scenario cache: an in-memory map, optionally backed by a directory of
+/// `<key>.json` files. Records are held behind `Arc`s so deep clones (the
+/// records carry the scenario's source strings) happen outside the lock.
 #[derive(Default)]
-struct Shard {
-    map: Mutex<HashMap<u64, Arc<TranslationRecord>>>,
-    stats: CacheStats,
-}
-
-/// What the cache asks of its disk-writer thread.
-enum DiskCommand {
-    /// Persist one record at `path` (write-then-rename). The `Arc` is
-    /// shared with the in-memory shard: enqueueing copies a pointer, not
-    /// the record.
-    Store {
-        path: PathBuf,
-        record: Arc<TranslationRecord>,
-    },
-    /// Acknowledge once every command enqueued before this one is on disk.
-    Flush(mpsc::SyncSender<()>),
-}
-
-/// Writer-thread counters shared between the enqueueing side and the
-/// writer itself: the live queue depth and how many flush barriers have
-/// completed. Read by `/v1/cache/stats` and mirrored into `/v1/metrics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WriterSnapshot {
-    /// Store commands enqueued but not yet written to disk.
-    pub queue_depth: u64,
-    /// Flush barriers acknowledged since the cache was created.
-    pub flushes: u64,
-}
-
-#[derive(Default)]
-struct WriterStats {
-    queue_depth: AtomicU64,
-    flushes: AtomicU64,
-}
-
-/// The dedicated disk-writer thread and its bounded command channel.
-struct DiskWriter {
-    tx: Option<mpsc::SyncSender<DiskCommand>>,
-    handle: Option<thread::JoinHandle<()>>,
-    stats: Arc<WriterStats>,
-    flush_seconds: lassi_obs::Histogram,
-}
-
-impl DiskWriter {
-    fn spawn() -> DiskWriter {
-        let (tx, rx) = mpsc::sync_channel::<DiskCommand>(WRITER_QUEUE_CAPACITY);
-        let stats = Arc::new(WriterStats::default());
-        let thread_stats = Arc::clone(&stats);
-        let handle = thread::Builder::new()
-            .name("lassi-cache-writer".into())
-            .spawn(move || {
-                while let Ok(command) = rx.recv() {
-                    match command {
-                        DiskCommand::Store { path, record } => {
-                            // Serialization happens here, off the request
-                            // path. Write-then-rename so a concurrent reader
-                            // never sees a torn file; failures are tolerated
-                            // (a missing entry is just a future miss).
-                            let tmp = path.with_extension("json.tmp");
-                            let text = record_to_json(&record).to_pretty();
-                            if std::fs::write(&tmp, text).is_ok() {
-                                let _ = std::fs::rename(&tmp, &path);
-                            }
-                            thread_stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        }
-                        DiskCommand::Flush(ack) => {
-                            // The channel is FIFO, so reaching this command
-                            // means every earlier store has been written.
-                            thread_stats.flushes.fetch_add(1, Ordering::Relaxed);
-                            let _ = ack.send(());
-                        }
-                    }
-                }
-            })
-            .expect("spawn cache writer thread");
-        DiskWriter {
-            tx: Some(tx),
-            handle: Some(handle),
-            stats,
-            flush_seconds: lassi_obs::global().histogram(
-                "lassi_cache_flush_seconds",
-                "Latency of cache flush barriers (everything queued reaching disk).",
-                &[],
-                lassi_obs::LATENCY_SECONDS,
-            ),
-        }
-    }
-
-    fn send(&self, command: DiskCommand) {
-        if let Some(tx) = &self.tx {
-            if matches!(command, DiskCommand::Store { .. }) {
-                self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-            }
-            // A full channel blocks here: backpressure against a disk slower
-            // than the workers, never unbounded memory.
-            let _ = tx.send(command);
-        }
-    }
-
-    fn flush(&self) {
-        let started = std::time::Instant::now();
-        let (ack_tx, ack_rx) = mpsc::sync_channel::<()>(1);
-        self.send(DiskCommand::Flush(ack_tx));
-        let _ = ack_rx.recv();
-        self.flush_seconds.observe(started.elapsed().as_secs_f64());
-    }
-
-    fn snapshot(&self) -> WriterSnapshot {
-        WriterSnapshot {
-            queue_depth: self.stats.queue_depth.load(Ordering::Relaxed),
-            flushes: self.stats.flushes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for DiskWriter {
-    fn drop(&mut self) {
-        // Close the channel so the writer drains what is queued and exits,
-        // then join it: dropping the cache is an implicit flush.
-        self.tx.take();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The scenario cache: a sharded in-memory map, optionally backed by a
-/// directory of `<key>.json` files maintained by a batched writer thread.
 pub struct ScenarioCache {
     dir: Option<PathBuf>,
-    shards: Vec<Shard>,
-    writer: Option<DiskWriter>,
+    map: Mutex<HashMap<u64, Arc<TranslationRecord>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    stores: AtomicU64,
 }
 
 impl ScenarioCache {
-    fn shards() -> Vec<Shard> {
-        (0..SHARD_COUNT).map(|_| Shard::default()).collect()
-    }
-
     /// Process-local cache with no persistence.
     pub fn in_memory() -> Self {
-        ScenarioCache {
-            dir: None,
-            shards: Self::shards(),
-            writer: None,
-        }
+        ScenarioCache::default()
     }
 
     /// Disk-backed cache rooted at `dir` (created if missing). Entries
     /// survive across processes, which is what makes a second `sweep`
-    /// invocation 100% hits. Writes are batched through a dedicated writer
-    /// thread; call [`ScenarioCache::flush`] (or drop the cache) before
-    /// another process needs to observe them.
+    /// invocation 100% hits.
     pub fn on_disk(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(ScenarioCache {
             dir: Some(dir),
-            shards: Self::shards(),
-            writer: Some(DiskWriter::spawn()),
+            ..ScenarioCache::default()
         })
     }
 
@@ -327,104 +148,64 @@ impl ScenarioCache {
         self.dir.as_deref()
     }
 
-    fn shard(&self, key: ScenarioKey) -> &Shard {
-        &self.shards[key.shard_index()]
-    }
-
     /// Look a scenario up, counting the hit or miss.
     pub fn lookup(&self, key: ScenarioKey) -> Option<TranslationRecord> {
-        let shard = self.shard(key);
         // Only the refcount bump happens under the lock; the deep clone the
         // caller receives is made after it is released.
-        let resident = shard.map.lock().get(&key.0).map(Arc::clone);
+        let resident = self.map.lock().get(&key.0).map(Arc::clone);
         if let Some(record) = resident {
-            shard.stats.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return Some((*record).clone());
         }
         if let Some(record) = self.disk_lookup(key) {
             let shared = Arc::new(record);
-            shard.map.lock().insert(key.0, Arc::clone(&shared));
-            shard.stats.hits.fetch_add(1, Ordering::Relaxed);
+            self.map.lock().insert(key.0, Arc::clone(&shared));
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return Some((*shared).clone());
         }
-        shard.stats.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
     fn disk_lookup(&self, key: ScenarioKey) -> Option<TranslationRecord> {
-        let dir = self.dir.as_ref()?;
-        let text = std::fs::read_to_string(self.entry_path(dir, key)).ok()?;
+        let text = std::fs::read_to_string(self.entry_path(key)?).ok()?;
         // A corrupt or truncated entry is treated as a miss and will be
         // overwritten by the recomputed record.
         let value = json::parse(&text).ok()?;
         record_from_json(&value).ok()
     }
 
-    /// Store a freshly computed record under its key. The in-memory shard is
-    /// updated synchronously (later lookups in this process hit); the disk
-    /// write is queued onto the writer thread and lands asynchronously. One
-    /// deep clone happens here, outside the lock; the shard map and the
-    /// writer queue share it behind an `Arc`.
+    /// Store a freshly computed record under its key: into the map (later
+    /// lookups in this process hit), then — for a disk-backed cache — to
+    /// `<key>.json` by write-then-rename, outside the lock. Each write goes
+    /// through its own temporary file, so two stores of one key never
+    /// rename a half-written file into place. Write failures are tolerated:
+    /// a missing entry is just a future miss.
     pub fn store(&self, key: ScenarioKey, record: &TranslationRecord) {
-        let shard = self.shard(key);
-        shard.stats.stores.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::new(record.clone());
-        shard.map.lock().insert(key.0, Arc::clone(&shared));
-        if let (Some(dir), Some(writer)) = (&self.dir, &self.writer) {
-            writer.send(DiskCommand::Store {
-                path: self.entry_path(dir, key),
-                record: shared,
-            });
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        self.stores.fetch_add(1, Ordering::Relaxed);
+        self.map.lock().insert(key.0, Arc::new(record.clone()));
+        if let Some(path) = self.entry_path(key) {
+            let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+            let tmp = path.with_extension(format!("{}-{seq}.tmp", std::process::id()));
+            if std::fs::write(&tmp, record_to_json(record).to_pretty()).is_ok() {
+                let _ = std::fs::rename(&tmp, &path);
+            }
         }
     }
 
-    /// Block until every store enqueued so far has reached disk. A no-op for
-    /// an in-memory cache. Call before handing the backing directory to
-    /// another process (or asserting on its contents).
-    pub fn flush(&self) {
-        if let Some(writer) = &self.writer {
-            writer.flush();
-        }
+    fn entry_path(&self, key: ScenarioKey) -> Option<PathBuf> {
+        Some(self.dir.as_ref()?.join(format!("{}.json", key.hex())))
     }
 
-    fn entry_path(&self, dir: &Path, key: ScenarioKey) -> PathBuf {
-        dir.join(format!("{}.json", key.hex()))
-    }
-
-    /// Current counter values, summed across shards. Each shard's counters
-    /// are exact, so the invariant `hits + misses == lookups` holds for the
-    /// aggregate too.
+    /// Current counter values. Each counter is exact, so the invariant
+    /// `hits + misses == lookups` holds.
     pub fn snapshot(&self) -> CacheSnapshot {
-        let mut snapshot = CacheSnapshot::default();
-        for shard in &self.shards {
-            snapshot.hits += shard.stats.hits.load(Ordering::Relaxed);
-            snapshot.misses += shard.stats.misses.load(Ordering::Relaxed);
-            snapshot.stores += shard.stats.stores.load(Ordering::Relaxed);
+        CacheSnapshot {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            stores: self.stores.load(Ordering::Relaxed),
         }
-        snapshot
-    }
-
-    /// Per-shard counter values, indexed by shard. Summing these equals
-    /// [`ScenarioCache::snapshot`] (both read the same atomics), which is
-    /// what lets `/v1/cache/stats` and `/v1/metrics` stay consistent.
-    pub fn shard_snapshots(&self) -> Vec<CacheSnapshot> {
-        self.shards
-            .iter()
-            .map(|shard| CacheSnapshot {
-                hits: shard.stats.hits.load(Ordering::Relaxed),
-                misses: shard.stats.misses.load(Ordering::Relaxed),
-                stores: shard.stats.stores.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Disk-writer queue depth and flush count; all zeros for an in-memory
-    /// cache (there is no writer thread to observe).
-    pub fn writer_snapshot(&self) -> WriterSnapshot {
-        self.writer
-            .as_ref()
-            .map(DiskWriter::snapshot)
-            .unwrap_or_default()
     }
 }
 
@@ -495,62 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_aggregate_across_shards() {
-        // Synthetic keys chosen to land in distinct shards; the aggregate
-        // snapshot must still account for every lookup exactly once.
-        let cache = ScenarioCache::in_memory();
-        let record = job("layout", 40).run();
-        let keys: Vec<ScenarioKey> = (0..SHARD_COUNT as u64).map(ScenarioKey).collect();
-        for &key in &keys {
-            assert!(cache.lookup(key).is_none());
-            cache.store(key, &record);
-        }
-        for &key in &keys {
-            assert!(cache.lookup(key).is_some());
-        }
-        let snap = cache.snapshot();
-        let n = keys.len() as u64;
-        assert_eq!((snap.hits, snap.misses, snap.stores), (n, n, n));
-    }
-
-    #[test]
-    fn shard_snapshots_sum_to_the_aggregate() {
-        let cache = ScenarioCache::in_memory();
-        let record = job("layout", 40).run();
-        for key in (0..64u64).map(|k| ScenarioKey(k.wrapping_mul(0x9e3779b97f4a7c15))) {
-            assert!(cache.lookup(key).is_none());
-            cache.store(key, &record);
-            assert!(cache.lookup(key).is_some());
-        }
-        let shards = cache.shard_snapshots();
-        assert_eq!(shards.len(), SHARD_COUNT);
-        let total = cache.snapshot();
-        assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), total.hits);
-        assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), total.misses);
-        assert_eq!(shards.iter().map(|s| s.stores).sum::<u64>(), total.stores);
-        assert_eq!((total.hits, total.misses, total.stores), (64, 64, 64));
-        // No writer thread: the writer snapshot is all zeros.
-        assert_eq!(cache.writer_snapshot(), WriterSnapshot::default());
-    }
-
-    #[test]
-    fn writer_snapshot_counts_flushes_and_drains_the_queue() {
-        let dir = test_dir("writer-stats");
-        let cache = ScenarioCache::on_disk(&dir).unwrap();
-        let record = job("layout", 40).run();
-        for key in (0..8u64).map(ScenarioKey) {
-            cache.store(key, &record);
-        }
-        cache.flush();
-        cache.flush();
-        let snap = cache.writer_snapshot();
-        assert_eq!(snap.queue_depth, 0, "flush drains every queued store");
-        assert_eq!(snap.flushes, 2);
-        drop(cache);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn disk_cache_persists_across_instances() {
         let dir = test_dir("persist");
         let key = scenario_key(&job("entropy", 40));
@@ -558,7 +283,6 @@ mod tests {
         {
             let cache = ScenarioCache::on_disk(&dir).unwrap();
             cache.store(key, &record);
-            // Dropping the cache joins the writer thread — an implicit flush.
         }
         let fresh = ScenarioCache::on_disk(&dir).unwrap();
         assert_eq!(fresh.lookup(key).as_ref(), Some(&record));
@@ -567,13 +291,12 @@ mod tests {
     }
 
     #[test]
-    fn flush_makes_stores_visible_on_disk() {
-        let dir = test_dir("flush");
+    fn stores_are_visible_on_disk_when_store_returns() {
+        let dir = test_dir("store");
         let cache = ScenarioCache::on_disk(&dir).unwrap();
         let key = scenario_key(&job("layout", 40));
         let record = job("layout", 40).run();
         cache.store(key, &record);
-        cache.flush();
         // Without dropping `cache`, the entry must already be a complete
         // JSON file another cache instance can read.
         let fresh = ScenarioCache::on_disk(&dir).unwrap();

@@ -10,8 +10,8 @@
 //!   [`JobOutput`](scheduler::JobOutput)s back as they complete, with
 //!   cooperative cancellation and per-job wall-clock timing,
 //! * [`cache`] — a content-addressed scenario cache (stable FNV-1a over
-//!   application sources, model fingerprint, direction, derived seed and
-//!   config) whose disk backing makes repeated and overlapping sweeps skip
+//!   application sources, model fingerprint, direction, derived seed,
+//!   config and simulated-machine fingerprint) whose disk backing makes repeated and overlapping sweeps skip
 //!   already-computed scenarios — cached records are exact because the
 //!   pipeline is deterministically seeded,
 //! * [`store`] + [`json`] + [`codec`] — a dependency-free JSON artifact
@@ -38,9 +38,7 @@ pub mod scheduler;
 pub mod store;
 pub mod trace;
 
-pub use cache::{
-    fnv1a64, scenario_key, CacheSnapshot, ScenarioCache, ScenarioKey, WriterSnapshot, SHARD_COUNT,
-};
+pub use cache::{fnv1a64, scenario_key, CacheSnapshot, ScenarioCache, ScenarioKey};
 pub use grid::{GridCell, SweepGrid};
 pub use json::Json;
 pub use lease::{

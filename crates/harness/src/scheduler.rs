@@ -263,15 +263,10 @@ impl Harness {
             .unwrap_or_default()
     }
 
-    /// Block until every cache store so far has reached disk (a no-op
-    /// without a cache, or with an in-memory one). Long-lived services call
-    /// this on shutdown; batch CLIs call it before another process reads
-    /// the cache directory.
-    pub fn flush_cache(&self) {
-        if let Some(cache) = self.cache.as_deref() {
-            cache.flush();
-        }
-    }
+    /// A no-op: cache stores reach disk before [`ScenarioCache::store`]
+    /// returns. Kept only because the benchmark under `perfbench/` still
+    /// calls it.
+    pub fn flush_cache(&self) {}
 
     /// Submit a batch of jobs and stream their outputs as they complete.
     pub fn submit(&self, jobs: Vec<Job>) -> JobStream {

@@ -1,8 +1,8 @@
-//! Stress the sharded scenario cache: N threads hammering M keys through
-//! every shard concurrently must keep the counter invariants exact
-//! (`hits + misses == lookups`, `stores == misses` under store-on-miss),
-//! and an explicit `flush()` must make every store visible on disk to a
-//! fresh cache instance — without dropping the original.
+//! Stress the scenario cache: N threads hammering M keys concurrently must
+//! keep the counter invariants exact (`hits + misses == lookups`,
+//! `stores == misses` under store-on-miss), and concurrent stores must each
+//! leave a complete file on disk that a fresh cache instance reads back —
+//! without dropping the original.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::thread;
 
 use lassi_core::{Direction, PipelineConfig, TranslationRecord};
-use lassi_harness::{Job, ScenarioCache, ScenarioKey, SHARD_COUNT};
+use lassi_harness::{Job, ScenarioCache, ScenarioKey};
 use lassi_hecbench::application;
 use lassi_llm::gpt4;
 
@@ -19,7 +19,7 @@ const KEYS: usize = 64;
 const ROUNDS: usize = 4;
 
 fn test_dir(label: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("lassi-shard-stress-{}-{label}", std::process::id()))
+    std::env::temp_dir().join(format!("lassi-cache-stress-{}-{label}", std::process::id()))
 }
 
 fn sample_record() -> TranslationRecord {
@@ -35,11 +35,10 @@ fn sample_record() -> TranslationRecord {
     .run()
 }
 
-/// Synthetic keys spread deliberately across every shard: the low bits walk
-/// the shard index, the high bits make each key distinct.
+/// Synthetic, distinct keys.
 fn keys() -> Vec<ScenarioKey> {
     (0..KEYS as u64)
-        .map(|i| ScenarioKey((i << 32) | (i % SHARD_COUNT as u64)))
+        .map(|i| ScenarioKey((i << 32) | i))
         .collect()
 }
 
@@ -56,8 +55,8 @@ fn concurrent_threads_keep_counters_exact() {
             let lookups = Arc::clone(&lookups);
             thread::spawn(move || {
                 // Each thread walks the key set from a different offset so
-                // shards see genuinely interleaved traffic, storing on miss
-                // exactly like a harness worker.
+                // the cache sees genuinely interleaved traffic, storing on
+                // miss exactly like a harness worker.
                 let keys = keys();
                 for round in 0..ROUNDS {
                     for i in 0..KEYS {
@@ -98,8 +97,8 @@ fn concurrent_threads_keep_counters_exact() {
 }
 
 #[test]
-fn flush_publishes_concurrent_stores_to_disk() {
-    let dir = test_dir("flush");
+fn concurrent_stores_are_complete_files() {
+    let dir = test_dir("files");
     let _ = std::fs::remove_dir_all(&dir);
     let cache = Arc::new(ScenarioCache::on_disk(&dir).expect("cache dir"));
     let record = sample_record();
@@ -123,14 +122,13 @@ fn flush_publishes_concurrent_stores_to_disk() {
         handle.join().expect("store thread");
     }
 
-    // The writer thread batches; flush() is the visibility barrier.
-    cache.flush();
+    // Stores are synchronous: every file is complete once the threads join.
     let files = std::fs::read_dir(&dir)
         .expect("read cache dir")
         .filter_map(|e| e.ok())
         .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
         .count();
-    assert_eq!(files, KEYS, "every store is a complete file after flush()");
+    assert_eq!(files, KEYS, "every store is a complete file");
 
     // A fresh instance (separate process stand-in) reads them all back.
     let fresh = ScenarioCache::on_disk(&dir).expect("fresh cache");

@@ -20,7 +20,7 @@ pub mod apps;
 pub mod runner;
 
 pub use apps::{application, applications, Application};
-pub use runner::{run_application, run_source, Machine};
+pub use runner::{fnv1a64, run_application, run_source, Machine};
 
 #[cfg(test)]
 mod tests {

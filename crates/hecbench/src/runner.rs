@@ -12,6 +12,20 @@ use lassi_runtime::{
 
 use crate::apps::Application;
 
+/// 64-bit FNV-1a. Scenario seeds, memo keys and scenario-cache keys all hash
+/// with it because the derivation must be stable across Rust releases —
+/// `std`'s `DefaultHasher` explicitly is not (a toolchain bump would
+/// silently re-seed every scenario, changing every record, table and
+/// committed baseline).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// The simulated experimental platform from the paper: a multi-core host with
 /// an NVIDIA A100, reachable both through CUDA and through OpenMP offload.
 pub struct Machine {
@@ -26,6 +40,15 @@ impl Machine {
             gpu: GpuSimulator::a100(),
             omp: OmpSimulator::a100_offload(),
         }
+    }
+
+    /// Content fingerprint of every simulation parameter: FNV-1a over the
+    /// `Debug` form of the GPU cost model and the OpenMP spec. Keys of
+    /// persisted results fold it in, so editing any device or cost-model
+    /// parameter misses instead of replaying stale runtimes. Should the
+    /// `Debug` format ever change, the only cost is a cache miss.
+    pub fn fingerprint(&self) -> u64 {
+        fnv1a64(format!("{:?};{:?}", self.gpu.cost_model(), self.omp.spec()).as_bytes())
     }
 
     /// Run configuration used for every benchmark execution (a small fixed
@@ -80,10 +103,6 @@ impl ParallelBackend for Machine {
 
     fn memcpy_seconds(&self, bytes: u64) -> f64 {
         self.gpu.memcpy_seconds(bytes)
-    }
-
-    fn name(&self) -> &'static str {
-        "a100-machine"
     }
 }
 
@@ -227,6 +246,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fingerprint_tracks_every_simulation_parameter() {
+        use lassi_gpusim::DeviceSpec;
+        use lassi_ompsim::OmpSpec;
+        let machine = |device: DeviceSpec, omp: OmpSpec| Machine {
+            gpu: GpuSimulator::new(device),
+            omp: OmpSimulator::new(omp),
+        };
+        let base = machine(DeviceSpec::a100(), OmpSpec::a100_offload()).fingerprint();
+        assert_eq!(base, Machine::a100().fingerprint(), "stable");
+        let device = DeviceSpec {
+            mem_bandwidth: DeviceSpec::a100().mem_bandwidth * 1.01,
+            ..DeviceSpec::a100()
+        };
+        assert_ne!(
+            base,
+            machine(device, OmpSpec::a100_offload()).fingerprint(),
+            "device spec"
+        );
+        let omp = OmpSpec {
+            host_cores: 32,
+            ..OmpSpec::a100_offload()
+        };
+        assert_ne!(
+            base,
+            machine(DeviceSpec::a100(), omp).fingerprint(),
+            "OpenMP spec"
+        );
     }
 
     #[test]

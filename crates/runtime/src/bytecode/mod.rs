@@ -195,16 +195,4 @@ impl CompiledProgram {
     pub fn ty(&self, id: u32) -> &Type {
         &self.types[id as usize]
     }
-
-    /// Rough heap footprint in bytes, for cache-size accounting.
-    pub fn approx_bytes(&self) -> u64 {
-        let code = self.code.len() * std::mem::size_of::<Instr>();
-        let consts = self.consts.len() * std::mem::size_of::<Value>();
-        let names: usize = self.names.iter().map(|n| n.len() + 24).sum();
-        let types = self.types.len() * std::mem::size_of::<Type>();
-        let funcs = self.funcs.len() * std::mem::size_of::<CompiledFunction>();
-        let kernels = self.kernels.len() * 160;
-        let regions = self.regions.len() * 240;
-        (code + consts + names + types + funcs + kernels + regions) as u64
-    }
 }

@@ -115,83 +115,24 @@ fn dispatch(state: &AppState, req: &Request, resolved: Result<Route, RouteError>
 /// `GET /v1/metrics`: the process-wide registry in Prometheus text
 /// exposition format. Event-driven instruments (request counters, job
 /// histograms, stage timings) are already up to date; state that lives
-/// outside the registry — cache shard counters, writer queue, run queue,
-/// executor occupancy — is mirrored in at scrape time, with the external
-/// atomics staying the single source of truth so this view and
-/// `/v1/cache/stats` can never disagree.
+/// outside the registry — cache counters, run queue, executor occupancy —
+/// is mirrored in at scrape time, with the external atomics staying the
+/// single source of truth so this view and `/v1/cache/stats` can never
+/// disagree.
 fn metrics(state: &AppState) -> Response {
     let registry = lassi_obs::global();
     if let Some(cache) = state.harness().cache() {
-        for (i, shard) in cache.shard_snapshots().iter().enumerate() {
-            let shard_label = format!("{i:02}");
-            let labels = [("shard", shard_label.as_str())];
-            registry
-                .counter(
-                    "lassi_cache_hits_total",
-                    "Scenario-cache hits, by shard.",
-                    &labels,
-                )
-                .record_total(shard.hits);
-            registry
-                .counter(
-                    "lassi_cache_misses_total",
-                    "Scenario-cache misses, by shard.",
-                    &labels,
-                )
-                .record_total(shard.misses);
-            registry
-                .counter(
-                    "lassi_cache_stores_total",
-                    "Scenario-cache stores, by shard.",
-                    &labels,
-                )
-                .record_total(shard.stores);
-        }
-        let writer = cache.writer_snapshot();
+        let snapshot = cache.snapshot();
         registry
-            .gauge(
-                "lassi_cache_writer_queue_depth",
-                "Store commands queued at the batched disk writer.",
-                &[],
-            )
-            .set(writer.queue_depth as i64);
+            .counter("lassi_cache_hits_total", "Scenario-cache hits.", &[])
+            .record_total(snapshot.hits);
         registry
-            .counter(
-                "lassi_cache_writer_flushes_total",
-                "Flush barriers completed by the batched disk writer.",
-                &[],
-            )
-            .record_total(writer.flushes);
+            .counter("lassi_cache_misses_total", "Scenario-cache misses.", &[])
+            .record_total(snapshot.misses);
+        registry
+            .counter("lassi_cache_stores_total", "Scenario-cache stores.", &[])
+            .record_total(snapshot.stores);
     }
-    let programs = lassi_core::progcache::stats();
-    registry
-        .counter(
-            "lassi_program_cache_hits_total",
-            "Compiled-program cache hits.",
-            &[],
-        )
-        .record_total(programs.hits);
-    registry
-        .counter(
-            "lassi_program_cache_misses_total",
-            "Compiled-program cache misses (bytecode compilations).",
-            &[],
-        )
-        .record_total(programs.misses);
-    registry
-        .gauge(
-            "lassi_program_cache_entries",
-            "Distinct compiled programs retained in the cache.",
-            &[],
-        )
-        .set(programs.entries as i64);
-    registry
-        .gauge(
-            "lassi_program_cache_bytes",
-            "Approximate retained size of the compiled-program cache.",
-            &[],
-        )
-        .set(programs.approx_bytes as i64);
     let reports = lassi_core::progcache::report_stats();
     registry
         .counter(
@@ -396,14 +337,13 @@ fn healthz() -> Response {
     Response::json(200, body.to_compact())
 }
 
-/// `GET /v1/cache/stats`: aggregate counters (unchanged shape, existing
-/// clients keep parsing) plus the per-shard breakdown and the batched
-/// disk-writer's queue/flush view. The shard rows read the same atomics
-/// the aggregate sums, so `shards[*]` always add up to the totals.
+/// `GET /v1/cache/stats`: the scenario cache's counters, plus the
+/// execution-report memo's as `report_cache`.
 fn cache_stats(state: &AppState) -> Response {
     let harness = state.harness();
     let snapshot = harness.cache_snapshot();
-    let mut fields = vec![
+    let reports = lassi_core::progcache::report_stats();
+    let fields = vec![
         ("attached".into(), Json::Bool(harness.cache().is_some())),
         (
             "disk".into(),
@@ -413,48 +353,17 @@ fn cache_stats(state: &AppState) -> Response {
         ("misses".into(), Json::uint(snapshot.misses)),
         ("stores".into(), Json::uint(snapshot.stores)),
         ("hit_rate".into(), Json::Float(snapshot.hit_rate())),
-    ];
-    if let Some(cache) = harness.cache() {
-        let shards: Vec<Json> = cache
-            .shard_snapshots()
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                Json::Object(vec![
-                    ("shard".into(), Json::uint(i as u64)),
-                    ("hits".into(), Json::uint(shard.hits)),
-                    ("misses".into(), Json::uint(shard.misses)),
-                    ("stores".into(), Json::uint(shard.stores)),
-                ])
-            })
-            .collect();
-        let writer = cache.writer_snapshot();
-        fields.push(("shards".into(), Json::Array(shards)));
-        fields.push((
-            "writer".into(),
+        (
+            "report_cache".into(),
             Json::Object(vec![
-                ("queue_depth".into(), Json::uint(writer.queue_depth)),
-                ("flushes".into(), Json::uint(writer.flushes)),
+                ("hits".into(), Json::uint(reports.hits)),
+                ("misses".into(), Json::uint(reports.misses)),
+                ("hit_rate".into(), Json::Float(reports.hit_rate())),
+                ("entries".into(), Json::uint(reports.entries)),
+                ("approx_bytes".into(), Json::uint(reports.approx_bytes)),
             ]),
-        ));
-    }
-    let cache_counters = |s: lassi_core::ProgramCacheStats| {
-        Json::Object(vec![
-            ("hits".into(), Json::uint(s.hits)),
-            ("misses".into(), Json::uint(s.misses)),
-            ("hit_rate".into(), Json::Float(s.hit_rate())),
-            ("entries".into(), Json::uint(s.entries)),
-            ("approx_bytes".into(), Json::uint(s.approx_bytes)),
-        ])
-    };
-    fields.push((
-        "program_cache".into(),
-        cache_counters(lassi_core::progcache::stats()),
-    ));
-    fields.push((
-        "report_cache".into(),
-        cache_counters(lassi_core::progcache::report_stats()),
-    ));
+        ),
+    ];
     Response::json(200, Json::Object(fields).to_compact())
 }
 

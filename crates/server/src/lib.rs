@@ -19,7 +19,7 @@
 //! | `GET` | `/v1/runs/{id}/manifest` | The run manifest — raw artifact bytes. |
 //! | `GET` | `/v1/runs/{id}/records/{set}` | One record set — raw artifact bytes, chunked. |
 //! | `GET` | `/v1/runs/{id}/trace` | The run's `trace.jsonl` — one `trace.v1` event per line: runstate transitions plus one `job` span per scenario with its queue-wait/execute split. |
-//! | `GET` | `/v1/cache/stats` | Scenario-cache counters: aggregate hit/miss/store, per-shard breakdown, disk-writer queue depth and flush count, plus the compiled-program cache (`program_cache`) and the deterministic execution-report cache (`report_cache`), each with hits, misses, entries and approximate bytes. |
+//! | `GET` | `/v1/cache/stats` | Scenario-cache counters (`attached`, `disk`, `hits`, `misses`, `stores`, `hit_rate`) plus the deterministic execution-report memo (`report_cache`: hits, misses, hit rate, entries and approximate bytes). |
 //! | `GET` | `/v1/metrics` | Prometheus-style text exposition of the process-wide `lassi_` metrics registry. |
 //! | `GET` | `/v1/debug/events` | The most recent trace events from a bounded in-memory ring (lossy by design). |
 //! | `GET` | `/v1/healthz` | Liveness. |
@@ -295,9 +295,6 @@ impl Server {
         // closed the run queue and cancelled running sweeps, so each
         // executor finishes its current (cancelled) run quickly and exits.
         self.state.join_executors();
-        // Everything is drained; push any batched scenario-cache writes to
-        // disk before the process (or test) moves on to read them.
-        self.state.harness().flush_cache();
         Ok(())
     }
 }

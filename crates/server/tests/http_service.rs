@@ -388,9 +388,13 @@ fn run_lifecycle_cancel_and_drain() {
         )
     };
 
-    // Run A: 2 apps × 2 directions × 2 msc = 8 cold scenarios — long
-    // enough that it is still mid-flight when we cancel it below.
-    let a = sweep(r#""layout", "entropy""#, "10, 40", "run-a");
+    // Runs A and C: 10 apps × 2 directions × 2 msc = 40 scenarios — long
+    // enough that each is still mid-flight when it is cancelled or drained
+    // below, even when sibling tests have already warmed the process-wide
+    // report memo.
+    let all_apps = r#""matrix-rotate", "jacobi", "layout", "atomicCost", "dense-embedding",
+        "pathfinder", "bsearch", "entropy", "colorwheel", "randomAccess""#;
+    let a = sweep(all_apps, "10, 40", "run-a");
     let resp = http::request(addr, "POST", "/v1/sweeps", Some(a.as_bytes())).unwrap();
     assert_eq!(resp.status, 202, "{}", resp.text());
 
@@ -449,13 +453,13 @@ fn run_lifecycle_cancel_and_drain() {
         .and_then(|v| v.as_u64())
         .unwrap();
     assert!(
-        completed < 8,
-        "cancellation discards queued scenarios (completed {completed}/8)"
+        completed < 40,
+        "cancellation discards queued scenarios (completed {completed}/40)"
     );
 
     // Run C occupies the executor; run D queues behind it. A drain must
     // cancel running C and fail queued D, each with a persisted reason.
-    let c = sweep(r#""layout", "entropy""#, "10, 40", "run-c");
+    let c = sweep(all_apps, "10, 40", "run-c");
     let resp = http::request(addr, "POST", "/v1/sweeps", Some(c.as_bytes())).unwrap();
     assert_eq!(resp.status, 202, "{}", resp.text());
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -825,15 +829,31 @@ fn observability_progress_trace_metrics_and_debug_events() {
     let hits = stats.get("hits").and_then(|v| v.as_u64()).unwrap();
     let misses = stats.get("misses").and_then(|v| v.as_u64()).unwrap();
     assert_eq!(hits + misses, 8, "every scenario consulted the cache");
-    let shards = stats.get("shards").and_then(|v| v.as_array()).unwrap();
-    assert!(!shards.is_empty(), "per-shard breakdown present");
-    let shard_misses: u64 = shards
-        .iter()
-        .map(|s| s.get("misses").and_then(|v| v.as_u64()).unwrap())
-        .sum();
-    assert_eq!(shard_misses, misses, "shards sum to the headline number");
-    let writer = stats.get("writer").expect("writer stats");
-    assert!(writer.get("queue_depth").and_then(|v| v.as_u64()).is_some());
+    // The flat shape: scenario-cache counters plus the report memo, nothing
+    // else.
+    let Json::Object(fields) = &stats else {
+        panic!("cache stats is an object: {stats:?}")
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "attached",
+            "disk",
+            "hits",
+            "misses",
+            "stores",
+            "hit_rate",
+            "report_cache"
+        ]
+    );
+    let reports = stats.get("report_cache").expect("report memo counters");
+    for key in ["hits", "misses", "entries", "approx_bytes"] {
+        assert!(
+            reports.get(key).and_then(|v| v.as_u64()).is_some(),
+            "report_cache carries `{key}`"
+        );
+    }
 
     let resp = http::request(addr, "GET", "/v1/metrics", None).expect("metrics");
     assert_eq!(resp.status, 200);
@@ -863,6 +883,10 @@ fn observability_progress_trace_metrics_and_debug_events() {
         family_sum(&exposition, "lassi_cache_misses_total"),
         misses,
         "metrics mirror cache misses"
+    );
+    assert!(
+        !exposition.contains("lassi_cache_hits_total{"),
+        "one unlabelled series per cache counter"
     );
     // >= rather than ==: the scheduler counter lives in the process-global
     // registry, and the other tests in this binary run jobs concurrently.
