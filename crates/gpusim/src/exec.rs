@@ -1,7 +1,5 @@
 //! Kernel execution: functional simulation of a CUDA launch.
 
-use rayon::prelude::*;
-
 use lassi_lang::{Expr, StmtKind, Type, VarDecl};
 use lassi_runtime::bytecode::SharedLen;
 use lassi_runtime::{
@@ -48,28 +46,11 @@ impl GpuSimulator {
         &self.model
     }
 
-    fn block_coords(grid: Dim3Val) -> Vec<Dim3Val> {
-        let mut out = Vec::with_capacity(grid.count() as usize);
-        for z in 0..grid.z {
-            for y in 0..grid.y {
-                for x in 0..grid.x {
-                    out.push(Dim3Val { x, y, z });
-                }
-            }
-        }
-        out
-    }
-
-    fn thread_coords(block: Dim3Val) -> Vec<Dim3Val> {
-        let mut out = Vec::with_capacity(block.count() as usize);
-        for z in 0..block.z {
-            for y in 0..block.y {
-                for x in 0..block.x {
-                    out.push(Dim3Val { x, y, z });
-                }
-            }
-        }
-        out
+    /// Every index of a grid or block, x fastest.
+    fn coords(extent: Dim3Val) -> impl Iterator<Item = Dim3Val> {
+        (0..extent.z).flat_map(move |z| {
+            (0..extent.y).flat_map(move |y| (0..extent.x).map(move |x| Dim3Val { x, y, z }))
+        })
     }
 
     /// Split a kernel body into segments delimited by *top-level*
@@ -129,10 +110,8 @@ impl GpuSimulator {
             shared_bindings.push((decl.name.clone(), decl.ty.clone().ptr(), Value::Ptr(ptr)));
         }
 
-        let threads = Self::thread_coords(req.block);
-        let mut states: Vec<(Evaluator<'_>, Env, bool)> = threads
-            .iter()
-            .map(|&tid| {
+        let mut states: Vec<(Evaluator<'_>, Env, bool)> = Self::coords(req.block)
+            .map(|tid| {
                 let ctx = EvalContext::DeviceThread {
                     thread_idx: tid,
                     block_idx,
@@ -144,7 +123,7 @@ impl GpuSimulator {
                     env.declare(&param.name, param.ty.clone(), arg.coerce_to(&param.ty));
                 }
                 for (name, ty, value) in &shared_bindings {
-                    env.declare(name, ty.clone(), value.clone());
+                    env.declare(name, ty.clone(), *value);
                 }
                 (
                     Evaluator::for_context(req.program, ctx, THREAD_STEP_LIMIT),
@@ -212,8 +191,6 @@ impl GpuSimulator {
             shared_ptrs.push((decl.slot, Value::Ptr(ptr)));
         }
 
-        let threads = Self::thread_coords(req.block);
-
         // Single segment (no top-level `__syncthreads()`): every thread runs
         // to completion before the next starts, so one reused VM serves the
         // whole block — no per-thread register-stack allocation. Costs keep
@@ -229,7 +206,7 @@ impl GpuSimulator {
                 },
                 THREAD_STEP_LIMIT,
             );
-            for &tid in &threads {
+            for tid in Self::coords(req.block) {
                 vm.reset_thread(EvalContext::DeviceThread {
                     thread_idx: tid,
                     block_idx,
@@ -241,7 +218,7 @@ impl GpuSimulator {
                     vm.set_slot(i as u32, arg.coerce_to(ty));
                 }
                 for (slot, ptr) in &shared_ptrs {
-                    vm.set_slot(*slot, ptr.clone());
+                    vm.set_slot(*slot, *ptr);
                 }
                 match vm.run_unit(mem, kernel.segments[0]) {
                     Ok(_) => {}
@@ -256,9 +233,8 @@ impl GpuSimulator {
             return Ok(vm.cost);
         }
 
-        let mut states: Vec<(Vm<'_>, bool)> = threads
-            .iter()
-            .map(|&tid| {
+        let mut states: Vec<(Vm<'_>, bool)> = Self::coords(req.block)
+            .map(|tid| {
                 let ctx = EvalContext::DeviceThread {
                     thread_idx: tid,
                     block_idx,
@@ -271,7 +247,7 @@ impl GpuSimulator {
                     vm.set_slot(i as u32, arg.coerce_to(ty));
                 }
                 for (slot, ptr) in &shared_ptrs {
-                    vm.set_slot(*slot, ptr.clone());
+                    vm.set_slot(*slot, *ptr);
                 }
                 (vm, false)
             })
@@ -329,16 +305,9 @@ impl ParallelBackend for GpuSimulator {
 
         let segments = Self::barrier_segments(&req.kernel.body.stmts);
         let shared = Self::shared_decls(&req.kernel.body.stmts);
-        let blocks = Self::block_coords(req.grid);
-
-        let per_block: Result<Vec<CostCounter>, ExecError> = blocks
-            .par_iter()
-            .map(|&block_idx| self.run_block(req, mem, block_idx, &segments, &shared))
-            .collect();
-
         let mut cost = CostCounter::new();
-        for c in per_block? {
-            cost.merge(&c);
+        for block_idx in Self::coords(req.grid) {
+            cost.merge(&self.run_block(req, mem, block_idx, &segments, &shared)?);
         }
         let simulated_seconds = self.model.kernel_seconds(req.grid, req.block, &cost);
         Ok(LaunchStats {
@@ -372,15 +341,9 @@ impl ParallelBackend for GpuSimulator {
             )));
         }
 
-        let blocks = Self::block_coords(req.grid);
-        let per_block: Result<Vec<CostCounter>, ExecError> = blocks
-            .par_iter()
-            .map(|&block_idx| self.run_compiled_block(req, mem, block_idx))
-            .collect();
-
         let mut cost = CostCounter::new();
-        for c in per_block? {
-            cost.merge(&c);
+        for block_idx in Self::coords(req.grid) {
+            cost.merge(&self.run_compiled_block(req, mem, block_idx)?);
         }
         let simulated_seconds = self.model.kernel_seconds(req.grid, req.block, &cost);
         Ok(LaunchStats {

@@ -15,10 +15,11 @@
 //!   work or add extra transfers show the same qualitative slowdowns the
 //!   paper reports (e.g. the 20× `bsearch` regression).
 //!
-//! Thread blocks execute in parallel with rayon; threads within a block run
-//! in lock-step *segments* delimited by top-level `__syncthreads()` calls,
-//! which models barrier semantics without needing one OS thread per CUDA
-//! thread.
+//! A launch runs on the calling thread: blocks in index order, and threads
+//! within a block in lock-step *segments* delimited by top-level
+//! `__syncthreads()` calls, which models barrier semantics without needing
+//! one OS thread per CUDA thread. Device atomics therefore land in one fixed
+//! order, so float accumulations are reproducible bit for bit.
 
 pub mod cost;
 pub mod device;

@@ -208,6 +208,60 @@ mod tests {
     }
 
     #[test]
+    fn cross_block_float_atomics_are_deterministic() {
+        // Every thread (iteration) adds a different term, so the f64 total
+        // depends on the order the adds land in. Launches run on the calling
+        // thread — blocks, then threads, in index order; OpenMP chunks in
+        // order — so the total is the sequential fold, run after run.
+        let expected = (0..1024).fold(0.0f64, |acc, i| acc + 1.0 / (i + 1) as f64);
+        let cuda = r#"
+        __global__ void harmonic(double* total) {
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            atomicAdd(total, 1.0 / (i + 1));
+        }
+        int main() {
+            double* h_total = (double*)malloc(sizeof(double));
+            double* d_total;
+            cudaMalloc(&d_total, sizeof(double));
+            cudaMemset(d_total, 0, sizeof(double));
+            harmonic<<<16, 64>>>(d_total);
+            cudaMemcpy(h_total, d_total, sizeof(double), cudaMemcpyDeviceToHost);
+            printf("%.17e\n", h_total[0]);
+            cudaFree(d_total);
+            free(h_total);
+            return 0;
+        }
+        "#;
+        let omp = r#"
+        int main() {
+            double* total = (double*)malloc(sizeof(double));
+            total[0] = 0.0;
+            #pragma omp target teams distribute parallel for map(tofrom: total[0:1])
+            for (int i = 0; i < 1024; i++) {
+                #pragma omp atomic
+                total[0] += 1.0 / (i + 1);
+            }
+            printf("%.17e\n", total[0]);
+            free(total);
+            return 0;
+        }
+        "#;
+        for (src, dialect) in [(cuda, Dialect::CudaLite), (omp, Dialect::OmpLite)] {
+            let program = lassi_lang::parse(src, dialect).unwrap();
+            for run in [
+                run_program,
+                run_program_compiled,
+                run_program,
+                run_program_compiled,
+            ] {
+                let stdout = run(&program).unwrap().stdout;
+                let total: f64 = stdout.trim().parse().unwrap();
+                assert_eq!(total.to_bits(), expected.to_bits(), "{dialect:?}: {stdout}");
+            }
+        }
+    }
+
+    #[test]
     fn bytecode_engine_matches_interpreter_on_every_app() {
         // The two engines must agree bit-for-bit on every reference
         // benchmark in both dialects: stdout, steps, cost counters, memory

@@ -1,7 +1,5 @@
 //! Work-sharing loop execution for the simulated OpenMP runtime.
 
-use rayon::prelude::*;
-
 use lassi_lang::{ReductionOp, Type};
 use lassi_runtime::{
     CompiledParallelFor, ControlFlow, CostCounter, EvalContext, Evaluator, ExecError, LaunchStats,
@@ -16,9 +14,11 @@ const MAX_SIMULATED_ITERATIONS: u64 = 8_000_000;
 /// Per-worker step budget.
 const WORKER_STEP_LIMIT: u64 = 50_000_000;
 
-/// Number of functional execution chunks used to run a region (chunks run in
-/// parallel with rayon; this is a simulation detail, independent of the
-/// *modelled* thread count that drives the cost model).
+/// Number of functional execution chunks used to run a region. Chunks run
+/// one after another on the calling thread; the split still matters because
+/// each chunk is one modelled worker: it fixes `omp_get_thread_num` and the
+/// order in which private reduction copies are combined. Independent of the
+/// *modelled* thread count that drives the cost model.
 const EXEC_CHUNKS: u64 = 64;
 
 /// The simulated OpenMP runtime. Implements [`ParallelBackend`] for
@@ -147,11 +147,8 @@ impl ParallelBackend for OmpSimulator {
         // Functional execution over chunks of the iteration space.
         let chunk_count = EXEC_CHUNKS.min(iterations.max(1));
         let chunk_size = iterations.div_ceil(chunk_count).max(1);
-        let chunk_ids: Vec<u64> = (0..chunk_count).collect();
-
-        let results: Result<Vec<ChunkResult>, ExecError> = chunk_ids
-            .par_iter()
-            .map(|&chunk| {
+        let results: Result<Vec<ChunkResult>, ExecError> = (0..chunk_count)
+            .map(|chunk| {
                 let first = chunk * chunk_size;
                 let last = ((chunk + 1) * chunk_size).min(iterations);
                 if first >= last {
@@ -179,7 +176,7 @@ impl ParallelBackend for OmpSimulator {
                 if let Some((op, vars)) = &reduction {
                     for (var, ty) in vars.iter().zip(&reduction_types) {
                         let ident = reduction_identity(*op, ty);
-                        if !env.set(var, ident.clone()) {
+                        if !env.set(var, ident) {
                             env.declare(var, ty.clone(), ident);
                         }
                     }
@@ -203,7 +200,7 @@ impl ParallelBackend for OmpSimulator {
                 let reductions = match &reduction {
                     Some((_, vars)) => vars
                         .iter()
-                        .map(|v| env.get(v).map(|b| b.value.clone()).unwrap_or(Value::Int(0)))
+                        .map(|v| env.get(v).map_or(Value::Int(0), |b| b.value))
                         .collect(),
                     None => Vec::new(),
                 };
@@ -233,8 +230,7 @@ impl ParallelBackend for OmpSimulator {
                 let original = req
                     .base_env
                     .get(var)
-                    .map(|b| b.value.clone())
-                    .unwrap_or_else(|| reduction_identity(*op, ty));
+                    .map_or_else(|| reduction_identity(*op, ty), |b| b.value);
                 let combined = reduce_combine(*op, ty, &original, &acc);
                 reduction_updates.push((var.clone(), combined));
             }
@@ -275,11 +271,8 @@ impl ParallelBackend for OmpSimulator {
         // Functional execution over chunks of the iteration space.
         let chunk_count = EXEC_CHUNKS.min(iterations.max(1));
         let chunk_size = iterations.div_ceil(chunk_count).max(1);
-        let chunk_ids: Vec<u64> = (0..chunk_count).collect();
-
-        let results: Result<Vec<ChunkResult>, ExecError> = chunk_ids
-            .par_iter()
-            .map(|&chunk| {
+        let results: Result<Vec<ChunkResult>, ExecError> = (0..chunk_count)
+            .map(|chunk| {
                 let first = chunk * chunk_size;
                 let last = ((chunk + 1) * chunk_size).min(iterations);
                 if first >= last {
@@ -300,7 +293,7 @@ impl ParallelBackend for OmpSimulator {
                 let mut vm = Vm::for_context(req.program, ctx, WORKER_STEP_LIMIT);
                 vm.prepare_frame(region.nslots);
                 for (i, v) in req.captures.iter().enumerate() {
-                    vm.set_slot(i as u32, v.clone());
+                    vm.set_slot(i as u32, *v);
                 }
                 // Private copies of reduction variables start at the identity.
                 for r in &region.reductions {
@@ -330,7 +323,7 @@ impl ParallelBackend for OmpSimulator {
                 let reductions = region
                     .reductions
                     .iter()
-                    .map(|r| vm.slot(r.read_slot).clone())
+                    .map(|r| *vm.slot(r.read_slot))
                     .collect();
                 Ok(ChunkResult {
                     cost: vm.cost,
@@ -355,7 +348,7 @@ impl ParallelBackend for OmpSimulator {
                 }
             }
             let original = if r.init_coerce {
-                req.captures[r.init_slot as usize].clone()
+                req.captures[r.init_slot as usize]
             } else {
                 reduction_identity(r.op, &r.ty)
             };

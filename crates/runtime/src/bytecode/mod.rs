@@ -41,7 +41,8 @@ pub struct CompiledProgram {
     pub code: Vec<Instr>,
     /// Constant pool (`Const`/`ConstFree` operands).
     pub consts: Vec<Value>,
-    /// Name pool: identifiers and precomputed diagnostic messages.
+    /// Name pool: identifiers, precomputed diagnostic messages and string
+    /// literal texts (the table [`Value::Str`] indexes).
     pub names: Vec<String>,
     /// Type pool (`StoreVar`/`CastScalar`/... operands).
     pub types: Vec<Type>,

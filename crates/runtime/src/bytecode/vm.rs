@@ -264,7 +264,7 @@ impl<'p> Vm<'p> {
                 }
                 Instr::Ret { src } => {
                     let v = match src {
-                        Some(r) => self.reg(*r).clone(),
+                        Some(r) => *self.reg(*r),
                         None => Value::Void,
                     };
                     if self.frames.len() == entry_frames {
@@ -288,18 +288,18 @@ impl<'p> Vm<'p> {
 
                 Instr::Const { dst, id } => {
                     self.charge(1)?;
-                    self.set_reg(*dst, prog.consts[*id as usize].clone());
+                    self.set_reg(*dst, prog.consts[*id as usize]);
                 }
                 Instr::ConstFree { dst, id } => {
-                    self.set_reg(*dst, prog.consts[*id as usize].clone());
+                    self.set_reg(*dst, prog.consts[*id as usize]);
                 }
                 Instr::Move { dst, src } => {
-                    let v = self.reg(*src).clone();
+                    let v = *self.reg(*src);
                     self.set_reg(*dst, v);
                 }
                 Instr::LoadVar { dst, slot } => {
                     self.charge(1)?;
-                    let v = self.reg(*slot).clone();
+                    let v = *self.reg(*slot);
                     self.set_reg(*dst, v);
                 }
                 Instr::LoadSpecial { dst, which, name } => {
@@ -340,7 +340,7 @@ impl<'p> Vm<'p> {
                     ty,
                     name,
                 } => {
-                    let v = self.reg(*src).clone();
+                    let v = *self.reg(*src);
                     if let Value::Ptr(p) = &v {
                         if let Some(elem) = prog.ty(*ty).pointee() {
                             mem.rename(p.buffer, prog.name(*name));
@@ -454,7 +454,7 @@ impl<'p> Vm<'p> {
                     self.set_reg(*dst, v);
                 }
                 Instr::CastPtr { dst, src, elem } => {
-                    let v = self.reg(*src).clone();
+                    let v = *self.reg(*src);
                     if let Value::Ptr(p) = &v {
                         mem.retype(p.buffer, prog.ty(*elem).clone());
                     }
@@ -469,7 +469,7 @@ impl<'p> Vm<'p> {
 
                 Instr::StoreIndex { base, idx, src } => {
                     let i = self.reg(*idx).as_int();
-                    let v = self.reg(*src).clone();
+                    let v = *self.reg(*src);
                     match self.reg(*base) {
                         Value::Ptr(p) => {
                             let p = *p;
@@ -515,7 +515,7 @@ impl<'p> Vm<'p> {
                     mem.store(&p, i, &new, self.is_device_access(), self.current_line)?;
                 }
                 Instr::StoreDeref { ptr, src } => {
-                    let v = self.reg(*src).clone();
+                    let v = *self.reg(*src);
                     match self.reg(*ptr) {
                         Value::Ptr(p) => {
                             let p = *p;
@@ -627,10 +627,10 @@ impl<'p> Vm<'p> {
                     let text = {
                         let vals = self.args(*args_base, *argc);
                         let fmt = match vals.first() {
-                            Some(Value::Str(s)) => s.as_str(),
+                            Some(Value::Str(id)) => prog.name(*id),
                             _ => "",
                         };
-                        printf::format(fmt, vals.get(1..).unwrap_or(&[]))
+                        printf::format(fmt, vals.get(1..).unwrap_or(&[]), &prog.names)
                     };
                     self.stdout.push_str(&text);
                     self.set_reg(*dst, Value::Int(text.len() as i64));
@@ -642,7 +642,7 @@ impl<'p> Vm<'p> {
                 }
                 Instr::FreeVal { src, dst } => {
                     match self.reg(*src) {
-                        Value::Ptr(p) => mem.free(&p.clone(), self.current_line)?,
+                        Value::Ptr(p) => mem.free(p, self.current_line)?,
                         Value::NullPtr => {}
                         _ => {
                             return Err(ExecError::InvalidFree {
@@ -689,7 +689,7 @@ impl<'p> Vm<'p> {
                             line: self.current_line,
                         });
                     };
-                    mem.copy(&d.clone(), &s.clone(), n, self.current_line)?;
+                    mem.copy(d, s, n, self.current_line)?;
                     if let Some(backend) = self.backend {
                         self.extra_seconds += backend.memcpy_seconds(n);
                     }
@@ -706,7 +706,7 @@ impl<'p> Vm<'p> {
                     let n = self.reg(*bytes).as_int().max(0) as u64;
                     if let Value::Ptr(p) = self.reg(*ptr) {
                         let p = *p;
-                        let fill = self.reg(*fill).clone();
+                        let fill = *self.reg(*fill);
                         let elem_size = self.elem_size(mem, p.buffer).max(1);
                         let count = (n / elem_size) as i64;
                         let v = if fill.as_int() == 0 {
@@ -730,7 +730,7 @@ impl<'p> Vm<'p> {
                 } => {
                     let n = self.reg(*bytes).as_int().max(0) as u64;
                     if let (Value::Ptr(d), Value::Ptr(s)) = (self.reg(*dptr), self.reg(*sptr)) {
-                        mem.copy(&d.clone(), &s.clone(), n, self.current_line)?;
+                        mem.copy(d, s, n, self.current_line)?;
                     }
                     self.set_reg(*dst, Value::Int(0));
                 }
@@ -749,11 +749,11 @@ impl<'p> Vm<'p> {
                     });
                 }
                 Instr::AtomicAdd { target, delta, dst } => {
-                    let delta = self.reg(*delta).clone();
+                    let delta = *self.reg(*delta);
                     self.cost.atomics += 1;
                     let v = match self.reg(*target) {
                         Value::Ptr(p) => mem.atomic_add(
-                            &p.clone(),
+                            p,
                             0,
                             &delta,
                             self.is_device_access(),
@@ -773,11 +773,11 @@ impl<'p> Vm<'p> {
                     dst,
                     is_max,
                 } => {
-                    let operand = self.reg(*delta).clone();
+                    let operand = *self.reg(*delta);
                     self.cost.atomics += 1;
                     let v = match self.reg(*target) {
                         Value::Ptr(p) => mem.atomic_minmax(
-                            &p.clone(),
+                            p,
                             0,
                             &operand,
                             *is_max,
@@ -945,7 +945,7 @@ impl<'p> Vm<'p> {
                         _ => return Err(self.err_line("subscripted value is not a pointer")),
                     };
                     self.cost.atomics += 1;
-                    let delta = self.reg(*src).clone();
+                    let delta = *self.reg(*src);
                     let signed = if *negate {
                         match delta {
                             Value::Int(v) => Value::Int(-v),
@@ -1022,7 +1022,7 @@ impl<'p> Vm<'p> {
                     let captures = r
                         .captures
                         .iter()
-                        .map(|&c| self.regs[self.base + c as usize].clone())
+                        .map(|&c| self.regs[self.base + c as usize])
                         .collect();
                     let req = CompiledParallelFor {
                         program: prog,
@@ -1264,6 +1264,19 @@ mod tests {
     #[test]
     fn unknown_function_matches() {
         assert_identical("int main() { int x = frobnicate(3); return 0; }");
+    }
+
+    #[test]
+    fn string_literals_match() {
+        // `%s` literal arguments, one text used as an argument, twice more
+        // and as a format string, and literal-only format strings.
+        let src = r#"int main() { printf("%s-%s|%5s|%-4s|\n", "ab", "cd", "ab", "x"); printf("ab"); int n = printf("%s\n", "ab"); printf("done %d\n", n); return 0; }"#;
+        assert_identical(src);
+        let (reference, _) = run_both(src);
+        assert_eq!(
+            reference.unwrap().stdout,
+            "ab-cd|   ab|x   |\nabab\ndone 3\n"
+        );
     }
 
     #[test]

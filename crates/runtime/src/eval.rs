@@ -105,6 +105,8 @@ pub struct Evaluator<'a> {
     backend: Option<&'a dyn ParallelBackend>,
     /// Depth of nested user-function calls (guards against runaway recursion).
     call_depth: u32,
+    /// The program's literal table, built on the first string literal.
+    literals: Option<Vec<String>>,
 }
 
 /// An assignable location.
@@ -128,6 +130,7 @@ impl<'a> Evaluator<'a> {
             current_line: 0,
             backend: None,
             call_depth: 0,
+            literals: None,
         }
     }
 
@@ -155,6 +158,24 @@ impl<'a> Evaluator<'a> {
 
     fn is_device_access(&self) -> bool {
         self.ctx.is_device_access()
+    }
+
+    /// The literal table [`Value::Str`] indexes: the compiled program's name
+    /// pool, which interns every literal's text, so both engines number
+    /// literals alike and every evaluator of one program agrees.
+    fn literals(&mut self) -> &mut Vec<String> {
+        let program = self.program;
+        self.literals
+            .get_or_insert_with(|| crate::bytecode::compile(program, 0).names)
+    }
+
+    fn literal_id(&mut self, text: &str) -> u32 {
+        let table = self.literals();
+        let id = table.iter().position(|l| l == text).unwrap_or_else(|| {
+            table.push(text.to_string());
+            table.len() - 1
+        });
+        id as u32
     }
 
     // -------------------------------------------------------------- statements
@@ -401,7 +422,7 @@ impl<'a> Evaluator<'a> {
         match lvalue {
             LValue::Var(name) => env
                 .get(name)
-                .map(|b| b.value.clone())
+                .map(|b| b.value)
                 .ok_or_else(|| ExecError::other(format!("read of unbound variable '{name}'"))),
             LValue::Mem { ptr, index } => {
                 let elem_size = mem.buffer_elem(ptr.buffer).map_or(8, |t| t.size_bytes());
@@ -454,7 +475,7 @@ impl<'a> Evaluator<'a> {
         match expr {
             Expr::IntLit(v) => Ok(Value::Int(*v)),
             Expr::FloatLit(v) => Ok(Value::Float(*v)),
-            Expr::StrLit(s) => Ok(Value::Str(s.clone())),
+            Expr::StrLit(s) => Ok(Value::Str(self.literal_id(s))),
             Expr::Ident(name) => self.eval_ident(name, env),
             Expr::Binary { op, lhs, rhs } => {
                 let l = self.eval_expr(lhs, env, mem)?;
@@ -549,7 +570,7 @@ impl<'a> Evaluator<'a> {
 
     fn eval_ident(&mut self, name: &str, env: &Env) -> Result<Value, ExecError> {
         if let Some(binding) = env.get(name) {
-            return Ok(binding.value.clone());
+            return Ok(binding.value);
         }
         if let EvalContext::DeviceThread {
             thread_idx,
@@ -603,11 +624,12 @@ impl<'a> Evaluator<'a> {
                 for a in args {
                     values.push(self.eval_expr(a, env, mem)?);
                 }
+                let literals: &[String] = self.literals();
                 let fmt = match values.first() {
-                    Some(Value::Str(s)) => s.clone(),
-                    _ => String::new(),
+                    Some(Value::Str(id)) => literals.get(*id as usize).map_or("", String::as_str),
+                    _ => "",
                 };
-                let text = printf::format(&fmt, &values[1..]);
+                let text = printf::format(fmt, values.get(1..).unwrap_or(&[]), literals);
                 self.stdout.push_str(&text);
                 Ok(Value::Int(text.len() as i64))
             }
@@ -663,7 +685,7 @@ impl<'a> Evaluator<'a> {
                     let v = if fill.as_int() == 0 {
                         Value::Int(0)
                     } else {
-                        fill.clone()
+                        fill
                     };
                     for i in 0..count {
                         mem.store(
@@ -949,9 +971,9 @@ impl<'a> Evaluator<'a> {
         match pragma.directive.kind {
             OmpDirectiveKind::Barrier => Ok(ControlFlow::Normal),
             OmpDirectiveKind::Atomic => {
-                // In sequential host execution the atomicity is trivially
-                // satisfied; inside worker threads the backend routes the
-                // update through Memory's atomics.
+                // Every run executes on one thread, so atomicity is trivially
+                // satisfied; the update still goes through
+                // `Memory::atomic_add` so it is counted as an atomic.
                 if let Some(body) = &pragma.body {
                     if let StmtKind::Assign { target, op, value } = &body.kind {
                         if let Expr::Index { .. } = target {
@@ -1096,7 +1118,7 @@ impl<'a> Evaluator<'a> {
         self.extra_seconds += stats.simulated_seconds;
         self.parallel_cost.merge(&stats.cost);
         for (name, value) in &stats.reduction_updates {
-            env.set(name, value.clone());
+            env.set(name, *value);
         }
         for id in mapped {
             mem.set_mapped(id, false);

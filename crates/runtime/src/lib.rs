@@ -5,9 +5,9 @@
 //! The crate provides everything needed to *run* a semantically valid ParC
 //! program the way the LASSI paper runs benchmark binaries:
 //!
-//! * [`value::Value`] / [`memory::Memory`] — typed scalars, host and device
-//!   buffers backed by atomic cells so device backends may execute thread
-//!   blocks in parallel,
+//! * [`value::Value`] / [`memory::Memory`] — `Copy` scalars and host and
+//!   device buffers of plain cells; a run, including every kernel launch and
+//!   OpenMP region it issues, executes on the thread that started it,
 //! * [`eval::Evaluator`] — the statement/expression evaluator shared by host
 //!   code, CUDA kernels and OpenMP regions,
 //! * [`interp::HostInterpreter`] — runs `main`, services the CUDA runtime API

@@ -1,15 +1,12 @@
-//! Host and device memory: typed buffers backed by atomic cells.
+//! Host and device memory: typed buffers of plain 64-bit cells.
 //!
 //! Every allocation (`malloc`, `cudaMalloc`, stack arrays, `__shared__`
-//! arrays, OpenMP-mapped sections) becomes a [`Buffer`] of 64-bit atomic
-//! cells. Buffer *contents* are accessed through atomics and the buffer
-//! *table* is guarded by an `RwLock`, so the GPU simulator can execute thread
-//! blocks in parallel with rayon while host code allocates and frees through
-//! the same shared [`Memory`] handle without any unsafe code.
+//! arrays, OpenMP-mapped sections) becomes a [`Buffer`] of `Cell<u64>`
+//! slots. A run's memory belongs to the thread executing it: the simulators
+//! run every launch on that thread, so the buffer table is a `RefCell` and
+//! the cells are plain `Cell`s — no locks, no atomics, no unsafe code.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::{Mutex, RwLock};
+use std::cell::{Cell, RefCell};
 
 use lassi_lang::Type;
 
@@ -47,18 +44,21 @@ pub struct Buffer {
     pub mapped: bool,
     /// Byte size originally requested (for `malloc` retyping).
     raw_bytes: u64,
-    data: Vec<AtomicU64>,
+    /// Element count. It outlives `data`: freeing releases the cells but
+    /// diagnostics and `map` byte accounting still see the allocation's size.
+    len: usize,
+    data: Vec<Cell<u64>>,
 }
 
 impl Buffer {
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len
     }
 
     /// True when the buffer holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// Size in bytes, according to the element type.
@@ -82,11 +82,22 @@ impl Buffer {
     }
 
     fn load_raw(&self, idx: usize) -> Value {
-        self.decode(self.data[idx].load(Ordering::Relaxed))
+        self.decode(self.data[idx].get())
     }
 
     fn store_raw(&self, idx: usize, value: &Value) {
-        self.data[idx].store(self.encode(value), Ordering::Relaxed);
+        self.data[idx].set(self.encode(value));
+    }
+
+    /// Position (counted from `offset`) of the first of `count` elements
+    /// starting at `offset` that lies outside the buffer, if any.
+    fn first_out_of_range(&self, offset: i64, count: i64) -> Option<i64> {
+        let i = if offset < 0 {
+            0
+        } else {
+            (self.len as i64 - offset).max(0)
+        };
+        (i < count).then_some(i)
     }
 }
 
@@ -117,12 +128,12 @@ pub struct MemoryStats {
 }
 
 /// The memory of one program execution. All methods take `&self`; the buffer
-/// table is internally synchronized so the structure can be shared across the
-/// simulator's worker threads.
+/// table and the cells use interior mutability, so host code, device threads
+/// and OpenMP workers of one run share a plain `&Memory` on one thread.
 #[derive(Debug, Default)]
 pub struct Memory {
-    buffers: RwLock<Vec<Buffer>>,
-    stats: Mutex<MemoryStats>,
+    buffers: RefCell<Vec<Buffer>>,
+    stats: Cell<MemoryStats>,
 }
 
 impl Memory {
@@ -133,17 +144,21 @@ impl Memory {
 
     /// Current usage statistics.
     pub fn stats(&self) -> MemoryStats {
-        *self.stats.lock()
+        self.stats.get()
+    }
+
+    fn update_stats(&self, f: impl FnOnce(&mut MemoryStats)) {
+        let mut stats = self.stats.get();
+        f(&mut stats);
+        self.stats.set(stats);
     }
 
     /// Allocate `len` elements of `elem` in `space`, returning a pointer to
     /// element 0. Contents are zero-initialized.
     pub fn alloc(&self, name: &str, elem: Type, len: usize, space: MemSpace) -> PtrValue {
-        let mut data = Vec::with_capacity(len);
-        data.resize_with(len.max(1), || AtomicU64::new(0));
-        let elem_size = elem.size_bytes().max(1);
-        let raw_bytes = len as u64 * elem_size;
-        let mut buffers = self.buffers.write();
+        let raw_bytes = len as u64 * elem.size_bytes().max(1);
+        let len = len.max(1);
+        let mut buffers = self.buffers.borrow_mut();
         buffers.push(Buffer {
             name: name.to_string(),
             elem,
@@ -151,13 +166,14 @@ impl Memory {
             freed: false,
             mapped: false,
             raw_bytes,
-            data,
+            len,
+            data: vec![Cell::new(0); len],
         });
         let id = BufferId(buffers.len() - 1);
-        drop(buffers);
-        let mut stats = self.stats.lock();
-        stats.allocations += 1;
-        stats.allocated_bytes += raw_bytes;
+        self.update_stats(|s| {
+            s.allocations += 1;
+            s.allocated_bytes += raw_bytes;
+        });
         PtrValue {
             buffer: id,
             offset: 0,
@@ -170,38 +186,29 @@ impl Memory {
     pub fn alloc_bytes(&self, name: &str, bytes: u64, space: MemSpace) -> PtrValue {
         let len = (bytes as usize).div_ceil(8).max(1);
         let ptr = self.alloc(name, Type::Double, len, space);
-        let mut buffers = self.buffers.write();
-        if let Some(buf) = buffers.get_mut(ptr.buffer.0) {
-            buf.raw_bytes = bytes;
-        }
+        self.buffers.borrow_mut()[ptr.buffer.0].raw_bytes = bytes;
         ptr
     }
 
     /// Retype a buffer allocated with [`Memory::alloc_bytes`] once the program
     /// casts the `malloc` result to a concrete pointer type.
     pub fn retype(&self, id: BufferId, elem: Type) {
-        let mut buffers = self.buffers.write();
+        let mut buffers = self.buffers.borrow_mut();
         if let Some(buf) = buffers.get_mut(id.0) {
             if buf.elem == elem || elem == Type::Void {
                 return;
             }
-            let len = (buf.raw_bytes / elem.size_bytes().max(1)).max(1) as usize;
+            buf.len = (buf.raw_bytes / elem.size_bytes().max(1)).max(1) as usize;
             buf.elem = elem;
-            if len > buf.data.len() {
-                let extra = len - buf.data.len();
-                buf.data.reserve(extra);
-                for _ in 0..extra {
-                    buf.data.push(AtomicU64::new(0));
-                }
-            } else {
-                buf.data.truncate(len);
+            if !buf.freed {
+                buf.data.resize(buf.len, Cell::new(0));
             }
         }
     }
 
     /// Rename a buffer for nicer diagnostics once it is bound to a variable.
     pub fn rename(&self, id: BufferId, name: &str) {
-        let mut buffers = self.buffers.write();
+        let mut buffers = self.buffers.borrow_mut();
         if let Some(buf) = buffers.get_mut(id.0) {
             if buf.name.is_empty() || buf.name == "<anon>" {
                 buf.name = name.to_string();
@@ -209,27 +216,26 @@ impl Memory {
         }
     }
 
-    /// Free a buffer. The pointer must reference element 0.
+    /// Free a buffer, releasing its cells. The pointer must reference
+    /// element 0.
     pub fn free(&self, ptr: &PtrValue, line: u32) -> Result<(), ExecError> {
         if ptr.offset != 0 {
             return Err(ExecError::InvalidFree { line });
         }
-        let mut buffers = self.buffers.write();
+        let mut buffers = self.buffers.borrow_mut();
         match buffers.get_mut(ptr.buffer.0) {
-            Some(buf) => {
-                if buf.freed {
-                    return Err(ExecError::InvalidFree { line });
-                }
+            Some(buf) if !buf.freed => {
                 buf.freed = true;
+                buf.data = Vec::new();
                 Ok(())
             }
-            None => Err(ExecError::InvalidFree { line }),
+            _ => Err(ExecError::InvalidFree { line }),
         }
     }
 
     /// Summary of a buffer by id.
     pub fn buffer_info(&self, id: BufferId) -> Option<BufferInfo> {
-        let buffers = self.buffers.read();
+        let buffers = self.buffers.borrow();
         buffers.get(id.0).map(|b| BufferInfo {
             name: b.name.clone(),
             elem: b.elem.clone(),
@@ -241,17 +247,17 @@ impl Memory {
 
     /// Element count of a buffer (0 if unknown).
     pub fn buffer_len(&self, id: BufferId) -> usize {
-        self.buffers.read().get(id.0).map_or(0, |b| b.len())
+        self.buffers.borrow().get(id.0).map_or(0, |b| b.len())
     }
 
     /// Element type of a buffer.
     pub fn buffer_elem(&self, id: BufferId) -> Option<Type> {
-        self.buffers.read().get(id.0).map(|b| b.elem.clone())
+        self.buffers.borrow().get(id.0).map(|b| b.elem.clone())
     }
 
     /// Number of buffers ever allocated.
     pub fn buffer_count(&self) -> usize {
-        self.buffers.read().len()
+        self.buffers.borrow().len()
     }
 
     fn with_access<R>(
@@ -262,7 +268,7 @@ impl Memory {
         line: u32,
         f: impl FnOnce(&Buffer, usize) -> R,
     ) -> Result<R, ExecError> {
-        let buffers = self.buffers.read();
+        let buffers = self.buffers.borrow();
         let buf = buffers
             .get(ptr.buffer.0)
             .ok_or(ExecError::NullPointer { line })?;
@@ -367,24 +373,13 @@ impl Memory {
         line: u32,
     ) -> Result<Value, ExecError> {
         self.with_access(ptr, index, from_device, line, |buf, idx| {
-            let cell = &buf.data[idx];
-            loop {
-                let old_bits = cell.load(Ordering::Relaxed);
-                let old = buf.decode(old_bits);
-                let new = match buf.elem {
-                    Type::Int | Type::Long | Type::Bool => {
-                        Value::Int(old.as_int() + delta.as_int())
-                    }
-                    _ => Value::Float(old.as_float() + delta.as_float()),
-                };
-                let new_bits = buf.encode(&new);
-                if cell
-                    .compare_exchange_weak(old_bits, new_bits, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return old;
-                }
-            }
+            let old = buf.load_raw(idx);
+            let new = match buf.elem {
+                Type::Int | Type::Long | Type::Bool => Value::Int(old.as_int() + delta.as_int()),
+                _ => Value::Float(old.as_float() + delta.as_float()),
+            };
+            buf.store_raw(idx, &new);
+            old
         })
     }
 
@@ -399,34 +394,26 @@ impl Memory {
         line: u32,
     ) -> Result<Value, ExecError> {
         self.with_access(ptr, index, from_device, line, |buf, idx| {
-            let cell = &buf.data[idx];
-            loop {
-                let old_bits = cell.load(Ordering::Relaxed);
-                let old = buf.decode(old_bits);
-                let new = match buf.elem {
-                    Type::Int | Type::Long | Type::Bool => {
-                        let (a, b) = (old.as_int(), operand.as_int());
-                        Value::Int(if is_max { a.max(b) } else { a.min(b) })
-                    }
-                    _ => {
-                        let (a, b) = (old.as_float(), operand.as_float());
-                        Value::Float(if is_max { a.max(b) } else { a.min(b) })
-                    }
-                };
-                let new_bits = buf.encode(&new);
-                if cell
-                    .compare_exchange_weak(old_bits, new_bits, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return old;
+            let old = buf.load_raw(idx);
+            let new = match buf.elem {
+                Type::Int | Type::Long | Type::Bool => {
+                    let (a, b) = (old.as_int(), operand.as_int());
+                    Value::Int(if is_max { a.max(b) } else { a.min(b) })
                 }
-            }
+                _ => {
+                    let (a, b) = (old.as_float(), operand.as_float());
+                    Value::Float(if is_max { a.max(b) } else { a.min(b) })
+                }
+            };
+            buf.store_raw(idx, &new);
+            old
         })
     }
 
     /// Copy `count_bytes` from `src` to `dst` (both at their element offsets).
     /// Space-legality rules are relaxed: explicit copies are exactly how data
-    /// crosses the host/device boundary.
+    /// crosses the host/device boundary. An out-of-range copy reports the
+    /// first element an element-by-element copy would have faulted on.
     pub fn copy(
         &self,
         dst: &PtrValue,
@@ -434,24 +421,20 @@ impl Memory {
         count_bytes: u64,
         line: u32,
     ) -> Result<(), ExecError> {
-        let buffers = self.buffers.read();
+        let buffers = self.buffers.borrow();
         let src_buf = buffers
             .get(src.buffer.0)
             .ok_or(ExecError::NullPointer { line })?;
         let dst_buf = buffers
             .get(dst.buffer.0)
             .ok_or(ExecError::NullPointer { line })?;
-        if src_buf.freed {
-            return Err(ExecError::UseAfterFree {
-                buffer: src_buf.name.clone(),
-                line,
-            });
-        }
-        if dst_buf.freed {
-            return Err(ExecError::UseAfterFree {
-                buffer: dst_buf.name.clone(),
-                line,
-            });
+        for buf in [src_buf, dst_buf] {
+            if buf.freed {
+                return Err(ExecError::UseAfterFree {
+                    buffer: buf.name.clone(),
+                    line,
+                });
+            }
         }
         let elem_size = dst_buf
             .elem
@@ -459,37 +442,39 @@ impl Memory {
             .max(1)
             .min(src_buf.elem.size_bytes().max(1));
         let count = (count_bytes / elem_size) as i64;
-        for i in 0..count {
-            let sidx = src.offset + i;
-            let didx = dst.offset + i;
-            if sidx < 0 || sidx as usize >= src_buf.len() {
-                return Err(ExecError::OutOfBounds {
-                    buffer: src_buf.name.clone(),
-                    index: sidx,
-                    len: src_buf.len(),
-                    line,
-                });
-            }
-            if didx < 0 || didx as usize >= dst_buf.len() {
-                return Err(ExecError::OutOfBounds {
-                    buffer: dst_buf.name.clone(),
-                    index: didx,
-                    len: dst_buf.len(),
-                    line,
-                });
-            }
-            let v = src_buf.load_raw(sidx as usize);
-            dst_buf.store_raw(didx as usize, &v);
+        // At equal element positions the source is checked first.
+        let src_fault = src_buf.first_out_of_range(src.offset, count);
+        let dst_fault = dst_buf.first_out_of_range(dst.offset, count);
+        let fault = match (src_fault, dst_fault) {
+            (Some(s), Some(d)) if d < s => Some((dst_buf, dst.offset + d)),
+            (Some(s), _) => Some((src_buf, src.offset + s)),
+            (None, d) => d.map(|d| (dst_buf, dst.offset + d)),
+        };
+        if let Some((buf, index)) = fault {
+            return Err(ExecError::OutOfBounds {
+                buffer: buf.name.clone(),
+                index,
+                len: buf.len(),
+                line,
+            });
+        }
+        let (s, d) = (src.offset as usize, dst.offset as usize);
+        let count = count as usize;
+        for (to, from) in dst_buf.data[d..d + count]
+            .iter()
+            .zip(&src_buf.data[s..s + count])
+        {
+            to.set(dst_buf.encode(&src_buf.decode(from.get())));
         }
         drop(buffers);
-        self.stats.lock().copied_bytes += count_bytes;
+        self.update_stats(|s| s.copied_bytes += count_bytes);
         Ok(())
     }
 
     /// Mark a host buffer as mapped to the device (OpenMP `map` clauses),
     /// making it legal to access from device code.
     pub fn set_mapped(&self, id: BufferId, mapped: bool) {
-        let mut buffers = self.buffers.write();
+        let mut buffers = self.buffers.borrow_mut();
         if let Some(buf) = buffers.get_mut(id.0) {
             buf.mapped = mapped;
         }
@@ -587,24 +572,32 @@ mod tests {
         assert_eq!(mem.load(&p, 0, true, 1).unwrap(), Value::Float(15.0));
     }
 
+    fn live_cells(mem: &Memory) -> usize {
+        mem.buffers.borrow().iter().map(|b| b.data.len()).sum()
+    }
+
     #[test]
-    fn atomic_add_is_thread_safe() {
-        use std::sync::Arc;
-        let mem = Arc::new(Memory::new());
-        let p = mem.alloc("sum", Type::Int, 1, MemSpace::Device);
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let mem = Arc::clone(&mem);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    mem.atomic_add(&p, 0, &Value::Int(1), true, 1).unwrap();
-                }
-            }));
+    fn free_releases_cells_but_keeps_the_buffer_shape() {
+        let mem = Memory::new();
+        let mut last = None;
+        for _ in 0..40 {
+            let p = mem.alloc("row", Type::Long, 400_000, MemSpace::Device);
+            assert!(live_cells(&mem) <= 400_000);
+            mem.free(&p, 1).unwrap();
+            last = Some(p);
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(mem.load(&p, 0, true, 1).unwrap(), Value::Int(8000));
+        assert_eq!(live_cells(&mem), 0);
+        let p = last.unwrap();
+        assert_eq!(mem.buffer_len(p.buffer), 400_000);
+        assert_eq!(mem.stats().allocated_bytes, 40 * 400_000 * 8);
+        let err = mem.load(&p, 7, true, 2).unwrap_err();
+        assert_eq!(err.category(), "use_after_free");
+        assert!(err.to_string().contains("row"));
+        let h = mem.alloc("h", Type::Long, 4, MemSpace::Host);
+        assert_eq!(
+            mem.copy(&h, &p, 32, 3).unwrap_err().category(),
+            "use_after_free"
+        );
     }
 
     #[test]
@@ -639,8 +632,37 @@ mod tests {
         let h = mem.alloc("h", Type::Float, 4, MemSpace::Host);
         let d = mem.alloc("d", Type::Float, 2, MemSpace::Device);
         assert_eq!(
-            mem.copy(&d, &h, 16, 1).unwrap_err().category(),
-            "out_of_bounds"
+            mem.copy(&d, &h, 16, 1).unwrap_err(),
+            ExecError::OutOfBounds {
+                buffer: "d".into(),
+                index: 2,
+                len: 2,
+                line: 1
+            }
+        );
+        // When both sides fault at the same element, the source is reported.
+        let (mut src, mut dst) = (d, h);
+        src.offset = 1;
+        dst.offset = 3;
+        assert_eq!(
+            mem.copy(&dst, &src, 16, 1).unwrap_err(),
+            ExecError::OutOfBounds {
+                buffer: "d".into(),
+                index: 2,
+                len: 2,
+                line: 1
+            }
+        );
+        // Otherwise the earlier fault wins.
+        dst.offset = -1;
+        assert_eq!(
+            mem.copy(&dst, &src, 16, 1).unwrap_err(),
+            ExecError::OutOfBounds {
+                buffer: "h".into(),
+                index: -1,
+                len: 4,
+                line: 1
+            }
         );
     }
 

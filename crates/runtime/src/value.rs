@@ -53,8 +53,9 @@ pub struct PtrValue {
     pub space: MemSpace,
 }
 
-/// Any runtime value.
-#[derive(Debug, Clone, PartialEq)]
+/// Any runtime value. `Copy`: register moves and memory traffic never
+/// allocate or drop.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// Integer (covers `bool`, `int` and `long`).
     Int(i64),
@@ -66,8 +67,10 @@ pub enum Value {
     NullPtr,
     /// CUDA `dim3`.
     Dim3(Dim3Val),
-    /// String literal (printf format strings).
-    Str(String),
+    /// String literal (printf format strings), as an index into the
+    /// program's [`crate::CompiledProgram::names`] pool, which both engines
+    /// use as their literal table.
+    Str(u32),
     /// No value.
     Void,
 }
@@ -116,7 +119,7 @@ impl Value {
                 Value::Dim3(d) => Value::Dim3(*d),
                 other => Value::Dim3(Dim3Val::linear(other.as_int().max(0) as u32)),
             },
-            Type::Ptr(_) | Type::Void => self.clone(),
+            Type::Ptr(_) | Type::Void => *self,
         }
     }
 
@@ -140,7 +143,7 @@ impl fmt::Display for Value {
             Value::Ptr(p) => write!(f, "<ptr buf{} +{}>", p.buffer.0, p.offset),
             Value::NullPtr => write!(f, "<null>"),
             Value::Dim3(d) => write!(f, "{d}"),
-            Value::Str(s) => write!(f, "{s}"),
+            Value::Str(id) => write!(f, "<str {id}>"),
             Value::Void => write!(f, "<void>"),
         }
     }
