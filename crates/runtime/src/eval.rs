@@ -971,9 +971,8 @@ impl<'a> Evaluator<'a> {
         match pragma.directive.kind {
             OmpDirectiveKind::Barrier => Ok(ControlFlow::Normal),
             OmpDirectiveKind::Atomic => {
-                // Every run executes on one thread, so atomicity is trivially
-                // satisfied; the update still goes through
-                // `Memory::atomic_add` so it is counted as an atomic.
+                // A run executes on one thread, so the read-modify-write in
+                // `Memory::atomic_add` is trivially atomic.
                 if let Some(body) = &pragma.body {
                     if let StmtKind::Assign { target, op, value } = &body.kind {
                         if let Expr::Index { .. } = target {
