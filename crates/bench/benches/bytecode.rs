@@ -15,8 +15,15 @@ fn bench_bytecode(c: &mut Criterion) {
     // The representative applications the simulator bench uses — a
     // kernel-heavy grid workload, a tiny host-parallel workload and a
     // reduction-heavy workload — plus jacobi, the most execution-heavy
-    // program of the grid (60 launches × 4096 threads per run).
-    for name in ["matrix-rotate", "bsearch", "entropy", "jacobi"] {
+    // program of the grid (60 launches × 4096 threads per run), and
+    // colorwheel, the heaviest per device thread.
+    for name in [
+        "matrix-rotate",
+        "bsearch",
+        "entropy",
+        "jacobi",
+        "colorwheel",
+    ] {
         let app = application(name).unwrap();
         for (dialect, tag) in [(Dialect::CudaLite, "cuda"), (Dialect::OmpLite, "openmp")] {
             let program = app.parse(dialect).unwrap();

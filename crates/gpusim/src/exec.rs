@@ -191,6 +191,16 @@ impl GpuSimulator {
             shared_ptrs.push((decl.slot, Value::Ptr(ptr)));
         }
 
+        // Every thread starts from the same frame: coerced arguments, shared
+        // pointers, zeros elsewhere.
+        let mut frame = vec![Value::Int(0); kernel.nslots as usize];
+        for (i, (ty, arg)) in kernel.params.iter().zip(&req.args).enumerate() {
+            frame[i] = arg.coerce_to(ty);
+        }
+        for (slot, ptr) in &shared_ptrs {
+            frame[*slot as usize] = *ptr;
+        }
+
         // Single segment (no top-level `__syncthreads()`): every thread runs
         // to completion before the next starts, so one reused VM serves the
         // whole block — no per-thread register-stack allocation. Costs keep
@@ -213,13 +223,7 @@ impl GpuSimulator {
                     block_dim: req.block,
                     grid_dim: req.grid,
                 });
-                vm.prepare_frame(kernel.nslots);
-                for (i, (ty, arg)) in kernel.params.iter().zip(&req.args).enumerate() {
-                    vm.set_slot(i as u32, arg.coerce_to(ty));
-                }
-                for (slot, ptr) in &shared_ptrs {
-                    vm.set_slot(*slot, *ptr);
-                }
+                vm.load_frame(&frame);
                 match vm.run_unit(mem, kernel.segments[0]) {
                     Ok(_) => {}
                     Err(ExecError::BarrierDivergence { .. }) => {
@@ -242,13 +246,7 @@ impl GpuSimulator {
                     grid_dim: req.grid,
                 };
                 let mut vm = Vm::for_context(req.program, ctx, THREAD_STEP_LIMIT);
-                vm.prepare_frame(kernel.nslots);
-                for (i, (ty, arg)) in kernel.params.iter().zip(&req.args).enumerate() {
-                    vm.set_slot(i as u32, arg.coerce_to(ty));
-                }
-                for (slot, ptr) in &shared_ptrs {
-                    vm.set_slot(*slot, *ptr);
-                }
+                vm.load_frame(&frame);
                 (vm, false)
             })
             .collect();

@@ -303,6 +303,59 @@ mod tests {
     }
 
     #[test]
+    fn reference_programs_lower_to_at_most_6500_instructions() {
+        // Operand loads, literal steps and compare-and-branch pairs fold
+        // into their consumers. Unfolded, these programs lower to 8632
+        // instructions, so a silently disabled folding pass fails here.
+        let total: usize = crate::apps::applications()
+            .iter()
+            .flat_map(|app| [Dialect::CudaLite, Dialect::OmpLite].map(|d| app.parse(d).unwrap()))
+            .map(|program| lassi_runtime::compile(&program, 0).code.len())
+            .sum();
+        assert!(total <= 6500, "{total} instructions");
+    }
+
+    #[test]
+    fn variables_keep_their_values_across_launches_and_cuda_malloc() {
+        // The VM reads variables in place, so neither the launch geometry
+        // conversion nor a `cudaMalloc` in the middle of an expression may
+        // change what a variable read sees.
+        let src = r#"
+        __global__ void fill(int* out, int n) {
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            if (i < n) { out[i] = i * 2; }
+        }
+        int main() {
+            int threads = 4;
+            int blocks = 3;
+            int n = blocks * threads;
+            int* d_out;
+            cudaMalloc(&d_out, n * sizeof(int));
+            fill<<<blocks, threads>>>(d_out, n);
+            int* first = d_out + cudaMalloc(&d_out, n * sizeof(int));
+            fill<<<blocks, threads>>>(d_out, threads + blocks);
+            int* h = (int*)malloc(n * sizeof(int));
+            cudaMemcpy(h, first, n * sizeof(int), cudaMemcpyDeviceToHost);
+            int* second = d_out + threads;
+            int geometry = threads * 100 + blocks;
+            printf("%d %d %d\n", geometry, h[n - 1], second - d_out);
+            cudaMemcpy(h, d_out, n * sizeof(int), cudaMemcpyDeviceToHost);
+            printf("%d %d\n", h[6], h[7]);
+            return 0;
+        }
+        "#;
+        let program = lassi_lang::parse(src, Dialect::CudaLite).unwrap();
+        let a = run_program(&program).unwrap();
+        let b = run_program_compiled(&program).unwrap();
+        assert_eq!(a.stdout, "403 22 4\n12 0\n");
+        assert_eq!(a.stdout, b.stdout);
+        assert_eq!(a.steps, b.steps);
+        assert_eq!(a.cost, b.cost);
+        assert_eq!(a.memory, b.memory);
+        assert_eq!(a.simulated_seconds.to_bits(), b.simulated_seconds.to_bits());
+    }
+
+    #[test]
     fn fingerprint_tracks_every_simulation_parameter() {
         use lassi_gpusim::DeviceSpec;
         use lassi_ompsim::OmpSpec;

@@ -7,10 +7,19 @@
 //! has no gotos, so the set of live bindings at a program point is static).
 //!
 //! Step parity with the interpreter is the one invariant everything else
-//! leans on; see the charging table in [`super::instr`]. The compiler may
-//! merge adjacent [`Instr::Charge`] instructions, but never across a bound
-//! label — a jump landing between two merged charges would observe the wrong
-//! step count.
+//! leans on; see the charging table in [`super::instr`]. Node steps are not
+//! instructions: `Compiler::charge` makes a step pending, and `Compiler::emit`
+//! folds the pending count into the `pre` of the next instruction that has
+//! one (passing over free `Const`/`Move`), or into a directly preceding
+//! statement or loop head, or flushes it as one [`Instr::Charge`]. A pending
+//! count never crosses a bound label: a jump landing on the label would
+//! charge steps of the fall-through path.
+//!
+//! Identifiers evaluate to their binding's slot without a copy, literals on
+//! the right of a binary operator stay in the constant pool, a binary
+//! operator whose result feeds a `JumpIfFalse` fuses with it, and a branch
+//! condition's top-level `&&` branches on each operand without materializing
+//! its value.
 
 use std::collections::{HashMap, HashSet};
 
@@ -19,7 +28,7 @@ use lassi_lang::{
     OmpDirectiveKind, PragmaStmt, Program, Stmt, StmtKind, Type, UnOp,
 };
 
-use super::instr::{FlowKind, Instr, MathFn, Reg, SpecialIdent};
+use super::instr::{axis_of, FlowKind, Instr, MathFn, Reg, SpecialIdent};
 use super::{
     CompiledFunction, CompiledKernel, CompiledProgram, CompiledReduction, CompiledRegion,
     CompiledShared, HostUnit, SharedLen,
@@ -180,6 +189,12 @@ struct Compiler<'p> {
     /// `code.len()` at the most recent bound label; charges never merge
     /// across it.
     last_label: usize,
+    /// Node steps not yet attached to an instruction.
+    pending: u32,
+    /// Variables a `cudaMalloc(&x, ...)` in the current unit assigns: reads
+    /// of them are copied, since the call may overwrite the slot before the
+    /// read's consumer runs.
+    snapshot: HashSet<String>,
 }
 
 impl<'p> Compiler<'p> {
@@ -199,6 +214,8 @@ impl<'p> Compiler<'p> {
             regions: Vec::new(),
             host: None,
             last_label: 0,
+            pending: 0,
+            snapshot: HashSet::new(),
         }
     }
 
@@ -235,13 +252,31 @@ impl<'p> Compiler<'p> {
 
     // ------------------------------------------------------- code emission
 
-    fn emit(&mut self, i: Instr) -> usize {
+    /// Append an instruction. Pending steps fold into its `pre`, pass over
+    /// a free `Const`/`Move`, or are flushed as a `Charge` before it.
+    fn emit(&mut self, mut i: Instr) -> usize {
+        if !matches!(i, Instr::Const { .. } | Instr::Move { .. }) {
+            match i.pre_mut() {
+                Some(pre) => *pre += std::mem::take(&mut self.pending),
+                None => self.flush(),
+            }
+        }
         self.code.push(i);
         self.code.len() - 1
     }
 
-    /// Mark the current pc as a jump target: charges must not merge across.
+    /// Emit the pending steps as one `Charge`.
+    fn flush(&mut self) {
+        let n = std::mem::take(&mut self.pending);
+        if n > 0 {
+            self.code.push(Instr::Charge { n });
+        }
+    }
+
+    /// Mark the current pc as a jump target: pending steps are charged
+    /// before it, and later steps never fold back across it.
     fn bind_label(&mut self) -> u32 {
+        self.flush();
         self.last_label = self.code.len();
         self.code.len() as u32
     }
@@ -250,99 +285,174 @@ impl<'p> Compiler<'p> {
         match &mut self.code[at] {
             Instr::Jump { target }
             | Instr::JumpIfFalse { target, .. }
-            | Instr::JumpIfTrue { target, .. } => *target = to,
+            | Instr::JumpIfTrue { target, .. }
+            | Instr::BinaryBr { target, .. }
+            | Instr::BinaryKBr { target, .. } => *target = to,
             Instr::MapSecBegin { skip, .. } => *skip = to,
             other => unreachable!("patching non-jump instruction {other:?}"),
         }
     }
 
-    /// Charge one expression-node step, merging into a trailing `Charge`
-    /// when no label was bound since it was emitted.
+    /// Charge one node step: into a directly preceding statement or loop
+    /// head (nothing fallible runs in between), else pending.
     fn charge(&mut self) {
-        if self.code.len() > self.last_label {
-            if let Some(Instr::Charge { n }) = self.code.last_mut() {
-                *n += 1;
+        if self.pending == 0 && self.code.len() > self.last_label {
+            if let Some(
+                Instr::Stmt { pre, .. }
+                | Instr::StmtBranch { pre, .. }
+                | Instr::LoopIter { pre }
+                | Instr::TernaryBranch { pre },
+            ) = self.code.last_mut()
+            {
+                *pre += 1;
                 return;
             }
         }
-        self.emit(Instr::Charge { n: 1 });
+        self.pending += 1;
+    }
+
+    /// Emit a `JumpIfFalse` on `cond` (patched later), fused into the
+    /// directly preceding binary operator when it produced `cond`.
+    fn jump_if_false(&mut self, cond: Reg) -> usize {
+        if self.pending == 0 && self.code.len() > self.last_label {
+            let last = self.code.len() - 1;
+            let fused = match self.code[last] {
+                Instr::Binary { op, dst, l, r, pre } if dst == cond => Instr::BinaryBr {
+                    op,
+                    dst,
+                    l,
+                    r,
+                    target: 0,
+                    pre,
+                },
+                Instr::BinaryK { op, dst, l, k, pre } if dst == cond => Instr::BinaryKBr {
+                    op,
+                    dst,
+                    l,
+                    k,
+                    target: 0,
+                    pre,
+                },
+                _ => return self.emit(Instr::JumpIfFalse { cond, target: 0 }),
+            };
+            self.code[last] = fused;
+            return last;
+        }
+        self.emit(Instr::JumpIfFalse { cond, target: 0 })
+    }
+
+    /// Compile a branch condition; returns the jumps to patch to its false
+    /// target. A top-level `&&` needs no value here: its left operand
+    /// branches straight to the false target, and the `&&` itself (which
+    /// still charges its operator cost) fuses with the final branch.
+    fn branch_if_false(&mut self, cond: &Expr, ctx: &mut FnCtx) -> Vec<usize> {
+        if let Expr::Binary {
+            op: BinOp::And,
+            lhs,
+            rhs,
+        } = cond
+        {
+            self.charge();
+            let l = self.expr(lhs, ctx);
+            let short = self.jump_if_false(l);
+            let r = self.expr(rhs, ctx);
+            let dst = ctx.alloc();
+            self.emit(Instr::Binary {
+                op: BinOp::And,
+                dst,
+                l,
+                r,
+                pre: 0,
+            });
+            return vec![short, self.jump_if_false(dst)];
+        }
+        let c = self.expr(cond, ctx);
+        vec![self.jump_if_false(c)]
+    }
+
+    fn patch_all(&mut self, jumps: Vec<usize>, to: u32) {
+        for j in jumps {
+            self.patch(j, to);
+        }
     }
 
     // -------------------------------------------------------- expressions
 
-    /// Compile an expression; returns the register holding its value.
+    /// Compile an expression; returns the register holding its value, which
+    /// for a variable read is the binding's own slot.
     fn expr(&mut self, e: &Expr, ctx: &mut FnCtx) -> Reg {
+        if let Some(v) = self.literal(e, ctx) {
+            self.charge();
+            let id = self.const_id(v);
+            let dst = ctx.alloc();
+            self.emit(Instr::Const { dst, id });
+            return dst;
+        }
         match e {
-            Expr::IntLit(v) => {
-                let id = self.const_id(Value::Int(*v));
-                let dst = ctx.alloc();
-                self.emit(Instr::Const { dst, id });
-                dst
-            }
-            Expr::FloatLit(v) => {
-                let id = self.const_id(Value::Float(*v));
-                let dst = ctx.alloc();
-                self.emit(Instr::Const { dst, id });
-                dst
-            }
-            Expr::StrLit(s) => {
-                let text = self.name_id(s);
-                let id = self.const_id(Value::Str(text));
-                let dst = ctx.alloc();
-                self.emit(Instr::Const { dst, id });
-                dst
-            }
-            Expr::Sizeof(ty) => {
-                let id = self.const_id(Value::Int(ty.size_bytes() as i64));
-                let dst = ctx.alloc();
-                self.emit(Instr::Const { dst, id });
-                dst
-            }
             Expr::Ident(name) => self.ident(name, ctx),
             Expr::Binary { op, lhs, rhs } => self.binary(*op, lhs, rhs, ctx),
-            Expr::Unary { op, operand } => match op {
-                UnOp::Neg => {
-                    self.charge();
-                    let src = self.expr(operand, ctx);
-                    let dst = ctx.alloc();
-                    self.emit(Instr::Neg { dst, src });
-                    dst
-                }
-                UnOp::Not => {
-                    self.charge();
-                    let src = self.expr(operand, ctx);
-                    let dst = ctx.alloc();
-                    self.emit(Instr::Not { dst, src });
-                    dst
-                }
-                UnOp::Deref => {
-                    self.charge();
-                    let ptr = self.expr(operand, ctx);
-                    let dst = ctx.alloc();
-                    self.emit(Instr::DerefLoad { dst, ptr });
-                    dst
-                }
-                UnOp::AddrOf => {
+            Expr::Unary { op, operand } => {
+                self.charge();
+                if *op == UnOp::AddrOf {
                     // The interpreter fails without evaluating the operand.
-                    self.emit(Instr::ErrAddrOf);
-                    ctx.alloc()
+                    let msg = self.name_id(
+                        "the address-of operator is only supported as the first argument of cudaMalloc",
+                    );
+                    self.emit(Instr::ErrLine { msg });
+                    return ctx.alloc();
                 }
-            },
+                let src = self.expr(operand, ctx);
+                let dst = ctx.alloc();
+                self.emit(match op {
+                    UnOp::Neg => Instr::Neg { dst, src, pre: 0 },
+                    UnOp::Not => Instr::Not { dst, src, pre: 0 },
+                    _ => Instr::DerefLoad {
+                        dst,
+                        ptr: src,
+                        pre: 0,
+                    },
+                });
+                dst
+            }
             Expr::Call { callee, args } => self.call(callee, args, ctx),
             Expr::Index { base, index } => {
                 self.charge();
                 let b = self.expr(base, ctx);
                 let idx = self.expr(index, ctx);
                 let dst = ctx.alloc();
-                self.emit(Instr::IndexLoad { dst, base: b, idx });
+                self.emit(Instr::IndexLoad {
+                    dst,
+                    base: b,
+                    idx,
+                    pre: 0,
+                });
                 dst
             }
             Expr::Member { base, field } => {
                 self.charge();
+                let axis = axis_of(field);
+                if let Some(which) = self.special(base, ctx) {
+                    // The builtin identifier's step and the member's, in one.
+                    self.charge();
+                    let dst = ctx.alloc();
+                    self.emit(Instr::LoadDim {
+                        dst,
+                        which,
+                        axis: Some(axis),
+                        pre: 0,
+                    });
+                    return dst;
+                }
                 let src = self.expr(base, ctx);
                 let field = self.name_id(field);
                 let dst = ctx.alloc();
-                self.emit(Instr::MemberGet { dst, src, field });
+                self.emit(Instr::MemberGet {
+                    dst,
+                    src,
+                    axis,
+                    field,
+                    pre: 0,
+                });
                 dst
             }
             Expr::Cast { ty, expr } => {
@@ -352,11 +462,21 @@ impl<'p> Compiler<'p> {
                 match ty {
                     Type::Ptr(elem) => {
                         let elem = self.type_id(elem);
-                        self.emit(Instr::CastPtr { dst, src, elem });
+                        self.emit(Instr::CastPtr {
+                            dst,
+                            src,
+                            elem,
+                            pre: 0,
+                        });
                     }
                     other => {
                         let ty = self.type_id(other);
-                        self.emit(Instr::CastScalar { dst, src, ty });
+                        self.emit(Instr::CastScalar {
+                            dst,
+                            src,
+                            ty,
+                            pre: 0,
+                        });
                     }
                 }
                 dst
@@ -367,57 +487,85 @@ impl<'p> Compiler<'p> {
                 else_expr,
             } => {
                 let dst = ctx.alloc();
-                self.emit(Instr::TernaryBranch);
-                let c = self.expr(cond, ctx);
-                let jf = self.emit(Instr::JumpIfFalse { cond: c, target: 0 });
+                self.emit(Instr::TernaryBranch { pre: 1 });
+                let jf = self.branch_if_false(cond, ctx);
                 let t = self.expr(then_expr, ctx);
                 self.emit(Instr::Move { dst, src: t });
                 let jend = self.emit(Instr::Jump { target: 0 });
                 let else_l = self.bind_label();
-                self.patch(jf, else_l);
+                self.patch_all(jf, else_l);
                 let e = self.expr(else_expr, ctx);
                 self.emit(Instr::Move { dst, src: e });
                 let end = self.bind_label();
                 self.patch(jend, end);
                 dst
             }
+            Expr::IntLit(_) | Expr::FloatLit(_) | Expr::StrLit(_) | Expr::Sizeof(_) => {
+                unreachable!("literals are handled above")
+            }
+        }
+    }
+
+    /// The value of a literal node: number, string and `sizeof` literals and
+    /// the `cudaMemcpy` direction constants (unless a binding shadows them).
+    fn literal(&mut self, e: &Expr, ctx: &FnCtx) -> Option<Value> {
+        Some(match e {
+            Expr::IntLit(v) => Value::Int(*v),
+            Expr::FloatLit(v) => Value::Float(*v),
+            Expr::StrLit(s) => Value::Str(self.name_id(s)),
+            Expr::Sizeof(ty) => Value::Int(ty.size_bytes() as i64),
+            Expr::Ident(name) => {
+                let v = match name.as_str() {
+                    "cudaMemcpyHostToDevice" => 1,
+                    "cudaMemcpyDeviceToHost" => 2,
+                    "cudaMemcpyDeviceToDevice" => 3,
+                    _ => return None,
+                };
+                if ctx.resolve(name).is_some() {
+                    return None;
+                }
+                Value::Int(v)
+            }
+            _ => return None,
+        })
+    }
+
+    /// The launch-geometry builtin `e` names, unless a binding shadows it.
+    fn special(&self, e: &Expr, ctx: &FnCtx) -> Option<SpecialIdent> {
+        match e {
+            Expr::Ident(name) => {
+                SpecialIdent::from_name(name).filter(|_| ctx.resolve(name).is_none())
+            }
+            _ => None,
         }
     }
 
     fn ident(&mut self, name: &str, ctx: &mut FnCtx) -> Reg {
+        self.charge();
         if let Some((slot, _)) = ctx.resolve(name) {
+            if !self.snapshot.contains(name) {
+                return slot;
+            }
             let dst = ctx.alloc();
-            self.emit(Instr::LoadVar { dst, slot });
+            self.emit(Instr::Move { dst, src: slot });
             return dst;
         }
-        let special = match name {
-            "threadIdx" => Some(SpecialIdent::ThreadIdx),
-            "blockIdx" => Some(SpecialIdent::BlockIdx),
-            "blockDim" => Some(SpecialIdent::BlockDim),
-            "gridDim" => Some(SpecialIdent::GridDim),
-            _ => None,
-        };
-        if let Some(which) = special {
-            let name = self.name_id(name);
-            let dst = ctx.alloc();
-            self.emit(Instr::LoadSpecial { dst, which, name });
-            return dst;
+        let dst = ctx.alloc();
+        match SpecialIdent::from_name(name) {
+            Some(which) => {
+                self.emit(Instr::LoadDim {
+                    dst,
+                    which,
+                    axis: None,
+                    pre: 0,
+                });
+            }
+            None => {
+                let msg = self.name_id(&format!("use of unbound identifier '{name}'"));
+                self.emit(Instr::ErrLine { msg });
+            }
         }
-        let constant = match name {
-            "cudaMemcpyHostToDevice" => Some(1),
-            "cudaMemcpyDeviceToHost" => Some(2),
-            "cudaMemcpyDeviceToDevice" => Some(3),
-            _ => None,
-        };
-        if let Some(v) = constant {
-            let id = self.const_id(Value::Int(v));
-            let dst = ctx.alloc();
-            self.emit(Instr::Const { dst, id });
-            return dst;
-        }
-        let name = self.name_id(name);
-        self.emit(Instr::ErrUnbound { name });
-        ctx.alloc()
+        dst
     }
 
     fn binary(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr, ctx: &mut FnCtx) -> Reg {
@@ -426,24 +574,49 @@ impl<'p> Compiler<'p> {
         if op == BinOp::And || op == BinOp::Or {
             let dst = ctx.alloc();
             let jshort = if op == BinOp::And {
-                self.emit(Instr::JumpIfFalse { cond: l, target: 0 })
+                self.jump_if_false(l)
             } else {
                 self.emit(Instr::JumpIfTrue { cond: l, target: 0 })
             };
             let r = self.expr(rhs, ctx);
-            self.emit(Instr::Binary { op, dst, l, r });
+            self.emit(Instr::Binary {
+                op,
+                dst,
+                l,
+                r,
+                pre: 0,
+            });
             let jend = self.emit(Instr::Jump { target: 0 });
             let short_l = self.bind_label();
             self.patch(jshort, short_l);
             let id = self.const_id(Value::Int((op == BinOp::Or) as i64));
-            self.emit(Instr::ConstFree { dst, id });
+            self.emit(Instr::Const { dst, id });
             let end = self.bind_label();
             self.patch(jend, end);
             return dst;
         }
+        if let Some(v) = self.literal(rhs, ctx) {
+            self.charge();
+            let k = self.const_id(v);
+            let dst = ctx.alloc();
+            self.emit(Instr::BinaryK {
+                op,
+                dst,
+                l,
+                k,
+                pre: 0,
+            });
+            return dst;
+        }
         let r = self.expr(rhs, ctx);
         let dst = ctx.alloc();
-        self.emit(Instr::Binary { op, dst, l, r });
+        self.emit(Instr::Binary {
+            op,
+            dst,
+            l,
+            r,
+            pre: 0,
+        });
         dst
     }
 
@@ -471,7 +644,7 @@ impl<'p> Compiler<'p> {
         // User-defined functions first, matching `Evaluator::eval_call`.
         if let Some(func) = self.program.function(callee) {
             if func.qualifier == FnQualifier::Kernel {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let msg = self.name_id(&format!(
                     "kernel '{}' called directly without a launch configuration",
                     func.name
@@ -479,7 +652,8 @@ impl<'p> Compiler<'p> {
                 self.emit(Instr::ErrLine { msg });
                 return ctx.alloc();
             }
-            self.emit(Instr::UserCallPre);
+            self.charge();
+            self.emit(Instr::UserCallPre { pre: 0 });
             let (args_base, argc) = self.gather(args.iter(), ctx);
             let func = self.func_ids[callee];
             let dst = ctx.alloc();
@@ -488,31 +662,33 @@ impl<'p> Compiler<'p> {
                 args_base,
                 argc,
                 dst,
+                pre: 0,
             });
             return dst;
         }
 
         match callee {
             "printf" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let (args_base, argc) = self.gather(args.iter(), ctx);
                 let dst = ctx.alloc();
                 self.emit(Instr::Printf {
                     args_base,
                     argc,
                     dst,
+                    pre: 0,
                 });
                 dst
             }
             "malloc" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let bytes = self.expr(&args[0], ctx);
                 let dst = ctx.alloc();
                 self.emit(Instr::Malloc { bytes, dst });
                 dst
             }
             "free" | "cudaFree" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let src = self.expr(&args[0], ctx);
                 let dst = ctx.alloc();
                 self.emit(Instr::FreeVal { src, dst });
@@ -520,7 +696,7 @@ impl<'p> Compiler<'p> {
             }
             "cudaMalloc" => self.cuda_malloc(args, ctx),
             "cudaMemcpy" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let dptr = self.expr(&args[0], ctx);
                 let sptr = self.expr(&args[1], ctx);
                 let bytes = self.expr(&args[2], ctx);
@@ -535,7 +711,7 @@ impl<'p> Compiler<'p> {
                 dst
             }
             "cudaMemset" | "memset" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let ptr = self.expr(&args[0], ctx);
                 let fill = self.expr(&args[1], ctx);
                 let bytes = self.expr(&args[2], ctx);
@@ -549,14 +725,14 @@ impl<'p> Compiler<'p> {
                 dst
             }
             "cudaDeviceSynchronize" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let id = self.const_id(Value::Int(0));
                 let dst = ctx.alloc();
-                self.emit(Instr::ConstFree { dst, id });
+                self.emit(Instr::Const { dst, id });
                 dst
             }
             "memcpy" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let dptr = self.expr(&args[0], ctx);
                 let sptr = self.expr(&args[1], ctx);
                 let bytes = self.expr(&args[2], ctx);
@@ -570,26 +746,32 @@ impl<'p> Compiler<'p> {
                 dst
             }
             "exit" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let code = self.expr(&args[0], ctx);
                 let dst = ctx.alloc();
                 self.emit(Instr::Exit { code, dst });
                 dst
             }
             "__syncthreads" => {
+                self.charge();
                 self.emit(Instr::SyncCallErr);
                 ctx.alloc()
             }
             "atomicAdd" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let target = self.expr(&args[0], ctx);
                 let delta = self.expr(&args[1], ctx);
                 let dst = ctx.alloc();
-                self.emit(Instr::AtomicAdd { target, delta, dst });
+                self.emit(Instr::AtomicAdd {
+                    target,
+                    delta,
+                    dst,
+                    pre: 0,
+                });
                 dst
             }
             "atomicMax" | "atomicMin" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let target = self.expr(&args[0], ctx);
                 let delta = self.expr(&args[1], ctx);
                 let dst = ctx.alloc();
@@ -598,17 +780,18 @@ impl<'p> Compiler<'p> {
                     delta,
                     dst,
                     is_max: callee == "atomicMax",
+                    pre: 0,
                 });
                 dst
             }
             "omp_get_wtime" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let dst = ctx.alloc();
                 self.emit(Instr::WTime { dst });
                 dst
             }
             "omp_get_thread_num" | "omp_get_num_threads" | "omp_get_max_threads" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let which = match callee {
                     "omp_get_thread_num" => 0,
                     "omp_get_num_threads" => 1,
@@ -619,15 +802,15 @@ impl<'p> Compiler<'p> {
                 dst
             }
             "omp_set_num_threads" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 self.expr(&args[0], ctx);
                 let id = self.const_id(Value::Int(0));
                 let dst = ctx.alloc();
-                self.emit(Instr::ConstFree { dst, id });
+                self.emit(Instr::Const { dst, id });
                 dst
             }
             "dim3" => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let (args_base, argc) = self.gather(args.iter().take(3), ctx);
                 let dst = ctx.alloc();
                 self.emit(Instr::Dim3Ctor {
@@ -638,7 +821,7 @@ impl<'p> Compiler<'p> {
                 dst
             }
             other => {
-                self.emit(Instr::CallPre);
+                self.call_pre();
                 let (args_base, argc) = self.gather(args.iter(), ctx);
                 if let Some(f) = MathFn::from_name(other) {
                     let dst = ctx.alloc();
@@ -647,6 +830,7 @@ impl<'p> Compiler<'p> {
                         args_base,
                         argc,
                         dst,
+                        pre: 0,
                     });
                     dst
                 } else {
@@ -658,8 +842,14 @@ impl<'p> Compiler<'p> {
         }
     }
 
+    /// A builtin call node: its step, then the `calls` cost.
+    fn call_pre(&mut self) {
+        self.charge();
+        self.emit(Instr::CallPre { pre: 0 });
+    }
+
     fn cuda_malloc(&mut self, args: &[Expr], ctx: &mut FnCtx) -> Reg {
-        self.emit(Instr::CallPre);
+        self.call_pre();
         let bytes = self.expr(&args[1], ctx);
         if let Expr::Unary {
             op: UnOp::AddrOf,
@@ -718,7 +908,7 @@ impl<'p> Compiler<'p> {
         let line = s.line;
         match &s.kind {
             StmtKind::VarDecl(d) => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
                 // A `__shared__` re-declaration of a name the kernel prologue
                 // (or any enclosing binding) already provides is a no-op,
                 // like the interpreter's `env.contains` check.
@@ -749,18 +939,23 @@ impl<'p> Compiler<'p> {
                             name,
                         });
                     } else {
-                        self.emit(Instr::StoreVar { slot, src, ty });
+                        self.emit(Instr::StoreVar {
+                            slot,
+                            src,
+                            ty,
+                            pre: 0,
+                        });
                     }
                     ctx.bind(&d.name, slot, d.ty.clone());
                 } else {
                     let id = self.const_id(Value::zero_of(&d.ty));
-                    self.emit(Instr::ConstFree { dst: slot, id });
+                    self.emit(Instr::Const { dst: slot, id });
                     ctx.bind(&d.name, slot, d.ty.clone());
                 }
                 1
             }
             StmtKind::Assign { target, op, value } => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
                 self.assign(target, *op, value, ctx);
                 0
             }
@@ -769,32 +964,30 @@ impl<'p> Compiler<'p> {
                 then_branch,
                 else_branch,
             } => {
-                self.emit(Instr::StmtBranch { line });
-                let c = self.expr(cond, ctx);
-                let jf = self.emit(Instr::JumpIfFalse { cond: c, target: 0 });
+                self.emit(Instr::StmtBranch { line, pre: 1 });
+                let jf = self.branch_if_false(cond, ctx);
                 self.block(then_branch, ctx);
                 match else_branch {
                     Some(eb) => {
                         let jend = self.emit(Instr::Jump { target: 0 });
                         let else_l = self.bind_label();
-                        self.patch(jf, else_l);
+                        self.patch_all(jf, else_l);
                         self.block(eb, ctx);
                         let end = self.bind_label();
                         self.patch(jend, end);
                     }
                     None => {
                         let end = self.bind_label();
-                        self.patch(jf, end);
+                        self.patch_all(jf, end);
                     }
                 }
                 0
             }
             StmtKind::While { cond, body } => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
                 let head = self.bind_label();
-                self.emit(Instr::LoopIter);
-                let c = self.expr(cond, ctx);
-                let jexit = self.emit(Instr::JumpIfFalse { cond: c, target: 0 });
+                self.emit(Instr::LoopIter { pre: 1 });
+                let jexit = self.branch_if_false(cond, ctx);
                 ctx.loops.push(LoopCtx {
                     break_jumps: Vec::new(),
                     continue_jumps: Vec::new(),
@@ -804,27 +997,23 @@ impl<'p> Compiler<'p> {
                 self.emit(Instr::Jump { target: head });
                 let lp = ctx.loops.pop().expect("loop ctx");
                 let end = self.bind_label();
-                self.patch(jexit, end);
-                for j in lp.break_jumps {
-                    self.patch(j, end);
-                }
-                for j in lp.continue_jumps {
-                    self.patch(j, head);
-                }
+                self.patch_all(jexit, end);
+                self.patch_all(lp.break_jumps, end);
+                self.patch_all(lp.continue_jumps, head);
                 0
             }
             StmtKind::For(f) => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
                 ctx.push_scope();
                 if let Some(init) = &f.init {
                     self.stmt(init, ctx);
                 }
                 let head = self.bind_label();
-                self.emit(Instr::LoopIter);
-                let jexit = f.cond.as_ref().map(|cond| {
-                    let c = self.expr(cond, ctx);
-                    self.emit(Instr::JumpIfFalse { cond: c, target: 0 })
-                });
+                self.emit(Instr::LoopIter { pre: 1 });
+                let jexit = match &f.cond {
+                    Some(cond) => self.branch_if_false(cond, ctx),
+                    None => Vec::new(),
+                };
                 ctx.loops.push(LoopCtx {
                     break_jumps: Vec::new(),
                     continue_jumps: Vec::new(),
@@ -833,25 +1022,19 @@ impl<'p> Compiler<'p> {
                 self.block(&f.body, ctx);
                 let lp = ctx.loops.pop().expect("loop ctx");
                 let step_l = self.bind_label();
-                for j in lp.continue_jumps {
-                    self.patch(j, step_l);
-                }
+                self.patch_all(lp.continue_jumps, step_l);
                 if let Some(step) = &f.step {
                     self.stmt(step, ctx);
                 }
                 self.emit(Instr::Jump { target: head });
                 let end = self.bind_label();
-                if let Some(j) = jexit {
-                    self.patch(j, end);
-                }
-                for j in lp.break_jumps {
-                    self.patch(j, end);
-                }
+                self.patch_all(jexit, end);
+                self.patch_all(lp.break_jumps, end);
                 ctx.pop_scope();
                 0
             }
             StmtKind::Return(value) => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
                 let src = value.as_ref().map(|e| self.expr(e, ctx));
                 if ctx.map_depth > 0 {
                     self.emit(Instr::UnmapFrames { n: ctx.map_depth });
@@ -860,27 +1043,27 @@ impl<'p> Compiler<'p> {
                 0
             }
             StmtKind::Break => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
                 self.loop_exit(ctx, FlowKind::Break);
                 0
             }
             StmtKind::Continue => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
                 self.loop_exit(ctx, FlowKind::Continue);
                 0
             }
             StmtKind::Expr(e) => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
                 self.expr(e, ctx);
                 0
             }
             StmtKind::Block(b) => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
                 self.block(b, ctx);
                 0
             }
             StmtKind::KernelLaunch(kl) => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
                 self.launch(kl, ctx);
                 0
             }
@@ -925,10 +1108,21 @@ impl<'p> Compiler<'p> {
             Expr::Ident(name) => match ctx.resolve(name) {
                 Some((slot, ty)) => {
                     let ty = self.type_id(&ty);
-                    match op.binop() {
-                        Some(op) => self.emit(Instr::RmwVar { op, slot, src, ty }),
-                        None => self.emit(Instr::StoreVar { slot, src, ty }),
-                    };
+                    self.emit(match op.binop() {
+                        Some(op) => Instr::RmwVar {
+                            op,
+                            slot,
+                            src,
+                            ty,
+                            pre: 0,
+                        },
+                        None => Instr::StoreVar {
+                            slot,
+                            src,
+                            ty,
+                            pre: 0,
+                        },
+                    });
                 }
                 None => {
                     // Compound assignments fail on the read, plain ones on
@@ -945,25 +1139,36 @@ impl<'p> Compiler<'p> {
             Expr::Index { base, index } => {
                 let b = self.expr(base, ctx);
                 let idx = self.expr(index, ctx);
-                match op.binop() {
-                    Some(op) => self.emit(Instr::RmwIndex {
+                self.emit(match op.binop() {
+                    Some(op) => Instr::RmwIndex {
                         op,
                         base: b,
                         idx,
                         src,
-                    }),
-                    None => self.emit(Instr::StoreIndex { base: b, idx, src }),
-                };
+                        pre: 0,
+                    },
+                    None => Instr::StoreIndex {
+                        base: b,
+                        idx,
+                        src,
+                        pre: 0,
+                    },
+                });
             }
             Expr::Unary {
                 op: UnOp::Deref,
                 operand,
             } => {
                 let ptr = self.expr(operand, ctx);
-                match op.binop() {
-                    Some(op) => self.emit(Instr::RmwDeref { op, ptr, src }),
-                    None => self.emit(Instr::StoreDeref { ptr, src }),
-                };
+                self.emit(match op.binop() {
+                    Some(op) => Instr::RmwDeref {
+                        op,
+                        ptr,
+                        src,
+                        pre: 0,
+                    },
+                    None => Instr::StoreDeref { ptr, src, pre: 0 },
+                });
             }
             other => {
                 let msg = self.name_id(&format!(
@@ -983,10 +1188,14 @@ impl<'p> Compiler<'p> {
             // LaunchPre unconditionally fails; nothing after it runs.
             return;
         }
-        let grid = self.expr(&kl.grid, ctx);
-        self.emit(Instr::GeomConvert { reg: grid });
-        let block = self.expr(&kl.block, ctx);
-        self.emit(Instr::GeomConvert { reg: block });
+        // Converted into fresh registers: the geometry expression may be a
+        // variable's own slot.
+        let src = self.expr(&kl.grid, ctx);
+        let grid = ctx.alloc();
+        self.emit(Instr::GeomConvert { dst: grid, src });
+        let src = self.expr(&kl.block, ctx);
+        let block = ctx.alloc();
+        self.emit(Instr::GeomConvert { dst: block, src });
         self.emit(Instr::LaunchCheck { grid, block, name });
         let (args_base, argc) = self.gather(kl.args.iter(), ctx);
         let kernel = self.kernel_ids[&kl.kernel];
@@ -1004,10 +1213,10 @@ impl<'p> Compiler<'p> {
     fn pragma(&mut self, p: &PragmaStmt, line: u32, ctx: &mut FnCtx) {
         match p.directive.kind {
             OmpDirectiveKind::Barrier => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
             }
             OmpDirectiveKind::Atomic => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
                 if let Some(body) = &p.body {
                     if let StmtKind::Assign {
                         target: Expr::Index { base, index },
@@ -1023,6 +1232,7 @@ impl<'p> Compiler<'p> {
                             idx,
                             src,
                             negate: *op == AssignOp::SubAssign,
+                            pre: 0,
                         });
                         return;
                     }
@@ -1030,7 +1240,7 @@ impl<'p> Compiler<'p> {
                 }
             }
             OmpDirectiveKind::TargetData => {
-                self.emit(Instr::Stmt { line });
+                self.emit(Instr::Stmt { line, pre: 1 });
                 self.emit(Instr::MapFramePush);
                 ctx.map_depth += 1;
                 self.map_clauses(&p.directive.clauses, ctx);
@@ -1073,7 +1283,7 @@ impl<'p> Compiler<'p> {
     }
 
     fn worksharing(&mut self, p: &PragmaStmt, line: u32, ctx: &mut FnCtx) {
-        self.emit(Instr::Stmt { line });
+        self.emit(Instr::Stmt { line, pre: 1 });
         self.emit(Instr::OmpPre);
         let Some(body) = p.body.as_deref() else {
             let msg = self.name_id("work-sharing pragma without an associated loop");
@@ -1263,6 +1473,7 @@ impl<'p> Compiler<'p> {
             }
         }
         self.host = self.program.main().map(|main| {
+            self.snapshot = malloc_targets(&main.body);
             let mut ctx = FnCtx::new();
             ctx.push_scope();
             for i in 0..argc {
@@ -1283,6 +1494,7 @@ impl<'p> Compiler<'p> {
     }
 
     fn function_unit(&mut self, f: &Function) -> (u32, u32) {
+        self.snapshot = malloc_targets(&f.body);
         let mut ctx = FnCtx::new();
         ctx.push_scope();
         for p in &f.params {
@@ -1298,6 +1510,7 @@ impl<'p> Compiler<'p> {
     }
 
     fn kernel_unit(&mut self, f: &Function) -> CompiledKernel {
+        self.snapshot = malloc_targets(&f.body);
         let mut ctx = FnCtx::new();
         ctx.push_scope();
         for p in &f.params {
@@ -1424,4 +1637,100 @@ fn collect_launch_names(b: &Block, out: &mut HashSet<String>) {
     for s in &b.stmts {
         walk(s, out);
     }
+}
+
+/// Every variable a `cudaMalloc(&x, ...)` anywhere in `b` assigns.
+fn malloc_targets(b: &Block) -> HashSet<String> {
+    fn expr(e: &Expr, out: &mut HashSet<String>) {
+        match e {
+            Expr::Call { callee, args } => {
+                if let (
+                    "cudaMalloc",
+                    Some(Expr::Unary {
+                        op: UnOp::AddrOf,
+                        operand,
+                    }),
+                ) = (callee.as_str(), args.first())
+                {
+                    if let Expr::Ident(name) = operand.as_ref() {
+                        out.insert(name.clone());
+                    }
+                }
+                args.iter().for_each(|a| expr(a, out));
+            }
+            Expr::Binary { lhs: a, rhs: b, .. } | Expr::Index { base: a, index: b } => {
+                expr(a, out);
+                expr(b, out);
+            }
+            Expr::Unary { operand: a, .. }
+            | Expr::Member { base: a, .. }
+            | Expr::Cast { expr: a, .. } => expr(a, out),
+            Expr::Ternary {
+                cond,
+                then_expr,
+                else_expr,
+            } => {
+                expr(cond, out);
+                expr(then_expr, out);
+                expr(else_expr, out);
+            }
+            Expr::IntLit(_)
+            | Expr::FloatLit(_)
+            | Expr::StrLit(_)
+            | Expr::Ident(_)
+            | Expr::Sizeof(_) => {}
+        }
+    }
+    fn stmt(s: &Stmt, out: &mut HashSet<String>) {
+        match &s.kind {
+            StmtKind::VarDecl(d) => d.init.iter().chain(&d.array_len).for_each(|e| expr(e, out)),
+            StmtKind::Assign { target, value, .. } => {
+                expr(target, out);
+                expr(value, out);
+            }
+            StmtKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => {
+                expr(cond, out);
+                block(then_branch, out);
+                else_branch.iter().for_each(|b| block(b, out));
+            }
+            StmtKind::While { cond, body } => {
+                expr(cond, out);
+                block(body, out);
+            }
+            StmtKind::For(f) => {
+                f.init.iter().chain(&f.step).for_each(|s| stmt(s, out));
+                f.cond.iter().for_each(|e| expr(e, out));
+                block(&f.body, out);
+            }
+            StmtKind::Return(e) => e.iter().for_each(|e| expr(e, out)),
+            StmtKind::Expr(e) => expr(e, out),
+            StmtKind::Block(b) => block(b, out),
+            StmtKind::KernelLaunch(kl) => [&kl.grid, &kl.block]
+                .into_iter()
+                .chain(&kl.args)
+                .for_each(|e| expr(e, out)),
+            StmtKind::Pragma(p) => {
+                for clause in &p.directive.clauses {
+                    if let OmpClause::Map { sections, .. } = clause {
+                        sections
+                            .iter()
+                            .flat_map(|s| &s.len)
+                            .for_each(|e| expr(e, out));
+                    }
+                }
+                p.body.iter().for_each(|s| stmt(s, out));
+            }
+            StmtKind::Break | StmtKind::Continue => {}
+        }
+    }
+    fn block(b: &Block, out: &mut HashSet<String>) {
+        b.stmts.iter().for_each(|s| stmt(s, out));
+    }
+    let mut out = HashSet::new();
+    block(b, &mut out);
+    out
 }

@@ -1,26 +1,49 @@
 //! The flat instruction set executed by the bytecode VM.
 //!
-//! Design rule: the compiler emits exactly one *charging* instruction per AST
-//! node the tree-walking evaluator calls `step()` on, so the VM's step count
-//! (and therefore the step-limit kill point and `omp_get_wtime` readings) is
-//! bit-identical to the interpreter's. The charging instructions are:
+//! ## Step charging
 //!
-//! * [`Instr::Stmt`] / [`Instr::StmtBranch`] — one statement step (the `If`
-//!   variant also charges the branch the interpreter counts before the
-//!   condition),
-//! * [`Instr::LoopIter`] — the per-iteration step + branch of `while`/`for`,
-//! * [`Instr::TernaryBranch`] — the ternary node's step + branch,
-//! * [`Instr::Charge`] — the step of an expression node whose actual work
-//!   happens later (binary/unary operators, index loads, casts, ...); the
-//!   compiler merges adjacent charges when no label intervenes,
-//! * [`Instr::Const`], [`Instr::LoadVar`], [`Instr::LoadSpecial`],
-//!   [`Instr::ErrUnbound`], [`Instr::ErrAddrOf`] — literal and identifier
-//!   nodes,
-//! * [`Instr::CallPre`] / [`Instr::UserCallPre`] / [`Instr::SyncCallErr`] —
-//!   call nodes (step + `calls` cost).
+//! The tree-walking evaluator calls `step()` once per statement, per loop
+//! iteration and per expression node. The VM must reach the same step count
+//! at every point where a run can fail or observe the counter: the
+//! step-limit kill, a faulting operator or memory access, `omp_get_wtime`,
+//! and the end of the run. It does not need one instruction per charged
+//! node, so the compiler counts node steps and attaches them to the
+//! instruction that next does something fallible or observable:
 //!
-//! Every other instruction charges no step itself; it only applies the
-//! operator/memory costs the interpreter charges at the same point.
+//! | instruction | charges |
+//! |---|---|
+//! | any instruction with a `pre` field | `pre` steps on entry, before anything else |
+//! | [`Instr::Stmt`] / [`Instr::StmtBranch`] | `pre`, then the line update (and the `if` branch count) |
+//! | [`Instr::LoopIter`] / [`Instr::TernaryBranch`] | `pre`, then one branch |
+//! | [`Instr::Charge`] | `n` steps, nothing else |
+//! | every other instruction | nothing |
+//!
+//! A node's step is *pending* from the moment the compiler reaches the node
+//! until it emits an instruction that charges it:
+//!
+//! * **Folded forward.** The next emitted instruction with a `pre` field
+//!   absorbs every pending step. Free instructions ([`Instr::Const`],
+//!   [`Instr::Move`]) can neither fail nor observe anything, so a pending
+//!   count passes over them.
+//! * **Folded backward.** A step that becomes pending directly after a
+//!   `Stmt`, `StmtBranch`, `LoopIter` or `TernaryBranch` joins that
+//!   instruction's `pre`: nothing fallible runs between the two.
+//! * **Flushed.** Before an instruction without a `pre` field, and before
+//!   every bound label, the pending count is emitted as a `Charge`. A jump
+//!   landing on the label must not charge steps of the fall-through path.
+//!
+//! ## Operands
+//!
+//! Expressions evaluate into registers, and an identifier that resolves to a
+//! binding *is* the binding's slot: reading a variable emits no instruction,
+//! only a pending step. Bindings change only at statement level, so the slot
+//! still holds the value read when its consumer runs. The one exception is
+//! `cudaMalloc(&x, ...)`, which assigns `x` in the middle of an expression,
+//! so every read of a variable that a `cudaMalloc` in the same function
+//! assigns is copied by a [`Instr::Move`] where it happens. A literal right
+//! operand of a binary operator stays in the constant
+//! pool ([`Instr::BinaryK`]), and `threadIdx.x`-style reads of the launch
+//! geometry are one [`Instr::LoadDim`].
 
 use lassi_lang::BinOp;
 
@@ -38,6 +61,39 @@ pub enum SpecialIdent {
     BlockDim,
     /// `gridDim` inside a device thread.
     GridDim,
+}
+
+impl SpecialIdent {
+    /// Map an identifier to its launch-geometry builtin, if it is one.
+    pub fn from_name(name: &str) -> Option<SpecialIdent> {
+        Some(match name {
+            "threadIdx" => SpecialIdent::ThreadIdx,
+            "blockIdx" => SpecialIdent::BlockIdx,
+            "blockDim" => SpecialIdent::BlockDim,
+            "gridDim" => SpecialIdent::GridDim,
+            _ => return None,
+        })
+    }
+
+    /// The builtin's source spelling (for the unbound-identifier error).
+    pub fn name(self) -> &'static str {
+        match self {
+            SpecialIdent::ThreadIdx => "threadIdx",
+            SpecialIdent::BlockIdx => "blockIdx",
+            SpecialIdent::BlockDim => "blockDim",
+            SpecialIdent::GridDim => "gridDim",
+        }
+    }
+}
+
+/// The `dim3` component a member name selects: `x` is 0, `y` is 1 and any
+/// other name is `z` (2), like the interpreter's member access.
+pub fn axis_of(field: &str) -> u8 {
+    match field {
+        "x" => 0,
+        "y" => 1,
+        _ => 2,
+    }
 }
 
 /// Recognized math builtins (anything else is an unknown-function error).
@@ -115,24 +171,35 @@ pub enum FlowKind {
 
 /// One VM instruction. `u32` payloads index the compiled program's constant,
 /// name and type pools; `Reg` payloads are frame-relative register indices.
+/// A `pre` field is the step count charged on entry (see the module doc).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     // ------------------------------------------------ step/cost bookkeeping
-    /// Statement entry: one step, update `current_line` when `line > 0`.
+    /// Statement entry: charge, then update `current_line` when `line > 0`.
     Stmt {
         /// Source line (0 = synthesized, leaves `current_line` untouched).
         line: u32,
+        /// Steps: the statement's own plus folded node steps.
+        pre: u32,
     },
-    /// `if` statement entry: one step, line update, one branch.
+    /// `if` statement entry: charge, line update, one branch.
     StmtBranch {
         /// Source line.
         line: u32,
+        /// Steps: the statement's own plus folded node steps.
+        pre: u32,
     },
-    /// Loop-iteration head: one step plus one branch.
-    LoopIter,
-    /// Ternary node: one step plus one branch (before the condition).
-    TernaryBranch,
-    /// Charge `n` steps (merged expression-node steps).
+    /// Loop-iteration head: charge plus one branch.
+    LoopIter {
+        /// Steps: the iteration's own plus folded node steps.
+        pre: u32,
+    },
+    /// Ternary node: charge plus one branch (before the condition).
+    TernaryBranch {
+        /// Steps: the node's own plus folded node steps.
+        pre: u32,
+    },
+    /// Charge `n` pending steps that no neighbouring instruction can absorb.
     Charge {
         /// Number of steps.
         n: u32,
@@ -170,50 +237,34 @@ pub enum Instr {
     },
 
     // ------------------------------------------------------ data movement
-    /// Literal/constant load (charges the literal node's step).
+    /// Constant load. Free: literal steps are charged by the consumer.
     Const {
         /// Destination register.
         dst: Reg,
         /// Constant-pool index.
         id: u32,
     },
-    /// Constant load without a step charge (declaration defaults,
-    /// short-circuit results, builtin `Int(0)` returns).
-    ConstFree {
-        /// Destination register.
-        dst: Reg,
-        /// Constant-pool index.
-        id: u32,
-    },
-    /// Free register copy (no step, no cost): joins branch results and
-    /// gathers call arguments into contiguous blocks.
+    /// Free register copy: joins branch results, gathers call arguments
+    /// into contiguous blocks and snapshots variables a `cudaMalloc` in the
+    /// same unit assigns.
     Move {
         /// Destination register.
         dst: Reg,
         /// Source register.
         src: Reg,
     },
-    /// Identifier read from a resolved slot (charges the identifier step).
-    LoadVar {
-        /// Destination register.
-        dst: Reg,
-        /// Source slot.
-        slot: Reg,
-    },
-    /// Identifier read of `threadIdx`-style context builtins (charges the
-    /// identifier step; errors as an unbound identifier outside device code).
-    LoadSpecial {
+    /// Read of a launch-geometry builtin (`threadIdx`, ...) that no local
+    /// binding shadows; errors as an unbound identifier outside device code.
+    LoadDim {
         /// Destination register.
         dst: Reg,
         /// Which builtin.
         which: SpecialIdent,
-        /// Name-pool index (for the error message).
-        name: u32,
-    },
-    /// Unresolvable identifier: charge the step, then fail.
-    ErrUnbound {
-        /// Name-pool index.
-        name: u32,
+        /// `Some(axis)` for a member read (`threadIdx.x`, both node steps
+        /// are in `pre`), `None` for the whole `dim3`.
+        axis: Option<u8>,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Plain store to a slot, coercing to the binding's declared type
     /// (the `env.set` path — assignments and declaration initializers).
@@ -224,6 +275,8 @@ pub enum Instr {
         src: Reg,
         /// Type-pool index of the binding type.
         ty: u32,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Pointer-typed declaration initializer: adopt the buffer (rename +
     /// retype) before the coercing store, like `Evaluator::eval_init`.
@@ -250,8 +303,7 @@ pub enum Instr {
     },
 
     // ---------------------------------------------------------- operators
-    /// Apply a binary operator (operator cost charged here; the node's step
-    /// was pre-charged before the operands).
+    /// Apply a binary operator (charges the operator's cost).
     Binary {
         /// Operator.
         op: BinOp,
@@ -261,6 +313,52 @@ pub enum Instr {
         l: Reg,
         /// Right operand register.
         r: Reg,
+        /// Steps charged on entry.
+        pre: u32,
+    },
+    /// [`Instr::Binary`] whose right operand is a literal.
+    BinaryK {
+        /// Operator.
+        op: BinOp,
+        /// Destination register.
+        dst: Reg,
+        /// Left operand register.
+        l: Reg,
+        /// Constant-pool index of the right operand.
+        k: u32,
+        /// Steps charged on entry.
+        pre: u32,
+    },
+    /// [`Instr::Binary`] fused with a `JumpIfFalse` on its result. Still
+    /// writes `dst`: `&&`/`||` re-read their left operand.
+    BinaryBr {
+        /// Operator.
+        op: BinOp,
+        /// Destination register.
+        dst: Reg,
+        /// Left operand register.
+        l: Reg,
+        /// Right operand register.
+        r: Reg,
+        /// Absolute pc to jump to when the result is falsy.
+        target: u32,
+        /// Steps charged on entry.
+        pre: u32,
+    },
+    /// [`Instr::BinaryK`] fused with a `JumpIfFalse` on its result.
+    BinaryKBr {
+        /// Operator.
+        op: BinOp,
+        /// Destination register.
+        dst: Reg,
+        /// Left operand register.
+        l: Reg,
+        /// Constant-pool index of the right operand.
+        k: u32,
+        /// Absolute pc to jump to when the result is falsy.
+        target: u32,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Unary minus (always charges one `int_op`, like the interpreter).
     Neg {
@@ -268,6 +366,8 @@ pub enum Instr {
         dst: Reg,
         /// Operand register.
         src: Reg,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Logical not (no operator cost).
     Not {
@@ -275,6 +375,8 @@ pub enum Instr {
         dst: Reg,
         /// Operand register.
         src: Reg,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Pointer dereference read.
     DerefLoad {
@@ -282,6 +384,8 @@ pub enum Instr {
         dst: Reg,
         /// Pointer register.
         ptr: Reg,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Indexed read `base[idx]`.
     IndexLoad {
@@ -291,6 +395,8 @@ pub enum Instr {
         base: Reg,
         /// Index register.
         idx: Reg,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// `dim3` member access.
     MemberGet {
@@ -298,8 +404,12 @@ pub enum Instr {
         dst: Reg,
         /// Base register.
         src: Reg,
-        /// Name-pool index of the field.
+        /// Component, from [`axis_of`].
+        axis: u8,
+        /// Name-pool index of the field (for the non-`dim3` error).
         field: u32,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Scalar cast (`coerce_to`).
     CastScalar {
@@ -309,6 +419,8 @@ pub enum Instr {
         src: Reg,
         /// Type-pool index of the target type.
         ty: u32,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Pointer cast: retype the buffer when the operand is a pointer.
     CastPtr {
@@ -318,9 +430,9 @@ pub enum Instr {
         src: Reg,
         /// Type-pool index of the pointee type.
         elem: u32,
+        /// Steps charged on entry.
+        pre: u32,
     },
-    /// Address-of outside `cudaMalloc`: charge the step, then fail.
-    ErrAddrOf,
 
     // ------------------------------------------------------ lvalue stores
     /// Simple store through `base[idx]`.
@@ -331,6 +443,8 @@ pub enum Instr {
         idx: Reg,
         /// Value register.
         src: Reg,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Compound assignment through `base[idx]` (read, op, write).
     RmwIndex {
@@ -342,6 +456,8 @@ pub enum Instr {
         idx: Reg,
         /// Right-hand-side register.
         src: Reg,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Simple store through `*ptr`.
     StoreDeref {
@@ -349,6 +465,8 @@ pub enum Instr {
         ptr: Reg,
         /// Value register.
         src: Reg,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Compound assignment through `*ptr`.
     RmwDeref {
@@ -358,6 +476,8 @@ pub enum Instr {
         ptr: Reg,
         /// Right-hand-side register.
         src: Reg,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Compound assignment to a slot (read, op, coercing write).
     RmwVar {
@@ -369,6 +489,8 @@ pub enum Instr {
         src: Reg,
         /// Type-pool index of the binding type.
         ty: u32,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Fail with `runtime error: {msg}` (no line prefix).
     ErrPlain {
@@ -382,10 +504,16 @@ pub enum Instr {
     },
 
     // --------------------------------------------------------------- calls
-    /// Builtin call entry: one step plus one `calls` cost.
-    CallPre,
+    /// Builtin call entry: one `calls` cost.
+    CallPre {
+        /// Steps charged on entry (including the call node's own).
+        pre: u32,
+    },
     /// User call entry: `CallPre` plus the 64-frame depth check.
-    UserCallPre,
+    UserCallPre {
+        /// Steps charged on entry (including the call node's own).
+        pre: u32,
+    },
     /// Call a compiled user function.
     CallUser {
         /// Function-table index.
@@ -396,6 +524,8 @@ pub enum Instr {
         argc: u32,
         /// Destination register for the (coerced) return value.
         dst: Reg,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// `printf`.
     Printf {
@@ -405,6 +535,8 @@ pub enum Instr {
         argc: u32,
         /// Destination register.
         dst: Reg,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// `malloc`.
     Malloc {
@@ -484,8 +616,8 @@ pub enum Instr {
         /// Destination register (`Int(0)` when code is 0).
         dst: Reg,
     },
-    /// `__syncthreads()` reached outside a kernel's top level: charge the
-    /// call, then report barrier divergence.
+    /// `__syncthreads()` reached outside a kernel's top level: report
+    /// barrier divergence.
     SyncCallErr,
     /// `atomicAdd`.
     AtomicAdd {
@@ -495,6 +627,8 @@ pub enum Instr {
         delta: Reg,
         /// Destination register (the old value).
         dst: Reg,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// `atomicMax` / `atomicMin`.
     AtomicMinMax {
@@ -506,6 +640,8 @@ pub enum Instr {
         dst: Reg,
         /// True for `atomicMax`.
         is_max: bool,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// `omp_get_wtime` (reads the live step counter).
     WTime {
@@ -539,6 +675,8 @@ pub enum Instr {
         argc: u32,
         /// Destination register.
         dst: Reg,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Unknown function: charge the `special_op` the interpreter charges
     /// before its match, then fail.
@@ -555,10 +693,13 @@ pub enum Instr {
         /// Whether the kernel resolved at compile time.
         defined: bool,
     },
-    /// Convert a register to launch geometry (`Dim3Val`), in place.
+    /// Convert an evaluated geometry expression to launch geometry
+    /// (`Dim3Val`) in a fresh register; the source may be a variable's slot.
     GeomConvert {
+        /// Destination register.
+        dst: Reg,
         /// Register holding the evaluated geometry expression.
-        reg: Reg,
+        src: Reg,
     },
     /// Validate grid/block sizes before evaluating launch arguments.
     LaunchCheck {
@@ -594,6 +735,8 @@ pub enum Instr {
         src: Reg,
         /// True when the pragma's operator is `-=`.
         negate: bool,
+        /// Steps charged on entry.
+        pre: u32,
     },
     /// Open a map-tracking frame (entering a `target data` region or the
     /// map clauses of an offload work-sharing loop).
@@ -642,4 +785,43 @@ pub enum Instr {
         /// Evaluated step register.
         step: Reg,
     },
+}
+
+impl Instr {
+    /// The step count charged on entry, for instructions that have one.
+    pub fn pre_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Instr::Stmt { pre, .. }
+            | Instr::StmtBranch { pre, .. }
+            | Instr::LoopIter { pre }
+            | Instr::TernaryBranch { pre }
+            | Instr::LoadDim { pre, .. }
+            | Instr::StoreVar { pre, .. }
+            | Instr::Binary { pre, .. }
+            | Instr::BinaryK { pre, .. }
+            | Instr::BinaryBr { pre, .. }
+            | Instr::BinaryKBr { pre, .. }
+            | Instr::Neg { pre, .. }
+            | Instr::Not { pre, .. }
+            | Instr::DerefLoad { pre, .. }
+            | Instr::IndexLoad { pre, .. }
+            | Instr::MemberGet { pre, .. }
+            | Instr::CastScalar { pre, .. }
+            | Instr::CastPtr { pre, .. }
+            | Instr::StoreIndex { pre, .. }
+            | Instr::RmwIndex { pre, .. }
+            | Instr::StoreDeref { pre, .. }
+            | Instr::RmwDeref { pre, .. }
+            | Instr::RmwVar { pre, .. }
+            | Instr::CallPre { pre }
+            | Instr::UserCallPre { pre }
+            | Instr::CallUser { pre, .. }
+            | Instr::Printf { pre, .. }
+            | Instr::AtomicAdd { pre, .. }
+            | Instr::AtomicMinMax { pre, .. }
+            | Instr::MathOp { pre, .. }
+            | Instr::AtomicRmw { pre, .. } => Some(pre),
+            _ => None,
+        }
+    }
 }

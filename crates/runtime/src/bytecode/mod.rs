@@ -6,7 +6,9 @@
 //! shared-length expression, plus pooled constants, names and types. Name
 //! resolution happens entirely at compile time — every variable becomes a
 //! frame-relative register slot, so the VM ([`vm::Vm`]) never touches a scope
-//! chain or a hash map in the hot path.
+//! chain or a hash map in the hot path. Operands are read from those slots
+//! in place, and the steps of expression nodes ride on the instructions
+//! that consume them (see [`instr`]).
 //!
 //! The engine is observationally identical to the tree-walking interpreter in
 //! [`crate::eval`] / [`crate::interp`] (kept as `lassi_runtime::reference`):
@@ -39,7 +41,7 @@ pub struct CompiledProgram {
     /// region bodies, shared-length expressions) are pc ranges ending in
     /// `Ret`/`EndUnit`.
     pub code: Vec<Instr>,
-    /// Constant pool (`Const`/`ConstFree` operands).
+    /// Constant pool (`Const` and `BinaryK` operands).
     pub consts: Vec<Value>,
     /// Name pool: identifiers, precomputed diagnostic messages and string
     /// literal texts (the table [`Value::Str`] indexes).

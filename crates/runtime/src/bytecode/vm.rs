@@ -10,7 +10,7 @@
 //! stdout, cost counters, memory traffic, `extra_seconds`, the step counter
 //! (see the charging table in [`super::instr`]) and every error message.
 
-use lassi_lang::Type;
+use lassi_lang::{BinOp, Type};
 
 use super::instr::{FlowKind, Instr, MathFn, Reg, SpecialIdent};
 use super::CompiledProgram;
@@ -122,6 +122,17 @@ impl<'p> Vm<'p> {
         self.frame_top = nslots as usize;
     }
 
+    /// Reset the register stack to a single frame holding a copy of `slots`
+    /// (a kernel thread's frame: the same seeded parameters and shared
+    /// pointers for every thread of a block, zeros elsewhere).
+    pub fn load_frame(&mut self, slots: &[Value]) {
+        self.regs.clear();
+        self.regs.extend_from_slice(slots);
+        self.frames.clear();
+        self.base = 0;
+        self.frame_top = slots.len();
+    }
+
     /// Reset per-thread state so one `Vm` can serve many device threads in
     /// sequence (single-segment kernels, where threads run to completion one
     /// at a time): fresh context, step counter and line. `cost` is left
@@ -158,6 +169,18 @@ impl<'p> Vm<'p> {
         } else {
             Ok(())
         }
+    }
+
+    /// Apply a binary operator to register `l` and `r`.
+    #[inline]
+    fn binop(&mut self, op: BinOp, l: Reg, r: &Value) -> Result<Value, ExecError> {
+        apply_binop(
+            op,
+            &self.regs[self.base + l as usize],
+            r,
+            &mut self.cost,
+            self.current_line,
+        )
     }
 
     #[inline]
@@ -223,25 +246,21 @@ impl<'p> Vm<'p> {
         let mut pc = entry as usize;
         loop {
             match &prog.code[pc] {
-                Instr::Stmt { line } => {
-                    self.charge(1)?;
+                Instr::Stmt { line, pre } => {
+                    self.charge(*pre)?;
                     if *line > 0 {
                         self.current_line = *line;
                     }
                 }
-                Instr::StmtBranch { line } => {
-                    self.charge(1)?;
+                Instr::StmtBranch { line, pre } => {
+                    self.charge(*pre)?;
                     if *line > 0 {
                         self.current_line = *line;
                     }
                     self.cost.branches += 1;
                 }
-                Instr::LoopIter => {
-                    self.charge(1)?;
-                    self.cost.branches += 1;
-                }
-                Instr::TernaryBranch => {
-                    self.charge(1)?;
+                Instr::LoopIter { pre } | Instr::TernaryBranch { pre } => {
+                    self.charge(*pre)?;
                     self.cost.branches += 1;
                 }
                 Instr::Charge { n } => self.charge(*n)?,
@@ -287,23 +306,19 @@ impl<'p> Vm<'p> {
                 }
 
                 Instr::Const { dst, id } => {
-                    self.charge(1)?;
-                    self.set_reg(*dst, prog.consts[*id as usize]);
-                }
-                Instr::ConstFree { dst, id } => {
                     self.set_reg(*dst, prog.consts[*id as usize]);
                 }
                 Instr::Move { dst, src } => {
                     let v = *self.reg(*src);
                     self.set_reg(*dst, v);
                 }
-                Instr::LoadVar { dst, slot } => {
-                    self.charge(1)?;
-                    let v = *self.reg(*slot);
-                    self.set_reg(*dst, v);
-                }
-                Instr::LoadSpecial { dst, which, name } => {
-                    self.charge(1)?;
+                Instr::LoadDim {
+                    dst,
+                    which,
+                    axis,
+                    pre,
+                } => {
+                    self.charge(*pre)?;
                     let EvalContext::DeviceThread {
                         thread_idx,
                         block_idx,
@@ -311,10 +326,9 @@ impl<'p> Vm<'p> {
                         grid_dim,
                     } = self.ctx
                     else {
-                        return Err(self.err_line(&format!(
-                            "use of unbound identifier '{}'",
-                            prog.name(*name)
-                        )));
+                        return Err(
+                            self.err_line(&format!("use of unbound identifier '{}'", which.name()))
+                        );
                     };
                     let d = match which {
                         SpecialIdent::ThreadIdx => thread_idx,
@@ -322,15 +336,14 @@ impl<'p> Vm<'p> {
                         SpecialIdent::BlockDim => block_dim,
                         SpecialIdent::GridDim => grid_dim,
                     };
-                    self.set_reg(*dst, Value::Dim3(d));
+                    let v = match axis {
+                        Some(a) => Value::Int(d.axis(*a) as i64),
+                        None => Value::Dim3(d),
+                    };
+                    self.set_reg(*dst, v);
                 }
-                Instr::ErrUnbound { name } => {
-                    self.charge(1)?;
-                    return Err(
-                        self.err_line(&format!("use of unbound identifier '{}'", prog.name(*name)))
-                    );
-                }
-                Instr::StoreVar { slot, src, ty } => {
+                Instr::StoreVar { slot, src, ty, pre } => {
+                    self.charge(*pre)?;
                     let v = self.reg(*src).coerce_to(prog.ty(*ty));
                     self.set_reg(*slot, v);
                 }
@@ -366,18 +379,52 @@ impl<'p> Vm<'p> {
                     self.set_reg(*slot, Value::Ptr(ptr));
                 }
 
-                Instr::Binary { op, dst, l, r } => {
-                    let (li, ri) = (self.base + *l as usize, self.base + *r as usize);
-                    let v = apply_binop(
-                        *op,
-                        &self.regs[li],
-                        &self.regs[ri],
-                        &mut self.cost,
-                        self.current_line,
-                    )?;
+                Instr::Binary { op, dst, l, r, pre } => {
+                    self.charge(*pre)?;
+                    let rv = *self.reg(*r);
+                    let v = self.binop(*op, *l, &rv)?;
                     self.set_reg(*dst, v);
                 }
-                Instr::Neg { dst, src } => {
+                Instr::BinaryK { op, dst, l, k, pre } => {
+                    self.charge(*pre)?;
+                    let v = self.binop(*op, *l, &prog.consts[*k as usize])?;
+                    self.set_reg(*dst, v);
+                }
+                Instr::BinaryBr {
+                    op,
+                    dst,
+                    l,
+                    r,
+                    target,
+                    pre,
+                } => {
+                    self.charge(*pre)?;
+                    let rv = *self.reg(*r);
+                    let v = self.binop(*op, *l, &rv)?;
+                    self.set_reg(*dst, v);
+                    if !v.is_truthy() {
+                        pc = *target as usize;
+                        continue;
+                    }
+                }
+                Instr::BinaryKBr {
+                    op,
+                    dst,
+                    l,
+                    k,
+                    target,
+                    pre,
+                } => {
+                    self.charge(*pre)?;
+                    let v = self.binop(*op, *l, &prog.consts[*k as usize])?;
+                    self.set_reg(*dst, v);
+                    if !v.is_truthy() {
+                        pc = *target as usize;
+                        continue;
+                    }
+                }
+                Instr::Neg { dst, src, pre } => {
+                    self.charge(*pre)?;
                     let v = match self.reg(*src) {
                         Value::Int(i) => Value::Int(-i),
                         other => Value::Float(-other.as_float()),
@@ -385,11 +432,13 @@ impl<'p> Vm<'p> {
                     self.cost.int_ops += 1;
                     self.set_reg(*dst, v);
                 }
-                Instr::Not { dst, src } => {
+                Instr::Not { dst, src, pre } => {
+                    self.charge(*pre)?;
                     let v = Value::Int(if self.reg(*src).is_truthy() { 0 } else { 1 });
                     self.set_reg(*dst, v);
                 }
-                Instr::DerefLoad { dst, ptr } => {
+                Instr::DerefLoad { dst, ptr, pre } => {
+                    self.charge(*pre)?;
                     let v = match self.reg(*ptr) {
                         Value::Ptr(p) => {
                             let p = *p;
@@ -410,7 +459,13 @@ impl<'p> Vm<'p> {
                     };
                     self.set_reg(*dst, v);
                 }
-                Instr::IndexLoad { dst, base, idx } => {
+                Instr::IndexLoad {
+                    dst,
+                    base,
+                    idx,
+                    pre,
+                } => {
+                    self.charge(*pre)?;
                     let i = self.reg(*idx).as_int();
                     let v = match self.reg(*base) {
                         Value::Ptr(p) => {
@@ -433,13 +488,16 @@ impl<'p> Vm<'p> {
                     };
                     self.set_reg(*dst, v);
                 }
-                Instr::MemberGet { dst, src, field } => {
+                Instr::MemberGet {
+                    dst,
+                    src,
+                    axis,
+                    field,
+                    pre,
+                } => {
+                    self.charge(*pre)?;
                     let v = match self.reg(*src) {
-                        Value::Dim3(d) => Value::Int(match prog.name(*field) {
-                            "x" => d.x as i64,
-                            "y" => d.y as i64,
-                            _ => d.z as i64,
-                        }),
+                        Value::Dim3(d) => Value::Int(d.axis(*axis) as i64),
                         other => {
                             return Err(self.err_line(&format!(
                                 "member access '.{}' on non-dim3 value {other}",
@@ -449,25 +507,32 @@ impl<'p> Vm<'p> {
                     };
                     self.set_reg(*dst, v);
                 }
-                Instr::CastScalar { dst, src, ty } => {
+                Instr::CastScalar { dst, src, ty, pre } => {
+                    self.charge(*pre)?;
                     let v = self.reg(*src).coerce_to(prog.ty(*ty));
                     self.set_reg(*dst, v);
                 }
-                Instr::CastPtr { dst, src, elem } => {
+                Instr::CastPtr {
+                    dst,
+                    src,
+                    elem,
+                    pre,
+                } => {
+                    self.charge(*pre)?;
                     let v = *self.reg(*src);
                     if let Value::Ptr(p) = &v {
                         mem.retype(p.buffer, prog.ty(*elem).clone());
                     }
                     self.set_reg(*dst, v);
                 }
-                Instr::ErrAddrOf => {
-                    self.charge(1)?;
-                    return Err(self.err_line(
-                        "the address-of operator is only supported as the first argument of cudaMalloc",
-                    ));
-                }
 
-                Instr::StoreIndex { base, idx, src } => {
+                Instr::StoreIndex {
+                    base,
+                    idx,
+                    src,
+                    pre,
+                } => {
+                    self.charge(*pre)?;
                     let i = self.reg(*idx).as_int();
                     let v = *self.reg(*src);
                     match self.reg(*base) {
@@ -490,7 +555,14 @@ impl<'p> Vm<'p> {
                         _ => return Err(self.err_line("subscripted value is not a pointer")),
                     }
                 }
-                Instr::RmwIndex { op, base, idx, src } => {
+                Instr::RmwIndex {
+                    op,
+                    base,
+                    idx,
+                    src,
+                    pre,
+                } => {
+                    self.charge(*pre)?;
                     let i = self.reg(*idx).as_int();
                     let p = match self.reg(*base) {
                         Value::Ptr(p) => *p,
@@ -514,7 +586,8 @@ impl<'p> Vm<'p> {
                     self.cost.bytes_written += elem;
                     mem.store(&p, i, &new, self.is_device_access(), self.current_line)?;
                 }
-                Instr::StoreDeref { ptr, src } => {
+                Instr::StoreDeref { ptr, src, pre } => {
+                    self.charge(*pre)?;
                     let v = *self.reg(*src);
                     match self.reg(*ptr) {
                         Value::Ptr(p) => {
@@ -535,7 +608,8 @@ impl<'p> Vm<'p> {
                         }
                     }
                 }
-                Instr::RmwDeref { op, ptr, src } => {
+                Instr::RmwDeref { op, ptr, src, pre } => {
+                    self.charge(*pre)?;
                     let p = match self.reg(*ptr) {
                         Value::Ptr(p) => *p,
                         _ => {
@@ -557,7 +631,14 @@ impl<'p> Vm<'p> {
                     self.cost.bytes_written += elem;
                     mem.store(&p, 0, &new, self.is_device_access(), self.current_line)?;
                 }
-                Instr::RmwVar { op, slot, src, ty } => {
+                Instr::RmwVar {
+                    op,
+                    slot,
+                    src,
+                    ty,
+                    pre,
+                } => {
+                    self.charge(*pre)?;
                     let (si, vi) = (self.base + *slot as usize, self.base + *src as usize);
                     let new = apply_binop(
                         *op,
@@ -575,12 +656,12 @@ impl<'p> Vm<'p> {
                     return Err(self.err_line(prog.name(*msg)));
                 }
 
-                Instr::CallPre => {
-                    self.charge(1)?;
+                Instr::CallPre { pre } => {
+                    self.charge(*pre)?;
                     self.cost.calls += 1;
                 }
-                Instr::UserCallPre => {
-                    self.charge(1)?;
+                Instr::UserCallPre { pre } => {
+                    self.charge(*pre)?;
                     self.cost.calls += 1;
                     if self.call_depth > 64 {
                         return Err(ExecError::other("call stack depth exceeded 64 frames"));
@@ -591,7 +672,9 @@ impl<'p> Vm<'p> {
                     args_base,
                     argc,
                     dst,
+                    pre,
                 } => {
+                    self.charge(*pre)?;
                     let f = &prog.funcs[*func as usize];
                     let callee_base = self.frame_top;
                     let nslots = f.nslots as usize;
@@ -623,7 +706,9 @@ impl<'p> Vm<'p> {
                     args_base,
                     argc,
                     dst,
+                    pre,
                 } => {
+                    self.charge(*pre)?;
                     let text = {
                         let vals = self.args(*args_base, *argc);
                         let fmt = match vals.first() {
@@ -742,13 +827,17 @@ impl<'p> Vm<'p> {
                     self.set_reg(*dst, Value::Int(0));
                 }
                 Instr::SyncCallErr => {
-                    self.charge(1)?;
-                    self.cost.calls += 1;
                     return Err(ExecError::BarrierDivergence {
                         kernel: "<current kernel>".to_string(),
                     });
                 }
-                Instr::AtomicAdd { target, delta, dst } => {
+                Instr::AtomicAdd {
+                    target,
+                    delta,
+                    dst,
+                    pre,
+                } => {
+                    self.charge(*pre)?;
                     let delta = *self.reg(*delta);
                     self.cost.atomics += 1;
                     let v = match self.reg(*target) {
@@ -772,7 +861,9 @@ impl<'p> Vm<'p> {
                     delta,
                     dst,
                     is_max,
+                    pre,
                 } => {
+                    self.charge(*pre)?;
                     let operand = *self.reg(*delta);
                     self.cost.atomics += 1;
                     let v = match self.reg(*target) {
@@ -826,7 +917,9 @@ impl<'p> Vm<'p> {
                     args_base,
                     argc,
                     dst,
+                    pre,
                 } => {
+                    self.charge(*pre)?;
                     let v = {
                         let vals = self.args(*args_base, *argc);
                         let f0 = vals.first().map_or(0.0, |v| v.as_float());
@@ -873,12 +966,12 @@ impl<'p> Vm<'p> {
                         )));
                     }
                 }
-                Instr::GeomConvert { reg } => {
-                    let d = match self.reg(*reg) {
+                Instr::GeomConvert { dst, src } => {
+                    let d = match self.reg(*src) {
                         Value::Dim3(d) => *d,
                         other => Dim3Val::linear(other.as_int().max(0) as u32),
                     };
-                    self.set_reg(*reg, Value::Dim3(d));
+                    self.set_reg(*dst, Value::Dim3(d));
                 }
                 Instr::LaunchCheck { grid, block, name } => {
                     let (Value::Dim3(g), Value::Dim3(b)) = (self.reg(*grid), self.reg(*block))
@@ -933,7 +1026,9 @@ impl<'p> Vm<'p> {
                     idx,
                     src,
                     negate,
+                    pre,
                 } => {
+                    self.charge(*pre)?;
                     let i = self.reg(*idx).as_int();
                     let p = match self.reg(*base) {
                         Value::Ptr(p) => *p,
@@ -1283,6 +1378,17 @@ mod tests {
     fn float_precision_matches() {
         assert_identical(
             "int main() { float a[2]; a[0] = 0.1; double d = a[0]; int ok = d != 0.1; printf(\"%d\\n\", ok); return 0; }",
+        );
+    }
+
+    #[test]
+    fn instructions_stay_within_28_bytes() {
+        // The dispatch loop streams `Instr`s; folding steps into `pre`
+        // fields must not widen them.
+        assert!(
+            std::mem::size_of::<Instr>() <= 28,
+            "Instr is {} bytes",
+            std::mem::size_of::<Instr>()
         );
     }
 

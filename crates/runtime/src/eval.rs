@@ -1139,7 +1139,29 @@ impl ControlFlowExit {
 /// Apply a binary operator to two values, charging the operator's cost.
 /// Shared between the tree-walking evaluator and the bytecode VM so operator
 /// semantics (pointer arithmetic, wrapping, coercions) cannot drift.
+///
+/// Two integers take the integer path; a pointer on the left (or on the
+/// right of `+`) does pointer arithmetic; everything else is computed in
+/// floating point.
+#[inline]
 pub(crate) fn apply_binop(
+    op: BinOp,
+    l: &Value,
+    r: &Value,
+    cost: &mut CostCounter,
+    line: u32,
+) -> Result<Value, ExecError> {
+    match (l, r) {
+        (Value::Int(a), Value::Int(b)) => int_binop(op, *a, *b, cost, line),
+        _ => mixed_binop(op, l, r, cost, line),
+    }
+}
+
+/// [`apply_binop`] unless both operands are integers. Kept out of line so
+/// the VM's dispatch loop, which inlines the integer path at every operator
+/// instruction, stays compact.
+#[inline(never)]
+fn mixed_binop(
     op: BinOp,
     l: &Value,
     r: &Value,
@@ -1180,63 +1202,57 @@ pub(crate) fn apply_binop(
         }
     }
 
-    let ints = matches!(l, Value::Int(_)) && matches!(r, Value::Int(_));
-    if ints {
-        cost.int_ops += 1;
-    } else {
-        cost.flops += 1;
-    }
-    let result = if ints {
-        let (a, b) = (l.as_int(), r.as_int());
-        match op {
-            Add => Value::Int(a.wrapping_add(b)),
-            Sub => Value::Int(a.wrapping_sub(b)),
-            Mul => Value::Int(a.wrapping_mul(b)),
-            Div => {
-                if b == 0 {
-                    return Err(ExecError::DivisionByZero { line });
-                }
-                Value::Int(a.wrapping_div(b))
-            }
-            Rem => {
-                if b == 0 {
-                    return Err(ExecError::DivisionByZero { line });
-                }
-                Value::Int(a.wrapping_rem(b))
-            }
-            Shl => Value::Int(a.wrapping_shl(b as u32)),
-            Shr => Value::Int(a.wrapping_shr(b as u32)),
-            BitAnd => Value::Int(a & b),
-            BitOr => Value::Int(a | b),
-            BitXor => Value::Int(a ^ b),
-            Lt | Gt | Le | Ge | Eq | Ne => Value::Int(compare_ints(op, a, b)),
-            And => Value::Int(((a != 0) && (b != 0)) as i64),
-            Or => Value::Int(((a != 0) || (b != 0)) as i64),
+    cost.flops += 1;
+    let (a, b) = (l.as_float(), r.as_float());
+    Ok(match op {
+        Add => Value::Float(a + b),
+        Sub => Value::Float(a - b),
+        Mul => Value::Float(a * b),
+        Div => Value::Float(a / b),
+        Rem => Value::Float(a % b),
+        Lt => Value::Int((a < b) as i64),
+        Gt => Value::Int((a > b) as i64),
+        Le => Value::Int((a <= b) as i64),
+        Ge => Value::Int((a >= b) as i64),
+        Eq => Value::Int((a == b) as i64),
+        Ne => Value::Int((a != b) as i64),
+        And => Value::Int(((a != 0.0) && (b != 0.0)) as i64),
+        Or => Value::Int(((a != 0.0) || (b != 0.0)) as i64),
+        Shl | Shr | BitAnd | BitOr | BitXor => {
+            return Err(ExecError::other(format!(
+                "line {line}: bitwise operator applied to floating point operands"
+            )))
         }
-    } else {
-        let (a, b) = (l.as_float(), r.as_float());
-        match op {
-            Add => Value::Float(a + b),
-            Sub => Value::Float(a - b),
-            Mul => Value::Float(a * b),
-            Div => Value::Float(a / b),
-            Rem => Value::Float(a % b),
-            Lt => Value::Int((a < b) as i64),
-            Gt => Value::Int((a > b) as i64),
-            Le => Value::Int((a <= b) as i64),
-            Ge => Value::Int((a >= b) as i64),
-            Eq => Value::Int((a == b) as i64),
-            Ne => Value::Int((a != b) as i64),
-            And => Value::Int(((a != 0.0) && (b != 0.0)) as i64),
-            Or => Value::Int(((a != 0.0) || (b != 0.0)) as i64),
-            Shl | Shr | BitAnd | BitOr | BitXor => {
-                return Err(ExecError::other(format!(
-                    "line {line}: bitwise operator applied to floating point operands"
-                )))
-            }
-        }
-    };
-    Ok(result)
+    })
+}
+
+/// [`apply_binop`] on two integers: wrapping arithmetic, faulting division.
+#[inline]
+fn int_binop(
+    op: BinOp,
+    a: i64,
+    b: i64,
+    cost: &mut CostCounter,
+    line: u32,
+) -> Result<Value, ExecError> {
+    use BinOp::*;
+    cost.int_ops += 1;
+    Ok(Value::Int(match op {
+        Add => a.wrapping_add(b),
+        Sub => a.wrapping_sub(b),
+        Mul => a.wrapping_mul(b),
+        Div | Rem if b == 0 => return Err(ExecError::DivisionByZero { line }),
+        Div => a.wrapping_div(b),
+        Rem => a.wrapping_rem(b),
+        Shl => a.wrapping_shl(b as u32),
+        Shr => a.wrapping_shr(b as u32),
+        BitAnd => a & b,
+        BitOr => a | b,
+        BitXor => a ^ b,
+        Lt | Gt | Le | Ge | Eq | Ne => compare_ints(op, a, b),
+        And => ((a != 0) && (b != 0)) as i64,
+        Or => ((a != 0) || (b != 0)) as i64,
+    }))
 }
 
 fn compare_ints(op: BinOp, a: i64, b: i64) -> i64 {

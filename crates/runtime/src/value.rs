@@ -30,6 +30,16 @@ impl Dim3Val {
         Dim3Val::new(x, 1, 1)
     }
 
+    /// One component: 0 is `x`, 1 is `y`, anything else `z`.
+    #[inline]
+    pub fn axis(&self, axis: u8) -> u32 {
+        match axis {
+            0 => self.x,
+            1 => self.y,
+            _ => self.z,
+        }
+    }
+
     /// Total number of elements (threads/blocks) described.
     pub fn count(&self) -> u64 {
         self.x as u64 * self.y as u64 * self.z as u64
