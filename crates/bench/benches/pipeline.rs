@@ -1,6 +1,7 @@
 //! End-to-end pipeline benchmarks: translation engine, one full LASSI
-//! scenario per direction (the unit of work behind Tables VI and VII), and
-//! the per-direction aggregate computation.
+//! scenario per direction (the unit of work behind Tables VI and VII), one
+//! scenario stuck in the self-correction loop, and the per-direction
+//! aggregate computation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -8,7 +9,7 @@ use std::hint::black_box;
 use lassi_core::{scenario_outcomes, Direction, Lassi, PipelineConfig, ScenarioStatus};
 use lassi_hecbench::application;
 use lassi_lang::Dialect;
-use lassi_llm::{gpt4, translate_program, SimulatedLlm};
+use lassi_llm::{gpt4, translate_program, CapabilityProfile, SimulatedLlm};
 use lassi_metrics::AggregateStats;
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -37,6 +38,31 @@ fn bench_pipeline(c: &mut Criterion) {
             let llm = SimulatedLlm::with_seed(gpt4(), seed);
             let mut pipeline = Lassi::new(llm, config.clone());
             black_box(pipeline.translate_application(&entropy, Dialect::CudaLite))
+        })
+    });
+
+    c.bench_function("repair_round", |b| {
+        // The repair-loop shape: a GPT-4 that always slips a compile fault,
+        // rarely repairs it and often adds another, so the scenario spends
+        // its time in correction rounds (llm, parse, sema) while the report
+        // memo absorbs the repeated runs of the same programs.
+        let jacobi = application("jacobi").unwrap();
+        let mut model = gpt4();
+        model.profile = CapabilityProfile {
+            p_compile_fault: 1.0,
+            p_runtime_fault: 0.0,
+            p_semantic_fault: 0.0,
+            p_perf_regression: 0.0,
+            p_perf_improvement: 0.0,
+            p_repair_success: 0.1,
+            p_repair_regression: 0.3,
+        };
+        let config = PipelineConfig::default();
+        let seed = config.model_scenario_seed("GPT-4", "jacobi", Direction::CudaToOmp);
+        b.iter(|| {
+            let llm = SimulatedLlm::with_seed(model.clone(), seed);
+            let mut pipeline = Lassi::new(llm, config.clone());
+            black_box(pipeline.translate_application(&jacobi, Dialect::CudaLite))
         })
     });
 

@@ -104,7 +104,14 @@ impl Fault {
 
     /// Apply this fault to source text.
     pub fn apply(&self, source: &str) -> String {
-        let mut lines: Vec<String> = source.lines().map(|l| l.to_string()).collect();
+        let mut lines = split_lines(source);
+        self.apply_lines(&mut lines);
+        join_lines(&lines)
+    }
+
+    /// Apply this fault in place to source text split into lines, as
+    /// [`str::lines`] splits it.
+    pub fn apply_lines(&self, lines: &mut Vec<String>) {
         match &self.kind {
             FaultKind::DropSemicolon { line } => {
                 if let Some(l) = lines.get_mut(*line) {
@@ -176,7 +183,42 @@ impl Fault {
                 }
             }
         }
-        lines.join("\n") + "\n"
+    }
+}
+
+/// Apply `faults` in order to `source` with one split and one join: the
+/// same bytes as folding [`Fault::apply`] over them. With no faults,
+/// `source` comes back unchanged.
+pub(crate) fn apply_faults(source: &str, faults: &[Fault]) -> String {
+    if faults.is_empty() {
+        return source.to_string();
+    }
+    let mut lines = split_lines(source);
+    for (i, fault) in faults.iter().enumerate() {
+        if i > 0 {
+            resplit(&mut lines);
+        }
+        fault.apply_lines(&mut lines);
+    }
+    join_lines(&lines)
+}
+
+fn split_lines(source: &str) -> Vec<String> {
+    source.lines().map(str::to_owned).collect()
+}
+
+fn join_lines(lines: &[String]) -> String {
+    let mut text = lines.join("\n");
+    text.push('\n');
+    text
+}
+
+/// Make `lines` what the fold's next `split_lines(&join_lines(lines))` would
+/// give. That only differs when there are no lines, or when a line holds a
+/// line break or ends in `\r`, which none of the sampled faults produce.
+fn resplit(lines: &mut Vec<String>) {
+    if lines.is_empty() || lines.iter().any(|l| l.contains('\n') || l.ends_with('\r')) {
+        *lines = split_lines(&join_lines(lines));
     }
 }
 
@@ -185,6 +227,9 @@ fn is_word_char(c: char) -> bool {
 }
 
 fn replace_last_word(line: &str, from: &str, to: &str) -> Option<String> {
+    if from.is_empty() {
+        return None;
+    }
     let mut result = None;
     let mut search_start = 0usize;
     while let Some(rel) = line[search_start..].find(from) {
@@ -494,6 +539,166 @@ mod tests {
         let mut r = rng();
         assert!(maybe_fault(SAMPLE, FaultCategory::Compile, 0.0, &mut r).is_none());
         assert!(maybe_fault(SAMPLE, FaultCategory::Compile, 1.0, &mut r).is_some());
+    }
+
+    fn fault(kind: FaultKind) -> Fault {
+        Fault {
+            kind,
+            category: FaultCategory::Compile,
+        }
+    }
+
+    /// What rendering did before [`apply_faults`]: one split and join per fault.
+    fn fold(source: &str, faults: &[Fault]) -> String {
+        faults
+            .iter()
+            .fold(source.to_string(), |text, f| f.apply(&text))
+    }
+
+    fn assert_matches_fold(source: &str, faults: &[Fault]) {
+        assert_eq!(
+            apply_faults(source, faults),
+            fold(source, faults),
+            "source {source:?}, faults {faults:?}"
+        );
+    }
+
+    /// One fault of every kind with a site in [`SAMPLE`].
+    fn every_kind() -> Vec<Fault> {
+        [
+            FaultKind::DropSemicolon { line: 1 },
+            FaultKind::MisspellIdentifier {
+                from: "d_out".into(),
+                to: "d_out_tmp".into(),
+            },
+            FaultKind::WrongApiName {
+                from: "cudaMemcpy".into(),
+                to: "cudaMemCopy".into(),
+            },
+            FaultKind::RemoveDeclaration { line: 2 },
+            FaultKind::LoosenBoundsCheck { line: 5 },
+            FaultKind::DropMapClause { line: 7 },
+            FaultKind::DropCopyBack { line: 4 },
+            FaultKind::SerializeParallelism,
+            FaultKind::PerturbConstant {
+                from: "2.0".into(),
+                to: "2.07".into(),
+            },
+        ]
+        .into_iter()
+        .map(fault)
+        .collect()
+    }
+
+    #[test]
+    fn no_faults_return_the_source_unchanged() {
+        for source in [SAMPLE, "int x;", "a\r\nb", ""] {
+            assert_eq!(apply_faults(source, &[]), source);
+        }
+    }
+
+    #[test]
+    fn one_split_render_matches_the_fold_for_every_kind_and_pair() {
+        let blank_lines = SAMPLE.replace("{\n", "{\n\n").replace(";\n", ";\n\n");
+        let sources = [
+            SAMPLE,
+            SAMPLE.trim_end_matches('\n'),
+            blank_lines.as_str(),
+            &format!("\n\n{SAMPLE}\n\n"),
+        ];
+        let kinds = every_kind();
+        for source in sources {
+            assert_matches_fold(source, &kinds);
+            assert_matches_fold(source, &kinds.iter().rev().cloned().collect::<Vec<_>>());
+            for a in &kinds {
+                assert_matches_fold(source, std::slice::from_ref(a));
+                for b in &kinds {
+                    assert_matches_fold(source, &[a.clone(), b.clone()]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn removed_lines_shift_later_line_indexed_faults() {
+        for removal in [
+            FaultKind::RemoveDeclaration { line: 1 },
+            FaultKind::DropCopyBack { line: 1 },
+        ] {
+            let faults = [
+                fault(removal),
+                fault(FaultKind::DropSemicolon { line: 1 }),
+                fault(FaultKind::LoosenBoundsCheck { line: 4 }),
+                fault(FaultKind::DropMapClause { line: 6 }),
+            ];
+            let out = apply_faults(SAMPLE, &faults);
+            assert_eq!(out, fold(SAMPLE, &faults));
+            // Line 1 is now the `d_out` declaration, and the guard and the
+            // pragma each moved up one line.
+            assert!(!out.contains("int n = 128"));
+            assert!(out.contains("    float* d_out\n"));
+            assert!(out.contains("if (i <= n)"));
+            assert!(!out.contains("map(to: a[0:n])"));
+        }
+    }
+
+    #[test]
+    fn one_split_render_matches_the_fold_on_degenerate_text() {
+        let kinds = every_kind();
+        let crlf = SAMPLE.replace('\n', "\r\n");
+        for source in ["", "\n", "\n\n", "x;\r\r\ny;\r", crlf.as_str()] {
+            assert_matches_fold(source, &kinds);
+        }
+        // Faults the sampler never draws: a line break in a replacement, and
+        // an empty pattern after the last line is gone.
+        let split = fault(FaultKind::MisspellIdentifier {
+            from: "d_out".into(),
+            to: "d_\nout".into(),
+        });
+        assert_matches_fold(SAMPLE, &[split, kinds[0].clone(), kinds[4].clone()]);
+        let faults = [
+            fault(FaultKind::RemoveDeclaration { line: 0 }),
+            fault(FaultKind::PerturbConstant {
+                from: String::new(),
+                to: "x".into(),
+            }),
+            fault(FaultKind::MisspellIdentifier {
+                from: String::new(),
+                to: "y".into(),
+            }),
+        ];
+        assert_matches_fold("int x;", &faults);
+    }
+
+    #[test]
+    fn stacked_sampled_faults_on_translated_references_match_the_fold() {
+        use lassi_lang::print_program;
+        use rand::Rng;
+
+        const CATEGORIES: [FaultCategory; 4] = [
+            FaultCategory::Compile,
+            FaultCategory::Runtime,
+            FaultCategory::Semantic,
+            FaultCategory::Performance,
+        ];
+        for app in lassi_hecbench::applications() {
+            for dialect in [lassi_lang::Dialect::CudaLite, lassi_lang::Dialect::OmpLite] {
+                let program = app.parse(dialect).expect("reference parses");
+                let translated = crate::translate::translate_program(&program, dialect.other())
+                    .expect("reference translates");
+                let clean = print_program(&translated);
+                for seed in 0..8 {
+                    let mut r = StdRng::seed_from_u64(seed);
+                    let faults: Vec<Fault> = (0..2 + r.gen_range(0..5))
+                        .filter_map(|_| {
+                            let category = CATEGORIES[r.gen_range(0..CATEGORIES.len())];
+                            sample_fault(&clean, category, &mut r)
+                        })
+                        .collect();
+                    assert_matches_fold(&clean, &faults);
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! with the same interface the pipeline needs:
 //!
 //! * [`tokenizer`] — approximate token counting, used to enforce each model's
-//!   context window (Table V) and to build the Sim-T similarity metric,
+//!   context window (Table V) and to report prompt and response sizes (the
+//!   Sim-T similarity metric tokenizes with `lassi_metrics::tokenize_code`),
 //! * [`prompts`] — the prompt dictionary: system prompts (Table I),
 //!   translation prompts (Table II), self-correction prompts (Table III) and
 //!   the programming-language knowledge passages,

@@ -179,21 +179,23 @@ the above code with a fix to eliminate the stated error."
 /// Extract the last ``` fenced code block from a chunk of text (prompt or
 /// response). Returns `None` when no complete fence pair exists.
 pub fn extract_code_block(text: &str) -> Option<String> {
-    let mut blocks = Vec::new();
+    let mut last = None;
     let mut rest = text;
     while let Some(start) = rest.find("```") {
         let after = &rest[start + 3..];
         // Skip an optional language tag on the fence line.
         let body_start = after.find('\n').map(|p| p + 1).unwrap_or(0);
         let body = &after[body_start..];
-        if let Some(end) = body.find("```") {
-            blocks.push(body[..end].trim().to_string());
-            rest = &body[end + 3..];
-        } else {
+        let Some(end) = body.find("```") else {
             break;
+        };
+        let block = body[..end].trim();
+        if !block.is_empty() {
+            last = Some(block);
         }
+        rest = &body[end + 3..];
     }
-    blocks.into_iter().rfind(|b| !b.is_empty())
+    last.map(str::to_owned)
 }
 
 #[cfg(test)]
@@ -290,6 +292,20 @@ runtime. Re-factor the above code with a fix to eliminate the stated error.";
         let text = "intro\n```\nfirst block\n```\nmiddle\n```cpp\nsecond block\n```\ntail";
         assert_eq!(extract_code_block(text).unwrap(), "second block");
         assert_eq!(extract_code_block("no fences here"), None);
+    }
+
+    #[test]
+    fn extract_code_block_skips_a_trailing_empty_block() {
+        let text = "```\nint x;\n```\nthen\n```cpp\n  \n```\n```\n```";
+        assert_eq!(extract_code_block(text).unwrap(), "int x;");
+        assert_eq!(extract_code_block("```\n\n```"), None);
+    }
+
+    #[test]
+    fn extract_code_block_ignores_an_unterminated_fence() {
+        let text = "```\nfirst\n```\n```\nnever closed";
+        assert_eq!(extract_code_block(text).unwrap(), "first");
+        assert_eq!(extract_code_block("```\nnever closed"), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use lassi_lang::{parse, Dialect};
 
-use crate::faults::{maybe_fault, sample_fault, Fault, FaultCategory};
+use crate::faults::{apply_faults, maybe_fault, sample_fault, Fault, FaultCategory};
 use crate::models::ModelSpec;
 use crate::prompts::extract_code_block;
 use crate::tokenizer::count_tokens;
@@ -91,11 +91,7 @@ impl SimulatedLlm {
         let Some(state) = &self.state else {
             return String::new();
         };
-        let mut text = state.clean_source.clone();
-        for fault in &state.faults {
-            text = fault.apply(&text);
-        }
-        text
+        apply_faults(&state.clean_source, &state.faults)
     }
 
     fn respond_with_code(&self, code: &str, prompt_tokens: usize, overflow: bool) -> LlmResponse {
@@ -250,8 +246,9 @@ impl SimulatedLlm {
                 state.faults.remove(idx);
             }
             if introduces_new {
-                let clean = state.clean_source.clone();
-                if let Some(f) = sample_fault(&clean, FaultCategory::Compile, &mut self.rng) {
+                if let Some(f) =
+                    sample_fault(&state.clean_source, FaultCategory::Compile, &mut self.rng)
+                {
                     state.faults.push(f);
                 }
             }
