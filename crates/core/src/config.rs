@@ -25,24 +25,6 @@ pub enum ExecEngine {
 }
 
 impl ExecEngine {
-    /// Engine selected by the `LASSI_ENGINE` environment variable
-    /// (`reference` or `bytecode`); defaults to [`ExecEngine::Bytecode`].
-    pub fn from_env() -> Self {
-        match std::env::var("LASSI_ENGINE").as_deref() {
-            Ok("reference") => ExecEngine::Reference,
-            _ => ExecEngine::Bytecode,
-        }
-    }
-
-    /// Parse an engine name (`bytecode` / `reference`).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "bytecode" => Some(ExecEngine::Bytecode),
-            "reference" => Some(ExecEngine::Reference),
-            _ => None,
-        }
-    }
-
     /// Stable label used in cache keys, metrics and CLI output.
     pub fn label(self) -> &'static str {
         match self {
@@ -77,7 +59,7 @@ impl Default for PipelineConfig {
             seed: 20240704,
             run_config: lassi_hecbench::Machine::run_config(),
             timing_runs: 3,
-            engine: ExecEngine::from_env(),
+            engine: ExecEngine::Bytecode,
         }
     }
 }

@@ -1,11 +1,11 @@
-//! The evaluation driver: sweeps applications × models × directions and
-//! renders the paper's tables (IV, VI, VII and the §V summary statistics).
-
-use rayon::prelude::*;
+//! The evaluation unit and the paper's tables: [`run_scenario`] runs one
+//! (model, application, direction) scenario, and the renderers produce
+//! Tables IV, VI, VII and the §V summary statistics. Sweeps over the
+//! application × model × direction grid run on `lassi_harness::Harness`.
 
 use lassi_hecbench::{applications, run_application, Application};
 use lassi_lang::Dialect;
-use lassi_llm::{all_models, ModelSpec, SimulatedLlm};
+use lassi_llm::{ModelSpec, SimulatedLlm};
 use lassi_metrics::ScenarioOutcome;
 
 use crate::config::PipelineConfig;
@@ -85,7 +85,7 @@ pub struct Table4Row {
 /// deterministic) executions.
 pub fn run_table4(config: &PipelineConfig) -> Vec<Table4Row> {
     applications()
-        .par_iter()
+        .iter()
         .map(|app| {
             let avg = |dialect| {
                 let report = run_application(app, dialect)
@@ -103,39 +103,10 @@ pub fn run_table4(config: &PipelineConfig) -> Vec<Table4Row> {
         .collect()
 }
 
-/// Run every (application × model) scenario for one direction — one full
-/// Table VI or Table VII sweep (40 scenarios).
-pub fn run_direction(direction: Direction, config: &PipelineConfig) -> Vec<TranslationRecord> {
-    run_direction_with(direction, config, &all_models(), &applications())
-}
-
-/// Run a direction for an explicit set of models and applications (used by
-/// the examples and by tests that need a smaller sweep).
-///
-/// This is the *blocking* sweep path: every scenario is a [`run_scenario`]
-/// call fanned out with `par_iter`. The `lassi-harness` crate wraps the same
-/// [`run_scenario`] entry point in a job queue with caching, streaming and
-/// cancellation — prefer it for anything interactive or repeated.
-pub fn run_direction_with(
-    direction: Direction,
-    config: &PipelineConfig,
-    models: &[ModelSpec],
-    apps: &[Application],
-) -> Vec<TranslationRecord> {
-    let scenarios: Vec<(ModelSpec, Application)> = models
-        .iter()
-        .flat_map(|m| apps.iter().map(move |a| (m.clone(), a.clone())))
-        .collect();
-    scenarios
-        .par_iter()
-        .map(|(model, app)| run_scenario(model, app, direction, config))
-        .collect()
-}
-
 /// Run exactly one (model, application, direction) scenario with the
 /// deterministic per-scenario seed derived from `config`. This is the unit
-/// of work the harness scheduler enqueues; `run_direction*` are thin sweeps
-/// over it.
+/// of work the harness scheduler enqueues; a sweep over many scenarios is
+/// `lassi_harness::Harness::run_direction_with`.
 pub fn run_scenario(
     model: &ModelSpec,
     app: &Application,
@@ -242,12 +213,14 @@ mod tests {
     #[test]
     fn small_sweep_produces_consistent_records() {
         let config = PipelineConfig::default();
-        let apps = vec![
+        let apps = [
             application("layout").unwrap(),
             application("entropy").unwrap(),
         ];
-        let models = vec![gpt4()];
-        let records = run_direction_with(Direction::CudaToOmp, &config, &models, &apps);
+        let records: Vec<TranslationRecord> = apps
+            .iter()
+            .map(|app| run_scenario(&gpt4(), app, Direction::CudaToOmp, &config))
+            .collect();
         assert_eq!(records.len(), 2);
         let outcomes = scenario_outcomes(&records);
         assert_eq!(outcomes.len(), 2);
@@ -259,12 +232,11 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_for_fixed_seed() {
         let config = PipelineConfig::default();
-        let apps = vec![application("entropy").unwrap()];
-        let models = vec![gpt4()];
-        let a = run_direction_with(Direction::OmpToCuda, &config, &models, &apps);
-        let b = run_direction_with(Direction::OmpToCuda, &config, &models, &apps);
-        assert_eq!(a[0].status, b[0].status);
-        assert_eq!(a[0].self_corrections, b[0].self_corrections);
-        assert_eq!(a[0].generated_code, b[0].generated_code);
+        let app = application("entropy").unwrap();
+        let a = run_scenario(&gpt4(), &app, Direction::OmpToCuda, &config);
+        let b = run_scenario(&gpt4(), &app, Direction::OmpToCuda, &config);
+        assert_eq!(a.status, b.status);
+        assert_eq!(a.self_corrections, b.self_corrections);
+        assert_eq!(a.generated_code, b.generated_code);
     }
 }

@@ -13,9 +13,9 @@
 //!   self-prompted summaries), code generation, the compile self-correction
 //!   loop, the execution self-correction loop, output comparison and metric
 //!   collection for a single (application, direction) scenario.
-//! * [`experiment`] — the evaluation driver that sweeps the 10 HeCBench
-//!   applications × 4 LLMs × 2 directions (80 scenarios) and renders the
-//!   paper's tables.
+//! * [`experiment`] — one (model, application, direction) scenario, the
+//!   unit that `lassi-harness` sweeps over the 10 HeCBench applications ×
+//!   4 LLMs × 2 directions (80 scenarios), and the paper's tables.
 //! * [`config`] — pipeline knobs (iteration caps, seeds, runtime model).
 
 pub mod config;
@@ -25,8 +25,7 @@ pub mod progcache;
 
 pub use config::{ExecEngine, PipelineConfig};
 pub use experiment::{
-    direction_table, run_direction, run_direction_with, run_scenario, run_table4,
-    scenario_outcomes, table4_text, Direction, Table4Row,
+    direction_table, run_scenario, run_table4, scenario_outcomes, table4_text, Direction, Table4Row,
 };
 pub use pipeline::{
     average_of_runs, AttemptDiagnostics, Lassi, ScenarioStatus, TranslationRecord, STAGE_NAMES,

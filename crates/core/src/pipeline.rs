@@ -15,8 +15,7 @@ use crate::config::{ExecEngine, PipelineConfig};
 
 /// The instrumented pipeline stages, in execution order. Each stage's time
 /// accumulates into the `lassi_stage_seconds{stage="..."}` histogram of the
-/// process-wide registry — the breakdown `sweep --timings` tabulates and
-/// `BENCH_fullgrid.json` commits as `stage_breakdown`.
+/// process-wide registry — the breakdown `sweep --timings` tabulates.
 pub const STAGE_NAMES: &[&str] = &["parse", "sema", "compile", "llm", "execute", "similarity"];
 
 /// Per-stage histogram handles, registered once per pipeline instance and

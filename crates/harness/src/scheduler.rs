@@ -9,7 +9,7 @@
 //! order with per-job wall-clock timing split into queue wait (push → pop)
 //! and execution (pop → record). Submission order is preserved in
 //! [`JobStream::collect_ordered`], so sweeps render tables identically to
-//! the old blocking `par_iter` path. Cancellation discards queued work and
+//! a sequential [`lassi_core::run_scenario`] loop. Cancellation discards queued work and
 //! lets in-flight scenarios finish. Every completion feeds the process-wide
 //! metrics registry (`lassi_jobs_completed_total`,
 //! `lassi_job_queue_wait_seconds`, `lassi_job_execute_seconds`).
@@ -508,7 +508,6 @@ impl Drop for JobStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lassi_core::run_direction_with;
     use lassi_hecbench::application;
     use lassi_llm::gpt4;
 
@@ -533,7 +532,12 @@ mod tests {
         let apps = small_apps();
         let harness = Harness::new(HarnessOptions::default().with_workers(2));
         let concurrent = harness.run_direction_with(Direction::CudaToOmp, &config, &models, &apps);
-        let blocking = run_direction_with(Direction::CudaToOmp, &config, &models, &apps);
+        // The same scenarios one after another, in model-major order.
+        let blocking: Vec<TranslationRecord> = models
+            .iter()
+            .flat_map(|model| apps.iter().map(move |app| (model, app)))
+            .map(|(model, app)| run_scenario(model, app, Direction::CudaToOmp, &config))
+            .collect();
         assert_eq!(concurrent, blocking);
     }
 

@@ -4,11 +4,12 @@
 //!
 //!     cargo run --release --example evaluate_models
 
-use lassi::pipeline::{run_direction_with, scenario_outcomes, Direction};
+use lassi::pipeline::{scenario_outcomes, Direction};
 use lassi::prelude::*;
 
 fn main() {
     let config = PipelineConfig::default();
+    let harness = Harness::new(HarnessOptions::default());
     let apps: Vec<Application> = ["matrix-rotate", "layout", "entropy", "bsearch"]
         .iter()
         .map(|n| application(n).expect("benchmark exists"))
@@ -20,7 +21,7 @@ fn main() {
             direction.label(),
             apps.len()
         );
-        let records = run_direction_with(direction, &config, &all_models(), &apps);
+        let records = harness.run_direction_with(direction, &config, &all_models(), &apps);
         for model in all_models() {
             let model_records: Vec<_> = records
                 .iter()

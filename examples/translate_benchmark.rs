@@ -4,7 +4,7 @@
 //!
 //!     cargo run --release --example translate_benchmark -- "Wizard Coder"
 
-use lassi::pipeline::{direction_table, run_direction_with, Direction};
+use lassi::pipeline::{direction_table, Direction};
 use lassi::prelude::*;
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
         model_by_name("Codestral").unwrap()
     });
     let config = PipelineConfig::default();
-    let records = run_direction_with(
+    let records = Harness::new(HarnessOptions::default()).run_direction_with(
         Direction::OmpToCuda,
         &config,
         std::slice::from_ref(&model),

@@ -51,8 +51,8 @@ pub use lassi_server as server;
 /// The most commonly used items, in one import.
 pub mod prelude {
     pub use lassi_core::{
-        run_direction, run_scenario, run_table4, scenario_outcomes, Direction, Lassi,
-        PipelineConfig, ScenarioStatus, TranslationRecord,
+        run_scenario, run_table4, scenario_outcomes, Direction, Lassi, PipelineConfig,
+        ScenarioStatus, TranslationRecord,
     };
     pub use lassi_harness::{
         ArtifactStore, Harness, HarnessOptions, Job, JobOutput, RunArtifact, RunManifest,

@@ -2,7 +2,7 @@
 //! pipeline, exercised through the public `lassi` façade the way a downstream
 //! user would.
 
-use lassi::pipeline::{run_direction_with, scenario_outcomes, Direction, Lassi, PipelineConfig};
+use lassi::pipeline::{scenario_outcomes, Direction, Lassi, PipelineConfig};
 use lassi::prelude::*;
 
 /// A "perfect" model variant used when a test needs a deterministic success.
@@ -133,7 +133,8 @@ fn small_two_model_sweep_produces_paper_style_statistics() {
         model_by_name("GPT-4").unwrap(),
         model_by_name("Codestral").unwrap(),
     ];
-    let records = run_direction_with(Direction::CudaToOmp, &config, &models, &apps);
+    let harness = Harness::new(HarnessOptions::default());
+    let records = harness.run_direction_with(Direction::CudaToOmp, &config, &models, &apps);
     assert_eq!(records.len(), 4);
     let stats = AggregateStats::from_outcomes(&scenario_outcomes(&records));
     assert!(stats.success_rate >= 0.0 && stats.success_rate <= 1.0);
