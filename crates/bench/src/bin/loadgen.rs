@@ -57,6 +57,9 @@
 //! * a fetched run manifest (`GET /v1/runs/{id}/manifest`) and record set
 //!   are **byte-identical** to the files in the server's artifact store
 //!   (requires `--artifacts` pointing at the server's directory),
+//! * the served trace (`GET /v1/runs/{id}/trace`) and diagnostics document
+//!   (`…/diagnostics`) are byte-identical to the views rendered from that
+//!   artifact, and the trace holds one `job` span per scenario,
 //! * `DELETE /v1/runs/{id}` removes a run, and the error envelope
 //!   (`{"error": {"code", "message", "status"}}`) carries the expected
 //!   machine-readable codes (`run_not_found`, `run_exists`).
@@ -633,24 +636,34 @@ fn paginated_run_ids(addr: &str, limit: usize) -> Result<Vec<String>, String> {
     Ok(walked)
 }
 
-/// Fetch `path` and require the body to be byte-identical to the file the
-/// server's artifact store holds at `disk_path`.
-fn check_bytes_match(addr: &str, path: &str, disk_path: &std::path::Path) -> Result<usize, String> {
+/// Fetch `path` and require the body to be byte-identical to `expected`,
+/// which is read from or rendered out of the server's artifact store
+/// (`source` names it in the error).
+fn check_bytes_match(
+    addr: &str,
+    path: &str,
+    expected: &[u8],
+    source: &str,
+) -> Result<usize, String> {
     let resp = http::request(addr, "GET", path, None).map_err(|e| format!("GET {path}: {e}"))?;
     if !resp.is_success() {
         return Err(format!("GET {path}: HTTP {}", resp.status));
     }
-    let disk = std::fs::read(disk_path)
-        .map_err(|e| format!("cannot read {}: {e}", disk_path.display()))?;
-    if resp.body != disk {
+    if resp.body != expected {
         return Err(format!(
-            "GET {path} returned {} bytes that differ from {} ({} bytes)",
+            "GET {path} returned {} bytes that differ from {source} ({} bytes)",
             resp.body.len(),
-            disk_path.display(),
-            disk.len()
+            expected.len()
         ));
     }
-    Ok(disk.len())
+    Ok(expected.len())
+}
+
+/// [`check_bytes_match`] against the file at `disk_path`.
+fn check_file_match(addr: &str, path: &str, disk_path: &std::path::Path) -> Result<usize, String> {
+    let disk = std::fs::read(disk_path)
+        .map_err(|e| format!("cannot read {}: {e}", disk_path.display()))?;
+    check_bytes_match(addr, path, &disk, &disk_path.display().to_string())
 }
 
 fn run(args: &LoadgenArgs) -> Result<(), String> {
@@ -771,7 +784,7 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
                 run_dir.display()
             ));
         }
-        check_bytes_match(
+        check_file_match(
             addr,
             &format!("/v1/runs/{run_id}/manifest"),
             &run_dir.join("manifest.json"),
@@ -779,19 +792,23 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
         let artifact = store.load_run(run_id).map_err(|e| e.to_string())?;
         let mut record_bytes = 0;
         for set in &artifact.manifest.record_sets {
-            record_bytes += check_bytes_match(
+            record_bytes += check_file_match(
                 addr,
                 &format!("/v1/runs/{run_id}/records/{set}"),
                 &run_dir.join(format!("records-{set}.json")),
             )?;
         }
 
-        // A done run's trace must exist, parse as trace.v1 JSONL, hold
-        // exactly one `job` span per scenario (each with its queue-wait vs
-        // execute split), and be served byte-identically by the trace
-        // endpoint.
-        let trace =
-            lassi_harness::read_trace(&run_dir).map_err(|e| format!("trace for {run_id}: {e}"))?;
+        // A done run's trace view must render, parse as trace.v1 JSONL,
+        // hold exactly one `job` span per scenario (each with its
+        // queue-wait vs execute split), and be served byte-identically by
+        // the trace endpoint. The diagnostics document is served
+        // byte-identically to its rendered view too.
+        let trace_text = artifact
+            .trace_view()
+            .map_err(|e| format!("trace for {run_id}: {e}"))?;
+        let trace = lassi_harness::parse_trace(&trace_text)
+            .map_err(|e| format!("trace for {run_id}: {e}"))?;
         let job_spans: Vec<_> = trace
             .iter()
             .filter(|ev| ev.kind == lassi_obs::TraceKind::Span && ev.name == "job")
@@ -813,7 +830,17 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
         check_bytes_match(
             addr,
             &format!("/v1/runs/{run_id}/trace"),
-            &run_dir.join(lassi_harness::TRACE_FILE),
+            trace_text.as_bytes(),
+            "the rendered trace view",
+        )?;
+        let diagnostics = artifact
+            .diagnostics_view()
+            .map_err(|e| format!("diagnostics for {run_id}: {e}"))?;
+        check_bytes_match(
+            addr,
+            &format!("/v1/runs/{run_id}/diagnostics"),
+            diagnostics.as_bytes(),
+            "the rendered diagnostics view",
         )?;
 
         // Resubmitting a finished run id must be refused with the
@@ -864,7 +891,8 @@ fn run(args: &LoadgenArgs) -> Result<(), String> {
              hits, keep-alive ({} + {} connections for {} sweeps), pagination \
              walk consistent, run-{run_id} manifest + {} record sets \
              byte-identical ({record_bytes} bytes), trace.jsonl parsed with \
-             one job span per scenario, DELETE /v1/runs/{victim} \
+             one job span per scenario, trace and diagnostics views \
+             byte-identical, DELETE /v1/runs/{victim} \
              cleaned up with envelope codes",
             cold.connections_opened,
             warm.connections_opened,

@@ -31,7 +31,7 @@
 //! one row per code with its severity, finding count, scenario count and
 //! the deepest self-correction round it appeared in. The table is computed
 //! from the same records the artifact stores, so it always agrees with
-//! `diagnostics.json`.
+//! the run's rendered `diag.v1` document.
 //!
 //! `full` runs the paper's complete Table-IV grid — every application ×
 //! every model × both directions (10 × 4 × 2 = 80 scenarios per config
@@ -54,7 +54,8 @@
 //!
 //! `verify <run-dir>` reloads a saved artifact with the round-trip loader,
 //! recomputes every summary from the records and compares it against the
-//! stored one.
+//! stored one, and renders the diagnostics document and trace views from
+//! the records.
 //!
 //! `list` prints the run ids present in the artifact store, one per line.
 //!
@@ -67,7 +68,7 @@ use std::time::Instant;
 use lassi_core::{direction_table, scenario_outcomes, Direction, PipelineConfig};
 use lassi_harness::codec::record_to_json;
 use lassi_harness::{
-    CacheSnapshot, GridCell, Harness, Job, JobOutput, Json, RunArtifact, SweepGrid,
+    ArtifactError, CacheSnapshot, GridCell, Harness, Job, JobOutput, RunArtifact, SweepGrid,
 };
 use lassi_hecbench::{application, applications, Application};
 use lassi_llm::{all_models, model_by_name, ModelSpec};
@@ -299,12 +300,12 @@ fn write_artifact(
 }
 
 /// Reload an artifact and check every record set round-trips: records parse,
-/// summaries match a recomputation, and the manifest lists every set.
+/// summaries match a recomputation, the manifest lists every set, and the
+/// diagnostics views render from the records. The table binaries write no
+/// trace, so a missing `trace.jsonl` is not an error.
 fn verify_artifact(dir: &std::path::Path) -> Result<String, String> {
     let artifact = RunArtifact::load(dir).map_err(|e| e.to_string())?;
     let mut records_total = 0;
-    let mut flagged_records = 0usize;
-    let mut record_findings = 0usize;
     for set in &artifact.manifest.record_sets {
         let records = artifact.records(set).map_err(|e| e.to_string())?;
         let stored = artifact.summary(set).map_err(|e| e.to_string())?;
@@ -315,14 +316,6 @@ fn verify_artifact(dir: &std::path::Path) -> Result<String, String> {
                  recomputed {recomputed:?}"
             ));
         }
-        for record in &records {
-            flagged_records += usize::from(!record.diagnostics.is_empty());
-            record_findings += record
-                .diagnostics
-                .iter()
-                .map(|attempt| attempt.diagnostics.len())
-                .sum::<usize>();
-        }
         records_total += records.len();
     }
     if records_total != artifact.manifest.scenarios {
@@ -331,68 +324,19 @@ fn verify_artifact(dir: &std::path::Path) -> Result<String, String> {
             artifact.manifest.scenarios
         ));
     }
-    verify_diagnostics_document(dir, flagged_records, record_findings)?;
+    artifact
+        .diagnostics_view()
+        .map_err(|e| format!("diagnostics view: {e}"))?;
+    match artifact.trace_view() {
+        Ok(_) => {}
+        Err(ArtifactError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(format!("trace view: {e}")),
+    }
     Ok(format!(
         "artifact OK: {} record sets, {records_total} records, schema v{}",
         artifact.manifest.record_sets.len(),
         artifact.manifest.schema_version
     ))
-}
-
-/// Cross-check `diagnostics.json` against the records it was derived from:
-/// same schema version, one scenario entry per record with a non-empty
-/// history, same total finding count. The document is optional — the table
-/// binaries write record sets without one — but when present it must agree.
-fn verify_diagnostics_document(
-    dir: &std::path::Path,
-    flagged_records: usize,
-    record_findings: usize,
-) -> Result<(), String> {
-    let path = dir.join(lassi_harness::DIAGNOSTICS_FILE);
-    if !path.is_file() {
-        return Ok(());
-    }
-    let text = std::fs::read_to_string(&path).map_err(|e| e.to_string())?;
-    let doc = lassi_harness::json::parse(&text)
-        .map_err(|e| format!("diagnostics.json does not parse: {e}"))?;
-    let version = doc.get("v").and_then(|v| v.as_str());
-    if version != Some(lassi_lang::diag::codec::VERSION) {
-        return Err(format!(
-            "diagnostics.json schema is {version:?} (expected `{}`)",
-            lassi_lang::diag::codec::VERSION
-        ));
-    }
-    let scenarios = doc
-        .get("scenarios")
-        .and_then(|v| v.as_array())
-        .ok_or("diagnostics.json has no `scenarios` array")?;
-    let doc_findings: usize = scenarios
-        .iter()
-        .map(|scenario| {
-            scenario
-                .get("attempts")
-                .and_then(|v| v.as_array())
-                .map(|attempts| {
-                    attempts
-                        .iter()
-                        .filter_map(|a| a.get("diagnostics").and_then(|v| v.as_array()))
-                        .map(<[Json]>::len)
-                        .sum()
-                })
-                .unwrap_or(0)
-        })
-        .sum();
-    if scenarios.len() != flagged_records || doc_findings != record_findings {
-        return Err(format!(
-            "diagnostics.json disagrees with the records: document lists \
-             {} scenarios / {} findings, records carry {} / {}",
-            scenarios.len(),
-            doc_findings,
-            flagged_records,
-            record_findings
-        ));
-    }
-    Ok(())
 }
 
 /// One cold pass then one warm pass over the grid's jobs, with the shared
@@ -506,8 +450,8 @@ struct DiagRow {
 
 /// The `--diag-summary` table: every structured finding in the sweep's
 /// records, aggregated per stable code. Computed from the same records the
-/// artifact stores, so the numbers always agree with `diagnostics.json`;
-/// the headline is grep-stable (`^diagnostics: `) for CI.
+/// artifact stores, so the numbers always agree with the rendered `diag.v1`
+/// document; the headline is grep-stable (`^diagnostics: `) for CI.
 fn print_diag_summary(per_cell: &[(GridCell, Vec<lassi_core::TranslationRecord>)]) {
     let mut findings = 0usize;
     let mut flagged_scenarios = 0usize;

@@ -14,7 +14,6 @@ use lassi_metrics::AggregateStats;
 use lassi_obs::TraceEvent;
 
 use crate::cache::CacheSnapshot;
-use crate::json::Json;
 use crate::runstate::RunStatus;
 use crate::scheduler::{Job, JobOutput};
 use crate::store::{detect_git_commit, ArtifactError, ArtifactStore, RunManifest};
@@ -144,52 +143,6 @@ impl SweepGrid {
         manifest
     }
 
-    /// Build the run's `diag.v1` diagnostics document: one entry per
-    /// scenario that produced findings, in job submission order. Scenarios
-    /// with an empty diagnostic history are omitted — a clean first-try
-    /// success has nothing to report.
-    pub fn diagnostics_document(&self, jobs: &[Job], outputs: &[JobOutput]) -> Json {
-        let mut ordered: Vec<&JobOutput> = outputs.iter().collect();
-        ordered.sort_by_key(|output| output.index);
-        let mut scenarios = Vec::new();
-        for output in ordered {
-            if output.record.diagnostics.is_empty() {
-                continue;
-            }
-            let job = &jobs[output.index];
-            scenarios.push(Json::Object(vec![
-                (
-                    "application".into(),
-                    Json::Str(job.application.name.to_string()),
-                ),
-                ("model".into(), Json::Str(job.model.name.to_string())),
-                (
-                    "direction".into(),
-                    Json::Str(job.direction.slug().to_string()),
-                ),
-                ("cell".into(), Json::Str(self.cell_of(job).slug())),
-                (
-                    "attempts".into(),
-                    Json::Array(
-                        output
-                            .record
-                            .diagnostics
-                            .iter()
-                            .map(crate::codec::attempt_diagnostics_to_json)
-                            .collect(),
-                    ),
-                ),
-            ]));
-        }
-        Json::Object(vec![
-            (
-                "v".into(),
-                Json::Str(lassi_lang::diag::codec::VERSION.into()),
-            ),
-            ("scenarios".into(), Json::Array(scenarios)),
-        ])
-    }
-
     /// Group sweep outputs by grid cell, in [`SweepGrid::cells`] order.
     /// `jobs` must be the job list the outputs were produced from (the
     /// output's `index` field points into it). Within a cell, records are
@@ -217,15 +170,19 @@ impl SweepGrid {
 
     /// Write one run artifact for a completed sweep over this grid: a
     /// record set and summary per grid cell, the run's `trace.jsonl`, plus
-    /// the manifest. This is the single writer the `sweep` CLI and the
-    /// HTTP service share, so their artifacts are interchangeable
-    /// (`--replay`, `--verify` and `GET /v1/runs/{id}` all read the same
-    /// layout).
+    /// the manifest and `state.json`. This is the single writer the `sweep`
+    /// CLI and the HTTP service share, so their artifacts are
+    /// interchangeable (`--replay`, `--verify` and `GET /v1/runs/{id}` all
+    /// read the same layout).
     ///
     /// `trace` carries the caller's run-lifecycle events (runstate
     /// transitions, drains); one `job` span per output is appended before
     /// writing, so a completed run's trace always holds exactly one span
-    /// per scenario regardless of which front end drove the sweep.
+    /// per scenario regardless of which front end drove the sweep. The
+    /// records' diagnostics are stored only in the records: the `diag.v1`
+    /// document and the trace's `diag` events are rendered from them on
+    /// read ([`crate::RunArtifact::diagnostics_view`],
+    /// [`crate::RunArtifact::trace_view`]).
     ///
     /// `replace` wipes a previous run under the same (fixed) id; without it
     /// a colliding run id is an `AlreadyExists` error rather than a silent
@@ -256,7 +213,6 @@ impl SweepGrid {
         let record_sets = self.cells().iter().map(GridCell::slug).collect();
         let manifest = self.manifest(run_id, record_sets, outputs.len(), snapshot);
         writer.write_manifest(&manifest)?;
-        writer.write_diagnostics(&self.diagnostics_document(jobs, outputs))?;
         // Diagnostics metrics are counted here — at artifact-write time, not
         // in the pipeline — so cache-hit scenarios count exactly like
         // executed ones and the exposition agrees with the artifact. The
@@ -272,26 +228,18 @@ impl SweepGrid {
         let mut events: Vec<TraceEvent> = trace.to_vec();
         let mut ordered: Vec<&JobOutput> = outputs.iter().collect();
         ordered.sort_by_key(|output| output.index);
-        // One `job` span per scenario, in submission order with
-        // back-to-back end times: each span's duration and queue-wait vs
-        // execute split are the worker's real measurements, while the
-        // sequential layout keeps the file deterministic under any worker
-        // schedule. Each scenario's `diag` events share its span's end
-        // instant.
-        let mut end_us = 0u64;
+        // One `job` span per scenario, in submission order and back to
+        // back: each span's duration and queue-wait vs execute split are
+        // the worker's real measurements, while the sequential layout keeps
+        // the file deterministic under any worker schedule.
+        let mut start_us = 0u64;
         for output in &ordered {
-            end_us += ((output.queue_seconds + output.wall_seconds) * 1e6).round() as u64;
-            events.push(crate::trace::job_span(end_us, &jobs[output.index], output));
+            let span = crate::trace::job_span(start_us, &jobs[output.index], output);
+            start_us += span.dur_us.unwrap_or(0);
+            events.push(span);
             rounds.observe(output.record.self_corrections as f64);
             for attempt in &output.record.diagnostics {
                 for diag in &attempt.diagnostics {
-                    events.push(crate::trace::diag_event(
-                        end_us,
-                        &jobs[output.index],
-                        output.index,
-                        attempt,
-                        diag,
-                    ));
                     registry
                         .counter(
                             "lassi_diagnostics_total",
@@ -398,6 +346,56 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
+    }
+
+    #[test]
+    fn job_spans_are_back_to_back_under_sub_microsecond_timings() {
+        // Each pair's rounded sum differs from the sum of its rounded
+        // parts (0.4 + 0.4 µs is 1 µs together, 0 µs apart; 0.6 + 0.6 µs
+        // is 1 µs together, 2 µs apart), so advancing the timeline by the
+        // rounded sum instead of the span's own duration leaves gaps and
+        // overlaps.
+        let timings = [(0.6, 0.6), (0.4, 0.4), (1.5, 0.2), (0.4, 0.4)];
+        let g = grid();
+        let jobs = g.jobs();
+        let record = lassi_core::run_scenario(
+            &jobs[0].model,
+            &jobs[0].application,
+            jobs[0].direction,
+            &jobs[0].config,
+        );
+        let outputs: Vec<JobOutput> = jobs
+            .iter()
+            .enumerate()
+            .map(|(index, job)| {
+                let (queue_us, execute_us) = timings[index % timings.len()];
+                JobOutput {
+                    index,
+                    direction: job.direction,
+                    record: record.clone(),
+                    wall_seconds: execute_us / 1e6,
+                    queue_seconds: queue_us / 1e6,
+                    from_cache: false,
+                }
+            })
+            .collect();
+        let root = std::env::temp_dir().join(format!("lassi-grid-spans-{}", std::process::id()));
+        let store = ArtifactStore::new(&root);
+        let snapshot = CacheSnapshot::default();
+        g.write_artifact(&store, "spans", true, &jobs, &outputs, snapshot, &[])
+            .unwrap();
+        let events = crate::trace::read_trace(&store.run_dir("spans")).unwrap();
+        let spans: Vec<&TraceEvent> = events.iter().filter(|ev| ev.name == "job").collect();
+        assert_eq!(spans.len(), jobs.len());
+        let mut end_us = 0;
+        for span in spans {
+            assert_eq!(
+                span.t_us, end_us,
+                "{span:?} does not start where the last ended"
+            );
+            end_us = span.t_us + span.dur_us.unwrap();
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -25,21 +25,17 @@
 //!
 //! [`LeaseTable`] is the bookkeeping for one run: the requeue set of
 //! unleased job indices, the leases in flight, and the first-write-wins
-//! completion bitmap. Like [`crate::runstate::RunStatus`] it persists
-//! write-then-rename (`leases.json` in the run directory), so a crash
-//! mid-write never leaves a torn file for the recovery scan to trip over.
-//! The table is deliberately clock-free: every operation takes `now_ms`
-//! from the caller, which keeps the whole machine deterministic under test.
+//! completion bitmap. It lives only in memory: a run's records are what
+//! persist, and re-executing a scenario reproduces its record, so nothing
+//! a restarted process could read back from a lease file would change the
+//! artifact. The table is deliberately clock-free: every operation takes
+//! `now_ms` from the caller, which keeps the whole machine deterministic
+//! under test.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io;
-use std::path::Path;
 
-use crate::json::{self, Json};
-
-/// Name of the persisted lease-table file inside a run directory.
-pub const LEASE_FILE: &str = "leases.json";
+use crate::json::Json;
 
 /// Lifecycle states of one lease.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,16 +53,7 @@ pub enum LeaseState {
 }
 
 impl LeaseState {
-    /// Every state, in lifecycle order.
-    pub const ALL: [LeaseState; 5] = [
-        LeaseState::Granted,
-        LeaseState::Extended,
-        LeaseState::Completed,
-        LeaseState::Expired,
-        LeaseState::Reclaimed,
-    ];
-
-    /// The wire/disk spelling (`granted`, `extended`, `completed`,
+    /// The display spelling (`granted`, `extended`, `completed`,
     /// `expired`, `reclaimed`).
     pub fn slug(self) -> &'static str {
         match self {
@@ -76,11 +63,6 @@ impl LeaseState {
             LeaseState::Expired => "expired",
             LeaseState::Reclaimed => "reclaimed",
         }
-    }
-
-    /// Parse the wire/disk spelling.
-    pub fn from_slug(s: &str) -> Option<LeaseState> {
-        LeaseState::ALL.into_iter().find(|state| state.slug() == s)
     }
 
     /// A lease still holding its jobs: granted or extended.
@@ -190,7 +172,7 @@ pub struct FleetStats {
 }
 
 impl FleetStats {
-    /// Serialize to the `state.json`/`leases.json` sub-object.
+    /// Serialize to the `state.json` sub-object.
     pub fn to_json(&self) -> Json {
         Json::Object(vec![
             ("leases_granted".into(), Json::uint(self.leases_granted)),
@@ -456,141 +438,6 @@ impl LeaseTable {
         requeued
     }
 
-    /// Serialize to the `leases.json` schema.
-    pub fn to_json(&self) -> Json {
-        let indices = |v: &[usize]| Json::Array(v.iter().map(|&i| Json::uint(i as u64)).collect());
-        let leases = self
-            .leases
-            .iter()
-            .map(|l| {
-                Json::Object(vec![
-                    ("lease_id".into(), Json::Str(l.lease_id.clone())),
-                    ("worker".into(), Json::Str(l.worker.clone())),
-                    ("state".into(), Json::Str(l.state.slug().into())),
-                    ("jobs".into(), indices(&l.jobs)),
-                    ("granted_unix_ms".into(), Json::uint(l.granted_unix_ms)),
-                    ("deadline_unix_ms".into(), Json::uint(l.deadline_unix_ms)),
-                ])
-            })
-            .collect();
-        let completed: Vec<usize> = (0..self.total).filter(|&i| self.completed[i]).collect();
-        let pending: Vec<usize> = self.pending.iter().copied().collect();
-        Json::Object(vec![
-            ("run_id".into(), Json::Str(self.run_id.clone())),
-            ("total".into(), Json::uint(self.total as u64)),
-            ("pending".into(), indices(&pending)),
-            ("completed".into(), indices(&completed)),
-            ("leases".into(), Json::Array(leases)),
-            ("next_lease".into(), Json::uint(self.next_lease)),
-            ("stats".into(), self.stats.to_json()),
-        ])
-    }
-
-    /// Decode the `leases.json` schema.
-    pub fn from_json(value: &Json) -> Result<LeaseTable, String> {
-        let indices = |name: &str| -> Result<Vec<usize>, String> {
-            value
-                .get(name)
-                .and_then(Json::as_array)
-                .ok_or_else(|| format!("leases.json: missing array `{name}`"))?
-                .iter()
-                .map(|v| {
-                    v.as_usize()
-                        .ok_or_else(|| format!("leases.json: non-index in `{name}`"))
-                })
-                .collect()
-        };
-        let run_id = value
-            .get("run_id")
-            .and_then(Json::as_str)
-            .ok_or("leases.json: missing string `run_id`")?
-            .to_string();
-        let total = value
-            .get("total")
-            .and_then(Json::as_usize)
-            .ok_or("leases.json: missing count `total`")?;
-        let mut completed = vec![false; total];
-        for index in indices("completed")? {
-            if index >= total {
-                return Err(format!("leases.json: completed index {index} out of range"));
-            }
-            completed[index] = true;
-        }
-        let leases = value
-            .get("leases")
-            .and_then(Json::as_array)
-            .ok_or("leases.json: missing array `leases`")?
-            .iter()
-            .map(|entry| -> Result<Lease, String> {
-                let str_field = |name: &str| {
-                    entry
-                        .get(name)
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("leases.json: lease missing string `{name}`"))
-                };
-                let ms_field = |name: &str| {
-                    entry
-                        .get(name)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("leases.json: lease missing stamp `{name}`"))
-                };
-                let state_slug = str_field("state")?;
-                let state = LeaseState::from_slug(state_slug)
-                    .ok_or_else(|| format!("leases.json: unknown lease state `{state_slug}`"))?;
-                let jobs = entry
-                    .get("jobs")
-                    .and_then(Json::as_array)
-                    .ok_or("leases.json: lease missing array `jobs`")?
-                    .iter()
-                    .map(|v| v.as_usize().ok_or("leases.json: non-index in lease `jobs`"))
-                    .collect::<Result<Vec<usize>, _>>()?;
-                Ok(Lease {
-                    lease_id: str_field("lease_id")?.to_string(),
-                    worker: str_field("worker")?.to_string(),
-                    state,
-                    jobs,
-                    granted_unix_ms: ms_field("granted_unix_ms")?,
-                    deadline_unix_ms: ms_field("deadline_unix_ms")?,
-                })
-            })
-            .collect::<Result<Vec<Lease>, String>>()?;
-        Ok(LeaseTable {
-            run_id,
-            total,
-            pending: indices("pending")?.into_iter().collect(),
-            completed,
-            leases,
-            next_lease: value
-                .get("next_lease")
-                .and_then(Json::as_u64)
-                .ok_or("leases.json: missing count `next_lease`")?,
-            stats: value
-                .get("stats")
-                .map(FleetStats::from_json)
-                .unwrap_or_default(),
-        })
-    }
-
-    /// Persist as `<run_dir>/leases.json`, write-then-rename so a crash
-    /// mid-write never leaves a torn file.
-    pub fn save(&self, run_dir: &Path) -> io::Result<()> {
-        let mut text = self.to_json().to_pretty();
-        text.push('\n');
-        let tmp = run_dir.join(format!("{LEASE_FILE}.tmp"));
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, run_dir.join(LEASE_FILE))
-    }
-
-    /// Load `<run_dir>/leases.json`. A missing file is
-    /// [`io::ErrorKind::NotFound`]; a torn or malformed one is
-    /// [`io::ErrorKind::InvalidData`].
-    pub fn load(run_dir: &Path) -> io::Result<LeaseTable> {
-        let text = std::fs::read_to_string(run_dir.join(LEASE_FILE))?;
-        let value = json::parse(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        LeaseTable::from_json(&value).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-
     /// Test-facing invariant: no schedule of grants, expiries and
     /// completions may lose or duplicate a job. Every uncompleted job sits
     /// in exactly one place — the requeue set or exactly one active lease —
@@ -621,13 +468,13 @@ impl LeaseTable {
 mod tests {
     use super::*;
 
-    #[test]
-    fn slugs_round_trip() {
-        for state in LeaseState::ALL {
-            assert_eq!(LeaseState::from_slug(state.slug()), Some(state));
-        }
-        assert_eq!(LeaseState::from_slug("vanished"), None);
-    }
+    const ALL: [LeaseState; 5] = [
+        LeaseState::Granted,
+        LeaseState::Extended,
+        LeaseState::Completed,
+        LeaseState::Expired,
+        LeaseState::Reclaimed,
+    ];
 
     #[test]
     fn transition_matrix_is_exactly_the_lease_lifecycle() {
@@ -640,8 +487,8 @@ mod tests {
             (Extended, Expired),
             (Expired, Reclaimed),
         ];
-        for from in LeaseState::ALL {
-            for to in LeaseState::ALL {
+        for from in ALL {
+            for to in ALL {
                 assert_eq!(
                     from.can_transition_to(to),
                     legal.contains(&(from, to)),
@@ -650,18 +497,16 @@ mod tests {
             }
         }
         // Terminal states are exactly the ones with no outgoing edges.
-        for state in LeaseState::ALL {
+        for state in ALL {
             assert_eq!(
                 state.is_terminal(),
-                LeaseState::ALL
-                    .iter()
-                    .all(|&to| !state.can_transition_to(to)),
+                ALL.iter().all(|&to| !state.can_transition_to(to)),
                 "{state}"
             );
         }
         // Active states are exactly the ones a heartbeat or completion can
         // reach from.
-        for state in LeaseState::ALL {
+        for state in ALL {
             assert_eq!(
                 state.is_active(),
                 matches!(state, Granted | Extended),
@@ -807,58 +652,5 @@ mod tests {
         assert_eq!(table.stats().leases_expired, 1);
         assert!(table.fail_lease(&id).is_err(), "already reclaimed");
         table.check_invariant().unwrap();
-    }
-
-    #[test]
-    fn table_round_trips_through_disk() {
-        let dir = std::env::temp_dir().join(format!("lassi-lease-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-
-        let mut table = LeaseTable::new("persisted", 8);
-        table.grant("w1", 3, 1_000, 500);
-        table.grant("w2", 3, 1_100, 500);
-        let extended = table.leases()[0].lease_id.clone();
-        table.heartbeat(&extended, 1_300, 500).unwrap();
-        let settled = table.leases()[1].lease_id.clone();
-        let (jobs, _) = table.settle(&settled).unwrap();
-        jobs.iter().for_each(|&j| {
-            table.record_job(j);
-        });
-        table.reclaim_expired(5_000);
-
-        table.save(&dir).unwrap();
-        let loaded = LeaseTable::load(&dir).unwrap();
-        assert_eq!(loaded, table);
-        loaded.check_invariant().unwrap();
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn loading_missing_or_torn_lease_files_maps_to_io_kinds() {
-        let dir = std::env::temp_dir().join(format!("lassi-lease-bad-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-
-        assert_eq!(
-            LeaseTable::load(&dir).unwrap_err().kind(),
-            io::ErrorKind::NotFound
-        );
-        // A torn write: the file stops mid-object, as if the process died
-        // before the rename.
-        let full = LeaseTable::new("torn", 4).to_json().to_pretty();
-        std::fs::write(dir.join(LEASE_FILE), &full[..full.len() / 2]).unwrap();
-        assert_eq!(
-            LeaseTable::load(&dir).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-        std::fs::write(dir.join(LEASE_FILE), r#"{"run_id": "x"}"#).unwrap();
-        assert_eq!(
-            LeaseTable::load(&dir).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -17,6 +17,8 @@
 //! * [`store`] + [`json`] + [`codec`] — a dependency-free JSON artifact
 //!   store (`artifacts/run-<id>/` with a manifest, record sets and
 //!   summaries) that re-renders tables byte-identically without re-running.
+//!   The records are the only stored copy of each diagnostic; the `diag.v1`
+//!   document and the trace's `diag` events are rendered from them on read.
 //!
 //! [`grid`] expands config-grid sweeps (e.g. `max_self_corrections ×
 //! timing_runs × model subset`) into jobs — the `sweep` binary in
@@ -24,8 +26,8 @@
 //! lifecycle state machine (`queued → running → done | failed |
 //! cancelled`, persisted as `state.json` beside the artifact) that powers
 //! asynchronous sweep submission in `lassi-server`, and [`lease`] the
-//! time-bounded lease table (`granted → extended → completed | expired →
-//! reclaimed`, persisted as `leases.json`) behind the remote worker fleet.
+//! time-bounded, in-memory lease table (`granted → extended → completed |
+//! expired → reclaimed`) behind the remote worker fleet.
 
 pub mod cache;
 pub mod codec;
@@ -43,7 +45,6 @@ pub use grid::{GridCell, SweepGrid};
 pub use json::Json;
 pub use lease::{
     FleetStats, IllegalLeaseTransition, JobWrite, Lease, LeaseError, LeaseState, LeaseTable,
-    LEASE_FILE,
 };
 pub use queue::BoundedQueue;
 pub use runstate::{IllegalTransition, RunState, RunStatus, STATE_FILE};
@@ -52,9 +53,8 @@ pub use scheduler::{
 };
 pub use store::{
     detect_git_commit, is_slug, ArtifactError, ArtifactStore, RunArtifact, RunManifest, RunWriter,
-    ScannedRun, DIAGNOSTICS_FILE, SCHEMA_VERSION,
+    ScannedRun, SCHEMA_VERSION,
 };
 pub use trace::{
-    diag_event, event_from_json, event_to_json, job_span, parse_trace, read_trace, write_trace,
-    TRACE_FILE,
+    event_from_json, event_to_json, job_span, parse_trace, read_trace, write_trace, TRACE_FILE,
 };

@@ -9,13 +9,19 @@
 //!   manifest.json             # RunManifest: seed, config grid, version, cache stats
 //!   records-<set>.json        # TranslationRecord array per record set
 //!   summary-<set>.json        # AggregateStats per record set (optional)
-//!   diagnostics.json          # diag.v1 per-scenario diagnostic history
+//!   trace.jsonl               # trace.v1 lifecycle events + one job span per scenario
+//!   state.json                # RunStatus lifecycle file
 //!   table4.json               # Table IV rows (table4 binary only)
 //! ```
 //!
 //! Record-set names are caller-chosen slugs (e.g. `omp-to-cuda`, or
 //! `cuda-to-omp-msc10-runs1` for grid sweeps) and are listed in the
 //! manifest, so a loader can enumerate a run without globbing.
+//!
+//! Each record carries its own per-round diagnostics history, so the
+//! records are the only stored copy of every finding. The `diag.v1`
+//! document and the trace's `diag` events are views rendered from them on
+//! read ([`RunArtifact::diagnostics_view`], [`RunArtifact::trace_view`]).
 
 use std::fmt;
 use std::io;
@@ -23,21 +29,18 @@ use std::path::{Path, PathBuf};
 
 use lassi_core::{Table4Row, TranslationRecord};
 use lassi_metrics::AggregateStats;
+use lassi_obs::{FieldValue, TraceKind};
 
 use crate::codec::{
     self, manifest_from_json, manifest_to_json, records_from_json, records_to_json, CodecError,
 };
 use crate::json::{self, Json, ParseError};
 use crate::runstate::RunStatus;
+use crate::trace;
 
-/// Artifact schema version; bump on breaking layout changes.
-pub const SCHEMA_VERSION: u32 = 1;
-
-/// File name of a run's structured diagnostics document. Deliberately not a
-/// manifest record set: record sets are `TranslationRecord` arrays that
-/// `verify`/`--replay` decode, while this is a `diag.v1` document keyed by
-/// scenario.
-pub const DIAGNOSTICS_FILE: &str = "diagnostics.json";
+/// Artifact schema version; bump on breaking layout changes. Version 2
+/// stopped storing `diagnostics.json` and the trace's `diag` events.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Everything recorded about a run besides the records themselves.
 #[derive(Debug, Clone, PartialEq)]
@@ -390,9 +393,7 @@ impl RunWriter {
     }
 
     fn write_file(&self, name: &str, value: &Json) -> io::Result<()> {
-        let mut text = value.to_pretty();
-        text.push('\n');
-        std::fs::write(self.dir.join(name), text)
+        std::fs::write(self.dir.join(name), pretty_text(value))
     }
 
     /// Write `manifest.json`.
@@ -410,16 +411,26 @@ impl RunWriter {
         self.write_file(&format!("summary-{set}.json"), &codec::stats_to_json(stats))
     }
 
-    /// Write the run's `diag.v1` diagnostics document as `diagnostics.json`.
-    pub fn write_diagnostics(&self, document: &Json) -> io::Result<()> {
-        self.write_file(DIAGNOSTICS_FILE, document)
-    }
-
     /// Write Table IV rows as `table4.json`.
     pub fn write_table4(&self, rows: &[Table4Row]) -> io::Result<()> {
         let value = Json::Array(rows.iter().map(codec::table4_row_to_json).collect());
         self.write_file("table4.json", &value)
     }
+}
+
+/// The text of a pretty-printed artifact file: the value plus a newline.
+fn pretty_text(value: &Json) -> String {
+    let mut text = value.to_pretty();
+    text.push('\n');
+    text
+}
+
+/// The direction slug a record set's name starts with: grid cells are
+/// `<direction>-msc<N>-runs<M>` ([`crate::GridCell::slug`]), and the table
+/// binaries name their sets after the bare direction.
+fn set_direction(set: &str) -> &str {
+    set.split_once("-msc")
+        .map_or(set, |(direction, _)| direction)
 }
 
 /// A run directory loaded back from disk.
@@ -461,6 +472,103 @@ impl RunArtifact {
         Ok(codec::stats_from_json(
             &self.read_json(&format!("summary-{set}.json"))?,
         )?)
+    }
+
+    /// Every record with the record set it sits in, in manifest order:
+    /// job order for a grid artifact, since [`crate::SweepGrid::jobs`] is
+    /// cell-major. The views rendered from these need the current schema,
+    /// because a schema-1 directory also stores them, and its trace would
+    /// be served with every finding twice.
+    fn scenarios(&self) -> Result<Vec<(&str, TranslationRecord)>, ArtifactError> {
+        if self.manifest.schema_version != SCHEMA_VERSION {
+            return Err(CodecError(format!(
+                "run `{}` has artifact schema {}; its diagnostics views need \
+                 schema {SCHEMA_VERSION}, so re-run the sweep",
+                self.manifest.run_id, self.manifest.schema_version
+            ))
+            .into());
+        }
+        let mut scenarios = Vec::with_capacity(self.manifest.scenarios);
+        for set in &self.manifest.record_sets {
+            for record in self.records(set)? {
+                scenarios.push((set.as_str(), record));
+            }
+        }
+        Ok(scenarios)
+    }
+
+    /// The run's `diag.v1` diagnostics document, rendered from its records:
+    /// one entry per scenario with findings, in job order. A clean
+    /// first-try success has nothing to report and is omitted.
+    pub fn diagnostics_view(&self) -> Result<String, ArtifactError> {
+        let scenarios = self
+            .scenarios()?
+            .into_iter()
+            .filter(|(_, record)| !record.diagnostics.is_empty())
+            .map(|(set, record)| {
+                let attempts = record
+                    .diagnostics
+                    .iter()
+                    .map(codec::attempt_diagnostics_to_json)
+                    .collect();
+                Json::Object(vec![
+                    ("application".into(), Json::Str(record.application)),
+                    ("model".into(), Json::Str(record.model)),
+                    ("direction".into(), Json::Str(set_direction(set).into())),
+                    ("cell".into(), Json::Str(set.into())),
+                    ("attempts".into(), Json::Array(attempts)),
+                ])
+            })
+            .collect();
+        Ok(pretty_text(&Json::Object(vec![
+            (
+                "v".into(),
+                Json::Str(lassi_lang::diag::codec::VERSION.into()),
+            ),
+            ("scenarios".into(), Json::Array(scenarios)),
+        ])))
+    }
+
+    /// The run's `trace.jsonl` with one `diag` event per finding inserted
+    /// directly after the `job` span of the scenario it belongs to, stamped
+    /// at the span's end. Spans and records are both in job order, so the
+    /// n-th span belongs to the n-th record.
+    pub fn trace_view(&self) -> Result<String, ArtifactError> {
+        let scenarios = self.scenarios()?;
+        let mut records = scenarios.iter();
+        let mut events = Vec::new();
+        for event in trace::read_trace(&self.dir)? {
+            if event.kind != TraceKind::Span || event.name != "job" {
+                events.push(event);
+                continue;
+            }
+            let index = match event.field("index") {
+                Some(FieldValue::Int(index)) => usize::try_from(*index).ok(),
+                _ => None,
+            };
+            let (Some(index), Some((set, record))) = (index, records.next()) else {
+                return Err(CodecError(format!(
+                    "job span at t_us {} has no index or no record in run `{}`",
+                    event.t_us, self.manifest.run_id
+                ))
+                .into());
+            };
+            let end_us = event.t_us + event.dur_us.unwrap_or(0);
+            events.push(event);
+            for attempt in &record.diagnostics {
+                for diag in &attempt.diagnostics {
+                    events.push(trace::diag_event(
+                        end_us,
+                        index,
+                        set_direction(set),
+                        record,
+                        attempt,
+                        diag,
+                    ));
+                }
+            }
+        }
+        Ok(trace::trace_text(&events))
     }
 
     /// Load Table IV rows.

@@ -2,6 +2,11 @@
 //! layer: one compact JSON object per line (`trace.jsonl`) in a run
 //! directory, read back for `GET /v1/runs/{id}/trace` and the smoke tests.
 //!
+//! The file stores lifecycle events and one `job` span per scenario. The
+//! per-finding `diag` events are not stored: they are copies of the
+//! records' diagnostics, re-inserted on read by
+//! [`crate::RunArtifact::trace_view`].
+//!
 //! One line of the versioned `trace.v1` schema:
 //!
 //! ```text
@@ -17,6 +22,7 @@
 use std::io;
 use std::path::Path;
 
+use lassi_core::{AttemptDiagnostics, TranslationRecord};
 use lassi_obs::{FieldValue, TraceEvent, TraceKind, TRACE_SCHEMA};
 
 use crate::codec::CodecError;
@@ -29,45 +35,42 @@ pub const TRACE_FILE: &str = "trace.jsonl";
 
 /// Build the canonical `job` span for one completed scheduler output.
 ///
-/// `end_us` is the sink-relative instant the output was observed; the span
-/// is back-dated by the job's queue wait plus execution time, so its
-/// duration is the job's full push-to-record life and the queue-wait vs
-/// execute split is carried in the fields. Every completed run's
+/// The span starts at the sink-relative instant `start_us`. Its duration
+/// is the job's full push-to-record life, queue wait plus execution time,
+/// and that split is carried in the fields. Every completed run's
 /// `trace.jsonl` contains exactly one of these per scenario.
-pub fn job_span(end_us: u64, job: &Job, output: &JobOutput) -> TraceEvent {
+pub fn job_span(start_us: u64, job: &Job, output: &JobOutput) -> TraceEvent {
     let queue_us = (output.queue_seconds * 1e6).round() as u64;
     let execute_us = (output.wall_seconds * 1e6).round() as u64;
-    TraceEvent::span(
-        "job",
-        end_us.saturating_sub(queue_us + execute_us),
-        queue_us + execute_us,
-    )
-    .with("index", output.index)
-    .with("application", job.application.name)
-    .with("model", job.model.name)
-    .with("direction", job.direction.slug())
-    .with("queue_wait_us", queue_us)
-    .with("execute_us", execute_us)
-    .with("from_cache", output.from_cache)
+    TraceEvent::span("job", start_us, queue_us + execute_us)
+        .with("index", output.index)
+        .with("application", job.application.name)
+        .with("model", job.model.name)
+        .with("direction", job.direction.slug())
+        .with("queue_wait_us", queue_us)
+        .with("execute_us", execute_us)
+        .with("from_cache", output.from_cache)
 }
 
-/// Build one `diag` event for a single structured finding.
+/// Build one `diag` event for a single structured finding of the
+/// scenario at job `index`.
 ///
-/// Emitted at the owning job span's end instant: the finding is observed
+/// Stamped at the owning job span's end instant: the finding is observed
 /// when the record lands, and anchoring every diagnostic of a scenario to
 /// one instant keeps the trace deterministic under any worker schedule.
-pub fn diag_event(
+pub(crate) fn diag_event(
     t_us: u64,
-    job: &Job,
     index: usize,
-    attempt: &lassi_core::AttemptDiagnostics,
+    direction: &str,
+    record: &TranslationRecord,
+    attempt: &AttemptDiagnostics,
     diag: &lassi_lang::Diagnostic,
 ) -> TraceEvent {
     TraceEvent::event("diag", t_us)
         .with("index", index)
-        .with("application", job.application.name)
-        .with("model", job.model.name)
-        .with("direction", job.direction.slug())
+        .with("application", record.application.as_str())
+        .with("model", record.model.as_str())
+        .with("direction", direction)
         .with("round", attempt.round as u64)
         .with("stage", attempt.stage.as_str())
         .with("code", diag.code_str())
@@ -167,16 +170,21 @@ pub fn event_from_json(value: &Json) -> Result<TraceEvent, CodecError> {
     })
 }
 
-/// Write a run's trace as `trace.jsonl` (one compact object per line) into
-/// `dir`. An empty event list still writes the (empty) file, so "the run
-/// has a trace" is an invariant of completed runs, not a special case.
-pub fn write_trace(dir: &Path, events: &[TraceEvent]) -> io::Result<()> {
+/// Render events as `trace.jsonl` text: one compact object per line.
+pub(crate) fn trace_text(events: &[TraceEvent]) -> String {
     let mut text = String::new();
     for event in events {
         text.push_str(&event_to_json(event).to_compact());
         text.push('\n');
     }
-    std::fs::write(dir.join(TRACE_FILE), text)
+    text
+}
+
+/// Write a run's trace as `trace.jsonl` into `dir`. An empty event list
+/// still writes the (empty) file, so "the run has a trace" is an invariant
+/// of completed runs, not a special case.
+pub fn write_trace(dir: &Path, events: &[TraceEvent]) -> io::Result<()> {
+    std::fs::write(dir.join(TRACE_FILE), trace_text(events))
 }
 
 /// Read a `trace.jsonl` back from a run directory.

@@ -1,13 +1,13 @@
 //! Integration pin for the diagnostics telemetry chain: a model that always
 //! injects a compile fault and then always repairs it must leave at least
 //! one stable-coded finding in every view of the run artifact — the record
-//! set, `diagnostics.json`, and the `diag` events in `trace.jsonl` — with
-//! agreeing counts.
+//! set, the rendered `diag.v1` document, and the `diag` events of the
+//! rendered trace — with agreeing counts.
 
 use std::path::PathBuf;
 
 use lassi_core::{Direction, PipelineConfig, ScenarioStatus};
-use lassi_harness::{read_trace, ArtifactStore, Harness, HarnessOptions, SweepGrid};
+use lassi_harness::{parse_trace, ArtifactStore, Harness, HarnessOptions, SweepGrid};
 use lassi_hecbench::application;
 use lassi_llm::gpt4;
 
@@ -87,10 +87,9 @@ fn faulty_model_findings_reach_every_artifact_view() {
         }
     }
 
-    // View 2: the diagnostics document on disk.
-    let run_dir = store.run_dir("diagpin");
-    let text = std::fs::read_to_string(run_dir.join(lassi_harness::DIAGNOSTICS_FILE))
-        .expect("diagnostics.json exists");
+    // View 2: the diagnostics document rendered from the records.
+    let artifact = store.load_run("diagpin").expect("artifact loads");
+    let text = artifact.diagnostics_view().expect("diagnostics render");
     let doc = lassi_harness::json::parse(&text).expect("diagnostics parse");
     assert_eq!(doc.get("v").and_then(|v| v.as_str()), Some("diag.v1"));
     let scenarios = doc
@@ -112,7 +111,7 @@ fn faulty_model_findings_reach_every_artifact_view() {
     assert_eq!(doc_findings, record_findings, "document mirrors the record");
 
     // View 3: one `diag` trace event per finding, anchored to the job span.
-    let events = read_trace(&run_dir).expect("trace parses");
+    let events = parse_trace(&artifact.trace_view().expect("trace renders")).expect("trace parses");
     let diag_events = events.iter().filter(|ev| ev.name == "diag").count();
     assert_eq!(diag_events, record_findings, "trace mirrors the record");
 

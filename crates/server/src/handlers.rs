@@ -14,7 +14,7 @@
 use std::io;
 
 use lassi_core::PipelineConfig;
-use lassi_harness::{Json, LeaseError, RunStatus, SweepGrid};
+use lassi_harness::{ArtifactError, Json, LeaseError, RunArtifact, RunStatus, SweepGrid};
 use lassi_hecbench::{application, applications, Application};
 use lassi_llm::{all_models, model_by_name, ModelSpec};
 
@@ -278,51 +278,53 @@ fn debug_events(state: &AppState) -> Response {
     Response::json(200, body.to_compact())
 }
 
-/// `GET /v1/runs/{id}/trace`: the run's `trace.jsonl` as raw bytes — one
-/// compact `trace.v1` JSON object per line, exactly what the artifact
-/// directory holds. Only written runs have one (404 otherwise).
+/// `GET /v1/runs/{id}/trace`: the run's trace as NDJSON — one compact
+/// `trace.v1` JSON object per line: the stored `trace.jsonl` with each
+/// scenario's `diag` events rendered from its record after its job span.
+/// Only written runs have one (404 otherwise).
 fn get_trace(state: &AppState, id: &str) -> Response {
+    serve_view(state, id, "application/x-ndjson", RunArtifact::trace_view)
+}
+
+/// `GET /v1/runs/{id}/diagnostics`: the run's `diag.v1` per-scenario
+/// findings document, rendered from its records. Only written runs have
+/// one (404 otherwise).
+fn get_diagnostics(state: &AppState, id: &str) -> Response {
+    serve_view(state, id, "application/json", RunArtifact::diagnostics_view)
+}
+
+/// Serve a view rendered from a written run's artifact: 404 for an unknown
+/// run or one with no artifact yet, 500 when the artifact cannot be
+/// rendered (a torn file, or an older artifact schema).
+fn serve_view(
+    state: &AppState,
+    id: &str,
+    content_type: &'static str,
+    render: fn(&RunArtifact) -> Result<String, ArtifactError>,
+) -> Response {
     if state.run_status(id).is_none() {
         return Response::error(404, "run_not_found", &format!("run `{id}` does not exist"));
     }
-    let path = state.store().run_dir(id).join(lassi_harness::TRACE_FILE);
-    match std::fs::read(&path) {
-        Ok(bytes) => Response {
+    match state
+        .store()
+        .load_run(id)
+        .and_then(|artifact| render(&artifact))
+    {
+        Ok(text) => Response {
             status: 200,
-            content_type: "application/x-ndjson",
-            body: bytes,
+            content_type,
+            body: text.into_bytes(),
             chunked: true,
             location: None,
             retry_after: None,
         },
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Response::error(
+        Err(ArtifactError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Response::error(
             404,
             "artifact_not_found",
-            &format!("{} does not exist", path.display()),
+            &format!("run `{id}` has no written artifact: {e}"),
         ),
-        Err(e) => Response::error(
-            500,
-            "internal",
-            &format!("cannot read {}: {e}", path.display()),
-        ),
+        Err(e) => Response::error(500, "internal", &format!("cannot render run `{id}`: {e}")),
     }
-}
-
-/// `GET /v1/runs/{id}/diagnostics`: the run's `diagnostics.json` as raw
-/// bytes — the `diag.v1` per-scenario findings document, byte-identical to
-/// what the artifact directory holds. Only written runs have one (404
-/// otherwise).
-fn get_diagnostics(state: &AppState, id: &str) -> Response {
-    if state.run_status(id).is_none() {
-        return Response::error(404, "run_not_found", &format!("run `{id}` does not exist"));
-    }
-    serve_file(
-        state
-            .store()
-            .run_dir(id)
-            .join(lassi_harness::DIAGNOSTICS_FILE),
-        true,
-    )
 }
 
 fn healthz() -> Response {

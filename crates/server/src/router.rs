@@ -24,10 +24,11 @@ pub enum Route {
     GetManifest(String),
     /// `GET /v1/runs/{id}/records/{set}` — one record set, byte-identical.
     GetRecords(String, String),
-    /// `GET /v1/runs/{id}/trace` — the run's `trace.jsonl`, raw bytes.
+    /// `GET /v1/runs/{id}/trace` — the run's `trace.jsonl` with the `diag`
+    /// events rendered from its records.
     GetTrace(String),
-    /// `GET /v1/runs/{id}/diagnostics` — the run's `diagnostics.json`,
-    /// byte-identical to disk.
+    /// `GET /v1/runs/{id}/diagnostics` — the run's `diag.v1` document,
+    /// rendered from its records.
     GetDiagnostics(String),
     /// `GET /v1/metrics` — Prometheus-style text exposition.
     Metrics,

@@ -14,7 +14,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -398,7 +397,6 @@ impl AppState {
                     .map(|&index| (index, remote.jobs[index].clone()))
                     .collect(),
             };
-            let _ = table.save(&self.store.run_dir(&remote.run_id));
             drop(table);
             self.fleet.leases_granted.fetch_add(1, Ordering::Relaxed);
             self.lease_event(
@@ -462,8 +460,6 @@ impl AppState {
                     .any(|l| l.lease_id == lease_id)
             })
             .ok_or_else(|| CompleteError::UnknownLease(lease_id.to_string()))?;
-        let dir = self.store.run_dir(&remote.run_id);
-
         let mut table = remote.table.lock();
         let leased: Vec<usize> = table
             .leases()
@@ -480,7 +476,6 @@ impl AppState {
                 self.fleet
                     .jobs_requeued
                     .fetch_add(requeued.len() as u64, Ordering::Relaxed);
-                let _ = table.save(&dir);
                 self.lease_event(
                     "failed",
                     &remote.run_id,
@@ -509,7 +504,6 @@ impl AppState {
                 }
             }
         }
-        let _ = table.save(&dir);
         drop(table);
         self.fleet
             .records_accepted
@@ -809,21 +803,13 @@ impl AppState {
 
     /// Mark runs orphaned by a previous process as `failed`, and repair
     /// runs whose persisted state was torn by a crash mid-write: a
-    /// truncated `state.json` (or lease file) is detected, rewritten as a
-    /// clean `failed` state with the tear in the reason, and never panics
-    /// the scan. Returns how many runs were recovered.
+    /// truncated `state.json` is detected, rewritten as a clean `failed`
+    /// state with the tear in the reason, and never panics the scan.
+    /// Returns how many runs were recovered.
     pub fn recover_runs(&self) -> io::Result<usize> {
         let mut recovered = 0;
         for (id, scanned) in self.store.scan_runs()? {
             let dir = self.store.run_dir(&id);
-            // A torn lease file is only a footnote: the lease table is
-            // rebuilt per run, so it is noted in the reason and ignored.
-            let lease_note = match LeaseTable::load(&dir) {
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    "; its lease file was also torn and is ignored"
-                }
-                _ => "",
-            };
             match scanned {
                 ScannedRun::Status(mut status) => {
                     if status.state.is_terminal() {
@@ -832,7 +818,7 @@ impl AppState {
                     status
                         .finish(
                             RunState::Failed,
-                            format!("server restarted before the run finished{lease_note}"),
+                            "server restarted before the run finished".to_string(),
                         )
                         .expect("queued/running → failed is legal");
                     let _ = status.save(&dir);
@@ -846,7 +832,7 @@ impl AppState {
                             RunState::Failed,
                             format!(
                                 "state.json was torn or truncated (crash mid-write?); \
-                                 marked failed by recovery: {err}{lease_note}"
+                                 marked failed by recovery: {err}"
                             ),
                         )
                         .expect("queued → failed is legal");
@@ -1035,14 +1021,12 @@ impl AppState {
         jobs: &[Job],
     ) -> (Vec<JobOutput>, Option<FleetStats>) {
         let total = jobs.len();
-        let dir = self.store.run_dir(&run.run_id);
         let remote = Arc::new(RemoteRun {
             run_id: run.run_id.clone(),
             jobs: jobs.to_vec(),
             table: Mutex::new(LeaseTable::new(&run.run_id, total)),
             records: Mutex::new(vec![None; total]),
         });
-        let _ = remote.table.lock().save(&dir);
         self.remote_runs.lock().push(Arc::clone(&remote));
         self.events.push(
             TraceEvent::event("remote_drain", self.events.now_us())
@@ -1066,7 +1050,6 @@ impl AppState {
                         after_reclaim.jobs_requeued - before_reclaim.jobs_requeued,
                         Ordering::Relaxed,
                     );
-                    let _ = table.save(&dir);
                     self.lease_event("reclaimed", &run.run_id, "-", "-", requeued.len() as u64);
                 }
                 let stranded = table.pending_count() > 0 && table.active_leases() == 0;
@@ -1085,7 +1068,7 @@ impl AppState {
             if stranded && !self.fleet_available() {
                 // Every worker is presumed dead and nothing is in flight:
                 // finish the run ourselves rather than stalling forever.
-                self.local_fallback(&remote, entry, &dir);
+                self.local_fallback(&remote, entry);
             }
         }
 
@@ -1113,7 +1096,7 @@ impl AppState {
     /// Run every still-pending job of a fleet-drained run through the
     /// local pool, under a lease of its own so the accounting (and the
     /// first-write-wins rule against late stale workers) stays uniform.
-    fn local_fallback(&self, remote: &RemoteRun, entry: &RunEntry, dir: &Path) {
+    fn local_fallback(&self, remote: &RemoteRun, entry: &RunEntry) {
         let (lease_id, indices) = {
             let mut table = remote.table.lock();
             let pending = table.pending_count();
@@ -1166,7 +1149,6 @@ impl AppState {
                 .jobs_requeued
                 .fetch_add(requeued.len() as u64, Ordering::Relaxed);
         }
-        let _ = table.save(dir);
     }
 }
 
@@ -1431,23 +1413,20 @@ mod tests {
     }
 
     #[test]
-    fn recovery_repairs_torn_state_and_lease_files() {
+    fn recovery_repairs_torn_state_files() {
         let s = state("torn");
-        // Simulate a crash mid-write: state.json and leases.json both cut
-        // off half-way (the partial write that never reached the rename).
+        // Simulate a crash mid-write: state.json cut off half-way (the
+        // partial write that never reached the rename).
         let dir = s.store().run_dir("tornrun");
         std::fs::create_dir_all(&dir).unwrap();
         let state_json = RunStatus::queued("tornrun", 8).to_json().to_pretty();
         std::fs::write(dir.join("state.json"), &state_json[..state_json.len() / 2]).unwrap();
-        let lease_json = LeaseTable::new("tornrun", 8).to_json().to_pretty();
-        std::fs::write(dir.join("leases.json"), &lease_json[..lease_json.len() / 2]).unwrap();
 
         assert_eq!(s.recover_runs().unwrap(), 1);
         let status = s.run_status("tornrun").expect("repaired run is queryable");
         assert_eq!(status.state, RunState::Failed);
         let reason = status.reason.expect("tear must be explained");
         assert!(reason.contains("torn"), "{reason}");
-        assert!(reason.contains("lease file"), "{reason}");
         // The run lists as failed rather than vanishing.
         let rows = s.list_run_summaries().unwrap();
         assert!(rows

@@ -738,13 +738,14 @@ fn observability_progress_trace_metrics_and_debug_events() {
     }
     assert_eq!(*samples.last().unwrap(), 8, "done means all jobs counted");
 
-    // The trace endpoint serves trace.jsonl byte-identically, and the
-    // parsed timeline carries one job span per scenario with the
+    // The trace endpoint serves the rendered trace view byte-identically,
+    // and the parsed timeline carries one job span per scenario with the
     // queue-wait/execute split plus the runstate lifecycle events.
     let resp = http::request(addr, "GET", "/v1/runs/obs/trace", None).expect("trace");
     assert_eq!(resp.status, 200);
-    let on_disk = std::fs::read(root.join("run-obs").join(lassi_harness::TRACE_FILE)).unwrap();
-    assert_eq!(resp.body, on_disk, "trace == disk bytes");
+    let artifact = ArtifactStore::new(&root).load_run("obs").unwrap();
+    let rendered = artifact.trace_view().unwrap();
+    assert_eq!(resp.body, rendered.as_bytes(), "trace == rendered view");
     let events = lassi_harness::parse_trace(&resp.text()).expect("trace parses");
     let job_spans: Vec<_> = events
         .iter()
@@ -774,16 +775,19 @@ fn observability_progress_trace_metrics_and_debug_events() {
     assert_eq!(resp.status, 404);
     assert_eq!(error_code(&resp), "run_not_found");
 
-    // The diagnostics document is served byte-identically to disk, parses
-    // as `diag.v1`, and its finding count agrees with the `diag` events in
-    // the run's trace — two views of the same structured findings. The obs
-    // grid deterministically self-corrects the entropy omp-to-cuda
-    // scenarios, so the document is never empty.
+    // The diagnostics document is served byte-identically to the rendered
+    // view, parses as `diag.v1`, and its finding count agrees with the
+    // `diag` events in the run's trace — two views of the same structured
+    // findings. The obs grid deterministically self-corrects the entropy
+    // omp-to-cuda scenarios, so the document is never empty.
     let resp = http::request(addr, "GET", "/v1/runs/obs/diagnostics", None).expect("diagnostics");
     assert_eq!(resp.status, 200);
-    let on_disk =
-        std::fs::read(root.join("run-obs").join(lassi_harness::DIAGNOSTICS_FILE)).unwrap();
-    assert_eq!(resp.body, on_disk, "diagnostics == disk bytes");
+    let rendered = artifact.diagnostics_view().unwrap();
+    assert_eq!(
+        resp.body,
+        rendered.as_bytes(),
+        "diagnostics == rendered view"
+    );
     let doc = lassi_harness::json::parse(&resp.text()).expect("diagnostics parse");
     assert_eq!(doc.get("v").and_then(|v| v.as_str()), Some("diag.v1"));
     let doc_scenarios = doc.get("scenarios").and_then(|v| v.as_array()).unwrap();
