@@ -8,24 +8,18 @@
 //! across Rust releases, and disk entries must outlive a toolchain bump —
 //! a changed hash only costs a miss, a *reused* wrong hash would corrupt).
 //!
-//! Two backings share one interface: a process-local in-memory map, and an
-//! optional on-disk layer (one JSON file per scenario) that lets repeated
-//! sweep *invocations* skip already-computed scenarios. Hit/miss counters
-//! prove the speedup (`sweep smoke` asserts a warm rerun is 100% hits).
-//!
-//! The map sits behind one (non-poisoning) `parking_lot::Mutex` that is only
-//! ever held across a map operation and a refcount bump. Disk writes are
-//! synchronous write-then-rename, outside the lock: a reader never sees a
+//! The cache is its directory: one `<key>.json` file per scenario and no
+//! resident copy, so its memory use does not grow with the number of
+//! entries, repeated sweep *invocations* skip already-computed scenarios,
+//! and deleting an entry file takes effect on the next lookup. Hit/miss
+//! counters prove the speedup (`sweep smoke` asserts a warm rerun is 100%
+//! hits). Stores are synchronous write-then-rename: a reader never sees a
 //! torn file, an entry is on disk once [`ScenarioCache::store`] returns, and
 //! a crash before that is just a future miss.
 
-use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use lassi_core::TranslationRecord;
 use lassi_hecbench::Machine;
@@ -113,89 +107,71 @@ impl CacheSnapshot {
     }
 }
 
-/// The scenario cache: an in-memory map, optionally backed by a directory of
-/// `<key>.json` files. Records are held behind `Arc`s so deep clones (the
-/// records carry the scenario's source strings) happen outside the lock.
-#[derive(Default)]
+/// The scenario cache: a directory of `<key>.json` files plus exact
+/// hit/miss/store counters.
 pub struct ScenarioCache {
-    dir: Option<PathBuf>,
-    map: Mutex<HashMap<u64, Arc<TranslationRecord>>>,
+    dir: PathBuf,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
 }
 
 impl ScenarioCache {
-    /// Process-local cache with no persistence.
-    pub fn in_memory() -> Self {
-        ScenarioCache::default()
-    }
-
-    /// Disk-backed cache rooted at `dir` (created if missing). Entries
-    /// survive across processes, which is what makes a second `sweep`
-    /// invocation 100% hits.
+    /// Cache rooted at `dir` (created if missing). Entries survive across
+    /// processes, which is what makes a second `sweep` invocation 100% hits.
     pub fn on_disk(dir: impl Into<PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(ScenarioCache {
-            dir: Some(dir),
-            ..ScenarioCache::default()
+            dir,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            stores: AtomicU64::new(0),
         })
     }
 
-    /// The backing directory, if this cache persists to disk.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
+    /// The backing directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
     }
 
-    /// Look a scenario up, counting the hit or miss.
+    /// Look a scenario up, counting the hit or miss. A missing, corrupt or
+    /// truncated entry is a miss, and will be overwritten by the recomputed
+    /// record.
     pub fn lookup(&self, key: ScenarioKey) -> Option<TranslationRecord> {
-        // Only the refcount bump happens under the lock; the deep clone the
-        // caller receives is made after it is released.
-        let resident = self.map.lock().get(&key.0).map(Arc::clone);
-        if let Some(record) = resident {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some((*record).clone());
-        }
-        if let Some(record) = self.disk_lookup(key) {
-            let shared = Arc::new(record);
-            self.map.lock().insert(key.0, Arc::clone(&shared));
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some((*shared).clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let record = std::fs::read_to_string(self.entry_path(key))
+            .ok()
+            .and_then(|text| json::parse(&text).ok())
+            .and_then(|value| record_from_json(&value).ok());
+        let counter = if record.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        record
     }
 
-    fn disk_lookup(&self, key: ScenarioKey) -> Option<TranslationRecord> {
-        let text = std::fs::read_to_string(self.entry_path(key)?).ok()?;
-        // A corrupt or truncated entry is treated as a miss and will be
-        // overwritten by the recomputed record.
-        let value = json::parse(&text).ok()?;
-        record_from_json(&value).ok()
-    }
-
-    /// Store a freshly computed record under its key: into the map (later
-    /// lookups in this process hit), then — for a disk-backed cache — to
-    /// `<key>.json` by write-then-rename, outside the lock. Each write goes
-    /// through its own temporary file, so two stores of one key never
-    /// rename a half-written file into place. Write failures are tolerated:
-    /// a missing entry is just a future miss.
+    /// Store a freshly computed record under its key, as `<key>.json` by
+    /// write-then-rename. Each write goes through its own temporary file,
+    /// so two stores of one key never rename a half-written file into
+    /// place, and a failed write or rename removes it again. Failures are
+    /// otherwise tolerated: a missing entry is just a future miss.
     pub fn store(&self, key: ScenarioKey, record: &TranslationRecord) {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         self.stores.fetch_add(1, Ordering::Relaxed);
-        self.map.lock().insert(key.0, Arc::new(record.clone()));
-        if let Some(path) = self.entry_path(key) {
-            let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-            let tmp = path.with_extension(format!("{}-{seq}.tmp", std::process::id()));
-            if std::fs::write(&tmp, record_to_json(record).to_pretty()).is_ok() {
-                let _ = std::fs::rename(&tmp, &path);
-            }
+        let path = self.entry_path(key);
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("{}-{seq}.tmp", std::process::id()));
+        let written = std::fs::write(&tmp, record_to_json(record).to_pretty())
+            .and_then(|()| std::fs::rename(&tmp, &path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
     }
 
-    fn entry_path(&self, key: ScenarioKey) -> Option<PathBuf> {
-        Some(self.dir.as_ref()?.join(format!("{}.json", key.hex())))
+    fn entry_path(&self, key: ScenarioKey) -> PathBuf {
+        self.dir.join(format!("{}.json", key.hex()))
     }
 
     /// Current counter values. Each counter is exact, so the invariant
@@ -263,8 +239,9 @@ mod tests {
     }
 
     #[test]
-    fn memory_cache_counts_hits_and_misses() {
-        let cache = ScenarioCache::in_memory();
+    fn cache_counts_hits_and_misses() {
+        let dir = test_dir("count");
+        let cache = ScenarioCache::on_disk(&dir).unwrap();
         let key = scenario_key(&job("layout", 40));
         assert!(cache.lookup(key).is_none());
         let record = job("layout", 40).run();
@@ -273,6 +250,48 @@ mod tests {
         let snap = cache.snapshot();
         assert_eq!((snap.hits, snap.misses, snap.stores), (1, 1, 1));
         assert!((snap.hit_rate() - 0.5).abs() < 1e-12);
+        drop(cache);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn removing_an_entry_file_makes_the_next_lookup_miss() {
+        let dir = test_dir("remove");
+        let cache = ScenarioCache::on_disk(&dir).unwrap();
+        let key = scenario_key(&job("layout", 40));
+        cache.store(key, &job("layout", 40).run());
+        assert!(cache.lookup(key).is_some());
+        std::fs::remove_file(dir.join(format!("{}.json", key.hex()))).unwrap();
+        assert!(
+            cache.lookup(key).is_none(),
+            "the directory is the only copy"
+        );
+        let snap = cache.snapshot();
+        assert_eq!((snap.hits, snap.misses), (1, 1));
+        drop(cache);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_stores_leave_no_temporary_file() {
+        let dir = test_dir("tmp");
+        let cache = ScenarioCache::on_disk(&dir).unwrap();
+        let key = scenario_key(&job("layout", 40));
+        // A non-empty directory where the entry belongs: the write of the
+        // temporary file succeeds, the rename over it fails.
+        let entry = dir.join(format!("{}.json", key.hex()));
+        std::fs::create_dir(&entry).unwrap();
+        std::fs::write(entry.join("occupied"), "x").unwrap();
+        cache.store(key, &job("layout", 40).run());
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "leaked {leftovers:?}");
+        assert!(cache.lookup(key).is_none());
+        drop(cache);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

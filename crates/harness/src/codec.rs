@@ -159,8 +159,8 @@ pub fn status_from_str(s: &str) -> Result<ScenarioStatus, CodecError> {
     }
 }
 
-/// Serialize a [`Diagnostic`] (the `diag.v1` object shape, minus the
-/// per-object version tag — the enclosing document carries it once).
+/// Serialize a [`Diagnostic`] as a `diag.v1` object. It carries no version
+/// tag of its own: the enclosing document carries it once.
 pub fn diagnostic_to_json(d: &Diagnostic) -> Json {
     Json::Object(vec![
         ("severity".into(), Json::Str(d.severity.label().into())),
@@ -664,9 +664,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(back, attempt);
-        // An uncoded diagnostic keeps its empty code verbatim — the harness
-        // codec is loss-free, unlike the lang codec which normalizes to the
-        // placeholder.
+        // An uncoded diagnostic keeps its empty code verbatim: the codec is
+        // loss-free, and the placeholder is only a rendering.
         let raw = Diagnostic::note(5, "fyi");
         let back =
             diagnostic_from_json(&parse(&diagnostic_to_json(&raw).to_compact()).unwrap()).unwrap();

@@ -11,9 +11,11 @@
 //!   cooperative cancellation and per-job wall-clock timing,
 //! * [`cache`] — a content-addressed scenario cache (stable FNV-1a over
 //!   application sources, model fingerprint, direction, derived seed,
-//!   config and simulated-machine fingerprint) whose disk backing makes repeated and overlapping sweeps skip
-//!   already-computed scenarios — cached records are exact because the
-//!   pipeline is deterministically seeded,
+//!   config and simulated-machine fingerprint) that is its directory: one
+//!   JSON file per scenario and no resident copy, so repeated and
+//!   overlapping sweeps skip already-computed scenarios across processes —
+//!   cached records are exact because the pipeline is deterministically
+//!   seeded,
 //! * [`store`] + [`json`] + [`codec`] — a dependency-free JSON artifact
 //!   store (`artifacts/run-<id>/` with a manifest, record sets and
 //!   summaries) that re-renders tables byte-identically without re-running.

@@ -92,14 +92,10 @@ pub struct JobOutput {
 /// Tuning knobs for the service.
 #[derive(Debug, Clone)]
 pub struct HarnessOptions {
-    /// Worker threads. Defaults to `available_parallelism`.
+    /// Worker threads. Defaults to `available_parallelism`. The bounded
+    /// queue holds `2 × workers` jobs, derived at submission time so a
+    /// worker override keeps the queue proportional to the pool.
     pub workers: usize,
-    /// Bounded queue capacity. `None` (the default) derives `2 × workers`
-    /// at submission time, so overriding the worker count *after*
-    /// construction still yields a queue proportional to the pool —
-    /// `--workers 1` on a many-core machine must not keep a huge default
-    /// capacity and defeat backpressure.
-    pub queue_capacity: Option<usize>,
 }
 
 impl Default for HarnessOptions {
@@ -107,33 +103,17 @@ impl Default for HarnessOptions {
         let workers = thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        HarnessOptions {
-            workers,
-            queue_capacity: None,
-        }
+        HarnessOptions { workers }
     }
 }
 
 impl HarnessOptions {
-    /// Override the worker count (0 means "default"). An auto-derived queue
-    /// capacity follows the new count; an explicit one is preserved.
+    /// Override the worker count (0 means "default").
     pub fn with_workers(mut self, workers: usize) -> Self {
         if workers > 0 {
             self.workers = workers;
         }
         self
-    }
-
-    /// Pin the bounded queue capacity explicitly (clamped to ≥ 1).
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = Some(capacity.max(1));
-        self
-    }
-
-    /// The capacity the bounded queue is created with: the explicit value
-    /// when one was set, otherwise `2 × workers`.
-    pub fn effective_queue_capacity(&self) -> usize {
-        self.queue_capacity.unwrap_or(self.workers.max(1) * 2)
     }
 }
 
@@ -242,14 +222,6 @@ impl Harness {
         self
     }
 
-    /// Attach an already-shared scenario cache. This is what a long-lived
-    /// service uses: the same `Arc` can feed the harness *and* e.g. a
-    /// cache-stats endpoint, without the harness owning the only handle.
-    pub fn with_shared_cache(mut self, cache: Arc<ScenarioCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// The attached cache, if any.
     pub fn cache(&self) -> Option<&ScenarioCache> {
         self.cache.as_deref()
@@ -272,7 +244,7 @@ impl Harness {
     pub fn submit(&self, jobs: Vec<Job>) -> JobStream {
         let total = jobs.len();
         let queue = Arc::new(BoundedQueue::<QueuedJob>::new(
-            self.options.effective_queue_capacity(),
+            self.options.workers.max(1) * 2,
         ));
         let cancel = CancelToken::default();
         let (tx, rx) = mpsc::channel::<JobOutput>();
@@ -544,8 +516,11 @@ mod tests {
     #[test]
     fn outputs_report_timing_and_cache_provenance() {
         let config = small_config();
+        let dir =
+            std::env::temp_dir().join(format!("lassi-scheduler-provenance-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let harness = Harness::new(HarnessOptions::default().with_workers(2))
-            .with_cache(ScenarioCache::in_memory());
+            .with_cache(ScenarioCache::on_disk(&dir).unwrap());
         let jobs = direction_jobs(Direction::CudaToOmp, &config, &[gpt4()], &small_apps());
 
         let cold: Vec<JobOutput> = harness.submit(jobs.clone()).collect_outputs();
@@ -565,6 +540,7 @@ mod tests {
         let snap = harness.cache_snapshot();
         assert_eq!(snap.hits as usize, jobs.len());
         assert_eq!(snap.misses as usize, jobs.len());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -582,10 +558,7 @@ mod tests {
                 )
             })
             .collect();
-        let harness = Harness::new(HarnessOptions {
-            workers: 1,
-            queue_capacity: Some(2),
-        });
+        let harness = Harness::new(HarnessOptions { workers: 1 });
         let total = jobs.len();
         let mut stream = harness.submit(jobs);
         let first = stream.next().expect("at least one output");
@@ -614,20 +587,12 @@ mod tests {
     }
 
     #[test]
-    fn worker_override_recomputes_queue_capacity() {
-        // `--workers 1` on a many-core machine must shrink the queue with
-        // the pool; the old `max(existing, workers * 2)` kept the huge
-        // default capacity and defeated backpressure.
-        let opts = HarnessOptions::default().with_workers(1);
-        assert_eq!(opts.effective_queue_capacity(), 2);
-        let opts = HarnessOptions::default().with_workers(3);
-        assert_eq!(opts.effective_queue_capacity(), 6);
-        // An explicit capacity survives a later worker override, and a
-        // zero worker override leaves the default worker count alone.
-        let opts = HarnessOptions::default()
-            .with_queue_capacity(64)
-            .with_workers(1);
-        assert_eq!(opts.effective_queue_capacity(), 64);
+    fn worker_override_replaces_the_worker_count() {
+        // The queue capacity is derived from the worker count at submission
+        // time, so `--workers 1` on a many-core machine shrinks it too.
+        assert_eq!(HarnessOptions::default().with_workers(1).workers, 1);
+        assert_eq!(HarnessOptions::default().with_workers(3).workers, 3);
+        // A zero worker override leaves the default worker count alone.
         let default_workers = HarnessOptions::default().workers;
         assert_eq!(
             HarnessOptions::default().with_workers(0).workers,

@@ -44,7 +44,9 @@ fn keys() -> Vec<ScenarioKey> {
 
 #[test]
 fn concurrent_threads_keep_counters_exact() {
-    let cache = Arc::new(ScenarioCache::in_memory());
+    let dir = test_dir("counters");
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = Arc::new(ScenarioCache::on_disk(&dir).expect("cache dir"));
     let record = sample_record();
     let lookups = Arc::new(AtomicU64::new(0));
 
@@ -87,13 +89,16 @@ fn concurrent_threads_keep_counters_exact() {
     // the same cold key, but never more often than once per thread.
     assert!(snap.misses >= KEYS as u64);
     assert!(snap.misses <= (KEYS * THREADS) as u64);
-    // After the stress, every key is resident: a sweep re-walk is all hits.
+    // After the stress, every key is on disk: a sweep re-walk is all hits.
     let before = cache.snapshot();
     for key in keys() {
         assert!(cache.lookup(key).is_some());
     }
     let delta = cache.snapshot().since(before);
     assert_eq!((delta.hits, delta.misses), (KEYS as u64, 0));
+
+    drop(cache);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]

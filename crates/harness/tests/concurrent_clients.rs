@@ -39,9 +39,11 @@ fn concurrent_clients_match_serial_runs_and_counters_add_up() {
         .map(|i| client_jobs(i).iter().map(Job::run).collect())
         .collect();
 
+    let dir = std::env::temp_dir().join(format!("lassi-concurrent-clients-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let harness = Arc::new(
         Harness::new(HarnessOptions::default().with_workers(CLIENTS))
-            .with_shared_cache(Arc::new(ScenarioCache::in_memory())),
+            .with_cache(ScenarioCache::on_disk(&dir).expect("cache dir")),
     );
 
     let concurrent: Vec<Vec<_>> = {
@@ -103,4 +105,7 @@ fn concurrent_clients_match_serial_runs_and_counters_add_up() {
     assert_eq!(warm, serial[0]);
     let delta_misses = harness.cache_snapshot().misses - before.misses;
     assert_eq!(delta_misses, 0, "warm client must be served from cache");
+
+    drop(harness);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -1,11 +1,15 @@
-//! Property tests for the JSON artifact layer: any `TranslationRecord` the
-//! pipeline can produce must survive serialize → parse → decode unchanged,
-//! including `None` fields, awkward-but-finite floats and strings full of
-//! characters that need escaping.
+//! Property tests for the JSON artifact layer: any `TranslationRecord` or
+//! `diag.v1` diagnostic the pipeline can produce must survive serialize →
+//! parse → decode unchanged, including `None` fields, uncoded diagnostics,
+//! awkward-but-finite floats and strings full of characters that need
+//! escaping.
 
 use lassi_core::{AttemptDiagnostics, ScenarioStatus, TranslationRecord};
-use lassi_harness::codec::{record_from_json, record_to_json};
+use lassi_harness::codec::{
+    diagnostic_from_json, diagnostic_to_json, record_from_json, record_to_json,
+};
 use lassi_harness::json::{parse, Json};
+use lassi_lang::diag::UNCLASSIFIED_CODE;
 use lassi_lang::{Diagnostic, Dialect, Severity};
 use proptest::prelude::*;
 
@@ -39,6 +43,9 @@ fn stage_from_index(i: u32) -> &'static str {
 // Characters that exercise the escaper: quotes, backslashes, braces,
 // newlines, tabs — the shapes generated ParC code actually contains.
 const CODE_PATTERN: &str = "[a-zA-Z0-9 _(){}<>#*&+=.:;,!/\"\\\\\\n\\t-]{0,200}";
+// Diagnostic message shapes real emissions contain: identifiers in quotes,
+// punctuation, escapes, newlines and tabs.
+const MESSAGE_PATTERN: &str = "[a-zA-Z0-9 _'(){}<>#*&+=.:;,!/\"\\\\\\n\\t-]{0,120}";
 
 fn opt_f64(range: std::ops::Range<f64>) -> BoxedStrategy<Option<f64>> {
     prop_oneof![Just(None), range.prop_map(Some)].boxed()
@@ -150,6 +157,46 @@ proptest! {
         // Serialization is deterministic: the same record always renders to
         // the same bytes (this is what byte-identical --replay relies on).
         prop_assert_eq!(record_to_json(&record).to_pretty(), pretty);
+    }
+
+    #[test]
+    fn diagnostic_round_trips_for_arbitrary_contents(
+        (severity_ix, line, column) in (0u32..3, 0u32..100_000, 0u32..10_000),
+        code_tail in "[a-z/-]{1,24}",
+        message in MESSAGE_PATTERN,
+        notes in proptest::collection::vec((0u32..100_000, MESSAGE_PATTERN), 0..4),
+    ) {
+        let mut d = Diagnostic {
+            severity: severity_from_index(severity_ix),
+            code: format!("sema/{code_tail}"),
+            line,
+            column,
+            message,
+            notes: Vec::new(),
+        };
+        for (note_line, note_message) in notes {
+            d = d.with_note(note_line, note_message);
+        }
+
+        let compact = diagnostic_to_json(&d).to_compact();
+        let back = diagnostic_from_json(&parse(&compact).unwrap()).unwrap();
+        prop_assert_eq!(&back, &d);
+        let pretty = diagnostic_to_json(&d).to_pretty();
+        prop_assert_eq!(&diagnostic_from_json(&parse(&pretty).unwrap()).unwrap(), &d);
+
+        // Encoding is byte-deterministic.
+        prop_assert_eq!(diagnostic_to_json(&back).to_compact(), compact);
+    }
+
+    #[test]
+    fn unclassified_diagnostics_keep_their_empty_code(message in MESSAGE_PATTERN) {
+        let d = Diagnostic::error(3, message);
+        let text = diagnostic_to_json(&d).to_compact();
+        let back = diagnostic_from_json(&parse(&text).unwrap()).unwrap();
+        prop_assert_eq!(&back, &d);
+        // The placeholder is a rendering of the empty code, not stored.
+        prop_assert!(back.code.is_empty());
+        prop_assert_eq!(back.code_str(), UNCLASSIFIED_CODE);
     }
 
     #[test]

@@ -44,14 +44,6 @@ impl Dialect {
             Dialect::OmpLite => "clang++ -O3 -fopenmp -fopenmp-targets=nvptx64 -o app app.cpp",
         }
     }
-
-    /// Conventional file extension for the dialect.
-    pub fn file_extension(self) -> &'static str {
-        match self {
-            Dialect::CudaLite => "cu",
-            Dialect::OmpLite => "cpp",
-        }
-    }
 }
 
 impl fmt::Display for Dialect {
@@ -188,21 +180,6 @@ impl BinOp {
             BinOp::Shl => "<<",
             BinOp::Shr => ">>",
         }
-    }
-
-    /// True for comparison / logical operators (result type is int).
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Lt
-                | BinOp::Gt
-                | BinOp::Le
-                | BinOp::Ge
-                | BinOp::Eq
-                | BinOp::Ne
-                | BinOp::And
-                | BinOp::Or
-        )
     }
 }
 
@@ -649,11 +626,6 @@ impl OmpDirective {
             kind,
             clauses: Vec::new(),
         }
-    }
-
-    /// Find the first clause matching `pred`.
-    pub fn find_clause<F: Fn(&OmpClause) -> bool>(&self, pred: F) -> Option<&OmpClause> {
-        self.clauses.iter().find(|c| pred(c))
     }
 
     /// All map clauses.

@@ -365,20 +365,6 @@ impl Registry {
         }
     }
 
-    /// Sum a counter family across all its label sets (0 if unregistered).
-    pub fn counter_family_sum(&self, name: &str) -> u64 {
-        let families = self.families.lock().expect("metrics registry poisoned");
-        families.get(name).map_or(0, |f| {
-            f.series
-                .values()
-                .map(|i| match i {
-                    Instrument::Counter(c) => c.get(),
-                    _ => 0,
-                })
-                .sum()
-        })
-    }
-
     /// Render the Prometheus text exposition: families sorted by name,
     /// series sorted by label block, `# HELP` and `# TYPE` headers, and
     /// `_bucket`/`_sum`/`_count` expansion for histograms.

@@ -8,7 +8,7 @@ use crate::backend::ParallelBackend;
 use crate::cost::CostCounter;
 use crate::env::Env;
 use crate::error::ExecError;
-use crate::eval::{ControlFlow, EvalContext, Evaluator};
+use crate::eval::{ControlFlow, Evaluator};
 use crate::memory::{Memory, MemoryStats};
 use crate::value::Value;
 
@@ -114,18 +114,6 @@ impl<'p> HostInterpreter<'p> {
             memory: self.memory.stats(),
             steps: eval.steps,
         })
-    }
-
-    /// Convenience: parse nothing, just run a device-thread evaluation of an
-    /// arbitrary function body (used by tests of custom backends).
-    pub fn evaluate_in_context(
-        &mut self,
-        ctx: EvalContext,
-        body: &lassi_lang::Block,
-        env: &mut Env,
-    ) -> Result<ControlFlow, ExecError> {
-        let mut eval = Evaluator::for_context(self.program, ctx, self.config.step_limit);
-        eval.exec_block(body, env, &self.memory)
     }
 }
 

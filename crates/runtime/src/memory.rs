@@ -101,21 +101,6 @@ impl Buffer {
     }
 }
 
-/// Summary of a buffer, used in reports and tests.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BufferInfo {
-    /// Diagnostic name.
-    pub name: String,
-    /// Element type.
-    pub elem: Type,
-    /// Memory space.
-    pub space: MemSpace,
-    /// Element count.
-    pub len: usize,
-    /// Whether it was freed.
-    pub freed: bool,
-}
-
 /// Statistics about memory usage of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoryStats {
@@ -233,18 +218,6 @@ impl Memory {
         }
     }
 
-    /// Summary of a buffer by id.
-    pub fn buffer_info(&self, id: BufferId) -> Option<BufferInfo> {
-        let buffers = self.buffers.borrow();
-        buffers.get(id.0).map(|b| BufferInfo {
-            name: b.name.clone(),
-            elem: b.elem.clone(),
-            space: b.space,
-            len: b.len(),
-            freed: b.freed,
-        })
-    }
-
     /// Element count of a buffer (0 if unknown).
     pub fn buffer_len(&self, id: BufferId) -> usize {
         self.buffers.borrow().get(id.0).map_or(0, |b| b.len())
@@ -253,11 +226,6 @@ impl Memory {
     /// Element type of a buffer.
     pub fn buffer_elem(&self, id: BufferId) -> Option<Type> {
         self.buffers.borrow().get(id.0).map(|b| b.elem.clone())
-    }
-
-    /// Number of buffers ever allocated.
-    pub fn buffer_count(&self) -> usize {
-        self.buffers.borrow().len()
     }
 
     fn with_access<R>(

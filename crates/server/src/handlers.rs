@@ -340,17 +340,17 @@ fn healthz() -> Response {
 }
 
 /// `GET /v1/cache/stats`: the scenario cache's counters, plus the
-/// execution-report memo's as `report_cache`.
+/// execution-report memo's as `report_cache`. The scenario cache always
+/// lives on disk, so `disk` equals `attached`; it stays for wire
+/// compatibility.
 fn cache_stats(state: &AppState) -> Response {
     let harness = state.harness();
     let snapshot = harness.cache_snapshot();
     let reports = lassi_core::progcache::report_stats();
+    let attached = harness.cache().is_some();
     let fields = vec![
-        ("attached".into(), Json::Bool(harness.cache().is_some())),
-        (
-            "disk".into(),
-            Json::Bool(harness.cache().and_then(|c| c.dir()).is_some()),
-        ),
+        ("attached".into(), Json::Bool(attached)),
+        ("disk".into(), Json::Bool(attached)),
         ("hits".into(), Json::uint(snapshot.hits)),
         ("misses".into(), Json::uint(snapshot.misses)),
         ("stores".into(), Json::uint(snapshot.stores)),

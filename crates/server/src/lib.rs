@@ -20,7 +20,7 @@
 //! | `GET` | `/v1/runs/{id}/records/{set}` | One record set — raw artifact bytes, chunked. |
 //! | `GET` | `/v1/runs/{id}/trace` | The run's `trace.jsonl` — one `trace.v1` event per line: runstate transitions plus one `job` span per scenario with its queue-wait/execute split, each followed by its scenario's `diag` events rendered from the records. |
 //! | `GET` | `/v1/runs/{id}/diagnostics` | The run's `diag.v1` document of structured findings per scenario and attempt, rendered from the records. |
-//! | `GET` | `/v1/cache/stats` | Scenario-cache counters (`attached`, `disk`, `hits`, `misses`, `stores`, `hit_rate`) plus the deterministic execution-report memo (`report_cache`: hits, misses, hit rate, entries and approximate bytes). |
+//! | `GET` | `/v1/cache/stats` | Scenario-cache counters (`attached`, `disk` — equal to `attached`, kept for wire compatibility — `hits`, `misses`, `stores`, `hit_rate`) plus the deterministic execution-report memo (`report_cache`: hits, misses, hit rate, entries and approximate bytes). |
 //! | `GET` | `/v1/metrics` | Prometheus-style text exposition of the process-wide `lassi_` metrics registry. |
 //! | `GET` | `/v1/debug/events` | The most recent trace events from a bounded in-memory ring (lossy by design). |
 //! | `GET` | `/v1/healthz` | Liveness. |

@@ -1200,10 +1200,7 @@ mod tests {
     }
 
     fn state(store_name: &str) -> Arc<AppState> {
-        let harness = Harness::new(HarnessOptions {
-            workers: 2,
-            ..HarnessOptions::default()
-        });
+        let harness = Harness::new(HarnessOptions::default().with_workers(2));
         Arc::new(AppState::new(harness, test_store(store_name)))
     }
 
