@@ -2,14 +2,20 @@
 //! (success rate, within-10% rate, Sim-T >= 0.6 rate, zero-self-correction
 //! rate), executed on the `lassi-harness` worker pool.
 //!
-//! The run (records + per-direction summaries) is saved to
-//! `artifacts/run-summary/`; `--replay <run-dir>` re-renders a saved
-//! artifact without running anything. Other flags: `--artifacts <dir>`,
-//! `--no-cache`, `--workers <n>`.
+//! The run's records are saved to `artifacts/run-summary/`; the statistics
+//! are computed from them, live or on `--replay <run-dir>`, which
+//! re-renders a saved artifact without running anything. Other flags:
+//! `--artifacts <dir>`, `--no-cache`, `--workers <n>`.
 
-use lassi_core::{scenario_outcomes, Direction};
-use lassi_harness::{RunArtifact, SweepGrid};
+use lassi_core::{scenario_outcomes, Direction, TranslationRecord};
+use lassi_harness::SweepGrid;
 use lassi_metrics::AggregateStats;
+
+/// One direction's block of the report.
+fn render(direction: Direction, records: &[TranslationRecord]) -> String {
+    let stats = AggregateStats::from_outcomes(&scenario_outcomes(records));
+    format!("=== {} ===\n{stats}\n\n", direction.label())
+}
 
 fn run() -> Result<String, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -18,56 +24,25 @@ fn run() -> Result<String, String> {
         return Err(format!("unknown argument `{extra}`"));
     }
 
-    let mut out = String::new();
-    if let Some(dir) = &common.replay {
-        let artifact = RunArtifact::load(dir).map_err(|e| e.to_string())?;
-        for direction in Direction::both() {
-            let records = artifact
-                .records(direction.slug())
-                .map_err(|e| e.to_string())?;
-            let stats = AggregateStats::from_outcomes(&scenario_outcomes(&records));
-            out.push_str(&format!("=== {} ===\n{stats}\n\n", direction.label()));
+    let sets = match &common.replay {
+        Some(dir) => lassi_bench::replay_record_sets(dir)?,
+        None => {
+            let grid = SweepGrid::single(
+                lassi_bench::default_config(),
+                lassi_llm::all_models(),
+                lassi_hecbench::applications(),
+                Direction::both().to_vec(),
+            );
+            lassi_bench::run_grid(&common, &grid, "summary")?
+                .into_iter()
+                .map(|(cell, records)| (cell.direction, records))
+                .collect()
         }
-        return Ok(out);
-    }
-
-    let config = lassi_bench::default_config();
-    let harness = lassi_bench::build_harness(&common)?;
-    let models = lassi_llm::all_models();
-    let apps = lassi_hecbench::applications();
-
-    let store = lassi_bench::artifact_store(&common);
-    let writer = store
-        .create_or_replace_run("summary")
-        .map_err(|e| e.to_string())?;
-    let mut scenarios = 0;
-    for direction in Direction::both() {
-        let records = harness.run_direction_with(direction, &config, &models, &apps);
-        let stats = AggregateStats::from_outcomes(&scenario_outcomes(&records));
-        scenarios += records.len();
-        writer
-            .write_records(direction.slug(), &records)
-            .map_err(|e| e.to_string())?;
-        writer
-            .write_summary(direction.slug(), &stats)
-            .map_err(|e| e.to_string())?;
-        out.push_str(&format!("=== {} ===\n{stats}\n\n", direction.label()));
-    }
-
-    let record_sets: Vec<String> = Direction::both()
+    };
+    Ok(sets
         .iter()
-        .map(|d| d.slug().to_string())
-        .collect();
-    let grid = SweepGrid::single(config, models, apps, Direction::both().to_vec());
-    let manifest = grid.manifest("summary", record_sets, scenarios, harness.cache_snapshot());
-    writer
-        .write_manifest(&manifest)
-        .map_err(|e| e.to_string())?;
-    eprintln!(
-        "artifact saved to {}; re-render with --replay {0}",
-        writer.dir().display()
-    );
-    Ok(out)
+        .map(|(direction, records)| render(*direction, records))
+        .collect())
 }
 
 fn main() {

@@ -53,9 +53,9 @@
 //! verified to round-trip (including a byte-identical table re-rendering).
 //!
 //! `verify <run-dir>` reloads a saved artifact with the round-trip loader,
-//! recomputes every summary from the records and compares it against the
-//! stored one, and renders the diagnostics document and trace views from
-//! the records.
+//! checks the manifest's scenario count against the record sets, and
+//! renders the diagnostics document and trace views from the records. A
+//! run with record sets must have its `trace.jsonl`.
 //!
 //! `list` prints the run ids present in the artifact store, one per line.
 //!
@@ -67,9 +67,7 @@ use std::time::Instant;
 
 use lassi_core::{direction_table, scenario_outcomes, Direction, PipelineConfig};
 use lassi_harness::codec::record_to_json;
-use lassi_harness::{
-    ArtifactError, CacheSnapshot, GridCell, Harness, Job, JobOutput, RunArtifact, SweepGrid,
-};
+use lassi_harness::{CacheSnapshot, GridCell, Harness, Job, JobOutput, RunArtifact, SweepGrid};
 use lassi_hecbench::{application, applications, Application};
 use lassi_llm::{all_models, model_by_name, ModelSpec};
 use lassi_metrics::AggregateStats;
@@ -299,24 +297,15 @@ fn write_artifact(
     Ok(per_cell)
 }
 
-/// Reload an artifact and check every record set round-trips: records parse,
-/// summaries match a recomputation, the manifest lists every set, and the
-/// diagnostics views render from the records. The table binaries write no
-/// trace, so a missing `trace.jsonl` is not an error.
+/// Reload an artifact and check every record set round-trips: records
+/// parse, the manifest's scenario count matches them, and the diagnostics
+/// and trace views render from the records. Every artifact with record
+/// sets has a `trace.jsonl`; only one without (`table4`) may lack it.
 fn verify_artifact(dir: &std::path::Path) -> Result<String, String> {
     let artifact = RunArtifact::load(dir).map_err(|e| e.to_string())?;
     let mut records_total = 0;
     for set in &artifact.manifest.record_sets {
-        let records = artifact.records(set).map_err(|e| e.to_string())?;
-        let stored = artifact.summary(set).map_err(|e| e.to_string())?;
-        let recomputed = AggregateStats::from_outcomes(&scenario_outcomes(&records));
-        if stored != recomputed {
-            return Err(format!(
-                "summary-{set}.json does not match its records: stored {stored:?}, \
-                 recomputed {recomputed:?}"
-            ));
-        }
-        records_total += records.len();
+        records_total += artifact.records(set).map_err(|e| e.to_string())?.len();
     }
     if records_total != artifact.manifest.scenarios {
         return Err(format!(
@@ -327,10 +316,10 @@ fn verify_artifact(dir: &std::path::Path) -> Result<String, String> {
     artifact
         .diagnostics_view()
         .map_err(|e| format!("diagnostics view: {e}"))?;
-    match artifact.trace_view() {
-        Ok(_) => {}
-        Err(ArtifactError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(format!("trace view: {e}")),
+    if !artifact.manifest.record_sets.is_empty() {
+        artifact
+            .trace_view()
+            .map_err(|e| format!("trace view: {e}"))?;
     }
     Ok(format!(
         "artifact OK: {} record sets, {records_total} records, schema v{}",

@@ -7,20 +7,26 @@
 //!   `prompts` and `case_studies` print the corresponding tables / statistics
 //!   from the paper. The scenario-driven ones (`table4`, `table6`, `table7`,
 //!   `summary`) run through the `lassi-harness` experiment service, save a
-//!   JSON artifact under `artifacts/run-<id>/`, and accept
-//!   `--replay <run-dir>` to re-render a saved artifact byte-identically
-//!   without re-running anything.
+//!   JSON artifact under `artifacts/run-<id>/` (`table6`, `table7` and
+//!   `summary` through the same [`SweepGrid::write_artifact`] writer as
+//!   `sweep`), and accept `--replay <run-dir>` to re-render a saved
+//!   artifact byte-identically without re-running anything.
 //! * **`sweep`**: arbitrary config-grid sweeps (models × apps × directions ×
 //!   `max_self_corrections` × `timing_runs`) with a persistent scenario
 //!   cache; `sweep --smoke` is the self-checking CI entry point.
 //! * **criterion benches** (`cargo bench -p lassi-bench`): `frontend`,
-//!   `simulators` and `pipeline` measure the wall-clock cost of the
-//!   front-end, the two execution substrates and the end-to-end pipeline.
+//!   `simulators`, `pipeline`, `bytecode` and `similarity` measure the
+//!   wall-clock cost of the front-end, the two execution substrates, the
+//!   end-to-end pipeline, the bytecode VM against the reference
+//!   interpreter, and the similarity metrics.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use lassi_core::PipelineConfig;
-use lassi_harness::{ArtifactStore, Harness, HarnessOptions, ScenarioCache};
+use lassi_core::{direction_table, Direction, PipelineConfig, TranslationRecord};
+use lassi_harness::store::set_direction;
+use lassi_harness::{
+    ArtifactStore, GridCell, Harness, HarnessOptions, RunArtifact, ScenarioCache, SweepGrid,
+};
 
 /// Shared pipeline configuration used by every table binary so the numbers in
 /// the tables are regenerated identically run-to-run.
@@ -107,65 +113,91 @@ pub fn build_harness(common: &CommonArgs) -> Result<Harness, String> {
     }
 }
 
-/// Shared driver for `table6` / `table7`: run one direction sweep through
-/// the harness and save an artifact, or `--replay` a saved one. Returns the
-/// rendered table for stdout; progress notes go to stderr so replayed and
-/// live output stay byte-comparable.
-pub fn direction_table_bin(
-    direction: lassi_core::Direction,
+/// Run `grid` on the harness the shared flags select and save it as
+/// `run-<run_id>` through [`SweepGrid::write_artifact`], replacing any
+/// previous run under that fixed id. Returns the records per grid cell.
+/// The note goes to stderr so live and replayed stdout stay
+/// byte-comparable.
+pub fn run_grid(
+    common: &CommonArgs,
+    grid: &SweepGrid,
     run_id: &str,
-    args: Vec<String>,
-) -> Result<String, String> {
-    use lassi_core::direction_table;
-
-    let common = parse_common_args(args)?;
-    if let Some(extra) = common.rest.first() {
-        return Err(format!("unknown argument `{extra}`"));
-    }
-    let set = direction.slug();
-
-    if let Some(dir) = &common.replay {
-        let artifact = lassi_harness::RunArtifact::load(dir).map_err(|e| e.to_string())?;
-        let records = artifact.records(set).map_err(|e| e.to_string())?;
-        return Ok(direction_table(direction, &records));
-    }
-
-    let config = default_config();
-    let harness = build_harness(&common)?;
-    let models = lassi_llm::all_models();
-    let apps = lassi_hecbench::applications();
-    let records = harness.run_direction_with(direction, &config, &models, &apps);
-
-    let outcomes = lassi_core::scenario_outcomes(&records);
-    let stats = lassi_metrics::AggregateStats::from_outcomes(&outcomes);
+) -> Result<Vec<(GridCell, Vec<TranslationRecord>)>, String> {
+    let harness = build_harness(common)?;
+    let jobs = grid.jobs();
+    let outputs = harness.submit(jobs.clone()).collect_outputs();
     let snapshot = harness.cache_snapshot();
-
-    let grid = lassi_harness::SweepGrid::single(config, models, apps, vec![direction]);
-    let manifest = grid.manifest(run_id, vec![set.to_string()], records.len(), snapshot);
-
-    let store = artifact_store(&common);
-    // Fixed run id, intentionally regenerated on every invocation: replace
-    // the previous run wholesale rather than merging files into it.
-    let writer = store
-        .create_or_replace_run(run_id)
-        .map_err(|e| e.to_string())?;
-    writer
-        .write_manifest(&manifest)
-        .map_err(|e| e.to_string())?;
-    writer
-        .write_records(set, &records)
-        .map_err(|e| e.to_string())?;
-    writer
-        .write_summary(set, &stats)
+    let store = artifact_store(common);
+    let per_cell = grid
+        .write_artifact(&store, run_id, true, &jobs, &outputs, snapshot, &[])
         .map_err(|e| e.to_string())?;
     eprintln!(
         "artifact saved to {} (cache: {} hits / {} misses); \
          re-render with --replay {0}",
-        writer.dir().display(),
+        store.run_dir(run_id).display(),
         snapshot.hits,
         snapshot.misses,
     );
+    Ok(per_cell)
+}
 
+/// The record sets of a saved run, in manifest order, each with the
+/// direction its name starts with. Reads both the grid-cell set names
+/// [`SweepGrid::write_artifact`] writes and the bare-direction names of
+/// older table-binary artifacts.
+pub fn replay_record_sets(dir: &Path) -> Result<Vec<(Direction, Vec<TranslationRecord>)>, String> {
+    let artifact = RunArtifact::load(dir).map_err(|e| e.to_string())?;
+    artifact
+        .manifest
+        .record_sets
+        .iter()
+        .map(|set| {
+            let direction = Direction::from_slug(set_direction(set))
+                .ok_or_else(|| format!("record set `{set}` names no direction"))?;
+            let records = artifact.records(set).map_err(|e| e.to_string())?;
+            Ok((direction, records))
+        })
+        .collect()
+}
+
+/// Shared driver for `table6` / `table7`: run one direction sweep through
+/// the harness and save an artifact, or `--replay` a saved one (any run
+/// with exactly one record set in `direction`). Returns the rendered table
+/// for stdout.
+pub fn direction_table_bin(
+    direction: Direction,
+    run_id: &str,
+    args: Vec<String>,
+) -> Result<String, String> {
+    let common = parse_common_args(args)?;
+    if let Some(extra) = common.rest.first() {
+        return Err(format!("unknown argument `{extra}`"));
+    }
+
+    let records = if let Some(dir) = &common.replay {
+        let mut sets = replay_record_sets(dir)?
+            .into_iter()
+            .filter(|(set_direction, _)| *set_direction == direction);
+        match (sets.next(), sets.next()) {
+            (Some((_, records)), None) => records,
+            _ => {
+                return Err(format!(
+                    "{} holds no single {} record set",
+                    dir.display(),
+                    direction.slug()
+                ))
+            }
+        }
+    } else {
+        let grid = SweepGrid::single(
+            default_config(),
+            lassi_llm::all_models(),
+            lassi_hecbench::applications(),
+            vec![direction],
+        );
+        let mut per_cell = run_grid(&common, &grid, run_id)?;
+        per_cell.remove(0).1
+    };
     Ok(direction_table(direction, &records))
 }
 
@@ -211,6 +243,65 @@ mod tests {
         assert!(!parsed.use_cache);
         assert!(parsed.replay.is_none());
         assert_eq!(parsed.rest, vec!["--smoke", "--models", "GPT-4"]);
+    }
+
+    #[test]
+    fn replay_renders_both_artifact_layouts() {
+        let direction = Direction::OmpToCuda;
+        let config = PipelineConfig {
+            timing_runs: 1,
+            ..default_config()
+        };
+        let apps = vec![
+            lassi_hecbench::application("layout").unwrap(),
+            lassi_hecbench::application("entropy").unwrap(),
+        ];
+        let grid = SweepGrid::single(config, vec![lassi_llm::gpt4()], apps, vec![direction]);
+        let jobs = grid.jobs();
+        let records: Vec<TranslationRecord> = jobs.iter().map(lassi_harness::Job::run).collect();
+        let expected = direction_table(direction, &records);
+        let root = std::env::temp_dir().join(format!("lassi-bench-replay-{}", std::process::id()));
+        let store = ArtifactStore::new(&root);
+
+        // The older table-binary layout: a bare-direction record set and
+        // no trace or lifecycle file.
+        let writer = store.create_run("older").unwrap();
+        let mut manifest = grid.manifest("older", records.len(), Default::default());
+        manifest.record_sets = vec![direction.slug().to_string()];
+        writer.write_manifest(&manifest).unwrap();
+        writer.write_records(direction.slug(), &records).unwrap();
+
+        // The layout `SweepGrid::write_artifact` writes.
+        let outputs: Vec<lassi_harness::JobOutput> = records
+            .iter()
+            .enumerate()
+            .map(|(index, record)| lassi_harness::JobOutput {
+                index,
+                direction,
+                record: record.clone(),
+                wall_seconds: 0.0,
+                queue_seconds: 0.0,
+                from_cache: false,
+            })
+            .collect();
+        grid.write_artifact(
+            &store,
+            "grid",
+            false,
+            &jobs,
+            &outputs,
+            Default::default(),
+            &[],
+        )
+        .unwrap();
+
+        for id in ["older", "grid"] {
+            let dir = store.run_dir(id).display().to_string();
+            let replayed =
+                direction_table_bin(direction, "unused", vec!["--replay".into(), dir]).unwrap();
+            assert_eq!(replayed, expected, "{id}");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use lassi_core::{AttemptDiagnostics, Direction, ScenarioStatus, TranslationRecord};
 use lassi_lang::{Diagnostic, Dialect, Severity};
-use lassi_metrics::{AggregateStats, ScenarioOutcome};
 
 use crate::json::Json;
 use crate::store::RunManifest;
@@ -66,12 +65,6 @@ fn usize_field(value: &Json, key: &str) -> Result<usize, CodecError> {
     field(value, key)?
         .as_usize()
         .ok_or_else(|| CodecError(format!("field `{key}` must be a usize")))
-}
-
-fn bool_field(value: &Json, key: &str) -> Result<bool, CodecError> {
-    field(value, key)?
-        .as_bool()
-        .ok_or_else(|| CodecError(format!("field `{key}` must be a bool")))
 }
 
 fn opt_f64_field(value: &Json, key: &str) -> Result<Option<f64>, CodecError> {
@@ -327,84 +320,6 @@ pub fn records_from_json(v: &Json) -> Result<Vec<TranslationRecord>, CodecError>
         .collect()
 }
 
-/// Serialize a [`ScenarioOutcome`].
-pub fn outcome_to_json(o: &ScenarioOutcome) -> Json {
-    Json::Object(vec![
-        ("application".into(), Json::Str(o.application.clone())),
-        ("model".into(), Json::Str(o.model.clone())),
-        ("success".into(), Json::Bool(o.success)),
-        ("runtime_seconds".into(), Json::opt_float(o.runtime_seconds)),
-        ("ratio".into(), Json::opt_float(o.ratio)),
-        ("sim_t".into(), Json::opt_float(o.sim_t)),
-        ("sim_l".into(), Json::opt_float(o.sim_l)),
-        (
-            "self_corrections".into(),
-            o.self_corrections
-                .map(|c| Json::Int(c as i128))
-                .unwrap_or(Json::Null),
-        ),
-    ])
-}
-
-/// Deserialize a [`ScenarioOutcome`].
-pub fn outcome_from_json(v: &Json) -> Result<ScenarioOutcome, CodecError> {
-    let self_corrections = {
-        let c = field(v, "self_corrections")?;
-        if c.is_null() {
-            None
-        } else {
-            Some(c.as_u32().ok_or_else(|| {
-                CodecError("field `self_corrections` must be a u32 or null".into())
-            })?)
-        }
-    };
-    Ok(ScenarioOutcome {
-        application: str_field(v, "application")?,
-        model: str_field(v, "model")?,
-        success: bool_field(v, "success")?,
-        runtime_seconds: opt_f64_field(v, "runtime_seconds")?,
-        ratio: opt_f64_field(v, "ratio")?,
-        sim_t: opt_f64_field(v, "sim_t")?,
-        sim_l: opt_f64_field(v, "sim_l")?,
-        self_corrections,
-    })
-}
-
-/// Serialize [`AggregateStats`].
-pub fn stats_to_json(s: &AggregateStats) -> Json {
-    Json::Object(vec![
-        ("total".into(), Json::Int(s.total as i128)),
-        ("successes".into(), Json::Int(s.successes as i128)),
-        ("success_rate".into(), Json::Float(s.success_rate)),
-        (
-            "within_ten_percent_rate".into(),
-            Json::Float(s.within_ten_percent_rate),
-        ),
-        (
-            "high_similarity_rate".into(),
-            Json::Float(s.high_similarity_rate),
-        ),
-        ("first_try_rate".into(), Json::Float(s.first_try_rate)),
-        (
-            "mean_self_corrections".into(),
-            Json::Float(s.mean_self_corrections),
-        ),
-    ])
-}
-
-/// Deserialize [`AggregateStats`].
-pub fn stats_from_json(v: &Json) -> Result<AggregateStats, CodecError> {
-    Ok(AggregateStats {
-        total: usize_field(v, "total")?,
-        successes: usize_field(v, "successes")?,
-        success_rate: f64_field(v, "success_rate")?,
-        within_ten_percent_rate: f64_field(v, "within_ten_percent_rate")?,
-        high_similarity_rate: f64_field(v, "high_similarity_rate")?,
-        first_try_rate: f64_field(v, "first_try_rate")?,
-        mean_self_corrections: f64_field(v, "mean_self_corrections")?,
-    })
-}
-
 /// Serialize a [`lassi_core::Table4Row`].
 pub fn table4_row_to_json(r: &lassi_core::Table4Row) -> Json {
     Json::Object(vec![
@@ -630,27 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn outcome_and_stats_round_trip() {
-        let outcome = ScenarioOutcome {
-            application: "entropy".into(),
-            model: "Codestral".into(),
-            success: true,
-            runtime_seconds: Some(0.75),
-            ratio: Some(1.25),
-            sim_t: Some(0.5),
-            sim_l: Some(0.25),
-            self_corrections: Some(2),
-        };
-        let back =
-            outcome_from_json(&parse(&outcome_to_json(&outcome).to_pretty()).unwrap()).unwrap();
-        assert_eq!(back, outcome);
-
-        let stats = AggregateStats::from_outcomes(&[outcome, ScenarioOutcome::failed("a", "m")]);
-        let back = stats_from_json(&parse(&stats_to_json(&stats).to_compact()).unwrap()).unwrap();
-        assert_eq!(back, stats);
-    }
-
-    #[test]
     fn diagnostics_round_trip_with_notes_and_spans() {
         let attempt = AttemptDiagnostics {
             round: 2,
@@ -677,7 +571,5 @@ mod tests {
     fn schema_violations_are_reported_not_panicked() {
         let missing = parse(r#"{"application": "x"}"#).unwrap();
         assert!(record_from_json(&missing).is_err());
-        let wrong_type = parse(r#"{"total": "many"}"#).unwrap();
-        assert!(stats_from_json(&wrong_type).is_err());
     }
 }

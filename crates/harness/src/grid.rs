@@ -7,10 +7,9 @@
 //! grids share scenario-cache entries, so refining a sweep only pays for the
 //! new cells.
 
-use lassi_core::{scenario_outcomes, Direction, PipelineConfig, TranslationRecord};
+use lassi_core::{Direction, PipelineConfig, TranslationRecord};
 use lassi_hecbench::Application;
 use lassi_llm::ModelSpec;
-use lassi_metrics::AggregateStats;
 use lassi_obs::TraceEvent;
 
 use crate::cache::CacheSnapshot;
@@ -109,18 +108,9 @@ impl SweepGrid {
         jobs
     }
 
-    /// The run manifest describing a sweep over this grid — the single place
-    /// every binary builds its manifest from, so the schema cannot drift
-    /// between `table6`, `summary` and `sweep`. `record_sets` is
-    /// caller-chosen because set naming differs (plain direction slugs for
-    /// the table binaries, full cell slugs for grid sweeps).
-    pub fn manifest(
-        &self,
-        run_id: &str,
-        record_sets: Vec<String>,
-        scenarios: usize,
-        snapshot: CacheSnapshot,
-    ) -> RunManifest {
+    /// The run manifest describing a sweep over this grid, with one record
+    /// set per [`SweepGrid::cells`] entry, named by [`GridCell::slug`].
+    pub fn manifest(&self, run_id: &str, scenarios: usize, snapshot: CacheSnapshot) -> RunManifest {
         let mut manifest = RunManifest::new(run_id, self.base.seed);
         manifest.git_commit = detect_git_commit();
         manifest.created_unix = std::time::SystemTime::now()
@@ -136,7 +126,7 @@ impl SweepGrid {
             .iter()
             .map(|d| d.slug().to_string())
             .collect();
-        manifest.record_sets = record_sets;
+        manifest.record_sets = self.cells().iter().map(GridCell::slug).collect();
         manifest.scenarios = scenarios;
         manifest.cache_hits = snapshot.hits;
         manifest.cache_misses = snapshot.misses;
@@ -169,11 +159,13 @@ impl SweepGrid {
     }
 
     /// Write one run artifact for a completed sweep over this grid: a
-    /// record set and summary per grid cell, the run's `trace.jsonl`, plus
-    /// the manifest and `state.json`. This is the single writer the `sweep`
-    /// CLI and the HTTP service share, so their artifacts are
-    /// interchangeable (`--replay`, `--verify` and `GET /v1/runs/{id}` all
-    /// read the same layout).
+    /// record set per grid cell, the run's `trace.jsonl`, plus the manifest
+    /// and `state.json`. This is the only writer of scenario artifacts —
+    /// the table binaries, the `sweep` CLI and the HTTP service all go
+    /// through it, so their artifacts are interchangeable (`--replay`,
+    /// `sweep verify` and `GET /v1/runs/{id}` all read the same layout).
+    /// Aggregate statistics are not stored; readers compute them from the
+    /// records.
     ///
     /// `trace` carries the caller's run-lifecycle events (runstate
     /// transitions, drains); one `job` span per output is appended before
@@ -205,14 +197,9 @@ impl SweepGrid {
             store.create_run(run_id)
         }?;
         for (cell, records) in &per_cell {
-            let slug = cell.slug();
-            let stats = AggregateStats::from_outcomes(&scenario_outcomes(records));
-            writer.write_records(&slug, records)?;
-            writer.write_summary(&slug, &stats)?;
+            writer.write_records(&cell.slug(), records)?;
         }
-        let record_sets = self.cells().iter().map(GridCell::slug).collect();
-        let manifest = self.manifest(run_id, record_sets, outputs.len(), snapshot);
-        writer.write_manifest(&manifest)?;
+        writer.write_manifest(&self.manifest(run_id, outputs.len(), snapshot))?;
         // Diagnostics metrics are counted here — at artifact-write time, not
         // in the pipeline — so cache-hit scenarios count exactly like
         // executed ones and the exposition agrees with the artifact. The
@@ -395,6 +382,21 @@ mod tests {
             );
             end_us = span.t_us + span.dur_us.unwrap();
         }
+        // The run directory holds exactly the manifest, the lifecycle file,
+        // the trace and one record set per cell.
+        let mut files: Vec<String> = std::fs::read_dir(store.run_dir("spans"))
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        let mut expected: Vec<String> = g
+            .cells()
+            .iter()
+            .map(|cell| format!("records-{}.json", cell.slug()))
+            .chain(["manifest.json", "state.json", "trace.jsonl"].map(String::from))
+            .collect();
+        expected.sort();
+        assert_eq!(files, expected);
         std::fs::remove_dir_all(&root).unwrap();
     }
 

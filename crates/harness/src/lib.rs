@@ -17,8 +17,9 @@
 //!   cached records are exact because the pipeline is deterministically
 //!   seeded,
 //! * [`store`] + [`json`] + [`codec`] — a dependency-free JSON artifact
-//!   store (`artifacts/run-<id>/` with a manifest, record sets and
-//!   summaries) that re-renders tables byte-identically without re-running.
+//!   store (`artifacts/run-<id>/` with a manifest, record sets, a trace
+//!   and a lifecycle file) that re-renders tables byte-identically without
+//!   re-running. Aggregate statistics are computed from the records.
 //!   The records are the only stored copy of each diagnostic; the `diag.v1`
 //!   document and the trace's `diag` events are rendered from them on read.
 //!
@@ -50,9 +51,7 @@ pub use lease::{
 };
 pub use queue::BoundedQueue;
 pub use runstate::{IllegalTransition, RunState, RunStatus, STATE_FILE};
-pub use scheduler::{
-    direction_jobs, CancelToken, Harness, HarnessOptions, Job, JobOutput, JobStream,
-};
+pub use scheduler::{CancelToken, Harness, HarnessOptions, Job, JobOutput, JobStream};
 pub use store::{
     detect_git_commit, is_slug, ArtifactError, ArtifactStore, RunArtifact, RunManifest, RunWriter,
     ScannedRun, SCHEMA_VERSION,

@@ -24,6 +24,7 @@ use lassi_hecbench::Application;
 use lassi_llm::ModelSpec;
 
 use crate::cache::{scenario_key, CacheSnapshot, ScenarioCache, ScenarioKey};
+use crate::grid::SweepGrid;
 use crate::queue::BoundedQueue;
 
 /// One schedulable scenario.
@@ -347,25 +348,14 @@ impl Harness {
         models: &[ModelSpec],
         apps: &[Application],
     ) -> Vec<TranslationRecord> {
-        let jobs = direction_jobs(direction, config, models, apps);
-        self.submit(jobs).collect_ordered()
+        let grid = SweepGrid::single(
+            config.clone(),
+            models.to_vec(),
+            apps.to_vec(),
+            vec![direction],
+        );
+        self.submit(grid.jobs()).collect_ordered()
     }
-}
-
-/// Build the jobs for one direction in the paper's (model-major) sweep order.
-pub fn direction_jobs(
-    direction: Direction,
-    config: &PipelineConfig,
-    models: &[ModelSpec],
-    apps: &[Application],
-) -> Vec<Job> {
-    models
-        .iter()
-        .flat_map(|model| {
-            apps.iter()
-                .map(move |app| Job::new(app.clone(), model.clone(), direction, config.clone()))
-        })
-        .collect()
 }
 
 /// A stream of job outputs in completion order. Iterate it for streaming
@@ -497,6 +487,11 @@ mod tests {
         ]
     }
 
+    /// One direction over GPT-4 and [`small_apps`], in job order.
+    fn small_jobs(direction: Direction) -> Vec<Job> {
+        SweepGrid::single(small_config(), vec![gpt4()], small_apps(), vec![direction]).jobs()
+    }
+
     #[test]
     fn harness_sweep_matches_blocking_sweep() {
         let config = small_config();
@@ -515,13 +510,12 @@ mod tests {
 
     #[test]
     fn outputs_report_timing_and_cache_provenance() {
-        let config = small_config();
         let dir =
             std::env::temp_dir().join(format!("lassi-scheduler-provenance-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let harness = Harness::new(HarnessOptions::default().with_workers(2))
             .with_cache(ScenarioCache::on_disk(&dir).unwrap());
-        let jobs = direction_jobs(Direction::CudaToOmp, &config, &[gpt4()], &small_apps());
+        let jobs = small_jobs(Direction::CudaToOmp);
 
         let cold: Vec<JobOutput> = harness.submit(jobs.clone()).collect_outputs();
         assert_eq!(cold.len(), jobs.len());
@@ -574,9 +568,8 @@ mod tests {
 
     #[test]
     fn streaming_iteration_sees_every_output() {
-        let config = small_config();
         let harness = Harness::new(HarnessOptions::default().with_workers(2));
-        let jobs = direction_jobs(Direction::OmpToCuda, &config, &[gpt4()], &small_apps());
+        let jobs = small_jobs(Direction::OmpToCuda);
         let total = jobs.len();
         let mut seen = Vec::new();
         for output in harness.submit(jobs) {

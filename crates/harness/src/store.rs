@@ -1,6 +1,7 @@
 //! The JSON artifact store: `artifacts/run-<id>/` directories holding a run
-//! manifest, record sets, outcome sets and aggregate summaries — everything
-//! needed to re-render tables without re-running the sweep.
+//! manifest and record sets — everything needed to re-render tables without
+//! re-running the sweep. Aggregate statistics are not stored: they are a
+//! pure function of the records, so every reader computes them on load.
 //!
 //! Layout of one run directory:
 //!
@@ -8,15 +9,14 @@
 //! artifacts/run-<id>/
 //!   manifest.json             # RunManifest: seed, config grid, version, cache stats
 //!   records-<set>.json        # TranslationRecord array per record set
-//!   summary-<set>.json        # AggregateStats per record set (optional)
 //!   trace.jsonl               # trace.v1 lifecycle events + one job span per scenario
 //!   state.json                # RunStatus lifecycle file
 //!   table4.json               # Table IV rows (table4 binary only)
 //! ```
 //!
-//! Record-set names are caller-chosen slugs (e.g. `omp-to-cuda`, or
-//! `cuda-to-omp-msc10-runs1` for grid sweeps) and are listed in the
-//! manifest, so a loader can enumerate a run without globbing.
+//! Record-set names are grid-cell slugs (e.g. `cuda-to-omp-msc40-runs3`,
+//! see [`crate::GridCell::slug`]) and are listed in the manifest, so a
+//! loader can enumerate a run without globbing.
 //!
 //! Each record carries its own per-round diagnostics history, so the
 //! records are the only stored copy of every finding. The `diag.v1`
@@ -28,7 +28,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use lassi_core::{Table4Row, TranslationRecord};
-use lassi_metrics::AggregateStats;
 use lassi_obs::{FieldValue, TraceKind};
 
 use crate::codec::{
@@ -197,14 +196,29 @@ impl ArtifactStore {
         self.root.join("cache")
     }
 
+    /// The directory of a run id that may reach the filesystem: ids that
+    /// are not plain slugs ([`is_slug`]) are refused with
+    /// [`io::ErrorKind::InvalidInput`], since an id with a path separator
+    /// or `..` would resolve outside the store root.
+    fn checked_run_dir(&self, run_id: &str) -> io::Result<PathBuf> {
+        if !is_slug(run_id) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("run id `{run_id}` is not a valid slug"),
+            ));
+        }
+        Ok(self.run_dir(run_id))
+    }
+
     /// Create a *fresh* run directory and return a writer for it.
     ///
     /// Errors with [`io::ErrorKind::AlreadyExists`] when `run-<id>/` is
     /// already present: silently reusing it would mix record files from
     /// different runs into one artifact. Callers that intentionally
     /// regenerate a fixed run id use [`ArtifactStore::create_or_replace_run`].
+    /// Non-slug ids are [`io::ErrorKind::InvalidInput`].
     pub fn create_run(&self, run_id: &str) -> io::Result<RunWriter> {
-        let dir = self.run_dir(run_id);
+        let dir = self.checked_run_dir(run_id)?;
         if dir.exists() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
@@ -222,8 +236,9 @@ impl ArtifactStore {
     /// Create a run directory, deleting any previous run under the same id
     /// first — the whole directory is replaced, never merged, so no stale
     /// record set from an earlier run can survive into the new artifact.
+    /// Non-slug ids are refused before anything is removed.
     pub fn create_or_replace_run(&self, run_id: &str) -> io::Result<RunWriter> {
-        let dir = self.run_dir(run_id);
+        let dir = self.checked_run_dir(run_id)?;
         if dir.exists() {
             std::fs::remove_dir_all(&dir)?;
         }
@@ -243,10 +258,12 @@ impl ArtifactStore {
     /// claimants exactly one succeeds and the other gets
     /// [`io::ErrorKind::AlreadyExists`]. The HTTP service reserves the id
     /// this way *before* running a sweep, then writes into the claimed
-    /// directory with [`ArtifactStore::create_or_replace_run`].
+    /// directory with [`ArtifactStore::create_or_replace_run`]. Non-slug
+    /// ids are [`io::ErrorKind::InvalidInput`].
     pub fn reserve_run(&self, run_id: &str) -> io::Result<()> {
+        let dir = self.checked_run_dir(run_id)?;
         std::fs::create_dir_all(&self.root)?;
-        std::fs::create_dir(self.run_dir(run_id))
+        std::fs::create_dir(dir)
     }
 
     /// Delete a run directory and everything in it.
@@ -265,13 +282,7 @@ impl ArtifactStore {
     /// structurally out of reach: runs live under `run-<id>`, and this
     /// method only ever removes such a directory.
     pub fn delete_run(&self, run_id: &str) -> io::Result<()> {
-        if !is_slug(run_id) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("run id `{run_id}` is not a valid slug"),
-            ));
-        }
-        let dir = self.run_dir(run_id);
+        let dir = self.checked_run_dir(run_id)?;
         if !dir.is_dir() {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
@@ -406,11 +417,6 @@ impl RunWriter {
         self.write_file(&format!("records-{set}.json"), &records_to_json(records))
     }
 
-    /// Write one aggregate summary as `summary-<set>.json`.
-    pub fn write_summary(&self, set: &str, stats: &AggregateStats) -> io::Result<()> {
-        self.write_file(&format!("summary-{set}.json"), &codec::stats_to_json(stats))
-    }
-
     /// Write Table IV rows as `table4.json`.
     pub fn write_table4(&self, rows: &[Table4Row]) -> io::Result<()> {
         let value = Json::Array(rows.iter().map(codec::table4_row_to_json).collect());
@@ -426,9 +432,10 @@ fn pretty_text(value: &Json) -> String {
 }
 
 /// The direction slug a record set's name starts with: grid cells are
-/// `<direction>-msc<N>-runs<M>` ([`crate::GridCell::slug`]), and the table
-/// binaries name their sets after the bare direction.
-fn set_direction(set: &str) -> &str {
+/// `<direction>-msc<N>-runs<M>` ([`crate::GridCell::slug`]). A set named
+/// after the bare direction comes only from an older artifact, written
+/// when the table binaries chose their own set names.
+pub fn set_direction(set: &str) -> &str {
     set.split_once("-msc")
         .map_or(set, |(direction, _)| direction)
 }
@@ -464,13 +471,6 @@ impl RunArtifact {
     pub fn records(&self, set: &str) -> Result<Vec<TranslationRecord>, ArtifactError> {
         Ok(records_from_json(
             &self.read_json(&format!("records-{set}.json"))?,
-        )?)
-    }
-
-    /// Load one aggregate summary.
-    pub fn summary(&self, set: &str) -> Result<AggregateStats, ArtifactError> {
-        Ok(codec::stats_from_json(
-            &self.read_json(&format!("summary-{set}.json"))?,
         )?)
     }
 
@@ -616,8 +616,6 @@ mod tests {
             &config,
         );
         let records = vec![record];
-        let outcomes = lassi_core::scenario_outcomes(&records);
-        let stats = AggregateStats::from_outcomes(&outcomes);
 
         let mut manifest = RunManifest::new("test", config.seed);
         manifest.timing_runs = vec![1];
@@ -631,12 +629,10 @@ mod tests {
         let writer = store.create_run("test").unwrap();
         writer.write_manifest(&manifest).unwrap();
         writer.write_records("cuda-to-omp", &records).unwrap();
-        writer.write_summary("cuda-to-omp", &stats).unwrap();
 
         let loaded = store.load_run("test").unwrap();
         assert_eq!(loaded.manifest, manifest);
         assert_eq!(loaded.records("cuda-to-omp").unwrap(), records);
-        assert_eq!(loaded.summary("cuda-to-omp").unwrap(), stats);
 
         std::fs::remove_dir_all(&root).unwrap();
     }
@@ -696,6 +692,38 @@ mod tests {
         // A reserved-but-unwritten run has no manifest yet, so it does not
         // surface in listings.
         assert_eq!(store.list_runs().unwrap(), Vec::<String>::new());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn non_slug_run_ids_never_reach_the_filesystem() {
+        let root = test_root("slugs");
+        let store = ArtifactStore::new(root.join("store"));
+        // A sibling of the store root that a traversing id would resolve
+        // to, and which replacing that id would delete.
+        let outside = root.join("escaped");
+        std::fs::create_dir_all(&outside).unwrap();
+        std::fs::write(outside.join("keep.txt"), "keep").unwrap();
+        for bad in ["", ".", "..", "a/b", "x/../../escaped", "../escaped"] {
+            let kinds = [
+                store.create_run(bad).err().map(|e| e.kind()),
+                store.create_or_replace_run(bad).err().map(|e| e.kind()),
+                store.reserve_run(bad).err().map(|e| e.kind()),
+            ];
+            assert_eq!(
+                kinds,
+                [Some(std::io::ErrorKind::InvalidInput); 3],
+                "{bad:?}"
+            );
+        }
+        assert!(
+            outside.join("keep.txt").is_file(),
+            "nothing outside the root was touched"
+        );
+        assert!(
+            !store.root().exists(),
+            "no directory was created for a bad id"
+        );
         std::fs::remove_dir_all(&root).unwrap();
     }
 

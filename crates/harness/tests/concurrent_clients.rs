@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::thread;
 
 use lassi_core::{Direction, PipelineConfig};
-use lassi_harness::{direction_jobs, Harness, HarnessOptions, Job, ScenarioCache};
+use lassi_harness::{Harness, HarnessOptions, Job, ScenarioCache, SweepGrid};
 use lassi_hecbench::{application, Application};
 use lassi_llm::{gpt4, ModelSpec};
 
@@ -26,7 +26,7 @@ fn client_jobs(i: usize) -> Vec<Job> {
         .map(|k| application(names[(i + k) % names.len()]).expect("known app"))
         .collect();
     let models: Vec<ModelSpec> = vec![gpt4()];
-    direction_jobs(Direction::CudaToOmp, &config(), &models, &apps)
+    SweepGrid::single(config(), models, apps, vec![Direction::CudaToOmp]).jobs()
 }
 
 #[test]
