@@ -1,7 +1,7 @@
 //! Execution-engine benchmarks: the same Table IV programs run by the
 //! reference tree-walking interpreter and by the register-bytecode VM
-//! (steady-state, compiled once — the shape the compiled-program cache gives
-//! the pipeline), plus the one-time cost of lowering itself.
+//! (steady-state, compiled once outside the timed loop), plus the one-time
+//! cost of lowering itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -316,6 +316,46 @@ mod tests {
     }
 
     #[test]
+    fn reference_programs_lower_to_operator_and_typed_store_instructions() {
+        // Only the operators without an instruction of their own may take
+        // the generic encoding, and only non-scalar bindings the generic
+        // coercing store.
+        use lassi_lang::{BinOp, Type};
+        use lassi_runtime::bytecode::Instr;
+        for app in crate::apps::applications() {
+            for dialect in [Dialect::CudaLite, Dialect::OmpLite] {
+                let compiled = lassi_runtime::compile(&app.parse(dialect).unwrap(), 0);
+                for instr in &compiled.code {
+                    match instr {
+                        Instr::Binary(op, _) | Instr::BinaryK(op, _) => assert!(
+                            matches!(
+                                op,
+                                BinOp::Or
+                                    | BinOp::Shl
+                                    | BinOp::Shr
+                                    | BinOp::BitAnd
+                                    | BinOp::BitOr
+                                    | BinOp::BitXor
+                            ),
+                            "{} ({dialect:?}): generic {instr:?}",
+                            app.name
+                        ),
+                        Instr::StoreVar { ty, .. } => assert!(
+                            !matches!(
+                                compiled.ty(*ty),
+                                Type::Int | Type::Long | Type::Bool | Type::Float | Type::Double
+                            ),
+                            "{} ({dialect:?}): untyped store {instr:?}",
+                            app.name
+                        ),
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn variables_keep_their_values_across_launches_and_cuda_malloc() {
         // The VM reads variables in place, so neither the launch geometry
         // conversion nor a `cudaMalloc` in the middle of an expression may

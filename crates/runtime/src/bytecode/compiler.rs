@@ -16,10 +16,11 @@
 //! charge steps of the fall-through path.
 //!
 //! Identifiers evaluate to their binding's slot without a copy, literals on
-//! the right of a binary operator stay in the constant pool, a binary
-//! operator whose result feeds a `JumpIfFalse` fuses with it, and a branch
-//! condition's top-level `&&` branches on each operand without materializing
-//! its value.
+//! the right of a binary operator stay in the constant pool, every hot
+//! operator lowers to its own instruction, a comparison or `&&` whose result
+//! feeds a `JumpIfFalse` fuses with it, a branch condition's top-level `&&`
+//! branches on each operand without materializing its value, and a store to
+//! a scalar binding lowers to the store for its declared type.
 
 use std::collections::{HashMap, HashSet};
 
@@ -28,7 +29,7 @@ use lassi_lang::{
     OmpDirectiveKind, PragmaStmt, Program, Stmt, StmtKind, Type, UnOp,
 };
 
-use super::instr::{axis_of, FlowKind, Instr, MathFn, Reg, SpecialIdent};
+use super::instr::{axis_of, FlowKind, Instr, MathFn, Reg, Rk, Rr, SpecialIdent};
 use super::{
     CompiledFunction, CompiledKernel, CompiledProgram, CompiledReduction, CompiledRegion,
     CompiledShared, HostUnit, SharedLen,
@@ -285,11 +286,12 @@ impl<'p> Compiler<'p> {
         match &mut self.code[at] {
             Instr::Jump { target }
             | Instr::JumpIfFalse { target, .. }
-            | Instr::JumpIfTrue { target, .. }
-            | Instr::BinaryBr { target, .. }
-            | Instr::BinaryKBr { target, .. } => *target = to,
+            | Instr::JumpIfTrue { target, .. } => *target = to,
             Instr::MapSecBegin { skip, .. } => *skip = to,
-            other => unreachable!("patching non-jump instruction {other:?}"),
+            other => match other.branch_target_mut() {
+                Some(target) => *target = to,
+                None => unreachable!("patching non-jump instruction {other:?}"),
+            },
         }
     }
 
@@ -312,31 +314,14 @@ impl<'p> Compiler<'p> {
     }
 
     /// Emit a `JumpIfFalse` on `cond` (patched later), fused into the
-    /// directly preceding binary operator when it produced `cond`.
+    /// directly preceding comparison or `&&` when it produced `cond`.
     fn jump_if_false(&mut self, cond: Reg) -> usize {
         if self.pending == 0 && self.code.len() > self.last_label {
             let last = self.code.len() - 1;
-            let fused = match self.code[last] {
-                Instr::Binary { op, dst, l, r, pre } if dst == cond => Instr::BinaryBr {
-                    op,
-                    dst,
-                    l,
-                    r,
-                    target: 0,
-                    pre,
-                },
-                Instr::BinaryK { op, dst, l, k, pre } if dst == cond => Instr::BinaryKBr {
-                    op,
-                    dst,
-                    l,
-                    k,
-                    target: 0,
-                    pre,
-                },
-                _ => return self.emit(Instr::JumpIfFalse { cond, target: 0 }),
-            };
-            self.code[last] = fused;
-            return last;
+            if let Some(fused) = self.code[last].fuse_branch(cond) {
+                self.code[last] = fused;
+                return last;
+            }
         }
         self.emit(Instr::JumpIfFalse { cond, target: 0 })
     }
@@ -357,13 +342,7 @@ impl<'p> Compiler<'p> {
             let short = self.jump_if_false(l);
             let r = self.expr(rhs, ctx);
             let dst = ctx.alloc();
-            self.emit(Instr::Binary {
-                op: BinOp::And,
-                dst,
-                l,
-                r,
-                pre: 0,
-            });
+            self.emit(Instr::And(Rr { dst, l, r, pre: 0 }));
             return vec![short, self.jump_if_false(dst)];
         }
         let c = self.expr(cond, ctx);
@@ -579,13 +558,7 @@ impl<'p> Compiler<'p> {
                 self.emit(Instr::JumpIfTrue { cond: l, target: 0 })
             };
             let r = self.expr(rhs, ctx);
-            self.emit(Instr::Binary {
-                op,
-                dst,
-                l,
-                r,
-                pre: 0,
-            });
+            self.emit(Instr::binary(op, Rr { dst, l, r, pre: 0 }));
             let jend = self.emit(Instr::Jump { target: 0 });
             let short_l = self.bind_label();
             self.patch(jshort, short_l);
@@ -599,24 +572,12 @@ impl<'p> Compiler<'p> {
             self.charge();
             let k = self.const_id(v);
             let dst = ctx.alloc();
-            self.emit(Instr::BinaryK {
-                op,
-                dst,
-                l,
-                k,
-                pre: 0,
-            });
+            self.emit(Instr::binary_k(op, Rk { dst, l, k, pre: 0 }));
             return dst;
         }
         let r = self.expr(rhs, ctx);
         let dst = ctx.alloc();
-        self.emit(Instr::Binary {
-            op,
-            dst,
-            l,
-            r,
-            pre: 0,
-        });
+        self.emit(Instr::binary(op, Rr { dst, l, r, pre: 0 }));
         dst
     }
 
@@ -929,8 +890,8 @@ impl<'p> Compiler<'p> {
                     ctx.bind(&d.name, slot, d.ty.clone().ptr());
                 } else if let Some(init) = &d.init {
                     let src = self.expr(init, ctx);
-                    let ty = self.type_id(&d.ty);
                     if matches!(d.ty, Type::Ptr(_)) {
+                        let ty = self.type_id(&d.ty);
                         let name = self.name_id(&d.name);
                         self.emit(Instr::DeclPtrInit {
                             slot,
@@ -939,12 +900,8 @@ impl<'p> Compiler<'p> {
                             name,
                         });
                     } else {
-                        self.emit(Instr::StoreVar {
-                            slot,
-                            src,
-                            ty,
-                            pre: 0,
-                        });
+                        let store = self.store_var(slot, src, &d.ty);
+                        self.emit(store);
                     }
                     ctx.bind(&d.name, slot, d.ty.clone());
                 } else {
@@ -1101,28 +1058,39 @@ impl<'p> Compiler<'p> {
         }
     }
 
+    /// The plain store of `src` to a binding of type `ty`: the typed store
+    /// for a scalar type, else the generic coercing `StoreVar`.
+    fn store_var(&mut self, slot: Reg, src: Reg, ty: &Type) -> Instr {
+        match ty {
+            Type::Int | Type::Long | Type::Bool => Instr::StoreInt { slot, src, pre: 0 },
+            Type::Float => Instr::StoreF32 { slot, src, pre: 0 },
+            Type::Double => Instr::StoreF64 { slot, src, pre: 0 },
+            Type::Ptr(_) | Type::Dim3 | Type::Void => Instr::StoreVar {
+                slot,
+                src,
+                ty: self.type_id(ty),
+                pre: 0,
+            },
+        }
+    }
+
     fn assign(&mut self, target: &Expr, op: AssignOp, value: &Expr, ctx: &mut FnCtx) {
         // The interpreter evaluates the right-hand side before the lvalue.
         let src = self.expr(value, ctx);
         match target {
             Expr::Ident(name) => match ctx.resolve(name) {
                 Some((slot, ty)) => {
-                    let ty = self.type_id(&ty);
-                    self.emit(match op.binop() {
+                    let store = match op.binop() {
                         Some(op) => Instr::RmwVar {
                             op,
                             slot,
                             src,
-                            ty,
+                            ty: self.type_id(&ty),
                             pre: 0,
                         },
-                        None => Instr::StoreVar {
-                            slot,
-                            src,
-                            ty,
-                            pre: 0,
-                        },
-                    });
+                        None => self.store_var(slot, src, &ty),
+                    };
+                    self.emit(store);
                 }
                 None => {
                     // Compound assignments fail on the read, plain ones on

@@ -16,6 +16,7 @@
 //! | [`Instr::Stmt`] / [`Instr::StmtBranch`] | `pre`, then the line update (and the `if` branch count) |
 //! | [`Instr::LoopIter`] / [`Instr::TernaryBranch`] | `pre`, then one branch |
 //! | [`Instr::Charge`] | `n` steps, nothing else |
+//! | operator instructions ([`Rr`], [`Rk`], [`RrBr`], [`RkBr`] operands) | `pre`, then the operator's cost |
 //! | every other instruction | nothing |
 //!
 //! A node's step is *pending* from the moment the compiler reaches the node
@@ -40,10 +41,27 @@
 //! still holds the value read when its consumer runs. The one exception is
 //! `cudaMalloc(&x, ...)`, which assigns `x` in the middle of an expression,
 //! so every read of a variable that a `cudaMalloc` in the same function
-//! assigns is copied by a [`Instr::Move`] where it happens. A literal right
-//! operand of a binary operator stays in the constant
-//! pool ([`Instr::BinaryK`]), and `threadIdx.x`-style reads of the launch
-//! geometry are one [`Instr::LoadDim`].
+//! assigns is copied by a [`Instr::Move`] where it happens, and
+//! `threadIdx.x`-style reads of the launch geometry are one
+//! [`Instr::LoadDim`].
+//!
+//! ## Operators and stores
+//!
+//! Each hot binary operator has instructions of its own, so the VM runs it
+//! with no second dispatch on the operator: `+ - * / %` in a
+//! register–register form (`Add(Rr)`) and a form whose right operand is a
+//! literal left in the constant pool (`AddK(Rk)`); `< > <= >= == != &&` in
+//! those two forms plus two fused with a `JumpIfFalse` on the result
+//! (`LtBr(RrBr)`, `LtKBr(RkBr)`). `Instr::binary` and `Instr::binary_k`
+//! pick the instruction, so every operator has exactly one encoding; the
+//! rest (`||`, shifts, bitwise) share [`Instr::Binary`] / [`Instr::BinaryK`].
+//! Any other operator feeding a branch (`if (x % 2)`) is followed by a
+//! separate `JumpIfFalse`, which charges nothing.
+//!
+//! A plain store to an `int`/`long`/`bool`, `float` or `double` binding is
+//! [`Instr::StoreInt`], [`Instr::StoreF32`] or [`Instr::StoreF64`], chosen
+//! by the binding's declared type; pointer, `dim3` and `void` bindings keep
+//! the coercing [`Instr::StoreVar`].
 
 use lassi_lang::BinOp;
 
@@ -169,6 +187,63 @@ pub enum FlowKind {
     Continue,
 }
 
+/// Operands of a binary operator over two registers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rr {
+    /// Destination register.
+    pub dst: Reg,
+    /// Left operand register.
+    pub l: Reg,
+    /// Right operand register.
+    pub r: Reg,
+    /// Steps charged on entry.
+    pub pre: u32,
+}
+
+/// Operands of a binary operator whose right operand is a literal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rk {
+    /// Destination register.
+    pub dst: Reg,
+    /// Left operand register.
+    pub l: Reg,
+    /// Constant-pool index of the right operand.
+    pub k: u32,
+    /// Steps charged on entry.
+    pub pre: u32,
+}
+
+/// [`Rr`] fused with a `JumpIfFalse` on the result. The result is still
+/// written to `dst`: `&&`/`||` re-read their left operand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RrBr {
+    /// Destination register.
+    pub dst: Reg,
+    /// Left operand register.
+    pub l: Reg,
+    /// Right operand register.
+    pub r: Reg,
+    /// Absolute pc to jump to when the result is falsy.
+    pub target: u32,
+    /// Steps charged on entry.
+    pub pre: u32,
+}
+
+/// [`Rk`] fused with a `JumpIfFalse` on the result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RkBr {
+    /// Destination register.
+    pub dst: Reg,
+    /// Left operand register.
+    pub l: Reg,
+    /// Constant-pool index of the right operand.
+    pub k: u32,
+    /// Absolute pc to jump to when the result is falsy.
+    pub target: u32,
+    /// Steps charged on entry.
+    pub pre: u32,
+}
+
 /// One VM instruction. `u32` payloads index the compiled program's constant,
 /// name and type pools; `Reg` payloads are frame-relative register indices.
 /// A `pre` field is the step count charged on entry (see the module doc).
@@ -266,8 +341,37 @@ pub enum Instr {
         /// Steps charged on entry.
         pre: u32,
     },
-    /// Plain store to a slot, coercing to the binding's declared type
-    /// (the `env.set` path — assignments and declaration initializers).
+    /// Plain store to an `int`, `long` or `bool` slot: [`Instr::StoreVar`]
+    /// with the integer coercion inline.
+    StoreInt {
+        /// Destination slot.
+        slot: Reg,
+        /// Value register.
+        src: Reg,
+        /// Steps charged on entry.
+        pre: u32,
+    },
+    /// Plain store to a `float` slot (rounds through `f32`).
+    StoreF32 {
+        /// Destination slot.
+        slot: Reg,
+        /// Value register.
+        src: Reg,
+        /// Steps charged on entry.
+        pre: u32,
+    },
+    /// Plain store to a `double` slot.
+    StoreF64 {
+        /// Destination slot.
+        slot: Reg,
+        /// Value register.
+        src: Reg,
+        /// Steps charged on entry.
+        pre: u32,
+    },
+    /// Plain store to a pointer, `dim3` or `void` slot, coercing to the
+    /// binding's declared type (the `env.set` path — assignments and
+    /// declaration initializers).
     StoreVar {
         /// Destination slot.
         slot: Reg,
@@ -303,63 +407,90 @@ pub enum Instr {
     },
 
     // ---------------------------------------------------------- operators
-    /// Apply a binary operator (charges the operator's cost).
-    Binary {
-        /// Operator.
-        op: BinOp,
-        /// Destination register.
-        dst: Reg,
-        /// Left operand register.
-        l: Reg,
-        /// Right operand register.
-        r: Reg,
-        /// Steps charged on entry.
-        pre: u32,
-    },
+    // One instruction per operator and operand form: the VM runs the
+    // operator inline for two `Int`s or two `Float`s, with no second match
+    // on the operator.
+    /// Apply an operator that has no instruction of its own (`||`, shifts
+    /// and bitwise operators).
+    Binary(BinOp, Rr),
     /// [`Instr::Binary`] whose right operand is a literal.
-    BinaryK {
-        /// Operator.
-        op: BinOp,
-        /// Destination register.
-        dst: Reg,
-        /// Left operand register.
-        l: Reg,
-        /// Constant-pool index of the right operand.
-        k: u32,
-        /// Steps charged on entry.
-        pre: u32,
-    },
-    /// [`Instr::Binary`] fused with a `JumpIfFalse` on its result. Still
-    /// writes `dst`: `&&`/`||` re-read their left operand.
-    BinaryBr {
-        /// Operator.
-        op: BinOp,
-        /// Destination register.
-        dst: Reg,
-        /// Left operand register.
-        l: Reg,
-        /// Right operand register.
-        r: Reg,
-        /// Absolute pc to jump to when the result is falsy.
-        target: u32,
-        /// Steps charged on entry.
-        pre: u32,
-    },
-    /// [`Instr::BinaryK`] fused with a `JumpIfFalse` on its result.
-    BinaryKBr {
-        /// Operator.
-        op: BinOp,
-        /// Destination register.
-        dst: Reg,
-        /// Left operand register.
-        l: Reg,
-        /// Constant-pool index of the right operand.
-        k: u32,
-        /// Absolute pc to jump to when the result is falsy.
-        target: u32,
-        /// Steps charged on entry.
-        pre: u32,
-    },
+    BinaryK(BinOp, Rk),
+    /// `+`.
+    Add(Rr),
+    /// `+` with a literal right operand.
+    AddK(Rk),
+    /// `-`.
+    Sub(Rr),
+    /// `-` with a literal right operand.
+    SubK(Rk),
+    /// `*`.
+    Mul(Rr),
+    /// `*` with a literal right operand.
+    MulK(Rk),
+    /// `/`.
+    Div(Rr),
+    /// `/` with a literal right operand.
+    DivK(Rk),
+    /// `%`.
+    Rem(Rr),
+    /// `%` with a literal right operand.
+    RemK(Rk),
+    /// `<`.
+    Lt(Rr),
+    /// `<` with a literal right operand.
+    LtK(Rk),
+    /// `<` fused with a `JumpIfFalse` on its result.
+    LtBr(RrBr),
+    /// `<` with a literal right operand, fused with a `JumpIfFalse`.
+    LtKBr(RkBr),
+    /// `>`.
+    Gt(Rr),
+    /// `>` with a literal right operand.
+    GtK(Rk),
+    /// `>` fused with a `JumpIfFalse` on its result.
+    GtBr(RrBr),
+    /// `>` with a literal right operand, fused with a `JumpIfFalse`.
+    GtKBr(RkBr),
+    /// `<=`.
+    Le(Rr),
+    /// `<=` with a literal right operand.
+    LeK(Rk),
+    /// `<=` fused with a `JumpIfFalse` on its result.
+    LeBr(RrBr),
+    /// `<=` with a literal right operand, fused with a `JumpIfFalse`.
+    LeKBr(RkBr),
+    /// `>=`.
+    Ge(Rr),
+    /// `>=` with a literal right operand.
+    GeK(Rk),
+    /// `>=` fused with a `JumpIfFalse` on its result.
+    GeBr(RrBr),
+    /// `>=` with a literal right operand, fused with a `JumpIfFalse`.
+    GeKBr(RkBr),
+    /// `==`.
+    Eq(Rr),
+    /// `==` with a literal right operand.
+    EqK(Rk),
+    /// `==` fused with a `JumpIfFalse` on its result.
+    EqBr(RrBr),
+    /// `==` with a literal right operand, fused with a `JumpIfFalse`.
+    EqKBr(RkBr),
+    /// `!=`.
+    Ne(Rr),
+    /// `!=` with a literal right operand.
+    NeK(Rk),
+    /// `!=` fused with a `JumpIfFalse` on its result.
+    NeBr(RrBr),
+    /// `!=` with a literal right operand, fused with a `JumpIfFalse`.
+    NeKBr(RkBr),
+    /// `&&`.
+    And(Rr),
+    /// `&&` with a literal right operand.
+    AndK(Rk),
+    /// `&&` fused with a `JumpIfFalse` on its result.
+    AndBr(RrBr),
+    /// `&&` with a literal right operand, fused with a `JumpIfFalse`.
+    AndKBr(RkBr),
     /// Unary minus (always charges one `int_op`, like the interpreter).
     Neg {
         /// Destination register.
@@ -787,20 +918,167 @@ pub enum Instr {
     },
 }
 
+impl Rr {
+    fn branch(self) -> RrBr {
+        let Rr { dst, l, r, pre } = self;
+        RrBr {
+            dst,
+            l,
+            r,
+            target: 0,
+            pre,
+        }
+    }
+}
+
+impl Rk {
+    fn branch(self) -> RkBr {
+        let Rk { dst, l, k, pre } = self;
+        RkBr {
+            dst,
+            l,
+            k,
+            target: 0,
+            pre,
+        }
+    }
+}
+
 impl Instr {
+    /// The instruction for `dst = l op r`: the operator's own, or the
+    /// generic [`Instr::Binary`] for an operator without one.
+    pub(crate) fn binary(op: BinOp, o: Rr) -> Instr {
+        match op {
+            BinOp::Add => Instr::Add(o),
+            BinOp::Sub => Instr::Sub(o),
+            BinOp::Mul => Instr::Mul(o),
+            BinOp::Div => Instr::Div(o),
+            BinOp::Rem => Instr::Rem(o),
+            BinOp::Lt => Instr::Lt(o),
+            BinOp::Gt => Instr::Gt(o),
+            BinOp::Le => Instr::Le(o),
+            BinOp::Ge => Instr::Ge(o),
+            BinOp::Eq => Instr::Eq(o),
+            BinOp::Ne => Instr::Ne(o),
+            BinOp::And => Instr::And(o),
+            _ => Instr::Binary(op, o),
+        }
+    }
+
+    /// [`Instr::binary`] with a literal right operand.
+    pub(crate) fn binary_k(op: BinOp, o: Rk) -> Instr {
+        match op {
+            BinOp::Add => Instr::AddK(o),
+            BinOp::Sub => Instr::SubK(o),
+            BinOp::Mul => Instr::MulK(o),
+            BinOp::Div => Instr::DivK(o),
+            BinOp::Rem => Instr::RemK(o),
+            BinOp::Lt => Instr::LtK(o),
+            BinOp::Gt => Instr::GtK(o),
+            BinOp::Le => Instr::LeK(o),
+            BinOp::Ge => Instr::GeK(o),
+            BinOp::Eq => Instr::EqK(o),
+            BinOp::Ne => Instr::NeK(o),
+            BinOp::And => Instr::AndK(o),
+            _ => Instr::BinaryK(op, o),
+        }
+    }
+
+    /// This comparison or `&&` fused with a `JumpIfFalse` on `cond` (target
+    /// 0, patched later), when it is one and its result is `cond`.
+    pub(crate) fn fuse_branch(&self, cond: Reg) -> Option<Instr> {
+        Some(match *self {
+            Instr::Lt(o) if o.dst == cond => Instr::LtBr(o.branch()),
+            Instr::LtK(o) if o.dst == cond => Instr::LtKBr(o.branch()),
+            Instr::Gt(o) if o.dst == cond => Instr::GtBr(o.branch()),
+            Instr::GtK(o) if o.dst == cond => Instr::GtKBr(o.branch()),
+            Instr::Le(o) if o.dst == cond => Instr::LeBr(o.branch()),
+            Instr::LeK(o) if o.dst == cond => Instr::LeKBr(o.branch()),
+            Instr::Ge(o) if o.dst == cond => Instr::GeBr(o.branch()),
+            Instr::GeK(o) if o.dst == cond => Instr::GeKBr(o.branch()),
+            Instr::Eq(o) if o.dst == cond => Instr::EqBr(o.branch()),
+            Instr::EqK(o) if o.dst == cond => Instr::EqKBr(o.branch()),
+            Instr::Ne(o) if o.dst == cond => Instr::NeBr(o.branch()),
+            Instr::NeK(o) if o.dst == cond => Instr::NeKBr(o.branch()),
+            Instr::And(o) if o.dst == cond => Instr::AndBr(o.branch()),
+            Instr::AndK(o) if o.dst == cond => Instr::AndKBr(o.branch()),
+            _ => return None,
+        })
+    }
+
+    /// The jump target of a branch-fused operator.
+    pub(crate) fn branch_target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Instr::LtBr(o)
+            | Instr::GtBr(o)
+            | Instr::LeBr(o)
+            | Instr::GeBr(o)
+            | Instr::EqBr(o)
+            | Instr::NeBr(o)
+            | Instr::AndBr(o) => Some(&mut o.target),
+            Instr::LtKBr(o)
+            | Instr::GtKBr(o)
+            | Instr::LeKBr(o)
+            | Instr::GeKBr(o)
+            | Instr::EqKBr(o)
+            | Instr::NeKBr(o)
+            | Instr::AndKBr(o) => Some(&mut o.target),
+            _ => None,
+        }
+    }
+
     /// The step count charged on entry, for instructions that have one.
     pub fn pre_mut(&mut self) -> Option<&mut u32> {
         match self {
+            Instr::Binary(_, o)
+            | Instr::Add(o)
+            | Instr::Sub(o)
+            | Instr::Mul(o)
+            | Instr::Div(o)
+            | Instr::Rem(o)
+            | Instr::Lt(o)
+            | Instr::Gt(o)
+            | Instr::Le(o)
+            | Instr::Ge(o)
+            | Instr::Eq(o)
+            | Instr::Ne(o)
+            | Instr::And(o) => Some(&mut o.pre),
+            Instr::BinaryK(_, o)
+            | Instr::AddK(o)
+            | Instr::SubK(o)
+            | Instr::MulK(o)
+            | Instr::DivK(o)
+            | Instr::RemK(o)
+            | Instr::LtK(o)
+            | Instr::GtK(o)
+            | Instr::LeK(o)
+            | Instr::GeK(o)
+            | Instr::EqK(o)
+            | Instr::NeK(o)
+            | Instr::AndK(o) => Some(&mut o.pre),
+            Instr::LtBr(o)
+            | Instr::GtBr(o)
+            | Instr::LeBr(o)
+            | Instr::GeBr(o)
+            | Instr::EqBr(o)
+            | Instr::NeBr(o)
+            | Instr::AndBr(o) => Some(&mut o.pre),
+            Instr::LtKBr(o)
+            | Instr::GtKBr(o)
+            | Instr::LeKBr(o)
+            | Instr::GeKBr(o)
+            | Instr::EqKBr(o)
+            | Instr::NeKBr(o)
+            | Instr::AndKBr(o) => Some(&mut o.pre),
             Instr::Stmt { pre, .. }
             | Instr::StmtBranch { pre, .. }
             | Instr::LoopIter { pre }
             | Instr::TernaryBranch { pre }
             | Instr::LoadDim { pre, .. }
+            | Instr::StoreInt { pre, .. }
+            | Instr::StoreF32 { pre, .. }
+            | Instr::StoreF64 { pre, .. }
             | Instr::StoreVar { pre, .. }
-            | Instr::Binary { pre, .. }
-            | Instr::BinaryK { pre, .. }
-            | Instr::BinaryBr { pre, .. }
-            | Instr::BinaryKBr { pre, .. }
             | Instr::Neg { pre, .. }
             | Instr::Not { pre, .. }
             | Instr::DerefLoad { pre, .. }

@@ -17,9 +17,9 @@
 //! step counter — the same step count at every observation point. The
 //! differential suite in the workspace root pins this.
 //!
-//! Compilation is cheap (one AST walk) and cacheable: a `CompiledProgram`
-//! owns all of its data (no borrow of the AST), so the pipeline shares one
-//! compilation per distinct program via `Arc`.
+//! Compilation is cheap (one AST walk): the pipeline lowers a program once
+//! per run it cannot answer from its report memo. A `CompiledProgram` owns
+//! all of its data (no borrow of the AST).
 
 pub mod compiler;
 pub mod instr;
@@ -33,20 +33,21 @@ use lassi_lang::{OmpDirective, ReductionOp, Type};
 
 use crate::value::Value;
 
-/// A program lowered to register bytecode. Fully owned: safe to cache and
-/// share across runs via `Arc`.
+/// A program lowered to register bytecode. Fully owned: it borrows nothing
+/// from the AST it was lowered from.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     /// The single flat instruction stream. Units (functions, kernel segments,
     /// region bodies, shared-length expressions) are pc ranges ending in
     /// `Ret`/`EndUnit`.
     pub code: Vec<Instr>,
-    /// Constant pool (`Const` and `BinaryK` operands).
+    /// Constant pool (`Const` and the literal operands of the `...K`
+    /// operator forms).
     pub consts: Vec<Value>,
     /// Name pool: identifiers, precomputed diagnostic messages and string
     /// literal texts (the table [`Value::Str`] indexes).
     pub names: Vec<String>,
-    /// Type pool (`StoreVar`/`CastScalar`/... operands).
+    /// Type pool (`StoreVar`/`RmwVar`/`CastScalar`/... operands).
     pub types: Vec<Type>,
     /// Callable (non-kernel) functions.
     pub funcs: Vec<CompiledFunction>,

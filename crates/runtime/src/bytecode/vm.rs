@@ -12,7 +12,7 @@
 
 use lassi_lang::{BinOp, Type};
 
-use super::instr::{FlowKind, Instr, MathFn, Reg, SpecialIdent};
+use super::instr::{FlowKind, Instr, MathFn, Reg, Rk, RkBr, Rr, RrBr, SpecialIdent};
 use super::CompiledProgram;
 use crate::backend::{CompiledKernelLaunch, CompiledParallelFor, ParallelBackend};
 use crate::cost::CostCounter;
@@ -171,16 +171,21 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Apply a binary operator to register `l` and `r`.
-    #[inline]
-    fn binop(&mut self, op: BinOp, l: Reg, r: &Value) -> Result<Value, ExecError> {
-        apply_binop(
-            op,
-            &self.regs[self.base + l as usize],
-            r,
-            &mut self.cost,
-            self.current_line,
-        )
+    /// Apply `op` through `apply_binop` and write the result to `dst`: the
+    /// operators without an instruction of their own, and every operand
+    /// pair the per-operator fast paths do not cover.
+    #[inline(never)]
+    fn binop(&mut self, op: BinOp, dst: Reg, l: Value, r: Value) -> Result<(), ExecError> {
+        let v = apply_binop(op, &l, &r, &mut self.cost, self.current_line)?;
+        self.set_reg(dst, v);
+        Ok(())
+    }
+
+    /// Charge an operator instruction's `pre` and run the generic operator.
+    fn binop_instr(&mut self, op: BinOp, o: &impl Operands) -> Result<(), ExecError> {
+        self.charge(o.pre())?;
+        let (l, r) = o.operands(self);
+        self.binop(op, o.dst(), l, r)
     }
 
     #[inline]
@@ -244,6 +249,15 @@ impl<'p> Vm<'p> {
         let prog = self.prog;
         let entry_frames = self.frames.len();
         let mut pc = entry as usize;
+        // The tail of a branch-fused operator: jump when its result is falsy.
+        macro_rules! jump_unless {
+            ($truthy:expr, $target:expr) => {
+                if !$truthy {
+                    pc = $target as usize;
+                    continue;
+                }
+            };
+        }
         loop {
             match &prog.code[pc] {
                 Instr::Stmt { line, pre } => {
@@ -342,6 +356,21 @@ impl<'p> Vm<'p> {
                     };
                     self.set_reg(*dst, v);
                 }
+                Instr::StoreInt { slot, src, pre } => {
+                    self.charge(*pre)?;
+                    let v = Value::Int(self.reg(*src).as_int());
+                    self.set_reg(*slot, v);
+                }
+                Instr::StoreF32 { slot, src, pre } => {
+                    self.charge(*pre)?;
+                    let v = Value::Float(self.reg(*src).as_float() as f32 as f64);
+                    self.set_reg(*slot, v);
+                }
+                Instr::StoreF64 { slot, src, pre } => {
+                    self.charge(*pre)?;
+                    let v = Value::Float(self.reg(*src).as_float());
+                    self.set_reg(*slot, v);
+                }
                 Instr::StoreVar { slot, src, ty, pre } => {
                     self.charge(*pre)?;
                     let v = self.reg(*src).coerce_to(prog.ty(*ty));
@@ -379,50 +408,46 @@ impl<'p> Vm<'p> {
                     self.set_reg(*slot, Value::Ptr(ptr));
                 }
 
-                Instr::Binary { op, dst, l, r, pre } => {
-                    self.charge(*pre)?;
-                    let rv = *self.reg(*r);
-                    let v = self.binop(*op, *l, &rv)?;
-                    self.set_reg(*dst, v);
-                }
-                Instr::BinaryK { op, dst, l, k, pre } => {
-                    self.charge(*pre)?;
-                    let v = self.binop(*op, *l, &prog.consts[*k as usize])?;
-                    self.set_reg(*dst, v);
-                }
-                Instr::BinaryBr {
-                    op,
-                    dst,
-                    l,
-                    r,
-                    target,
-                    pre,
-                } => {
-                    self.charge(*pre)?;
-                    let rv = *self.reg(*r);
-                    let v = self.binop(*op, *l, &rv)?;
-                    self.set_reg(*dst, v);
-                    if !v.is_truthy() {
-                        pc = *target as usize;
-                        continue;
-                    }
-                }
-                Instr::BinaryKBr {
-                    op,
-                    dst,
-                    l,
-                    k,
-                    target,
-                    pre,
-                } => {
-                    self.charge(*pre)?;
-                    let v = self.binop(*op, *l, &prog.consts[*k as usize])?;
-                    self.set_reg(*dst, v);
-                    if !v.is_truthy() {
-                        pc = *target as usize;
-                        continue;
-                    }
-                }
+                Instr::Binary(op, o) => self.binop_instr(*op, o)?,
+                Instr::BinaryK(op, o) => self.binop_instr(*op, o)?,
+                Instr::Add(o) => _ = self.op_add(o)?,
+                Instr::AddK(o) => _ = self.op_add(o)?,
+                Instr::Sub(o) => _ = self.op_sub(o)?,
+                Instr::SubK(o) => _ = self.op_sub(o)?,
+                Instr::Mul(o) => _ = self.op_mul(o)?,
+                Instr::MulK(o) => _ = self.op_mul(o)?,
+                Instr::Div(o) => _ = self.op_div(o)?,
+                Instr::DivK(o) => _ = self.op_div(o)?,
+                Instr::Rem(o) => _ = self.op_rem(o)?,
+                Instr::RemK(o) => _ = self.op_rem(o)?,
+                Instr::Lt(o) => _ = self.op_lt(o)?,
+                Instr::LtK(o) => _ = self.op_lt(o)?,
+                Instr::Gt(o) => _ = self.op_gt(o)?,
+                Instr::GtK(o) => _ = self.op_gt(o)?,
+                Instr::Le(o) => _ = self.op_le(o)?,
+                Instr::LeK(o) => _ = self.op_le(o)?,
+                Instr::Ge(o) => _ = self.op_ge(o)?,
+                Instr::GeK(o) => _ = self.op_ge(o)?,
+                Instr::Eq(o) => _ = self.op_eq(o)?,
+                Instr::EqK(o) => _ = self.op_eq(o)?,
+                Instr::Ne(o) => _ = self.op_ne(o)?,
+                Instr::NeK(o) => _ = self.op_ne(o)?,
+                Instr::And(o) => _ = self.op_and(o)?,
+                Instr::AndK(o) => _ = self.op_and(o)?,
+                Instr::LtBr(o) => jump_unless!(self.op_lt(o)?, o.target),
+                Instr::LtKBr(o) => jump_unless!(self.op_lt(o)?, o.target),
+                Instr::GtBr(o) => jump_unless!(self.op_gt(o)?, o.target),
+                Instr::GtKBr(o) => jump_unless!(self.op_gt(o)?, o.target),
+                Instr::LeBr(o) => jump_unless!(self.op_le(o)?, o.target),
+                Instr::LeKBr(o) => jump_unless!(self.op_le(o)?, o.target),
+                Instr::GeBr(o) => jump_unless!(self.op_ge(o)?, o.target),
+                Instr::GeKBr(o) => jump_unless!(self.op_ge(o)?, o.target),
+                Instr::EqBr(o) => jump_unless!(self.op_eq(o)?, o.target),
+                Instr::EqKBr(o) => jump_unless!(self.op_eq(o)?, o.target),
+                Instr::NeBr(o) => jump_unless!(self.op_ne(o)?, o.target),
+                Instr::NeKBr(o) => jump_unless!(self.op_ne(o)?, o.target),
+                Instr::AndBr(o) => jump_unless!(self.op_and(o)?, o.target),
+                Instr::AndKBr(o) => jump_unless!(self.op_and(o)?, o.target),
                 Instr::Neg { dst, src, pre } => {
                     self.charge(*pre)?;
                     let v = match self.reg(*src) {
@@ -1144,6 +1169,100 @@ impl<'p> Vm<'p> {
             pc += 1;
         }
     }
+}
+
+/// The four operand forms of an operator instruction, as its handler sees
+/// them: the steps to charge, the destination and the two operand values.
+trait Operands {
+    fn pre(&self) -> u32;
+    fn dst(&self) -> Reg;
+    fn operands(&self, vm: &Vm<'_>) -> (Value, Value);
+}
+
+macro_rules! operands {
+    ($($form:ident: |$o:ident, $vm:ident| $right:expr;)*) => {
+        $(impl Operands for $form {
+            fn pre(&self) -> u32 {
+                self.pre
+            }
+            fn dst(&self) -> Reg {
+                self.dst
+            }
+            #[inline(always)]
+            fn operands(&self, $vm: &Vm<'_>) -> (Value, Value) {
+                let $o = self;
+                (*$vm.reg($o.l), $right)
+            }
+        })*
+    };
+}
+
+operands! {
+    Rr: |o, vm| *vm.reg(o.r);
+    RrBr: |o, vm| *vm.reg(o.r);
+    Rk: |o, vm| vm.prog.consts[o.k as usize];
+    RkBr: |o, vm| vm.prog.consts[o.k as usize];
+}
+
+/// The operators with instructions of their own. Each gets a `Vm` method
+/// that computes two `Int`s inline like `int_binop` (one `int_op`, wrapping,
+/// a zero divisor faults after the charge) and two `Float`s inline like
+/// `mixed_binop` (one `flop`, compares yield `Int(0|1)`); every other operand
+/// pair (pointers, mixed int/float, `NullPtr`) goes through `apply_binop`.
+macro_rules! binary_ops {
+    ($($name:ident($op:ident): |$a:ident, $b:ident $(, $line:ident)?| $int:expr, $float:expr;)*) => {
+        impl Vm<'_> {
+            $(
+                /// Charge `pre`, apply the operator, write `dst` and return
+                /// whether the result is truthy (for the branch-fused forms).
+                #[inline(always)]
+                fn $name(&mut self, o: &impl Operands) -> Result<bool, ExecError> {
+                    self.charge(o.pre())?;
+                    let dst = o.dst();
+                    match o.operands(self) {
+                        (Value::Int($a), Value::Int($b)) => {
+                            self.cost.int_ops += 1;
+                            $(let $line = self.current_line;)?
+                            let v = $int;
+                            self.set_reg(dst, Value::Int(v));
+                            Ok(v != 0)
+                        }
+                        (Value::Float($a), Value::Float($b)) => {
+                            self.cost.flops += 1;
+                            let v = $float;
+                            self.set_reg(dst, v);
+                            Ok(v.is_truthy())
+                        }
+                        (l, r) => {
+                            self.binop(BinOp::$op, dst, l, r)?;
+                            Ok(self.reg(dst).is_truthy())
+                        }
+                    }
+                }
+            )*
+        }
+    };
+}
+
+binary_ops! {
+    op_add(Add): |a, b| a.wrapping_add(b), Value::Float(a + b);
+    op_sub(Sub): |a, b| a.wrapping_sub(b), Value::Float(a - b);
+    op_mul(Mul): |a, b| a.wrapping_mul(b), Value::Float(a * b);
+    op_div(Div): |a, b, line| match b {
+        0 => return Err(ExecError::DivisionByZero { line }),
+        _ => a.wrapping_div(b),
+    }, Value::Float(a / b);
+    op_rem(Rem): |a, b, line| match b {
+        0 => return Err(ExecError::DivisionByZero { line }),
+        _ => a.wrapping_rem(b),
+    }, Value::Float(a % b);
+    op_lt(Lt): |a, b| (a < b) as i64, Value::Int((a < b) as i64);
+    op_gt(Gt): |a, b| (a > b) as i64, Value::Int((a > b) as i64);
+    op_le(Le): |a, b| (a <= b) as i64, Value::Int((a <= b) as i64);
+    op_ge(Ge): |a, b| (a >= b) as i64, Value::Int((a >= b) as i64);
+    op_eq(Eq): |a, b| (a == b) as i64, Value::Int((a == b) as i64);
+    op_ne(Ne): |a, b| (a != b) as i64, Value::Int((a != b) as i64);
+    op_and(And): |a, b| (a != 0 && b != 0) as i64, Value::Int((a != 0.0 && b != 0.0) as i64);
 }
 
 /// Run a compiled program's host unit end to end, creating a fresh [`Memory`].

@@ -1157,9 +1157,11 @@ pub(crate) fn apply_binop(
     }
 }
 
-/// [`apply_binop`] unless both operands are integers. Kept out of line so
-/// the VM's dispatch loop, which inlines the integer path at every operator
-/// instruction, stays compact.
+/// [`apply_binop`] unless both operands are integers: pointer arithmetic,
+/// mixed and float operands. Kept out of line so the integer path stays
+/// small where it is inlined. The VM's per-operator instructions compute two
+/// floats themselves, exactly as this does, and reach it only for pointer,
+/// mixed and null-pointer operands.
 #[inline(never)]
 fn mixed_binop(
     op: BinOp,

@@ -44,6 +44,34 @@ int main() {
 }
 "#;
 
+/// Float arithmetic and `%`, float compares feeding an `if` and a `for`,
+/// mixed int/float operands, and stores to `float`, `double`, `long` and
+/// (truncating) `int` declarations. `arg0` selects the outcome: 0 completes
+/// and 1 divides by a zero computed from floats after the loop.
+const FLOATS: &str = r#"
+int main() {
+    double acc = 0.5;
+    float scale = 1.25;
+    long total = 0;
+    double t0 = omp_get_wtime();
+    for (double x = 0.0; x < 3.0; x = x + 0.7) {
+        acc = acc * 1.5 + x;
+        double r = acc % 2.5;
+        if (r >= 1.0) { total += 3; } else { total -= 1; }
+        float half = r / 3;
+        int whole = acc - half;
+        long big = whole * 3 + total;
+        total = big - whole;
+        scale = scale * half + 0.5;
+    }
+    int zero = arg0 == 1 ? scale * 0.0 : scale + 1.0;
+    long q = total / zero;
+    double t1 = omp_get_wtime();
+    printf("%ld %ld %.17e %.17e %.9f\n", total, q, acc, scale, t1 - t0);
+    return 0;
+}
+"#;
+
 /// `threadIdx.x`, indexing and `omp_get_wtime`; thread 2 divides by zero
 /// and thread 3 reads out of bounds, in instructions that carry folded
 /// operand steps.
@@ -78,16 +106,18 @@ fn host_run(
     }
 }
 
-#[test]
-fn host_program_fails_at_the_same_step_under_every_limit() {
-    let program = parse(HOST, Dialect::CudaLite).unwrap();
-    let total = host_run(&program, u64::MAX, 0, false).unwrap().steps;
-    for arg in [0, 1, 2] {
+/// Run `program` on both engines at every step limit from 1 to past its
+/// total, once per `arg0`, requiring identical results; `expected[arg]` is
+/// the outcome (`"ok"` or an error category) the unlimited run reaches.
+fn sweep_host(program: &lassi_lang::Program, expected: &[&str]) {
+    let total = host_run(program, u64::MAX, 0, false).unwrap().steps;
+    for (arg, expected) in expected.iter().enumerate() {
+        let arg = arg as i64;
         let mut kills = 0;
         let mut outcome = None;
         for limit in 1..=total + 2 {
-            let reference = host_run(&program, limit, arg, false);
-            let vm = host_run(&program, limit, arg, true);
+            let reference = host_run(program, limit, arg, false);
+            let vm = host_run(program, limit, arg, true);
             match (&reference, &vm) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.stdout, b.stdout, "stdout, limit {limit}, arg {arg}");
@@ -113,9 +143,20 @@ fn host_program_fails_at_the_same_step_under_every_limit() {
         }
         // Every limit below the run's own end kills it.
         assert!(kills > 0, "arg {arg}: no step-limit kill");
-        let expected = ["ok", "division_by_zero", "out_of_bounds"][arg as usize];
-        assert_eq!(outcome, Some(expected), "arg {arg}");
+        assert_eq!(outcome, Some(*expected), "arg {arg}");
     }
+}
+
+#[test]
+fn host_program_fails_at_the_same_step_under_every_limit() {
+    let program = parse(HOST, Dialect::CudaLite).unwrap();
+    sweep_host(&program, &["ok", "division_by_zero", "out_of_bounds"]);
+}
+
+#[test]
+fn float_program_fails_at_the_same_step_under_every_limit() {
+    let program = parse(FLOATS, Dialect::CudaLite).unwrap();
+    sweep_host(&program, &["ok", "division_by_zero"]);
 }
 
 /// Observables of one device thread: the unit's result, the step and cost
