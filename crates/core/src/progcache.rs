@@ -74,7 +74,7 @@ impl ProgramCacheStats {
 /// memoized outcome.
 pub fn cache_key(program: &Program, config: &RunConfig, argc: usize) -> u64 {
     let canonical = format!(
-        "v1;dialect={:?};step_limit={};host_op={:016x};startup={:016x};argc={argc};{}",
+        "dialect={:?};step_limit={};host_op={:016x};startup={:016x};argc={argc};{}",
         program.dialect,
         config.step_limit,
         config.host_op_seconds.to_bits(),

@@ -7,6 +7,33 @@
 //! belong to the program's [`Dialect`]. This makes the CUDA ↔ OpenMP
 //! translation engine in `lassi-llm` a tree-to-tree rewrite instead of a
 //! string transformation.
+//!
+//! ## Traversal
+//!
+//! Code that only walks the tree uses five primitives instead of matching
+//! every statement and expression kind itself:
+//!
+//! * [`Expr::walk`] visits an expression and all its subexpressions;
+//! * [`Stmt::walk`] and [`Block::walk`] visit statements and every statement
+//!   nested in them: `if` branches, a `for` loop's init, step and body, loop
+//!   and block bodies, pragma bodies;
+//! * [`Stmt::exprs`] visits a statement's own expressions, not those of its
+//!   nested statements, so `s.walk(&mut |s| s.exprs(&mut |e| e.walk(f)))`
+//!   reaches every expression once;
+//! * [`Expr::rebuild`] and [`Stmt::rebuild`] copy a node with the same shape,
+//!   with a closure's replacements for subexpressions (`Expr`) or for own
+//!   expressions and nested blocks (`Stmt`). A rewrite that recurses passes
+//!   itself as the block closure.
+//!
+//! All of them run in source order and in pre-order: a node comes before
+//! what is nested in it, and siblings come in the order they are written.
+//! Callers rely on this: a translation's kernel parameters follow the order
+//! in which the loop body first names them, and "first match" or "last
+//! declaration wins" lookups follow the text. The one place where pre-order
+//! and text order differ is a `for` header: the loop's own expression (its
+//! condition) comes before its init and step, which are nested statements.
+//! A caller that needs a narrower descent (say, not into pragma bodies)
+//! tests for it in its closure.
 
 use std::fmt;
 
@@ -312,36 +339,82 @@ impl Expr {
         }
     }
 
-    /// Iterate over every identifier mentioned in this expression.
-    pub fn collect_idents(&self, out: &mut Vec<String>) {
+    /// Visit this expression and every subexpression, in pre-order (a node
+    /// before its operands) and source order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
         match self {
-            Expr::Ident(name) => out.push(name.clone()),
-            Expr::Binary { lhs, rhs, .. } => {
-                lhs.collect_idents(out);
-                rhs.collect_idents(out);
+            Expr::Binary { lhs: a, rhs: b, .. } | Expr::Index { base: a, index: b } => {
+                a.walk(f);
+                b.walk(f);
             }
-            Expr::Unary { operand, .. } => operand.collect_idents(out),
-            Expr::Call { args, .. } => {
-                for a in args {
-                    a.collect_idents(out);
-                }
-            }
-            Expr::Index { base, index } => {
-                base.collect_idents(out);
-                index.collect_idents(out);
-            }
-            Expr::Member { base, .. } => base.collect_idents(out),
-            Expr::Cast { expr, .. } => expr.collect_idents(out),
+            Expr::Unary { operand: e, .. }
+            | Expr::Member { base: e, .. }
+            | Expr::Cast { expr: e, .. } => e.walk(f),
+            Expr::Call { args, .. } => args.iter().for_each(|a| a.walk(f)),
             Expr::Ternary {
                 cond,
                 then_expr,
                 else_expr,
-            } => {
-                cond.collect_idents(out);
-                then_expr.collect_idents(out);
-                else_expr.collect_idents(out);
-            }
-            Expr::IntLit(_) | Expr::FloatLit(_) | Expr::StrLit(_) | Expr::Sizeof(_) => {}
+            } => [cond, then_expr, else_expr]
+                .into_iter()
+                .for_each(|e| e.walk(f)),
+            Expr::IntLit(_)
+            | Expr::FloatLit(_)
+            | Expr::StrLit(_)
+            | Expr::Ident(_)
+            | Expr::Sizeof(_) => {}
+        }
+    }
+
+    /// Rebuild this expression with the same shape, in pre-order: where `f`
+    /// returns a replacement for a node, the replacement is taken as is and
+    /// the node's operands are not visited.
+    pub fn rebuild(&self, f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Expr {
+        if let Some(e) = f(self) {
+            return e;
+        }
+        let mut sub = |e: &Expr| Box::new(e.rebuild(f));
+        match self {
+            Expr::Binary { op, lhs, rhs } => Expr::Binary {
+                op: *op,
+                lhs: sub(lhs),
+                rhs: sub(rhs),
+            },
+            Expr::Unary { op, operand } => Expr::Unary {
+                op: *op,
+                operand: sub(operand),
+            },
+            Expr::Call { callee, args } => Expr::Call {
+                callee: callee.clone(),
+                args: args.iter().map(|a| *sub(a)).collect(),
+            },
+            Expr::Index { base, index } => Expr::Index {
+                base: sub(base),
+                index: sub(index),
+            },
+            Expr::Member { base, field } => Expr::Member {
+                base: sub(base),
+                field: field.clone(),
+            },
+            Expr::Cast { ty, expr } => Expr::Cast {
+                ty: ty.clone(),
+                expr: sub(expr),
+            },
+            Expr::Ternary {
+                cond,
+                then_expr,
+                else_expr,
+            } => Expr::Ternary {
+                cond: sub(cond),
+                then_expr: sub(then_expr),
+                else_expr: sub(else_expr),
+            },
+            Expr::IntLit(_)
+            | Expr::FloatLit(_)
+            | Expr::StrLit(_)
+            | Expr::Ident(_)
+            | Expr::Sizeof(_) => self.clone(),
         }
     }
 }
@@ -722,6 +795,133 @@ impl Stmt {
     pub fn synth(kind: StmtKind) -> Self {
         Stmt { kind, line: 0 }
     }
+
+    /// Visit this statement and every statement nested in it, in pre-order
+    /// and source order: `if` branches, a `for` loop's init, step and body,
+    /// loop and block bodies, and pragma bodies.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
+        f(self);
+        match &self.kind {
+            StmtKind::If {
+                then_branch,
+                else_branch,
+                ..
+            } => std::iter::once(then_branch)
+                .chain(else_branch)
+                .for_each(|b| b.walk(f)),
+            StmtKind::For(l) => {
+                l.init.iter().chain(&l.step).for_each(|s| s.walk(f));
+                l.body.walk(f);
+            }
+            StmtKind::While { body: b, .. } | StmtKind::Block(b) => b.walk(f),
+            StmtKind::Pragma(p) => p.body.iter().for_each(|s| s.walk(f)),
+            _ => {}
+        }
+    }
+
+    /// Visit this statement's own expressions in source order: everything
+    /// but the expressions of its nested statements. A `for` loop's own
+    /// expression is its condition; a pragma's are its clause arguments.
+    pub fn exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match &self.kind {
+            StmtKind::VarDecl(d) => d.array_len.iter().chain(&d.init).for_each(f),
+            StmtKind::Assign { target, value, .. } => [target, value].into_iter().for_each(f),
+            StmtKind::If { cond, .. } | StmtKind::While { cond, .. } | StmtKind::Expr(cond) => {
+                f(cond)
+            }
+            StmtKind::For(l) => l.cond.iter().for_each(f),
+            StmtKind::Return(e) => e.iter().for_each(f),
+            StmtKind::KernelLaunch(l) => [&l.grid, &l.block].into_iter().chain(&l.args).for_each(f),
+            StmtKind::Pragma(p) => {
+                for c in &p.directive.clauses {
+                    match c {
+                        OmpClause::Map { sections, .. } => sections
+                            .iter()
+                            .flat_map(|s| s.lower.iter().chain(&s.len))
+                            .for_each(&mut *f),
+                        OmpClause::NumThreads(e)
+                        | OmpClause::NumTeams(e)
+                        | OmpClause::ThreadLimit(e) => f(e),
+                        OmpClause::Schedule { chunk, .. } => chunk.iter().for_each(&mut *f),
+                        _ => {}
+                    }
+                }
+            }
+            StmtKind::Break | StmtKind::Continue | StmtKind::Block(_) => {}
+        }
+    }
+
+    /// Rebuild this statement with the same shape and line: each of its own
+    /// expressions (see [`Stmt::exprs`]) through `expr`, except a pragma's
+    /// clauses, which are copied as they are; each nested block through
+    /// `block`; and a `for` loop's init and step and a pragma's body by the
+    /// same rebuild. Fields are rebuilt in source order.
+    pub fn rebuild<E>(
+        &self,
+        expr: &mut impl FnMut(&Expr) -> Expr,
+        block: &mut impl FnMut(&Block) -> Result<Block, E>,
+    ) -> Result<Stmt, E> {
+        let kind = match &self.kind {
+            StmtKind::VarDecl(d) => StmtKind::VarDecl(VarDecl {
+                name: d.name.clone(),
+                ty: d.ty.clone(),
+                array_len: d.array_len.as_ref().map(&mut *expr),
+                init: d.init.as_ref().map(&mut *expr),
+                is_const: d.is_const,
+                is_shared: d.is_shared,
+            }),
+            StmtKind::Assign { target, op, value } => StmtKind::Assign {
+                target: expr(target),
+                op: *op,
+                value: expr(value),
+            },
+            StmtKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } => StmtKind::If {
+                cond: expr(cond),
+                then_branch: block(then_branch)?,
+                else_branch: else_branch.as_ref().map(&mut *block).transpose()?,
+            },
+            StmtKind::For(l) => StmtKind::For(ForStmt {
+                init: rebuild_boxed(&l.init, expr, block)?,
+                cond: l.cond.as_ref().map(&mut *expr),
+                step: rebuild_boxed(&l.step, expr, block)?,
+                body: block(&l.body)?,
+            }),
+            StmtKind::While { cond, body } => StmtKind::While {
+                cond: expr(cond),
+                body: block(body)?,
+            },
+            StmtKind::Return(e) => StmtKind::Return(e.as_ref().map(expr)),
+            StmtKind::Break => StmtKind::Break,
+            StmtKind::Continue => StmtKind::Continue,
+            StmtKind::Expr(e) => StmtKind::Expr(expr(e)),
+            StmtKind::Block(b) => StmtKind::Block(block(b)?),
+            StmtKind::KernelLaunch(l) => StmtKind::KernelLaunch(KernelLaunch {
+                kernel: l.kernel.clone(),
+                grid: expr(&l.grid),
+                block: expr(&l.block),
+                args: l.args.iter().map(&mut *expr).collect(),
+            }),
+            StmtKind::Pragma(p) => StmtKind::Pragma(PragmaStmt {
+                directive: p.directive.clone(),
+                body: rebuild_boxed(&p.body, expr, block)?,
+            }),
+        };
+        Ok(Stmt::new(kind, self.line))
+    }
+}
+
+fn rebuild_boxed<E>(
+    stmt: &Option<Box<Stmt>>,
+    expr: &mut impl FnMut(&Expr) -> Expr,
+    block: &mut impl FnMut(&Block) -> Result<Block, E>,
+) -> Result<Option<Box<Stmt>>, E> {
+    stmt.as_ref()
+        .map(|s| s.rebuild(expr, block).map(Box::new))
+        .transpose()
 }
 
 /// A `{ ... }` block.
@@ -742,33 +942,9 @@ impl Block {
         Block { stmts }
     }
 
-    /// Number of statements, recursively.
-    pub fn count_stmts(&self) -> usize {
-        fn count(b: &Block) -> usize {
-            b.stmts
-                .iter()
-                .map(|s| {
-                    1 + match &s.kind {
-                        StmtKind::If {
-                            then_branch,
-                            else_branch,
-                            ..
-                        } => count(then_branch) + else_branch.as_ref().map_or(0, count),
-                        StmtKind::For(f) => count(&f.body),
-                        StmtKind::While { body, .. } => count(body),
-                        StmtKind::Block(b) => count(b),
-                        StmtKind::Pragma(p) => p.body.as_ref().map_or(0, |s| count_stmt(s)),
-                        _ => 0,
-                    }
-                })
-                .sum()
-        }
-        fn count_stmt(s: &Stmt) -> usize {
-            count(&Block {
-                stmts: vec![s.clone()],
-            })
-        }
-        count(self)
+    /// [`Stmt::walk`] over each statement of the block, in order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
+        self.stmts.iter().for_each(|s| s.walk(f));
     }
 }
 
@@ -941,15 +1117,130 @@ mod tests {
     }
 
     #[test]
-    fn collect_idents_walks_tree() {
+    fn expr_walk_is_preorder_in_source_order() {
         let e = Expr::bin(
             BinOp::Add,
             Expr::index(Expr::ident("a"), Expr::ident("i")),
             Expr::call("f", vec![Expr::ident("x")]),
         );
-        let mut ids = Vec::new();
-        e.collect_idents(&mut ids);
-        assert_eq!(ids, vec!["a".to_string(), "i".to_string(), "x".to_string()]);
+        let mut seen = Vec::new();
+        e.walk(&mut |e| {
+            seen.push(match e {
+                Expr::Ident(name) => name.as_str(),
+                Expr::Binary { .. } => "+",
+                Expr::Index { .. } => "[]",
+                Expr::Call { callee, .. } => callee.as_str(),
+                _ => "?",
+            })
+        });
+        assert_eq!(seen, ["+", "[]", "a", "i", "f", "x"]);
+    }
+
+    #[test]
+    fn expr_rebuild_takes_replacements_as_is() {
+        // a + b with a -> a * a: the replacement is not visited again.
+        let e = Expr::bin(BinOp::Add, Expr::ident("a"), Expr::ident("b"));
+        let square = Expr::bin(BinOp::Mul, Expr::ident("a"), Expr::ident("a"));
+        let rebuilt = e.rebuild(&mut |e| match e {
+            Expr::Ident(name) if name == "a" => Some(square.clone()),
+            _ => None,
+        });
+        assert_eq!(rebuilt, Expr::bin(BinOp::Add, square, Expr::ident("b")));
+        assert_eq!(e.rebuild(&mut |_| None), e);
+    }
+
+    const WALKED: &str = "int main() {
+        int n = 4;
+        double a[n];
+        for (int i = 0; i < n; i += 1) {
+            if (i > 1) {
+                a[i] = 1.0;
+            } else {
+                #pragma omp atomic
+                a[0] += 2.0;
+            }
+        }
+        while (n > 0) { n = n - 1; }
+        return 0;
+    }";
+
+    fn walked_main() -> Block {
+        crate::parse(WALKED, Dialect::OmpLite)
+            .expect("parses")
+            .main()
+            .expect("has main")
+            .body
+            .clone()
+    }
+
+    #[test]
+    fn stmt_walk_visits_every_nested_statement_in_source_order() {
+        let body = walked_main();
+        let mut lines = Vec::new();
+        body.walk(&mut |s| lines.push(s.line));
+        // for (line 4) before its init and step (line 4) and its body; the
+        // atomic pragma (line 8) before its update (line 9).
+        assert_eq!(lines, [2, 3, 4, 4, 4, 5, 6, 8, 9, 12, 12, 13]);
+    }
+
+    #[test]
+    fn stmt_exprs_are_its_own_in_source_order() {
+        let body = walked_main();
+        let own = |s: &Stmt| {
+            let mut idents = Vec::new();
+            s.exprs(&mut |e| {
+                e.walk(&mut |e| {
+                    if let Expr::Ident(name) = e {
+                        idents.push(name.clone());
+                    }
+                })
+            });
+            idents
+        };
+        // The array length; the loop's condition only; `a[0] += ...` is the
+        // pragma's body, not its own expression.
+        assert_eq!(own(&body.stmts[1]), ["n"]);
+        assert_eq!(own(&body.stmts[2]), ["i", "n"]);
+        let pragma = Stmt::synth(StmtKind::Pragma(PragmaStmt {
+            directive: OmpDirective {
+                kind: OmpDirectiveKind::ParallelFor,
+                clauses: vec![
+                    OmpClause::NumThreads(Expr::ident("t")),
+                    OmpClause::Map {
+                        kind: MapKind::To,
+                        sections: vec![MapSection {
+                            var: "a".into(),
+                            lower: Some(Expr::ident("lo")),
+                            len: Some(Expr::ident("len")),
+                        }],
+                    },
+                ],
+            },
+            body: Some(Box::new(body.stmts[2].clone())),
+        }));
+        assert_eq!(own(&pragma), ["t", "lo", "len"]);
+    }
+
+    #[test]
+    fn stmt_rebuild_preserves_shape_and_rewrites_nested_blocks() {
+        let body = walked_main();
+        for s in &body.stmts {
+            let same: Result<Stmt, ()> = s.rebuild(&mut Expr::clone, &mut |b| Ok(b.clone()));
+            assert_eq!(same.as_ref(), Ok(s));
+        }
+        // Emptying every nested block leaves the loop header intact.
+        let emptied: Result<Stmt, ()> =
+            body.stmts[2].rebuild(&mut Expr::clone, &mut |_| Ok(Block::new()));
+        let StmtKind::For(l) = emptied.unwrap().kind else {
+            panic!("still a for loop");
+        };
+        assert!(l.body.stmts.is_empty());
+        assert!(l.canonical().is_some());
+        // An error from a nested block is the rebuild's error.
+        assert_eq!(
+            body.stmts[2].rebuild(&mut Expr::clone, &mut |_| Err("no")),
+            Err("no")
+        );
     }
 
     #[test]
@@ -993,16 +1284,5 @@ mod tests {
         assert!(p.main().is_some());
         assert_eq!(p.kernels().count(), 1);
         assert!(p.function("missing").is_none());
-    }
-
-    #[test]
-    fn block_count_recurses() {
-        let inner = Block::from_stmts(vec![Stmt::synth(StmtKind::Break)]);
-        let b = Block::from_stmts(vec![Stmt::synth(StmtKind::If {
-            cond: Expr::int(1),
-            then_branch: inner,
-            else_branch: None,
-        })]);
-        assert_eq!(b.count_stmts(), 2);
     }
 }

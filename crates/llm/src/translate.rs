@@ -19,6 +19,7 @@
 //! unrecoverable failures the paper reports as N/A.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 
 use lassi_lang::{
@@ -60,104 +61,12 @@ pub fn translate_program(program: &Program, target: Dialect) -> Result<Program, 
 // Shared helpers
 // ---------------------------------------------------------------------------
 
-fn subst_expr(expr: &Expr, map: &HashMap<String, Expr>) -> Expr {
-    match expr {
-        Expr::Ident(name) => map.get(name).cloned().unwrap_or_else(|| expr.clone()),
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(subst_expr(lhs, map)),
-            rhs: Box::new(subst_expr(rhs, map)),
-        },
-        Expr::Unary { op, operand } => Expr::Unary {
-            op: *op,
-            operand: Box::new(subst_expr(operand, map)),
-        },
-        Expr::Call { callee, args } => Expr::Call {
-            callee: callee.clone(),
-            args: args.iter().map(|a| subst_expr(a, map)).collect(),
-        },
-        Expr::Index { base, index } => Expr::Index {
-            base: Box::new(subst_expr(base, map)),
-            index: Box::new(subst_expr(index, map)),
-        },
-        Expr::Member { base, field } => Expr::Member {
-            base: Box::new(subst_expr(base, map)),
-            field: field.clone(),
-        },
-        Expr::Cast { ty, expr } => Expr::Cast {
-            ty: ty.clone(),
-            expr: Box::new(subst_expr(expr, map)),
-        },
-        Expr::Ternary {
-            cond,
-            then_expr,
-            else_expr,
-        } => Expr::Ternary {
-            cond: Box::new(subst_expr(cond, map)),
-            then_expr: Box::new(subst_expr(then_expr, map)),
-            else_expr: Box::new(subst_expr(else_expr, map)),
-        },
-        Expr::IntLit(_) | Expr::FloatLit(_) | Expr::StrLit(_) | Expr::Sizeof(_) => expr.clone(),
-    }
-}
-
-fn subst_block(block: &Block, map: &HashMap<String, Expr>) -> Block {
-    Block {
-        stmts: block.stmts.iter().map(|s| subst_stmt(s, map)).collect(),
-    }
-}
-
-fn subst_stmt(stmt: &Stmt, map: &HashMap<String, Expr>) -> Stmt {
-    let kind = match &stmt.kind {
-        StmtKind::VarDecl(d) => StmtKind::VarDecl(VarDecl {
-            name: d.name.clone(),
-            ty: d.ty.clone(),
-            init: d.init.as_ref().map(|e| subst_expr(e, map)),
-            array_len: d.array_len.as_ref().map(|e| subst_expr(e, map)),
-            is_const: d.is_const,
-            is_shared: d.is_shared,
-        }),
-        StmtKind::Assign { target, op, value } => StmtKind::Assign {
-            target: subst_expr(target, map),
-            op: *op,
-            value: subst_expr(value, map),
-        },
-        StmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => StmtKind::If {
-            cond: subst_expr(cond, map),
-            then_branch: subst_block(then_branch, map),
-            else_branch: else_branch.as_ref().map(|b| subst_block(b, map)),
-        },
-        StmtKind::For(f) => StmtKind::For(ForStmt {
-            init: f.init.as_ref().map(|s| Box::new(subst_stmt(s, map))),
-            cond: f.cond.as_ref().map(|e| subst_expr(e, map)),
-            step: f.step.as_ref().map(|s| Box::new(subst_stmt(s, map))),
-            body: subst_block(&f.body, map),
-        }),
-        StmtKind::While { cond, body } => StmtKind::While {
-            cond: subst_expr(cond, map),
-            body: subst_block(body, map),
-        },
-        StmtKind::Return(v) => StmtKind::Return(v.as_ref().map(|e| subst_expr(e, map))),
-        StmtKind::Break => StmtKind::Break,
-        StmtKind::Continue => StmtKind::Continue,
-        StmtKind::Expr(e) => StmtKind::Expr(subst_expr(e, map)),
-        StmtKind::Block(b) => StmtKind::Block(subst_block(b, map)),
-        StmtKind::KernelLaunch(l) => StmtKind::KernelLaunch(KernelLaunch {
-            kernel: l.kernel.clone(),
-            grid: subst_expr(&l.grid, map),
-            block: subst_expr(&l.block, map),
-            args: l.args.iter().map(|a| subst_expr(a, map)).collect(),
-        }),
-        StmtKind::Pragma(p) => StmtKind::Pragma(PragmaStmt {
-            directive: p.directive.clone(),
-            body: p.body.as_ref().map(|s| Box::new(subst_stmt(s, map))),
-        }),
-    };
-    Stmt::new(kind, stmt.line)
+/// `expr` with every identifier that `map` names replaced by its image.
+fn subst_idents(expr: &Expr, map: &HashMap<String, Expr>) -> Expr {
+    expr.rebuild(&mut |e| match e {
+        Expr::Ident(name) => map.get(name).cloned(),
+        _ => None,
+    })
 }
 
 /// Extract `X` from a byte-size expression of the form `X * sizeof(T)` or
@@ -182,9 +91,9 @@ fn element_count_from_bytes(bytes: &Expr, elem: &Type) -> Expr {
     }
 }
 
-/// Collect names written through a subscript (`x[i] = ...`, `x[i] += ...`,
+/// Names written through a subscript (`x[i] = ...`, `x[i] += ...`,
 /// `atomicAdd(x ...)`) anywhere in a block.
-fn collect_written_pointers(block: &Block, out: &mut Vec<String>) {
+fn written_pointers(block: &Block) -> Vec<String> {
     fn base_name(e: &Expr) -> Option<String> {
         match e {
             Expr::Ident(n) => Some(n.clone()),
@@ -194,211 +103,47 @@ fn collect_written_pointers(block: &Block, out: &mut Vec<String>) {
             _ => None,
         }
     }
-    fn walk_stmt(s: &Stmt, out: &mut Vec<String>) {
-        match &s.kind {
+    let mut out = Vec::new();
+    block.walk(&mut |s| {
+        let written = match &s.kind {
             StmtKind::Assign {
                 target: Expr::Index { base, .. },
                 ..
-            } => {
-                if let Some(n) = base_name(base) {
-                    out.push(n);
-                }
-            }
+            } => Some(base.as_ref()),
             StmtKind::Expr(Expr::Call { callee, args }) if callee.starts_with("atomic") => {
-                if let Some(first) = args.first() {
-                    if let Some(n) = base_name(first) {
-                        out.push(n);
-                    }
-                }
+                args.first()
             }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_written_pointers(then_branch, out);
-                if let Some(e) = else_branch {
-                    collect_written_pointers(e, out);
-                }
-            }
-            StmtKind::For(f) => collect_written_pointers(&f.body, out),
-            StmtKind::While { body, .. } => collect_written_pointers(body, out),
-            StmtKind::Block(b) => collect_written_pointers(b, out),
-            StmtKind::Pragma(p) => {
-                if let Some(body) = &p.body {
-                    walk_stmt(body, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in &block.stmts {
-        walk_stmt(s, out);
-    }
-}
-
-/// Collect every identifier referenced in a block.
-fn collect_block_idents(block: &Block, out: &mut Vec<String>) {
-    fn walk_stmt(s: &Stmt, out: &mut Vec<String>) {
-        match &s.kind {
-            StmtKind::VarDecl(d) => {
-                if let Some(e) = &d.init {
-                    e.collect_idents(out);
-                }
-                if let Some(e) = &d.array_len {
-                    e.collect_idents(out);
-                }
-            }
-            StmtKind::Assign { target, value, .. } => {
-                target.collect_idents(out);
-                value.collect_idents(out);
-            }
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                cond.collect_idents(out);
-                collect_block_idents(then_branch, out);
-                if let Some(e) = else_branch {
-                    collect_block_idents(e, out);
-                }
-            }
-            StmtKind::For(f) => {
-                if let Some(init) = &f.init {
-                    walk_stmt(init, out);
-                }
-                if let Some(c) = &f.cond {
-                    c.collect_idents(out);
-                }
-                if let Some(step) = &f.step {
-                    walk_stmt(step, out);
-                }
-                collect_block_idents(&f.body, out);
-            }
-            StmtKind::While { cond, body } => {
-                cond.collect_idents(out);
-                collect_block_idents(body, out);
-            }
-            StmtKind::Return(Some(e)) | StmtKind::Expr(e) => e.collect_idents(out),
-            StmtKind::Block(b) => collect_block_idents(b, out),
-            StmtKind::KernelLaunch(l) => {
-                l.grid.collect_idents(out);
-                l.block.collect_idents(out);
-                for a in &l.args {
-                    a.collect_idents(out);
-                }
-            }
-            StmtKind::Pragma(p) => {
-                if let Some(body) = &p.body {
-                    walk_stmt(body, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in &block.stmts {
-        walk_stmt(s, out);
-    }
-}
-
-/// Collect names declared directly inside a block (any nesting level).
-fn collect_declared_names(block: &Block, out: &mut Vec<String>) {
-    fn walk_stmt(s: &Stmt, out: &mut Vec<String>) {
-        match &s.kind {
-            StmtKind::VarDecl(d) => out.push(d.name.clone()),
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_declared_names(then_branch, out);
-                if let Some(e) = else_branch {
-                    collect_declared_names(e, out);
-                }
-            }
-            StmtKind::For(f) => {
-                if let Some(init) = &f.init {
-                    walk_stmt(init, out);
-                }
-                collect_declared_names(&f.body, out);
-            }
-            StmtKind::While { body, .. } => collect_declared_names(body, out),
-            StmtKind::Block(b) => collect_declared_names(b, out),
-            StmtKind::Pragma(p) => {
-                if let Some(body) = &p.body {
-                    walk_stmt(body, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in &block.stmts {
-        walk_stmt(s, out);
-    }
-}
-
-/// Scan a function body for declared variable types (flat view; good enough
-/// for the benchmark programs, which declare everything in `main`'s scope).
-fn scan_types(func: &Function) -> HashMap<String, Type> {
-    let mut out: HashMap<String, Type> = HashMap::new();
-    for p in &func.params {
-        out.insert(p.name.clone(), p.ty.clone());
-    }
-    fn walk(block: &Block, out: &mut HashMap<String, Type>) {
-        for s in &block.stmts {
-            match &s.kind {
-                StmtKind::VarDecl(d) => {
-                    let ty = if d.array_len.is_some() {
-                        d.ty.clone().ptr()
-                    } else {
-                        d.ty.clone()
-                    };
-                    out.insert(d.name.clone(), ty);
-                }
-                StmtKind::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(then_branch, out);
-                    if let Some(e) = else_branch {
-                        walk(e, out);
-                    }
-                }
-                StmtKind::For(f) => {
-                    if let Some(init) = &f.init {
-                        if let StmtKind::VarDecl(d) = &init.kind {
-                            out.insert(d.name.clone(), d.ty.clone());
-                        }
-                    }
-                    walk(&f.body, out);
-                }
-                StmtKind::While { body, .. } => walk(body, out),
-                StmtKind::Block(b) => walk(b, out),
-                StmtKind::Pragma(p) => {
-                    if let Some(body) = &p.body {
-                        if let StmtKind::For(f) = &body.kind {
-                            if let Some(init) = &f.init {
-                                if let StmtKind::VarDecl(d) = &init.kind {
-                                    out.insert(d.name.clone(), d.ty.clone());
-                                }
-                            }
-                            walk(&f.body, out);
-                        } else if let StmtKind::Block(b) = &body.kind {
-                            walk(b, out);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    walk(&func.body, &mut out);
+            _ => None,
+        };
+        out.extend(written.and_then(base_name));
+    });
     out
 }
 
-/// Find the element count of the allocation bound to `name` inside a block
+/// Declared variable types of a function, parameters first and then every
+/// declaration in source order, a later one of a name winning (flat view;
+/// good enough for the benchmark programs, which declare everything in
+/// `main`'s scope).
+fn scan_types(func: &Function) -> HashMap<String, Type> {
+    let mut out: HashMap<String, Type> = func
+        .params
+        .iter()
+        .map(|p| (p.name.clone(), p.ty.clone()))
+        .collect();
+    func.body.walk(&mut |s| {
+        if let StmtKind::VarDecl(d) = &s.kind {
+            let ty = if d.array_len.is_some() {
+                d.ty.clone().ptr()
+            } else {
+                d.ty.clone()
+            };
+            out.insert(d.name.clone(), ty);
+        }
+    });
+    out
+}
+
+/// The element count of the first allocation bound to `name` inside a block
 /// (from `T* name = (T*)malloc(X * sizeof(T))`, `name = (T*)malloc(...)`, or
 /// `T name[X]` declarations).
 fn find_allocation_count(block: &Block, name: &str, elem: &Type) -> Option<Expr> {
@@ -411,58 +156,39 @@ fn find_allocation_count(block: &Block, name: &str, elem: &Type) -> Option<Expr>
             _ => None,
         }
     }
-    fn walk(block: &Block, name: &str, elem: &Type) -> Option<Expr> {
-        for s in &block.stmts {
-            match &s.kind {
-                StmtKind::VarDecl(d) if d.name == name => {
-                    if let Some(len) = &d.array_len {
-                        return Some(len.clone());
-                    }
-                    if let Some(init) = &d.init {
-                        if let Some(c) = from_init(init, elem) {
-                            return Some(c);
-                        }
-                    }
-                }
-                StmtKind::Assign {
-                    target: Expr::Ident(n),
-                    value,
-                    ..
-                } if n == name => {
-                    if let Some(c) = from_init(value, elem) {
-                        return Some(c);
-                    }
-                }
-                StmtKind::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    if let Some(c) = walk(then_branch, name, elem) {
-                        return Some(c);
-                    }
-                    if let Some(e) = else_branch {
-                        if let Some(c) = walk(e, name, elem) {
-                            return Some(c);
-                        }
-                    }
-                }
-                StmtKind::For(f) => {
-                    if let Some(c) = walk(&f.body, name, elem) {
-                        return Some(c);
-                    }
-                }
-                StmtKind::Block(b) => {
-                    if let Some(c) = walk(b, name, elem) {
-                        return Some(c);
-                    }
-                }
-                _ => {}
-            }
+    let mut found = None;
+    block.walk(&mut |s| {
+        if found.is_some() {
+            return;
         }
-        None
+        found = match &s.kind {
+            StmtKind::VarDecl(d) if d.name == name => d
+                .array_len
+                .clone()
+                .or_else(|| d.init.as_ref().and_then(|init| from_init(init, elem))),
+            StmtKind::Assign {
+                target: Expr::Ident(n),
+                value,
+                ..
+            } if n == name => from_init(value, elem),
+            _ => None,
+        };
+    });
+    found
+}
+
+/// The pointer name and byte count of a `cudaMalloc(&name, bytes)` call.
+fn cuda_malloc_target(call: &Expr) -> Option<(&String, &Expr)> {
+    let Expr::Call { callee, args } = call else {
+        return None;
+    };
+    match (callee.as_str(), args.first(), args.get(1)) {
+        ("cudaMalloc", Some(Expr::Unary { operand, .. }), Some(bytes)) => match operand.as_ref() {
+            Expr::Ident(name) => Some((name, bytes)),
+            _ => None,
+        },
+        _ => None,
     }
-    walk(block, name, elem)
 }
 
 // ---------------------------------------------------------------------------
@@ -482,12 +208,9 @@ fn cuda_to_omp(program: &Program) -> Result<Program, TranslationError> {
         .main()
         .ok_or_else(|| TranslationError::Unsupported("program has no main function".into()))?;
 
-    let mut device_allocs = HashMap::new();
-    scan_cuda_mallocs(&main.body, &mut device_allocs);
-
     let ctx = CudaToOmp {
         program,
-        device_allocs,
+        device_allocs: scan_cuda_mallocs(&main.body),
         types: scan_types(main),
     };
 
@@ -514,168 +237,70 @@ fn cuda_to_omp(program: &Program) -> Result<Program, TranslationError> {
     Ok(out)
 }
 
-fn scan_cuda_mallocs(block: &Block, out: &mut HashMap<String, Expr>) {
-    for s in &block.stmts {
-        match &s.kind {
-            StmtKind::Expr(Expr::Call { callee, args }) if callee == "cudaMalloc" => {
-                if let (Some(Expr::Unary { operand, .. }), Some(bytes)) =
-                    (args.first(), args.get(1))
-                {
-                    if let Expr::Ident(name) = operand.as_ref() {
-                        out.insert(name.clone(), bytes.clone());
-                    }
-                }
+/// Device pointer name → byte count of its last `cudaMalloc` in a block.
+fn scan_cuda_mallocs(block: &Block) -> HashMap<String, Expr> {
+    let mut out = HashMap::new();
+    block.walk(&mut |s| {
+        if let StmtKind::Expr(call) = &s.kind {
+            if let Some((name, bytes)) = cuda_malloc_target(call) {
+                out.insert(name.clone(), bytes.clone());
             }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                scan_cuda_mallocs(then_branch, out);
-                if let Some(e) = else_branch {
-                    scan_cuda_mallocs(e, out);
-                }
-            }
-            StmtKind::For(f) => scan_cuda_mallocs(&f.body, out),
-            StmtKind::While { body, .. } => scan_cuda_mallocs(body, out),
-            StmtKind::Block(b) => scan_cuda_mallocs(b, out),
-            _ => {}
         }
-    }
+    });
+    out
 }
 
 impl<'p> CudaToOmp<'p> {
     fn rewrite_host_block(&self, block: &Block) -> Result<Block, TranslationError> {
         let mut stmts = Vec::with_capacity(block.stmts.len());
         for stmt in &block.stmts {
-            self.rewrite_host_stmt(stmt, &mut stmts)?;
+            stmts.extend(self.rewrite_host_stmt(stmt)?);
         }
         Ok(Block { stmts })
     }
 
-    fn rewrite_host_stmt(&self, stmt: &Stmt, out: &mut Vec<Stmt>) -> Result<(), TranslationError> {
-        match &stmt.kind {
+    /// The OpenMP host statement replacing `stmt`, if any.
+    fn rewrite_host_stmt(&self, stmt: &Stmt) -> Result<Option<Stmt>, TranslationError> {
+        let call = |callee: &str, args: Vec<Expr>| {
+            Some(Stmt::new(
+                StmtKind::Expr(Expr::call(callee, args)),
+                stmt.line,
+            ))
+        };
+        Ok(match &stmt.kind {
             // dim3 declarations have no OpenMP equivalent; launch geometry is
             // recomputed from the guard bound.
-            StmtKind::VarDecl(d) if d.ty == Type::Dim3 => Ok(()),
-            StmtKind::Expr(Expr::Call { callee, args }) => {
-                match callee.as_str() {
-                    "cudaDeviceSynchronize" => Ok(()),
-                    "cudaMalloc" => {
-                        // float* d_x; cudaMalloc(&d_x, B)  →  d_x = (float*)malloc(B);
-                        if let (Some(Expr::Unary { operand, .. }), Some(bytes)) =
-                            (args.first(), args.get(1))
-                        {
-                            if let Expr::Ident(name) = operand.as_ref() {
-                                let ptr_ty = self
-                                    .types
-                                    .get(name)
-                                    .cloned()
-                                    .unwrap_or_else(|| Type::Double.ptr());
-                                out.push(Stmt::new(
-                                    StmtKind::Assign {
-                                        target: Expr::ident(name.clone()),
-                                        op: AssignOp::Assign,
-                                        value: Expr::Cast {
-                                            ty: ptr_ty,
-                                            expr: Box::new(Expr::call(
-                                                "malloc",
-                                                vec![bytes.clone()],
-                                            )),
-                                        },
-                                    },
-                                    stmt.line,
-                                ));
-                            }
-                        }
-                        Ok(())
-                    }
-                    "cudaMemcpy" => {
-                        // Becomes a host memcpy (keeps functional equivalence).
-                        let new_args: Vec<Expr> = args.iter().take(3).cloned().collect();
-                        out.push(Stmt::new(
-                            StmtKind::Expr(Expr::call("memcpy", new_args)),
-                            stmt.line,
-                        ));
-                        Ok(())
-                    }
-                    "cudaMemset" => {
-                        out.push(Stmt::new(
-                            StmtKind::Expr(Expr::call("memset", args.clone())),
-                            stmt.line,
-                        ));
-                        Ok(())
-                    }
-                    "cudaFree" => {
-                        out.push(Stmt::new(
-                            StmtKind::Expr(Expr::call("free", args.clone())),
-                            stmt.line,
-                        ));
-                        Ok(())
-                    }
-                    _ => {
-                        out.push(stmt.clone());
-                        Ok(())
-                    }
-                }
-            }
-            StmtKind::KernelLaunch(launch) => {
-                let pragma = self.launch_to_pragma(launch, stmt.line)?;
-                out.push(pragma);
-                Ok(())
-            }
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                out.push(Stmt::new(
-                    StmtKind::If {
-                        cond: cond.clone(),
-                        then_branch: self.rewrite_host_block(then_branch)?,
-                        else_branch: match else_branch {
-                            Some(e) => Some(self.rewrite_host_block(e)?),
-                            None => None,
+            StmtKind::VarDecl(d) if d.ty == Type::Dim3 => None,
+            StmtKind::Expr(cuda @ Expr::Call { callee, args }) => match callee.as_str() {
+                "cudaDeviceSynchronize" => None,
+                // float* d_x; cudaMalloc(&d_x, B)  →  d_x = (float*)malloc(B);
+                "cudaMalloc" => cuda_malloc_target(cuda).map(|(name, bytes)| {
+                    let ptr_ty = self
+                        .types
+                        .get(name)
+                        .cloned()
+                        .unwrap_or_else(|| Type::Double.ptr());
+                    Stmt::new(
+                        StmtKind::Assign {
+                            target: Expr::ident(name.clone()),
+                            op: AssignOp::Assign,
+                            value: Expr::Cast {
+                                ty: ptr_ty,
+                                expr: Box::new(Expr::call("malloc", vec![bytes.clone()])),
+                            },
                         },
-                    },
-                    stmt.line,
-                ));
-                Ok(())
-            }
-            StmtKind::For(f) => {
-                out.push(Stmt::new(
-                    StmtKind::For(ForStmt {
-                        init: f.init.clone(),
-                        cond: f.cond.clone(),
-                        step: f.step.clone(),
-                        body: self.rewrite_host_block(&f.body)?,
-                    }),
-                    stmt.line,
-                ));
-                Ok(())
-            }
-            StmtKind::While { cond, body } => {
-                out.push(Stmt::new(
-                    StmtKind::While {
-                        cond: cond.clone(),
-                        body: self.rewrite_host_block(body)?,
-                    },
-                    stmt.line,
-                ));
-                Ok(())
-            }
-            StmtKind::Block(b) => {
-                out.push(Stmt::new(
-                    StmtKind::Block(self.rewrite_host_block(b)?),
-                    stmt.line,
-                ));
-                Ok(())
-            }
-            _ => {
-                out.push(stmt.clone());
-                Ok(())
-            }
-        }
+                        stmt.line,
+                    )
+                }),
+                // Becomes a host memcpy (keeps functional equivalence).
+                "cudaMemcpy" => call("memcpy", args.iter().take(3).cloned().collect()),
+                "cudaMemset" => call("memset", args.clone()),
+                "cudaFree" => call("free", args.clone()),
+                _ => Some(stmt.clone()),
+            },
+            StmtKind::KernelLaunch(launch) => Some(self.launch_to_pragma(launch, stmt.line)?),
+            _ => Some(stmt.rebuild(&mut Expr::clone, &mut |b| self.rewrite_host_block(b))?),
+        })
     }
 
     /// Turn `kernel<<<grid, block>>>(args)` into a `target teams distribute
@@ -730,13 +355,12 @@ impl<'p> CudaToOmp<'p> {
         })?;
 
         // Rewrite the loop body: substitute arguments, convert atomics.
-        let substituted = subst_block(&inner_body, &subst);
-        let body = rewrite_atomics_to_omp(&substituted);
+        let body = rewrite_atomics_to_omp(&inner_body, &subst);
 
         // Build the loop nest (innermost first).
         let mut loop_stmt: Option<Stmt> = None;
         for (k, (var, _dim)) in index_vars.iter().enumerate().rev() {
-            let bound = subst_expr(&bounds[k], &subst);
+            let bound = subst_idents(&bounds[k], &subst);
             let inner_block = match loop_stmt.take() {
                 Some(s) => Block::from_stmts(vec![s]),
                 None => body.clone(),
@@ -760,8 +384,7 @@ impl<'p> CudaToOmp<'p> {
         let loop_stmt = loop_stmt.expect("at least one index var");
 
         // Map clauses from buffer usage.
-        let mut written = Vec::new();
-        collect_written_pointers(&body, &mut written);
+        let written = written_pointers(&body);
         let mut clauses: Vec<OmpClause> = Vec::new();
         let mut mapped: Vec<String> = Vec::new();
         for (param, arg) in kernel.params.iter().zip(&launch.args) {
@@ -920,68 +543,47 @@ fn flatten_and<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
     }
 }
 
-/// Convert `atomicAdd(p, v)` / `atomicAdd(p + i, v)` calls into
-/// `#pragma omp atomic` updates.
-fn rewrite_atomics_to_omp(block: &Block) -> Block {
-    let stmts = block.stmts.iter().map(rewrite_atomic_stmt).collect();
+/// Substitute kernel arguments for parameters (`args_of`) and convert
+/// `atomicAdd(p, v)` / `atomicAdd(p + i, v)` calls into `#pragma omp atomic`
+/// updates.
+fn rewrite_atomics_to_omp(block: &Block, args_of: &HashMap<String, Expr>) -> Block {
+    let stmts = block
+        .stmts
+        .iter()
+        .map(|stmt| match &stmt.kind {
+            StmtKind::Expr(Expr::Call { callee, args })
+                if callee == "atomicAdd" && args.len() == 2 =>
+            {
+                let (base, index) = match subst_idents(&args[0], args_of) {
+                    Expr::Binary {
+                        op: BinOp::Add,
+                        lhs,
+                        rhs,
+                    } => (*lhs, *rhs),
+                    other => (other, Expr::int(0)),
+                };
+                let update = Stmt::synth(StmtKind::Assign {
+                    target: Expr::index(base, index),
+                    op: AssignOp::AddAssign,
+                    value: subst_idents(&args[1], args_of),
+                });
+                Stmt::new(
+                    StmtKind::Pragma(PragmaStmt {
+                        directive: OmpDirective::new(OmpDirectiveKind::Atomic),
+                        body: Some(Box::new(update)),
+                    }),
+                    stmt.line,
+                )
+            }
+            _ => {
+                let Ok(s) = stmt.rebuild(&mut |e| subst_idents(e, args_of), &mut |b| {
+                    Ok::<_, Infallible>(rewrite_atomics_to_omp(b, args_of))
+                });
+                s
+            }
+        })
+        .collect();
     Block { stmts }
-}
-
-fn rewrite_atomic_stmt(stmt: &Stmt) -> Stmt {
-    match &stmt.kind {
-        StmtKind::Expr(Expr::Call { callee, args }) if callee == "atomicAdd" && args.len() == 2 => {
-            let (base, index) = match &args[0] {
-                Expr::Binary {
-                    op: BinOp::Add,
-                    lhs,
-                    rhs,
-                } => (lhs.as_ref().clone(), rhs.as_ref().clone()),
-                other => (other.clone(), Expr::int(0)),
-            };
-            let update = Stmt::synth(StmtKind::Assign {
-                target: Expr::index(base, index),
-                op: AssignOp::AddAssign,
-                value: args[1].clone(),
-            });
-            Stmt::new(
-                StmtKind::Pragma(PragmaStmt {
-                    directive: OmpDirective::new(OmpDirectiveKind::Atomic),
-                    body: Some(Box::new(update)),
-                }),
-                stmt.line,
-            )
-        }
-        StmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => Stmt::new(
-            StmtKind::If {
-                cond: cond.clone(),
-                then_branch: rewrite_atomics_to_omp(then_branch),
-                else_branch: else_branch.as_ref().map(rewrite_atomics_to_omp),
-            },
-            stmt.line,
-        ),
-        StmtKind::For(f) => Stmt::new(
-            StmtKind::For(ForStmt {
-                init: f.init.clone(),
-                cond: f.cond.clone(),
-                step: f.step.clone(),
-                body: rewrite_atomics_to_omp(&f.body),
-            }),
-            stmt.line,
-        ),
-        StmtKind::While { cond, body } => Stmt::new(
-            StmtKind::While {
-                cond: cond.clone(),
-                body: rewrite_atomics_to_omp(body),
-            },
-            stmt.line,
-        ),
-        StmtKind::Block(b) => Stmt::new(StmtKind::Block(rewrite_atomics_to_omp(b)), stmt.line),
-        _ => stmt.clone(),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1060,58 +662,9 @@ fn rewrite_omp_block(
                     )?;
                 }
             },
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                stmts.push(Stmt::new(
-                    StmtKind::If {
-                        cond: cond.clone(),
-                        then_branch: rewrite_omp_block(
-                            then_branch,
-                            types,
-                            kernels,
-                            counter,
-                            main_body,
-                        )?,
-                        else_branch: match else_branch {
-                            Some(e) => {
-                                Some(rewrite_omp_block(e, types, kernels, counter, main_body)?)
-                            }
-                            None => None,
-                        },
-                    },
-                    stmt.line,
-                ));
-            }
-            StmtKind::For(f) => {
-                stmts.push(Stmt::new(
-                    StmtKind::For(ForStmt {
-                        init: f.init.clone(),
-                        cond: f.cond.clone(),
-                        step: f.step.clone(),
-                        body: rewrite_omp_block(&f.body, types, kernels, counter, main_body)?,
-                    }),
-                    stmt.line,
-                ));
-            }
-            StmtKind::While { cond, body } => {
-                stmts.push(Stmt::new(
-                    StmtKind::While {
-                        cond: cond.clone(),
-                        body: rewrite_omp_block(body, types, kernels, counter, main_body)?,
-                    },
-                    stmt.line,
-                ));
-            }
-            StmtKind::Block(b) => {
-                stmts.push(Stmt::new(
-                    StmtKind::Block(rewrite_omp_block(b, types, kernels, counter, main_body)?),
-                    stmt.line,
-                ));
-            }
-            _ => stmts.push(stmt.clone()),
+            _ => stmts.push(stmt.rebuild(&mut Expr::clone, &mut |b| {
+                rewrite_omp_block(b, types, kernels, counter, main_body)
+            })?),
         }
     }
     Ok(Block { stmts })
@@ -1154,10 +707,21 @@ fn outline_loop_to_kernel(
 
     // Free variables of the loop body.
     let mut used = Vec::new();
-    collect_block_idents(&for_stmt.body, &mut used);
-    hi.collect_idents(&mut used);
+    let mut ident = |e: &Expr| {
+        if let Expr::Ident(name) = e {
+            used.push(name.clone());
+        }
+    };
+    for_stmt
+        .body
+        .walk(&mut |s| s.exprs(&mut |e| e.walk(&mut ident)));
+    hi.walk(&mut ident);
     let mut declared = vec![loop_var.clone()];
-    collect_declared_names(&for_stmt.body, &mut declared);
+    for_stmt.body.walk(&mut |s| {
+        if let StmtKind::VarDecl(d) = &s.kind {
+            declared.push(d.name.clone());
+        }
+    });
     let mut free: Vec<String> = Vec::new();
     for name in used {
         if declared.contains(&name) || free.contains(&name) {
@@ -1205,8 +769,7 @@ fn outline_loop_to_kernel(
     }
 
     // Which pointers are written (→ copy back after the kernel).
-    let mut written = Vec::new();
-    collect_written_pointers(&for_stmt.body, &mut written);
+    let written = written_pointers(&for_stmt.body);
 
     // ---------------------------------------------------------------- kernel
     let mut kernel_params: Vec<Param> = Vec::new();
@@ -1445,10 +1008,10 @@ fn rewrite_device_stmt(
             value,
         } if reduction_vars.contains(name) => {
             let delta = match op {
-                AssignOp::AddAssign => subst_expr(value, subst),
+                AssignOp::AddAssign => subst_idents(value, subst),
                 AssignOp::SubAssign => Expr::Unary {
                     op: lassi_lang::UnOp::Neg,
-                    operand: Box::new(subst_expr(value, subst)),
+                    operand: Box::new(subst_idents(value, subst)),
                 },
                 AssignOp::Assign => {
                     // sum = sum + expr
@@ -1459,17 +1022,17 @@ fn rewrite_device_stmt(
                             rhs,
                         } => {
                             if matches!(lhs.as_ref(), Expr::Ident(n) if n == name) {
-                                subst_expr(rhs, subst)
+                                subst_idents(rhs, subst)
                             } else if matches!(rhs.as_ref(), Expr::Ident(n) if n == name) {
-                                subst_expr(lhs, subst)
+                                subst_idents(lhs, subst)
                             } else {
-                                subst_expr(value, subst)
+                                subst_idents(value, subst)
                             }
                         }
-                        _ => subst_expr(value, subst),
+                        _ => subst_idents(value, subst),
                     }
                 }
-                _ => subst_expr(value, subst),
+                _ => subst_idents(value, subst),
             };
             let red_ptr = subst
                 .get(name)
@@ -1490,17 +1053,19 @@ fn rewrite_device_stmt(
                 } = &body.kind
                 {
                     let ptr = match index.as_ref() {
-                        Expr::IntLit(0) => subst_expr(base, subst),
-                        idx => {
-                            Expr::bin(BinOp::Add, subst_expr(base, subst), subst_expr(idx, subst))
-                        }
+                        Expr::IntLit(0) => subst_idents(base, subst),
+                        idx => Expr::bin(
+                            BinOp::Add,
+                            subst_idents(base, subst),
+                            subst_idents(idx, subst),
+                        ),
                     };
                     let delta = match op {
                         AssignOp::SubAssign => Expr::Unary {
                             op: lassi_lang::UnOp::Neg,
-                            operand: Box::new(subst_expr(value, subst)),
+                            operand: Box::new(subst_idents(value, subst)),
                         },
-                        _ => subst_expr(value, subst),
+                        _ => subst_idents(value, subst),
                     };
                     return Stmt::new(
                         StmtKind::Expr(Expr::call("atomicAdd", vec![ptr, delta])),
@@ -1510,47 +1075,12 @@ fn rewrite_device_stmt(
             }
             stmt.clone()
         }
-        StmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => Stmt::new(
-            StmtKind::If {
-                cond: subst_expr(cond, subst),
-                then_branch: rewrite_omp_body_for_device(then_branch, subst, reduction_vars),
-                else_branch: else_branch
-                    .as_ref()
-                    .map(|b| rewrite_omp_body_for_device(b, subst, reduction_vars)),
-            },
-            stmt.line,
-        ),
-        StmtKind::For(f) => Stmt::new(
-            StmtKind::For(ForStmt {
-                init: f
-                    .init
-                    .as_ref()
-                    .map(|s| Box::new(rewrite_device_stmt(s, subst, reduction_vars))),
-                cond: f.cond.as_ref().map(|e| subst_expr(e, subst)),
-                step: f
-                    .step
-                    .as_ref()
-                    .map(|s| Box::new(rewrite_device_stmt(s, subst, reduction_vars))),
-                body: rewrite_omp_body_for_device(&f.body, subst, reduction_vars),
-            }),
-            stmt.line,
-        ),
-        StmtKind::While { cond, body } => Stmt::new(
-            StmtKind::While {
-                cond: subst_expr(cond, subst),
-                body: rewrite_omp_body_for_device(body, subst, reduction_vars),
-            },
-            stmt.line,
-        ),
-        StmtKind::Block(b) => Stmt::new(
-            StmtKind::Block(rewrite_omp_body_for_device(b, subst, reduction_vars)),
-            stmt.line,
-        ),
-        _ => subst_stmt(stmt, subst),
+        _ => {
+            let Ok(s) = stmt.rebuild(&mut |e| subst_idents(e, subst), &mut |b| {
+                Ok::<_, Infallible>(rewrite_omp_body_for_device(b, subst, reduction_vars))
+            });
+            s
+        }
     }
 }
 

@@ -1392,7 +1392,11 @@ impl<'p> Compiler<'p> {
     fn register_functions(&mut self) {
         let mut launched: HashSet<String> = HashSet::new();
         for f in self.program.functions() {
-            collect_launch_names(&f.body, &mut launched);
+            f.body.walk(&mut |s| {
+                if let StmtKind::KernelLaunch(kl) = &s.kind {
+                    launched.insert(kl.kernel.clone());
+                }
+            });
         }
         for f in self.program.functions() {
             if self.func_ids.contains_key(&f.name) || self.kernel_ids.contains_key(&f.name) {
@@ -1566,139 +1570,28 @@ impl<'p> Compiler<'p> {
     }
 }
 
-/// Collect every kernel name referenced by a launch statement.
-fn collect_launch_names(b: &Block, out: &mut HashSet<String>) {
-    fn walk(s: &Stmt, out: &mut HashSet<String>) {
-        match &s.kind {
-            StmtKind::KernelLaunch(kl) => {
-                out.insert(kl.kernel.clone());
-            }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_launch_names(then_branch, out);
-                if let Some(eb) = else_branch {
-                    collect_launch_names(eb, out);
-                }
-            }
-            StmtKind::While { body, .. } => collect_launch_names(body, out),
-            StmtKind::For(f) => {
-                if let Some(init) = &f.init {
-                    walk(init, out);
-                }
-                if let Some(step) = &f.step {
-                    walk(step, out);
-                }
-                collect_launch_names(&f.body, out);
-            }
-            StmtKind::Block(b) => collect_launch_names(b, out),
-            StmtKind::Pragma(p) => {
-                if let Some(body) = &p.body {
-                    walk(body, out);
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in &b.stmts {
-        walk(s, out);
-    }
-}
-
 /// Every variable a `cudaMalloc(&x, ...)` anywhere in `b` assigns.
 fn malloc_targets(b: &Block) -> HashSet<String> {
-    fn expr(e: &Expr, out: &mut HashSet<String>) {
-        match e {
-            Expr::Call { callee, args } => {
-                if let (
-                    "cudaMalloc",
-                    Some(Expr::Unary {
-                        op: UnOp::AddrOf,
-                        operand,
-                    }),
-                ) = (callee.as_str(), args.first())
-                {
-                    if let Expr::Ident(name) = operand.as_ref() {
-                        out.insert(name.clone());
-                    }
-                }
-                args.iter().for_each(|a| expr(a, out));
-            }
-            Expr::Binary { lhs: a, rhs: b, .. } | Expr::Index { base: a, index: b } => {
-                expr(a, out);
-                expr(b, out);
-            }
-            Expr::Unary { operand: a, .. }
-            | Expr::Member { base: a, .. }
-            | Expr::Cast { expr: a, .. } => expr(a, out),
-            Expr::Ternary {
-                cond,
-                then_expr,
-                else_expr,
-            } => {
-                expr(cond, out);
-                expr(then_expr, out);
-                expr(else_expr, out);
-            }
-            Expr::IntLit(_)
-            | Expr::FloatLit(_)
-            | Expr::StrLit(_)
-            | Expr::Ident(_)
-            | Expr::Sizeof(_) => {}
-        }
-    }
-    fn stmt(s: &Stmt, out: &mut HashSet<String>) {
-        match &s.kind {
-            StmtKind::VarDecl(d) => d.init.iter().chain(&d.array_len).for_each(|e| expr(e, out)),
-            StmtKind::Assign { target, value, .. } => {
-                expr(target, out);
-                expr(value, out);
-            }
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                expr(cond, out);
-                block(then_branch, out);
-                else_branch.iter().for_each(|b| block(b, out));
-            }
-            StmtKind::While { cond, body } => {
-                expr(cond, out);
-                block(body, out);
-            }
-            StmtKind::For(f) => {
-                f.init.iter().chain(&f.step).for_each(|s| stmt(s, out));
-                f.cond.iter().for_each(|e| expr(e, out));
-                block(&f.body, out);
-            }
-            StmtKind::Return(e) => e.iter().for_each(|e| expr(e, out)),
-            StmtKind::Expr(e) => expr(e, out),
-            StmtKind::Block(b) => block(b, out),
-            StmtKind::KernelLaunch(kl) => [&kl.grid, &kl.block]
-                .into_iter()
-                .chain(&kl.args)
-                .for_each(|e| expr(e, out)),
-            StmtKind::Pragma(p) => {
-                for clause in &p.directive.clauses {
-                    if let OmpClause::Map { sections, .. } = clause {
-                        sections
-                            .iter()
-                            .flat_map(|s| &s.len)
-                            .for_each(|e| expr(e, out));
-                    }
-                }
-                p.body.iter().for_each(|s| stmt(s, out));
-            }
-            StmtKind::Break | StmtKind::Continue => {}
-        }
-    }
-    fn block(b: &Block, out: &mut HashSet<String>) {
-        b.stmts.iter().for_each(|s| stmt(s, out));
-    }
     let mut out = HashSet::new();
-    block(b, &mut out);
+    b.walk(&mut |s| {
+        s.exprs(&mut |e| {
+            e.walk(&mut |e| {
+                if let Expr::Call { callee, args } = e {
+                    if let (
+                        "cudaMalloc",
+                        Some(Expr::Unary {
+                            op: UnOp::AddrOf,
+                            operand,
+                        }),
+                    ) = (callee.as_str(), args.first())
+                    {
+                        if let Expr::Ident(name) = operand.as_ref() {
+                            out.insert(name.clone());
+                        }
+                    }
+                }
+            })
+        })
+    });
     out
 }

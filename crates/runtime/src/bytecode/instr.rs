@@ -50,11 +50,13 @@
 //! Each hot binary operator has instructions of its own, so the VM runs it
 //! with no second dispatch on the operator: `+ - * / %` in a
 //! register–register form (`Add(Rr)`) and a form whose right operand is a
-//! literal left in the constant pool (`AddK(Rk)`); `< > <= >= == != &&` in
+//! literal left in the constant pool (`AddK(Rk)`); `< > <= >= == !=` in
 //! those two forms plus two fused with a `JumpIfFalse` on the result
-//! (`LtBr(RrBr)`, `LtKBr(RkBr)`). `Instr::binary` and `Instr::binary_k`
-//! pick the instruction, so every operator has exactly one encoding; the
-//! rest (`||`, shifts, bitwise) share [`Instr::Binary`] / [`Instr::BinaryK`].
+//! (`LtBr(RrBr)`, `LtKBr(RkBr)`). `&&` short-circuits, so its right operand
+//! is always compiled to a register: it has only `And(Rr)` and `AndBr(RrBr)`.
+//! `Instr::binary` and `Instr::binary_k` pick the instruction, so every
+//! operator has exactly one encoding; the rest (`||`, shifts, bitwise) share
+//! [`Instr::Binary`] / [`Instr::BinaryK`].
 //! Any other operator feeding a branch (`if (x % 2)`) is followed by a
 //! separate `JumpIfFalse`, which charges nothing.
 //!
@@ -485,12 +487,8 @@ pub enum Instr {
     NeKBr(RkBr),
     /// `&&`.
     And(Rr),
-    /// `&&` with a literal right operand.
-    AndK(Rk),
     /// `&&` fused with a `JumpIfFalse` on its result.
     AndBr(RrBr),
-    /// `&&` with a literal right operand, fused with a `JumpIfFalse`.
-    AndKBr(RkBr),
     /// Unary minus (always charges one `int_op`, like the interpreter).
     Neg {
         /// Destination register.
@@ -979,7 +977,6 @@ impl Instr {
             BinOp::Ge => Instr::GeK(o),
             BinOp::Eq => Instr::EqK(o),
             BinOp::Ne => Instr::NeK(o),
-            BinOp::And => Instr::AndK(o),
             _ => Instr::BinaryK(op, o),
         }
     }
@@ -1001,7 +998,6 @@ impl Instr {
             Instr::Ne(o) if o.dst == cond => Instr::NeBr(o.branch()),
             Instr::NeK(o) if o.dst == cond => Instr::NeKBr(o.branch()),
             Instr::And(o) if o.dst == cond => Instr::AndBr(o.branch()),
-            Instr::AndK(o) if o.dst == cond => Instr::AndKBr(o.branch()),
             _ => return None,
         })
     }
@@ -1021,8 +1017,7 @@ impl Instr {
             | Instr::LeKBr(o)
             | Instr::GeKBr(o)
             | Instr::EqKBr(o)
-            | Instr::NeKBr(o)
-            | Instr::AndKBr(o) => Some(&mut o.target),
+            | Instr::NeKBr(o) => Some(&mut o.target),
             _ => None,
         }
     }
@@ -1054,8 +1049,7 @@ impl Instr {
             | Instr::LeK(o)
             | Instr::GeK(o)
             | Instr::EqK(o)
-            | Instr::NeK(o)
-            | Instr::AndK(o) => Some(&mut o.pre),
+            | Instr::NeK(o) => Some(&mut o.pre),
             Instr::LtBr(o)
             | Instr::GtBr(o)
             | Instr::LeBr(o)
@@ -1068,8 +1062,7 @@ impl Instr {
             | Instr::LeKBr(o)
             | Instr::GeKBr(o)
             | Instr::EqKBr(o)
-            | Instr::NeKBr(o)
-            | Instr::AndKBr(o) => Some(&mut o.pre),
+            | Instr::NeKBr(o) => Some(&mut o.pre),
             Instr::Stmt { pre, .. }
             | Instr::StmtBranch { pre, .. }
             | Instr::LoopIter { pre }

@@ -433,7 +433,6 @@ impl<'p> Vm<'p> {
                 Instr::Ne(o) => _ = self.op_ne(o)?,
                 Instr::NeK(o) => _ = self.op_ne(o)?,
                 Instr::And(o) => _ = self.op_and(o)?,
-                Instr::AndK(o) => _ = self.op_and(o)?,
                 Instr::LtBr(o) => jump_unless!(self.op_lt(o)?, o.target),
                 Instr::LtKBr(o) => jump_unless!(self.op_lt(o)?, o.target),
                 Instr::GtBr(o) => jump_unless!(self.op_gt(o)?, o.target),
@@ -447,7 +446,6 @@ impl<'p> Vm<'p> {
                 Instr::NeBr(o) => jump_unless!(self.op_ne(o)?, o.target),
                 Instr::NeKBr(o) => jump_unless!(self.op_ne(o)?, o.target),
                 Instr::AndBr(o) => jump_unless!(self.op_and(o)?, o.target),
-                Instr::AndKBr(o) => jump_unless!(self.op_and(o)?, o.target),
                 Instr::Neg { dst, src, pre } => {
                     self.charge(*pre)?;
                     let v = match self.reg(*src) {
