@@ -16,8 +16,7 @@
 //! shows up, and small kernels are dominated by launch overhead.
 
 use crate::device::DeviceSpec;
-use lassi_runtime::CostCounter;
-use lassi_runtime::Dim3Val;
+use lassi_runtime::{CostCounter, Dim3Val, KernelPricing};
 
 /// Converts aggregate kernel operation counts into simulated seconds.
 #[derive(Debug, Clone)]
@@ -50,8 +49,15 @@ impl KernelCostModel {
         (t / 32.0).clamp(1.0 / 32.0, 1.0)
     }
 
+    /// Simulated duration of an explicit host↔device copy.
+    pub fn memcpy_seconds(&self, bytes: u64) -> f64 {
+        self.spec.memcpy_latency + bytes as f64 / self.spec.pcie_bandwidth
+    }
+}
+
+impl KernelPricing for KernelCostModel {
     /// Simulated kernel duration in seconds.
-    pub fn kernel_seconds(&self, grid: Dim3Val, block: Dim3Val, cost: &CostCounter) -> f64 {
+    fn seconds(&self, grid: Dim3Val, block: Dim3Val, cost: &CostCounter) -> f64 {
         let parallel_fraction = self.occupancy(grid, block) * self.warp_efficiency(block);
         let eff_flops = self.spec.peak_flops * parallel_fraction;
         let eff_iops = self.spec.peak_iops * parallel_fraction;
@@ -69,11 +75,6 @@ impl KernelCostModel {
         let atomic_time = cost.atomics as f64 / self.spec.atomic_throughput;
 
         self.spec.kernel_launch_overhead + compute_time.max(memory_time) + atomic_time
-    }
-
-    /// Simulated duration of an explicit host↔device copy.
-    pub fn memcpy_seconds(&self, bytes: u64) -> f64 {
-        self.spec.memcpy_latency + bytes as f64 / self.spec.pcie_bandwidth
     }
 }
 
@@ -99,8 +100,8 @@ mod tests {
         let m = model();
         let g = Dim3Val::linear(1024);
         let b = Dim3Val::linear(256);
-        let t1 = m.kernel_seconds(g, b, &cost(1_000_000, 8_000_000, 0));
-        let t2 = m.kernel_seconds(g, b, &cost(10_000_000, 80_000_000, 0));
+        let t1 = m.seconds(g, b, &cost(1_000_000, 8_000_000, 0));
+        let t2 = m.seconds(g, b, &cost(10_000_000, 80_000_000, 0));
         assert!(t2 > t1);
     }
 
@@ -108,8 +109,8 @@ mod tests {
     fn serialized_launch_is_much_slower() {
         let m = model();
         let work = cost(50_000_000, 400_000_000, 0);
-        let wide = m.kernel_seconds(Dim3Val::linear(4096), Dim3Val::linear(256), &work);
-        let narrow = m.kernel_seconds(Dim3Val::linear(1), Dim3Val::linear(1), &work);
+        let wide = m.seconds(Dim3Val::linear(4096), Dim3Val::linear(256), &work);
+        let narrow = m.seconds(Dim3Val::linear(1), Dim3Val::linear(1), &work);
         assert!(
             narrow > wide * 100.0,
             "single-thread launch should be orders of magnitude slower ({narrow} vs {wide})"
@@ -119,7 +120,7 @@ mod tests {
     #[test]
     fn tiny_kernels_are_launch_bound() {
         let m = model();
-        let t = m.kernel_seconds(Dim3Val::linear(1), Dim3Val::linear(32), &cost(10, 80, 0));
+        let t = m.seconds(Dim3Val::linear(1), Dim3Val::linear(32), &cost(10, 80, 0));
         assert!(t >= m.spec().kernel_launch_overhead);
         assert!(t < m.spec().kernel_launch_overhead * 2.0);
     }
@@ -129,8 +130,8 @@ mod tests {
         let m = model();
         let g = Dim3Val::linear(1024);
         let b = Dim3Val::linear(256);
-        let without = m.kernel_seconds(g, b, &cost(1_000_000, 8_000_000, 0));
-        let with = m.kernel_seconds(g, b, &cost(1_000_000, 8_000_000, 1_000_000));
+        let without = m.seconds(g, b, &cost(1_000_000, 8_000_000, 0));
+        let with = m.seconds(g, b, &cost(1_000_000, 8_000_000, 1_000_000));
         assert!(with > without);
     }
 

@@ -1,13 +1,13 @@
-//! Reference runner: a combined machine backend (GPU simulator + OpenMP
-//! runtime simulator) and helpers for compiling and executing benchmark
+//! Reference runner: the paper's machine (the GPU and OpenMP cost models
+//! behind one backend) and helpers for compiling and executing benchmark
 //! programs the way the LASSI pipeline's "source code preparation" step does.
 
-use lassi_gpusim::GpuSimulator;
+use lassi_gpusim::{DeviceSpec, KernelCostModel};
 use lassi_lang::{Dialect, Program};
-use lassi_ompsim::OmpSimulator;
+use lassi_ompsim::OmpSpec;
 use lassi_runtime::{
-    CompiledKernelLaunch, CompiledParallelFor, ExecError, ExecutionReport, HostInterpreter,
-    KernelLaunchRequest, LaunchStats, Memory, ParallelBackend, ParallelForRequest, RunConfig,
+    ExecError, ExecutionReport, HostInterpreter, KernelPricing, ParallelBackend, RegionPricing,
+    RunConfig,
 };
 
 use crate::apps::Application;
@@ -29,16 +29,16 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The simulated experimental platform from the paper: a multi-core host with
 /// an NVIDIA A100, reachable both through CUDA and through OpenMP offload.
 pub struct Machine {
-    gpu: GpuSimulator,
-    omp: OmpSimulator,
+    gpu: KernelCostModel,
+    omp: OmpSpec,
 }
 
 impl Machine {
     /// The default A100-class machine.
     pub fn a100() -> Self {
         Machine {
-            gpu: GpuSimulator::a100(),
-            omp: OmpSimulator::a100_offload(),
+            gpu: KernelCostModel::new(DeviceSpec::a100()),
+            omp: OmpSpec::a100_offload(),
         }
     }
 
@@ -48,7 +48,7 @@ impl Machine {
     /// parameter misses instead of replaying stale runtimes. Should the
     /// `Debug` format ever change, the only cost is a cache miss.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a64(format!("{:?};{:?}", self.gpu.cost_model(), self.omp.spec()).as_bytes())
+        fnv1a64(format!("{:?};{:?}", self.gpu, self.omp).as_bytes())
     }
 
     /// Run configuration used for every benchmark execution (a small fixed
@@ -68,37 +68,15 @@ impl Default for Machine {
     }
 }
 
+/// The machine is its two cost models: kernels price on the GPU,
+/// work-sharing regions on the OpenMP runtime, copies over the GPU's link.
 impl ParallelBackend for Machine {
-    fn launch_kernel(
-        &self,
-        req: &KernelLaunchRequest<'_>,
-        mem: &Memory,
-    ) -> Result<LaunchStats, ExecError> {
-        self.gpu.launch_kernel(req, mem)
+    fn kernels(&self) -> Option<&dyn KernelPricing> {
+        Some(&self.gpu)
     }
 
-    fn parallel_for(
-        &self,
-        req: &ParallelForRequest<'_>,
-        mem: &Memory,
-    ) -> Result<LaunchStats, ExecError> {
-        self.omp.parallel_for(req, mem)
-    }
-
-    fn launch_compiled_kernel(
-        &self,
-        req: &CompiledKernelLaunch<'_>,
-        mem: &Memory,
-    ) -> Result<LaunchStats, ExecError> {
-        self.gpu.launch_compiled_kernel(req, mem)
-    }
-
-    fn compiled_parallel_for(
-        &self,
-        req: &CompiledParallelFor<'_>,
-        mem: &Memory,
-    ) -> Result<LaunchStats, ExecError> {
-        self.omp.compiled_parallel_for(req, mem)
+    fn regions(&self) -> Option<&dyn RegionPricing> {
+        Some(&self.omp)
     }
 
     fn memcpy_seconds(&self, bytes: u64) -> f64 {
@@ -397,11 +375,9 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_every_simulation_parameter() {
-        use lassi_gpusim::DeviceSpec;
-        use lassi_ompsim::OmpSpec;
         let machine = |device: DeviceSpec, omp: OmpSpec| Machine {
-            gpu: GpuSimulator::new(device),
-            omp: OmpSimulator::new(omp),
+            gpu: KernelCostModel::new(device),
+            omp,
         };
         let base = machine(DeviceSpec::a100(), OmpSpec::a100_offload()).fingerprint();
         assert_eq!(base, Machine::a100().fingerprint(), "stable");

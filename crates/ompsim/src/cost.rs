@@ -1,7 +1,7 @@
 //! Cost model for the simulated OpenMP runtime.
 
 use lassi_lang::{Expr, OmpClause, OmpDirective};
-use lassi_runtime::CostCounter;
+use lassi_runtime::{CostCounter, RegionPricing};
 
 /// Static description of the OpenMP execution environment: a multi-core host
 /// plus an offload target device reached through `#pragma omp target`.
@@ -132,16 +132,22 @@ impl OmpSpec {
         };
         RegionResources { threads, dynamic }
     }
+}
 
-    /// Simulated seconds for one work-sharing region (excluding `map`
-    /// transfers, which are charged separately by the host evaluator).
-    pub fn region_seconds(
+impl RegionPricing for OmpSpec {
+    fn threads(&self, directive: &OmpDirective, offload: bool, iterations: u64) -> u64 {
+        self.region_resources(directive, offload, iterations)
+            .threads
+    }
+
+    fn seconds(
         &self,
-        cost: &CostCounter,
-        resources: RegionResources,
+        directive: &OmpDirective,
         offload: bool,
         iterations: u64,
+        cost: &CostCounter,
     ) -> f64 {
+        let resources = self.region_resources(directive, offload, iterations);
         let ops = cost.total_ops() as f64;
         let bytes = cost.total_bytes() as f64;
         let (overhead, peak_ops, bandwidth, capacity) = if offload {
@@ -215,24 +221,18 @@ mod tests {
             bytes_read: 80_000_000,
             ..Default::default()
         };
-        let wide = spec.region_seconds(
-            &cost,
-            RegionResources {
-                threads: 100_000,
-                dynamic: false,
-            },
-            true,
-            100_000,
-        );
-        let narrow = spec.region_seconds(
-            &cost,
-            RegionResources {
-                threads: 1,
-                dynamic: false,
-            },
-            true,
-            100_000,
-        );
+        // 1000 teams of 100 threads against one team of one thread.
+        let wide = directive(vec![
+            OmpClause::NumTeams(Expr::IntLit(1000)),
+            OmpClause::NumThreads(Expr::IntLit(100)),
+        ]);
+        let narrow = directive(vec![
+            OmpClause::NumTeams(Expr::IntLit(1)),
+            OmpClause::NumThreads(Expr::IntLit(1)),
+        ]);
+        assert_eq!(spec.threads(&wide, true, 100_000), 100_000);
+        let wide = spec.seconds(&wide, true, 100_000, &cost);
+        let narrow = spec.seconds(&narrow, true, 100_000, &cost);
         assert!(narrow > wide * 50.0);
     }
 
@@ -252,10 +252,8 @@ mod tests {
             ..Default::default()
         };
         let iterations = 100_000;
-        let rs = spec.region_resources(&d_static, true, iterations);
-        let rd = spec.region_resources(&d_dynamic, true, iterations);
-        let ts = spec.region_seconds(&cost, rs, true, iterations);
-        let td = spec.region_seconds(&cost, rd, true, iterations);
+        let ts = spec.seconds(&d_static, true, iterations, &cost);
+        let td = spec.seconds(&d_dynamic, true, iterations, &cost);
         assert!(td > ts);
     }
 
@@ -271,9 +269,8 @@ mod tests {
             bytes_read: 1_000,
             ..Default::default()
         };
-        let host =
-            spec.region_seconds(&cost, spec.region_resources(&d, false, 1_000), false, 1_000);
-        let off = spec.region_seconds(&cost, spec.region_resources(&d, true, 1_000), true, 1_000);
+        let host = spec.seconds(&d, false, 1_000, &cost);
+        let off = spec.seconds(&d, true, 1_000, &cost);
         assert!(
             host < off,
             "tiny loops should not benefit from offload ({host} vs {off})"

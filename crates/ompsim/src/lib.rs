@@ -1,77 +1,21 @@
 //! # lassi-ompsim
 //!
-//! A simulated OpenMP runtime (host threads + `target` offload) for OmpLite
-//! programs. It is the counterpart of `lassi-gpusim` for the other half of the
-//! LASSI translation pair:
+//! A simulated OpenMP runtime (host threads + `target` offload): the cost
+//! model that prices OmpLite work-sharing regions. It is the counterpart of
+//! `lassi-gpusim` for the other half of the LASSI translation pair.
 //!
-//! * **functional execution** — every iteration of a work-sharing loop runs
-//!   through the ParC evaluator against the shared [`Memory`], with OpenMP
-//!   reduction semantics (private copies initialised to the identity, combined
-//!   at the end), so translated programs produce real output and real runtime
-//!   errors;
-//! * **performance model** — compute and memory-traffic counts are converted
-//!   to simulated seconds using either the host-CPU model (plain
-//!   `parallel for`) or the offload model (`target teams distribute parallel
-//!   for`), which charges the characteristic per-region launch overhead and
-//!   per-`map` transfer costs that make naive OpenMP offload codes slow
-//!   (the `jacobi` / `dense-embedding` pattern from the paper's Table IV).
+//! `lassi-runtime` runs every work-sharing loop itself, on either engine,
+//! with OpenMP reduction semantics (private copies initialised to the
+//! identity, combined at the end), so translated programs produce real
+//! output and real runtime errors. [`OmpSpec`] decides how many worker
+//! threads a region gets (`omp_get_num_threads()` inside it) and converts
+//! the region's compute and memory-traffic counts to simulated seconds,
+//! using either the host-CPU model (plain `parallel for`) or the offload
+//! model (`target teams distribute parallel for`). The offload model charges
+//! the characteristic per-region launch overhead and per-`map` transfer
+//! costs that make naive OpenMP offload codes slow (the `jacobi` /
+//! `dense-embedding` pattern from the paper's Table IV).
 
 pub mod cost;
-pub mod exec;
 
 pub use cost::OmpSpec;
-pub use exec::OmpSimulator;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lassi_lang::{parse, Dialect};
-    use lassi_runtime::{HostInterpreter, RunConfig};
-
-    #[test]
-    fn offload_reduction_end_to_end() {
-        let src = r#"
-        int main() {
-            int n = 1000;
-            double* a = (double*)malloc(n * sizeof(double));
-            for (int i = 0; i < n; i++) { a[i] = i * 1.0; }
-            double sum = 0.0;
-            #pragma omp target teams distribute parallel for map(to: a[0:n]) map(tofrom: sum) reduction(+:sum)
-            for (int i = 0; i < n; i++) {
-                sum += a[i];
-            }
-            printf("sum %.1f\n", sum);
-            free(a);
-            return 0;
-        }
-        "#;
-        let program = parse(src, Dialect::OmpLite).unwrap();
-        let omp = OmpSimulator::a100_offload();
-        let mut interp = HostInterpreter::new(&program, RunConfig::default());
-        let report = interp.run(&omp, &[]).unwrap();
-        assert_eq!(report.stdout, "sum 499500.0\n");
-        assert!(report.parallel_seconds > 0.0);
-    }
-
-    #[test]
-    fn host_parallel_for_end_to_end() {
-        let src = r#"
-        int main() {
-            int n = 500;
-            double* out = (double*)malloc(n * sizeof(double));
-            #pragma omp parallel for schedule(static)
-            for (int i = 0; i < n; i++) {
-                out[i] = i * 0.5;
-            }
-            printf("%.1f %.1f\n", out[0], out[499]);
-            free(out);
-            return 0;
-        }
-        "#;
-        let program = parse(src, Dialect::OmpLite).unwrap();
-        let omp = OmpSimulator::a100_offload();
-        let mut interp = HostInterpreter::new(&program, RunConfig::default());
-        let report = interp.run(&omp, &[]).unwrap();
-        assert_eq!(report.stdout, "0.0 249.5\n");
-    }
-}

@@ -1,170 +1,55 @@
-//! The interface between host execution and the parallel substrates.
+//! What the runtime asks of an execution platform: prices.
 //!
-//! The host interpreter does not know how kernels or OpenMP regions are
-//! executed or costed; it packages a request and hands it to a
-//! [`ParallelBackend`]. `lassi-gpusim` implements the CUDA side
-//! ([`ParallelBackend::launch_kernel`]) and `lassi-ompsim` the OpenMP side
-//! ([`ParallelBackend::parallel_for`]); a combined backend used by the
-//! pipeline forwards to whichever is appropriate.
+//! The runtime runs every kernel launch and OpenMP work-sharing loop itself,
+//! on either engine, through the one schedule in its `schedule` module. A
+//! [`ParallelBackend`] only turns what ran into simulated seconds:
+//! `lassi-gpusim` prices kernels ([`KernelPricing`]), `lassi-ompsim` prices
+//! regions ([`RegionPricing`]), and the paper's machine, which offers both,
+//! hands out both. A backend without a construct's cost model rejects the
+//! construct before any of it runs.
 
-use lassi_lang::{Block, Function, OmpDirective, Program};
+use lassi_lang::OmpDirective;
 
-use crate::bytecode::CompiledProgram;
 use crate::cost::CostCounter;
-use crate::env::Env;
-use crate::error::ExecError;
-use crate::memory::Memory;
-use crate::value::{Dim3Val, Value};
+use crate::value::Dim3Val;
 
-/// A CUDA kernel launch, with launch geometry and evaluated arguments.
-pub struct KernelLaunchRequest<'a> {
-    /// The full program (for `__device__` helper calls).
-    pub program: &'a Program,
-    /// The kernel being launched.
-    pub kernel: &'a Function,
-    /// Grid dimensions.
-    pub grid: Dim3Val,
-    /// Block dimensions.
-    pub block: Dim3Val,
-    /// Evaluated kernel arguments, in parameter order.
-    pub args: Vec<Value>,
-    /// Source line of the launch statement.
-    pub line: u32,
+/// Prices CUDA kernel launches.
+pub trait KernelPricing {
+    /// Simulated seconds of one launch of `grid` x `block` threads that
+    /// executed `cost` in total.
+    fn seconds(&self, grid: Dim3Val, block: Dim3Val, cost: &CostCounter) -> f64;
 }
 
-/// An OpenMP work-sharing region (`parallel for` or
-/// `target teams distribute parallel for`).
-pub struct ParallelForRequest<'a> {
-    /// The full program (for helper calls).
-    pub program: &'a Program,
-    /// The directive with its clauses.
-    pub directive: &'a OmpDirective,
-    /// Canonical loop variable name.
-    pub loop_var: String,
-    /// Inclusive lower bound.
-    pub lo: i64,
-    /// Exclusive upper bound.
-    pub hi: i64,
-    /// Loop step (> 0).
-    pub step: i64,
-    /// Loop body.
-    pub body: &'a Block,
-    /// Snapshot of the enclosing environment (shared/firstprivate view).
-    pub base_env: Env,
-    /// True for `target ...` directives that offload to the device.
-    pub offload: bool,
-    /// Source line of the pragma.
-    pub line: u32,
+/// Prices OpenMP work-sharing regions.
+pub trait RegionPricing {
+    /// Worker threads granted to a region of `iterations` iterations under
+    /// `directive` (`omp_get_num_threads()` inside it).
+    fn threads(&self, directive: &OmpDirective, offload: bool, iterations: u64) -> u64;
+
+    /// Simulated seconds of such a region that executed `cost` in total,
+    /// excluding `map` transfers, which the host charges as copies.
+    fn seconds(
+        &self,
+        directive: &OmpDirective,
+        offload: bool,
+        iterations: u64,
+        cost: &CostCounter,
+    ) -> f64;
 }
 
-/// A CUDA kernel launch against the compiled bytecode engine.
-pub struct CompiledKernelLaunch<'a> {
-    /// The compiled program (kernel units plus callable helpers).
-    pub program: &'a CompiledProgram,
-    /// Index into [`CompiledProgram::kernels`].
-    pub kernel: u32,
-    /// Grid dimensions.
-    pub grid: Dim3Val,
-    /// Block dimensions.
-    pub block: Dim3Val,
-    /// Evaluated kernel arguments, in parameter order.
-    pub args: Vec<Value>,
-    /// Source line of the launch statement.
-    pub line: u32,
-}
-
-/// An OpenMP work-sharing region against the compiled bytecode engine.
-pub struct CompiledParallelFor<'a> {
-    /// The compiled program (region units plus callable helpers).
-    pub program: &'a CompiledProgram,
-    /// Index into [`CompiledProgram::regions`].
-    pub region: u32,
-    /// Inclusive lower bound.
-    pub lo: i64,
-    /// Exclusive upper bound.
-    pub hi: i64,
-    /// Loop step (> 0).
-    pub step: i64,
-    /// Snapshot of the captured enclosing bindings, in region-slot order
-    /// (see [`crate::bytecode::CompiledRegion::captures`]).
-    pub captures: Vec<Value>,
-    /// True for `target ...` directives that offload to the device.
-    pub offload: bool,
-    /// Source line of the pragma.
-    pub line: u32,
-}
-
-/// What a backend reports after executing a parallel construct.
-#[derive(Debug, Clone, Default)]
-pub struct LaunchStats {
-    /// Simulated execution time of the construct, in seconds.
-    pub simulated_seconds: f64,
-    /// Dynamic operation counts aggregated over every thread.
-    pub cost: CostCounter,
-    /// Reduction results to merge back into the host environment
-    /// (variable name, final value).
-    pub reduction_updates: Vec<(String, Value)>,
-}
-
-/// Executes parallel constructs on behalf of the host interpreter.
+/// Prices parallel constructs on behalf of the runtime.
 ///
-/// Every method has a default implementation that reports the construct as
-/// unsupported, so single-purpose backends only implement their half and
-/// host-only tests can use a unit struct.
+/// Every method has a default, so single-purpose backends only provide
+/// their half and host-only tests can use a unit struct.
 pub trait ParallelBackend: Sync {
-    /// Execute a CUDA kernel launch.
-    fn launch_kernel(
-        &self,
-        req: &KernelLaunchRequest<'_>,
-        _mem: &Memory,
-    ) -> Result<LaunchStats, ExecError> {
-        Err(ExecError::other(format!(
-            "kernel launch of '{}' is not supported by backend '{}'",
-            req.kernel.name,
-            self.name()
-        )))
+    /// The kernel cost model, or `None` when this backend runs no kernels.
+    fn kernels(&self) -> Option<&dyn KernelPricing> {
+        None
     }
 
-    /// Execute an OpenMP work-sharing loop.
-    fn parallel_for(
-        &self,
-        req: &ParallelForRequest<'_>,
-        _mem: &Memory,
-    ) -> Result<LaunchStats, ExecError> {
-        Err(ExecError::other(format!(
-            "OpenMP '{}' regions are not supported by backend '{}'",
-            req.directive.kind.spelling(),
-            self.name()
-        )))
-    }
-
-    /// Execute a CUDA kernel launch from the bytecode engine.
-    fn launch_compiled_kernel(
-        &self,
-        req: &CompiledKernelLaunch<'_>,
-        _mem: &Memory,
-    ) -> Result<LaunchStats, ExecError> {
-        Err(ExecError::other(format!(
-            "kernel launch of '{}' is not supported by backend '{}'",
-            req.program.kernels[req.kernel as usize].name,
-            self.name()
-        )))
-    }
-
-    /// Execute an OpenMP work-sharing loop from the bytecode engine.
-    fn compiled_parallel_for(
-        &self,
-        req: &CompiledParallelFor<'_>,
-        _mem: &Memory,
-    ) -> Result<LaunchStats, ExecError> {
-        Err(ExecError::other(format!(
-            "OpenMP '{}' regions are not supported by backend '{}'",
-            req.program.regions[req.region as usize]
-                .directive
-                .kind
-                .spelling(),
-            self.name()
-        )))
+    /// The OpenMP cost model, or `None` when this backend runs no regions.
+    fn regions(&self) -> Option<&dyn RegionPricing> {
+        None
     }
 
     /// Simulated duration of an explicit host↔device copy of `bytes` bytes.
@@ -187,30 +72,40 @@ pub trait ParallelBackend: Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::{compile, run_compiled};
+    use crate::interp::{HostInterpreter, RunConfig};
     use lassi_lang::{parse, Dialect};
 
     struct Nothing;
     impl ParallelBackend for Nothing {}
 
     #[test]
-    fn default_backend_rejects_parallel_constructs() {
-        let program = parse(
-            "__global__ void k(float* a) { a[0] = 1.0; } int main() { return 0; }",
-            Dialect::CudaLite,
-        )
-        .unwrap();
-        let kernel = program.function("k").unwrap();
-        let req = KernelLaunchRequest {
-            program: &program,
-            kernel,
-            grid: Dim3Val::linear(1),
-            block: Dim3Val::linear(32),
-            args: vec![Value::NullPtr],
-            line: 1,
-        };
-        let mem = Memory::new();
-        let err = Nothing.launch_kernel(&req, &mem).unwrap_err();
-        assert!(err.to_string().contains("not supported"));
+    fn default_backend_rejects_parallel_constructs_before_they_run() {
+        let cases = [
+            (
+                "__global__ void k(int* a) { a[0] = 1; } \
+                 int main() { int* a; cudaMalloc(&a, 4); k<<<1, 32>>>(a); return 0; }",
+                Dialect::CudaLite,
+                "kernel launch of 'k' is not supported by backend 'generic'",
+            ),
+            (
+                "int main() { int n = 4; long s = 0; \
+                 #pragma omp parallel for reduction(+:s)\n\
+                 for (int i = 0; i < n; i++) { s += i; } return 0; }",
+                Dialect::OmpLite,
+                "OpenMP 'parallel for' regions are not supported by backend 'generic'",
+            ),
+        ];
+        for (src, dialect, message) in cases {
+            let program = parse(src, dialect).unwrap();
+            let config = RunConfig::default();
+            let reference = HostInterpreter::new(&program, config.clone())
+                .run(&Nothing, &[])
+                .unwrap_err();
+            let vm = run_compiled(&compile(&program, 0), &config, &Nothing, &[]).unwrap_err();
+            assert_eq!(reference, crate::ExecError::other(message));
+            assert_eq!(vm, reference);
+        }
     }
 
     #[test]
@@ -219,5 +114,6 @@ mod tests {
         assert!(b.memcpy_seconds(1 << 20) > b.memcpy_seconds(0));
         assert!(b.host_op_seconds() > 0.0);
         assert_eq!(b.name(), "generic");
+        assert!(b.kernels().is_none() && b.regions().is_none());
     }
 }

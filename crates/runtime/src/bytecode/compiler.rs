@@ -34,6 +34,7 @@ use super::{
     CompiledFunction, CompiledKernel, CompiledProgram, CompiledReduction, CompiledRegion,
     CompiledShared, HostUnit, SharedLen,
 };
+use crate::eval::{barrier_segments, shared_decls};
 use crate::value::Value;
 
 /// Compile a checked program into register bytecode.
@@ -1346,12 +1347,12 @@ impl<'p> Compiler<'p> {
                 .map(|(var, init_slot, ty, init_coerce)| {
                     let (read_slot, _) = rctx.resolve(var).expect("reduction var bound");
                     CompiledReduction {
-                        var: var.clone(),
                         op,
                         ty: ty.clone(),
                         init_slot: *init_slot,
                         init_coerce: *init_coerce,
                         read_slot,
+                        update: ctx.resolve(var),
                     }
                 })
                 .collect(),
@@ -1366,11 +1367,6 @@ impl<'p> Compiler<'p> {
         let after = self.bind_label();
         self.patch(skip, after);
 
-        let updates = reductions
-            .iter()
-            .map(|r| (r.var.clone(), ctx.resolve(&r.var)))
-            .collect();
-
         let id = self.regions.len() as u32;
         self.regions.push(CompiledRegion {
             directive: p.directive.clone(),
@@ -1379,8 +1375,6 @@ impl<'p> Compiler<'p> {
             captures: cap_info.iter().map(|(_, r, _)| *r).collect(),
             loop_var_slot,
             reductions,
-            updates,
-            offload: p.directive.kind.is_offload(),
         });
         id
     }
@@ -1491,16 +1485,10 @@ impl<'p> Compiler<'p> {
         }
 
         // Top-level `__shared__` declarations become per-block allocations
-        // performed by the launch orchestrator; the thread frame sees only
-        // the resulting pointers.
+        // performed by the kernel schedule; the thread frame sees only the
+        // resulting pointers.
         let mut shared = Vec::new();
-        for stmt in &f.body.stmts {
-            let StmtKind::VarDecl(d) = &stmt.kind else {
-                continue;
-            };
-            if !d.is_shared {
-                continue;
-            }
+        for d in shared_decls(&f.body) {
             let slot = ctx.alloc();
             let len = match &d.array_len {
                 Some(Expr::IntLit(v)) => SharedLen::Lit(*v),
@@ -1521,7 +1509,7 @@ impl<'p> Compiler<'p> {
                         nslots: sctx.high,
                     }
                 }
-                None => SharedLen::One,
+                None => SharedLen::Lit(1),
             };
             ctx.bind(&d.name, slot, d.ty.clone().ptr());
             shared.push(CompiledShared {
@@ -1537,21 +1525,9 @@ impl<'p> Compiler<'p> {
         // `exec_stmts` on a flat env), so declarations persist across
         // segment boundaries.
         let mut segments = Vec::new();
-        let mut start = 0usize;
-        let stmts = &f.body.stmts;
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        for (i, stmt) in stmts.iter().enumerate() {
-            if let StmtKind::Expr(Expr::Call { callee, .. }) = &stmt.kind {
-                if callee == "__syncthreads" {
-                    ranges.push((start, i));
-                    start = i + 1;
-                }
-            }
-        }
-        ranges.push((start, stmts.len()));
-        for (lo, hi) in ranges {
+        for segment in barrier_segments(&f.body) {
             let entry = self.bind_label();
-            for stmt in &stmts[lo..hi] {
+            for stmt in segment {
                 self.stmt(stmt, &mut ctx);
             }
             self.emit(Instr::EndUnit {

@@ -839,7 +839,7 @@ pub enum Instr {
         /// Name-pool index of the kernel name.
         name: u32,
     },
-    /// Hand the launch to the backend and merge its stats.
+    /// Run the launch through the kernel schedule and merge its stats.
     LaunchKernel {
         /// Kernel-table index.
         kernel: u32,
@@ -903,7 +903,8 @@ pub enum Instr {
     },
     /// Work-sharing entry: backend presence check.
     OmpPre,
-    /// Hand a work-sharing loop to the backend and merge its stats.
+    /// Run a work-sharing loop through the work-sharing schedule, merge its
+    /// stats and write the combined reductions back.
     ParallelFor {
         /// Region-table index.
         region: u32,

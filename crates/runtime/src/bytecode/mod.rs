@@ -90,7 +90,7 @@ pub struct CompiledFunction {
 /// How a `__shared__` array's per-block length is determined.
 #[derive(Debug, Clone)]
 pub enum SharedLen {
-    /// Literal length.
+    /// Literal length (1 when no length is given).
     Lit(i64),
     /// Arbitrary expression, compiled as a mini-unit evaluated with only the
     /// kernel parameters in scope (host context, small step budget) — the
@@ -101,8 +101,6 @@ pub enum SharedLen {
         /// Frame size of the expression unit.
         nslots: u32,
     },
-    /// No length given: a single element.
-    One,
 }
 
 /// One top-level `__shared__` declaration of a kernel.
@@ -139,8 +137,6 @@ pub struct CompiledKernel {
 /// One reduction variable of a work-sharing region.
 #[derive(Debug, Clone)]
 pub struct CompiledReduction {
-    /// Variable name (keys the backend's reduction updates).
-    pub var: String,
     /// Reduction operator.
     pub op: ReductionOp,
     /// The variable's binding type in the enclosing scope (`double` when the
@@ -156,6 +152,11 @@ pub struct CompiledReduction {
     /// Region slot read back after the chunk (resolved after the loop
     /// variable, which may shadow the reduction variable by name).
     pub read_slot: Reg,
+    /// Where the combined value lands in the caller's frame: the caller
+    /// slot and its binding type, or `None` when the name was unbound at the
+    /// pragma site (the value is then dropped, matching the interpreter's
+    /// ignored `env.set` failure).
+    pub update: Option<(Reg, Type)>,
 }
 
 /// A compiled work-sharing region (`parallel for` / offload variant).
@@ -165,8 +166,8 @@ pub struct CompiledReduction {
 /// its own frame into region slot `i`.
 #[derive(Debug, Clone)]
 pub struct CompiledRegion {
-    /// The directive with its clauses (drives the cost model's
-    /// `region_resources`, exactly as in the interpreter path).
+    /// The directive with its clauses (drives the cost model, exactly as in
+    /// the interpreter path).
     pub directive: OmpDirective,
     /// Entry pc of the loop-body unit (one execution per iteration).
     pub body_entry: u32,
@@ -178,13 +179,6 @@ pub struct CompiledRegion {
     pub loop_var_slot: Reg,
     /// Reduction bookkeeping.
     pub reductions: Vec<CompiledReduction>,
-    /// Where the backend's reduction updates land in the caller's frame:
-    /// `(variable name, Some((caller slot, binding type)))`, or `None` when
-    /// the name was unbound at the pragma site (updates are then dropped,
-    /// matching the interpreter's ignored `env.set` failure).
-    pub updates: Vec<(String, Option<(Reg, Type)>)>,
-    /// True for `target ...` offload directives.
-    pub offload: bool,
 }
 
 impl CompiledProgram {

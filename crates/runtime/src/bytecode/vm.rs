@@ -10,17 +10,18 @@
 //! stdout, cost counters, memory traffic, `extra_seconds`, the step counter
 //! (see the charging table in [`super::instr`]) and every error message.
 
-use lassi_lang::{BinOp, Type};
+use lassi_lang::{BinOp, OmpDirective, ReductionOp, Type};
 
 use super::instr::{FlowKind, Instr, MathFn, Reg, Rk, RkBr, Rr, RrBr, SpecialIdent};
-use super::CompiledProgram;
-use crate::backend::{CompiledKernelLaunch, CompiledParallelFor, ParallelBackend};
+use super::{CompiledKernel, CompiledProgram, CompiledRegion, SharedLen};
+use crate::backend::ParallelBackend;
 use crate::cost::CostCounter;
 use crate::error::ExecError;
 use crate::eval::{apply_binop, ControlFlow, EvalContext};
 use crate::interp::{ExecutionReport, RunConfig};
 use crate::memory::{BufferId, MemSpace, Memory};
 use crate::printf;
+use crate::schedule::{self, Costed, KernelLane, RegionLane, SHARED_LEN_STEP_LIMIT};
 use crate::value::{Dim3Val, Value};
 
 /// One saved call frame of the register stack.
@@ -39,9 +40,9 @@ struct Frame {
 
 /// The bytecode virtual machine.
 ///
-/// The public fields mirror [`crate::eval::Evaluator`]'s so orchestrators
-/// (host run, GPU simulator, OpenMP workers) read the run's observables the
-/// same way for either engine.
+/// The public fields mirror [`crate::eval::Evaluator`]'s so the host run
+/// and the parallel schedule read the run's observables the same way for
+/// either engine.
 pub struct Vm<'p> {
     /// The compiled program being executed.
     pub prog: &'p CompiledProgram,
@@ -122,23 +123,13 @@ impl<'p> Vm<'p> {
         self.frame_top = nslots as usize;
     }
 
-    /// Reset the register stack to a single frame holding a copy of `slots`
-    /// (a kernel thread's frame: the same seeded parameters and shared
-    /// pointers for every thread of a block, zeros elsewhere).
-    pub fn load_frame(&mut self, slots: &[Value]) {
-        self.regs.clear();
-        self.regs.extend_from_slice(slots);
-        self.frames.clear();
-        self.base = 0;
-        self.frame_top = slots.len();
-    }
-
-    /// Reset per-thread state so one `Vm` can serve many device threads in
-    /// sequence (single-segment kernels, where threads run to completion one
-    /// at a time): fresh context, step counter and line. `cost` is left
-    /// accumulating — merging once per block equals merging per thread,
-    /// since [`CostCounter::merge`] is field-wise addition.
-    pub fn reset_thread(&mut self, ctx: EvalContext) {
+    /// Make this VM a fresh thread of `ctx` whose single frame holds a copy
+    /// of `frame` (a kernel thread's frame: the same coerced arguments and
+    /// shared pointers for every thread of a block, zeros elsewhere), so one
+    /// `Vm` can serve many threads in sequence. `cost` keeps accumulating:
+    /// merging once equals merging per thread, since [`CostCounter::merge`]
+    /// is field-wise addition.
+    pub(crate) fn start_thread(&mut self, ctx: EvalContext, frame: &[Value]) {
         self.ctx = ctx;
         self.steps = 0;
         self.current_line = 0;
@@ -147,16 +138,16 @@ impl<'p> Vm<'p> {
         self.extra_seconds = 0.0;
         self.mapped.clear();
         self.map_marks.clear();
+        self.regs.clear();
+        self.regs.extend_from_slice(frame);
+        self.frames.clear();
+        self.base = 0;
+        self.frame_top = frame.len();
     }
 
     /// Write a slot of the current frame (parameter / capture seeding).
     pub fn set_slot(&mut self, slot: Reg, v: Value) {
         self.regs[self.base + slot as usize] = v;
-    }
-
-    /// Read a slot of the current frame (reduction results, return scratch).
-    pub fn slot(&self, slot: Reg) -> &Value {
-        &self.regs[self.base + slot as usize]
     }
 
     #[inline]
@@ -1031,15 +1022,13 @@ impl<'p> Vm<'p> {
                     else {
                         unreachable!("GeomConvert always precedes LaunchKernel");
                     };
-                    let req = CompiledKernelLaunch {
-                        program: prog,
-                        kernel: *kernel,
-                        grid: *g,
-                        block: *b,
-                        args: self.args(*args_base, *argc).to_vec(),
-                        line: self.current_line,
+                    let mut lane = KernelOnVm {
+                        prog,
+                        kernel: &prog.kernels[*kernel as usize],
+                        frame: Vec::new(),
                     };
-                    let stats = backend.launch_compiled_kernel(&req, mem)?;
+                    let args = self.args(*args_base, *argc);
+                    let stats = schedule::launch(&mut lane, *g, *b, args, backend, mem)?;
                     self.extra_seconds += stats.simulated_seconds;
                     self.parallel_cost.merge(&stats.cost);
                 }
@@ -1137,28 +1126,23 @@ impl<'p> Vm<'p> {
                         .backend
                         .expect("OmpPre verified the backend is attached");
                     let r = &prog.regions[*region as usize];
-                    let captures = r
-                        .captures
-                        .iter()
-                        .map(|&c| self.regs[self.base + c as usize])
-                        .collect();
-                    let req = CompiledParallelFor {
-                        program: prog,
-                        region: *region,
-                        lo: self.reg(*lo).as_int(),
-                        hi: self.reg(*hi).as_int(),
-                        step: self.reg(*step).as_int().max(1),
-                        captures,
-                        offload: r.offload,
-                        line: self.current_line,
+                    let lane = RegionOnVm {
+                        prog,
+                        region: r,
+                        captures: r
+                            .captures
+                            .iter()
+                            .map(|&c| self.regs[self.base + c as usize])
+                            .collect(),
                     };
-                    let stats = backend.compiled_parallel_for(&req, mem)?;
+                    let (lo, hi) = (self.reg(*lo).as_int(), self.reg(*hi).as_int());
+                    let step = self.reg(*step).as_int().max(1);
+                    let stats =
+                        schedule::work_share(&lane, lo, hi, step, self.current_line, backend, mem)?;
                     self.extra_seconds += stats.simulated_seconds;
                     self.parallel_cost.merge(&stats.cost);
-                    for (name, value) in &stats.reduction_updates {
-                        if let Some((_, Some((slot, ty)))) =
-                            r.updates.iter().find(|(n, _)| n == name)
-                        {
+                    for (red, value) in r.reductions.iter().zip(&stats.reductions) {
+                        if let Some((slot, ty)) = &red.update {
                             self.regs[self.base + *slot as usize] = value.coerce_to(ty);
                         }
                     }
@@ -1166,6 +1150,137 @@ impl<'p> Vm<'p> {
             }
             pc += 1;
         }
+    }
+}
+
+// ------------------------------------------------------------------ lanes
+
+impl Costed for Vm<'_> {
+    fn cost(&self) -> &CostCounter {
+        &self.cost
+    }
+}
+
+/// A kernel launch on the VM: each thread is a VM over a copy of the
+/// block's frame.
+struct KernelOnVm<'p> {
+    prog: &'p CompiledProgram,
+    kernel: &'p CompiledKernel,
+    /// Every thread's starting frame: coerced arguments, the current block's
+    /// `__shared__` pointers, zeros elsewhere.
+    frame: Vec<Value>,
+}
+
+impl<'p> KernelLane for KernelOnVm<'p> {
+    type Thread = Vm<'p>;
+
+    fn name(&self) -> &str {
+        &self.kernel.name
+    }
+
+    fn params(&self) -> usize {
+        self.kernel.params.len()
+    }
+
+    fn segments(&self) -> usize {
+        self.kernel.segments.len()
+    }
+
+    fn enter_block(&mut self, args: &[Value], mem: &Memory) -> Result<(), ExecError> {
+        self.frame.clear();
+        self.frame
+            .resize(self.kernel.nslots as usize, Value::Int(0));
+        for (i, (ty, arg)) in self.kernel.params.iter().zip(args).enumerate() {
+            self.frame[i] = arg.coerce_to(ty);
+        }
+        for decl in &self.kernel.shared {
+            let len = match &decl.len {
+                SharedLen::Lit(v) => (*v).max(1) as usize,
+                SharedLen::Dynamic { entry, nslots } => {
+                    // Evaluated with only the kernel arguments in scope.
+                    let mut vm =
+                        Vm::for_context(self.prog, EvalContext::Host, SHARED_LEN_STEP_LIMIT);
+                    vm.prepare_frame(*nslots);
+                    for (i, (ty, arg)) in self.kernel.params.iter().zip(args).enumerate() {
+                        vm.set_slot(i as u32, arg.coerce_to(ty));
+                    }
+                    match vm.run_unit(mem, *entry)? {
+                        ControlFlow::Return(v) => v.as_int().max(1) as usize,
+                        _ => 1,
+                    }
+                }
+            };
+            let ptr = mem.alloc(&decl.name, decl.elem.clone(), len, MemSpace::Shared);
+            self.frame[decl.slot as usize] = Value::Ptr(ptr);
+        }
+        Ok(())
+    }
+
+    fn thread(&self, ctx: EvalContext, step_limit: u64) -> Vm<'p> {
+        let mut vm = Vm::for_context(self.prog, ctx, step_limit);
+        vm.start_thread(ctx, &self.frame);
+        vm
+    }
+
+    fn restart(&self, vm: &mut Vm<'p>, ctx: EvalContext) {
+        vm.start_thread(ctx, &self.frame);
+    }
+
+    fn run(&self, vm: &mut Vm<'p>, segment: usize, mem: &Memory) -> Result<ControlFlow, ExecError> {
+        vm.run_unit(mem, self.kernel.segments[segment])
+    }
+}
+
+/// A work-sharing loop on the VM: each chunk's worker is a VM whose frame
+/// starts from the captured enclosing bindings.
+struct RegionOnVm<'p> {
+    prog: &'p CompiledProgram,
+    region: &'p CompiledRegion,
+    /// The enclosing bindings, in region-slot order.
+    captures: Vec<Value>,
+}
+
+impl<'p> RegionLane for RegionOnVm<'p> {
+    type Worker = Vm<'p>;
+
+    fn directive(&self) -> &OmpDirective {
+        &self.region.directive
+    }
+
+    fn reductions(&self) -> usize {
+        self.region.reductions.len()
+    }
+
+    fn reduction(&self, r: usize) -> (ReductionOp, &Type, Option<Value>) {
+        let red = &self.region.reductions[r];
+        let original = red
+            .init_coerce
+            .then(|| self.captures[red.init_slot as usize]);
+        (red.op, &red.ty, original)
+    }
+
+    fn worker(&self, ctx: EvalContext, step_limit: u64, identities: &[Value]) -> Vm<'p> {
+        let mut vm = Vm::for_context(self.prog, ctx, step_limit);
+        vm.prepare_frame(self.region.nslots);
+        vm.regs[..self.captures.len()].copy_from_slice(&self.captures);
+        for (red, ident) in self.region.reductions.iter().zip(identities) {
+            let seed = if red.init_coerce {
+                ident.coerce_to(&red.ty)
+            } else {
+                *ident
+            };
+            vm.set_slot(red.init_slot, seed);
+        }
+        vm
+    }
+
+    fn run(&self, vm: &mut Vm<'p>, i: i64, mem: &Memory) -> Result<ControlFlow, ExecError> {
+        vm.set_slot(self.region.loop_var_slot, Value::Int(i));
+        vm.run_unit(mem, self.region.body_entry)
+    }
+
+    fn private(&self, vm: &Vm<'p>, r: usize) -> Value {
+        *vm.reg(self.region.reductions[r].read_slot)
     }
 }
 

@@ -1,8 +1,7 @@
 //! Operation and memory-traffic accounting.
 //!
 //! The evaluator increments a [`CostCounter`] as it executes; the device and
-//! OpenMP backends turn those counters into simulated seconds using their
-//! analytic cost models. Keeping the counters separate from wall-clock time
+//! OpenMP cost models turn those counters into simulated seconds. Keeping the counters separate from wall-clock time
 //! is what makes the reproduced runtimes deterministic.
 
 /// Counts of dynamic operations executed by a region of code.

@@ -4,28 +4,32 @@
 //! One evaluator type serves three roles:
 //!
 //! * **host code** — run by [`crate::interp::HostInterpreter`], with a
-//!   [`ParallelBackend`] attached so kernel launches and OpenMP pragmas can be
-//!   delegated,
-//! * **CUDA device threads** — `lassi-gpusim` creates one evaluator per
+//!   [`ParallelBackend`] attached to price kernel launches, OpenMP regions
+//!   and transfers,
+//! * **CUDA device threads** — the kernel schedule runs one evaluator per
 //!   thread with [`EvalContext::DeviceThread`] bindings for
 //!   `threadIdx`/`blockIdx`/`blockDim`/`gridDim`,
-//! * **OpenMP workers** — `lassi-ompsim` creates evaluators with
-//!   [`EvalContext::OmpWorker`].
+//! * **OpenMP workers** — the work-sharing schedule runs one evaluator per
+//!   chunk with [`EvalContext::OmpWorker`].
+//!
+//! The evaluator's side of both schedules (one thread segment, one loop
+//! iteration) is at the end of this module.
 
 use lassi_lang::{
-    AssignOp, BinOp, Block, Expr, FnQualifier, Function, OmpClause, OmpDirectiveKind, PragmaStmt,
-    Program, Stmt, StmtKind, Type, UnOp,
+    AssignOp, BinOp, Block, Expr, FnQualifier, Function, OmpClause, OmpDirective, OmpDirectiveKind,
+    PragmaStmt, Program, ReductionOp, Stmt, StmtKind, Type, UnOp, VarDecl,
 };
 
 #[cfg(test)]
 use lassi_lang::Dialect;
 
-use crate::backend::{KernelLaunchRequest, ParallelBackend, ParallelForRequest};
+use crate::backend::ParallelBackend;
 use crate::cost::CostCounter;
 use crate::env::Env;
 use crate::error::ExecError;
 use crate::memory::{MemSpace, Memory};
 use crate::printf;
+use crate::schedule::{self, Costed, KernelLane, RegionLane, SHARED_LEN_STEP_LIMIT};
 use crate::value::{Dim3Val, PtrValue, Value};
 
 /// Where the code being evaluated conceptually runs.
@@ -89,7 +93,7 @@ pub struct Evaluator<'a> {
     /// (host statements when used as the host evaluator).
     pub cost: CostCounter,
     /// Operation counters accumulated by parallel constructs (kernels and
-    /// OpenMP regions) delegated to the backend. Kept separate so the
+    /// OpenMP regions) run by the parallel schedule. Kept separate so the
     /// simulated-time model does not price device work at host speed.
     pub parallel_cost: CostCounter,
     /// Captured standard output (host context only).
@@ -193,8 +197,9 @@ impl<'a> Evaluator<'a> {
         flow
     }
 
-    /// Execute a statement list without introducing a scope (used by the GPU
-    /// simulator to run the segments between `__syncthreads()` barriers).
+    /// Execute a statement list without introducing a scope (used by the
+    /// kernel schedule to run the segments between `__syncthreads()`
+    /// barriers).
     pub fn exec_stmts(
         &mut self,
         stmts: &[Stmt],
@@ -224,8 +229,8 @@ impl<'a> Evaluator<'a> {
         match &stmt.kind {
             StmtKind::VarDecl(d) => {
                 if d.is_shared && env.contains(&d.name) {
-                    // Shared arrays are pre-allocated per block by the GPU
-                    // simulator; the in-body declaration just names them.
+                    // Shared arrays are pre-allocated per block by the kernel
+                    // schedule; the in-body declaration just names them.
                     return Ok(ControlFlow::Normal);
                 }
                 if let Some(len_expr) = &d.array_len {
@@ -948,15 +953,13 @@ impl<'a> Evaluator<'a> {
         for a in &launch.args {
             args.push(self.eval_expr(a, env, mem)?);
         }
-        let req = KernelLaunchRequest {
+        let mut lane = KernelOnAst {
             program: self.program,
             kernel,
-            grid,
-            block,
-            args,
-            line: self.current_line,
+            segments: barrier_segments(&kernel.body).collect(),
+            frame: Env::new(),
         };
-        let stats = backend.launch_kernel(&req, mem)?;
+        let stats = schedule::launch(&mut lane, grid, block, &args, backend, mem)?;
         self.extra_seconds += stats.simulated_seconds;
         self.parallel_cost.merge(&stats.cost);
         Ok(())
@@ -1101,28 +1104,219 @@ impl<'a> Evaluator<'a> {
             Vec::new()
         };
 
-        let req = ParallelForRequest {
-            program: self.program,
-            directive: &pragma.directive,
+        let lane = RegionOnAst::new(
+            self.program,
+            pragma,
             loop_var,
-            lo,
-            hi,
-            step,
-            body: &for_stmt.body,
-            base_env: env.flatten(),
-            offload,
-            line: self.current_line,
-        };
-        let stats = backend.parallel_for(&req, mem)?;
+            &for_stmt.body,
+            env.flatten(),
+        );
+        let stats = schedule::work_share(&lane, lo, hi, step, self.current_line, backend, mem)?;
         self.extra_seconds += stats.simulated_seconds;
         self.parallel_cost.merge(&stats.cost);
-        for (name, value) in &stats.reduction_updates {
-            env.set(name, *value);
+        for ((var, ..), value) in lane.reductions.iter().zip(&stats.reductions) {
+            env.set(var, *value);
         }
         for id in mapped {
             mem.set_mapped(id, false);
         }
         Ok(())
+    }
+}
+
+// ------------------------------------------------------------------ lanes
+
+/// A kernel body split at its top-level `__syncthreads()` calls: the
+/// segments every thread of a block finishes before any starts the next.
+/// A barrier anywhere else is divergence.
+pub(crate) fn barrier_segments(body: &Block) -> impl Iterator<Item = &[Stmt]> {
+    body.stmts.split(|s| {
+        matches!(&s.kind, StmtKind::Expr(Expr::Call { callee, .. }) if callee == "__syncthreads")
+    })
+}
+
+/// A kernel body's top-level `__shared__` declarations: one allocation per
+/// block, which every thread of the block sees.
+pub(crate) fn shared_decls(body: &Block) -> impl Iterator<Item = &VarDecl> {
+    body.stmts.iter().filter_map(|s| match &s.kind {
+        StmtKind::VarDecl(d) if d.is_shared => Some(d),
+        _ => None,
+    })
+}
+
+/// A thread or worker on the evaluator: an evaluator and its environment.
+impl Costed for (Evaluator<'_>, Env) {
+    fn cost(&self) -> &CostCounter {
+        &self.0.cost
+    }
+}
+
+/// A kernel launch on the evaluator: each thread is an evaluator over its
+/// own environment, seeded with the block's frame.
+struct KernelOnAst<'a> {
+    program: &'a Program,
+    kernel: &'a Function,
+    /// The body split at its top-level `__syncthreads()` calls.
+    segments: Vec<&'a [Stmt]>,
+    /// The coerced arguments and the current block's `__shared__` pointers.
+    frame: Env,
+}
+
+impl<'a> KernelLane for KernelOnAst<'a> {
+    type Thread = (Evaluator<'a>, Env);
+
+    fn name(&self) -> &str {
+        &self.kernel.name
+    }
+
+    fn params(&self) -> usize {
+        self.kernel.params.len()
+    }
+
+    fn segments(&self) -> usize {
+        self.segments.len()
+    }
+
+    fn enter_block(&mut self, args: &[Value], mem: &Memory) -> Result<(), ExecError> {
+        let mut params = Env::new();
+        for (param, arg) in self.kernel.params.iter().zip(args) {
+            params.declare(&param.name, param.ty.clone(), arg.coerce_to(&param.ty));
+        }
+        self.frame = params.clone();
+        for decl in shared_decls(&self.kernel.body) {
+            let len = match &decl.array_len {
+                Some(Expr::IntLit(v)) => (*v).max(1) as usize,
+                Some(other) => {
+                    // Evaluated with only the kernel arguments in scope.
+                    let mut eval = Evaluator::for_context(
+                        self.program,
+                        EvalContext::Host,
+                        SHARED_LEN_STEP_LIMIT,
+                    );
+                    eval.eval_expr(other, &mut params.clone(), mem)?
+                        .as_int()
+                        .max(1) as usize
+                }
+                None => 1,
+            };
+            let ptr = mem.alloc(&decl.name, decl.ty.clone(), len, MemSpace::Shared);
+            self.frame
+                .declare(&decl.name, decl.ty.clone().ptr(), Value::Ptr(ptr));
+        }
+        Ok(())
+    }
+
+    fn thread(&self, ctx: EvalContext, step_limit: u64) -> Self::Thread {
+        (
+            Evaluator::for_context(self.program, ctx, step_limit),
+            self.frame.clone(),
+        )
+    }
+
+    fn restart(&self, (eval, env): &mut Self::Thread, ctx: EvalContext) {
+        let fresh = Evaluator::for_context(self.program, ctx, eval.step_limit);
+        let (cost, literals) = (eval.cost, eval.literals.take());
+        *eval = Evaluator {
+            cost,
+            literals,
+            ..fresh
+        };
+        env.clone_from(&self.frame);
+    }
+
+    fn run(
+        &self,
+        (eval, env): &mut Self::Thread,
+        segment: usize,
+        mem: &Memory,
+    ) -> Result<ControlFlow, ExecError> {
+        eval.exec_stmts(self.segments[segment], env, mem)
+    }
+}
+
+/// A work-sharing loop on the evaluator: each chunk's worker is an
+/// evaluator over a copy of the enclosing environment.
+struct RegionOnAst<'a> {
+    program: &'a Program,
+    directive: &'a OmpDirective,
+    loop_var: String,
+    body: &'a Block,
+    /// Snapshot of the enclosing environment (shared/firstprivate view).
+    base: Env,
+    /// Each reduction variable with its operator and binding type.
+    reductions: Vec<(&'a str, ReductionOp, Type)>,
+}
+
+impl<'a> RegionOnAst<'a> {
+    fn new(
+        program: &'a Program,
+        pragma: &'a PragmaStmt,
+        loop_var: String,
+        body: &'a Block,
+        base: Env,
+    ) -> Self {
+        let reductions = match pragma.directive.reduction() {
+            Some((op, vars)) => vars
+                .iter()
+                .map(|v| {
+                    let ty = base.get(v).map_or(Type::Double, |b| b.ty.clone());
+                    (v.as_str(), op, ty)
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        RegionOnAst {
+            program,
+            directive: &pragma.directive,
+            loop_var,
+            body,
+            base,
+            reductions,
+        }
+    }
+}
+
+impl<'a> RegionLane for RegionOnAst<'a> {
+    type Worker = (Evaluator<'a>, Env);
+
+    fn directive(&self) -> &OmpDirective {
+        self.directive
+    }
+
+    fn reductions(&self) -> usize {
+        self.reductions.len()
+    }
+
+    fn reduction(&self, r: usize) -> (ReductionOp, &Type, Option<Value>) {
+        let (var, op, ty) = &self.reductions[r];
+        (*op, ty, self.base.get(var).map(|b| b.value))
+    }
+
+    fn worker(&self, ctx: EvalContext, step_limit: u64, identities: &[Value]) -> Self::Worker {
+        let mut env = self.base.clone();
+        for ((var, _, ty), ident) in self.reductions.iter().zip(identities) {
+            if !env.set(var, *ident) {
+                env.declare(var, ty.clone(), *ident);
+            }
+        }
+        // The loop variable is private to each iteration.
+        env.declare(&self.loop_var, Type::Long, Value::Int(0));
+        (Evaluator::for_context(self.program, ctx, step_limit), env)
+    }
+
+    fn run(
+        &self,
+        (eval, env): &mut Self::Worker,
+        i: i64,
+        mem: &Memory,
+    ) -> Result<ControlFlow, ExecError> {
+        env.set(&self.loop_var, Value::Int(i));
+        eval.exec_block(self.body, env, mem)
+    }
+
+    fn private(&self, (_, env): &Self::Worker, r: usize) -> Value {
+        env.get(self.reductions[r].0)
+            .map_or(Value::Int(0), |b| b.value)
     }
 }
 

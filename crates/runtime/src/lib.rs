@@ -11,8 +11,12 @@
 //! * [`eval::Evaluator`] — the statement/expression evaluator shared by host
 //!   code, CUDA kernels and OpenMP regions,
 //! * [`interp::HostInterpreter`] — runs `main`, services the CUDA runtime API
-//!   (`cudaMalloc`, `cudaMemcpy`, launches) and OpenMP pragmas by delegating
-//!   to a [`backend::ParallelBackend`],
+//!   (`cudaMalloc`, `cudaMemcpy`, launches) and OpenMP pragmas,
+//! * the parallel schedule (the private `schedule` module) — runs every
+//!   kernel launch and work-sharing loop for both engines: blocks, threads,
+//!   barrier segments, chunks and reduction combines, in one fixed order,
+//! * [`backend::ParallelBackend`] — prices what the schedule ran: the
+//!   simulated GPU and OpenMP runtime are pure cost models behind it,
 //! * [`error::ExecError`] — runtime failures formatted like the error output
 //!   a real binary would print (illegal memory access, division by zero, ...),
 //!   which the LASSI execution self-correction loop feeds back to the LLM,
@@ -38,6 +42,7 @@ pub mod eval;
 pub mod interp;
 pub mod memory;
 pub mod printf;
+mod schedule;
 pub mod value;
 
 /// The tree-walking interpreter, preserved verbatim as the semantic
@@ -50,10 +55,7 @@ pub mod reference {
     pub use crate::interp::HostInterpreter;
 }
 
-pub use backend::{
-    CompiledKernelLaunch, CompiledParallelFor, KernelLaunchRequest, LaunchStats, ParallelBackend,
-    ParallelForRequest,
-};
+pub use backend::{KernelPricing, ParallelBackend, RegionPricing};
 pub use bytecode::{compile, run_compiled, run_compiled_with_memory, CompiledProgram, Vm};
 pub use cost::CostCounter;
 pub use env::Env;

@@ -2,8 +2,8 @@
 //!
 //! Every allocation (`malloc`, `cudaMalloc`, stack arrays, `__shared__`
 //! arrays, OpenMP-mapped sections) becomes a [`Buffer`] of `Cell<u64>`
-//! slots. A run's memory belongs to the thread executing it: the simulators
-//! run every launch on that thread, so the buffer table is a `RefCell` and
+//! slots. A run's memory belongs to the thread executing it: the parallel
+//! schedule runs every launch on that thread, so the buffer table is a `RefCell` and
 //! the cells are plain `Cell`s — no locks, no atomics, no unsafe code.
 
 use std::cell::{Cell, RefCell};

@@ -21,10 +21,10 @@ pub use lassi_sema as sema;
 /// Functional execution substrate (values, memory, evaluator, interpreter).
 pub use lassi_runtime as runtime;
 
-/// Simulated A100-class GPU.
+/// Simulated A100-class GPU: the kernel cost model.
 pub use lassi_gpusim as gpusim;
 
-/// Simulated OpenMP host + offload runtime.
+/// Simulated OpenMP host + offload runtime: the region cost model.
 pub use lassi_ompsim as ompsim;
 
 /// Simulated LLM substrate (prompts, models, translation engine, faults).

@@ -3,10 +3,11 @@
 //! compact codec form, as `lassi-perfbench` hashes whole record sets) and
 //! compared to `tests/golden/record-hashes.txt`.
 //!
-//! The subset is 3 applications x 4 models x both directions. The apps are
-//! chosen for coverage: `matrix-rotate` has the `collapse(2)` loop nest,
+//! The tier-1 subset is 3 applications x 4 models x both directions. The apps
+//! are chosen for coverage: `matrix-rotate` has the `collapse(2)` loop nest,
 //! `atomicCost` the atomic reduction into a shared total, and `pathfinder`
-//! the `target data` region around a per-row offload.
+//! the `target data` region around a per-row offload. An ignored test runs
+//! the whole 80-scenario paper grid against `tests/golden/paper-grid-hashes.txt`.
 //!
 //! A failure here means some scenario's record changed: its status, its
 //! generated code, its diagnostics or any number in it. A change that means
@@ -18,16 +19,16 @@ use lassi::harness::fnv1a64;
 use lassi::prelude::*;
 
 const GOLDEN: &str = include_str!("golden/record-hashes.txt");
+const PAPER_GRID_GOLDEN: &str = include_str!("golden/paper-grid-hashes.txt");
 const APPS: [&str; 3] = ["matrix-rotate", "atomicCost", "pathfinder"];
 
-#[test]
-fn cold_subset_grid_reproduces_the_golden_record_hashes() {
+/// Run `apps` x every model x both directions cold through
+/// `Harness::submit` and render one line per scenario with its record hash.
+fn record_hashes(apps: Vec<Application>) -> String {
     let grid = SweepGrid::single(
         PipelineConfig::default(),
         all_models(),
-        APPS.iter()
-            .map(|name| application(name).expect("benchmark exists"))
-            .collect(),
+        apps,
         Direction::both().to_vec(),
     );
     let jobs = grid.jobs();
@@ -48,8 +49,32 @@ fn cold_subset_grid_reproduces_the_golden_record_hashes() {
             fnv1a64(compact.as_bytes())
         ));
     }
+    actual
+}
+
+#[test]
+fn cold_subset_grid_reproduces_the_golden_record_hashes() {
+    let actual = record_hashes(
+        APPS.iter()
+            .map(|name| application(name).expect("benchmark exists"))
+            .collect(),
+    );
     assert_eq!(
         actual, GOLDEN,
         "record hashes differ from tests/golden/record-hashes.txt; actual:\n{actual}"
+    );
+}
+
+/// The whole paper grid: 10 applications x 4 models x both directions, 80
+/// scenarios. It takes about 30 s in a debug build, so it is ignored by
+/// default; run it with
+/// `cargo test --release --test golden_records -- --ignored`.
+#[test]
+#[ignore]
+fn cold_paper_grid_reproduces_the_golden_record_hashes() {
+    let actual = record_hashes(applications());
+    assert_eq!(
+        actual, PAPER_GRID_GOLDEN,
+        "record hashes differ from tests/golden/paper-grid-hashes.txt; actual:\n{actual}"
     );
 }

@@ -1,14 +1,18 @@
 //! Property-based tests over the core data structures and invariants:
 //! printer/parser round-tripping, similarity-metric bounds, cost-model
-//! monotonicity, memory-model safety under random access patterns, and
-//! bytecode/interpreter parity over every binary operator.
+//! monotonicity, memory-model safety under random access patterns,
+//! bytecode/interpreter parity over every binary operator, and the parallel
+//! parity corpus: one program per kernel and work-sharing construct, run on
+//! both engines.
 
 use proptest::prelude::*;
 
 use lassi::hecbench::Machine;
 use lassi::lang::{parse, print_program, BinOp, Dialect, Expr};
 use lassi::metrics::{sim_l, sim_t};
-use lassi::runtime::{compile, run_compiled, HostInterpreter, MemSpace, Memory, Value};
+use lassi::runtime::{
+    compile, run_compiled, ExecError, ExecutionReport, HostInterpreter, MemSpace, Memory, Value,
+};
 
 /// Generate random arithmetic expressions as source text.
 fn arb_expr(depth: u32) -> BoxedStrategy<String> {
@@ -126,16 +130,17 @@ fn kernel_program(vars: &str, body: &str) -> String {
     )
 }
 
-/// Run `src` on the reference interpreter and on the bytecode VM (without
-/// semantic checking, so ill-typed operands reach the runtime) and require
-/// the same report, or the same error.
-fn assert_engines_agree(src: &str) {
-    let program = parse(src, Dialect::CudaLite).expect("generated program parses");
+/// Run `src` on the reference interpreter and on the bytecode VM, both on
+/// the paper's machine (without semantic checking, so ill-typed operands
+/// reach the runtime), and require the same report, or the same error.
+/// Returns the VM's outcome for the caller's own checks.
+fn assert_engines_agree(src: &str, dialect: Dialect) -> Result<ExecutionReport, ExecError> {
+    let program = parse(src, dialect).expect("generated program parses");
     let machine = Machine::a100();
     let config = Machine::run_config();
     let reference = HostInterpreter::new(&program, config.clone()).run(&machine, &[]);
     let vm = run_compiled(&compile(&program, 0), &config, &machine, &[]);
-    match (reference, vm) {
+    match (&reference, &vm) {
         (Ok(a), Ok(b)) => {
             assert_eq!(a.stdout, b.stdout, "stdout: {src}");
             assert_eq!(a.steps, b.steps, "steps: {src}");
@@ -155,13 +160,14 @@ fn assert_engines_agree(src: &str) {
         (Err(a), Err(b)) => assert_eq!(a, b, "error: {src}"),
         (a, b) => panic!("engines disagree on {src}: interpreter={a:?} vm={b:?}"),
     }
+    vm
 }
 
 /// Every context of `e`, in a host program and in a kernel.
 fn assert_operator_parity(vars: &str, e: &str) {
     for body in contexts(e) {
-        assert_engines_agree(&host_program(vars, &body));
-        assert_engines_agree(&kernel_program(vars, &body));
+        let _ = assert_engines_agree(&host_program(vars, &body), Dialect::CudaLite);
+        let _ = assert_engines_agree(&kernel_program(vars, &body), Dialect::CudaLite);
     }
 }
 
@@ -190,6 +196,654 @@ fn engines_agree_on_every_operator_and_operand_pair() {
     ] {
         assert_operator_parity(vars, e);
     }
+}
+
+// ------------------------------------------------------------------------
+// Parallel parity corpus: one program per construct of the kernel and the
+// work-sharing schedule (barrier segments, `__shared__` memory, early
+// returns, divergent barriers, device atomics, reductions, OpenMP thread
+// queries, region control flow, launch and iteration caps), run on both
+// engines. Each test also checks what the program must print or which error
+// it must raise, so the corpus pins behaviour, not just agreement.
+
+fn cuda(src: &str) -> Result<ExecutionReport, ExecError> {
+    assert_engines_agree(src, Dialect::CudaLite)
+}
+
+fn omp(src: &str) -> Result<ExecutionReport, ExecError> {
+    assert_engines_agree(src, Dialect::OmpLite)
+}
+
+fn stdout(outcome: Result<ExecutionReport, ExecError>) -> String {
+    outcome.expect("program runs").stdout
+}
+
+fn error(outcome: Result<ExecutionReport, ExecError>) -> ExecError {
+    outcome.expect_err("program fails")
+}
+
+/// Every thread of every block runs, threads x-fastest, and kernels call
+/// `__device__` helpers.
+#[test]
+fn parallel_parity_every_thread_of_every_block_runs() {
+    let report = cuda(
+        r#"
+        __device__ double square(double x) { return x * x; }
+        __global__ void fill(int* out, double* sq, int n) {
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            if (i < n) { out[i] = i * 3; sq[i] = square(i); }
+        }
+        int main() {
+            int n = 256;
+            int* h = (int*)malloc(n * sizeof(int));
+            double* hs = (double*)malloc(n * sizeof(double));
+            int* d;
+            double* ds;
+            cudaMalloc(&d, n * sizeof(int));
+            cudaMalloc(&ds, n * sizeof(double));
+            fill<<<4, 64>>>(d, ds, n);
+            cudaMemcpy(h, d, n * sizeof(int), cudaMemcpyDeviceToHost);
+            cudaMemcpy(hs, ds, n * sizeof(double), cudaMemcpyDeviceToHost);
+            printf("%d %d %.1f\n", h[0], h[255], hs[5]);
+            return 0;
+        }
+        "#,
+    )
+    .expect("program runs");
+    assert_eq!(report.stdout, "0 765 25.0\n");
+    assert!(report.parallel_seconds > 0.0);
+    assert!(report.cost.total_ops() > 256);
+}
+
+/// Two-dimensional grids and blocks: `blockIdx.y`/`threadIdx.y` index rows.
+#[test]
+fn parallel_parity_two_dimensional_geometry() {
+    let out = stdout(cuda(
+        r#"
+        __global__ void idx2d(int* out, int n) {
+            int i = blockIdx.y * blockDim.y + threadIdx.y;
+            int j = blockIdx.x * blockDim.x + threadIdx.x;
+            if (i < n && j < n) { out[i * n + j] = i * 100 + j + threadIdx.z * 7; }
+        }
+        int main() {
+            int n = 8;
+            int* h = (int*)malloc(n * n * sizeof(int));
+            int* d;
+            cudaMalloc(&d, n * n * sizeof(int));
+            idx2d<<<dim3(2, 2, 1), dim3(4, 4, 1)>>>(d, n);
+            cudaMemcpy(h, d, n * n * sizeof(int), cudaMemcpyDeviceToHost);
+            printf("%d %d\n", h[7 * 8 + 5], h[9]);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(out, "705 101\n");
+}
+
+/// Barrier segments over a literal and a dynamic-length `__shared__` array:
+/// every thread of a block finishes a segment before any starts the next,
+/// and each block gets its own shared buffers.
+#[test]
+fn parallel_parity_shared_memory_across_barriers() {
+    let out = stdout(cuda(
+        r#"
+        __global__ void block_sum(double* out, const double* in, int n, int m) {
+            __shared__ double tile[64];
+            __shared__ long scratch[m + 1];
+            int tid = threadIdx.x;
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            if (i < n) { tile[tid] = in[i]; } else { tile[tid] = 0.0; }
+            scratch[tid % (m + 1)] = tid + blockIdx.x;
+            __syncthreads();
+            if (tid == 0) {
+                double s = 0.0;
+                for (int k = 0; k < 64; k++) { s += tile[k]; }
+                out[blockIdx.x] = s;
+            }
+            __syncthreads();
+            tile[tid] = tile[(tid + 1) % 64] * 2.0;
+            __syncthreads();
+            if (tid == 1) { out[gridDim.x + blockIdx.x] = tile[0] + scratch[m]; }
+        }
+        int main() {
+            int n = 128;
+            double* h_in = (double*)malloc(n * sizeof(double));
+            double* h_out = (double*)malloc(4 * sizeof(double));
+            for (int i = 0; i < n; i++) { h_in[i] = 1.0; }
+            h_in[70] = 2.5;
+            double* d_in;
+            double* d_out;
+            cudaMalloc(&d_in, n * sizeof(double));
+            cudaMalloc(&d_out, 4 * sizeof(double));
+            cudaMemcpy(d_in, h_in, n * sizeof(double), cudaMemcpyHostToDevice);
+            block_sum<<<2, 64>>>(d_out, d_in, n, 7);
+            cudaMemcpy(h_out, d_out, 4 * sizeof(double), cudaMemcpyDeviceToHost);
+            printf("%.2f %.2f %.2f %.2f\n", h_out[0], h_out[1], h_out[2], h_out[3]);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(out, "64.00 65.50 65.00 66.00\n");
+}
+
+/// A thread that returns is done: it runs no later segment, while the rest
+/// of its block passes the barrier.
+#[test]
+fn parallel_parity_thread_returning_before_a_barrier() {
+    let out = stdout(cuda(
+        r#"
+        __global__ void k(int* out) {
+            __shared__ int flag[4];
+            int t = threadIdx.x;
+            flag[t] = t + 1;
+            if (t >= 2) { out[t] = -1; return; }
+            __syncthreads();
+            out[t] = flag[3 - t] * 10;
+        }
+        int main() {
+            int* h = (int*)malloc(4 * sizeof(int));
+            int* d;
+            cudaMalloc(&d, 4 * sizeof(int));
+            k<<<1, 4>>>(d);
+            cudaMemcpy(h, d, 4 * sizeof(int), cudaMemcpyDeviceToHost);
+            printf("%d %d %d %d\n", h[0], h[1], h[2], h[3]);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(out, "40 30 -1 -1\n");
+}
+
+/// A `__syncthreads()` below the top level of a kernel is barrier
+/// divergence, reported under the launched kernel's name.
+#[test]
+fn parallel_parity_nested_barrier_is_divergence_named_after_the_kernel() {
+    let err = error(cuda(
+        r#"
+        __global__ void diverge(int* out) {
+            int t = threadIdx.x;
+            out[t] = t;
+            if (t < 2) { __syncthreads(); }
+        }
+        int main() {
+            int* d;
+            cudaMalloc(&d, 4 * sizeof(int));
+            diverge<<<1, 4>>>(d);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(
+        err,
+        ExecError::BarrierDivergence {
+            kernel: "diverge".to_string()
+        }
+    );
+}
+
+/// `atomicAdd` across blocks, and `atomicMin`/`atomicMax` on int and
+/// double cells.
+#[test]
+fn parallel_parity_device_atomics() {
+    let out = stdout(cuda(
+        r#"
+        __global__ void atoms(double* sum, int* lo, int* hi, double* dlo, double* dhi, int n) {
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            if (i < n) {
+                int v = (i * 37) % 101 - 50;
+                atomicAdd(sum, 1.0);
+                atomicMin(lo, v);
+                atomicMax(hi, v);
+                atomicMin(dlo, v * 0.5);
+                atomicMax(dhi, v * 0.25);
+            }
+        }
+        int main() {
+            int n = 1000;
+            double* hd = (double*)malloc(3 * sizeof(double));
+            int* hi = (int*)malloc(2 * sizeof(int));
+            hd[0] = 0.0; hd[1] = 100.0; hd[2] = -100.0;
+            hi[0] = 1000; hi[1] = -1000;
+            double* d;
+            int* di;
+            cudaMalloc(&d, 3 * sizeof(double));
+            cudaMalloc(&di, 2 * sizeof(int));
+            cudaMemcpy(d, hd, 3 * sizeof(double), cudaMemcpyHostToDevice);
+            cudaMemcpy(di, hi, 2 * sizeof(int), cudaMemcpyHostToDevice);
+            atoms<<<8, 128>>>(d, di, di + 1, d + 1, d + 2, n);
+            cudaMemcpy(hd, d, 3 * sizeof(double), cudaMemcpyDeviceToHost);
+            cudaMemcpy(hi, di, 2 * sizeof(int), cudaMemcpyDeviceToHost);
+            printf("%.1f %d %d %.2f %.2f\n", hd[0], hi[0], hi[1], hd[1], hd[2]);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(out, "1000.0 -50 50 -25.00 12.50\n");
+}
+
+/// Faults inside a kernel surface as the run's error: an out-of-bounds
+/// store, and a host pointer dereferenced on the device.
+#[test]
+fn parallel_parity_kernel_faults() {
+    let oob = error(cuda(
+        r#"
+        __global__ void bad(int* out, int n) {
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            out[i] = i;
+        }
+        int main() {
+            int* d;
+            cudaMalloc(&d, 16 * sizeof(int));
+            bad<<<4, 64>>>(d, 16);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(oob.category(), "out_of_bounds");
+    let host = error(cuda(
+        r#"
+        __global__ void bad(float* out) { out[0] = 1.0; }
+        int main() {
+            float* h = (float*)malloc(8 * sizeof(float));
+            bad<<<1, 32>>>(h);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(host.category(), "illegal_memory_space");
+    assert!(host.to_string().contains("CUDA error"));
+}
+
+/// The simulator's thread cap and the argument-count check reject a launch
+/// before any thread runs, with their exact messages.
+#[test]
+fn parallel_parity_launch_limits() {
+    let cap = error(cuda(
+        r#"
+        __global__ void k(int* out) { out[0] = 1; }
+        int main() {
+            int* d;
+            cudaMalloc(&d, sizeof(int));
+            k<<<100000, 1024>>>(d);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(
+        cap.to_string(),
+        ExecError::InvalidLaunchConfig {
+            kernel: "k".to_string(),
+            reason: "launch of 102400000 threads exceeds the simulator limit of 8000000"
+                .to_string(),
+        }
+        .to_string()
+    );
+    let argc = error(cuda(
+        r#"
+        __global__ void k(int* out, int n) { out[0] = n; }
+        int main() {
+            int* d;
+            cudaMalloc(&d, sizeof(int));
+            k<<<1, 32>>>(d);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(
+        argc,
+        ExecError::other("kernel 'k' launched with 1 arguments but declares 2 parameters")
+    );
+}
+
+/// The kernel cost model prices a one-thread launch of the same work far
+/// above a wide one.
+#[test]
+fn parallel_parity_single_thread_launch_is_slower() {
+    let launch = |grid: u32, block: u32| {
+        cuda(&format!(
+            r#"
+            __global__ void work(double* out, int n) {{
+                int start = blockIdx.x * blockDim.x + threadIdx.x;
+                int stride = gridDim.x * blockDim.x;
+                for (int i = start; i < n; i += stride) {{ out[i] = i * 2.0; }}
+            }}
+            int main() {{
+                int n = 4096;
+                double* d;
+                cudaMalloc(&d, n * sizeof(double));
+                work<<<{grid}, {block}>>>(d, n);
+                return 0;
+            }}
+            "#
+        ))
+        .expect("program runs")
+        .parallel_seconds
+    };
+    let wide = launch(16, 256);
+    let narrow = launch(1, 1);
+    assert!(
+        narrow > wide * 20.0,
+        "serialized kernel should be much slower ({narrow} vs {wide})"
+    );
+}
+
+/// `reduction` with `+ * min max` over int, long, float and double, each
+/// from a non-identity original value, in a host region over 100
+/// iterations and in an offload region over 65 (which leaves empty chunks),
+/// plus a two-variable clause and a variable unbound at the pragma.
+#[test]
+fn parallel_parity_reductions_over_every_operator_and_type() {
+    let cases = [
+        (
+            "+",
+            "r += i % 7 - 2;",
+            "r += (i % 7) * 0.37 - 1.1;",
+            "5",
+            "2.5",
+        ),
+        (
+            "*",
+            "r *= (i % 9 == 0) ? 2 : 1;",
+            "r *= 1.0 + (i % 3) * 0.01;",
+            "3",
+            "1.5",
+        ),
+        (
+            "min",
+            "if ((i * 37) % 101 - 50 < r) { r = (i * 37) % 101 - 50; }",
+            "if ((i * 37) % 101 * 0.5 - 20.0 < r) { r = (i * 37) % 101 * 0.5 - 20.0; }",
+            "-7",
+            "-7.5",
+        ),
+        (
+            "max",
+            "if ((i * 37) % 101 - 50 > r) { r = (i * 37) % 101 - 50; }",
+            "if ((i * 37) % 101 * 0.5 - 20.0 > r) { r = (i * 37) % 101 * 0.5 - 20.0; }",
+            "42",
+            "20.25",
+        ),
+    ];
+    for (op, int_update, float_update, int_init, float_init) in cases {
+        for (ty, fmt, update, init) in [
+            ("int", "%d", int_update, int_init),
+            ("long", "%ld", int_update, int_init),
+            ("float", "%.17e", float_update, float_init),
+            ("double", "%.17e", float_update, float_init),
+        ] {
+            for (pragma, n) in [
+                ("parallel for", 100),
+                ("target teams distribute parallel for map(tofrom: r)", 65),
+            ] {
+                let out = stdout(omp(&format!(
+                    r#"
+                    int main() {{
+                        int n = {n};
+                        {ty} r = {init};
+                        #pragma omp {pragma} reduction({op}:r)
+                        for (int i = 0; i < n; i++) {{ {update} }}
+                        printf("{fmt}\n", r);
+                        return 0;
+                    }}
+                    "#
+                )));
+                assert!(!out.is_empty(), "{op} over {ty} printed nothing");
+            }
+        }
+    }
+    let out = stdout(omp(r#"
+        int main() {
+            int n = 300;
+            double sum = 100.0;
+            long count = 7;
+            #pragma omp parallel for reduction(+:sum, count)
+            for (int i = 0; i < n; i++) { sum += i; count += 1; }
+            #pragma omp parallel for reduction(+:unbound)
+            for (int i = 0; i < n; i++) { unbound += 1.0; }
+            printf("%.1f %ld\n", sum, count);
+            return 0;
+        }
+        "#));
+    assert_eq!(out, "44950.0 307\n");
+}
+
+/// `omp_get_thread_num`, `omp_get_num_threads` and `omp_get_max_threads`
+/// in host code, in a host region and in an offload region: chunk `c` of
+/// the split runs as thread `c % threads`.
+#[test]
+fn parallel_parity_omp_thread_queries() {
+    let out = stdout(omp(r#"
+        int main() {
+            int n = 200;
+            long* t = (long*)malloc(n * sizeof(long));
+            long* m = (long*)malloc(n * sizeof(long));
+            printf("%d %d %d\n", omp_get_thread_num(), omp_get_num_threads(), omp_get_max_threads());
+            #pragma omp parallel for num_threads(8)
+            for (int i = 0; i < n; i++) {
+                t[i] = omp_get_thread_num();
+                m[i] = omp_get_num_threads() * 1000 + omp_get_max_threads();
+            }
+            long s = 0;
+            for (int i = 0; i < n; i++) { s += t[i] * (i + 1) + m[i]; }
+            printf("%ld %ld %ld\n", s, t[7], t[199]);
+            #pragma omp target teams distribute parallel for map(tofrom: t[0:n], m[0:n])
+            for (int i = 0; i < n; i++) {
+                t[i] = omp_get_thread_num();
+                m[i] = omp_get_num_threads() * 1000 + omp_get_max_threads();
+            }
+            s = 0;
+            for (int i = 0; i < n; i++) { s += t[i] * (i + 1) + m[i]; }
+            printf("%ld %ld %ld\n", s, t[7], t[199]);
+            return 0;
+        }
+        "#));
+    assert_eq!(out.lines().next(), Some("0 1 64"));
+    assert_eq!(out.lines().count(), 3);
+}
+
+/// `break` ends the current chunk only; `return` inside a region is an
+/// error.
+#[test]
+fn parallel_parity_region_control_flow() {
+    let out = stdout(omp(r#"
+        int main() {
+            int n = 640;
+            long* hit = (long*)malloc(n * sizeof(long));
+            for (int i = 0; i < n; i++) { hit[i] = 0; }
+            #pragma omp parallel for
+            for (int i = 0; i < n; i++) {
+                if (i % 10 == 3) { break; }
+                if (i % 10 == 1) { continue; }
+                hit[i] = 1;
+            }
+            long s = 0;
+            for (int i = 0; i < n; i++) { s += hit[i]; }
+            printf("%ld\n", s);
+            return 0;
+        }
+        "#));
+    assert_eq!(out, "128\n");
+    let err = error(omp(r#"
+        int main() {
+            int n = 10;
+            #pragma omp parallel for
+            for (int i = 0; i < n; i++) { if (i == 5) { return 1; } }
+            return 0;
+        }
+        "#));
+    assert_eq!(
+        err,
+        ExecError::other("line 4: 'return' is not allowed inside an OpenMP work-sharing region")
+    );
+}
+
+/// The iteration cap rejects a region before any iteration runs.
+#[test]
+fn parallel_parity_region_iteration_cap() {
+    let err = error(omp(r#"
+        int main() {
+            long c = 0;
+            #pragma omp parallel for
+            for (long i = 0; i < 9000000; i++) { c += 1; }
+            printf("%ld\n", c);
+            return 0;
+        }
+        "#));
+    assert_eq!(
+        err,
+        ExecError::other(
+            "line 4: work-sharing loop of 9000000 iterations exceeds the simulator limit of 8000000"
+        )
+    );
+}
+
+/// An iteration space wider than `i64` counts its iterations without
+/// overflow and meets the iteration cap.
+#[test]
+fn parallel_parity_wide_iteration_space_meets_the_cap() {
+    let err = error(omp(r#"
+        int main() {
+            long lo = -9000000000000000000;
+            long hi = 9000000000000000000;
+            long c = 0;
+            #pragma omp parallel for
+            for (long i = lo; i < hi; i++) { c += 1; }
+            printf("%ld\n", c);
+            return 0;
+        }
+        "#));
+    assert_eq!(
+        err,
+        ExecError::other(
+            "line 6: work-sharing loop of 18000000000000000000 iterations exceeds the simulator limit of 8000000"
+        )
+    );
+}
+
+/// A step whose offset from the lower bound overflows `i64` midway still
+/// gives every iteration its value.
+#[test]
+fn parallel_parity_wide_step_reaches_every_iteration() {
+    let out = stdout(omp(r#"
+        int main() {
+            long lo = -9000000000000000000;
+            long hi = 9000000000000000000;
+            long* seen = (long*)malloc(18 * sizeof(long));
+            #pragma omp parallel for
+            for (long i = lo; i < hi; i += 1000000000000000000) {
+                seen[i / 1000000000000000000 + 9] = i;
+            }
+            printf("%ld %ld\n", seen[0], seen[17]);
+            return 0;
+        }
+        "#));
+    assert_eq!(out, "-9000000000000000000 8000000000000000000\n");
+}
+
+/// A `long` product reduction wraps like the program's own arithmetic.
+#[test]
+fn parallel_parity_long_product_reduction_wraps() {
+    let out = stdout(omp(r#"
+        int main() {
+            int n = 640;
+            long p = 1;
+            #pragma omp parallel for reduction(*:p)
+            for (int i = 0; i < n; i++) { p *= 3; }
+            printf("%ld\n", p);
+            return 0;
+        }
+        "#));
+    assert_eq!(out, "-5642588177638596095\n");
+}
+
+/// Region memory semantics: writes are visible after the region, `omp
+/// atomic` updates land, faults propagate, an offload region needs its
+/// buffers mapped and a host region does not.
+#[test]
+fn parallel_parity_region_memory() {
+    let out = stdout(omp(r#"
+        int main() {
+            int n = 300;
+            long* out = (long*)malloc(n * sizeof(long));
+            double* total = (double*)malloc(1 * sizeof(double));
+            double* a = (double*)malloc(64 * sizeof(double));
+            total[0] = 0.0;
+            #pragma omp target teams distribute parallel for map(from: out[0:n])
+            for (int i = 0; i < n; i++) { out[i] = i * i; }
+            #pragma omp target teams distribute parallel for map(tofrom: total[0:1])
+            for (int i = 0; i < 1000; i++) {
+                #pragma omp atomic
+                total[0] += 1.0;
+            }
+            #pragma omp parallel for num_threads(8) schedule(static)
+            for (int i = 0; i < 64; i++) { a[i] = 2.0 * i; }
+            printf("%ld %ld %.1f %.1f\n", out[2], out[299], total[0], a[63]);
+            return 0;
+        }
+        "#));
+    assert_eq!(out, "4 89401 1000.0 126.0\n");
+    let oob = error(omp(r#"
+        int main() {
+            int n = 10;
+            double* a = (double*)malloc(4 * sizeof(double));
+            #pragma omp target teams distribute parallel for map(tofrom: a[0:4])
+            for (int i = 0; i < n; i++) { a[i] = i; }
+            return 0;
+        }
+        "#));
+    assert_eq!(oob.category(), "out_of_bounds");
+    let unmapped = error(omp(r#"
+        int main() {
+            int n = 16;
+            double* a = (double*)malloc(n * sizeof(double));
+            #pragma omp target teams distribute parallel for
+            for (int i = 0; i < n; i++) { a[i] = i; }
+            return 0;
+        }
+        "#));
+    assert_eq!(unmapped.category(), "illegal_memory_space");
+}
+
+/// Mapping inside a loop (the `jacobi`/`dense-embedding` pattern) costs far
+/// more than mapping once around it, for the same output.
+#[test]
+fn parallel_parity_mapping_inside_a_loop_costs_transfers() {
+    let run = |body: &str| {
+        omp(&format!(
+            r#"
+            int main() {{
+                int n = 60000;
+                int iters = 8;
+                double* a = (double*)malloc(n * sizeof(double));
+                double sum = 0.0;
+                {body}
+                printf("%.1f\n", sum);
+                return 0;
+            }}
+            "#
+        ))
+        .expect("program runs")
+    };
+    let per_iteration = run(r#"
+        for (int it = 0; it < iters; it++) {
+            #pragma omp target teams distribute parallel for map(tofrom: a[0:n]) map(tofrom: sum) reduction(+:sum)
+            for (int i = 0; i < n; i++) { a[i] = a[i] + 1.0; sum += 1.0; }
+        }"#);
+    let map_once = run(r#"
+        #pragma omp target data map(tofrom: a[0:n])
+        {
+            for (int it = 0; it < iters; it++) {
+                #pragma omp target teams distribute parallel for map(tofrom: sum) reduction(+:sum)
+                for (int i = 0; i < n; i++) { a[i] = a[i] + 1.0; sum += 1.0; }
+            }
+        }"#);
+    assert_eq!(per_iteration.stdout, "480000.0\n");
+    assert_eq!(per_iteration.stdout, map_once.stdout);
+    assert!(
+        per_iteration.parallel_seconds > map_once.parallel_seconds * 1.5,
+        "per-iteration mapping should be much slower ({} vs {})",
+        per_iteration.parallel_seconds,
+        map_once.parallel_seconds
+    );
 }
 
 proptest! {
