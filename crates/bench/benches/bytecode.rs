@@ -1,14 +1,36 @@
 //! Execution-engine benchmarks: the same Table IV programs run by the
 //! reference tree-walking interpreter and by the register-bytecode VM
 //! (steady-state, compiled once outside the timed loop), plus the one-time
-//! cost of lowering itself.
+//! cost of lowering itself, and two VM entry-overhead cases: an empty kernel
+//! (the per-thread cost of starting a thread) and a host loop of one
+//! statement (the per-statement cost).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use lassi_hecbench::{application, Machine};
-use lassi_lang::Dialect;
+use lassi_lang::{parse, Dialect};
 use lassi_runtime::HostInterpreter;
+
+/// 100 launches of 40 x 256 threads that do nothing: 1,024,000 thread
+/// starts.
+const EMPTY_KERNEL: &str = r#"
+__global__ void empty(int n) { }
+int main() {
+    for (int r = 0; r < 100; r++) { empty<<<40, 256>>>(r); }
+    return 0;
+}
+"#;
+
+/// One million iterations of a one-statement loop body.
+const HOST_LOOP: &str = r#"
+int main() {
+    long s = 0;
+    for (int i = 0; i < 1000000; i++) { s += i; }
+    printf("%ld\n", s);
+    return 0;
+}
+"#;
 
 fn bench_bytecode(c: &mut Criterion) {
     let machine = Machine::a100();
@@ -56,9 +78,29 @@ fn bench_bytecode(c: &mut Criterion) {
     }
 }
 
+fn bench_entry_overhead(c: &mut Criterion) {
+    let machine = Machine::a100();
+    for (name, src) in [
+        ("vm_empty_kernel_1m_threads", EMPTY_KERNEL),
+        ("vm_host_loop_1m_iterations", HOST_LOOP),
+    ] {
+        let program = parse(src, Dialect::CudaLite).unwrap();
+        lassi_sema::compile(&program).unwrap();
+        let compiled = lassi_runtime::compile(&program, 0);
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(
+                    lassi_runtime::run_compiled(&compiled, &Machine::run_config(), &machine, &[])
+                        .unwrap(),
+                )
+            })
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_bytecode
+    targets = bench_bytecode, bench_entry_overhead
 }
 criterion_main!(benches);

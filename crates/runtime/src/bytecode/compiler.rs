@@ -8,12 +8,14 @@
 //!
 //! Step parity with the interpreter is the one invariant everything else
 //! leans on; see the charging table in [`super::instr`]. Node steps are not
-//! instructions: `Compiler::charge` makes a step pending, and `Compiler::emit`
-//! folds the pending count into the `pre` of the next instruction that has
-//! one (passing over free `Const`/`Move`), or into a directly preceding
-//! statement or loop head, or flushes it as one [`Instr::Charge`]. A pending
-//! count never crosses a bound label: a jump landing on the label would
-//! charge steps of the fall-through path.
+//! instructions, and neither are statements: `Compiler::charge` makes a
+//! step pending (a statement's own included), and `Compiler::emit` folds
+//! the pending count into the `pre` of the next instruction that has one
+//! (passing over free `Const`/`Move`), or into a directly preceding branch
+//! head, or flushes it as one [`Instr::Charge`]. A pending count never
+//! crosses a bound label: a jump landing on the label would charge steps of
+//! the fall-through path. Every emitted instruction records the line of the
+//! statement being compiled in the program's line table.
 //!
 //! Identifiers evaluate to their binding's slot without a copy, literals on
 //! the right of a binary operator stay in the constant pool, every hot
@@ -52,6 +54,7 @@ pub fn compile(program: &Program, argc: usize) -> CompiledProgram {
     cc.compile_units(argc);
     CompiledProgram {
         code: cc.code,
+        lines: cc.lines,
         consts: cc.consts,
         names: cc.names,
         types: cc.types,
@@ -175,6 +178,11 @@ impl FnCtx {
 struct Compiler<'p> {
     program: &'p Program,
     code: Vec<Instr>,
+    /// The source line of each instruction in `code`.
+    lines: Vec<u32>,
+    /// The line of the innermost statement being compiled that has one (0
+    /// outside every statement).
+    line: u32,
     consts: Vec<Value>,
     const_ids: HashMap<ConstKey, u32>,
     names: Vec<String>,
@@ -204,6 +212,8 @@ impl<'p> Compiler<'p> {
         Compiler {
             program,
             code: Vec::new(),
+            lines: Vec::new(),
+            line: 0,
             consts: Vec::new(),
             const_ids: HashMap::new(),
             names: Vec::new(),
@@ -263,7 +273,13 @@ impl<'p> Compiler<'p> {
                 None => self.flush(),
             }
         }
+        self.push(i)
+    }
+
+    /// Append an instruction at the current line.
+    fn push(&mut self, i: Instr) -> usize {
         self.code.push(i);
+        self.lines.push(self.line);
         self.code.len() - 1
     }
 
@@ -271,7 +287,7 @@ impl<'p> Compiler<'p> {
     fn flush(&mut self) {
         let n = std::mem::take(&mut self.pending);
         if n > 0 {
-            self.code.push(Instr::Charge { n });
+            self.push(Instr::Charge { n });
         }
     }
 
@@ -296,17 +312,11 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    /// Charge one node step: into a directly preceding statement or loop
-    /// head (nothing fallible runs in between), else pending.
+    /// Charge one node step: into a directly preceding branch head
+    /// (nothing fallible runs in between), else pending.
     fn charge(&mut self) {
         if self.pending == 0 && self.code.len() > self.last_label {
-            if let Some(
-                Instr::Stmt { pre, .. }
-                | Instr::StmtBranch { pre, .. }
-                | Instr::LoopIter { pre }
-                | Instr::TernaryBranch { pre },
-            ) = self.code.last_mut()
-            {
+            if let Some(Instr::Branch { pre }) = self.code.last_mut() {
                 *pre += 1;
                 return;
             }
@@ -467,7 +477,7 @@ impl<'p> Compiler<'p> {
                 else_expr,
             } => {
                 let dst = ctx.alloc();
-                self.emit(Instr::TernaryBranch { pre: 1 });
+                self.emit(Instr::Branch { pre: 1 });
                 let jf = self.branch_if_false(cond, ctx);
                 let t = self.expr(then_expr, ctx);
                 self.emit(Instr::Move { dst, src: t });
@@ -860,17 +870,22 @@ impl<'p> Compiler<'p> {
 
     fn stmt(&mut self, s: &Stmt, ctx: &mut FnCtx) {
         let mark = ctx.next_slot;
+        let outer = self.line;
+        if s.line > 0 {
+            self.line = s.line;
+        }
         let kept = self.stmt_inner(s, ctx);
+        self.line = outer;
         ctx.next_slot = mark + kept;
     }
 
     /// Compile one statement; returns how many slots allocated at the
     /// statement's watermark must stay live (1 for declarations).
     fn stmt_inner(&mut self, s: &Stmt, ctx: &mut FnCtx) -> u32 {
-        let line = s.line;
+        // The statement's own step.
+        self.charge();
         match &s.kind {
             StmtKind::VarDecl(d) => {
-                self.emit(Instr::Stmt { line, pre: 1 });
                 // A `__shared__` re-declaration of a name the kernel prologue
                 // (or any enclosing binding) already provides is a no-op,
                 // like the interpreter's `env.contains` check.
@@ -913,7 +928,6 @@ impl<'p> Compiler<'p> {
                 1
             }
             StmtKind::Assign { target, op, value } => {
-                self.emit(Instr::Stmt { line, pre: 1 });
                 self.assign(target, *op, value, ctx);
                 0
             }
@@ -922,7 +936,7 @@ impl<'p> Compiler<'p> {
                 then_branch,
                 else_branch,
             } => {
-                self.emit(Instr::StmtBranch { line, pre: 1 });
+                self.emit(Instr::Branch { pre: 0 });
                 let jf = self.branch_if_false(cond, ctx);
                 self.block(then_branch, ctx);
                 match else_branch {
@@ -942,9 +956,8 @@ impl<'p> Compiler<'p> {
                 0
             }
             StmtKind::While { cond, body } => {
-                self.emit(Instr::Stmt { line, pre: 1 });
                 let head = self.bind_label();
-                self.emit(Instr::LoopIter { pre: 1 });
+                self.emit(Instr::Branch { pre: 1 });
                 let jexit = self.branch_if_false(cond, ctx);
                 ctx.loops.push(LoopCtx {
                     break_jumps: Vec::new(),
@@ -961,13 +974,12 @@ impl<'p> Compiler<'p> {
                 0
             }
             StmtKind::For(f) => {
-                self.emit(Instr::Stmt { line, pre: 1 });
                 ctx.push_scope();
                 if let Some(init) = &f.init {
                     self.stmt(init, ctx);
                 }
                 let head = self.bind_label();
-                self.emit(Instr::LoopIter { pre: 1 });
+                self.emit(Instr::Branch { pre: 1 });
                 let jexit = match &f.cond {
                     Some(cond) => self.branch_if_false(cond, ctx),
                     None => Vec::new(),
@@ -992,7 +1004,6 @@ impl<'p> Compiler<'p> {
                 0
             }
             StmtKind::Return(value) => {
-                self.emit(Instr::Stmt { line, pre: 1 });
                 let src = value.as_ref().map(|e| self.expr(e, ctx));
                 if ctx.map_depth > 0 {
                     self.emit(Instr::UnmapFrames { n: ctx.map_depth });
@@ -1001,32 +1012,27 @@ impl<'p> Compiler<'p> {
                 0
             }
             StmtKind::Break => {
-                self.emit(Instr::Stmt { line, pre: 1 });
                 self.loop_exit(ctx, FlowKind::Break);
                 0
             }
             StmtKind::Continue => {
-                self.emit(Instr::Stmt { line, pre: 1 });
                 self.loop_exit(ctx, FlowKind::Continue);
                 0
             }
             StmtKind::Expr(e) => {
-                self.emit(Instr::Stmt { line, pre: 1 });
                 self.expr(e, ctx);
                 0
             }
             StmtKind::Block(b) => {
-                self.emit(Instr::Stmt { line, pre: 1 });
                 self.block(b, ctx);
                 0
             }
             StmtKind::KernelLaunch(kl) => {
-                self.emit(Instr::Stmt { line, pre: 1 });
                 self.launch(kl, ctx);
                 0
             }
             StmtKind::Pragma(p) => {
-                self.pragma(p, line, ctx);
+                self.pragma(p, ctx);
                 0
             }
         }
@@ -1179,13 +1185,10 @@ impl<'p> Compiler<'p> {
 
     // ------------------------------------------------------------ pragmas
 
-    fn pragma(&mut self, p: &PragmaStmt, line: u32, ctx: &mut FnCtx) {
+    fn pragma(&mut self, p: &PragmaStmt, ctx: &mut FnCtx) {
         match p.directive.kind {
-            OmpDirectiveKind::Barrier => {
-                self.emit(Instr::Stmt { line, pre: 1 });
-            }
+            OmpDirectiveKind::Barrier => {}
             OmpDirectiveKind::Atomic => {
-                self.emit(Instr::Stmt { line, pre: 1 });
                 if let Some(body) = &p.body {
                     if let StmtKind::Assign {
                         target: Expr::Index { base, index },
@@ -1209,7 +1212,6 @@ impl<'p> Compiler<'p> {
                 }
             }
             OmpDirectiveKind::TargetData => {
-                self.emit(Instr::Stmt { line, pre: 1 });
                 self.emit(Instr::MapFramePush);
                 ctx.map_depth += 1;
                 self.map_clauses(&p.directive.clauses, ctx);
@@ -1220,7 +1222,7 @@ impl<'p> Compiler<'p> {
                 self.emit(Instr::MapFramePop);
             }
             OmpDirectiveKind::ParallelFor | OmpDirectiveKind::TargetTeamsDistributeParallelFor => {
-                self.worksharing(p, line, ctx);
+                self.worksharing(p, ctx);
             }
         }
     }
@@ -1251,8 +1253,7 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    fn worksharing(&mut self, p: &PragmaStmt, line: u32, ctx: &mut FnCtx) {
-        self.emit(Instr::Stmt { line, pre: 1 });
+    fn worksharing(&mut self, p: &PragmaStmt, ctx: &mut FnCtx) {
         self.emit(Instr::OmpPre);
         let Some(body) = p.body.as_deref() else {
             let msg = self.name_id("work-sharing pragma without an associated loop");
@@ -1359,11 +1360,15 @@ impl<'p> Compiler<'p> {
             None => Vec::new(),
         };
 
+        // The body is a unit of its own, outside the pragma's statement, as
+        // each worker starts it outside any statement.
+        let pragma_line = std::mem::take(&mut self.line);
         let body_entry = self.bind_label();
         self.block(&f.body, &mut rctx);
         self.emit(Instr::EndUnit {
             flow: FlowKind::Normal,
         });
+        self.line = pragma_line;
         let after = self.bind_label();
         self.patch(skip, after);
 

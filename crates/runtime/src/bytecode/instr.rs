@@ -13,25 +13,35 @@
 //! | instruction | charges |
 //! |---|---|
 //! | any instruction with a `pre` field | `pre` steps on entry, before anything else |
-//! | [`Instr::Stmt`] / [`Instr::StmtBranch`] | `pre`, then the line update (and the `if` branch count) |
-//! | [`Instr::LoopIter`] / [`Instr::TernaryBranch`] | `pre`, then one branch |
+//! | [`Instr::Branch`] (an `if`, a loop iteration, a ternary) | `pre`, then one branch |
 //! | [`Instr::Charge`] | `n` steps, nothing else |
 //! | operator instructions ([`Rr`], [`Rk`], [`RrBr`], [`RkBr`] operands) | `pre`, then the operator's cost |
 //! | every other instruction | nothing |
 //!
-//! A node's step is *pending* from the moment the compiler reaches the node
-//! until it emits an instruction that charges it:
+//! A statement's own step is a node step like any other: no instruction
+//! marks where a statement starts. A node's step is *pending* from the
+//! moment the compiler reaches the node until it emits an instruction that
+//! charges it:
 //!
 //! * **Folded forward.** The next emitted instruction with a `pre` field
 //!   absorbs every pending step. Free instructions ([`Instr::Const`],
 //!   [`Instr::Move`]) can neither fail nor observe anything, so a pending
 //!   count passes over them.
 //! * **Folded backward.** A step that becomes pending directly after a
-//!   `Stmt`, `StmtBranch`, `LoopIter` or `TernaryBranch` joins that
-//!   instruction's `pre`: nothing fallible runs between the two.
+//!   `Branch` joins that instruction's `pre`: nothing fallible runs between
+//!   the two.
 //! * **Flushed.** Before an instruction without a `pre` field, and before
 //!   every bound label, the pending count is emitted as a `Charge`. A jump
 //!   landing on the label must not charge steps of the fall-through path.
+//!
+//! ## Lines
+//!
+//! An error names the source line of the statement it happened in. The VM
+//! keeps no current line: [`super::CompiledProgram::lines`] maps every pc
+//! to the line of the innermost statement around the instruction (0 outside
+//! any statement), and a failing instruction reads its own entry. A fault in
+//! a loop condition reports the loop's line, and a fault after a call
+//! returns reports the caller's statement, on both engines.
 //!
 //! ## Operands
 //!
@@ -252,27 +262,9 @@ pub struct RkBr {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     // ------------------------------------------------ step/cost bookkeeping
-    /// Statement entry: charge, then update `current_line` when `line > 0`.
-    Stmt {
-        /// Source line (0 = synthesized, leaves `current_line` untouched).
-        line: u32,
-        /// Steps: the statement's own plus folded node steps.
-        pre: u32,
-    },
-    /// `if` statement entry: charge, line update, one branch.
-    StmtBranch {
-        /// Source line.
-        line: u32,
-        /// Steps: the statement's own plus folded node steps.
-        pre: u32,
-    },
-    /// Loop-iteration head: charge plus one branch.
-    LoopIter {
-        /// Steps: the iteration's own plus folded node steps.
-        pre: u32,
-    },
-    /// Ternary node: charge plus one branch (before the condition).
-    TernaryBranch {
+    /// Charge plus one branch: the head of an `if`, of a loop iteration and
+    /// of a ternary, before the condition.
+    Branch {
         /// Steps: the node's own plus folded node steps.
         pre: u32,
     },
@@ -626,7 +618,8 @@ pub enum Instr {
         /// Name-pool index of the message.
         msg: u32,
     },
-    /// Fail with `runtime error: line {current_line}: {msg}`.
+    /// Fail with `runtime error: line {line}: {msg}`, `line` being this
+    /// instruction's entry in the line table.
     ErrLine {
         /// Name-pool index of the message.
         msg: u32,
@@ -1064,10 +1057,7 @@ impl Instr {
             | Instr::GeKBr(o)
             | Instr::EqKBr(o)
             | Instr::NeKBr(o) => Some(&mut o.pre),
-            Instr::Stmt { pre, .. }
-            | Instr::StmtBranch { pre, .. }
-            | Instr::LoopIter { pre }
-            | Instr::TernaryBranch { pre }
+            Instr::Branch { pre }
             | Instr::LoadDim { pre, .. }
             | Instr::StoreInt { pre, .. }
             | Instr::StoreF32 { pre, .. }

@@ -41,6 +41,10 @@ pub struct CompiledProgram {
     /// region bodies, shared-length expressions) are pc ranges ending in
     /// `Ret`/`EndUnit`.
     pub code: Vec<Instr>,
+    /// The source line of every instruction, indexed by pc: the line of the
+    /// innermost enclosing statement that has one, 0 outside every
+    /// statement. Errors read the failing instruction's entry.
+    pub lines: Vec<u32>,
     /// Constant pool (`Const` and the literal operands of the `...K`
     /// operator forms).
     pub consts: Vec<Value>,

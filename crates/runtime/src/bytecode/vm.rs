@@ -8,7 +8,13 @@
 //!
 //! Every observable of the tree-walking interpreter is reproduced exactly:
 //! stdout, cost counters, memory traffic, `extra_seconds`, the step counter
-//! (see the charging table in [`super::instr`]) and every error message.
+//! (see the charging table in [`super::instr`]) and every error message,
+//! whose line comes from the program's pc→line table.
+//!
+//! A kernel thread or OpenMP worker VM runs a whole single-segment block or
+//! a whole chunk in one [`Vm::run_unit`]: when the unit exits its entry
+//! frame, the VM's [`Resume`] cursor starts the block's next thread or the
+//! chunk's next iteration and jumps back to the unit's entry.
 
 use lassi_lang::{BinOp, OmpDirective, ReductionOp, Type};
 
@@ -23,6 +29,26 @@ use crate::memory::{BufferId, MemSpace, Memory};
 use crate::printf;
 use crate::schedule::{self, Costed, KernelLane, RegionLane, SHARED_LEN_STEP_LIMIT};
 use crate::value::{Dim3Val, Value};
+
+/// Where a unit goes when it exits its entry frame. Read only on that path.
+enum Resume {
+    /// Return its flow to the caller of [`Vm::run_unit`].
+    Exit,
+    /// Start thread `next` of the current block over `Vm::block_frame`.
+    Block {
+        /// The block's next thread index, x fastest.
+        next: Dim3Val,
+    },
+    /// Run iteration `k` of `lo, lo + step, ...` with the loop variable in
+    /// `slot`, until `last`.
+    Chunk {
+        k: u64,
+        last: u64,
+        lo: i64,
+        step: i64,
+        slot: Reg,
+    },
+}
 
 /// One saved call frame of the register stack.
 struct Frame {
@@ -52,7 +78,8 @@ pub struct Vm<'p> {
     pub cost: CostCounter,
     /// Operation counters accumulated by delegated parallel constructs.
     pub parallel_cost: CostCounter,
-    /// Captured standard output (host context only).
+    /// Captured standard output. A thread's or worker's is collected by the
+    /// parallel schedule and appended to the host's.
     pub stdout: String,
     /// Simulated seconds accrued by parallel constructs and transfers.
     pub extra_seconds: f64,
@@ -60,8 +87,6 @@ pub struct Vm<'p> {
     pub steps: u64,
     /// Maximum number of steps before aborting.
     pub step_limit: u64,
-    /// Source line of the statement currently executing.
-    pub current_line: u32,
     backend: Option<&'p dyn ParallelBackend>,
     call_depth: u32,
     regs: Vec<Value>,
@@ -74,10 +99,15 @@ pub struct Vm<'p> {
     mapped: Vec<BufferId>,
     /// `mapped` watermarks, one per open map frame.
     map_marks: Vec<usize>,
+    /// What to do when the running unit exits its entry frame.
+    resume: Resume,
+    /// The starting frame of every thread of the current block, while the
+    /// VM runs the block.
+    block_frame: Vec<Value>,
 }
 
 impl<'p> Vm<'p> {
-    /// VM for device / worker code (no backend, no stdout consumers).
+    /// VM for device / worker code (no backend).
     pub fn for_context(prog: &'p CompiledProgram, ctx: EvalContext, step_limit: u64) -> Self {
         Vm {
             prog,
@@ -88,7 +118,6 @@ impl<'p> Vm<'p> {
             extra_seconds: 0.0,
             steps: 0,
             step_limit,
-            current_line: 0,
             backend: None,
             call_depth: 0,
             regs: Vec::new(),
@@ -97,6 +126,8 @@ impl<'p> Vm<'p> {
             frame_top: 0,
             mapped: Vec::new(),
             map_marks: Vec::new(),
+            resume: Resume::Exit,
+            block_frame: Vec::new(),
         }
     }
 
@@ -126,15 +157,14 @@ impl<'p> Vm<'p> {
     /// Make this VM a fresh thread of `ctx` whose single frame holds a copy
     /// of `frame` (a kernel thread's frame: the same coerced arguments and
     /// shared pointers for every thread of a block, zeros elsewhere), so one
-    /// `Vm` can serve many threads in sequence. `cost` keeps accumulating:
-    /// merging once equals merging per thread, since [`CostCounter::merge`]
-    /// is field-wise addition.
+    /// `Vm` can serve many threads in sequence. `cost` and `stdout` keep
+    /// accumulating: merging once equals merging per thread, since
+    /// [`CostCounter::merge`] is field-wise addition, and the threads print
+    /// in the order they run.
     pub(crate) fn start_thread(&mut self, ctx: EvalContext, frame: &[Value]) {
         self.ctx = ctx;
         self.steps = 0;
-        self.current_line = 0;
         self.call_depth = 0;
-        self.stdout.clear();
         self.extra_seconds = 0.0;
         self.mapped.clear();
         self.map_marks.clear();
@@ -162,21 +192,35 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// The source line of the instruction at `pc`, for its errors.
+    #[inline]
+    fn line(&self, pc: usize) -> u32 {
+        self.prog.lines[pc]
+    }
+
     /// Apply `op` through `apply_binop` and write the result to `dst`: the
     /// operators without an instruction of their own, and every operand
     /// pair the per-operator fast paths do not cover.
     #[inline(never)]
-    fn binop(&mut self, op: BinOp, dst: Reg, l: Value, r: Value) -> Result<(), ExecError> {
-        let v = apply_binop(op, &l, &r, &mut self.cost, self.current_line)?;
+    fn binop(
+        &mut self,
+        op: BinOp,
+        dst: Reg,
+        l: Value,
+        r: Value,
+        pc: usize,
+    ) -> Result<(), ExecError> {
+        let line = self.line(pc);
+        let v = apply_binop(op, &l, &r, &mut self.cost, line)?;
         self.set_reg(dst, v);
         Ok(())
     }
 
     /// Charge an operator instruction's `pre` and run the generic operator.
-    fn binop_instr(&mut self, op: BinOp, o: &impl Operands) -> Result<(), ExecError> {
+    fn binop_instr(&mut self, op: BinOp, o: &impl Operands, pc: usize) -> Result<(), ExecError> {
         self.charge(o.pre())?;
         let (l, r) = o.operands(self);
-        self.binop(op, o.dst(), l, r)
+        self.binop(op, o.dst(), l, r, pc)
     }
 
     #[inline]
@@ -199,8 +243,8 @@ impl<'p> Vm<'p> {
         self.ctx.is_device_access()
     }
 
-    fn err_line(&self, msg: &str) -> ExecError {
-        ExecError::other(format!("line {}: {}", self.current_line, msg))
+    fn err_line(&self, pc: usize, msg: &str) -> ExecError {
+        ExecError::other(format!("line {}: {}", self.line(pc), msg))
     }
 
     /// Element size used for byte-traffic accounting, like the interpreter's
@@ -232,10 +276,133 @@ impl<'p> Vm<'p> {
         f.ret_pc
     }
 
+    /// `LaunchKernel`: run the launch through the schedule and account for
+    /// it. Out of line, so the schedule's state stays out of the dispatch
+    /// loop's frame.
+    #[inline(never)]
+    fn launch(
+        &mut self,
+        mem: &Memory,
+        kernel: u32,
+        grid: Reg,
+        block: Reg,
+        args_base: Reg,
+        argc: u32,
+    ) -> Result<(), ExecError> {
+        let prog = self.prog;
+        let backend = self
+            .backend
+            .expect("LaunchPre verified the backend is attached");
+        let (Value::Dim3(g), Value::Dim3(b)) = (self.reg(grid), self.reg(block)) else {
+            unreachable!("GeomConvert always precedes LaunchKernel");
+        };
+        let mut lane = KernelOnVm {
+            prog,
+            kernel: &prog.kernels[kernel as usize],
+            frame: Vec::new(),
+        };
+        let args = self.args(args_base, argc);
+        let stats = schedule::launch(&mut lane, *g, *b, args, backend, mem)?;
+        self.extra_seconds += stats.simulated_seconds;
+        self.parallel_cost.merge(&stats.cost);
+        self.stdout.push_str(&stats.stdout);
+        Ok(())
+    }
+
+    /// `ParallelFor` at `pc`: run the region through the schedule, account
+    /// for it and store the combined reductions. Out of line like
+    /// [`Vm::launch`].
+    #[inline(never)]
+    fn parallel_for(
+        &mut self,
+        mem: &Memory,
+        pc: usize,
+        region: u32,
+        lo: Reg,
+        hi: Reg,
+        step: Reg,
+    ) -> Result<(), ExecError> {
+        let prog = self.prog;
+        let backend = self
+            .backend
+            .expect("OmpPre verified the backend is attached");
+        let r = &prog.regions[region as usize];
+        let lane = RegionOnVm {
+            prog,
+            region: r,
+            captures: r
+                .captures
+                .iter()
+                .map(|&c| self.regs[self.base + c as usize])
+                .collect(),
+        };
+        let (lo, hi) = (self.reg(lo).as_int(), self.reg(hi).as_int());
+        let step = self.reg(step).as_int().max(1);
+        let stats = schedule::work_share(&lane, lo, hi, step, self.line(pc), backend, mem)?;
+        self.extra_seconds += stats.simulated_seconds;
+        self.parallel_cost.merge(&stats.cost);
+        self.stdout.push_str(&stats.stdout);
+        for (red, value) in r.reductions.iter().zip(&stats.reductions) {
+            if let Some((slot, ty)) = &red.update {
+                self.regs[self.base + *slot as usize] = value.coerce_to(ty);
+            }
+        }
+        Ok(())
+    }
+
+    /// At the running unit's exit from its entry frame with `flow`: set up
+    /// the block's next thread or the chunk's next iteration and return
+    /// true, or return false when the unit is done. A chunk ends at its last
+    /// iteration, at a `break` and at a `return`.
+    fn resume(&mut self, flow: &ControlFlow) -> bool {
+        match &mut self.resume {
+            Resume::Exit => false,
+            Resume::Block { next } => {
+                let EvalContext::DeviceThread {
+                    block_idx,
+                    block_dim,
+                    grid_dim,
+                    ..
+                } = self.ctx
+                else {
+                    unreachable!("a block cursor runs device threads");
+                };
+                let tid = *next;
+                match schedule::next_coord(tid, block_dim) {
+                    Some(after) => *next = after,
+                    None => self.resume = Resume::Exit,
+                }
+                let frame = std::mem::take(&mut self.block_frame);
+                let ctx = schedule::device_thread(tid, block_idx, block_dim, grid_dim);
+                self.start_thread(ctx, &frame);
+                self.block_frame = frame;
+                true
+            }
+            Resume::Chunk {
+                k,
+                last,
+                lo,
+                step,
+                slot,
+            } => {
+                *k += 1;
+                if *k >= *last || !matches!(flow, ControlFlow::Normal | ControlFlow::Continue) {
+                    self.resume = Resume::Exit;
+                    return false;
+                }
+                let (i, slot) = (schedule::iteration_value(*lo, *step, *k), *slot);
+                self.set_slot(slot, Value::Int(i));
+                true
+            }
+        }
+    }
+
     /// Execute one compiled unit starting at `entry` until it terminates.
     ///
     /// The unit runs in the current frame; user calls made by it push and pop
-    /// frames internally. Returns the unit's terminal control flow.
+    /// frames internally. Returns the unit's terminal control flow. Under a
+    /// [`Resume`] cursor the unit runs again from `entry` for every further
+    /// thread or iteration, and the last one's flow is returned.
     pub fn run_unit(&mut self, mem: &Memory, entry: u32) -> Result<ControlFlow, ExecError> {
         let prog = self.prog;
         let entry_frames = self.frames.len();
@@ -251,20 +418,7 @@ impl<'p> Vm<'p> {
         }
         loop {
             match &prog.code[pc] {
-                Instr::Stmt { line, pre } => {
-                    self.charge(*pre)?;
-                    if *line > 0 {
-                        self.current_line = *line;
-                    }
-                }
-                Instr::StmtBranch { line, pre } => {
-                    self.charge(*pre)?;
-                    if *line > 0 {
-                        self.current_line = *line;
-                    }
-                    self.cost.branches += 1;
-                }
-                Instr::LoopIter { pre } | Instr::TernaryBranch { pre } => {
+                Instr::Branch { pre } => {
                     self.charge(*pre)?;
                     self.cost.branches += 1;
                 }
@@ -292,7 +446,12 @@ impl<'p> Vm<'p> {
                         None => Value::Void,
                     };
                     if self.frames.len() == entry_frames {
-                        return Ok(ControlFlow::Return(v));
+                        let flow = ControlFlow::Return(v);
+                        if self.resume(&flow) {
+                            pc = entry as usize;
+                            continue;
+                        }
+                        return Ok(flow);
                     }
                     pc = self.pop_frame(ControlFlow::Return(v));
                     continue;
@@ -304,6 +463,10 @@ impl<'p> Vm<'p> {
                         FlowKind::Continue => ControlFlow::Continue,
                     };
                     if self.frames.len() == entry_frames {
+                        if self.resume(&flow) {
+                            pc = entry as usize;
+                            continue;
+                        }
                         return Ok(flow);
                     }
                     pc = self.pop_frame(flow);
@@ -331,9 +494,10 @@ impl<'p> Vm<'p> {
                         grid_dim,
                     } = self.ctx
                     else {
-                        return Err(
-                            self.err_line(&format!("use of unbound identifier '{}'", which.name()))
-                        );
+                        return Err(self.err_line(
+                            pc,
+                            &format!("use of unbound identifier '{}'", which.name()),
+                        ));
                     };
                     let d = match which {
                         SpecialIdent::ThreadIdx => thread_idx,
@@ -399,44 +563,44 @@ impl<'p> Vm<'p> {
                     self.set_reg(*slot, Value::Ptr(ptr));
                 }
 
-                Instr::Binary(op, o) => self.binop_instr(*op, o)?,
-                Instr::BinaryK(op, o) => self.binop_instr(*op, o)?,
-                Instr::Add(o) => _ = self.op_add(o)?,
-                Instr::AddK(o) => _ = self.op_add(o)?,
-                Instr::Sub(o) => _ = self.op_sub(o)?,
-                Instr::SubK(o) => _ = self.op_sub(o)?,
-                Instr::Mul(o) => _ = self.op_mul(o)?,
-                Instr::MulK(o) => _ = self.op_mul(o)?,
-                Instr::Div(o) => _ = self.op_div(o)?,
-                Instr::DivK(o) => _ = self.op_div(o)?,
-                Instr::Rem(o) => _ = self.op_rem(o)?,
-                Instr::RemK(o) => _ = self.op_rem(o)?,
-                Instr::Lt(o) => _ = self.op_lt(o)?,
-                Instr::LtK(o) => _ = self.op_lt(o)?,
-                Instr::Gt(o) => _ = self.op_gt(o)?,
-                Instr::GtK(o) => _ = self.op_gt(o)?,
-                Instr::Le(o) => _ = self.op_le(o)?,
-                Instr::LeK(o) => _ = self.op_le(o)?,
-                Instr::Ge(o) => _ = self.op_ge(o)?,
-                Instr::GeK(o) => _ = self.op_ge(o)?,
-                Instr::Eq(o) => _ = self.op_eq(o)?,
-                Instr::EqK(o) => _ = self.op_eq(o)?,
-                Instr::Ne(o) => _ = self.op_ne(o)?,
-                Instr::NeK(o) => _ = self.op_ne(o)?,
-                Instr::And(o) => _ = self.op_and(o)?,
-                Instr::LtBr(o) => jump_unless!(self.op_lt(o)?, o.target),
-                Instr::LtKBr(o) => jump_unless!(self.op_lt(o)?, o.target),
-                Instr::GtBr(o) => jump_unless!(self.op_gt(o)?, o.target),
-                Instr::GtKBr(o) => jump_unless!(self.op_gt(o)?, o.target),
-                Instr::LeBr(o) => jump_unless!(self.op_le(o)?, o.target),
-                Instr::LeKBr(o) => jump_unless!(self.op_le(o)?, o.target),
-                Instr::GeBr(o) => jump_unless!(self.op_ge(o)?, o.target),
-                Instr::GeKBr(o) => jump_unless!(self.op_ge(o)?, o.target),
-                Instr::EqBr(o) => jump_unless!(self.op_eq(o)?, o.target),
-                Instr::EqKBr(o) => jump_unless!(self.op_eq(o)?, o.target),
-                Instr::NeBr(o) => jump_unless!(self.op_ne(o)?, o.target),
-                Instr::NeKBr(o) => jump_unless!(self.op_ne(o)?, o.target),
-                Instr::AndBr(o) => jump_unless!(self.op_and(o)?, o.target),
+                Instr::Binary(op, o) => self.binop_instr(*op, o, pc)?,
+                Instr::BinaryK(op, o) => self.binop_instr(*op, o, pc)?,
+                Instr::Add(o) => _ = self.op_add(o, pc)?,
+                Instr::AddK(o) => _ = self.op_add(o, pc)?,
+                Instr::Sub(o) => _ = self.op_sub(o, pc)?,
+                Instr::SubK(o) => _ = self.op_sub(o, pc)?,
+                Instr::Mul(o) => _ = self.op_mul(o, pc)?,
+                Instr::MulK(o) => _ = self.op_mul(o, pc)?,
+                Instr::Div(o) => _ = self.op_div(o, pc)?,
+                Instr::DivK(o) => _ = self.op_div(o, pc)?,
+                Instr::Rem(o) => _ = self.op_rem(o, pc)?,
+                Instr::RemK(o) => _ = self.op_rem(o, pc)?,
+                Instr::Lt(o) => _ = self.op_lt(o, pc)?,
+                Instr::LtK(o) => _ = self.op_lt(o, pc)?,
+                Instr::Gt(o) => _ = self.op_gt(o, pc)?,
+                Instr::GtK(o) => _ = self.op_gt(o, pc)?,
+                Instr::Le(o) => _ = self.op_le(o, pc)?,
+                Instr::LeK(o) => _ = self.op_le(o, pc)?,
+                Instr::Ge(o) => _ = self.op_ge(o, pc)?,
+                Instr::GeK(o) => _ = self.op_ge(o, pc)?,
+                Instr::Eq(o) => _ = self.op_eq(o, pc)?,
+                Instr::EqK(o) => _ = self.op_eq(o, pc)?,
+                Instr::Ne(o) => _ = self.op_ne(o, pc)?,
+                Instr::NeK(o) => _ = self.op_ne(o, pc)?,
+                Instr::And(o) => _ = self.op_and(o, pc)?,
+                Instr::LtBr(o) => jump_unless!(self.op_lt(o, pc)?, o.target),
+                Instr::LtKBr(o) => jump_unless!(self.op_lt(o, pc)?, o.target),
+                Instr::GtBr(o) => jump_unless!(self.op_gt(o, pc)?, o.target),
+                Instr::GtKBr(o) => jump_unless!(self.op_gt(o, pc)?, o.target),
+                Instr::LeBr(o) => jump_unless!(self.op_le(o, pc)?, o.target),
+                Instr::LeKBr(o) => jump_unless!(self.op_le(o, pc)?, o.target),
+                Instr::GeBr(o) => jump_unless!(self.op_ge(o, pc)?, o.target),
+                Instr::GeKBr(o) => jump_unless!(self.op_ge(o, pc)?, o.target),
+                Instr::EqBr(o) => jump_unless!(self.op_eq(o, pc)?, o.target),
+                Instr::EqKBr(o) => jump_unless!(self.op_eq(o, pc)?, o.target),
+                Instr::NeBr(o) => jump_unless!(self.op_ne(o, pc)?, o.target),
+                Instr::NeKBr(o) => jump_unless!(self.op_ne(o, pc)?, o.target),
+                Instr::AndBr(o) => jump_unless!(self.op_and(o, pc)?, o.target),
                 Instr::Neg { dst, src, pre } => {
                     self.charge(*pre)?;
                     let v = match self.reg(*src) {
@@ -456,18 +620,14 @@ impl<'p> Vm<'p> {
                     let v = match self.reg(*ptr) {
                         Value::Ptr(p) => {
                             let p = *p;
-                            let (v, elem) = mem.load_counted(
-                                &p,
-                                0,
-                                self.is_device_access(),
-                                self.current_line,
-                            )?;
+                            let (v, elem) =
+                                mem.load_counted(&p, 0, self.is_device_access(), self.line(pc))?;
                             self.cost.bytes_read += elem;
                             v
                         }
                         _ => {
                             return Err(ExecError::NullPointer {
-                                line: self.current_line,
+                                line: self.line(pc),
                             })
                         }
                     };
@@ -484,21 +644,17 @@ impl<'p> Vm<'p> {
                     let v = match self.reg(*base) {
                         Value::Ptr(p) => {
                             let p = *p;
-                            let (v, elem) = mem.load_counted(
-                                &p,
-                                i,
-                                self.is_device_access(),
-                                self.current_line,
-                            )?;
+                            let (v, elem) =
+                                mem.load_counted(&p, i, self.is_device_access(), self.line(pc))?;
                             self.cost.bytes_read += elem;
                             v
                         }
                         Value::NullPtr => {
                             return Err(ExecError::NullPointer {
-                                line: self.current_line,
+                                line: self.line(pc),
                             })
                         }
-                        _ => return Err(self.err_line("subscripted value is not a pointer")),
+                        _ => return Err(self.err_line(pc, "subscripted value is not a pointer")),
                     };
                     self.set_reg(*dst, v);
                 }
@@ -513,10 +669,13 @@ impl<'p> Vm<'p> {
                     let v = match self.reg(*src) {
                         Value::Dim3(d) => Value::Int(d.axis(*axis) as i64),
                         other => {
-                            return Err(self.err_line(&format!(
-                                "member access '.{}' on non-dim3 value {other}",
-                                prog.name(*field)
-                            )))
+                            return Err(self.err_line(
+                                pc,
+                                &format!(
+                                    "member access '.{}' on non-dim3 value {other}",
+                                    prog.name(*field)
+                                ),
+                            ))
                         }
                     };
                     self.set_reg(*dst, v);
@@ -557,16 +716,16 @@ impl<'p> Vm<'p> {
                                 i,
                                 &v,
                                 self.is_device_access(),
-                                self.current_line,
+                                self.line(pc),
                             )?;
                             self.cost.bytes_written += elem;
                         }
                         Value::NullPtr => {
                             return Err(ExecError::NullPointer {
-                                line: self.current_line,
+                                line: self.line(pc),
                             })
                         }
-                        _ => return Err(self.err_line("subscripted value is not a pointer")),
+                        _ => return Err(self.err_line(pc, "subscripted value is not a pointer")),
                     }
                 }
                 Instr::RmwIndex {
@@ -582,23 +741,23 @@ impl<'p> Vm<'p> {
                         Value::Ptr(p) => *p,
                         Value::NullPtr => {
                             return Err(ExecError::NullPointer {
-                                line: self.current_line,
+                                line: self.line(pc),
                             })
                         }
-                        _ => return Err(self.err_line("subscripted value is not a pointer")),
+                        _ => return Err(self.err_line(pc, "subscripted value is not a pointer")),
                     };
                     let (old, elem) =
-                        mem.load_counted(&p, i, self.is_device_access(), self.current_line)?;
+                        mem.load_counted(&p, i, self.is_device_access(), self.line(pc))?;
                     self.cost.bytes_read += elem;
                     let new = apply_binop(
                         *op,
                         &old,
                         &self.regs[self.base + *src as usize],
                         &mut self.cost,
-                        self.current_line,
+                        prog.lines[pc],
                     )?;
                     self.cost.bytes_written += elem;
-                    mem.store(&p, i, &new, self.is_device_access(), self.current_line)?;
+                    mem.store(&p, i, &new, self.is_device_access(), self.line(pc))?;
                 }
                 Instr::StoreDeref { ptr, src, pre } => {
                     self.charge(*pre)?;
@@ -611,13 +770,13 @@ impl<'p> Vm<'p> {
                                 0,
                                 &v,
                                 self.is_device_access(),
-                                self.current_line,
+                                self.line(pc),
                             )?;
                             self.cost.bytes_written += elem;
                         }
                         _ => {
                             return Err(ExecError::NullPointer {
-                                line: self.current_line,
+                                line: self.line(pc),
                             })
                         }
                     }
@@ -628,22 +787,22 @@ impl<'p> Vm<'p> {
                         Value::Ptr(p) => *p,
                         _ => {
                             return Err(ExecError::NullPointer {
-                                line: self.current_line,
+                                line: self.line(pc),
                             })
                         }
                     };
                     let (old, elem) =
-                        mem.load_counted(&p, 0, self.is_device_access(), self.current_line)?;
+                        mem.load_counted(&p, 0, self.is_device_access(), self.line(pc))?;
                     self.cost.bytes_read += elem;
                     let new = apply_binop(
                         *op,
                         &old,
                         &self.regs[self.base + *src as usize],
                         &mut self.cost,
-                        self.current_line,
+                        prog.lines[pc],
                     )?;
                     self.cost.bytes_written += elem;
-                    mem.store(&p, 0, &new, self.is_device_access(), self.current_line)?;
+                    mem.store(&p, 0, &new, self.is_device_access(), self.line(pc))?;
                 }
                 Instr::RmwVar {
                     op,
@@ -659,7 +818,7 @@ impl<'p> Vm<'p> {
                         &self.regs[si],
                         &self.regs[vi],
                         &mut self.cost,
-                        self.current_line,
+                        prog.lines[pc],
                     )?;
                     self.regs[si] = new.coerce_to(prog.ty(*ty));
                 }
@@ -667,7 +826,7 @@ impl<'p> Vm<'p> {
                     return Err(ExecError::other(prog.name(*msg)));
                 }
                 Instr::ErrLine { msg } => {
-                    return Err(self.err_line(prog.name(*msg)));
+                    return Err(self.err_line(pc, prog.name(*msg)));
                 }
 
                 Instr::CallPre { pre } => {
@@ -741,11 +900,11 @@ impl<'p> Vm<'p> {
                 }
                 Instr::FreeVal { src, dst } => {
                     match self.reg(*src) {
-                        Value::Ptr(p) => mem.free(p, self.current_line)?,
+                        Value::Ptr(p) => mem.free(p, self.line(pc))?,
                         Value::NullPtr => {}
                         _ => {
                             return Err(ExecError::InvalidFree {
-                                line: self.current_line,
+                                line: self.line(pc),
                             })
                         }
                     }
@@ -771,10 +930,10 @@ impl<'p> Vm<'p> {
                     let n = self.reg(*bytes).as_int().max(0) as u64;
                     let len = (n / Type::Double.size_bytes().max(1)).max(1) as usize;
                     mem.alloc(prog.name(*name), Type::Double, len, MemSpace::Device);
-                    return Err(self.err_line(&format!(
-                        "cudaMalloc target '{}' is not declared",
-                        prog.name(*name)
-                    )));
+                    return Err(self.err_line(
+                        pc,
+                        &format!("cudaMalloc target '{}' is not declared", prog.name(*name)),
+                    ));
                 }
                 Instr::Memcpy {
                     dptr,
@@ -785,10 +944,10 @@ impl<'p> Vm<'p> {
                     let n = self.reg(*bytes).as_int().max(0) as u64;
                     let (Value::Ptr(d), Value::Ptr(s)) = (self.reg(*dptr), self.reg(*sptr)) else {
                         return Err(ExecError::NullPointer {
-                            line: self.current_line,
+                            line: self.line(pc),
                         });
                     };
-                    mem.copy(d, s, n, self.current_line)?;
+                    mem.copy(d, s, n, self.line(pc))?;
                     if let Some(backend) = self.backend {
                         self.extra_seconds += backend.memcpy_seconds(n);
                     }
@@ -815,7 +974,7 @@ impl<'p> Vm<'p> {
                         };
                         let dev = self.is_device_access() || p.space != MemSpace::Host;
                         for i in 0..count {
-                            mem.store(&p, i, &v, dev, self.current_line)?;
+                            mem.store(&p, i, &v, dev, self.line(pc))?;
                         }
                         self.cost.bytes_written += n;
                     }
@@ -829,7 +988,7 @@ impl<'p> Vm<'p> {
                 } => {
                     let n = self.reg(*bytes).as_int().max(0) as u64;
                     if let (Value::Ptr(d), Value::Ptr(s)) = (self.reg(*dptr), self.reg(*sptr)) {
-                        mem.copy(d, s, n, self.current_line)?;
+                        mem.copy(d, s, n, self.line(pc))?;
                     }
                     self.set_reg(*dst, Value::Int(0));
                 }
@@ -855,16 +1014,12 @@ impl<'p> Vm<'p> {
                     let delta = *self.reg(*delta);
                     self.cost.atomics += 1;
                     let v = match self.reg(*target) {
-                        Value::Ptr(p) => mem.atomic_add(
-                            p,
-                            0,
-                            &delta,
-                            self.is_device_access(),
-                            self.current_line,
-                        )?,
+                        Value::Ptr(p) => {
+                            mem.atomic_add(p, 0, &delta, self.is_device_access(), self.line(pc))?
+                        }
                         _ => {
                             return Err(ExecError::NullPointer {
-                                line: self.current_line,
+                                line: self.line(pc),
                             })
                         }
                     };
@@ -887,11 +1042,11 @@ impl<'p> Vm<'p> {
                             &operand,
                             *is_max,
                             self.is_device_access(),
-                            self.current_line,
+                            self.line(pc),
                         )?,
                         _ => {
                             return Err(ExecError::NullPointer {
-                                line: self.current_line,
+                                line: self.line(pc),
                             })
                         }
                     };
@@ -964,7 +1119,7 @@ impl<'p> Vm<'p> {
                 }
                 Instr::ErrUnknownCall { msg } => {
                     self.cost.special_ops += 1;
-                    return Err(self.err_line(prog.name(*msg)));
+                    return Err(self.err_line(pc, prog.name(*msg)));
                 }
 
                 Instr::LaunchPre { name, defined } => {
@@ -974,10 +1129,10 @@ impl<'p> Vm<'p> {
                         ));
                     }
                     if !defined {
-                        return Err(self.err_line(&format!(
-                            "launch of undefined kernel '{}'",
-                            prog.name(*name)
-                        )));
+                        return Err(self.err_line(
+                            pc,
+                            &format!("launch of undefined kernel '{}'", prog.name(*name)),
+                        ));
                     }
                 }
                 Instr::GeomConvert { dst, src } => {
@@ -1014,24 +1169,7 @@ impl<'p> Vm<'p> {
                     block,
                     args_base,
                     argc,
-                } => {
-                    let backend = self
-                        .backend
-                        .expect("LaunchPre verified the backend is attached");
-                    let (Value::Dim3(g), Value::Dim3(b)) = (self.reg(*grid), self.reg(*block))
-                    else {
-                        unreachable!("GeomConvert always precedes LaunchKernel");
-                    };
-                    let mut lane = KernelOnVm {
-                        prog,
-                        kernel: &prog.kernels[*kernel as usize],
-                        frame: Vec::new(),
-                    };
-                    let args = self.args(*args_base, *argc);
-                    let stats = schedule::launch(&mut lane, *g, *b, args, backend, mem)?;
-                    self.extra_seconds += stats.simulated_seconds;
-                    self.parallel_cost.merge(&stats.cost);
-                }
+                } => self.launch(mem, *kernel, *grid, *block, *args_base, *argc)?,
 
                 Instr::AtomicRmw {
                     base,
@@ -1046,10 +1184,10 @@ impl<'p> Vm<'p> {
                         Value::Ptr(p) => *p,
                         Value::NullPtr => {
                             return Err(ExecError::NullPointer {
-                                line: self.current_line,
+                                line: self.line(pc),
                             })
                         }
-                        _ => return Err(self.err_line("subscripted value is not a pointer")),
+                        _ => return Err(self.err_line(pc, "subscripted value is not a pointer")),
                     };
                     self.cost.atomics += 1;
                     let delta = *self.reg(*src);
@@ -1061,7 +1199,7 @@ impl<'p> Vm<'p> {
                     } else {
                         delta
                     };
-                    mem.atomic_add(&p, i, &signed, self.is_device_access(), self.current_line)?;
+                    mem.atomic_add(&p, i, &signed, self.is_device_access(), self.line(pc))?;
                 }
                 Instr::MapFramePush => {
                     self.map_marks.push(self.mapped.len());
@@ -1121,32 +1259,7 @@ impl<'p> Vm<'p> {
                     lo,
                     hi,
                     step,
-                } => {
-                    let backend = self
-                        .backend
-                        .expect("OmpPre verified the backend is attached");
-                    let r = &prog.regions[*region as usize];
-                    let lane = RegionOnVm {
-                        prog,
-                        region: r,
-                        captures: r
-                            .captures
-                            .iter()
-                            .map(|&c| self.regs[self.base + c as usize])
-                            .collect(),
-                    };
-                    let (lo, hi) = (self.reg(*lo).as_int(), self.reg(*hi).as_int());
-                    let step = self.reg(*step).as_int().max(1);
-                    let stats =
-                        schedule::work_share(&lane, lo, hi, step, self.current_line, backend, mem)?;
-                    self.extra_seconds += stats.simulated_seconds;
-                    self.parallel_cost.merge(&stats.cost);
-                    for (red, value) in r.reductions.iter().zip(&stats.reductions) {
-                        if let Some((slot, ty)) = &red.update {
-                            self.regs[self.base + *slot as usize] = value.coerce_to(ty);
-                        }
-                    }
-                }
+                } => self.parallel_for(mem, pc, *region, *lo, *hi, *step)?,
             }
             pc += 1;
         }
@@ -1158,6 +1271,26 @@ impl<'p> Vm<'p> {
 impl Costed for Vm<'_> {
     fn cost(&self) -> &CostCounter {
         &self.cost
+    }
+
+    fn drain_stdout(&mut self, out: &mut String) {
+        out.push_str(&self.stdout);
+        self.stdout.clear();
+    }
+}
+
+impl Vm<'_> {
+    /// Run `entry` under `cursor`, then drop the cursor whatever the outcome.
+    fn run_resumed(
+        &mut self,
+        cursor: Resume,
+        mem: &Memory,
+        entry: u32,
+    ) -> Result<ControlFlow, ExecError> {
+        self.resume = cursor;
+        let flow = self.run_unit(mem, entry);
+        self.resume = Resume::Exit;
+        flow
     }
 }
 
@@ -1229,6 +1362,30 @@ impl<'p> KernelLane for KernelOnVm<'p> {
     fn run(&self, vm: &mut Vm<'p>, segment: usize, mem: &Memory) -> Result<ControlFlow, ExecError> {
         vm.run_unit(mem, self.kernel.segments[segment])
     }
+
+    /// The whole block in one `run_unit`: the first thread starts here,
+    /// each later one when the previous exits the kernel.
+    fn run_block(
+        &self,
+        vm: &mut Vm<'p>,
+        block_idx: Dim3Val,
+        block: Dim3Val,
+        grid: Dim3Val,
+        mem: &Memory,
+    ) -> Result<(), ExecError> {
+        let first = schedule::ORIGIN;
+        vm.start_thread(
+            schedule::device_thread(first, block_idx, block, grid),
+            &self.frame,
+        );
+        vm.block_frame.clone_from(&self.frame);
+        let cursor = match schedule::next_coord(first, block) {
+            Some(next) => Resume::Block { next },
+            None => Resume::Exit,
+        };
+        vm.run_resumed(cursor, mem, self.kernel.segments[0])?;
+        Ok(())
+    }
 }
 
 /// A work-sharing loop on the VM: each chunk's worker is a VM whose frame
@@ -1277,6 +1434,35 @@ impl<'p> RegionLane for RegionOnVm<'p> {
     fn run(&self, vm: &mut Vm<'p>, i: i64, mem: &Memory) -> Result<ControlFlow, ExecError> {
         vm.set_slot(self.region.loop_var_slot, Value::Int(i));
         vm.run_unit(mem, self.region.body_entry)
+    }
+
+    /// The whole chunk in one `run_unit`: the first iteration starts here,
+    /// each later one when the previous exits the body normally.
+    fn run_chunk(
+        &self,
+        vm: &mut Vm<'p>,
+        lo: i64,
+        step: i64,
+        first: u64,
+        last: u64,
+        mem: &Memory,
+    ) -> Result<ControlFlow, ExecError> {
+        if first >= last {
+            return Ok(ControlFlow::Normal);
+        }
+        let slot = self.region.loop_var_slot;
+        vm.set_slot(slot, Value::Int(schedule::iteration_value(lo, step, first)));
+        let cursor = Resume::Chunk {
+            k: first,
+            last,
+            lo,
+            step,
+            slot,
+        };
+        match vm.run_resumed(cursor, mem, self.region.body_entry)? {
+            flow @ ControlFlow::Return(_) => Ok(flow),
+            _ => Ok(ControlFlow::Normal),
+        }
     }
 
     fn private(&self, vm: &Vm<'p>, r: usize) -> Value {
@@ -1328,14 +1514,15 @@ macro_rules! binary_ops {
             $(
                 /// Charge `pre`, apply the operator, write `dst` and return
                 /// whether the result is truthy (for the branch-fused forms).
+                /// `pc` locates the instruction for a fault's line.
                 #[inline(always)]
-                fn $name(&mut self, o: &impl Operands) -> Result<bool, ExecError> {
+                fn $name(&mut self, o: &impl Operands, pc: usize) -> Result<bool, ExecError> {
                     self.charge(o.pre())?;
                     let dst = o.dst();
                     match o.operands(self) {
                         (Value::Int($a), Value::Int($b)) => {
                             self.cost.int_ops += 1;
-                            $(let $line = self.current_line;)?
+                            $(let $line = || self.line(pc);)?
                             let v = $int;
                             self.set_reg(dst, Value::Int(v));
                             Ok(v != 0)
@@ -1347,7 +1534,7 @@ macro_rules! binary_ops {
                             Ok(v.is_truthy())
                         }
                         (l, r) => {
-                            self.binop(BinOp::$op, dst, l, r)?;
+                            self.binop(BinOp::$op, dst, l, r, pc)?;
                             Ok(self.reg(dst).is_truthy())
                         }
                     }
@@ -1362,11 +1549,11 @@ binary_ops! {
     op_sub(Sub): |a, b| a.wrapping_sub(b), Value::Float(a - b);
     op_mul(Mul): |a, b| a.wrapping_mul(b), Value::Float(a * b);
     op_div(Div): |a, b, line| match b {
-        0 => return Err(ExecError::DivisionByZero { line }),
+        0 => return Err(ExecError::DivisionByZero { line: line() }),
         _ => a.wrapping_div(b),
     }, Value::Float(a / b);
     op_rem(Rem): |a, b, line| match b {
-        0 => return Err(ExecError::DivisionByZero { line }),
+        0 => return Err(ExecError::DivisionByZero { line: line() }),
         _ => a.wrapping_rem(b),
     }, Value::Float(a % b);
     op_lt(Lt): |a, b| (a < b) as i64, Value::Int((a < b) as i64);

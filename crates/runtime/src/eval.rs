@@ -14,6 +14,15 @@
 //!
 //! The evaluator's side of both schedules (one thread segment, one loop
 //! iteration) is at the end of this module.
+//!
+//! An error names the line of the innermost statement it happened in that
+//! has one: a statement's line holds while it runs and the enclosing one's
+//! comes back when it ends, and a called function starts outside every
+//! statement. So a fault in a loop condition reports the loop, and a fault
+//! after a call returns reports the caller's statement, exactly like the
+//! bytecode VM's pc→line table.
+
+use std::rc::Rc;
 
 use lassi_lang::{
     AssignOp, BinOp, Block, Expr, FnQualifier, Function, OmpClause, OmpDirective, OmpDirectiveKind,
@@ -96,7 +105,8 @@ pub struct Evaluator<'a> {
     /// OpenMP regions) run by the parallel schedule. Kept separate so the
     /// simulated-time model does not price device work at host speed.
     pub parallel_cost: CostCounter,
-    /// Captured standard output (host context only).
+    /// Captured standard output. A thread's or worker's is collected by the
+    /// parallel schedule and appended to the host's.
     pub stdout: String,
     /// Simulated seconds accrued by parallel constructs and transfers.
     pub extra_seconds: f64,
@@ -109,8 +119,9 @@ pub struct Evaluator<'a> {
     backend: Option<&'a dyn ParallelBackend>,
     /// Depth of nested user-function calls (guards against runaway recursion).
     call_depth: u32,
-    /// The program's literal table, built on the first string literal.
-    literals: Option<Vec<String>>,
+    /// The program's literal table, built on the first string literal and
+    /// shared with the threads and workers of every parallel construct.
+    literals: Option<Rc<Vec<String>>>,
 }
 
 /// An assignable location.
@@ -120,7 +131,7 @@ enum LValue {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Evaluator for device / worker code (no backend, no stdout).
+    /// Evaluator for device / worker code (no backend).
     pub fn for_context(program: &'a Program, ctx: EvalContext, step_limit: u64) -> Self {
         Evaluator {
             program,
@@ -164,22 +175,38 @@ impl<'a> Evaluator<'a> {
         self.ctx.is_device_access()
     }
 
+    /// Evaluator for a thread or worker of a parallel construct, sharing
+    /// `literals`, the table of the run that starts the construct.
+    fn for_lane(
+        program: &'a Program,
+        ctx: EvalContext,
+        step_limit: u64,
+        literals: &Rc<Vec<String>>,
+    ) -> Self {
+        Evaluator {
+            literals: Some(Rc::clone(literals)),
+            ..Evaluator::for_context(program, ctx, step_limit)
+        }
+    }
+
     /// The literal table [`Value::Str`] indexes: the compiled program's name
     /// pool, which interns every literal's text, so both engines number
-    /// literals alike and every evaluator of one program agrees.
-    fn literals(&mut self) -> &mut Vec<String> {
+    /// literals alike and every evaluator of one program agrees. Built once
+    /// per run: the host hands it to every thread and worker.
+    fn literals(&mut self) -> &mut Rc<Vec<String>> {
         let program = self.program;
         self.literals
-            .get_or_insert_with(|| crate::bytecode::compile(program, 0).names)
+            .get_or_insert_with(|| Rc::new(crate::bytecode::compile(program, 0).names))
     }
 
     fn literal_id(&mut self, text: &str) -> u32 {
         let table = self.literals();
-        let id = table.iter().position(|l| l == text).unwrap_or_else(|| {
-            table.push(text.to_string());
-            table.len() - 1
-        });
-        id as u32
+        if let Some(id) = table.iter().position(|l| l == text) {
+            return id as u32;
+        }
+        let table = Rc::make_mut(table);
+        table.push(text.to_string());
+        (table.len() - 1) as u32
     }
 
     // -------------------------------------------------------------- statements
@@ -215,7 +242,8 @@ impl<'a> Evaluator<'a> {
         Ok(ControlFlow::Normal)
     }
 
-    /// Execute one statement.
+    /// Execute one statement. Its line is current while it runs, and the
+    /// enclosing statement's line again once it ends.
     pub fn exec_stmt(
         &mut self,
         stmt: &Stmt,
@@ -223,9 +251,21 @@ impl<'a> Evaluator<'a> {
         mem: &Memory,
     ) -> Result<ControlFlow, ExecError> {
         self.step()?;
+        let outer = self.current_line;
         if stmt.line > 0 {
             self.current_line = stmt.line;
         }
+        let flow = self.exec_stmt_kind(stmt, env, mem);
+        self.current_line = outer;
+        flow
+    }
+
+    fn exec_stmt_kind(
+        &mut self,
+        stmt: &Stmt,
+        env: &mut Env,
+        mem: &Memory,
+    ) -> Result<ControlFlow, ExecError> {
         match &stmt.kind {
             StmtKind::VarDecl(d) => {
                 if d.is_shared && env.contains(&d.name) {
@@ -890,12 +930,15 @@ impl<'a> Evaluator<'a> {
         }
         self.call_depth += 1;
         // The callee body runs in the function's own environment (no access to
-        // the caller's locals), matching C semantics.
+        // the caller's locals), matching C semantics, and outside every
+        // statement until its first one starts.
         let program_fn = self
             .program
             .function(&func.name)
             .expect("function table is stable during execution");
+        let caller_line = std::mem::take(&mut self.current_line);
         let flow = self.exec_block(&program_fn.body, &mut callee_env, mem)?;
+        self.current_line = caller_line;
         self.call_depth -= 1;
         Ok(match flow {
             ControlFlow::Return(v) => v.coerce_to(&func.ret),
@@ -958,10 +1001,12 @@ impl<'a> Evaluator<'a> {
             kernel,
             segments: barrier_segments(&kernel.body).collect(),
             frame: Env::new(),
+            literals: Rc::clone(self.literals()),
         };
         let stats = schedule::launch(&mut lane, grid, block, &args, backend, mem)?;
         self.extra_seconds += stats.simulated_seconds;
         self.parallel_cost.merge(&stats.cost);
+        self.stdout.push_str(&stats.stdout);
         Ok(())
     }
 
@@ -1110,10 +1155,12 @@ impl<'a> Evaluator<'a> {
             loop_var,
             &for_stmt.body,
             env.flatten(),
+            Rc::clone(self.literals()),
         );
         let stats = schedule::work_share(&lane, lo, hi, step, self.current_line, backend, mem)?;
         self.extra_seconds += stats.simulated_seconds;
         self.parallel_cost.merge(&stats.cost);
+        self.stdout.push_str(&stats.stdout);
         for ((var, ..), value) in lane.reductions.iter().zip(&stats.reductions) {
             env.set(var, *value);
         }
@@ -1149,6 +1196,11 @@ impl Costed for (Evaluator<'_>, Env) {
     fn cost(&self) -> &CostCounter {
         &self.0.cost
     }
+
+    fn drain_stdout(&mut self, out: &mut String) {
+        out.push_str(&self.0.stdout);
+        self.0.stdout.clear();
+    }
 }
 
 /// A kernel launch on the evaluator: each thread is an evaluator over its
@@ -1160,6 +1212,8 @@ struct KernelOnAst<'a> {
     segments: Vec<&'a [Stmt]>,
     /// The coerced arguments and the current block's `__shared__` pointers.
     frame: Env,
+    /// The run's literal table.
+    literals: Rc<Vec<String>>,
 }
 
 impl<'a> KernelLane for KernelOnAst<'a> {
@@ -1188,10 +1242,11 @@ impl<'a> KernelLane for KernelOnAst<'a> {
                 Some(Expr::IntLit(v)) => (*v).max(1) as usize,
                 Some(other) => {
                     // Evaluated with only the kernel arguments in scope.
-                    let mut eval = Evaluator::for_context(
+                    let mut eval = Evaluator::for_lane(
                         self.program,
                         EvalContext::Host,
                         SHARED_LEN_STEP_LIMIT,
+                        &self.literals,
                     );
                     eval.eval_expr(other, &mut params.clone(), mem)?
                         .as_int()
@@ -1208,17 +1263,17 @@ impl<'a> KernelLane for KernelOnAst<'a> {
 
     fn thread(&self, ctx: EvalContext, step_limit: u64) -> Self::Thread {
         (
-            Evaluator::for_context(self.program, ctx, step_limit),
+            Evaluator::for_lane(self.program, ctx, step_limit, &self.literals),
             self.frame.clone(),
         )
     }
 
     fn restart(&self, (eval, env): &mut Self::Thread, ctx: EvalContext) {
         let fresh = Evaluator::for_context(self.program, ctx, eval.step_limit);
-        let (cost, literals) = (eval.cost, eval.literals.take());
         *eval = Evaluator {
-            cost,
-            literals,
+            cost: eval.cost,
+            stdout: std::mem::take(&mut eval.stdout),
+            literals: eval.literals.take(),
             ..fresh
         };
         env.clone_from(&self.frame);
@@ -1245,6 +1300,8 @@ struct RegionOnAst<'a> {
     base: Env,
     /// Each reduction variable with its operator and binding type.
     reductions: Vec<(&'a str, ReductionOp, Type)>,
+    /// The run's literal table.
+    literals: Rc<Vec<String>>,
 }
 
 impl<'a> RegionOnAst<'a> {
@@ -1254,6 +1311,7 @@ impl<'a> RegionOnAst<'a> {
         loop_var: String,
         body: &'a Block,
         base: Env,
+        literals: Rc<Vec<String>>,
     ) -> Self {
         let reductions = match pragma.directive.reduction() {
             Some((op, vars)) => vars
@@ -1272,6 +1330,7 @@ impl<'a> RegionOnAst<'a> {
             body,
             base,
             reductions,
+            literals,
         }
     }
 }
@@ -1301,7 +1360,10 @@ impl<'a> RegionLane for RegionOnAst<'a> {
         }
         // The loop variable is private to each iteration.
         env.declare(&self.loop_var, Type::Long, Value::Int(0));
-        (Evaluator::for_context(self.program, ctx, step_limit), env)
+        (
+            Evaluator::for_lane(self.program, ctx, step_limit, &self.literals),
+            env,
+        )
     }
 
     fn run(

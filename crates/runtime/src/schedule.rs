@@ -3,11 +3,18 @@
 //! A kernel launch and an OpenMP work-sharing loop run the same way whichever
 //! engine executes their bodies, so the order of blocks, threads, barrier
 //! segments, chunks and reduction combines lives here and nowhere else. An
-//! engine supplies a *lane*: [`KernelLane`] runs one thread segment of a
-//! kernel, [`RegionLane`] one iteration of a loop body in a chunk's private
-//! worker. The tree-walking evaluator ([`crate::eval`]) and the bytecode VM
-//! ([`crate::bytecode::vm`]) each implement both. The schedule is generic
-//! over the lane, so the hot loops compile to direct calls.
+//! engine supplies a *lane*: [`KernelLane`] runs the threads of a block,
+//! [`RegionLane`] the iterations of a chunk in the chunk's private worker.
+//! Each lane method that runs a whole block or chunk has a default body that
+//! steps through it one thread segment or iteration at a time, in the
+//! schedule's order; the tree-walking evaluator ([`crate::eval`]) keeps
+//! those, and the bytecode VM ([`crate::bytecode::vm`]) overrides them to
+//! run a block or chunk in one pass of its dispatch loop, in the same order.
+//! The schedule is generic over the lane, so the hot loops compile to direct
+//! calls.
+//!
+//! What device threads and workers print is collected in schedule order and
+//! appended to the host's output.
 //!
 //! The [`ParallelBackend`] only prices what ran. A backend without the
 //! construct's cost model rejects it before any lane runs.
@@ -58,16 +65,22 @@ pub(crate) struct LaunchStats {
     pub cost: CostCounter,
     /// Combined reduction values, in clause order (empty for kernels).
     pub reductions: Vec<Value>,
+    /// What the threads or workers printed: blocks in index order, threads
+    /// x-fastest (segment by segment in a block with barriers), chunks in
+    /// order.
+    pub stdout: String,
 }
 
 /// A thread or worker of either engine.
 pub(crate) trait Costed {
     /// The operations it executed so far.
     fn cost(&self) -> &CostCounter;
+    /// Move what it printed so far to the end of `out`.
+    fn drain_stdout(&mut self, out: &mut String);
 }
 
-/// One engine's side of a kernel launch: the kernel's code, run one thread
-/// segment at a time.
+/// One engine's side of a kernel launch: the kernel's code, run a block of
+/// a single-segment kernel at a time, or one thread segment at a time.
 pub(crate) trait KernelLane {
     /// One thread's state, kept across the barrier segments.
     type Thread: Costed;
@@ -83,7 +96,7 @@ pub(crate) trait KernelLane {
     /// A thread of the current block at the kernel's entry.
     fn thread(&self, ctx: EvalContext, step_limit: u64) -> Self::Thread;
     /// Make `thread` a fresh thread of the current block at the kernel's
-    /// entry, keeping only its accumulated cost.
+    /// entry, keeping only its accumulated cost and output.
     fn restart(&self, thread: &mut Self::Thread, ctx: EvalContext);
     /// Run one segment of `thread`.
     fn run(
@@ -92,10 +105,27 @@ pub(crate) trait KernelLane {
         segment: usize,
         mem: &Memory,
     ) -> Result<ControlFlow, ExecError>;
+    /// Run every thread of block `block_idx` of a single-segment kernel to
+    /// completion in `thread`, threads x-fastest, each restarted at the
+    /// kernel's entry. A thread that returns is done.
+    fn run_block(
+        &self,
+        thread: &mut Self::Thread,
+        block_idx: Dim3Val,
+        block: Dim3Val,
+        grid: Dim3Val,
+        mem: &Memory,
+    ) -> Result<(), ExecError> {
+        for thread_idx in coords(block) {
+            self.restart(thread, device_thread(thread_idx, block_idx, block, grid));
+            self.run(thread, 0, mem)?;
+        }
+        Ok(())
+    }
 }
 
-/// One engine's side of a work-sharing loop: the loop body, run one
-/// iteration at a time in a chunk's private worker.
+/// One engine's side of a work-sharing loop: the loop body, run a chunk of
+/// iterations at a time in the chunk's private worker.
 pub(crate) trait RegionLane {
     /// One chunk's worker: a private copy of the enclosing bindings.
     type Worker: Costed;
@@ -117,15 +147,76 @@ pub(crate) trait RegionLane {
         i: i64,
         mem: &Memory,
     ) -> Result<ControlFlow, ExecError>;
+    /// Run iterations `first..last` of the loop `lo, lo + step, ...` in
+    /// `worker`, in order. `break` ends the chunk; an iteration that returns
+    /// ends it too, and its `Return` is the result.
+    fn run_chunk(
+        &self,
+        worker: &mut Self::Worker,
+        lo: i64,
+        step: i64,
+        first: u64,
+        last: u64,
+        mem: &Memory,
+    ) -> Result<ControlFlow, ExecError> {
+        for k in first..last {
+            match self.run(worker, iteration_value(lo, step, k), mem)? {
+                ControlFlow::Normal | ControlFlow::Continue => {}
+                ControlFlow::Break => break,
+                flow @ ControlFlow::Return(_) => return Ok(flow),
+            }
+        }
+        Ok(ControlFlow::Normal)
+    }
     /// The worker's private copy of reduction variable `r`.
     fn private(&self, worker: &Self::Worker, r: usize) -> Value;
 }
 
+/// The first thread of a block and the first block of a grid.
+pub(crate) const ORIGIN: Dim3Val = Dim3Val { x: 0, y: 0, z: 0 };
+
 /// Every index of a grid or block, x fastest.
 fn coords(extent: Dim3Val) -> impl Iterator<Item = Dim3Val> {
-    (0..extent.z).flat_map(move |z| {
-        (0..extent.y).flat_map(move |y| (0..extent.x).map(move |x| Dim3Val { x, y, z }))
-    })
+    let first = (extent.count() > 0).then_some(ORIGIN);
+    std::iter::successors(first, move |&idx| next_coord(idx, extent))
+}
+
+/// The index after `idx` in a grid or block of `extent`, x fastest, or
+/// `None` after the last.
+pub(crate) fn next_coord(idx: Dim3Val, extent: Dim3Val) -> Option<Dim3Val> {
+    let mut next = idx;
+    next.x += 1;
+    if next.x < extent.x {
+        return Some(next);
+    }
+    next.x = 0;
+    next.y += 1;
+    if next.y < extent.y {
+        return Some(next);
+    }
+    next.y = 0;
+    next.z += 1;
+    (next.z < extent.z).then_some(next)
+}
+
+/// The context of thread `thread_idx` of block `block_idx`.
+pub(crate) fn device_thread(
+    thread_idx: Dim3Val,
+    block_idx: Dim3Val,
+    block: Dim3Val,
+    grid: Dim3Val,
+) -> EvalContext {
+    EvalContext::DeviceThread {
+        thread_idx,
+        block_idx,
+        block_dim: block,
+        grid_dim: grid,
+    }
+}
+
+/// The loop variable's value in iteration `k` of `lo, lo + step, ...`.
+pub(crate) fn iteration_value(lo: i64, step: i64, k: u64) -> i64 {
+    lo.wrapping_add((k as i64).wrapping_mul(step))
 }
 
 /// Run a kernel launch of `grid` x `block` threads: blocks in index order,
@@ -174,35 +265,34 @@ pub(crate) fn launch<L: KernelLane>(
     };
 
     let mut cost = CostCounter::new();
+    let mut stdout = String::new();
     // Single segment: every thread runs to completion before the next
-    // starts, so one thread state serves the whole launch and its cost
-    // accumulates across threads (merging once equals merging per thread,
-    // since `CostCounter::merge` is field-wise addition).
+    // starts, so one thread state serves the whole launch and its cost and
+    // output accumulate across threads (merging once equals merging per
+    // thread, since `CostCounter::merge` is field-wise addition).
     let mut reused: Option<L::Thread> = None;
     for block_idx in coords(grid) {
         lane.enter_block(args, mem)?;
-        let ctx = |thread_idx| EvalContext::DeviceThread {
-            thread_idx,
-            block_idx,
-            block_dim: block,
-            grid_dim: grid,
-        };
         if lane.segments() == 1 {
-            for tid in coords(block) {
-                let thread = reused.get_or_insert_with(|| lane.thread(ctx(tid), THREAD_STEP_LIMIT));
-                lane.restart(thread, ctx(tid));
-                lane.run(thread, 0, mem).map_err(|e| named(e, lane))?;
-            }
+            let thread = reused.get_or_insert_with(|| {
+                let first = device_thread(ORIGIN, block_idx, block, grid);
+                lane.thread(first, THREAD_STEP_LIMIT)
+            });
+            lane.run_block(thread, block_idx, block, grid, mem)
+                .map_err(|e| named(e, lane))?;
             continue;
         }
         let mut threads: Vec<(L::Thread, bool)> = coords(block)
-            .map(|tid| (lane.thread(ctx(tid), THREAD_STEP_LIMIT), false))
+            .map(|tid| {
+                let ctx = device_thread(tid, block_idx, block, grid);
+                (lane.thread(ctx, THREAD_STEP_LIMIT), false)
+            })
             .collect();
         for segment in 0..lane.segments() {
             for (thread, finished) in threads.iter_mut().filter(|(_, f)| !*f) {
-                if let ControlFlow::Return(_) =
-                    lane.run(thread, segment, mem).map_err(|e| named(e, lane))?
-                {
+                let flow = lane.run(thread, segment, mem).map_err(|e| named(e, lane))?;
+                thread.drain_stdout(&mut stdout);
+                if let ControlFlow::Return(_) = flow {
                     *finished = true;
                 }
             }
@@ -211,13 +301,15 @@ pub(crate) fn launch<L: KernelLane>(
             cost.merge(thread.cost());
         }
     }
-    if let Some(thread) = &reused {
+    if let Some(thread) = &mut reused {
         cost.merge(thread.cost());
+        thread.drain_stdout(&mut stdout);
     }
     Ok(LaunchStats {
         simulated_seconds: pricing.seconds(grid, block, &cost),
         cost,
         reductions: Vec::new(),
+        stdout,
     })
 }
 
@@ -264,6 +356,7 @@ pub(crate) fn work_share<L: RegionLane>(
         .collect();
     let mut partial = identities.clone();
     let mut cost = CostCounter::new();
+    let mut stdout = String::new();
     let chunk_count = EXEC_CHUNKS.min(iterations.max(1));
     let chunk_size = iterations.div_ceil(chunk_count).max(1);
     for chunk in 0..chunk_count {
@@ -278,19 +371,13 @@ pub(crate) fn work_share<L: RegionLane>(
                 offloaded: offload,
             };
             let w = worker.insert(lane.worker(ctx, WORKER_STEP_LIMIT, &identities));
-            for k in first..last {
-                let i = lo.wrapping_add((k as i64).wrapping_mul(step));
-                match lane.run(w, i, mem)? {
-                    ControlFlow::Normal | ControlFlow::Continue => {}
-                    ControlFlow::Break => break,
-                    ControlFlow::Return(_) => {
-                        return Err(ExecError::other(format!(
-                        "line {line}: 'return' is not allowed inside an OpenMP work-sharing region"
-                    )))
-                    }
-                }
+            if let ControlFlow::Return(_) = lane.run_chunk(w, lo, step, first, last, mem)? {
+                return Err(ExecError::other(format!(
+                    "line {line}: 'return' is not allowed inside an OpenMP work-sharing region"
+                )));
             }
             cost.merge(w.cost());
+            w.drain_stdout(&mut stdout);
         }
         for (r, acc) in partial.iter_mut().enumerate() {
             let (op, ty, _) = lane.reduction(r);
@@ -314,6 +401,7 @@ pub(crate) fn work_share<L: RegionLane>(
         simulated_seconds: pricing.seconds(directive, offload, iterations, &cost),
         cost,
         reductions,
+        stdout,
     })
 }
 

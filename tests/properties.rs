@@ -1,17 +1,19 @@
 //! Property-based tests over the core data structures and invariants:
 //! printer/parser round-tripping, similarity-metric bounds, cost-model
 //! monotonicity, memory-model safety under random access patterns,
-//! bytecode/interpreter parity over every binary operator, and the parallel
-//! parity corpus: one program per kernel and work-sharing construct, run on
-//! both engines.
+//! bytecode/interpreter parity over every binary operator, the line a fault
+//! reports, and the parallel parity corpus: one program per kernel and
+//! work-sharing construct, run on both engines.
 
 use proptest::prelude::*;
 
 use lassi::hecbench::Machine;
 use lassi::lang::{parse, print_program, BinOp, Dialect, Expr};
 use lassi::metrics::{sim_l, sim_t};
+use lassi::runtime::value::PtrValue;
 use lassi::runtime::{
-    compile, run_compiled, ExecError, ExecutionReport, HostInterpreter, MemSpace, Memory, Value,
+    compile, run_compiled_with_memory, BufferId, ExecError, ExecutionReport, HostInterpreter,
+    MemSpace, Memory, Value,
 };
 
 /// Generate random arithmetic expressions as source text.
@@ -130,16 +132,44 @@ fn kernel_program(vars: &str, body: &str) -> String {
     )
 }
 
+/// Every cell of every buffer a run allocated, freed ones included (as the
+/// error reading them raises), in allocation order. Floats as bit patterns,
+/// so NaNs compare.
+fn cells(mem: &Memory) -> Vec<Result<String, ExecError>> {
+    (0..)
+        .map(BufferId)
+        .take_while(|&id| mem.buffer_elem(id).is_some())
+        .flat_map(|buffer| {
+            let p = PtrValue {
+                buffer,
+                offset: 0,
+                space: MemSpace::Host,
+            };
+            (0..mem.buffer_len(buffer) as i64).map(move |j| {
+                let cell = mem.load(&p, j, false, 0);
+                cell.or_else(|_| mem.load(&p, j, true, 0)).map(|v| match v {
+                    Value::Float(f) => format!("{:#x}", f.to_bits()),
+                    other => format!("{other:?}"),
+                })
+            })
+        })
+        .collect()
+}
+
 /// Run `src` on the reference interpreter and on the bytecode VM, both on
 /// the paper's machine (without semantic checking, so ill-typed operands
-/// reach the runtime), and require the same report, or the same error.
-/// Returns the VM's outcome for the caller's own checks.
+/// reach the runtime), and require the same report, or the same error
+/// (its line included), and the same memory contents after the run either
+/// way. Returns the VM's outcome for the caller's own checks.
 fn assert_engines_agree(src: &str, dialect: Dialect) -> Result<ExecutionReport, ExecError> {
     let program = parse(src, dialect).expect("generated program parses");
     let machine = Machine::a100();
     let config = Machine::run_config();
-    let reference = HostInterpreter::new(&program, config.clone()).run(&machine, &[]);
-    let vm = run_compiled(&compile(&program, 0), &config, &machine, &[]);
+    let mut interp = HostInterpreter::new(&program, config.clone());
+    let reference = interp.run(&machine, &[]);
+    let memory = Memory::new();
+    let vm = run_compiled_with_memory(&compile(&program, 0), &config, &machine, &[], &memory);
+    assert_eq!(cells(&interp.memory), cells(&memory), "memory: {src}");
     match (&reference, &vm) {
         (Ok(a), Ok(b)) => {
             assert_eq!(a.stdout, b.stdout, "stdout: {src}");
@@ -843,6 +873,290 @@ fn parallel_parity_mapping_inside_a_loop_costs_transfers() {
         "per-iteration mapping should be much slower ({} vs {})",
         per_iteration.parallel_seconds,
         map_once.parallel_seconds
+    );
+}
+
+/// A fault in a later thread of a later block stops the launch there:
+/// earlier threads' stores stay, later threads never run, and the error
+/// names the faulting statement's line.
+#[test]
+fn parallel_parity_fault_in_a_later_thread_of_a_later_block() {
+    let div = error(cuda(
+        r#"
+        __global__ void k(int* out) {
+            int t = threadIdx.x;
+            int i = blockIdx.x * blockDim.x + t;
+            out[i] = t + 1;
+            if (blockIdx.x == 2) { out[i] = 100 / (5 - t); }
+        }
+        int main() {
+            int* d;
+            cudaMalloc(&d, 32 * sizeof(int));
+            k<<<4, 8>>>(d);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(div, ExecError::DivisionByZero { line: 6 });
+    let oob = error(cuda(
+        r#"
+        __global__ void k(int* out) {
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            out[i] = i;
+            if (blockIdx.x == 1 && threadIdx.x == 3) {
+                out[i + 100] = 7;
+            }
+            out[i] = -i;
+        }
+        int main() {
+            int* d;
+            cudaMalloc(&d, 32 * sizeof(int));
+            k<<<4, 8>>>(d);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(
+        oob,
+        ExecError::OutOfBounds {
+            buffer: "d".to_string(),
+            index: 111,
+            len: 32,
+            line: 6
+        }
+    );
+}
+
+/// A thread that returns early ends only itself: the threads after it in
+/// the block still run.
+#[test]
+fn parallel_parity_early_return_in_the_middle_of_a_block() {
+    let out = stdout(cuda(
+        r#"
+        __global__ void k(int* out) {
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            out[i] = -1;
+            if (threadIdx.x % 3 == 1) { return; }
+            out[i] = i * 2;
+        }
+        int main() {
+            int* h = (int*)malloc(16 * sizeof(int));
+            int* d;
+            cudaMalloc(&d, 16 * sizeof(int));
+            k<<<2, 8>>>(d);
+            cudaMemcpy(h, d, 16 * sizeof(int), cudaMemcpyDeviceToHost);
+            for (int i = 0; i < 16; i++) { printf("%d ", h[i]); }
+            printf("\n");
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(out, "0 -1 4 6 -1 10 12 -1 16 -1 20 22 -1 26 28 -1 \n");
+}
+
+/// `break` in the middle of a chunk skips the rest of that chunk only, and
+/// the next chunk starts at its own first iteration.
+#[test]
+fn parallel_parity_break_in_the_middle_of_a_chunk() {
+    let out = stdout(omp(r#"
+        int main() {
+            int n = 640;
+            long* hit = (long*)malloc(n * sizeof(long));
+            for (int i = 0; i < n; i++) { hit[i] = -1; }
+            #pragma omp parallel for
+            for (int i = 0; i < n; i++) {
+                if (i % 10 == 5 && i < 320) { break; }
+                hit[i] = i;
+            }
+            long s = 0;
+            for (int i = 0; i < n; i++) { if (hit[i] >= 0) { s += 1; } }
+            printf("%ld %ld %ld %ld %ld\n", s, hit[4], hit[5], hit[10], hit[325]);
+            return 0;
+        }
+        "#));
+    assert_eq!(out, "480 4 -1 10 325\n");
+}
+
+/// A `continue` at the top level of a region body ends the iteration, in
+/// an `if` or unconditionally, and the chunk goes on with the next one.
+#[test]
+fn parallel_parity_top_level_continue_in_a_region_body() {
+    let out = stdout(omp(r#"
+        int main() {
+            int n = 200;
+            long* hit = (long*)malloc(n * sizeof(long));
+            #pragma omp parallel for
+            for (int i = 0; i < n; i++) {
+                hit[i] = 1;
+                if (i % 2 == 0) { continue; }
+                hit[i] = 2;
+                continue;
+                hit[i] = 3;
+            }
+            long s = 0;
+            for (int i = 0; i < n; i++) { s += hit[i]; }
+            printf("%ld %ld %ld\n", s, hit[198], hit[199]);
+            return 0;
+        }
+        "#));
+    assert_eq!(out, "300 1 2\n");
+}
+
+/// The threads of a three-dimensional block run x fastest, then y, then z,
+/// and blocks in index order: each thread takes the next ticket.
+#[test]
+fn parallel_parity_three_dimensional_block_runs_x_fastest() {
+    let out = stdout(cuda(
+        r#"
+        __global__ void k(int* ticket, int* order) {
+            int t = (threadIdx.z * blockDim.y + threadIdx.y) * blockDim.x + threadIdx.x;
+            int i = blockIdx.x * blockDim.x * blockDim.y * blockDim.z + t;
+            order[i] = atomicAdd(ticket, 1);
+        }
+        int main() {
+            int n = 24;
+            int* h = (int*)malloc(n * sizeof(int));
+            int* ticket;
+            int* order;
+            cudaMalloc(&ticket, sizeof(int));
+            cudaMalloc(&order, n * sizeof(int));
+            k<<<dim3(2, 1, 1), dim3(2, 3, 2)>>>(ticket, order);
+            cudaMemcpy(h, order, n * sizeof(int), cudaMemcpyDeviceToHost);
+            int in_order = 1;
+            for (int i = 0; i < n; i++) { if (h[i] != i) { in_order = 0; } }
+            printf("%d %d %d\n", in_order, h[5], h[23]);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(out, "1 5 23\n");
+}
+
+/// What kernel threads and OpenMP workers print reaches the program's
+/// output in schedule order: blocks in index order, threads x fastest,
+/// a block with a barrier segment by segment, chunks in order.
+#[test]
+fn parallel_parity_device_and_worker_printf() {
+    let out = stdout(cuda(
+        r#"
+        __global__ void flat(int n) {
+            printf("%d.%d ", blockIdx.x, threadIdx.x);
+        }
+        __global__ void barrier(int n) {
+            printf("a%d ", threadIdx.x);
+            __syncthreads();
+            printf("b%d ", threadIdx.x);
+        }
+        int main() {
+            printf("[");
+            flat<<<2, 3>>>(0);
+            printf("] [");
+            barrier<<<1, 3>>>(0);
+            printf("]\n");
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(out, "[0.0 0.1 0.2 1.0 1.1 1.2 ] [a0 a1 a2 b0 b1 b2 ]\n");
+    let out = stdout(omp(r#"
+        int main() {
+            printf("<");
+            #pragma omp parallel for
+            for (int i = 0; i < 4; i++) { printf("%d:%d ", i, omp_get_thread_num()); }
+            printf(">\n");
+            return 0;
+        }
+        "#));
+    assert_eq!(out, "<0:0 1:1 2:2 3:3 >\n");
+}
+
+// ------------------------------------------------------------------------
+// The line a fault reports: the innermost enclosing statement's, on both
+// engines, wherever the fault happens inside it.
+
+/// A fault in a `while` condition, after the body ran, reports the loop.
+#[test]
+fn fault_line_of_a_while_condition_is_the_loop() {
+    let err = error(assert_engines_agree(
+        r#"
+        int main() {
+            int a[4];
+            int i = 0;
+            while (a[i] < 10) {
+                a[i] = 20;
+                i = i + 1;
+            }
+            return 0;
+        }
+        "#,
+        Dialect::CudaLite,
+    ));
+    assert_eq!(
+        err,
+        ExecError::OutOfBounds {
+            buffer: "a".to_string(),
+            index: 4,
+            len: 4,
+            line: 5
+        }
+    );
+}
+
+/// A fault in a `for` condition, after the body and the step ran, reports
+/// the loop.
+#[test]
+fn fault_line_of_a_for_condition_is_the_loop() {
+    let err = error(assert_engines_agree(
+        r#"
+        int main() {
+            int a[4];
+            for (int i = 0;
+                 a[i] < 10;
+                 i++) {
+                a[i] = 20;
+            }
+            return 0;
+        }
+        "#,
+        Dialect::CudaLite,
+    ));
+    assert_eq!(
+        err,
+        ExecError::OutOfBounds {
+            buffer: "a".to_string(),
+            index: 4,
+            len: 4,
+            line: 4
+        }
+    );
+}
+
+/// A fault after a call returns reports the caller's statement, not the
+/// callee's last line.
+#[test]
+fn fault_line_after_a_call_is_the_callers_statement() {
+    let err = error(assert_engines_agree(
+        r#"
+        int f(int x) {
+            int y = x * 2;
+            return y + 1;
+        }
+        int main() {
+            int a[4];
+            int s = a[f(3)];
+            return s;
+        }
+        "#,
+        Dialect::CudaLite,
+    ));
+    assert_eq!(
+        err,
+        ExecError::OutOfBounds {
+            buffer: "a".to_string(),
+            index: 7,
+            len: 4,
+            line: 8
+        }
     );
 }
 
