@@ -6,7 +6,7 @@
 //! without re-running. Also accepts `--artifacts <dir>`.
 
 use lassi_core::{run_table4, table4_text, Table4Row};
-use lassi_harness::{detect_git_commit, RunArtifact, RunManifest};
+use lassi_harness::{detect_git_commit, RunArtifact, RunManifest, RunStatus};
 
 fn rows() -> Result<Vec<Table4Row>, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -37,6 +37,11 @@ fn rows() -> Result<Vec<Table4Row>, String> {
         .write_manifest(&manifest)
         .map_err(|e| e.to_string())?;
     writer.write_table4(&rows).map_err(|e| e.to_string())?;
+    // The lifecycle file goes last: a run directory without one is an
+    // interrupted write.
+    RunStatus::done("table4", rows.len())
+        .save(writer.dir())
+        .map_err(|e| e.to_string())?;
     eprintln!(
         "artifact saved to {}; re-render with --replay {0}",
         writer.dir().display()

@@ -5,10 +5,9 @@
 //! 2×40 grid), this crate turns scenario execution into a *service* with
 //! three pillars:
 //!
-//! * [`scheduler`] — a [`Job`](scheduler::Job) per scenario, fed through a
-//!   bounded [`queue`] into a worker pool that streams
-//!   [`JobOutput`](scheduler::JobOutput)s back as they complete, with
-//!   cooperative cancellation and per-job wall-clock timing,
+//! * [`scheduler`] — a [`Job`] per scenario; a worker pool claims a
+//!   submitted job list in order and streams [`JobOutput`]s back as they
+//!   complete, with cooperative cancellation and per-job wall-clock timing,
 //! * [`cache`] — a content-addressed scenario cache (stable FNV-1a over
 //!   application sources, model fingerprint, direction, derived seed,
 //!   config and simulated-machine fingerprint) that is its directory: one
@@ -37,7 +36,6 @@ pub mod codec;
 pub mod grid;
 pub mod json;
 pub mod lease;
-pub mod queue;
 pub mod runstate;
 pub mod scheduler;
 pub mod store;
@@ -49,7 +47,6 @@ pub use json::Json;
 pub use lease::{
     FleetStats, IllegalLeaseTransition, JobWrite, Lease, LeaseError, LeaseState, LeaseTable,
 };
-pub use queue::BoundedQueue;
 pub use runstate::{IllegalTransition, RunState, RunStatus, STATE_FILE};
 pub use scheduler::{CancelToken, Harness, HarnessOptions, Job, JobOutput, JobStream};
 pub use store::{

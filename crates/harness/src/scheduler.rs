@@ -1,20 +1,21 @@
-//! The experiment service: a bounded job queue drained by a worker pool,
+//! The experiment service: a worker pool that runs a submitted job list,
 //! streaming [`TranslationRecord`]s back as scenarios complete.
 //!
 //! A [`Job`] is one (application × model × direction × config) scenario —
-//! the same unit [`lassi_core::run_scenario`] executes. The [`Harness`]
-//! feeds jobs through a [`BoundedQueue`] (backpressure against huge grids),
-//! each worker consults the optional [`ScenarioCache`] before running the
-//! pipeline, and completed [`JobOutput`]s arrive on a channel in completion
-//! order with per-job wall-clock timing split into queue wait (push → pop)
-//! and execution (pop → record). Submission order is preserved in
+//! the same unit [`lassi_core::run_scenario`] executes. [`Harness::submit`]
+//! shares the job list with its workers, and each worker claims the next
+//! unclaimed index, so jobs start in submission order. A worker consults
+//! the optional [`ScenarioCache`] before running the pipeline, and completed
+//! [`JobOutput`]s arrive on a channel in completion order with per-job
+//! wall-clock timing split into queue wait (submission → claim) and
+//! execution (claim → record). Submission order is restored by
 //! [`JobStream::collect_ordered`], so sweeps render tables identically to
-//! a sequential [`lassi_core::run_scenario`] loop. Cancellation discards queued work and
-//! lets in-flight scenarios finish. Every completion feeds the process-wide
-//! metrics registry (`lassi_jobs_completed_total`,
+//! a sequential [`lassi_core::run_scenario`] loop. Cancellation stops
+//! further claims and lets in-flight scenarios finish. Every completion
+//! feeds the process-wide metrics registry (`lassi_jobs_completed_total`,
 //! `lassi_job_queue_wait_seconds`, `lassi_job_execute_seconds`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
@@ -25,7 +26,6 @@ use lassi_llm::ModelSpec;
 
 use crate::cache::{scenario_key, CacheSnapshot, ScenarioCache, ScenarioKey};
 use crate::grid::SweepGrid;
-use crate::queue::BoundedQueue;
 
 /// One schedulable scenario.
 #[derive(Debug, Clone)]
@@ -84,7 +84,7 @@ pub struct JobOutput {
     pub record: TranslationRecord,
     /// Wall-clock seconds this job took on its worker (cache hits ~0).
     pub wall_seconds: f64,
-    /// Seconds the job sat in the bounded queue before a worker popped it.
+    /// Seconds from the job's submission until a worker claimed it.
     pub queue_seconds: f64,
     /// True when the record came from the scenario cache.
     pub from_cache: bool,
@@ -93,9 +93,8 @@ pub struct JobOutput {
 /// Tuning knobs for the service.
 #[derive(Debug, Clone)]
 pub struct HarnessOptions {
-    /// Worker threads. Defaults to `available_parallelism`. The bounded
-    /// queue holds `2 × workers` jobs, derived at submission time so a
-    /// worker override keeps the queue proportional to the pool.
+    /// Worker threads. Defaults to `available_parallelism`; a submission
+    /// never starts more workers than it has jobs.
     pub workers: usize,
 }
 
@@ -118,14 +117,6 @@ impl HarnessOptions {
     }
 }
 
-/// A job in the bounded queue, stamped with its enqueue instant so the
-/// popping worker can report queue wait separately from execution time.
-struct QueuedJob {
-    index: usize,
-    job: Job,
-    enqueued: Instant,
-}
-
 /// The scheduler's handles into the process-wide metrics registry,
 /// registered once per submission and cloned into every worker (handles
 /// are `Arc`s over atomics, so recording is lock-free on the hot path).
@@ -143,7 +134,7 @@ impl SchedulerMetrics {
         SchedulerMetrics {
             queue_wait: registry.histogram(
                 "lassi_job_queue_wait_seconds",
-                "Time a job sat in the bounded queue before a worker popped it.",
+                "Time from a job's submission until a worker claimed it.",
                 &[],
                 lassi_obs::LATENCY_SECONDS,
             ),
@@ -177,14 +168,16 @@ impl SchedulerMetrics {
     }
 }
 
-/// Cooperative cancellation handle shared by the feeder and the workers.
+/// Cooperative cancellation handle shared by a stream and its workers: the
+/// only signal that stops a submission early.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
 }
 
 impl CancelToken {
-    /// Request cancellation: queued jobs are discarded, in-flight jobs finish.
+    /// Request cancellation: unclaimed jobs never start, in-flight jobs
+    /// finish.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::SeqCst);
     }
@@ -243,97 +236,56 @@ impl Harness {
 
     /// Submit a batch of jobs and stream their outputs as they complete.
     pub fn submit(&self, jobs: Vec<Job>) -> JobStream {
+        let submitted = Instant::now();
+        let jobs: Arc<[Job]> = jobs.into();
         let total = jobs.len();
-        let queue = Arc::new(BoundedQueue::<QueuedJob>::new(
-            self.options.workers.max(1) * 2,
-        ));
+        let next = Arc::new(AtomicUsize::new(0));
         let cancel = CancelToken::default();
         let (tx, rx) = mpsc::channel::<JobOutput>();
         let metrics = SchedulerMetrics::register();
 
         // Never spawn more workers than there are jobs: a warm two-scenario
         // submission on a many-core service must not pay dozens of thread
-        // spawns for threads that would pop an empty queue and exit.
-        let workers = self.options.workers.min(total).max(1);
-        let mut handles = Vec::with_capacity(workers + 1);
-
-        // Feeder: pushes into the bounded queue (blocking on backpressure),
-        // then closes it so workers drain and exit.
-        {
-            let queue = Arc::clone(&queue);
-            let cancel = cancel.clone();
-            handles.push(thread::spawn(move || {
-                for (index, job) in jobs.into_iter().enumerate() {
-                    let queued = QueuedJob {
-                        index,
-                        job,
-                        enqueued: Instant::now(),
-                    };
-                    if cancel.is_cancelled() || queue.push(queued).is_err() {
-                        break;
-                    }
-                }
-                queue.close();
-            }));
-        }
-
-        for _ in 0..workers {
-            let queue = Arc::clone(&queue);
-            let cancel = cancel.clone();
-            let cache = self.cache.clone();
-            let tx = tx.clone();
-            let metrics = metrics.clone();
-            handles.push(thread::spawn(move || {
-                while let Some(QueuedJob {
-                    index,
-                    job,
-                    enqueued,
-                }) = queue.pop()
-                {
-                    if cancel.is_cancelled() {
-                        queue.close_and_clear();
-                        break;
-                    }
-                    let started = Instant::now();
-                    let queue_seconds = (started - enqueued).as_secs_f64();
-                    let (record, from_cache) = match &cache {
-                        Some(cache) => {
-                            let key = job.cache_key();
-                            match cache.lookup(key) {
-                                Some(record) => (record, true),
-                                None => {
-                                    let record = job.run();
-                                    cache.store(key, &record);
-                                    (record, false)
-                                }
-                            }
+        // spawns for threads that would find nothing to claim.
+        let workers = self.options.workers.max(1).min(total);
+        let handles = (0..workers)
+            .map(|_| {
+                let jobs = Arc::clone(&jobs);
+                let next = Arc::clone(&next);
+                let cancel = cancel.clone();
+                let cache = self.cache.clone();
+                let tx = tx.clone();
+                let metrics = metrics.clone();
+                thread::spawn(move || {
+                    while !cancel.is_cancelled() {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(index) else {
+                            break;
+                        };
+                        let started = Instant::now();
+                        let queue_seconds = (started - submitted).as_secs_f64();
+                        let (record, from_cache) = run_cached(job, cache.as_deref());
+                        let wall_seconds = started.elapsed().as_secs_f64();
+                        metrics.record(queue_seconds, wall_seconds, from_cache);
+                        let output = JobOutput {
+                            index,
+                            direction: job.direction,
+                            record,
+                            wall_seconds,
+                            queue_seconds,
+                            from_cache,
+                        };
+                        if tx.send(output).is_err() {
+                            break;
                         }
-                        None => (job.run(), false),
-                    };
-                    let wall_seconds = started.elapsed().as_secs_f64();
-                    metrics.record(queue_seconds, wall_seconds, from_cache);
-                    let output = JobOutput {
-                        index,
-                        direction: job.direction,
-                        record,
-                        wall_seconds,
-                        queue_seconds,
-                        from_cache,
-                    };
-                    // The receiver dropping early is a form of cancellation.
-                    if tx.send(output).is_err() {
-                        queue.close_and_clear();
-                        break;
                     }
-                }
-            }));
-        }
-        drop(tx);
+                })
+            })
+            .collect();
 
         JobStream {
             rx,
             cancel,
-            queue,
             handles,
             total,
         }
@@ -358,13 +310,27 @@ impl Harness {
     }
 }
 
+/// A job's record, and whether it came from `cache`: a miss runs the
+/// pipeline and stores the result.
+fn run_cached(job: &Job, cache: Option<&ScenarioCache>) -> (TranslationRecord, bool) {
+    let Some(cache) = cache else {
+        return (job.run(), false);
+    };
+    let key = job.cache_key();
+    if let Some(record) = cache.lookup(key) {
+        return (record, true);
+    }
+    let record = job.run();
+    cache.store(key, &record);
+    (record, false)
+}
+
 /// A stream of job outputs in completion order. Iterate it for streaming
 /// consumption, or use [`JobStream::collect_ordered`] for submission order.
-/// Dropping the stream early cancels the remaining queued work.
+/// Dropping the stream early cancels the jobs no worker has claimed yet.
 pub struct JobStream {
     rx: mpsc::Receiver<JobOutput>,
     cancel: CancelToken,
-    queue: Arc<BoundedQueue<QueuedJob>>,
     handles: Vec<thread::JoinHandle<()>>,
     total: usize,
 }
@@ -380,10 +346,10 @@ impl JobStream {
         self.cancel.clone()
     }
 
-    /// Cancel: discard queued jobs; in-flight jobs still produce outputs.
+    /// Cancel: unclaimed jobs never start; in-flight jobs still produce
+    /// outputs.
     pub fn cancel(&self) {
         self.cancel.cancel();
-        self.queue.close_and_clear();
     }
 
     /// Drain the stream and return the outputs sorted back into submission
@@ -397,10 +363,7 @@ impl JobStream {
         while let Ok(output) = self.rx.recv() {
             outputs.push(output);
         }
-        // The channel only closes once every worker is gone. If workers died
-        // on a panic the feeder may still be blocked pushing into a full
-        // queue — close it so the join below cannot deadlock.
-        self.queue.close();
+        // The channel only closes once every worker is gone.
         self.join_workers_propagating();
         if !self.cancel.is_cancelled() && outputs.len() != self.total {
             panic!(
@@ -449,7 +412,6 @@ impl Iterator for JobStream {
         match self.rx.recv() {
             Ok(output) => Some(output),
             Err(_) => {
-                self.queue.close();
                 self.join_workers_propagating();
                 None
             }
@@ -462,7 +424,6 @@ impl Drop for JobStream {
         // An abandoned stream must not leave detached workers grinding
         // through a large grid.
         self.cancel.cancel();
-        self.queue.close_and_clear();
         self.join_workers_quietly();
     }
 }
@@ -540,8 +501,8 @@ mod tests {
     #[test]
     fn cancellation_discards_queued_work() {
         let config = small_config();
-        // 16 jobs, 1 worker, tiny queue: cancelling after the first output
-        // must prevent most of the remaining jobs from running.
+        // 16 jobs, 1 worker: cancelling after the first output must
+        // prevent most of the remaining jobs from running.
         let jobs: Vec<Job> = (0..16)
             .map(|_| {
                 Job::new(
@@ -567,6 +528,63 @@ mod tests {
     }
 
     #[test]
+    fn queue_wait_runs_from_submission_to_claim() {
+        // On one worker, job i is claimed only after jobs 0..i finished,
+        // so its wait since submission covers all of their work.
+        let jobs: Vec<Job> = [
+            Direction::CudaToOmp,
+            Direction::OmpToCuda,
+            Direction::CudaToOmp,
+        ]
+        .into_iter()
+        .flat_map(small_jobs)
+        .collect();
+        let outputs = Harness::new(HarnessOptions { workers: 1 })
+            .submit(jobs)
+            .collect_outputs();
+        assert_eq!(outputs.len(), 6);
+        let mut before = 0.0;
+        for output in &outputs {
+            assert!(
+                output.queue_seconds >= before,
+                "job {} waited {}s behind {}s of earlier work",
+                output.index,
+                output.queue_seconds,
+                before
+            );
+            before += output.wall_seconds;
+        }
+    }
+
+    #[test]
+    fn cancel_from_another_thread_delivers_distinct_indices() {
+        let config = small_config();
+        let jobs: Vec<Job> = (0..40)
+            .map(|_| {
+                Job::new(
+                    application("layout").unwrap(),
+                    gpt4(),
+                    Direction::CudaToOmp,
+                    config.clone(),
+                )
+            })
+            .collect();
+        let stream = Harness::new(HarnessOptions { workers: 4 }).submit(jobs);
+        let token = stream.cancel_token();
+        let canceller = thread::spawn(move || {
+            thread::sleep(std::time::Duration::from_millis(5));
+            token.cancel();
+        });
+        let mut seen: Vec<usize> = stream.map(|output| output.index).collect();
+        canceller.join().unwrap();
+        let delivered = seen.len();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), delivered, "an index was delivered twice");
+        assert!(seen.iter().all(|&index| index < 40), "{seen:?}");
+    }
+
+    #[test]
     fn streaming_iteration_sees_every_output() {
         let harness = Harness::new(HarnessOptions::default().with_workers(2));
         let jobs = small_jobs(Direction::OmpToCuda);
@@ -581,8 +599,6 @@ mod tests {
 
     #[test]
     fn worker_override_replaces_the_worker_count() {
-        // The queue capacity is derived from the worker count at submission
-        // time, so `--workers 1` on a many-core machine shrinks it too.
         assert_eq!(HarnessOptions::default().with_workers(1).workers, 1);
         assert_eq!(HarnessOptions::default().with_workers(3).workers, 3);
         // A zero worker override leaves the default worker count alone.

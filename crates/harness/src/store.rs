@@ -337,14 +337,13 @@ impl ArtifactStore {
     /// and cancelled runs that only have a `state.json` — as
     /// `(id, ScannedRun)`, sorted by id.
     ///
-    /// [`ScannedRun::Legacy`] is an artifact written before lifecycle
-    /// tracking (manifest but no `state.json`): callers should treat it as
-    /// `done`. A torn or truncated `state.json` (a crash mid-write that
-    /// never reached the rename) surfaces as [`ScannedRun::Corrupt`] so
-    /// recovery can mark the run `failed` with a clear reason instead of
-    /// silently skipping — or panicking over — it. Bare reservations
-    /// (neither file) are skipped, the same way
-    /// [`ArtifactStore::list_runs`] skips half-written runs.
+    /// A run directory without a readable `state.json` surfaces as
+    /// [`ScannedRun::Corrupt`], so recovery can mark the run `failed` with a
+    /// clear reason instead of silently skipping — or panicking over — it:
+    /// a torn or truncated `state.json` (a crash mid-write that never
+    /// reached the rename), or files but no `state.json` at all (a crash
+    /// while an artifact was being written, which replaces the whole
+    /// directory). Only an empty directory, a bare reservation, is skipped.
     pub fn scan_runs(&self) -> io::Result<Vec<(String, ScannedRun)>> {
         let entries = match std::fs::read_dir(&self.root) {
             Ok(entries) => entries,
@@ -367,11 +366,15 @@ impl ArtifactStore {
             match RunStatus::load(&entry.path()) {
                 Ok(status) => runs.push((id.to_string(), ScannedRun::Status(status))),
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    if entry.path().join("manifest.json").is_file() {
-                        runs.push((id.to_string(), ScannedRun::Legacy));
+                    if std::fs::read_dir(entry.path())?.next().is_some() {
+                        let reason = "artifact write was interrupted: files but no state.json";
+                        runs.push((id.to_string(), ScannedRun::Corrupt(reason.into())));
                     }
                 }
-                Err(e) => runs.push((id.to_string(), ScannedRun::Corrupt(e.to_string()))),
+                Err(e) => runs.push((
+                    id.to_string(),
+                    ScannedRun::Corrupt(format!("state.json was torn or truncated: {e}")),
+                )),
             }
         }
         runs.sort_by(|a, b| a.0.cmp(&b.0));
@@ -384,11 +387,8 @@ impl ArtifactStore {
 pub enum ScannedRun {
     /// A readable `state.json`.
     Status(RunStatus),
-    /// A pre-lifecycle artifact: manifest but no `state.json` (treat as
-    /// `done`).
-    Legacy,
-    /// `state.json` exists but is torn, truncated or malformed; the string
-    /// is the decode error.
+    /// A non-empty directory whose `state.json` is missing, torn,
+    /// truncated or malformed; the string says which.
     Corrupt(String),
 }
 
@@ -799,9 +799,11 @@ mod tests {
             .save(&good)
             .unwrap();
 
-        let legacy = root.join("run-legacy");
-        std::fs::create_dir_all(&legacy).unwrap();
-        std::fs::write(legacy.join("manifest.json"), "{}\n").unwrap();
+        // A crash while an artifact was being written: the directory was
+        // replaced, its files written, but the final `state.json` never.
+        let interrupted = root.join("run-interrupted");
+        std::fs::create_dir_all(&interrupted).unwrap();
+        std::fs::write(interrupted.join("manifest.json"), "{}\n").unwrap();
 
         // A torn write: the process died mid-`state.json.tmp` and the
         // rename never happened — but a *partial* direct write is the
@@ -818,11 +820,15 @@ mod tests {
 
         let scanned = store.scan_runs().unwrap();
         let ids: Vec<&str> = scanned.iter().map(|(id, _)| id.as_str()).collect();
-        assert_eq!(ids, ["good", "legacy", "torn"]);
+        assert_eq!(ids, ["good", "interrupted", "torn"]);
         assert!(matches!(&scanned[0].1, ScannedRun::Status(s) if s.run_id == "good"));
-        assert_eq!(scanned[1].1, ScannedRun::Legacy);
         assert!(
-            matches!(&scanned[2].1, ScannedRun::Corrupt(_)),
+            matches!(&scanned[1].1, ScannedRun::Corrupt(reason) if reason.contains("interrupted")),
+            "files without state.json must surface as corrupt: {:?}",
+            scanned[1].1
+        );
+        assert!(
+            matches!(&scanned[2].1, ScannedRun::Corrupt(reason) if reason.contains("torn")),
             "torn state.json must surface, not be skipped: {:?}",
             scanned[2].1
         );

@@ -36,8 +36,10 @@ pub const TRACE_FILE: &str = "trace.jsonl";
 /// Build the canonical `job` span for one completed scheduler output.
 ///
 /// The span starts at the sink-relative instant `start_us`. Its duration
-/// is the job's full push-to-record life, queue wait plus execution time,
-/// and that split is carried in the fields. Every completed run's
+/// is the job's full submission-to-record life: queue wait (submission
+/// until a worker claimed the job, which includes the work of the jobs
+/// claimed before it) plus execution time. That split is carried in the
+/// `queue_wait_us` and `execute_us` fields. Every completed run's
 /// `trace.jsonl` contains exactly one of these per scenario.
 pub fn job_span(start_us: u64, job: &Job, output: &JobOutput) -> TraceEvent {
     let queue_us = (output.queue_seconds * 1e6).round() as u64;

@@ -296,8 +296,8 @@ mod tests {
     #[test]
     fn reference_programs_lower_to_operator_and_typed_store_instructions() {
         // Only the operators without an instruction of their own may take
-        // the generic encoding, and only non-scalar bindings the generic
-        // coercing store.
+        // the generic encoding, only non-scalar bindings the generic
+        // coercing store, and a `return` charges its steps itself.
         use lassi_lang::{BinOp, Type};
         use lassi_runtime::bytecode::Instr;
         for app in crate::apps::applications() {
@@ -328,6 +328,13 @@ mod tests {
                         ),
                         _ => {}
                     }
+                }
+                for pair in compiled.code.windows(2) {
+                    assert!(
+                        !matches!(pair, [Instr::Charge { .. }, Instr::Ret { .. }]),
+                        "{} ({dialect:?}): a return's steps not folded into it: {pair:?}",
+                        app.name
+                    );
                 }
             }
         }

@@ -8,7 +8,8 @@
 //! an explicit work stack and two reusable DP rows — no per-call allocation
 //! storms and no unbounded recursion on adversarial inputs (the old recursive
 //! implementation overflowed the stack on long alternating sequences; it is
-//! preserved in [`reference`] for property tests and benchmarks).
+//! preserved in [`reference`](mod@reference) for property tests and
+//! benchmarks).
 //!
 //! A [`SimilarityEngine`] bundles the table with the scratch buffers. Batch
 //! consumers (the pipeline, harness workers) keep one engine per thread via

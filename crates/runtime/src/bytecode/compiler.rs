@@ -1008,7 +1008,7 @@ impl<'p> Compiler<'p> {
                 if ctx.map_depth > 0 {
                     self.emit(Instr::UnmapFrames { n: ctx.map_depth });
                 }
-                self.emit(Instr::Ret { src });
+                self.emit(Instr::Ret { pre: 0, src });
                 0
             }
             StmtKind::Break => {
@@ -1508,7 +1508,10 @@ impl<'p> Compiler<'p> {
                     }
                     let entry = self.bind_label();
                     let r = self.expr(other, &mut sctx);
-                    self.emit(Instr::Ret { src: Some(r) });
+                    self.emit(Instr::Ret {
+                        pre: 0,
+                        src: Some(r),
+                    });
                     SharedLen::Dynamic {
                         entry,
                         nslots: sctx.high,

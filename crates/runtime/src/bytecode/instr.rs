@@ -296,6 +296,8 @@ pub enum Instr {
     },
     /// Return from the current function (or unit) with a value.
     Ret {
+        /// Steps charged on entry.
+        pre: u32,
         /// Value register; `None` returns `Value::Void`.
         src: Option<Reg>,
     },
@@ -1058,6 +1060,7 @@ impl Instr {
             | Instr::EqKBr(o)
             | Instr::NeKBr(o) => Some(&mut o.pre),
             Instr::Branch { pre }
+            | Instr::Ret { pre, .. }
             | Instr::LoadDim { pre, .. }
             | Instr::StoreInt { pre, .. }
             | Instr::StoreF32 { pre, .. }

@@ -13,7 +13,7 @@
 //!
 //! A kernel thread or OpenMP worker VM runs a whole single-segment block or
 //! a whole chunk in one [`Vm::run_unit`]: when the unit exits its entry
-//! frame, the VM's [`Resume`] cursor starts the block's next thread or the
+//! frame, the VM's `Resume` cursor starts the block's next thread or the
 //! chunk's next iteration and jumps back to the unit's entry.
 
 use lassi_lang::{BinOp, OmpDirective, ReductionOp, Type};
@@ -401,7 +401,7 @@ impl<'p> Vm<'p> {
     ///
     /// The unit runs in the current frame; user calls made by it push and pop
     /// frames internally. Returns the unit's terminal control flow. Under a
-    /// [`Resume`] cursor the unit runs again from `entry` for every further
+    /// `Resume` cursor the unit runs again from `entry` for every further
     /// thread or iteration, and the last one's flow is returned.
     pub fn run_unit(&mut self, mem: &Memory, entry: u32) -> Result<ControlFlow, ExecError> {
         let prog = self.prog;
@@ -440,7 +440,8 @@ impl<'p> Vm<'p> {
                         continue;
                     }
                 }
-                Instr::Ret { src } => {
+                Instr::Ret { pre, src } => {
+                    self.charge(*pre)?;
                     let v = match src {
                         Some(r) => *self.reg(*r),
                         None => Value::Void,

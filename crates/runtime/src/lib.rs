@@ -30,8 +30,8 @@
 //! * [`bytecode`] — the default: lowers the checked AST once into flat
 //!   register bytecode ([`bytecode::compile`]) and executes it on a
 //!   dispatch-loop VM ([`bytecode::Vm`]) with preallocated register frames.
-//! * [`reference`] — the original tree-walking interpreter, kept as the
-//!   semantic reference the VM is differentially tested against.
+//! * [`reference`](mod@reference) — the original tree-walking interpreter,
+//!   kept as the semantic reference the VM is differentially tested against.
 
 pub mod backend;
 pub mod bytecode;

@@ -340,17 +340,13 @@ fn healthz() -> Response {
 }
 
 /// `GET /v1/cache/stats`: the scenario cache's counters, plus the
-/// execution-report memo's as `report_cache`. The scenario cache always
-/// lives on disk, so `disk` equals `attached`; it stays for wire
-/// compatibility.
+/// execution-report memo's as `report_cache`.
 fn cache_stats(state: &AppState) -> Response {
     let harness = state.harness();
     let snapshot = harness.cache_snapshot();
     let reports = lassi_core::progcache::report_stats();
-    let attached = harness.cache().is_some();
     let fields = vec![
-        ("attached".into(), Json::Bool(attached)),
-        ("disk".into(), Json::Bool(attached)),
+        ("attached".into(), Json::Bool(harness.cache().is_some())),
         ("hits".into(), Json::uint(snapshot.hits)),
         ("misses".into(), Json::uint(snapshot.misses)),
         ("stores".into(), Json::uint(snapshot.stores)),

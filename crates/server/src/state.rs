@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use lassi_core::TranslationRecord;
 use lassi_harness::{
     ArtifactStore, CancelToken, FleetStats, Harness, Job, JobOutput, JobWrite, LeaseError,
-    LeaseTable, RunArtifact, RunState, RunStatus, ScannedRun, SweepGrid,
+    LeaseTable, RunState, RunStatus, ScannedRun, SweepGrid,
 };
 use lassi_obs::{EventRing, TraceEvent, TraceSink};
 use parking_lot::{Condvar, Mutex};
@@ -134,12 +134,12 @@ struct FleetCounters {
 }
 
 /// A run being drained by remote workers: the lease table plus the
-/// first-write-wins record slots the completions land in.
+/// first-write-wins output slots the completions land in.
 struct RemoteRun {
     run_id: String,
     jobs: Vec<Job>,
     table: Mutex<LeaseTable>,
-    records: Mutex<Vec<Option<TranslationRecord>>>,
+    outputs: Mutex<Vec<Option<JobOutput>>>,
 }
 
 /// Check a completion body against the jobs its lease holds: the record
@@ -493,11 +493,19 @@ impl AppState {
         let mut accepted = 0usize;
         let mut duplicates = 0usize;
         {
-            let mut slots = remote.records.lock();
+            let mut slots = remote.outputs.lock();
             for (index, record) in jobs.into_iter().zip(records) {
                 match table.record_job(index) {
+                    // A remote completion carries no timing.
                     JobWrite::Fresh => {
-                        slots[index] = Some(record);
+                        slots[index] = Some(JobOutput {
+                            index,
+                            direction: remote.jobs[index].direction,
+                            record,
+                            wall_seconds: 0.0,
+                            queue_seconds: 0.0,
+                            from_cache: false,
+                        });
                         accepted += 1;
                     }
                     JobWrite::Duplicate => duplicates += 1,
@@ -625,8 +633,7 @@ impl AppState {
 
     /// The queryable status of a run: live registry first (with fresh
     /// progress counts and wall-clock), then `state.json` from disk (runs
-    /// from a previous process), then legacy manifests written before
-    /// lifecycle tracking (reported as `done`).
+    /// from a previous process).
     pub fn run_status(&self, id: &str) -> Option<RunStatus> {
         if let Some(entry) = self.runs.lock().get(id).cloned() {
             let mut status = entry.status.lock().clone();
@@ -639,19 +646,7 @@ impl AppState {
             }
             return Some(status);
         }
-        let dir = self.store.run_dir(id);
-        match RunStatus::load(&dir) {
-            Ok(status) => Some(status),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                let artifact = RunArtifact::load(&dir).ok()?;
-                let mut status = RunStatus::done(id, artifact.manifest.scenarios);
-                status.created_unix = artifact.manifest.created_unix;
-                status.started_unix = None;
-                status.finished_unix = None;
-                Some(status)
-            }
-            Err(_) => None,
-        }
+        RunStatus::load(&self.store.run_dir(id)).ok()
     }
 
     /// Every known run as `(id, state, created_unix)`, sorted by id — the
@@ -665,10 +660,8 @@ impl AppState {
             .into_iter()
             .map(|(id, scanned)| match scanned {
                 ScannedRun::Status(status) => (id, status.state, status.created_unix),
-                // Legacy artifact from before lifecycle tracking.
-                ScannedRun::Legacy => (id, RunState::Done, None),
-                // Torn state.json (recovery repairs it at startup; a fresh
-                // tear mid-flight still lists as failed, never vanishes).
+                // No readable state.json (recovery repairs it at startup;
+                // a fresh crash still lists as failed, never vanishes).
                 ScannedRun::Corrupt(_) => (id, RunState::Failed, None),
             })
             .collect();
@@ -802,10 +795,10 @@ impl AppState {
     }
 
     /// Mark runs orphaned by a previous process as `failed`, and repair
-    /// runs whose persisted state was torn by a crash mid-write: a
-    /// truncated `state.json` is detected, rewritten as a clean `failed`
-    /// state with the tear in the reason, and never panics the scan.
-    /// Returns how many runs were recovered.
+    /// runs a crash left without a readable `state.json` (torn mid-write,
+    /// or lost while the artifact was being written): each is rewritten
+    /// as a clean `failed` state with the damage in the reason, and never
+    /// panics the scan. Returns how many runs were recovered.
     pub fn recover_runs(&self) -> io::Result<usize> {
         let mut recovered = 0;
         for (id, scanned) in self.store.scan_runs()? {
@@ -824,16 +817,12 @@ impl AppState {
                     let _ = status.save(&dir);
                     recovered += 1;
                 }
-                ScannedRun::Legacy => continue,
                 ScannedRun::Corrupt(err) => {
                     let mut status = RunStatus::queued(&id, 0);
                     status
                         .finish(
                             RunState::Failed,
-                            format!(
-                                "state.json was torn or truncated (crash mid-write?); \
-                                 marked failed by recovery: {err}"
-                            ),
+                            format!("{err} (crash mid-write?); marked failed by recovery"),
                         )
                         .expect("queued → failed is legal");
                     let _ = status.save(&dir);
@@ -919,7 +908,7 @@ impl AppState {
         let (outputs, fleet) = if total > 0 && self.fleet_available() {
             self.drain_remote(run, &entry, &jobs)
         } else {
-            (self.drain_local(&entry, &jobs), None)
+            (self.drain_local(&entry, jobs.clone()), None)
         };
 
         let wall = entry
@@ -989,9 +978,12 @@ impl AppState {
         let _ = status.save(&dir);
     }
 
-    /// Drain a run through the local worker pool (the pre-fleet path).
-    fn drain_local(&self, entry: &RunEntry, jobs: &[Job]) -> Vec<JobOutput> {
-        let stream = self.harness.submit(jobs.to_vec());
+    /// Run `jobs` through the local worker pool under the run's cancel,
+    /// counting each output into the run's live progress. Used for a whole
+    /// run (no fleet) and for the jobs a dark fleet left behind.
+    fn drain_local(&self, entry: &RunEntry, jobs: Vec<Job>) -> Vec<JobOutput> {
+        let mut outputs = Vec::with_capacity(jobs.len());
+        let stream = self.harness.submit(jobs);
         let token = stream.cancel_token();
         *entry.cancel.lock() = Some(token.clone());
         // Re-check after publishing the token: a cancel or drain that raced
@@ -999,7 +991,6 @@ impl AppState {
         if entry.cancel_requested.load(Ordering::SeqCst) || self.shutting_down() {
             token.cancel();
         }
-        let mut outputs = Vec::with_capacity(jobs.len());
         for output in stream {
             outputs.push(output);
             entry.completed.fetch_add(1, Ordering::Relaxed);
@@ -1025,7 +1016,7 @@ impl AppState {
             run_id: run.run_id.clone(),
             jobs: jobs.to_vec(),
             table: Mutex::new(LeaseTable::new(&run.run_id, total)),
-            records: Mutex::new(vec![None; total]),
+            outputs: Mutex::new(vec![None; total]),
         });
         self.remote_runs.lock().push(Arc::clone(&remote));
         self.events.push(
@@ -1073,24 +1064,9 @@ impl AppState {
         }
 
         self.remote_runs.lock().retain(|r| !Arc::ptr_eq(r, &remote));
-        let table = remote.table.lock();
-        let stats = table.stats();
-        let records = remote.records.lock();
-        let outputs: Vec<JobOutput> = records
-            .iter()
-            .enumerate()
-            .filter_map(|(index, record)| {
-                record.as_ref().map(|record| JobOutput {
-                    index,
-                    direction: jobs[index].direction,
-                    record: record.clone(),
-                    wall_seconds: 0.0,
-                    queue_seconds: 0.0,
-                    from_cache: false,
-                })
-            })
-            .collect();
-        (outputs, Some(stats))
+        let stats = remote.table.lock().stats();
+        let outputs = std::mem::take(&mut *remote.outputs.lock());
+        (outputs.into_iter().flatten().collect(), Some(stats))
     }
 
     /// Run every still-pending job of a fleet-drained run through the
@@ -1115,30 +1091,22 @@ impl AppState {
             indices.len() as u64,
         );
 
-        let subset: Vec<Job> = indices.iter().map(|&i| remote.jobs[i].clone()).collect();
-        let stream = self.harness.submit(subset);
-        let token = stream.cancel_token();
-        *entry.cancel.lock() = Some(token.clone());
-        if entry.cancel_requested.load(Ordering::SeqCst) || self.shutting_down() {
-            token.cancel();
-        }
-        let mut finished = 0usize;
-        for output in stream {
+        let subset = indices.iter().map(|&i| remote.jobs[i].clone()).collect();
+        let outputs = self.drain_local(entry, subset);
+        let finished = outputs.len();
+        let mut table = remote.table.lock();
+        for mut output in outputs {
             let index = indices[output.index];
-            let mut table = remote.table.lock();
+            output.index = index;
             if table.record_job(index) == JobWrite::Fresh {
-                remote.records.lock()[index] = Some(output.record);
                 self.fleet.records_accepted.fetch_add(1, Ordering::Relaxed);
+                remote.outputs.lock()[index] = Some(output);
             } else {
                 self.fleet
                     .duplicate_completions
                     .fetch_add(1, Ordering::Relaxed);
             }
-            finished += 1;
         }
-        *entry.cancel.lock() = None;
-
-        let mut table = remote.table.lock();
         if finished == indices.len() {
             let _ = table.settle(&lease_id);
         } else if let Ok(requeued) = table.fail_lease(&lease_id) {
@@ -1179,7 +1147,7 @@ fn executor_loop(state: &Arc<AppState>) {
 mod tests {
     use super::*;
     use lassi_core::PipelineConfig;
-    use lassi_harness::HarnessOptions;
+    use lassi_harness::{HarnessOptions, STATE_FILE};
     use lassi_hecbench::application;
     use lassi_llm::gpt4;
     use std::time::Duration;
@@ -1404,6 +1372,13 @@ mod tests {
         assert!(fleet.leases_expired >= 1, "{fleet:?}");
         assert!(fleet.jobs_requeued >= 1, "{fleet:?}");
         assert!(s.fleet_snapshot().leases_expired >= 1);
+        // The local pool's output keeps its measured execution time.
+        let events = lassi_harness::read_trace(&s.store().run_dir("fleet-2")).unwrap();
+        let span = events.iter().find(|ev| ev.name == "job").expect("job span");
+        assert!(
+            matches!(span.field("execute_us"), Some(lassi_obs::FieldValue::Int(us)) if *us > 0),
+            "{span:?}"
+        );
 
         s.begin_shutdown();
         s.join_executors();
@@ -1430,6 +1405,39 @@ mod tests {
             .iter()
             .any(|(id, state, _)| id == "tornrun" && *state == RunState::Failed));
         // Recovery is idempotent: the rewritten state is clean.
+        assert_eq!(s.recover_runs().unwrap(), 0);
+    }
+
+    #[test]
+    fn recovery_fails_runs_whose_artifact_write_was_interrupted() {
+        let s = state("interrupted");
+        // A crash after the artifact write replaced the run directory and
+        // wrote the records and manifest, but before the final state.json.
+        let grid = tiny_grid();
+        let jobs = grid.jobs();
+        let outputs = s.harness().submit(jobs.clone()).collect_outputs();
+        grid.write_artifact(
+            s.store(),
+            "cut",
+            false,
+            &jobs,
+            &outputs,
+            Default::default(),
+            &[],
+        )
+        .unwrap();
+        std::fs::remove_file(s.store().run_dir("cut").join(STATE_FILE)).unwrap();
+        assert!(s.store().run_dir("cut").join("manifest.json").is_file());
+
+        assert_eq!(s.recover_runs().unwrap(), 1);
+        let status = s.run_status("cut").expect("interrupted run is queryable");
+        assert_eq!(status.state, RunState::Failed);
+        let reason = status.reason.expect("the interruption is explained");
+        assert!(reason.contains("interrupted"), "{reason}");
+        let rows = s.list_run_summaries().unwrap();
+        assert!(rows
+            .iter()
+            .any(|(id, state, _)| id == "cut" && *state == RunState::Failed));
         assert_eq!(s.recover_runs().unwrap(), 0);
     }
 

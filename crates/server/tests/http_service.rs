@@ -843,7 +843,6 @@ fn observability_progress_trace_metrics_and_debug_events() {
         keys,
         [
             "attached",
-            "disk",
             "hits",
             "misses",
             "stores",

@@ -309,7 +309,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,
