@@ -215,15 +215,10 @@ impl SweepGrid {
         let mut events: Vec<TraceEvent> = trace.to_vec();
         let mut ordered: Vec<&JobOutput> = outputs.iter().collect();
         ordered.sort_by_key(|output| output.index);
-        // One `job` span per scenario, in submission order and back to
-        // back: each span's duration and queue-wait vs execute split are
-        // the worker's real measurements, while the sequential layout keeps
-        // the file deterministic under any worker schedule.
-        let mut start_us = 0u64;
+        // One `job` span per scenario, in submission order, each placed
+        // at its claim instant and lasting its execution time.
         for output in &ordered {
-            let span = crate::trace::job_span(start_us, &jobs[output.index], output);
-            start_us += span.dur_us.unwrap_or(0);
-            events.push(span);
+            events.push(crate::trace::job_span(&jobs[output.index], output));
             rounds.observe(output.record.self_corrections as f64);
             for attempt in &output.record.diagnostics {
                 for diag in &attempt.diagnostics {
@@ -289,6 +284,7 @@ mod tests {
     use super::*;
     use lassi_hecbench::application;
     use lassi_llm::{codestral, gpt4};
+    use lassi_obs::FieldValue;
 
     fn grid() -> SweepGrid {
         SweepGrid {
@@ -336,13 +332,10 @@ mod tests {
     }
 
     #[test]
-    fn job_spans_are_back_to_back_under_sub_microsecond_timings() {
-        // Each pair's rounded sum differs from the sum of its rounded
-        // parts (0.4 + 0.4 µs is 1 µs together, 0 µs apart; 0.6 + 0.6 µs
-        // is 1 µs together, 2 µs apart), so advancing the timeline by the
-        // rounded sum instead of the span's own duration leaves gaps and
-        // overlaps.
-        let timings = [(0.6, 0.6), (0.4, 0.4), (1.5, 0.2), (0.4, 0.4)];
+    fn job_spans_start_at_their_claim_and_last_their_execution() {
+        // (queue wait, execute) in µs: sub-microsecond parts round on
+        // their own, so each span's start and duration are its fields.
+        let timings = [(0.6, 0.6), (0.4, 0.4), (1.5, 0.2), (7.0, 3.0)];
         let g = grid();
         let jobs = g.jobs();
         let record = lassi_core::run_scenario(
@@ -374,13 +367,18 @@ mod tests {
         let events = crate::trace::read_trace(&store.run_dir("spans")).unwrap();
         let spans: Vec<&TraceEvent> = events.iter().filter(|ev| ev.name == "job").collect();
         assert_eq!(spans.len(), jobs.len());
-        let mut end_us = 0;
-        for span in spans {
+        let expected = [(1, 1), (0, 0), (2, 0), (7, 3)];
+        for (index, span) in spans.iter().enumerate() {
+            let (t_us, dur_us) = expected[index % expected.len()];
+            assert_eq!((span.t_us, span.dur_us), (t_us, Some(dur_us)), "{span:?}");
             assert_eq!(
-                span.t_us, end_us,
-                "{span:?} does not start where the last ended"
+                span.field("queue_wait_us"),
+                Some(&FieldValue::Int(t_us as i64))
             );
-            end_us = span.t_us + span.dur_us.unwrap();
+            assert_eq!(
+                span.field("execute_us"),
+                Some(&FieldValue::Int(dur_us as i64))
+            );
         }
         // The run directory holds exactly the manifest, the lifecycle file,
         // the trace and one record set per cell.

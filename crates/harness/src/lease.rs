@@ -2,96 +2,62 @@
 //!
 //! When remote workers drain a run, every batch of scenario jobs they pull
 //! travels under a *time-bounded lease*: `POST /v1/work/lease` grants one,
-//! heartbeats extend it, and `POST /v1/work/complete` settles it. A worker
-//! that dies or stalls simply stops heartbeating — its lease expires, is
-//! reclaimed, and the jobs it held go back to the requeue set for another
-//! worker. Because the simulator is deterministic, re-executing a requeued
-//! job reproduces the identical record, so duplicate completions (a stale
-//! worker settling a lease that was already reclaimed) are resolved
-//! first-write-wins without ever changing the artifact.
+//! heartbeats move its deadline, and `POST /v1/work/complete` settles it.
+//! A worker that dies or stalls simply stops heartbeating: its lease
+//! passes its deadline, is reclaimed, and the jobs it held go back to the
+//! requeue set for another worker. Because the simulator is deterministic,
+//! re-executing a requeued job reproduces the identical record, so
+//! duplicate completions (a stale worker settling a lease that was already
+//! reclaimed) are resolved first-write-wins without ever changing the
+//! artifact.
 //!
 //! ```text
-//!             ┌─────────┐ heartbeat ┌──────────┐
-//!  grant ───▶ │ granted │ ────────▶ │ extended │──┐
-//!             └─────────┘           └──────────┘  │ complete
-//!                  │  │ complete         │        ▼
-//!                  │  └─────────────┐    │   ┌───────────┐
-//!                  │ deadline       │    │   │ completed │
-//!                  ▼ passes         ▼    │   └───────────┘
-//!             ┌─────────┐      ┌────────┴──┐
-//!             │ expired │ ───▶ │ reclaimed │  (jobs requeued)
-//!             └─────────┘      └───────────┘
+//!                       complete  ┌───────────┐
+//!             ┌────────┐ ───────▶ │ completed │
+//!  grant ───▶ │ active │          └───────────┘
+//!             └────────┘ ───────▶ ┌───────────┐
+//!              ▲      │  deadline │ reclaimed │  (jobs requeued)
+//!              └──────┘  passes   └───────────┘
+//!             heartbeat  or corrupt completion
 //! ```
 //!
 //! [`LeaseTable`] is the bookkeeping for one run: the requeue set of
-//! unleased job indices, the leases in flight, and the first-write-wins
-//! completion bitmap. It lives only in memory: a run's records are what
-//! persist, and re-executing a scenario reproduces its record, so nothing
-//! a restarted process could read back from a lease file would change the
-//! artifact. The table is deliberately clock-free: every operation takes
-//! `now_ms` from the caller, which keeps the whole machine deterministic
-//! under test.
+//! unleased job indices, the leases in flight, the first-write-wins
+//! completion bitmap, and the run's [`FleetStats`]. Those stats are the
+//! fleet's only record of grants, expiries, requeues and duplicates: the
+//! server's process-wide counters are their sum. The table lives only in
+//! memory: a run's records are what persist, and re-executing a scenario
+//! reproduces its record, so nothing a restarted process could read back
+//! from a lease file would change the artifact. The table is deliberately
+//! clock-free: every operation takes `now_ms` from the caller, which keeps
+//! the whole machine deterministic under test.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Add;
 
 use crate::json::Json;
 
 /// Lifecycle states of one lease.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LeaseState {
-    /// Granted to a worker, running against its initial deadline.
-    Granted,
-    /// At least one heartbeat extended the deadline.
-    Extended,
+    /// Held by a worker until its deadline (heartbeats move the deadline).
+    Active,
     /// The worker returned records for every job under the lease.
     Completed,
-    /// The deadline passed without completion (worker died or stalled).
-    Expired,
-    /// The reclaimer requeued the expired lease's uncompleted jobs.
+    /// The deadline passed (worker died or stalled) or the completion was
+    /// corrupt; the lease's uncompleted jobs were requeued.
     Reclaimed,
 }
 
 impl LeaseState {
-    /// The display spelling (`granted`, `extended`, `completed`,
-    /// `expired`, `reclaimed`).
+    /// The display spelling (`active`, `completed`, `reclaimed`).
     pub fn slug(self) -> &'static str {
         match self {
-            LeaseState::Granted => "granted",
-            LeaseState::Extended => "extended",
+            LeaseState::Active => "active",
             LeaseState::Completed => "completed",
-            LeaseState::Expired => "expired",
             LeaseState::Reclaimed => "reclaimed",
         }
-    }
-
-    /// A lease still holding its jobs: granted or extended.
-    pub fn is_active(self) -> bool {
-        matches!(self, LeaseState::Granted | LeaseState::Extended)
-    }
-
-    /// Terminal states never transition again.
-    pub fn is_terminal(self) -> bool {
-        matches!(self, LeaseState::Completed | LeaseState::Reclaimed)
-    }
-
-    /// Is `self → next` a legal lease transition?
-    ///
-    /// A `granted` lease may be heartbeat-extended, completed, or expire;
-    /// an `extended` one may complete or expire (further heartbeats only
-    /// move the deadline, not the state); an `expired` lease is always
-    /// reclaimed — requeueing its jobs is the only way out.
-    pub fn can_transition_to(self, next: LeaseState) -> bool {
-        matches!(
-            (self, next),
-            (
-                LeaseState::Granted,
-                LeaseState::Extended | LeaseState::Completed | LeaseState::Expired
-            ) | (
-                LeaseState::Extended,
-                LeaseState::Completed | LeaseState::Expired
-            ) | (LeaseState::Expired, LeaseState::Reclaimed)
-        )
     }
 }
 
@@ -100,23 +66,6 @@ impl fmt::Display for LeaseState {
         f.write_str(self.slug())
     }
 }
-
-/// A rejected lease transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IllegalLeaseTransition {
-    /// The state the lease was in.
-    pub from: LeaseState,
-    /// The state the caller asked for.
-    pub to: LeaseState,
-}
-
-impl fmt::Display for IllegalLeaseTransition {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "illegal lease transition {} → {}", self.from, self.to)
-    }
-}
-
-impl std::error::Error for IllegalLeaseTransition {}
 
 /// Why a lease operation was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,6 +146,19 @@ impl FleetStats {
     }
 }
 
+impl Add for FleetStats {
+    type Output = FleetStats;
+
+    fn add(self, other: FleetStats) -> FleetStats {
+        FleetStats {
+            leases_granted: self.leases_granted + other.leases_granted,
+            leases_expired: self.leases_expired + other.leases_expired,
+            jobs_requeued: self.jobs_requeued + other.jobs_requeued,
+            duplicate_completions: self.duplicate_completions + other.duplicate_completions,
+        }
+    }
+}
+
 /// One lease: a batch of job indices held by a worker until a deadline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lease {
@@ -213,19 +175,6 @@ pub struct Lease {
     pub granted_unix_ms: u64,
     /// Milliseconds-since-epoch the lease expires unless extended.
     pub deadline_unix_ms: u64,
-}
-
-impl Lease {
-    fn advance(&mut self, next: LeaseState) -> Result<(), IllegalLeaseTransition> {
-        if !self.state.can_transition_to(next) {
-            return Err(IllegalLeaseTransition {
-                from: self.state,
-                to: next,
-            });
-        }
-        self.state = next;
-        Ok(())
-    }
 }
 
 /// The lease bookkeeping for one run: requeue set, in-flight leases, and
@@ -278,9 +227,19 @@ impl LeaseTable {
         self.completed.iter().filter(|&&c| c).count()
     }
 
-    /// Leases currently holding jobs (granted or extended).
+    /// Leases currently holding jobs.
     pub fn active_leases(&self) -> usize {
-        self.leases.iter().filter(|l| l.state.is_active()).count()
+        self.active().count()
+    }
+
+    /// The earliest deadline among the active leases, if any: the instant
+    /// the next [`LeaseTable::reclaim_expired`] can find work.
+    pub fn next_deadline_ms(&self) -> Option<u64> {
+        self.active().map(|l| l.deadline_unix_ms).min()
+    }
+
+    fn active(&self) -> impl Iterator<Item = &Lease> {
+        self.leases.iter().filter(|l| l.state == LeaseState::Active)
     }
 
     /// Every job has its record.
@@ -305,6 +264,17 @@ impl LeaseTable {
             .ok_or_else(|| LeaseError::UnknownLease(lease_id.to_string()))
     }
 
+    fn find_active(&mut self, lease_id: &str) -> Result<&mut Lease, LeaseError> {
+        let lease = self.find(lease_id)?;
+        match lease.state {
+            LeaseState::Active => Ok(lease),
+            state => Err(LeaseError::NotActive {
+                lease_id: lease_id.to_string(),
+                state,
+            }),
+        }
+    }
+
     /// Grant up to `capacity` pending jobs to `worker` under a lease
     /// expiring at `now_ms + ttl_ms`. Returns `None` when nothing is
     /// pending (all jobs leased out or completed).
@@ -326,7 +296,7 @@ impl LeaseTable {
         self.leases.push(Lease {
             lease_id,
             worker: worker.to_string(),
-            state: LeaseState::Granted,
+            state: LeaseState::Active,
             jobs,
             granted_unix_ms: now_ms,
             deadline_unix_ms: now_ms.saturating_add(ttl_ms),
@@ -334,27 +304,15 @@ impl LeaseTable {
         self.leases.last()
     }
 
-    /// Extend an active lease's deadline to `now_ms + ttl_ms`. The first
-    /// heartbeat moves `granted → extended`; later ones only move the
-    /// deadline. Returns the new deadline.
+    /// Extend an active lease's deadline to `now_ms + ttl_ms`. Returns the
+    /// new deadline.
     pub fn heartbeat(
         &mut self,
         lease_id: &str,
         now_ms: u64,
         ttl_ms: u64,
     ) -> Result<u64, LeaseError> {
-        let lease = self.find(lease_id)?;
-        if !lease.state.is_active() {
-            return Err(LeaseError::NotActive {
-                lease_id: lease_id.to_string(),
-                state: lease.state,
-            });
-        }
-        if lease.state == LeaseState::Granted {
-            lease
-                .advance(LeaseState::Extended)
-                .expect("granted → extended is legal");
-        }
+        let lease = self.find_active(lease_id)?;
         lease.deadline_unix_ms = now_ms.saturating_add(ttl_ms);
         Ok(lease.deadline_unix_ms)
     }
@@ -367,10 +325,8 @@ impl LeaseTable {
     pub fn settle(&mut self, lease_id: &str) -> Result<(Vec<usize>, bool), LeaseError> {
         let lease = self.find(lease_id)?;
         let jobs = lease.jobs.clone();
-        if lease.state.is_active() {
-            lease
-                .advance(LeaseState::Completed)
-                .expect("active → completed is legal");
+        if lease.state == LeaseState::Active {
+            lease.state = LeaseState::Completed;
             Ok((jobs, true))
         } else {
             Ok((jobs, false))
@@ -396,35 +352,26 @@ impl LeaseTable {
         let expired: Vec<String> = self
             .leases
             .iter()
-            .filter(|l| l.state.is_active() && l.deadline_unix_ms <= now_ms)
+            .filter(|l| l.state == LeaseState::Active && l.deadline_unix_ms <= now_ms)
             .map(|l| l.lease_id.clone())
             .collect();
         let mut requeued = Vec::new();
         for id in expired {
-            requeued.extend(self.reclaim(&id, LeaseState::Expired));
+            requeued.extend(self.reclaim(&id));
         }
         requeued
     }
 
-    /// Fail an active lease immediately (corrupt completion): same
-    /// `expired → reclaimed` path as a deadline miss, without waiting.
+    /// Fail an active lease immediately (corrupt completion): reclaimed
+    /// like a deadline miss, without waiting.
     pub fn fail_lease(&mut self, lease_id: &str) -> Result<Vec<usize>, LeaseError> {
-        let lease = self.find(lease_id)?;
-        if !lease.state.is_active() {
-            return Err(LeaseError::NotActive {
-                lease_id: lease_id.to_string(),
-                state: lease.state,
-            });
-        }
-        Ok(self.reclaim(lease_id, LeaseState::Expired))
+        self.find_active(lease_id)?;
+        Ok(self.reclaim(lease_id))
     }
 
-    fn reclaim(&mut self, lease_id: &str, via: LeaseState) -> Vec<usize> {
+    fn reclaim(&mut self, lease_id: &str) -> Vec<usize> {
         let lease = self.find(lease_id).expect("reclaim of a known lease");
-        lease.advance(via).expect("active → expired is legal");
-        lease
-            .advance(LeaseState::Reclaimed)
-            .expect("expired → reclaimed is legal");
+        lease.state = LeaseState::Reclaimed;
         let jobs = lease.jobs.clone();
         self.stats.leases_expired += 1;
         let mut requeued = Vec::new();
@@ -445,11 +392,7 @@ impl LeaseTable {
     pub fn check_invariant(&self) -> Result<(), String> {
         for job in 0..self.total {
             let in_pending = self.pending.iter().filter(|&&j| j == job).count();
-            let in_active = self
-                .leases
-                .iter()
-                .filter(|l| l.state.is_active() && l.jobs.contains(&job))
-                .count();
+            let in_active = self.active().filter(|l| l.jobs.contains(&job)).count();
             if self.completed[job] {
                 if in_pending != 0 {
                     return Err(format!("completed job {job} still in the requeue set"));
@@ -468,53 +411,6 @@ impl LeaseTable {
 mod tests {
     use super::*;
 
-    const ALL: [LeaseState; 5] = [
-        LeaseState::Granted,
-        LeaseState::Extended,
-        LeaseState::Completed,
-        LeaseState::Expired,
-        LeaseState::Reclaimed,
-    ];
-
-    #[test]
-    fn transition_matrix_is_exactly_the_lease_lifecycle() {
-        use LeaseState::*;
-        let legal = [
-            (Granted, Extended),
-            (Granted, Completed),
-            (Granted, Expired),
-            (Extended, Completed),
-            (Extended, Expired),
-            (Expired, Reclaimed),
-        ];
-        for from in ALL {
-            for to in ALL {
-                assert_eq!(
-                    from.can_transition_to(to),
-                    legal.contains(&(from, to)),
-                    "{from} → {to}"
-                );
-            }
-        }
-        // Terminal states are exactly the ones with no outgoing edges.
-        for state in ALL {
-            assert_eq!(
-                state.is_terminal(),
-                ALL.iter().all(|&to| !state.can_transition_to(to)),
-                "{state}"
-            );
-        }
-        // Active states are exactly the ones a heartbeat or completion can
-        // reach from.
-        for state in ALL {
-            assert_eq!(
-                state.is_active(),
-                matches!(state, Granted | Extended),
-                "{state}"
-            );
-        }
-    }
-
     #[test]
     fn grant_heartbeat_complete_happy_path() {
         let mut table = LeaseTable::new("happy", 6);
@@ -522,17 +418,17 @@ mod tests {
 
         let lease = table.grant("w1", 4, 1_000, 500).unwrap();
         let id = lease.lease_id.clone();
-        assert_eq!(lease.state, LeaseState::Granted);
+        assert_eq!(lease.state, LeaseState::Active);
         assert_eq!(lease.jobs, vec![0, 1, 2, 3]);
         assert_eq!(lease.deadline_unix_ms, 1_500);
         assert_eq!(table.pending_count(), 2);
         assert_eq!(table.active_leases(), 1);
 
-        // Heartbeat extends the deadline and moves granted → extended once.
+        // Heartbeats only move the deadline.
         assert_eq!(table.heartbeat(&id, 1_400, 500), Ok(1_900));
-        assert_eq!(table.leases()[0].state, LeaseState::Extended);
         assert_eq!(table.heartbeat(&id, 1_800, 500), Ok(2_300));
-        assert_eq!(table.leases()[0].state, LeaseState::Extended);
+        assert_eq!(table.leases()[0].state, LeaseState::Active);
+        assert_eq!(table.next_deadline_ms(), Some(2_300));
 
         let (jobs, was_active) = table.settle(&id).unwrap();
         assert!(was_active);
@@ -584,6 +480,10 @@ mod tests {
                 lease_id: id.clone(),
                 state: LeaseState::Reclaimed,
             })
+        );
+        assert_eq!(
+            table.fail_lease(&id).unwrap_err().to_string(),
+            "lease `lease-reclaim-0000` is reclaimed, not active"
         );
         assert!(table.reclaim_expired(10_000).is_empty());
         assert_eq!(

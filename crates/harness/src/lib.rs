@@ -28,8 +28,8 @@
 //! lifecycle state machine (`queued → running → done | failed |
 //! cancelled`, persisted as `state.json` beside the artifact) that powers
 //! asynchronous sweep submission in `lassi-server`, and [`lease`] the
-//! time-bounded, in-memory lease table (`granted → extended → completed |
-//! expired → reclaimed`) behind the remote worker fleet.
+//! time-bounded, in-memory lease table (`active → completed | reclaimed`)
+//! behind the remote worker fleet.
 
 pub mod cache;
 pub mod codec;
@@ -44,9 +44,7 @@ pub mod trace;
 pub use cache::{fnv1a64, scenario_key, CacheSnapshot, ScenarioCache, ScenarioKey};
 pub use grid::{GridCell, SweepGrid};
 pub use json::Json;
-pub use lease::{
-    FleetStats, IllegalLeaseTransition, JobWrite, Lease, LeaseError, LeaseState, LeaseTable,
-};
+pub use lease::{FleetStats, JobWrite, Lease, LeaseError, LeaseState, LeaseTable};
 pub use runstate::{IllegalTransition, RunState, RunStatus, STATE_FILE};
 pub use scheduler::{CancelToken, Harness, HarnessOptions, Job, JobOutput, JobStream};
 pub use store::{

@@ -10,8 +10,8 @@
 //! One line of the versioned `trace.v1` schema:
 //!
 //! ```text
-//! {"v":"trace.v1","kind":"span","name":"job","t_us":120,"dur_us":4500,
-//!  "fields":{"application":"layout","queue_wait_us":80,"from_cache":false}}
+//! {"v":"trace.v1","kind":"span","name":"job","t_us":80,"dur_us":4500,
+//!  "fields":{"application":"layout","queue_wait_us":80,"execute_us":4500}}
 //! ```
 //!
 //! `dur_us` is omitted for instantaneous events. Field values are the
@@ -35,16 +35,16 @@ pub const TRACE_FILE: &str = "trace.jsonl";
 
 /// Build the canonical `job` span for one completed scheduler output.
 ///
-/// The span starts at the sink-relative instant `start_us`. Its duration
-/// is the job's full submission-to-record life: queue wait (submission
-/// until a worker claimed the job, which includes the work of the jobs
-/// claimed before it) plus execution time. That split is carried in the
-/// `queue_wait_us` and `execute_us` fields. Every completed run's
-/// `trace.jsonl` contains exactly one of these per scenario.
-pub fn job_span(start_us: u64, job: &Job, output: &JobOutput) -> TraceEvent {
+/// Times are relative to the submission of the job list: the span starts
+/// at the instant a worker claimed the job (its queue wait, which includes
+/// the work of the jobs claimed before it) and lasts its execution time.
+/// Both are also carried in the `queue_wait_us` and `execute_us` fields.
+/// Every completed run's `trace.jsonl` contains exactly one of these per
+/// scenario.
+pub fn job_span(job: &Job, output: &JobOutput) -> TraceEvent {
     let queue_us = (output.queue_seconds * 1e6).round() as u64;
     let execute_us = (output.wall_seconds * 1e6).round() as u64;
-    TraceEvent::span("job", start_us, queue_us + execute_us)
+    TraceEvent::span("job", queue_us, execute_us)
         .with("index", output.index)
         .with("application", job.application.name)
         .with("model", job.model.name)

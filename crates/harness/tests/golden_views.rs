@@ -1,8 +1,9 @@
 //! Golden pins for the views rendered from a run's records: the `diag.v1`
-//! diagnostics document and the trace with its `diag` events. The golden
-//! files are the `diagnostics.json` and `trace.jsonl` that schema-1
-//! artifacts stored for the same grid, so the rendered views must match
-//! them byte for byte.
+//! diagnostics document and the trace with its `diag` events. The
+//! diagnostics golden is the `diagnostics.json` that schema-1 artifacts
+//! stored for the same grid, and the trace golden is their `trace.jsonl`
+//! with each job span placed at its claim instant, so the rendered views
+//! must match them byte for byte.
 //!
 //! The grid crosses an always-fault/always-repair model (every scenario
 //! self-corrects once) with a model that never faults, over both

@@ -14,12 +14,14 @@
 use std::io;
 
 use lassi_core::PipelineConfig;
-use lassi_harness::{ArtifactError, Json, LeaseError, RunArtifact, RunStatus, SweepGrid};
+use lassi_harness::{
+    is_slug, ArtifactError, FleetStats, Json, LeaseError, RunArtifact, RunStatus, SweepGrid,
+};
 use lassi_hecbench::{application, applications, Application};
 use lassi_llm::{all_models, model_by_name, ModelSpec};
 
 use crate::http::{Request, Response};
-use crate::router::{is_slug, route, Route, RouteError};
+use crate::router::{route, Route, RouteError};
 use crate::state::{AppState, CancelError, CompleteError, SubmitError};
 
 /// Cap on scenarios per submitted sweep: a single request must not be able
@@ -388,18 +390,10 @@ fn run_view(status: &RunStatus) -> Json {
         ("reason".into(), Json::opt_str(status.reason.as_deref())),
         (
             "fleet".into(),
-            match &status.fleet {
-                Some(f) => Json::Object(vec![
-                    ("leases_granted".into(), Json::uint(f.leases_granted)),
-                    ("leases_expired".into(), Json::uint(f.leases_expired)),
-                    ("jobs_requeued".into(), Json::uint(f.jobs_requeued)),
-                    (
-                        "duplicate_completions".into(),
-                        Json::uint(f.duplicate_completions),
-                    ),
-                ]),
-                None => Json::Null,
-            },
+            status
+                .fleet
+                .as_ref()
+                .map_or(Json::Null, FleetStats::to_json),
         ),
     ])
 }

@@ -57,13 +57,6 @@ pub enum RouteError {
     BadSlug(String),
 }
 
-/// True for path parameters safe to embed in a filename. Delegates to the
-/// artifact store's [`lassi_harness::is_slug`] so the router and the store
-/// can never drift apart on what a valid run id is.
-pub fn is_slug(s: &str) -> bool {
-    lassi_harness::is_slug(s)
-}
-
 /// Resolve a request to a route.
 pub fn route(method: &str, path: &str) -> Result<Route, RouteError> {
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
@@ -76,7 +69,7 @@ pub fn route(method: &str, path: &str) -> Result<Route, RouteError> {
         _ => Err(RouteError::MethodNotAllowed),
     };
     let slug = |s: &str| -> Result<String, RouteError> {
-        if is_slug(s) {
+        if lassi_harness::is_slug(s) {
             Ok(s.to_string())
         } else {
             Err(RouteError::BadSlug(s.to_string()))
@@ -282,6 +275,7 @@ mod tests {
             route("GET", "/v1/runs/ok/records/%2e%2e"),
             Err(RouteError::BadSlug(_))
         ));
+        use lassi_harness::is_slug;
         assert!(is_slug("run_1.2-x"));
         assert!(!is_slug(""));
         assert!(!is_slug("."));

@@ -11,11 +11,18 @@
 //! advance runs `queued → running`, stream scenario outputs (counting live
 //! progress), write the artifact and land the run in a terminal state, with
 //! every transition persisted beside the artifact.
+//!
+//! While a worker is live, an executor drains its run through the fleet
+//! instead: the run's [`LeaseTable`] is the one record of its grants,
+//! expiries, requeues and duplicates, and [`AppState::fleet_snapshot`]
+//! sums those tables (live runs plus retired ones). The draining executor
+//! does not poll. It sleeps on the run's condvar until the earliest lease
+//! deadline, and a grant, a completion, a cancel or a shutdown wakes it.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -49,10 +56,6 @@ pub const DEFAULT_LEASE_TTL_MS: u64 = 10_000;
 /// A worker counts toward the live fleet while its last contact (any
 /// `/v1/work/*` call) is fresher than this many lease TTLs.
 const WORKER_LIVENESS_TTLS: u64 = 3;
-
-/// How often an executor draining a run through the fleet sweeps for
-/// expired leases (and re-checks cancellation/completion).
-const RECLAIM_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Why [`AppState::submit_sweep`] refused a sweep.
 #[derive(Debug)]
@@ -110,7 +113,7 @@ pub struct FleetSnapshot {
     pub jobs_requeued: u64,
     /// Records dropped first-write-wins.
     pub duplicate_completions: u64,
-    /// Records accepted as a job's first write.
+    /// Records from remote workers accepted as a job's first write.
     pub records_accepted: u64,
     /// Heartbeat extensions served.
     pub heartbeats: u64,
@@ -122,24 +125,41 @@ pub struct FleetSnapshot {
     pub remote_runs: u64,
 }
 
-/// Process-wide fleet counters behind [`FleetSnapshot`].
+/// The process-wide fleet counters no lease table keeps.
 #[derive(Default)]
 struct FleetCounters {
-    leases_granted: AtomicU64,
-    leases_expired: AtomicU64,
-    jobs_requeued: AtomicU64,
-    duplicate_completions: AtomicU64,
     records_accepted: AtomicU64,
     heartbeats: AtomicU64,
 }
 
-/// A run being drained by remote workers: the lease table plus the
-/// first-write-wins output slots the completions land in.
+/// A run being drained by remote workers: the lease table, the
+/// first-write-wins output slots the completions land in, and the
+/// condvar its drain waits on.
 struct RemoteRun {
     run_id: String,
     jobs: Vec<Job>,
     table: Mutex<LeaseTable>,
+    /// Notified under `table` when a lease is granted, settled or failed,
+    /// and when the run is cancelled or the server drains.
+    wake: std::sync::Condvar,
     outputs: Mutex<Vec<Option<JobOutput>>>,
+}
+
+impl RemoteRun {
+    /// Wake the drain after setting a flag it reads. Taking the table lock
+    /// first means a drain between its checks and its wait cannot miss it.
+    fn wake(&self) {
+        let _table = self.table.lock();
+        self.wake.notify_all();
+    }
+}
+
+/// The runs the fleet is draining, and the summed stats of the drains
+/// already retired: together, the process's lease accounting.
+#[derive(Default)]
+struct FleetRuns {
+    live: Vec<Arc<RemoteRun>>,
+    retired: FleetStats,
 }
 
 /// Check a completion body against the jobs its lease holds: the record
@@ -229,12 +249,12 @@ pub struct AppState {
     /// Size of the executor pool once started.
     executor_count: AtomicUsize,
     /// Runs currently drained by the fleet (lease/work calls search these).
-    remote_runs: Mutex<Vec<Arc<RemoteRun>>>,
+    remote_runs: Mutex<FleetRuns>,
     /// Worker id → last contact, for fleet liveness.
     workers: Mutex<HashMap<String, Instant>>,
     /// Lease time-to-live handed to workers.
     lease_ttl_ms: AtomicU64,
-    /// Process-wide lease/reclaim/requeue accounting for `/v1/metrics`.
+    /// Heartbeats and remote records for `/v1/metrics`.
     fleet: FleetCounters,
 }
 
@@ -257,7 +277,7 @@ impl AppState {
             events: EventRing::new(DEBUG_EVENT_CAPACITY),
             busy_executors: AtomicUsize::new(0),
             executor_count: AtomicUsize::new(0),
-            remote_runs: Mutex::new(Vec::new()),
+            remote_runs: Mutex::default(),
             workers: Mutex::new(HashMap::new()),
             lease_ttl_ms: AtomicU64::new(DEFAULT_LEASE_TTL_MS),
             fleet: FleetCounters::default(),
@@ -346,11 +366,32 @@ impl AppState {
     /// always false and the server behaves exactly as it did without the
     /// work-pull protocol.
     pub fn fleet_available(&self) -> bool {
-        let window = Duration::from_millis(self.lease_ttl_ms() * WORKER_LIVENESS_TTLS);
-        self.workers
-            .lock()
-            .values()
-            .any(|last| last.elapsed() <= window)
+        self.fleet_live_for().is_some()
+    }
+
+    fn liveness_window(&self) -> Duration {
+        Duration::from_millis(self.lease_ttl_ms() * WORKER_LIVENESS_TTLS)
+    }
+
+    /// How long until the freshest worker leaves the liveness window;
+    /// `None` once the whole fleet is dark.
+    fn fleet_live_for(&self) -> Option<Duration> {
+        let freshest = self.workers.lock().values().map(Instant::elapsed).min()?;
+        self.liveness_window().checked_sub(freshest)
+    }
+
+    fn live_remote_runs(&self) -> Vec<Arc<RemoteRun>> {
+        self.remote_runs.lock().live.clone()
+    }
+
+    /// Wake the fleet drain of `run_id` (of every run with `None`) so it
+    /// re-reads the cancel and shutdown flags.
+    fn wake_drains(&self, run_id: Option<&str>) {
+        for remote in self.live_remote_runs() {
+            if run_id.is_none_or(|id| id == remote.run_id) {
+                remote.wake();
+            }
+        }
     }
 
     /// Record a `/v1/work/*` contact from a worker (implicit registration:
@@ -381,8 +422,7 @@ impl AppState {
         self.touch_worker(worker);
         let ttl_ms = self.lease_ttl_ms();
         let now_ms = unix_now_ms();
-        let remote_runs: Vec<Arc<RemoteRun>> = self.remote_runs.lock().clone();
-        for remote in remote_runs {
+        for remote in self.live_remote_runs() {
             let mut table = remote.table.lock();
             let Some(lease) = table.grant(worker, capacity, now_ms, ttl_ms) else {
                 continue;
@@ -397,8 +437,9 @@ impl AppState {
                     .map(|&index| (index, remote.jobs[index].clone()))
                     .collect(),
             };
+            // The drain's wait now ends at this lease's deadline at latest.
+            remote.wake.notify_all();
             drop(table);
-            self.fleet.leases_granted.fetch_add(1, Ordering::Relaxed);
             self.lease_event(
                 "granted",
                 &grant.run_id,
@@ -419,9 +460,8 @@ impl AppState {
         self.touch_worker(worker);
         let ttl_ms = self.lease_ttl_ms();
         let now_ms = unix_now_ms();
-        let remote_runs: Vec<Arc<RemoteRun>> = self.remote_runs.lock().clone();
         let mut refusal = LeaseError::UnknownLease(lease_id.to_string());
-        for remote in remote_runs {
+        for remote in self.live_remote_runs() {
             match remote.table.lock().heartbeat(lease_id, now_ms, ttl_ms) {
                 Ok(_) => {
                     self.fleet.heartbeats.fetch_add(1, Ordering::Relaxed);
@@ -448,8 +488,8 @@ impl AppState {
         records: Vec<TranslationRecord>,
     ) -> Result<(usize, usize), CompleteError> {
         self.touch_worker(worker);
-        let remote_runs: Vec<Arc<RemoteRun>> = self.remote_runs.lock().clone();
-        let remote = remote_runs
+        let remote = self
+            .live_remote_runs()
             .into_iter()
             .find(|remote| {
                 remote
@@ -472,10 +512,7 @@ impl AppState {
             // Fail-and-requeue only an active lease; a stale corrupt
             // completion (lease already reclaimed) is simply dropped.
             if let Ok(requeued) = table.fail_lease(lease_id) {
-                self.fleet.leases_expired.fetch_add(1, Ordering::Relaxed);
-                self.fleet
-                    .jobs_requeued
-                    .fetch_add(requeued.len() as u64, Ordering::Relaxed);
+                remote.wake.notify_all();
                 self.lease_event(
                     "failed",
                     &remote.run_id,
@@ -512,13 +549,11 @@ impl AppState {
                 }
             }
         }
+        remote.wake.notify_all();
         drop(table);
         self.fleet
             .records_accepted
             .fetch_add(accepted as u64, Ordering::Relaxed);
-        self.fleet
-            .duplicate_completions
-            .fetch_add(duplicates as u64, Ordering::Relaxed);
         self.lease_event(
             "completed",
             &remote.run_id,
@@ -529,30 +564,34 @@ impl AppState {
         Ok((accepted, duplicates))
     }
 
-    /// Point-in-time fleet accounting for the metrics endpoint.
+    /// Point-in-time fleet accounting for the metrics endpoint. The lease
+    /// counters are the sum of every drain's lease table, live or retired.
     pub fn fleet_snapshot(&self) -> FleetSnapshot {
-        let window = Duration::from_millis(self.lease_ttl_ms() * WORKER_LIVENESS_TTLS);
+        let window = self.liveness_window();
         let workers_active = self
             .workers
             .lock()
             .values()
             .filter(|last| last.elapsed() <= window)
             .count() as u64;
-        let remote_runs = self.remote_runs.lock().clone();
-        let leases_active = remote_runs
-            .iter()
-            .map(|r| r.table.lock().active_leases() as u64)
-            .sum();
+        let runs = self.remote_runs.lock();
+        let mut leases = runs.retired;
+        let mut leases_active = 0;
+        for remote in &runs.live {
+            let table = remote.table.lock();
+            leases = leases + table.stats();
+            leases_active += table.active_leases() as u64;
+        }
         FleetSnapshot {
-            leases_granted: self.fleet.leases_granted.load(Ordering::Relaxed),
-            leases_expired: self.fleet.leases_expired.load(Ordering::Relaxed),
-            jobs_requeued: self.fleet.jobs_requeued.load(Ordering::Relaxed),
-            duplicate_completions: self.fleet.duplicate_completions.load(Ordering::Relaxed),
+            leases_granted: leases.leases_granted,
+            leases_expired: leases.leases_expired,
+            jobs_requeued: leases.jobs_requeued,
+            duplicate_completions: leases.duplicate_completions,
             records_accepted: self.fleet.records_accepted.load(Ordering::Relaxed),
             heartbeats: self.fleet.heartbeats.load(Ordering::Relaxed),
             workers_active,
             leases_active,
-            remote_runs: remote_runs.len() as u64,
+            remote_runs: runs.live.len() as u64,
         }
     }
 
@@ -715,7 +754,12 @@ impl AppState {
                 let event =
                     TraceEvent::event("cancel_requested", self.events.now_us()).with("run_id", id);
                 self.events.push(event);
-                Ok(status.clone())
+                let requested = status.clone();
+                // A fleet drain locks its table, then the status: wake it
+                // only once the status is released.
+                drop(status);
+                self.wake_drains(Some(id));
+                Ok(requested)
             }
             terminal => Err(CancelError::NotCancellable(terminal)),
         }
@@ -759,6 +803,7 @@ impl AppState {
                 token.cancel();
             }
         }
+        self.wake_drains(None);
     }
 
     /// Number of runs currently in a non-terminal state (tests and
@@ -1000,11 +1045,12 @@ impl AppState {
     }
 
     /// Drain a run through the worker fleet: publish a lease table, let
-    /// `/v1/work/*` hand out and settle leases, and sweep expired leases
-    /// back into the requeue set until every job has its record (or the
-    /// run is cancelled/drained). If the whole fleet goes dark mid-run the
-    /// remaining jobs fall back to the local pool — graceful degradation
-    /// in the other direction.
+    /// `/v1/work/*` hand out and settle leases, and reclaim expired leases
+    /// into the requeue set until every job has its record (or the run is
+    /// cancelled/drained). Between those events the drain sleeps on the
+    /// run's condvar until the earliest lease deadline. If the whole fleet
+    /// goes dark mid-run the remaining jobs fall back to the local pool:
+    /// graceful degradation in the other direction.
     fn drain_remote(
         &self,
         run: &QueuedRun,
@@ -1016,55 +1062,67 @@ impl AppState {
             run_id: run.run_id.clone(),
             jobs: jobs.to_vec(),
             table: Mutex::new(LeaseTable::new(&run.run_id, total)),
+            wake: std::sync::Condvar::new(),
             outputs: Mutex::new(vec![None; total]),
         });
-        self.remote_runs.lock().push(Arc::clone(&remote));
+        self.remote_runs.lock().live.push(Arc::clone(&remote));
         self.events.push(
             TraceEvent::event("remote_drain", self.events.now_us())
                 .with("run_id", run.run_id.as_str())
                 .with("jobs", total as u64),
         );
 
+        let mut table = remote.table.lock();
         loop {
-            thread::sleep(RECLAIM_INTERVAL);
-            let (completed, complete, stats, stranded) = {
-                let mut table = remote.table.lock();
-                let before_reclaim = table.stats();
-                let requeued = table.reclaim_expired(unix_now_ms());
-                let after_reclaim = table.stats();
-                if after_reclaim != before_reclaim {
-                    self.fleet.leases_expired.fetch_add(
-                        after_reclaim.leases_expired - before_reclaim.leases_expired,
-                        Ordering::Relaxed,
-                    );
-                    self.fleet.jobs_requeued.fetch_add(
-                        after_reclaim.jobs_requeued - before_reclaim.jobs_requeued,
-                        Ordering::Relaxed,
-                    );
-                    self.lease_event("reclaimed", &run.run_id, "-", "-", requeued.len() as u64);
-                }
-                let stranded = table.pending_count() > 0 && table.active_leases() == 0;
-                (
-                    table.completed_count(),
-                    table.is_complete(),
-                    table.stats(),
-                    stranded,
-                )
-            };
-            entry.completed.store(completed, Ordering::Relaxed);
-            entry.status.lock().fleet = Some(stats);
-            if complete || entry.cancel_requested.load(Ordering::SeqCst) || self.shutting_down() {
+            let requeued = table.reclaim_expired(unix_now_ms());
+            if !requeued.is_empty() {
+                self.lease_event("reclaimed", &run.run_id, "-", "-", requeued.len() as u64);
+            }
+            entry
+                .completed
+                .store(table.completed_count(), Ordering::Relaxed);
+            entry.status.lock().fleet = Some(table.stats());
+            if table.is_complete()
+                || entry.cancel_requested.load(Ordering::SeqCst)
+                || self.shutting_down()
+            {
                 break;
             }
-            if stranded && !self.fleet_available() {
-                // Every worker is presumed dead and nothing is in flight:
-                // finish the run ourselves rather than stalling forever.
-                self.local_fallback(&remote, entry);
-            }
+            let wait = match table.next_deadline_ms() {
+                Some(deadline_ms) => {
+                    Duration::from_millis(deadline_ms.saturating_sub(unix_now_ms()))
+                }
+                // Jobs pending, none in flight: wait for a grant until the
+                // freshest worker leaves the liveness window.
+                None => match self.fleet_live_for() {
+                    Some(live_for) => live_for,
+                    None => {
+                        // Every worker is presumed dead: finish the run
+                        // ourselves rather than stall.
+                        drop(table);
+                        self.local_fallback(&remote, entry);
+                        table = remote.table.lock();
+                        continue;
+                    }
+                },
+            };
+            table = remote
+                .wake
+                .wait_timeout(table, wait)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
+        drop(table);
 
-        self.remote_runs.lock().retain(|r| !Arc::ptr_eq(r, &remote));
-        let stats = remote.table.lock().stats();
+        let stats = {
+            // Retire the run under the lock `fleet_snapshot` sums under, so
+            // no scraped counter ever goes backwards.
+            let mut runs = self.remote_runs.lock();
+            runs.live.retain(|r| !Arc::ptr_eq(r, &remote));
+            let stats = remote.table.lock().stats();
+            runs.retired = runs.retired + stats;
+            stats
+        };
         let outputs = std::mem::take(&mut *remote.outputs.lock());
         (outputs.into_iter().flatten().collect(), Some(stats))
     }
@@ -1082,7 +1140,6 @@ impl AppState {
             };
             (lease.lease_id.clone(), lease.jobs.clone())
         };
-        self.fleet.leases_granted.fetch_add(1, Ordering::Relaxed);
         self.lease_event(
             "granted",
             &remote.run_id,
@@ -1099,23 +1156,15 @@ impl AppState {
             let index = indices[output.index];
             output.index = index;
             if table.record_job(index) == JobWrite::Fresh {
-                self.fleet.records_accepted.fetch_add(1, Ordering::Relaxed);
                 remote.outputs.lock()[index] = Some(output);
-            } else {
-                self.fleet
-                    .duplicate_completions
-                    .fetch_add(1, Ordering::Relaxed);
             }
         }
         if finished == indices.len() {
             let _ = table.settle(&lease_id);
-        } else if let Ok(requeued) = table.fail_lease(&lease_id) {
+        } else {
             // Cancelled mid-fallback: put the unfinished jobs back so the
             // table's partition invariant holds for whoever reads it.
-            self.fleet.leases_expired.fetch_add(1, Ordering::Relaxed);
-            self.fleet
-                .jobs_requeued
-                .fetch_add(requeued.len() as u64, Ordering::Relaxed);
+            let _ = table.fail_lease(&lease_id);
         }
     }
 }
@@ -1273,6 +1322,66 @@ mod tests {
         }
     }
 
+    fn lease_counters(snapshot: &FleetSnapshot) -> FleetStats {
+        FleetStats {
+            leases_granted: snapshot.leases_granted,
+            leases_expired: snapshot.leases_expired,
+            jobs_requeued: snapshot.jobs_requeued,
+            duplicate_completions: snapshot.duplicate_completions,
+        }
+    }
+
+    /// Lease the next batch, then give the drain time to sleep again
+    /// after the grant woke it, so the next event must wake it anew.
+    fn next_lease(s: &AppState, worker: &str) -> LeaseGrant {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            if let Some(grant) = s.lease_work(worker, 4) {
+                thread::sleep(Duration::from_millis(200));
+                return grant;
+            }
+            assert!(Instant::now() < deadline, "no lease granted");
+            thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn fleet_drain_wakes_on_completion_cancel_and_shutdown() {
+        // No lease expires under a 60 s TTL, so a drain that missed its
+        // wake-up would sit out a whole TTL.
+        let s = state("wake");
+        s.set_lease_ttl_ms(60_000);
+        assert!(s.lease_work("w1", 4).is_none());
+        s.start_executors(1);
+        let prompt = Duration::from_secs(2);
+
+        s.submit_sweep(tiny_grid(), Some("wake-done".into()))
+            .unwrap();
+        let grant = next_lease(&s, "w1");
+        let records = grant.jobs.iter().map(|(_, job)| job.run()).collect();
+        s.complete_work("w1", &grant.lease_id, records).unwrap();
+        let settled = Instant::now();
+        assert_eq!(wait_terminal(&s, "wake-done").state, RunState::Done);
+        assert!(settled.elapsed() < prompt, "{:?}", settled.elapsed());
+
+        s.submit_sweep(tiny_grid(), Some("wake-cancel".into()))
+            .unwrap();
+        next_lease(&s, "w1");
+        let cancelled = Instant::now();
+        s.cancel_run("wake-cancel").unwrap();
+        assert_eq!(wait_terminal(&s, "wake-cancel").state, RunState::Cancelled);
+        assert!(cancelled.elapsed() < prompt, "{:?}", cancelled.elapsed());
+
+        s.submit_sweep(tiny_grid(), Some("wake-drain".into()))
+            .unwrap();
+        next_lease(&s, "w1");
+        let drained = Instant::now();
+        s.begin_shutdown();
+        s.join_executors();
+        assert!(drained.elapsed() < prompt, "{:?}", drained.elapsed());
+        assert_eq!(s.run_status("wake-drain").unwrap().state, RunState::Failed);
+    }
+
     #[test]
     fn fleet_drains_a_run_with_first_write_wins_duplicates() {
         let s = state("fleet");
@@ -1343,7 +1452,10 @@ mod tests {
         // …and the stats are durable in state.json, not just in memory.
         let on_disk = RunStatus::load(&s.store().run_dir("fleet-1")).unwrap();
         assert_eq!(on_disk.fleet, Some(fleet));
-        assert!(s.fleet_snapshot().duplicate_completions >= 1);
+        // The process-wide counters are the sum of the (here: one) run's.
+        let snapshot = s.fleet_snapshot();
+        assert_eq!(lease_counters(&snapshot), fleet);
+        assert_eq!(snapshot.records_accepted, 2);
 
         s.begin_shutdown();
         s.join_executors();
@@ -1371,7 +1483,10 @@ mod tests {
         let fleet = status.fleet.expect("fleet stats present");
         assert!(fleet.leases_expired >= 1, "{fleet:?}");
         assert!(fleet.jobs_requeued >= 1, "{fleet:?}");
-        assert!(s.fleet_snapshot().leases_expired >= 1);
+        let snapshot = s.fleet_snapshot();
+        assert_eq!(lease_counters(&snapshot), fleet);
+        // The local pool's records are not remote records.
+        assert_eq!(snapshot.records_accepted, 0);
         // The local pool's output keeps its measured execution time.
         let events = lassi_harness::read_trace(&s.store().run_dir("fleet-2")).unwrap();
         let span = events.iter().find(|ev| ev.name == "job").expect("job span");
