@@ -8,11 +8,12 @@ use crate::experiment::Direction;
 // keys, so their derivation uses the toolchain-stable FNV-1a.
 pub(crate) use lassi_hecbench::fnv1a64;
 
-/// Which execution engine runs benchmark programs.
+/// Which execution engine runs the pipeline's programs.
 ///
-/// Both engines produce bit-identical [`lassi_runtime::ExecutionReport`]s;
-/// the choice only affects wall-clock speed (and which code path is
-/// exercised). The reference interpreter is kept for differential testing.
+/// Both engines produce bit-identical [`lassi_runtime::ExecutionReport`]s,
+/// so the choice only affects wall-clock speed and which code path runs.
+/// Production runs the VM; `Reference` stays for the differential tests and
+/// perfbench's oracle sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
     /// Memoize each checked program's execution report process-wide; a miss
@@ -22,16 +23,6 @@ pub enum ExecEngine {
     Bytecode,
     /// The original tree-walking interpreter (`lassi_runtime::reference`).
     Reference,
-}
-
-impl ExecEngine {
-    /// Stable label used in cache keys, metrics and CLI output.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecEngine::Bytecode => "bytecode",
-            ExecEngine::Reference => "reference",
-        }
-    }
 }
 
 /// Knobs for the LASSI pipeline.

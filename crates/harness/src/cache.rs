@@ -1,28 +1,31 @@
 //! Content-addressed scenario cache.
 //!
-//! A scenario's [`TranslationRecord`] is fully determined by the application
-//! sources, the model fingerprint, the direction, the derived per-scenario
-//! seed and the pipeline configuration — the pipeline is deterministic, so a
-//! cached record is *exact*, not approximate. The cache key hashes all of
-//! those with FNV-1a (hand-rolled: `DefaultHasher` is explicitly not stable
-//! across Rust releases, and disk entries must outlive a toolchain bump —
-//! a changed hash only costs a miss, a *reused* wrong hash would corrupt).
+//! A scenario's [`TranslationRecord`] is fully determined by the code that
+//! computes it, the application sources, the model fingerprint, the
+//! direction, the derived per-scenario seed and the pipeline configuration —
+//! the pipeline is deterministic, so a cached record is *exact*, not
+//! approximate. The cache key hashes all of those with FNV-1a (hand-rolled:
+//! `DefaultHasher` is explicitly not stable across Rust releases, and disk
+//! entries must outlive a toolchain bump — a changed hash only costs a miss,
+//! a *reused* wrong hash would corrupt). The code enters as the build's
+//! source fingerprint (`build.rs`), so an edit to any crate that can shape a
+//! record misses instead of replaying what the old code computed.
 //!
 //! The cache is its directory: one `<key>.json` file per scenario and no
 //! resident copy, so its memory use does not grow with the number of
 //! entries, repeated sweep *invocations* skip already-computed scenarios,
 //! and deleting an entry file takes effect on the next lookup. Hit/miss
 //! counters prove the speedup (`sweep smoke` asserts a warm rerun is 100%
-//! hits). Stores are synchronous write-then-rename: a reader never sees a
-//! torn file, an entry is on disk once [`ScenarioCache::store`] returns, and
-//! a crash before that is just a future miss.
+//! hits). Stores are synchronous write-then-rename and never fsync: a reader
+//! never sees a torn file, and an entry survives a process crash once
+//! [`ScenarioCache::store`] returns. A power loss may leave an empty or torn
+//! entry, which [`ScenarioCache::lookup`] reads as a miss.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lassi_core::TranslationRecord;
-use lassi_hecbench::Machine;
 
 use crate::codec::{record_from_json, record_to_json};
 use crate::json;
@@ -41,24 +44,16 @@ impl ScenarioKey {
     }
 }
 
-/// Derive the cache key for a job from everything that determines its record,
-/// including the [`Machine::fingerprint`] of the simulated platform every
-/// pipeline runs on.
-///
-/// The leading version tag covers the *pipeline semantics* too: bump it when
-/// a code change alters what a record would contain for identical inputs
-/// (v2: the Sim-T tokenizer stopped gluing `.` into identifiers, shifting
-/// similarity scores; v3: executions moved to the bytecode VM and the key
-/// gained the engine token; v4: repair prompts render structured coded
-/// diagnostics and records carry per-attempt diagnostic history), so stale
-/// disk entries miss instead of resurfacing scores the current code would
-/// never produce.
+/// Derive the cache key for a job from everything that determines its
+/// record: the source fingerprint, the application sources, the model
+/// fingerprint, the direction, the derived seed and the configuration but
+/// its engine, whose two settings give bit-identical reports.
 pub fn scenario_key(job: &Job) -> ScenarioKey {
     let config = &job.config;
     let canonical = format!(
-        "v4;engine={};app={};cuda={:016x};omp={:016x};model={};dir={};seed={};msc={};runs={};\
-         step={};hostop={:016x};startup={:016x};machine={:016x}",
-        config.engine.label(),
+        "src={};app={};cuda={:016x};omp={:016x};model={};dir={};seed={};msc={};runs={};\
+         step={};hostop={:016x};startup={:016x}",
+        env!("LASSI_SOURCE_FINGERPRINT"),
         job.application.name,
         fnv1a64(job.application.cuda_source.as_bytes()),
         fnv1a64(job.application.omp_source.as_bytes()),
@@ -70,7 +65,6 @@ pub fn scenario_key(job: &Job) -> ScenarioKey {
         config.run_config.step_limit,
         config.run_config.host_op_seconds.to_bits(),
         config.run_config.startup_seconds.to_bits(),
-        Machine::a100().fingerprint(),
     );
     ScenarioKey(fnv1a64(canonical.as_bytes()))
 }
@@ -228,6 +222,13 @@ mod tests {
         let mut other_model = job("layout", 40);
         other_model.model.profile.p_compile_fault += 0.01;
         assert_ne!(base, scenario_key(&other_model), "model profile");
+    }
+
+    #[test]
+    fn both_engines_share_one_key() {
+        let mut reference = job("layout", 40);
+        reference.config.engine = lassi_core::ExecEngine::Reference;
+        assert_eq!(scenario_key(&job("layout", 40)), scenario_key(&reference));
     }
 
     #[test]

@@ -109,7 +109,8 @@ pub enum JobWrite {
 /// degraded-but-succeeding run is visible without reading traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetStats {
-    /// Leases handed to workers (including re-grants of requeued jobs).
+    /// Leases handed to remote workers (including re-grants of requeued
+    /// jobs); the server's own local-pool lease is not counted.
     pub leases_granted: u64,
     /// Leases that expired (deadline passed) or were failed for a corrupt
     /// completion, then reclaimed.
@@ -276,9 +277,31 @@ impl LeaseTable {
     }
 
     /// Grant up to `capacity` pending jobs to `worker` under a lease
-    /// expiring at `now_ms + ttl_ms`. Returns `None` when nothing is
-    /// pending (all jobs leased out or completed).
+    /// expiring at `now_ms + ttl_ms`, counted in `leases_granted`. Returns
+    /// `None` when nothing is pending (all jobs leased out or completed).
     pub fn grant(
+        &mut self,
+        worker: &str,
+        capacity: usize,
+        now_ms: u64,
+        ttl_ms: u64,
+    ) -> Option<&Lease> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        self.stats.leases_granted += 1;
+        self.lease_out(worker, capacity, now_ms, ttl_ms)
+    }
+
+    /// Lease every pending job to the server's own pool, `worker`, with no
+    /// deadline. The jobs leave the requeue set and their records are
+    /// first-write-wins as under [`LeaseTable::grant`], but this is no
+    /// worker lease, so `leases_granted` does not count it.
+    pub fn grant_local(&mut self, worker: &str, now_ms: u64) -> Option<&Lease> {
+        self.lease_out(worker, self.pending.len(), now_ms, u64::MAX / 2)
+    }
+
+    fn lease_out(
         &mut self,
         worker: &str,
         capacity: usize,
@@ -292,7 +315,6 @@ impl LeaseTable {
         let jobs: Vec<usize> = self.pending.drain(..take).collect();
         let lease_id = format!("lease-{}-{:04}", self.run_id, self.next_lease);
         self.next_lease += 1;
-        self.stats.leases_granted += 1;
         self.leases.push(Lease {
             lease_id,
             worker: worker.to_string(),
@@ -454,6 +476,25 @@ mod tests {
         assert!(table.is_complete());
         assert_eq!(table.stats().leases_granted, 2);
         assert_eq!(table.stats().leases_expired, 0);
+        table.check_invariant().unwrap();
+    }
+
+    #[test]
+    fn a_local_lease_takes_every_pending_job_uncounted() {
+        let mut table = LeaseTable::new("local", 5);
+        table.grant("w1", 2, 1_000, 500).unwrap();
+        let lease = table.grant_local("local-pool", 1_000).unwrap();
+        let id = lease.lease_id.clone();
+        assert_eq!(lease.jobs, vec![2, 3, 4]);
+        assert_eq!(table.pending_count(), 0);
+        assert_eq!(table.stats().leases_granted, 1);
+        table.check_invariant().unwrap();
+        assert!(table.grant_local("local-pool", 1_000).is_none());
+        for job in [2, 3, 4] {
+            assert_eq!(table.record_job(job), JobWrite::Fresh);
+        }
+        assert_eq!(table.record_job(2), JobWrite::Duplicate);
+        assert!(table.settle(&id).unwrap().1, "still active");
         table.check_invariant().unwrap();
     }
 

@@ -8,13 +8,13 @@
 //! * [`scheduler`] — a [`Job`] per scenario; a worker pool claims a
 //!   submitted job list in order and streams [`JobOutput`]s back as they
 //!   complete, with cooperative cancellation and per-job wall-clock timing,
-//! * [`cache`] — a content-addressed scenario cache (stable FNV-1a over
-//!   application sources, model fingerprint, direction, derived seed,
-//!   config and simulated-machine fingerprint) that is its directory: one
-//!   JSON file per scenario and no resident copy, so repeated and
-//!   overlapping sweeps skip already-computed scenarios across processes —
-//!   cached records are exact because the pipeline is deterministically
-//!   seeded,
+//! * [`cache`] — a content-addressed scenario cache (stable FNV-1a over a
+//!   build-time fingerprint of the sources that shape a record, application
+//!   sources, model fingerprint, direction, derived seed and config) that
+//!   is its directory: one JSON file per scenario and no resident copy, so
+//!   repeated and overlapping sweeps skip already-computed scenarios across
+//!   processes — cached records are exact because the pipeline is
+//!   deterministically seeded, and an edit to the code misses them,
 //! * [`store`] + [`json`] + [`codec`] — a dependency-free JSON artifact
 //!   store (`artifacts/run-<id>/` with a manifest, record sets, a trace
 //!   and a lifecycle file) that re-renders tables byte-identically without
@@ -33,6 +33,8 @@
 
 pub mod cache;
 pub mod codec;
+#[cfg(test)]
+mod fingerprint;
 pub mod grid;
 pub mod json;
 pub mod lease;

@@ -2,7 +2,9 @@
 //!
 //! The ten HeCBench-style benchmark applications used in the LASSI paper
 //! (Table IV), hand-written in both ParC dialects (CudaLite and OmpLite), plus
-//! a combined "machine" backend and reference runner.
+//! a combined "machine" backend and the reference runner, which checks,
+//! lowers and runs a program on the bytecode VM ([`run_application`],
+//! [`run_source`]).
 //!
 //! The applications cover the same nine computational categories the paper
 //! selects from HeCBench, use the paper's application names, and are designed

@@ -1,13 +1,13 @@
 //! Reference runner: the paper's machine (the GPU and OpenMP cost models
 //! behind one backend) and helpers for compiling and executing benchmark
-//! programs the way the LASSI pipeline's "source code preparation" step does.
+//! programs on the bytecode VM the way the LASSI pipeline's "source code
+//! preparation" step does.
 
 use lassi_gpusim::{DeviceSpec, KernelCostModel};
 use lassi_lang::{Dialect, Program};
 use lassi_ompsim::OmpSpec;
 use lassi_runtime::{
-    ExecError, ExecutionReport, HostInterpreter, KernelPricing, ParallelBackend, RegionPricing,
-    RunConfig,
+    ExecError, ExecutionReport, KernelPricing, ParallelBackend, RegionPricing, RunConfig,
 };
 
 use crate::apps::Application;
@@ -40,15 +40,6 @@ impl Machine {
             gpu: KernelCostModel::new(DeviceSpec::a100()),
             omp: OmpSpec::a100_offload(),
         }
-    }
-
-    /// Content fingerprint of every simulation parameter: FNV-1a over the
-    /// `Debug` form of the GPU cost model and the OpenMP spec. Keys of
-    /// persisted results fold it in, so editing any device or cost-model
-    /// parameter misses instead of replaying stale runtimes. Should the
-    /// `Debug` format ever change, the only cost is a cache miss.
-    pub fn fingerprint(&self) -> u64 {
-        fnv1a64(format!("{:?};{:?}", self.gpu, self.omp).as_bytes())
     }
 
     /// Run configuration used for every benchmark execution (a small fixed
@@ -110,23 +101,12 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Compile (semantic-check) and execute an already-parsed program on the
-/// default machine.
+/// Semantic-check an already-parsed program, lower it to register bytecode
+/// and execute it on the default machine.
 pub fn run_program(program: &Program) -> Result<ExecutionReport, RunError> {
     lassi_sema::compile(program).map_err(RunError::Compile)?;
-    let machine = Machine::a100();
-    let mut interp = HostInterpreter::new(program, Machine::run_config());
-    interp.run(&machine, &[]).map_err(RunError::Execute)
-}
-
-/// Like [`run_program`], but through the bytecode engine: semantic-check,
-/// lower to register bytecode and execute on the default machine. Reports are
-/// bit-identical to [`run_program`]'s.
-pub fn run_program_compiled(program: &Program) -> Result<ExecutionReport, RunError> {
-    lassi_sema::compile(program).map_err(RunError::Compile)?;
-    let machine = Machine::a100();
     let compiled = lassi_runtime::compile(program, 0);
-    lassi_runtime::run_compiled(&compiled, &Machine::run_config(), &machine, &[])
+    lassi_runtime::run_compiled(&compiled, &Machine::run_config(), &Machine::a100(), &[])
         .map_err(RunError::Execute)
 }
 
@@ -145,6 +125,15 @@ pub fn run_application(app: &Application, dialect: Dialect) -> Result<ExecutionR
 mod tests {
     use super::*;
     use crate::apps::application;
+    use lassi_runtime::HostInterpreter;
+
+    /// [`run_program`] on the reference tree-walking interpreter: the
+    /// oracle the VM's reports must match bit for bit.
+    fn run_reference(program: &Program) -> Result<ExecutionReport, RunError> {
+        lassi_sema::compile(program).map_err(RunError::Compile)?;
+        let mut interp = HostInterpreter::new(program, Machine::run_config());
+        interp.run(&Machine::a100(), &[]).map_err(RunError::Execute)
+    }
 
     #[test]
     fn bsearch_openmp_is_faster_than_cuda() {
@@ -226,12 +215,7 @@ mod tests {
         "#;
         for (src, dialect) in [(cuda, Dialect::CudaLite), (omp, Dialect::OmpLite)] {
             let program = lassi_lang::parse(src, dialect).unwrap();
-            for run in [
-                run_program,
-                run_program_compiled,
-                run_program,
-                run_program_compiled,
-            ] {
+            for run in [run_reference, run_program, run_reference, run_program] {
                 let stdout = run(&program).unwrap().stdout;
                 let total: f64 = stdout.trim().parse().unwrap();
                 assert_eq!(total.to_bits(), expected.to_bits(), "{dialect:?}: {stdout}");
@@ -247,8 +231,8 @@ mod tests {
         for app in crate::apps::applications() {
             for dialect in [Dialect::CudaLite, Dialect::OmpLite] {
                 let program = lassi_lang::parse(app.source(dialect), dialect).unwrap();
-                let reference = run_program(&program);
-                let compiled = run_program_compiled(&program);
+                let reference = run_reference(&program);
+                let compiled = run_program(&program);
                 match (reference, compiled) {
                     (Ok(a), Ok(b)) => {
                         let tag = format!("{} ({dialect:?})", app.name);
@@ -370,42 +354,14 @@ mod tests {
         }
         "#;
         let program = lassi_lang::parse(src, Dialect::CudaLite).unwrap();
-        let a = run_program(&program).unwrap();
-        let b = run_program_compiled(&program).unwrap();
+        let a = run_reference(&program).unwrap();
+        let b = run_program(&program).unwrap();
         assert_eq!(a.stdout, "403 22 4\n12 0\n");
         assert_eq!(a.stdout, b.stdout);
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.memory, b.memory);
         assert_eq!(a.simulated_seconds.to_bits(), b.simulated_seconds.to_bits());
-    }
-
-    #[test]
-    fn fingerprint_tracks_every_simulation_parameter() {
-        let machine = |device: DeviceSpec, omp: OmpSpec| Machine {
-            gpu: KernelCostModel::new(device),
-            omp,
-        };
-        let base = machine(DeviceSpec::a100(), OmpSpec::a100_offload()).fingerprint();
-        assert_eq!(base, Machine::a100().fingerprint(), "stable");
-        let device = DeviceSpec {
-            mem_bandwidth: DeviceSpec::a100().mem_bandwidth * 1.01,
-            ..DeviceSpec::a100()
-        };
-        assert_ne!(
-            base,
-            machine(device, OmpSpec::a100_offload()).fingerprint(),
-            "device spec"
-        );
-        let omp = OmpSpec {
-            host_cores: 32,
-            ..OmpSpec::a100_offload()
-        };
-        assert_ne!(
-            base,
-            machine(DeviceSpec::a100(), omp).fingerprint(),
-            "OpenMP spec"
-        );
     }
 
     #[test]

@@ -256,8 +256,8 @@ mod tests {
     fn repair_prompt_renders_structured_diagnostics_byte_stably() {
         // Golden test: the repair prompt built from structured diagnostics
         // (code + span + notes) is pinned byte for byte. The scenario cache
-        // key is versioned on these bytes (v4) — if this golden changes, the
-        // key in `lassi-harness::cache` must be bumped with it.
+        // key follows these bytes through the source fingerprint, so a
+        // change here misses every cached record.
         use lassi_lang::diag::{render_structured, Diagnostic};
         let diags = vec![
             Diagnostic::warning(

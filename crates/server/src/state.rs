@@ -105,7 +105,7 @@ pub struct LeaseGrant {
 /// Point-in-time fleet accounting for `/v1/metrics`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FleetSnapshot {
-    /// Leases granted since the process started.
+    /// Leases granted to remote workers since the process started.
     pub leases_granted: u64,
     /// Leases expired (deadline missed or corrupt completion) and reclaimed.
     pub leases_expired: u64,
@@ -1128,14 +1128,13 @@ impl AppState {
     }
 
     /// Run every still-pending job of a fleet-drained run through the
-    /// local pool, under a lease of its own so the accounting (and the
-    /// first-write-wins rule against late stale workers) stays uniform.
+    /// local pool, under a lease of its own so the partition of pending and
+    /// in-flight jobs (and the first-write-wins rule against late stale
+    /// workers) stays uniform. It is not counted as a worker lease.
     fn local_fallback(&self, remote: &RemoteRun, entry: &RunEntry) {
         let (lease_id, indices) = {
             let mut table = remote.table.lock();
-            let pending = table.pending_count();
-            let Some(lease) = table.grant("local-pool", pending, unix_now_ms(), u64::MAX / 2)
-            else {
+            let Some(lease) = table.grant_local("local-pool", unix_now_ms()) else {
                 return;
             };
             (lease.lease_id.clone(), lease.jobs.clone())
@@ -1481,6 +1480,8 @@ mod tests {
         let status = wait_terminal(&s, "fleet-2");
         assert_eq!(status.state, RunState::Done, "reason: {:?}", status.reason);
         let fleet = status.fleet.expect("fleet stats present");
+        // The ghost's lease only: the local pool's is no worker lease.
+        assert_eq!(fleet.leases_granted, 1, "{fleet:?}");
         assert!(fleet.leases_expired >= 1, "{fleet:?}");
         assert!(fleet.jobs_requeued >= 1, "{fleet:?}");
         let snapshot = s.fleet_snapshot();
