@@ -2,8 +2,9 @@
 //! reference tree-walking interpreter and by the register-bytecode VM
 //! (steady-state, compiled once outside the timed loop), plus the one-time
 //! cost of lowering itself, and two VM entry-overhead cases: an empty kernel
-//! (the per-thread cost of starting a thread) and a host loop of one
-//! statement (the per-statement cost).
+//! (the per-thread cost of starting a thread, which the empty kernel's
+//! lockstep blocks pay once per block) and a host loop of one statement
+//! (the per-statement cost).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -37,14 +38,18 @@ fn bench_bytecode(c: &mut Criterion) {
     // The representative applications the simulator bench uses — a
     // kernel-heavy grid workload, a tiny host-parallel workload and a
     // reduction-heavy workload — plus jacobi, the most execution-heavy
-    // program of the grid (60 launches × 4096 threads per run), and
-    // colorwheel, the heaviest per device thread.
+    // program of the grid (60 launches × 4096 threads per run), colorwheel,
+    // the heaviest per device thread, pathfinder, whose blocks and chunks
+    // run in lockstep, and dense-embedding, whose in-place update of `out`
+    // makes each launch and region give lockstep up and run sequentially.
     for name in [
         "matrix-rotate",
         "bsearch",
         "entropy",
         "jacobi",
         "colorwheel",
+        "pathfinder",
+        "dense-embedding",
     ] {
         let app = application(name).unwrap();
         for (dialect, tag) in [(Dialect::CudaLite, "cuda"), (Dialect::OmpLite, "openmp")] {

@@ -176,6 +176,9 @@ pub struct Lease {
     pub granted_unix_ms: u64,
     /// Milliseconds-since-epoch the lease expires unless extended.
     pub deadline_unix_ms: u64,
+    /// A worker lease, which the fleet stats count; false for the server's
+    /// own local-pool lease, whose grant, reclaim and requeues they do not.
+    pub counted: bool,
 }
 
 /// The lease bookkeeping for one run: requeue set, in-flight leases, and
@@ -290,15 +293,16 @@ impl LeaseTable {
             return None;
         }
         self.stats.leases_granted += 1;
-        self.lease_out(worker, capacity, now_ms, ttl_ms)
+        self.lease_out(worker, capacity, now_ms, ttl_ms, true)
     }
 
     /// Lease every pending job to the server's own pool, `worker`, with no
     /// deadline. The jobs leave the requeue set and their records are
     /// first-write-wins as under [`LeaseTable::grant`], but this is no
-    /// worker lease, so `leases_granted` does not count it.
+    /// worker lease, so neither `leases_granted` nor a later reclaim's
+    /// `leases_expired` and `jobs_requeued` count it.
     pub fn grant_local(&mut self, worker: &str, now_ms: u64) -> Option<&Lease> {
-        self.lease_out(worker, self.pending.len(), now_ms, u64::MAX / 2)
+        self.lease_out(worker, self.pending.len(), now_ms, u64::MAX / 2, false)
     }
 
     fn lease_out(
@@ -307,6 +311,7 @@ impl LeaseTable {
         capacity: usize,
         now_ms: u64,
         ttl_ms: u64,
+        counted: bool,
     ) -> Option<&Lease> {
         if self.pending.is_empty() {
             return None;
@@ -322,6 +327,7 @@ impl LeaseTable {
             jobs,
             granted_unix_ms: now_ms,
             deadline_unix_ms: now_ms.saturating_add(ttl_ms),
+            counted,
         });
         self.leases.last()
     }
@@ -394,8 +400,7 @@ impl LeaseTable {
     fn reclaim(&mut self, lease_id: &str) -> Vec<usize> {
         let lease = self.find(lease_id).expect("reclaim of a known lease");
         lease.state = LeaseState::Reclaimed;
-        let jobs = lease.jobs.clone();
-        self.stats.leases_expired += 1;
+        let (jobs, counted) = (lease.jobs.clone(), lease.counted);
         let mut requeued = Vec::new();
         for job in jobs {
             if !self.completed[job] && !self.pending.contains(&job) {
@@ -403,7 +408,10 @@ impl LeaseTable {
                 requeued.push(job);
             }
         }
-        self.stats.jobs_requeued += requeued.len() as u64;
+        if counted {
+            self.stats.leases_expired += 1;
+            self.stats.jobs_requeued += requeued.len() as u64;
+        }
         requeued
     }
 
@@ -495,6 +503,28 @@ mod tests {
         }
         assert_eq!(table.record_job(2), JobWrite::Duplicate);
         assert!(table.settle(&id).unwrap().1, "still active");
+        table.check_invariant().unwrap();
+    }
+
+    #[test]
+    fn failing_the_local_lease_requeues_its_jobs_uncounted() {
+        let mut table = LeaseTable::new("local-cancel", 3);
+        let id = table
+            .grant_local("local-pool", 1_000)
+            .unwrap()
+            .lease_id
+            .clone();
+        assert_eq!(table.fail_lease(&id), Ok(vec![0, 1, 2]));
+        assert_eq!(table.pending_count(), 3, "the jobs go back to pending");
+        let stats = table.stats();
+        assert_eq!(
+            (
+                stats.leases_granted,
+                stats.leases_expired,
+                stats.jobs_requeued
+            ),
+            (0, 0, 0)
+        );
         table.check_invariant().unwrap();
     }
 

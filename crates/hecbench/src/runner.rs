@@ -239,6 +239,7 @@ mod tests {
                         assert_eq!(a.stdout, b.stdout, "stdout: {tag}");
                         assert_eq!(a.exit_code, b.exit_code, "exit_code: {tag}");
                         assert_eq!(a.steps, b.steps, "steps: {tag}");
+                        assert_eq!(a.lane_steps, b.lane_steps, "lane steps: {tag}");
                         assert_eq!(a.cost, b.cost, "cost: {tag}");
                         assert_eq!(a.memory, b.memory, "memory: {tag}");
                         assert_eq!(
@@ -260,6 +261,29 @@ mod tests {
                         app.name
                     ),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_eligibility_of_the_reference_kernels_and_regions() {
+        // Every kernel and region body of the reference programs is
+        // eligible to run in lockstep except those with atomics;
+        // `dense-embedding`'s is eligible and gives up at run time, since
+        // it loads and stores `out` in one launch.
+        for app in crate::apps::applications() {
+            let atomic = matches!(app.name, "atomicCost" | "entropy" | "randomAccess");
+            for dialect in [Dialect::CudaLite, Dialect::OmpLite] {
+                let compiled = lassi_runtime::compile(&app.parse(dialect).unwrap(), 0);
+                let kernels = compiled.kernels.iter().map(|k| k.lockstep.is_some());
+                let regions = compiled.regions.iter().map(|r| r.lockstep.is_some());
+                let marks: Vec<bool> = kernels.chain(regions).collect();
+                assert!(!marks.is_empty(), "{} ({dialect:?})", app.name);
+                assert!(
+                    marks.iter().all(|&m| m != atomic),
+                    "{} ({dialect:?}): {marks:?}",
+                    app.name
+                );
             }
         }
     }
@@ -359,6 +383,7 @@ mod tests {
         assert_eq!(a.stdout, "403 22 4\n12 0\n");
         assert_eq!(a.stdout, b.stdout);
         assert_eq!(a.steps, b.steps);
+        assert_eq!(a.lane_steps, b.lane_steps);
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.memory, b.memory);
         assert_eq!(a.simulated_seconds.to_bits(), b.simulated_seconds.to_bits());

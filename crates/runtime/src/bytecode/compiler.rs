@@ -32,6 +32,7 @@ use lassi_lang::{
 };
 
 use super::instr::{axis_of, FlowKind, Instr, MathFn, Reg, Rk, Rr, SpecialIdent};
+use super::lockstep;
 use super::{
     CompiledFunction, CompiledKernel, CompiledProgram, CompiledReduction, CompiledRegion,
     CompiledShared, HostUnit, SharedLen,
@@ -1368,10 +1369,18 @@ impl<'p> Compiler<'p> {
         self.emit(Instr::EndUnit {
             flow: FlowKind::Normal,
         });
+        let body_end = self.code.len() as u32;
         self.line = pragma_line;
         let after = self.bind_label();
         self.patch(skip, after);
 
+        // A reduction's private copy is read after the chunk, so its
+        // region keeps the sequential path.
+        let lockstep = if reductions.is_empty() {
+            lockstep::analyse(&self.code, body_entry, body_end, Some(loop_var_slot))
+        } else {
+            None
+        };
         let id = self.regions.len() as u32;
         self.regions.push(CompiledRegion {
             directive: p.directive.clone(),
@@ -1380,6 +1389,7 @@ impl<'p> Compiler<'p> {
             captures: cap_info.iter().map(|(_, r, _)| *r).collect(),
             loop_var_slot,
             reductions,
+            lockstep,
         });
         id
     }
@@ -1421,6 +1431,7 @@ impl<'p> Compiler<'p> {
                     shared: Vec::new(),
                     segments: Vec::new(),
                     nslots: 0,
+                    lockstep: None,
                 });
                 self.kernel_ids.insert(f.name.clone(), id);
             }
@@ -1543,6 +1554,10 @@ impl<'p> Compiler<'p> {
             });
             segments.push(entry);
         }
+        let lockstep = match segments[..] {
+            [entry] => lockstep::analyse(&self.code, entry, self.code.len() as u32, None),
+            _ => None,
+        };
 
         CompiledKernel {
             name: f.name.clone(),
@@ -1550,6 +1565,7 @@ impl<'p> Compiler<'p> {
             shared,
             segments,
             nslots: ctx.high,
+            lockstep,
         }
     }
 }

@@ -20,9 +20,15 @@
 //! Compilation is cheap (one AST walk): the pipeline lowers a program once
 //! per run it cannot answer from its report memo. A `CompiledProgram` owns
 //! all of its data (no borrow of the AST).
+//!
+//! A kernel body or region body made only of straight-line arithmetic,
+//! branches and indexed loads and stores is also marked for [`lockstep`]
+//! execution: the VM then runs a block's threads, or a chunk's iterations,
+//! one instruction at a time over all of them.
 
 pub mod compiler;
 pub mod instr;
+pub mod lockstep;
 pub mod vm;
 
 pub use compiler::compile;
@@ -32,6 +38,7 @@ pub use vm::{run_compiled, run_compiled_with_memory, Vm};
 use lassi_lang::{OmpDirective, ReductionOp, Type};
 
 use crate::value::Value;
+use lockstep::LockstepUnit;
 
 /// A program lowered to register bytecode. Fully owned: it borrows nothing
 /// from the AST it was lowered from.
@@ -136,6 +143,9 @@ pub struct CompiledKernel {
     pub segments: Vec<u32>,
     /// Frame size in slots.
     pub nslots: u32,
+    /// Set when the kernel has one segment that can run a block's threads
+    /// in lockstep.
+    pub lockstep: Option<LockstepUnit>,
 }
 
 /// One reduction variable of a work-sharing region.
@@ -183,6 +193,8 @@ pub struct CompiledRegion {
     pub loop_var_slot: Reg,
     /// Reduction bookkeeping.
     pub reductions: Vec<CompiledReduction>,
+    /// Set when the body can run a chunk's iterations in lockstep.
+    pub lockstep: Option<LockstepUnit>,
 }
 
 impl CompiledProgram {

@@ -15,10 +15,22 @@
 //! a whole chunk in one [`Vm::run_unit`]: when the unit exits its entry
 //! frame, the VM's `Resume` cursor starts the block's next thread or the
 //! chunk's next iteration and jumps back to the unit's entry.
+//!
+//! When the compiler marked the kernel or region body eligible, a block, or
+//! each run of up to 1024 consecutive iterations of a chunk, first goes to
+//! the [`super::lockstep`] runner, which executes each instruction once for
+//! all of its lanes, outside this dispatch loop. A group the runner gives
+//! up on (a fault, a possible step-limit kill, lanes sharing a buffer both
+//! ways) is undone and run here again, and after a sharing conflict the
+//! rest of the launch or region runs here too, so every observable stays
+//! the sequential path's.
+
+use std::cell::{Cell, RefCell};
 
 use lassi_lang::{BinOp, OmpDirective, ReductionOp, Type};
 
 use super::instr::{FlowKind, Instr, MathFn, Reg, Rk, RkBr, Rr, RrBr, SpecialIdent};
+use super::lockstep::{Fallback, Group, Lanes, MAX_LANES};
 use super::{CompiledKernel, CompiledProgram, CompiledRegion, SharedLen};
 use crate::backend::ParallelBackend;
 use crate::cost::CostCounter;
@@ -85,6 +97,11 @@ pub struct Vm<'p> {
     pub extra_seconds: f64,
     /// Steps executed so far.
     pub steps: u64,
+    /// Steps of device threads and workers that `steps` does not count:
+    /// for the host, those of every parallel construct it ran; for a thread
+    /// VM that runs a block's threads in turn, those of the threads it
+    /// finished.
+    pub lane_steps: u64,
     /// Maximum number of steps before aborting.
     pub step_limit: u64,
     backend: Option<&'p dyn ParallelBackend>,
@@ -104,6 +121,8 @@ pub struct Vm<'p> {
     /// The starting frame of every thread of the current block, while the
     /// VM runs the block.
     block_frame: Vec<Value>,
+    /// The lockstep runner's scratch, lent to each parallel construct.
+    lanes: Lanes,
 }
 
 impl<'p> Vm<'p> {
@@ -117,6 +136,7 @@ impl<'p> Vm<'p> {
             stdout: String::new(),
             extra_seconds: 0.0,
             steps: 0,
+            lane_steps: 0,
             step_limit,
             backend: None,
             call_depth: 0,
@@ -128,6 +148,7 @@ impl<'p> Vm<'p> {
             map_marks: Vec::new(),
             resume: Resume::Exit,
             block_frame: Vec::new(),
+            lanes: Lanes::default(),
         }
     }
 
@@ -160,10 +181,11 @@ impl<'p> Vm<'p> {
     /// `Vm` can serve many threads in sequence. `cost` and `stdout` keep
     /// accumulating: merging once equals merging per thread, since
     /// [`CostCounter::merge`] is field-wise addition, and the threads print
-    /// in the order they run.
+    /// in the order they run. The finished thread's steps move to
+    /// `lane_steps`.
     pub(crate) fn start_thread(&mut self, ctx: EvalContext, frame: &[Value]) {
         self.ctx = ctx;
-        self.steps = 0;
+        self.lane_steps += std::mem::take(&mut self.steps);
         self.call_depth = 0;
         self.extra_seconds = 0.0;
         self.mapped.clear();
@@ -296,15 +318,21 @@ impl<'p> Vm<'p> {
         let (Value::Dim3(g), Value::Dim3(b)) = (self.reg(grid), self.reg(block)) else {
             unreachable!("GeomConvert always precedes LaunchKernel");
         };
+        let (g, b) = (*g, *b);
         let mut lane = KernelOnVm {
             prog,
             kernel: &prog.kernels[kernel as usize],
             frame: Vec::new(),
+            lanes: RefCell::new(std::mem::take(&mut self.lanes)),
+            sequential: Cell::new(false),
         };
         let args = self.args(args_base, argc);
-        let stats = schedule::launch(&mut lane, *g, *b, args, backend, mem)?;
+        let stats = schedule::launch(&mut lane, g, b, args, backend, mem);
+        self.lanes = lane.lanes.into_inner();
+        let stats = stats?;
         self.extra_seconds += stats.simulated_seconds;
         self.parallel_cost.merge(&stats.cost);
+        self.lane_steps += stats.lane_steps;
         self.stdout.push_str(&stats.stdout);
         Ok(())
     }
@@ -335,12 +363,17 @@ impl<'p> Vm<'p> {
                 .iter()
                 .map(|&c| self.regs[self.base + c as usize])
                 .collect(),
+            lanes: RefCell::new(std::mem::take(&mut self.lanes)),
+            sequential: Cell::new(false),
         };
         let (lo, hi) = (self.reg(lo).as_int(), self.reg(hi).as_int());
         let step = self.reg(step).as_int().max(1);
-        let stats = schedule::work_share(&lane, lo, hi, step, self.line(pc), backend, mem)?;
+        let stats = schedule::work_share(&lane, lo, hi, step, self.line(pc), backend, mem);
+        self.lanes = lane.lanes.into_inner();
+        let stats = stats?;
         self.extra_seconds += stats.simulated_seconds;
         self.parallel_cost.merge(&stats.cost);
+        self.lane_steps += stats.lane_steps;
         self.stdout.push_str(&stats.stdout);
         for (red, value) in r.reductions.iter().zip(&stats.reductions) {
             if let Some((slot, ty)) = &red.update {
@@ -1274,6 +1307,10 @@ impl Costed for Vm<'_> {
         &self.cost
     }
 
+    fn steps(&self) -> u64 {
+        self.lane_steps + self.steps
+    }
+
     fn drain_stdout(&mut self, out: &mut String) {
         out.push_str(&self.stdout);
         self.stdout.clear();
@@ -1303,6 +1340,11 @@ struct KernelOnVm<'p> {
     /// Every thread's starting frame: coerced arguments, the current block's
     /// `__shared__` pointers, zeros elsewhere.
     frame: Vec<Value>,
+    /// The lockstep runner's scratch.
+    lanes: RefCell<Lanes>,
+    /// A block gave up lockstep on a sharing conflict: the rest of the
+    /// launch runs sequentially.
+    sequential: Cell<bool>,
 }
 
 impl<'p> KernelLane for KernelOnVm<'p> {
@@ -1364,8 +1406,9 @@ impl<'p> KernelLane for KernelOnVm<'p> {
         vm.run_unit(mem, self.kernel.segments[segment])
     }
 
-    /// The whole block in one `run_unit`: the first thread starts here,
-    /// each later one when the previous exits the kernel.
+    /// The whole block in lockstep, when the kernel allows it and the block
+    /// does not give up; else in one `run_unit`: the first thread starts
+    /// here, each later one when the previous exits the kernel.
     fn run_block(
         &self,
         vm: &mut Vm<'p>,
@@ -1375,6 +1418,35 @@ impl<'p> KernelLane for KernelOnVm<'p> {
         mem: &Memory,
     ) -> Result<(), ExecError> {
         let first = schedule::ORIGIN;
+        if let Some(unit) = &self.kernel.lockstep {
+            if !self.sequential.get() && block.count() <= MAX_LANES as u64 {
+                // The thread the VM ran last is done, as `start_thread`
+                // would record.
+                vm.lane_steps += std::mem::take(&mut vm.steps);
+                let group = Group {
+                    entry: self.kernel.segments[0],
+                    unit,
+                    frame: &self.frame,
+                    width: block.count() as usize,
+                    ctx: schedule::device_thread(first, block_idx, block, grid),
+                    loop_var: None,
+                    lane_limit: vm.step_limit,
+                    total_limit: u64::MAX,
+                };
+                match self
+                    .lanes
+                    .borrow_mut()
+                    .run(self.prog, mem, &group, &mut vm.cost)
+                {
+                    Ok(steps) => {
+                        vm.lane_steps += steps;
+                        return Ok(());
+                    }
+                    Err(Fallback::Sequential) => self.sequential.set(true),
+                    Err(Fallback::Replay) => {}
+                }
+            }
+        }
         vm.start_thread(
             schedule::device_thread(first, block_idx, block, grid),
             &self.frame,
@@ -1396,6 +1468,43 @@ struct RegionOnVm<'p> {
     region: &'p CompiledRegion,
     /// The enclosing bindings, in region-slot order.
     captures: Vec<Value>,
+    /// The lockstep runner's scratch.
+    lanes: RefCell<Lanes>,
+    /// A group gave up lockstep on a sharing conflict: the rest of the
+    /// region runs sequentially.
+    sequential: Cell<bool>,
+}
+
+impl<'p> RegionOnVm<'p> {
+    /// Iterations `first..last` in one `run_unit`: the first iteration
+    /// starts here, each later one when the previous exits the body
+    /// normally.
+    fn run_resumed_chunk(
+        &self,
+        vm: &mut Vm<'p>,
+        lo: i64,
+        step: i64,
+        first: u64,
+        last: u64,
+        mem: &Memory,
+    ) -> Result<ControlFlow, ExecError> {
+        if first >= last {
+            return Ok(ControlFlow::Normal);
+        }
+        let slot = self.region.loop_var_slot;
+        vm.set_slot(slot, Value::Int(schedule::iteration_value(lo, step, first)));
+        let cursor = Resume::Chunk {
+            k: first,
+            last,
+            lo,
+            step,
+            slot,
+        };
+        match vm.run_resumed(cursor, mem, self.region.body_entry)? {
+            flow @ ControlFlow::Return(_) => Ok(flow),
+            _ => Ok(ControlFlow::Normal),
+        }
+    }
 }
 
 impl<'p> RegionLane for RegionOnVm<'p> {
@@ -1437,8 +1546,11 @@ impl<'p> RegionLane for RegionOnVm<'p> {
         vm.run_unit(mem, self.region.body_entry)
     }
 
-    /// The whole chunk in one `run_unit`: the first iteration starts here,
-    /// each later one when the previous exits the body normally.
+    /// The chunk in lockstep groups of up to [`MAX_LANES`] consecutive
+    /// iterations, when the body allows it; a group that gives up runs in
+    /// one `run_unit`, and so does the rest of the chunk once the region
+    /// gave up on a sharing conflict. An eligible body neither breaks nor
+    /// returns, so every group's flow is `Normal`.
     fn run_chunk(
         &self,
         vm: &mut Vm<'p>,
@@ -1448,22 +1560,35 @@ impl<'p> RegionLane for RegionOnVm<'p> {
         last: u64,
         mem: &Memory,
     ) -> Result<ControlFlow, ExecError> {
-        if first >= last {
-            return Ok(ControlFlow::Normal);
+        let mut k = first;
+        if let Some(unit) = &self.region.lockstep {
+            while k < last && !self.sequential.get() {
+                let end = last.min(k + MAX_LANES as u64);
+                let group = Group {
+                    entry: self.region.body_entry,
+                    unit,
+                    frame: &vm.regs[..self.region.nslots as usize],
+                    width: (end - k) as usize,
+                    ctx: vm.ctx,
+                    loop_var: Some((self.region.loop_var_slot, lo, step, k)),
+                    lane_limit: u64::MAX,
+                    total_limit: vm.step_limit.saturating_sub(vm.steps),
+                };
+                match self
+                    .lanes
+                    .borrow_mut()
+                    .run(self.prog, mem, &group, &mut vm.cost)
+                {
+                    Ok(steps) => vm.steps += steps,
+                    Err(fallback) => {
+                        self.sequential.set(fallback == Fallback::Sequential);
+                        self.run_resumed_chunk(vm, lo, step, k, end, mem)?;
+                    }
+                }
+                k = end;
+            }
         }
-        let slot = self.region.loop_var_slot;
-        vm.set_slot(slot, Value::Int(schedule::iteration_value(lo, step, first)));
-        let cursor = Resume::Chunk {
-            k: first,
-            last,
-            lo,
-            step,
-            slot,
-        };
-        match vm.run_resumed(cursor, mem, self.region.body_entry)? {
-            flow @ ControlFlow::Return(_) => Ok(flow),
-            _ => Ok(ControlFlow::Normal),
-        }
+        self.run_resumed_chunk(vm, lo, step, k, last, mem)
     }
 
     fn private(&self, vm: &Vm<'p>, r: usize) -> Value {
@@ -1614,6 +1739,7 @@ pub fn run_compiled_with_memory(
         cost: vm.cost + vm.parallel_cost,
         memory: memory.stats(),
         steps: vm.steps,
+        lane_steps: vm.lane_steps,
     })
 }
 
@@ -1810,6 +1936,51 @@ mod tests {
             "Instr is {} bytes",
             std::mem::size_of::<Instr>()
         );
+    }
+
+    #[test]
+    fn lockstep_block_killed_mid_block_matches_the_sequential_block() {
+        // Thread t loops 4t times, so at a small per-thread step limit the
+        // block's later threads pass it while its earlier ones finish and
+        // store. Lockstep must give up and leave what the sequential block
+        // leaves: the same error, memory, cost and steps.
+        let src = "__global__ void k(long* out) { int t = threadIdx.x; long s = 0; \
+                   for (int j = 0; j < t * 4; j++) { s += j; } out[t] = s; } \
+                   int main() { return 0; }";
+        let program = parse(src, Dialect::CudaLite).unwrap();
+        let compiled = super::super::compile(&program, 0);
+        let kernel = &compiled.kernels[0];
+        assert!(kernel.lockstep.is_some(), "the kernel runs in lockstep");
+        let (block, grid) = (Dim3Val::linear(64), Dim3Val::linear(1));
+        let run = |limit: u64, lockstep: bool| {
+            let mem = Memory::new();
+            let out = mem.alloc("out", Type::Long, 64, MemSpace::Device);
+            let mut lane = KernelOnVm {
+                prog: &compiled,
+                kernel,
+                frame: Vec::new(),
+                lanes: RefCell::default(),
+                sequential: Cell::new(!lockstep),
+            };
+            lane.enter_block(&[Value::Ptr(out)], &mem).unwrap();
+            let first = schedule::device_thread(schedule::ORIGIN, schedule::ORIGIN, block, grid);
+            let mut vm = lane.thread(first, limit);
+            let result = lane.run_block(&mut vm, schedule::ORIGIN, block, grid, &mem);
+            let cells: Vec<Value> = (0..64)
+                .map(|i| mem.load(&out, i, true, 0).unwrap())
+                .collect();
+            (result, cells, vm.cost, Costed::steps(&vm))
+        };
+        let mut kills = 0;
+        for limit in [1, 9, 40, 200, 700, 1_100, 100_000] {
+            let (lockstep, sequential) = (run(limit, true), run(limit, false));
+            assert_eq!(lockstep, sequential, "limit {limit}");
+            if let Err(e) = &lockstep.0 {
+                assert_eq!(*e, ExecError::StepLimitExceeded { limit });
+                kills += 1;
+            }
+        }
+        assert_eq!(kills, 6, "every limit but the last kills a thread");
     }
 
     #[test]

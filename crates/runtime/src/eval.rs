@@ -112,6 +112,11 @@ pub struct Evaluator<'a> {
     pub extra_seconds: f64,
     /// Steps executed so far (guards against runaway loops).
     pub steps: u64,
+    /// Steps of device threads and workers that `steps` does not count:
+    /// for the host, those of every parallel construct it ran; for a thread
+    /// restarted as the next thread of a block, those of the threads it
+    /// finished.
+    pub lane_steps: u64,
     /// Maximum number of steps before aborting.
     pub step_limit: u64,
     /// Source line of the statement currently executing.
@@ -141,6 +146,7 @@ impl<'a> Evaluator<'a> {
             stdout: String::new(),
             extra_seconds: 0.0,
             steps: 0,
+            lane_steps: 0,
             step_limit,
             current_line: 0,
             backend: None,
@@ -1006,6 +1012,7 @@ impl<'a> Evaluator<'a> {
         let stats = schedule::launch(&mut lane, grid, block, &args, backend, mem)?;
         self.extra_seconds += stats.simulated_seconds;
         self.parallel_cost.merge(&stats.cost);
+        self.lane_steps += stats.lane_steps;
         self.stdout.push_str(&stats.stdout);
         Ok(())
     }
@@ -1160,6 +1167,7 @@ impl<'a> Evaluator<'a> {
         let stats = schedule::work_share(&lane, lo, hi, step, self.current_line, backend, mem)?;
         self.extra_seconds += stats.simulated_seconds;
         self.parallel_cost.merge(&stats.cost);
+        self.lane_steps += stats.lane_steps;
         self.stdout.push_str(&stats.stdout);
         for ((var, ..), value) in lane.reductions.iter().zip(&stats.reductions) {
             env.set(var, *value);
@@ -1195,6 +1203,10 @@ pub(crate) fn shared_decls(body: &Block) -> impl Iterator<Item = &VarDecl> {
 impl Costed for (Evaluator<'_>, Env) {
     fn cost(&self) -> &CostCounter {
         &self.0.cost
+    }
+
+    fn steps(&self) -> u64 {
+        self.0.lane_steps + self.0.steps
     }
 
     fn drain_stdout(&mut self, out: &mut String) {
@@ -1274,6 +1286,7 @@ impl<'a> KernelLane for KernelOnAst<'a> {
             cost: eval.cost,
             stdout: std::mem::take(&mut eval.stdout),
             literals: eval.literals.take(),
+            lane_steps: eval.lane_steps + eval.steps,
             ..fresh
         };
         env.clone_from(&self.frame);

@@ -48,8 +48,11 @@ pub struct ExecutionReport {
     pub cost: CostCounter,
     /// Memory usage statistics.
     pub memory: MemoryStats,
-    /// Number of interpreter steps executed.
+    /// Number of interpreter steps executed by host code.
     pub steps: u64,
+    /// Steps of every device thread and OpenMP worker, summed: the work of
+    /// the parallel constructs, which `steps` leaves out.
+    pub lane_steps: u64,
 }
 
 /// Runs `main` for one program against a parallel backend.
@@ -113,6 +116,7 @@ impl<'p> HostInterpreter<'p> {
             cost: total_cost,
             memory: self.memory.stats(),
             steps: eval.steps,
+            lane_steps: eval.lane_steps,
         })
     }
 }

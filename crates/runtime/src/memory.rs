@@ -81,12 +81,53 @@ impl Buffer {
         }
     }
 
-    fn load_raw(&self, idx: usize) -> Value {
+    /// Load a cell in range, as [`Buffer::cell`] finds one.
+    pub(crate) fn load_raw(&self, idx: usize) -> Value {
         self.decode(self.data[idx].get())
     }
 
     fn store_raw(&self, idx: usize, value: &Value) {
         self.data[idx].set(self.encode(value));
+    }
+
+    /// The cell at element `index`, if it lies inside the buffer.
+    #[inline]
+    pub(crate) fn cell(&self, index: i64) -> Option<usize> {
+        (index >= 0 && (index as usize) < self.len).then_some(index as usize)
+    }
+
+    /// Store into a cell [`Buffer::cell`] found, returning its previous
+    /// bits for [`Memory::restore_cell`].
+    pub(crate) fn replace_cell(&self, cell: usize, value: &Value) -> u64 {
+        self.data[cell].replace(self.encode(value))
+    }
+
+    /// Access checks shared by every load and store: the buffer is live and
+    /// code on `from_device`'s side of the bus may touch it.
+    #[inline]
+    fn check_access(&self, from_device: bool, line: u32) -> Result<(), ExecError> {
+        if self.freed {
+            return Err(ExecError::UseAfterFree {
+                buffer: self.name.clone(),
+                line,
+            });
+        }
+        match (self.space, from_device) {
+            (MemSpace::Host, true) if self.mapped => Ok(()),
+            (MemSpace::Host, true) => Err(ExecError::IllegalMemorySpace {
+                buffer: self.name.clone(),
+                from_device: true,
+                line,
+            }),
+            (MemSpace::Device, false) | (MemSpace::Shared, false) => {
+                Err(ExecError::IllegalMemorySpace {
+                    buffer: self.name.clone(),
+                    from_device: false,
+                    line,
+                })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Position (counted from `offset`) of the first of `count` elements
@@ -240,40 +281,36 @@ impl Memory {
         let buf = buffers
             .get(ptr.buffer.0)
             .ok_or(ExecError::NullPointer { line })?;
-        if buf.freed {
-            return Err(ExecError::UseAfterFree {
-                buffer: buf.name.clone(),
-                line,
-            });
-        }
-        match (buf.space, from_device) {
-            (MemSpace::Host, true) if buf.mapped => {}
-            (MemSpace::Host, true) => {
-                return Err(ExecError::IllegalMemorySpace {
-                    buffer: buf.name.clone(),
-                    from_device: true,
-                    line,
-                })
-            }
-            (MemSpace::Device, false) | (MemSpace::Shared, false) => {
-                return Err(ExecError::IllegalMemorySpace {
-                    buffer: buf.name.clone(),
-                    from_device: false,
-                    line,
-                })
-            }
-            _ => {}
-        }
+        buf.check_access(from_device, line)?;
         let idx = ptr.offset + index;
-        if idx < 0 || idx as usize >= buf.len() {
-            return Err(ExecError::OutOfBounds {
-                buffer: buf.name.clone(),
-                index: idx,
-                len: buf.len(),
-                line,
-            });
-        }
-        Ok(f(buf, idx as usize))
+        let cell = buf.cell(idx).ok_or_else(|| ExecError::OutOfBounds {
+            buffer: buf.name.clone(),
+            index: idx,
+            len: buf.len(),
+            line,
+        })?;
+        Ok(f(buf, cell))
+    }
+
+    /// Run `f` over buffer `id` if a load or store from `from_device`'s
+    /// side would pass the checks made before its index: one borrow of the
+    /// buffer table and one set of checks for a batch of accesses. `None`
+    /// when an access would fail them.
+    pub(crate) fn with_buffer<R>(
+        &self,
+        id: BufferId,
+        from_device: bool,
+        f: impl FnOnce(&Buffer) -> R,
+    ) -> Option<R> {
+        let buffers = self.buffers.borrow();
+        let buf = buffers.get(id.0)?;
+        buf.check_access(from_device, 0).ok()?;
+        Some(f(buf))
+    }
+
+    /// Put back the bits a [`Buffer::replace_cell`] returned.
+    pub(crate) fn restore_cell(&self, id: BufferId, cell: usize, bits: u64) {
+        self.buffers.borrow()[id.0].data[cell].set(bits);
     }
 
     /// Load `ptr[index]`.

@@ -9,12 +9,16 @@
 //! steps through it one thread segment or iteration at a time, in the
 //! schedule's order; the tree-walking evaluator ([`crate::eval`]) keeps
 //! those, and the bytecode VM ([`crate::bytecode::vm`]) overrides them to
-//! run a block or chunk in one pass of its dispatch loop, in the same order.
-//! The schedule is generic over the lane, so the hot loops compile to direct
-//! calls.
+//! run a block or chunk in one pass of its dispatch loop, in the same order,
+//! or, for an eligible kernel or region body, one instruction at a time over
+//! all of a block's threads or up to 1024 consecutive iterations of a chunk
+//! ([`crate::bytecode::lockstep`]), with the sequential path's exact
+//! results. The schedule is generic over the lane, so the hot loops compile
+//! to direct calls.
 //!
 //! What device threads and workers print is collected in schedule order and
-//! appended to the host's output.
+//! appended to the host's output, and the steps they take are summed into
+//! the run's lane steps.
 //!
 //! The [`ParallelBackend`] only prices what ran. A backend without the
 //! construct's cost model rejects it before any lane runs.
@@ -65,6 +69,8 @@ pub(crate) struct LaunchStats {
     pub cost: CostCounter,
     /// Combined reduction values, in clause order (empty for kernels).
     pub reductions: Vec<Value>,
+    /// Steps of every thread or worker.
+    pub lane_steps: u64,
     /// What the threads or workers printed: blocks in index order, threads
     /// x-fastest (segment by segment in a block with barriers), chunks in
     /// order.
@@ -75,6 +81,8 @@ pub(crate) struct LaunchStats {
 pub(crate) trait Costed {
     /// The operations it executed so far.
     fn cost(&self) -> &CostCounter;
+    /// The steps it took so far, over every thread it ran.
+    fn steps(&self) -> u64;
     /// Move what it printed so far to the end of `out`.
     fn drain_stdout(&mut self, out: &mut String);
 }
@@ -265,6 +273,7 @@ pub(crate) fn launch<L: KernelLane>(
     };
 
     let mut cost = CostCounter::new();
+    let mut lane_steps = 0;
     let mut stdout = String::new();
     // Single segment: every thread runs to completion before the next
     // starts, so one thread state serves the whole launch and its cost and
@@ -299,16 +308,19 @@ pub(crate) fn launch<L: KernelLane>(
         }
         for (thread, _) in &threads {
             cost.merge(thread.cost());
+            lane_steps += thread.steps();
         }
     }
     if let Some(thread) = &mut reused {
         cost.merge(thread.cost());
+        lane_steps += thread.steps();
         thread.drain_stdout(&mut stdout);
     }
     Ok(LaunchStats {
         simulated_seconds: pricing.seconds(grid, block, &cost),
         cost,
         reductions: Vec::new(),
+        lane_steps,
         stdout,
     })
 }
@@ -356,6 +368,7 @@ pub(crate) fn work_share<L: RegionLane>(
         .collect();
     let mut partial = identities.clone();
     let mut cost = CostCounter::new();
+    let mut lane_steps = 0;
     let mut stdout = String::new();
     let chunk_count = EXEC_CHUNKS.min(iterations.max(1));
     let chunk_size = iterations.div_ceil(chunk_count).max(1);
@@ -377,6 +390,7 @@ pub(crate) fn work_share<L: RegionLane>(
                 )));
             }
             cost.merge(w.cost());
+            lane_steps += w.steps();
             w.drain_stdout(&mut stdout);
         }
         for (r, acc) in partial.iter_mut().enumerate() {
@@ -401,6 +415,7 @@ pub(crate) fn work_share<L: RegionLane>(
         simulated_seconds: pricing.seconds(directive, offload, iterations, &cost),
         cost,
         reductions,
+        lane_steps,
         stdout,
     })
 }

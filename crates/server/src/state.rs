@@ -1162,7 +1162,8 @@ impl AppState {
             let _ = table.settle(&lease_id);
         } else {
             // Cancelled mid-fallback: put the unfinished jobs back so the
-            // table's partition invariant holds for whoever reads it.
+            // table's partition invariant holds for whoever reads it. Like
+            // the grant, this reclaim is not counted in the fleet stats.
             let _ = table.fail_lease(&lease_id);
         }
     }

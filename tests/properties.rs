@@ -174,6 +174,7 @@ fn assert_engines_agree(src: &str, dialect: Dialect) -> Result<ExecutionReport, 
         (Ok(a), Ok(b)) => {
             assert_eq!(a.stdout, b.stdout, "stdout: {src}");
             assert_eq!(a.steps, b.steps, "steps: {src}");
+            assert_eq!(a.lane_steps, b.lane_steps, "lane steps: {src}");
             assert_eq!(a.cost, b.cost, "cost: {src}");
             assert_eq!(a.memory, b.memory, "memory: {src}");
             assert_eq!(
@@ -1068,6 +1069,273 @@ fn parallel_parity_device_and_worker_printf() {
         }
         "#));
     assert_eq!(out, "<0:0 1:1 2:2 3:3 >\n");
+}
+
+// ------------------------------------------------------------------------
+// Lockstep lanes: the VM runs an eligible kernel block, or up to 1024
+// consecutive iterations of an eligible chunk, one instruction at a time
+// over all of them, and runs a group again sequentially when lanes fault
+// or share memory in a way lockstep cannot order. These programs diverge,
+// fault and share memory on purpose; both engines must agree on every
+// observable, memory included.
+
+/// Whether the compiled program's kernels and regions are marked for
+/// lockstep, in table order.
+fn lockstep_marks(src: &str, dialect: Dialect) -> Vec<bool> {
+    let compiled = compile(&parse(src, dialect).expect("parses"), 0);
+    let kernels = compiled.kernels.iter().map(|k| k.lockstep.is_some());
+    kernels
+        .chain(compiled.regions.iter().map(|r| r.lockstep.is_some()))
+        .collect()
+}
+
+/// Lanes of one block split three ways at an `if`/`else if`/`else` and
+/// meet again at its end.
+#[test]
+fn parallel_parity_lockstep_divergent_if_else() {
+    let src = r#"
+        __global__ void k(int* out, double* f) {
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            if (i % 3 == 0) {
+                out[i] = i * 2;
+                f[i] = i * 0.5;
+            } else if (i % 3 == 1) {
+                out[i] = -i;
+            } else {
+                out[i] = i + 100;
+                f[i] = sqrt(i * 1.0);
+            }
+        }
+        int main() {
+            int n = 192;
+            int* h = (int*)malloc(n * sizeof(int));
+            double* g = (double*)malloc(n * sizeof(double));
+            int* d;
+            double* f;
+            cudaMalloc(&d, n * sizeof(int));
+            cudaMalloc(&f, n * sizeof(double));
+            k<<<3, 64>>>(d, f);
+            cudaMemcpy(h, d, n * sizeof(int), cudaMemcpyDeviceToHost);
+            cudaMemcpy(g, f, n * sizeof(double), cudaMemcpyDeviceToHost);
+            long s = 0;
+            double t = 0.0;
+            for (int i = 0; i < n; i++) { s += h[i] * (i + 1); t += g[i]; }
+            printf("%ld %.6f %d %d %d\n", s, t, h[0], h[64], h[191]);
+            return 0;
+        }
+        "#;
+    assert_eq!(lockstep_marks(src, Dialect::CudaLite), [true]);
+    assert_eq!(stdout(cuda(src)), "2184640 3617.505137 0 -64 291\n");
+}
+
+/// Every lane runs a `while` loop its own number of times (Collatz steps),
+/// so lanes leave the loop one by one.
+#[test]
+fn parallel_parity_lockstep_per_lane_loop_trip_counts() {
+    let out = stdout(cuda(
+        r#"
+        __global__ void k(long* out) {
+            int t = blockIdx.x * blockDim.x + threadIdx.x;
+            long n = t;
+            long steps = 0;
+            while (n != 1 && n > 0) {
+                if (n % 2 == 0) {
+                    n = n / 2;
+                } else {
+                    n = 3 * n + 1;
+                }
+                steps += 1;
+            }
+            out[t] = steps;
+        }
+        int main() {
+            long* h = (long*)malloc(64 * sizeof(long));
+            long* d;
+            cudaMalloc(&d, 64 * sizeof(long));
+            k<<<2, 32>>>(d);
+            cudaMemcpy(h, d, 64 * sizeof(long), cudaMemcpyDeviceToHost);
+            long s = 0;
+            for (int t = 0; t < 64; t++) { s += h[t] * (t + 1); }
+            printf("%ld %ld %ld %ld\n", s, h[0], h[27], h[63]);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(out, "71962 0 111 107\n");
+}
+
+/// A load faults in lane 5 of block 1 after every lane of the block
+/// stored: the block runs again sequentially, so lanes 0 to 4 finish, lane
+/// 5 keeps its first store, and the later lanes never run.
+#[test]
+fn parallel_parity_lockstep_fault_in_a_later_lane_of_a_later_block() {
+    let err = error(cuda(
+        r#"
+        __global__ void k(int* out, int* idx) {
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            int j = idx[i];
+            out[i] = j * 2;
+            out[i] = idx[j] + 1;
+        }
+        int main() {
+            int n = 32;
+            int* h = (int*)malloc(n * sizeof(int));
+            for (int i = 0; i < n; i++) { h[i] = i; }
+            h[13] = 1000;
+            int* out;
+            int* idx;
+            cudaMalloc(&out, n * sizeof(int));
+            cudaMalloc(&idx, n * sizeof(int));
+            cudaMemcpy(idx, h, n * sizeof(int), cudaMemcpyHostToDevice);
+            k<<<4, 8>>>(out, idx);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(
+        err,
+        ExecError::OutOfBounds {
+            buffer: "idx".to_string(),
+            index: 1000,
+            len: 32,
+            line: 6
+        }
+    );
+}
+
+/// Each lane stores the cell the next lane loads: lockstep would read the
+/// old values, so the launch falls back and runs in thread order, which
+/// carries the chain through the block.
+#[test]
+fn parallel_parity_lockstep_in_place_update_falls_back() {
+    let out = stdout(cuda(
+        r#"
+        __global__ void k(int* a, int n) {
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            if (i + 1 < n) {
+                a[i + 1] = a[i] + 1;
+            }
+        }
+        int main() {
+            int n = 64;
+            int* h = (int*)malloc(n * sizeof(int));
+            int* d;
+            cudaMalloc(&d, n * sizeof(int));
+            k<<<2, 32>>>(d, n);
+            k<<<2, 32>>>(d, n);
+            cudaMemcpy(h, d, n * sizeof(int), cudaMemcpyDeviceToHost);
+            long s = 0;
+            for (int i = 0; i < n; i++) { s += h[i]; }
+            printf("%ld %d %d %d\n", s, h[1], h[32], h[63]);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(out, "2016 1 32 63\n");
+}
+
+/// Lanes store to one cell from two different stores: the last thread in
+/// order must win, so the launch falls back.
+#[test]
+fn parallel_parity_lockstep_two_stores_to_one_cell() {
+    let out = stdout(cuda(
+        r#"
+        __global__ void k(int* out) {
+            int t = threadIdx.x;
+            if (t & 1) {
+                out[0] = t;
+            } else {
+                out[0] = -t;
+            }
+            out[t + 1] = blockIdx.x;
+        }
+        int main() {
+            int* h = (int*)malloc(17 * sizeof(int));
+            int* d;
+            cudaMalloc(&d, 17 * sizeof(int));
+            k<<<2, 16>>>(d);
+            cudaMemcpy(h, d, 17 * sizeof(int), cudaMemcpyDeviceToHost);
+            printf("%d %d %d\n", h[0], h[1], h[16]);
+            k<<<1, 15>>>(d);
+            cudaMemcpy(h, d, 17 * sizeof(int), cudaMemcpyDeviceToHost);
+            printf("%d %d\n", h[0], h[16]);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(out, "15 1 1\n-14 1\n");
+}
+
+/// A private variable carried from one iteration to the next keeps the
+/// region off lockstep: each chunk's worker accumulates its own copy.
+#[test]
+fn parallel_parity_lockstep_loop_carried_private_is_ineligible() {
+    let src = r#"
+        int main() {
+            int n = 200;
+            long* out = (long*)malloc(n * sizeof(long));
+            long c = 0;
+            #pragma omp parallel for
+            for (int i = 0; i < n; i++) {
+                c = c + i;
+                out[i] = c;
+            }
+            long s = 0;
+            for (int i = 0; i < n; i++) { s += out[i]; }
+            printf("%ld %ld %ld %ld\n", s, out[3], out[4], out[199]);
+            return 0;
+        }
+        "#;
+    assert_eq!(lockstep_marks(src, Dialect::OmpLite), [false, false]);
+    assert_eq!(stdout(omp(src)), "49500 6 4 790\n");
+}
+
+/// A float reduction keeps its region off lockstep, so its private sums
+/// still add up in iteration order, chunk by chunk.
+#[test]
+fn parallel_parity_lockstep_float_reduction_is_ineligible() {
+    let src = r#"
+        int main() {
+            int n = 1000;
+            double* x = (double*)malloc(n * sizeof(double));
+            for (int i = 0; i < n; i++) { x[i] = 1.0 / (i + 3); }
+            double s = 0.25;
+            #pragma omp parallel for reduction(+:s)
+            for (int i = 0; i < n; i++) {
+                s += x[i] * 0.1;
+            }
+            printf("%.17e\n", s);
+            return 0;
+        }
+        "#;
+    assert_eq!(lockstep_marks(src, Dialect::OmpLite), [false, false]);
+    assert_eq!(stdout(omp(src)), "8.48746786554136157e-01\n");
+}
+
+/// Chunks of 1500 iterations run as a group of 1024 lanes and one of 476,
+/// each lane with its own loop variable.
+#[test]
+fn parallel_parity_lockstep_chunk_of_more_than_1024_iterations() {
+    let src = r#"
+        int main() {
+            long n = 96000;
+            long* out = (long*)malloc(n * sizeof(long));
+            #pragma omp parallel for
+            for (long i = 0; i < n; i++) {
+                long v = i * 7 % 11;
+                if (v > 5) {
+                    v = v - omp_get_thread_num();
+                }
+                out[i] = v;
+            }
+            long s = 0;
+            for (long i = 0; i < n; i++) { s += out[i] * (i % 5 + 1); }
+            printf("%ld %ld %ld %ld\n", s, out[1023], out[1024], out[95999]);
+            return 0;
+        }
+        "#;
+    assert_eq!(lockstep_marks(src, Dialect::OmpLite), [true, true]);
+    assert_eq!(stdout(omp(src)), "-2683532 0 7 3\n");
 }
 
 // ------------------------------------------------------------------------
