@@ -1,5 +1,5 @@
 //! Execution-substrate benchmarks: reference runs of Table IV applications on
-//! the GPU simulator and the OpenMP runtime simulator.
+//! the simulated A100 machine, through CUDA and through OpenMP.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

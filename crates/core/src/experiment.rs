@@ -208,6 +208,10 @@ mod tests {
         assert_eq!(Direction::OmpToCuda.target(), Dialect::CudaLite);
         assert_eq!(Direction::CudaToOmp.label(), "CUDA to OpenMP");
         assert_eq!(Direction::both().len(), 2);
+        for direction in Direction::both() {
+            assert_eq!(Direction::from_slug(direction.slug()), Some(direction));
+        }
+        assert_eq!(Direction::from_slug("nope"), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the same value twice yields byte-identical text — that property is what
 //! lets `table6 --replay` re-render a saved run byte-identically.
 
-use lassi_core::{AttemptDiagnostics, Direction, ScenarioStatus, TranslationRecord};
+use lassi_core::{AttemptDiagnostics, ScenarioStatus, TranslationRecord};
 use lassi_lang::{Diagnostic, Dialect, Severity};
 
 use crate::json::Json;
@@ -434,16 +434,6 @@ pub fn manifest_from_json(v: &Json) -> Result<RunManifest, CodecError> {
     })
 }
 
-/// Serialize both directions' variants of everything a run needs.
-pub fn direction_to_str(direction: Direction) -> &'static str {
-    direction.slug()
-}
-
-/// Deserialize a [`Direction`] slug.
-pub fn direction_from_str(s: &str) -> Result<Direction, CodecError> {
-    Direction::from_slug(s).ok_or_else(|| CodecError(format!("unknown direction `{s}`")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,12 +523,6 @@ mod tests {
         }
         for dialect in [Dialect::CudaLite, Dialect::OmpLite] {
             assert_eq!(dialect_from_str(dialect_to_str(dialect)).unwrap(), dialect);
-        }
-        for direction in Direction::both() {
-            assert_eq!(
-                direction_from_str(direction_to_str(direction)).unwrap(),
-                direction
-            );
         }
         assert!(status_from_str("nope").is_err());
         assert!(dialect_from_str("fortran").is_err());

@@ -2,8 +2,8 @@
 //!
 //! The ten HeCBench-style benchmark applications used in the LASSI paper
 //! (Table IV), hand-written in both ParC dialects (CudaLite and OmpLite), plus
-//! a combined "machine" backend and the reference runner, which checks,
-//! lowers and runs a program on the bytecode VM ([`run_application`],
+//! the reference runner, which checks, lowers and runs a program on the
+//! bytecode VM on the paper's [`Machine`] ([`run_application`],
 //! [`run_source`]).
 //!
 //! The applications cover the same nine computational categories the paper
@@ -22,7 +22,8 @@ pub mod apps;
 pub mod runner;
 
 pub use apps::{application, applications, Application};
-pub use runner::{fnv1a64, run_application, run_source, Machine};
+pub use lassi_runtime::Machine;
+pub use runner::{fnv1a64, run_application, run_source};
 
 #[cfg(test)]
 mod tests {

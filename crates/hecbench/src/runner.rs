@@ -1,14 +1,9 @@
-//! Reference runner: the paper's machine (the GPU and OpenMP cost models
-//! behind one backend) and helpers for compiling and executing benchmark
-//! programs on the bytecode VM the way the LASSI pipeline's "source code
-//! preparation" step does.
+//! Reference runner: helpers for compiling and executing benchmark programs
+//! on the bytecode VM, on the paper's machine ([`Machine`]), the way the
+//! LASSI pipeline's "source code preparation" step does.
 
-use lassi_gpusim::{DeviceSpec, KernelCostModel};
 use lassi_lang::{Dialect, Program};
-use lassi_ompsim::OmpSpec;
-use lassi_runtime::{
-    ExecError, ExecutionReport, KernelPricing, ParallelBackend, RegionPricing, RunConfig,
-};
+use lassi_runtime::{ExecError, ExecutionReport, Machine};
 
 use crate::apps::Application;
 
@@ -24,55 +19,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
-}
-
-/// The simulated experimental platform from the paper: a multi-core host with
-/// an NVIDIA A100, reachable both through CUDA and through OpenMP offload.
-pub struct Machine {
-    gpu: KernelCostModel,
-    omp: OmpSpec,
-}
-
-impl Machine {
-    /// The default A100-class machine.
-    pub fn a100() -> Self {
-        Machine {
-            gpu: KernelCostModel::new(DeviceSpec::a100()),
-            omp: OmpSpec::a100_offload(),
-        }
-    }
-
-    /// Run configuration used for every benchmark execution (a small fixed
-    /// start-up cost plus deterministic per-operation costs).
-    pub fn run_config() -> RunConfig {
-        RunConfig {
-            step_limit: 200_000_000,
-            host_op_seconds: 1.2e-9,
-            startup_seconds: 5.0e-5,
-        }
-    }
-}
-
-impl Default for Machine {
-    fn default() -> Self {
-        Machine::a100()
-    }
-}
-
-/// The machine is its two cost models: kernels price on the GPU,
-/// work-sharing regions on the OpenMP runtime, copies over the GPU's link.
-impl ParallelBackend for Machine {
-    fn kernels(&self) -> Option<&dyn KernelPricing> {
-        Some(&self.gpu)
-    }
-
-    fn regions(&self) -> Option<&dyn RegionPricing> {
-        Some(&self.omp)
-    }
-
-    fn memcpy_seconds(&self, bytes: u64) -> f64 {
-        self.gpu.memcpy_seconds(bytes)
-    }
 }
 
 /// Errors from running a benchmark source.
@@ -289,16 +235,52 @@ mod tests {
     }
 
     #[test]
-    fn reference_programs_lower_to_at_most_6500_instructions() {
+    fn each_work_sharing_pragma_lowers_to_one_region() {
+        // `main` is the host unit and no reference program calls it, so it
+        // is lowered once: one region and one `ParallelFor` per pragma.
+        use lassi_lang::{OmpDirectiveKind, StmtKind};
+        use lassi_runtime::bytecode::Instr;
+        for app in crate::apps::applications() {
+            for dialect in [Dialect::CudaLite, Dialect::OmpLite] {
+                let program = app.parse(dialect).unwrap();
+                let mut pragmas = 0;
+                for f in program.functions() {
+                    f.body.walk(&mut |s| {
+                        if let StmtKind::Pragma(p) = &s.kind {
+                            pragmas += matches!(
+                                p.directive.kind,
+                                OmpDirectiveKind::ParallelFor
+                                    | OmpDirectiveKind::TargetTeamsDistributeParallelFor
+                            ) as usize;
+                        }
+                    });
+                }
+                let compiled = lassi_runtime::compile(&program, 0);
+                let parallel_fors = compiled
+                    .code
+                    .iter()
+                    .filter(|i| matches!(i, Instr::ParallelFor { .. }))
+                    .count();
+                let tag = format!("{} ({dialect:?})", app.name);
+                assert_eq!(parallel_fors, compiled.regions.len(), "{tag}");
+                assert_eq!(parallel_fors, pragmas, "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn reference_programs_lower_to_at_most_2480_instructions() {
         // Operand loads, literal steps and compare-and-branch pairs fold
-        // into their consumers. Unfolded, these programs lower to 8632
-        // instructions, so a silently disabled folding pass fails here.
+        // into their consumers, and `main` is lowered once, as the host
+        // unit. With `main` lowered twice these programs came to 8632
+        // instructions unfolded and 4709 folded, so a silently disabled
+        // folding pass or a second copy of `main` fails here.
         let total: usize = crate::apps::applications()
             .iter()
             .flat_map(|app| [Dialect::CudaLite, Dialect::OmpLite].map(|d| app.parse(d).unwrap()))
             .map(|program| lassi_runtime::compile(&program, 0).code.len())
             .sum();
-        assert!(total <= 6500, "{total} instructions");
+        assert!(total <= 2480, "{total} instructions");
     }
 
     #[test]

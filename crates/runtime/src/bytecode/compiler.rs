@@ -1397,14 +1397,22 @@ impl<'p> Compiler<'p> {
     // --------------------------------------------------------------- units
 
     /// Pre-register function and kernel tables so call/launch sites can
-    /// reference them before their bodies are compiled.
+    /// reference them before their bodies are compiled. `main` is the host
+    /// unit, so it is registered as a callable function only when some call
+    /// site names it.
     fn register_functions(&mut self) {
         let mut launched: HashSet<String> = HashSet::new();
+        let mut main_called = false;
         for f in self.program.functions() {
             f.body.walk(&mut |s| {
                 if let StmtKind::KernelLaunch(kl) = &s.kind {
                     launched.insert(kl.kernel.clone());
                 }
+                s.exprs(&mut |e| {
+                    e.walk(&mut |e| {
+                        main_called |= matches!(e, Expr::Call { callee, .. } if callee == "main");
+                    })
+                });
             });
         }
         for f in self.program.functions() {
@@ -1412,7 +1420,7 @@ impl<'p> Compiler<'p> {
                 // Only the first function of a name is reachable.
                 continue;
             }
-            if f.qualifier != FnQualifier::Kernel {
+            if f.qualifier != FnQualifier::Kernel && (f.name != "main" || main_called) {
                 let id = self.funcs.len() as u32;
                 self.funcs.push(CompiledFunction {
                     name: f.name.clone(),

@@ -810,7 +810,7 @@ pub enum Instr {
     },
 
     // ----------------------------------------------------- kernel launches
-    /// Kernel-launch entry: backend presence + kernel-defined checks.
+    /// Kernel-launch entry: machine presence + kernel-defined checks.
     LaunchPre {
         /// Name-pool index of the kernel name.
         name: u32,
@@ -896,7 +896,7 @@ pub enum Instr {
         /// Evaluated length register.
         len: Reg,
     },
-    /// Work-sharing entry: backend presence check.
+    /// Work-sharing entry: machine presence check.
     OmpPre,
     /// Run a work-sharing loop through the work-sharing schedule, merge its
     /// stats and write the combined reductions back.

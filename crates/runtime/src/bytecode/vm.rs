@@ -32,11 +32,11 @@ use lassi_lang::{BinOp, OmpDirective, ReductionOp, Type};
 use super::instr::{FlowKind, Instr, MathFn, Reg, Rk, RkBr, Rr, RrBr, SpecialIdent};
 use super::lockstep::{Fallback, Group, Lanes, MAX_LANES};
 use super::{CompiledKernel, CompiledProgram, CompiledRegion, SharedLen};
-use crate::backend::ParallelBackend;
 use crate::cost::CostCounter;
 use crate::error::ExecError;
 use crate::eval::{apply_binop, ControlFlow, EvalContext};
 use crate::interp::{ExecutionReport, RunConfig};
+use crate::machine::Machine;
 use crate::memory::{BufferId, MemSpace, Memory};
 use crate::printf;
 use crate::schedule::{self, Costed, KernelLane, RegionLane, SHARED_LEN_STEP_LIMIT};
@@ -104,7 +104,7 @@ pub struct Vm<'p> {
     pub lane_steps: u64,
     /// Maximum number of steps before aborting.
     pub step_limit: u64,
-    backend: Option<&'p dyn ParallelBackend>,
+    machine: Option<&'p Machine>,
     call_depth: u32,
     regs: Vec<Value>,
     frames: Vec<Frame>,
@@ -126,7 +126,7 @@ pub struct Vm<'p> {
 }
 
 impl<'p> Vm<'p> {
-    /// VM for device / worker code (no backend).
+    /// VM for device / worker code (no machine).
     pub fn for_context(prog: &'p CompiledProgram, ctx: EvalContext, step_limit: u64) -> Self {
         Vm {
             prog,
@@ -138,7 +138,7 @@ impl<'p> Vm<'p> {
             steps: 0,
             lane_steps: 0,
             step_limit,
-            backend: None,
+            machine: None,
             call_depth: 0,
             regs: Vec::new(),
             frames: Vec::new(),
@@ -152,14 +152,10 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// VM for host code with an attached parallel backend.
-    pub fn for_host(
-        prog: &'p CompiledProgram,
-        backend: &'p dyn ParallelBackend,
-        step_limit: u64,
-    ) -> Self {
+    /// VM for host code on `machine`.
+    pub fn for_host(prog: &'p CompiledProgram, machine: &'p Machine, step_limit: u64) -> Self {
         let mut vm = Vm::for_context(prog, EvalContext::Host, step_limit);
-        vm.backend = Some(backend);
+        vm.machine = Some(machine);
         vm
     }
 
@@ -312,9 +308,9 @@ impl<'p> Vm<'p> {
         argc: u32,
     ) -> Result<(), ExecError> {
         let prog = self.prog;
-        let backend = self
-            .backend
-            .expect("LaunchPre verified the backend is attached");
+        let machine = self
+            .machine
+            .expect("LaunchPre verified the machine is attached");
         let (Value::Dim3(g), Value::Dim3(b)) = (self.reg(grid), self.reg(block)) else {
             unreachable!("GeomConvert always precedes LaunchKernel");
         };
@@ -327,7 +323,7 @@ impl<'p> Vm<'p> {
             sequential: Cell::new(false),
         };
         let args = self.args(args_base, argc);
-        let stats = schedule::launch(&mut lane, g, b, args, backend, mem);
+        let stats = schedule::launch(&mut lane, g, b, args, machine, mem);
         self.lanes = lane.lanes.into_inner();
         let stats = stats?;
         self.extra_seconds += stats.simulated_seconds;
@@ -351,9 +347,9 @@ impl<'p> Vm<'p> {
         step: Reg,
     ) -> Result<(), ExecError> {
         let prog = self.prog;
-        let backend = self
-            .backend
-            .expect("OmpPre verified the backend is attached");
+        let machine = self
+            .machine
+            .expect("OmpPre verified the machine is attached");
         let r = &prog.regions[region as usize];
         let lane = RegionOnVm {
             prog,
@@ -368,7 +364,7 @@ impl<'p> Vm<'p> {
         };
         let (lo, hi) = (self.reg(lo).as_int(), self.reg(hi).as_int());
         let step = self.reg(step).as_int().max(1);
-        let stats = schedule::work_share(&lane, lo, hi, step, self.line(pc), backend, mem);
+        let stats = schedule::work_share(&lane, lo, hi, step, self.line(pc), machine, mem);
         self.lanes = lane.lanes.into_inner();
         let stats = stats?;
         self.extra_seconds += stats.simulated_seconds;
@@ -982,8 +978,8 @@ impl<'p> Vm<'p> {
                         });
                     };
                     mem.copy(d, s, n, self.line(pc))?;
-                    if let Some(backend) = self.backend {
-                        self.extra_seconds += backend.memcpy_seconds(n);
+                    if let Some(machine) = self.machine {
+                        self.extra_seconds += machine.memcpy_seconds(n);
                     }
                     self.cost.bytes_read += n;
                     self.cost.bytes_written += n;
@@ -1157,7 +1153,7 @@ impl<'p> Vm<'p> {
                 }
 
                 Instr::LaunchPre { name, defined } => {
-                    if self.backend.is_none() {
+                    if self.machine.is_none() {
                         return Err(ExecError::other(
                             "kernel launch attempted without a device backend",
                         ));
@@ -1253,8 +1249,8 @@ impl<'p> Vm<'p> {
                         self.mapped.push(p.buffer);
                         let elem = self.elem_size(mem, p.buffer);
                         let bytes = mem.buffer_len(p.buffer) as u64 * elem;
-                        if let Some(backend) = self.backend {
-                            self.extra_seconds += backend.memcpy_seconds(bytes);
+                        if let Some(machine) = self.machine {
+                            self.extra_seconds += machine.memcpy_seconds(bytes);
                         }
                         self.cost.bytes_read += bytes;
                     }
@@ -1276,13 +1272,13 @@ impl<'p> Vm<'p> {
                     };
                     let elem = self.elem_size(mem, p.buffer);
                     let bytes = self.reg(*len).as_int().max(0) as u64 * elem;
-                    if let Some(backend) = self.backend {
-                        self.extra_seconds += backend.memcpy_seconds(bytes);
+                    if let Some(machine) = self.machine {
+                        self.extra_seconds += machine.memcpy_seconds(bytes);
                     }
                     self.cost.bytes_read += bytes;
                 }
                 Instr::OmpPre => {
-                    if self.backend.is_none() {
+                    if self.machine.is_none() {
                         return Err(ExecError::other(
                             "OpenMP region attempted without a runtime backend",
                         ));
@@ -1696,11 +1692,11 @@ binary_ops! {
 pub fn run_compiled(
     program: &CompiledProgram,
     config: &RunConfig,
-    backend: &dyn ParallelBackend,
+    machine: &Machine,
     args: &[i64],
 ) -> Result<ExecutionReport, ExecError> {
     let memory = Memory::new();
-    run_compiled_with_memory(program, config, backend, args, &memory)
+    run_compiled_with_memory(program, config, machine, args, &memory)
 }
 
 /// Run a compiled program's host unit against a caller-provided [`Memory`]
@@ -1708,7 +1704,7 @@ pub fn run_compiled(
 pub fn run_compiled_with_memory(
     program: &CompiledProgram,
     config: &RunConfig,
-    backend: &dyn ParallelBackend,
+    machine: &Machine,
     args: &[i64],
     memory: &Memory,
 ) -> Result<ExecutionReport, ExecError> {
@@ -1716,7 +1712,7 @@ pub fn run_compiled_with_memory(
         .host
         .as_ref()
         .ok_or_else(|| ExecError::other("program has no 'main' function"))?;
-    let mut vm = Vm::for_host(program, backend, config.step_limit);
+    let mut vm = Vm::for_host(program, machine, config.step_limit);
     vm.prepare_frame(host.nslots);
     for (i, v) in args.iter().take(host.argc).enumerate() {
         vm.set_slot(i as Reg, Value::Int(*v));
@@ -1751,9 +1747,6 @@ mod tests {
     use crate::interp::HostInterpreter;
     use lassi_lang::{parse, Dialect};
 
-    struct HostOnly;
-    impl ParallelBackend for HostOnly {}
-
     fn run_both(
         src: &str,
     ) -> (
@@ -1763,9 +1756,9 @@ mod tests {
         let program = parse(src, Dialect::CudaLite).unwrap();
         let config = RunConfig::default();
         let mut interp = HostInterpreter::new(&program, config.clone());
-        let reference = interp.run(&HostOnly, &[]);
+        let reference = interp.run(&Machine::a100(), &[]);
         let compiled = super::super::compile(&program, 0);
-        let vm = run_compiled(&compiled, &config, &HostOnly, &[]);
+        let vm = run_compiled(&compiled, &config, &Machine::a100(), &[]);
         (reference, vm)
     }
 
@@ -1862,9 +1855,9 @@ mod tests {
             ..RunConfig::default()
         };
         let mut interp = HostInterpreter::new(&program, config.clone());
-        let a = interp.run(&HostOnly, &[]).unwrap_err();
+        let a = interp.run(&Machine::a100(), &[]).unwrap_err();
         let compiled = super::super::compile(&program, 0);
-        let b = run_compiled(&compiled, &config, &HostOnly, &[]).unwrap_err();
+        let b = run_compiled(&compiled, &config, &Machine::a100(), &[]).unwrap_err();
         assert_eq!(a, b);
     }
 
@@ -1890,9 +1883,9 @@ mod tests {
         let program = parse(src, Dialect::CudaLite).unwrap();
         let config = RunConfig::default();
         let mut interp = HostInterpreter::new(&program, config.clone());
-        let a = interp.run(&HostOnly, &[21]).unwrap();
+        let a = interp.run(&Machine::a100(), &[21]).unwrap();
         let compiled = super::super::compile(&program, 1);
-        let b = run_compiled(&compiled, &config, &HostOnly, &[21]).unwrap();
+        let b = run_compiled(&compiled, &config, &Machine::a100(), &[21]).unwrap();
         assert_eq!(a.stdout, b.stdout);
         assert_eq!(a.steps, b.steps);
     }

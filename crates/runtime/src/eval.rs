@@ -4,8 +4,8 @@
 //! One evaluator type serves three roles:
 //!
 //! * **host code** — run by [`crate::interp::HostInterpreter`], with a
-//!   [`ParallelBackend`] attached to price kernel launches, OpenMP regions
-//!   and transfers,
+//!   [`Machine`] attached to price kernel launches, OpenMP regions and
+//!   transfers,
 //! * **CUDA device threads** — the kernel schedule runs one evaluator per
 //!   thread with [`EvalContext::DeviceThread`] bindings for
 //!   `threadIdx`/`blockIdx`/`blockDim`/`gridDim`,
@@ -32,10 +32,10 @@ use lassi_lang::{
 #[cfg(test)]
 use lassi_lang::Dialect;
 
-use crate::backend::ParallelBackend;
 use crate::cost::CostCounter;
 use crate::env::Env;
 use crate::error::ExecError;
+use crate::machine::Machine;
 use crate::memory::{MemSpace, Memory};
 use crate::printf;
 use crate::schedule::{self, Costed, KernelLane, RegionLane, SHARED_LEN_STEP_LIMIT};
@@ -121,7 +121,7 @@ pub struct Evaluator<'a> {
     pub step_limit: u64,
     /// Source line of the statement currently executing.
     pub current_line: u32,
-    backend: Option<&'a dyn ParallelBackend>,
+    machine: Option<&'a Machine>,
     /// Depth of nested user-function calls (guards against runaway recursion).
     call_depth: u32,
     /// The program's literal table, built on the first string literal and
@@ -136,7 +136,7 @@ enum LValue {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Evaluator for device / worker code (no backend).
+    /// Evaluator for device / worker code (no machine).
     pub fn for_context(program: &'a Program, ctx: EvalContext, step_limit: u64) -> Self {
         Evaluator {
             program,
@@ -149,20 +149,16 @@ impl<'a> Evaluator<'a> {
             lane_steps: 0,
             step_limit,
             current_line: 0,
-            backend: None,
+            machine: None,
             call_depth: 0,
             literals: None,
         }
     }
 
-    /// Evaluator for host code with an attached parallel backend.
-    pub fn for_host(
-        program: &'a Program,
-        backend: &'a dyn ParallelBackend,
-        step_limit: u64,
-    ) -> Self {
+    /// Evaluator for host code on `machine`.
+    pub fn for_host(program: &'a Program, machine: &'a Machine, step_limit: u64) -> Self {
         let mut e = Evaluator::for_context(program, EvalContext::Host, step_limit);
-        e.backend = Some(backend);
+        e.machine = Some(machine);
         e
     }
 
@@ -714,8 +710,8 @@ impl<'a> Evaluator<'a> {
                     });
                 };
                 mem.copy(d, s, bytes, self.current_line)?;
-                if let Some(backend) = self.backend {
-                    self.extra_seconds += backend.memcpy_seconds(bytes);
+                if let Some(machine) = self.machine {
+                    self.extra_seconds += machine.memcpy_seconds(bytes);
                 }
                 self.cost.bytes_read += bytes;
                 self.cost.bytes_written += bytes;
@@ -973,7 +969,7 @@ impl<'a> Evaluator<'a> {
         env: &mut Env,
         mem: &Memory,
     ) -> Result<(), ExecError> {
-        let Some(backend) = self.backend else {
+        let Some(machine) = self.machine else {
             return Err(ExecError::other(
                 "kernel launch attempted without a device backend",
             ));
@@ -1009,7 +1005,7 @@ impl<'a> Evaluator<'a> {
             frame: Env::new(),
             literals: Rc::clone(self.literals()),
         };
-        let stats = schedule::launch(&mut lane, grid, block, &args, backend, mem)?;
+        let stats = schedule::launch(&mut lane, grid, block, &args, machine, mem)?;
         self.extra_seconds += stats.simulated_seconds;
         self.parallel_cost.merge(&stats.cost);
         self.lane_steps += stats.lane_steps;
@@ -1102,8 +1098,8 @@ impl<'a> Evaluator<'a> {
                                     _ => mem.buffer_len(ptr.buffer) as u64,
                                 };
                                 let bytes = len * elem;
-                                if let Some(backend) = self.backend {
-                                    self.extra_seconds += backend.memcpy_seconds(bytes);
+                                if let Some(machine) = self.machine {
+                                    self.extra_seconds += machine.memcpy_seconds(bytes);
                                 }
                                 self.cost.bytes_read += bytes;
                             }
@@ -1121,7 +1117,7 @@ impl<'a> Evaluator<'a> {
         env: &mut Env,
         mem: &Memory,
     ) -> Result<(), ExecError> {
-        let Some(backend) = self.backend else {
+        let Some(machine) = self.machine else {
             return Err(ExecError::other(
                 "OpenMP region attempted without a runtime backend",
             ));
@@ -1164,7 +1160,7 @@ impl<'a> Evaluator<'a> {
             env.flatten(),
             Rc::clone(self.literals()),
         );
-        let stats = schedule::work_share(&lane, lo, hi, step, self.current_line, backend, mem)?;
+        let stats = schedule::work_share(&lane, lo, hi, step, self.current_line, machine, mem)?;
         self.extra_seconds += stats.simulated_seconds;
         self.parallel_cost.merge(&stats.cost);
         self.lane_steps += stats.lane_steps;

@@ -4,11 +4,11 @@
 
 use lassi_lang::{Program, Type};
 
-use crate::backend::ParallelBackend;
 use crate::cost::CostCounter;
 use crate::env::Env;
 use crate::error::ExecError;
 use crate::eval::{ControlFlow, Evaluator};
+use crate::machine::Machine;
 use crate::memory::{Memory, MemoryStats};
 use crate::value::Value;
 
@@ -55,7 +55,7 @@ pub struct ExecutionReport {
     pub lane_steps: u64,
 }
 
-/// Runs `main` for one program against a parallel backend.
+/// Runs `main` for one program on a [`Machine`].
 pub struct HostInterpreter<'p> {
     program: &'p Program,
     config: RunConfig,
@@ -78,17 +78,13 @@ impl<'p> HostInterpreter<'p> {
     /// ParC benchmark programs read their parameters from plain `int`
     /// variables, so runtime arguments are bound as `arg0`, `arg1`, ... when a
     /// program declares them as globals-by-convention (see `lassi-hecbench`).
-    pub fn run(
-        &mut self,
-        backend: &dyn ParallelBackend,
-        args: &[i64],
-    ) -> Result<ExecutionReport, ExecError> {
+    pub fn run(&mut self, machine: &Machine, args: &[i64]) -> Result<ExecutionReport, ExecError> {
         let main = self
             .program
             .main()
             .ok_or_else(|| ExecError::other("program has no 'main' function"))?;
 
-        let mut eval = Evaluator::for_host(self.program, backend, self.config.step_limit);
+        let mut eval = Evaluator::for_host(self.program, machine, self.config.step_limit);
         let mut env = Env::new();
         for (i, v) in args.iter().enumerate() {
             env.declare(&format!("arg{i}"), Type::Long, Value::Int(*v));
@@ -126,13 +122,10 @@ mod tests {
     use super::*;
     use lassi_lang::{parse, Dialect};
 
-    struct HostOnly;
-    impl ParallelBackend for HostOnly {}
-
     fn run_src(src: &str) -> Result<ExecutionReport, ExecError> {
         let program = parse(src, Dialect::CudaLite).unwrap();
         let mut interp = HostInterpreter::new(&program, RunConfig::default());
-        interp.run(&HostOnly, &[])
+        interp.run(&Machine::a100(), &[])
     }
 
     #[test]
@@ -173,7 +166,7 @@ mod tests {
         )
         .unwrap();
         let mut interp = HostInterpreter::new(&program, RunConfig::default());
-        let report = interp.run(&HostOnly, &[21]).unwrap();
+        let report = interp.run(&Machine::a100(), &[21]).unwrap();
         assert_eq!(report.stdout, "42\n");
     }
 

@@ -15,8 +15,9 @@
 //! * the parallel schedule (the private `schedule` module) — runs every
 //!   kernel launch and work-sharing loop for both engines: blocks, threads,
 //!   barrier segments, chunks and reduction combines, in one fixed order,
-//! * [`backend::ParallelBackend`] — prices what the schedule ran: the
-//!   simulated GPU and OpenMP runtime are pure cost models behind it,
+//! * [`Machine`] — the paper's A100 node, which prices what the schedule
+//!   ran: kernels on its GPU, regions on its OpenMP runtime, copies over
+//!   its host link,
 //! * [`error::ExecError`] — runtime failures formatted like the error output
 //!   a real binary would print (illegal memory access, division by zero, ...),
 //!   which the LASSI execution self-correction loop feeds back to the LLM,
@@ -33,13 +34,13 @@
 //! * [`reference`](mod@reference) — the original tree-walking interpreter,
 //!   kept as the semantic reference the VM is differentially tested against.
 
-pub mod backend;
 pub mod bytecode;
 pub mod cost;
 pub mod env;
 pub mod error;
 pub mod eval;
 pub mod interp;
+mod machine;
 pub mod memory;
 pub mod printf;
 mod schedule;
@@ -55,13 +56,13 @@ pub mod reference {
     pub use crate::interp::HostInterpreter;
 }
 
-pub use backend::{KernelPricing, ParallelBackend, RegionPricing};
 pub use bytecode::{compile, run_compiled, run_compiled_with_memory, CompiledProgram, Vm};
 pub use cost::CostCounter;
 pub use env::Env;
 pub use error::ExecError;
 pub use eval::{ControlFlow, EvalContext, Evaluator};
 pub use interp::{ExecutionReport, HostInterpreter, RunConfig};
+pub use machine::Machine;
 pub use memory::{Buffer, BufferId, MemSpace, Memory};
 pub use value::{Dim3Val, Value};
 
@@ -69,11 +70,6 @@ pub use value::{Dim3Val, Value};
 mod tests {
     use super::*;
     use lassi_lang::{parse, Dialect};
-
-    /// A backend that rejects every parallel construct; good enough for
-    /// host-only smoke tests of the public API.
-    struct NoParallel;
-    impl ParallelBackend for NoParallel {}
 
     #[test]
     fn run_host_only_program() {
@@ -88,7 +84,7 @@ mod tests {
         "#;
         let program = parse(src, Dialect::CudaLite).unwrap();
         let mut interp = HostInterpreter::new(&program, RunConfig::default());
-        let report = interp.run(&NoParallel, &[]).expect("run");
+        let report = interp.run(&Machine::a100(), &[]).expect("run");
         assert_eq!(report.stdout, "sum=30\n");
         assert_eq!(report.exit_code, 0);
         assert!(report.simulated_seconds > 0.0);

@@ -20,18 +20,18 @@
 //! appended to the host's output, and the steps they take are summed into
 //! the run's lane steps.
 //!
-//! The [`ParallelBackend`] only prices what ran. A backend without the
-//! construct's cost model rejects it before any lane runs.
+//! The [`Machine`] only prices what ran: a launch on its GPU, a region on
+//! its OpenMP runtime.
 //!
 //! Everything runs on the calling thread, so device atomics land in one
 //! fixed order and float accumulations are reproducible bit for bit.
 
 use lassi_lang::{OmpDirective, ReductionOp, Type};
 
-use crate::backend::ParallelBackend;
 use crate::cost::CostCounter;
 use crate::error::ExecError;
 use crate::eval::{ControlFlow, EvalContext};
+use crate::machine::Machine;
 use crate::memory::Memory;
 use crate::value::{Dim3Val, Value};
 
@@ -238,16 +238,9 @@ pub(crate) fn launch<L: KernelLane>(
     grid: Dim3Val,
     block: Dim3Val,
     args: &[Value],
-    backend: &dyn ParallelBackend,
+    machine: &Machine,
     mem: &Memory,
 ) -> Result<LaunchStats, ExecError> {
-    let Some(pricing) = backend.kernels() else {
-        return Err(ExecError::other(format!(
-            "kernel launch of '{}' is not supported by backend '{}'",
-            lane.name(),
-            backend.name()
-        )));
-    };
     let total_threads = grid.count().saturating_mul(block.count());
     if total_threads > MAX_SIMULATED_THREADS {
         return Err(ExecError::InvalidLaunchConfig {
@@ -317,7 +310,7 @@ pub(crate) fn launch<L: KernelLane>(
         thread.drain_stdout(&mut stdout);
     }
     Ok(LaunchStats {
-        simulated_seconds: pricing.seconds(grid, block, &cost),
+        simulated_seconds: machine.gpu.kernel_seconds(grid, block, &cost),
         cost,
         reductions: Vec::new(),
         lane_steps,
@@ -336,18 +329,11 @@ pub(crate) fn work_share<L: RegionLane>(
     hi: i64,
     step: i64,
     line: u32,
-    backend: &dyn ParallelBackend,
+    machine: &Machine,
     mem: &Memory,
 ) -> Result<LaunchStats, ExecError> {
     let directive = lane.directive();
     let offload = directive.kind.is_offload();
-    let Some(pricing) = backend.regions() else {
-        return Err(ExecError::other(format!(
-            "OpenMP '{}' regions are not supported by backend '{}'",
-            directive.kind.spelling(),
-            backend.name()
-        )));
-    };
     let iterations = if hi > lo {
         hi.abs_diff(lo).div_ceil(step.max(1) as u64)
     } else {
@@ -358,7 +344,10 @@ pub(crate) fn work_share<L: RegionLane>(
             "line {line}: work-sharing loop of {iterations} iterations exceeds the simulator limit of {MAX_SIMULATED_ITERATIONS}"
         )));
     }
-    let threads = pricing.threads(directive, offload, iterations);
+    let threads = machine
+        .omp
+        .region_resources(directive, offload, iterations)
+        .threads;
 
     let identities: Vec<Value> = (0..lane.reductions())
         .map(|r| {
@@ -412,7 +401,9 @@ pub(crate) fn work_share<L: RegionLane>(
         })
         .collect();
     Ok(LaunchStats {
-        simulated_seconds: pricing.seconds(directive, offload, iterations, &cost),
+        simulated_seconds: machine
+            .omp
+            .region_seconds(directive, offload, iterations, &cost),
         cost,
         reductions,
         lane_steps,

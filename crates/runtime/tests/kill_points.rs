@@ -9,11 +9,8 @@
 use lassi_lang::{parse, Dialect, Type};
 use lassi_runtime::{
     compile, run_compiled, Dim3Val, Env, EvalContext, Evaluator, ExecError, ExecutionReport,
-    HostInterpreter, MemSpace, Memory, ParallelBackend, RunConfig, Value, Vm,
+    HostInterpreter, Machine, MemSpace, Memory, RunConfig, Value, Vm,
 };
-
-struct HostOnly;
-impl ParallelBackend for HostOnly {}
 
 /// Indexing, a user call with a ternary, `&&` and two `omp_get_wtime`
 /// readings. `arg0` selects the outcome: 0 completes, 1 divides by zero and
@@ -100,9 +97,9 @@ fn host_run(
         ..RunConfig::default()
     };
     if compiled {
-        run_compiled(&compile(program, 1), &config, &HostOnly, &[arg])
+        run_compiled(&compile(program, 1), &config, &Machine::a100(), &[arg])
     } else {
-        HostInterpreter::new(program, config).run(&HostOnly, &[arg])
+        HostInterpreter::new(program, config).run(&Machine::a100(), &[arg])
     }
 }
 

@@ -18,14 +18,9 @@ pub use lassi_lang as lang;
 /// Semantic analysis / the ParC "compiler".
 pub use lassi_sema as sema;
 
-/// Functional execution substrate (values, memory, evaluator, interpreter).
+/// Functional execution substrate (values, memory, evaluator, interpreter)
+/// and the simulated A100 machine that prices its runs.
 pub use lassi_runtime as runtime;
-
-/// Simulated A100-class GPU: the kernel cost model.
-pub use lassi_gpusim as gpusim;
-
-/// Simulated OpenMP host + offload runtime: the region cost model.
-pub use lassi_ompsim as ompsim;
 
 /// Simulated LLM substrate (prompts, models, translation engine, faults).
 pub use lassi_llm as llm;

@@ -9,6 +9,11 @@
 //! the `target data` region around a per-row offload. An ignored test runs
 //! the whole 80-scenario paper grid against `tests/golden/paper-grid-hashes.txt`.
 //!
+//! A third test pins the Table IV reference runs (10 applications x both
+//! dialects on the paper's machine) against `tests/golden/table4.txt`: the
+//! bits of each run's simulated seconds, its host and lane steps and an
+//! FNV-1a of its stdout, so any change in how a run is priced shows here.
+//!
 //! A failure here means some scenario's record changed: its status, its
 //! generated code, its diagnostics or any number in it. A change that means
 //! to alter records replaces the golden file with the text the failure
@@ -20,6 +25,7 @@ use lassi::prelude::*;
 
 const GOLDEN: &str = include_str!("golden/record-hashes.txt");
 const PAPER_GRID_GOLDEN: &str = include_str!("golden/paper-grid-hashes.txt");
+const TABLE4_GOLDEN: &str = include_str!("golden/table4.txt");
 const APPS: [&str; 3] = ["matrix-rotate", "atomicCost", "pathfinder"];
 
 /// Run `apps` x every model x both directions cold through
@@ -76,5 +82,28 @@ fn cold_paper_grid_reproduces_the_golden_record_hashes() {
     assert_eq!(
         actual, PAPER_GRID_GOLDEN,
         "record hashes differ from tests/golden/paper-grid-hashes.txt; actual:\n{actual}"
+    );
+}
+
+#[test]
+fn reference_runs_reproduce_the_table4_golden() {
+    let mut actual = String::new();
+    for app in applications() {
+        for dialect in [Dialect::CudaLite, Dialect::OmpLite] {
+            let report = run_application(&app, dialect).expect("reference run");
+            actual.push_str(&format!(
+                "{} {} {:016x} {} {} {:016x}\n",
+                app.name,
+                dialect,
+                report.simulated_seconds.to_bits(),
+                report.steps,
+                report.lane_steps,
+                fnv1a64(report.stdout.as_bytes())
+            ));
+        }
+    }
+    assert_eq!(
+        actual, TABLE4_GOLDEN,
+        "reference runs differ from tests/golden/table4.txt; actual:\n{actual}"
     );
 }
