@@ -21,7 +21,8 @@ pub enum ExecEngine {
     /// default.
     #[default]
     Bytecode,
-    /// The original tree-walking interpreter (`lassi_runtime::reference`).
+    /// The original tree-walking interpreter (`lassi_runtime::eval`, run by
+    /// `lassi_runtime::interp::HostInterpreter`).
     Reference,
 }
 
@@ -34,12 +35,12 @@ pub struct PipelineConfig {
     /// Base RNG seed; each (model, application, direction) scenario derives a
     /// stable seed from it so the whole evaluation is reproducible.
     pub seed: u64,
-    /// Execution configuration used for every compile-and-run step.
+    /// Execution configuration used for every program the pipeline runs.
     pub run_config: RunConfig,
     /// Number of timed executions averaged for the reported runtime (the
     /// paper averages three runs).
     pub timing_runs: u32,
-    /// Execution engine for every compile-and-run step.
+    /// Execution engine for every program the pipeline runs.
     pub engine: ExecEngine,
 }
 

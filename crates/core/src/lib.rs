@@ -10,9 +10,12 @@
 //! * [`pipeline::Lassi`] — one pipeline instance bound to a chat model and the
 //!   simulated machine. [`pipeline::Lassi::translate_application`] performs
 //!   source-code preparation, language-context preparation (with
-//!   self-prompted summaries), code generation, the compile self-correction
-//!   loop, the execution self-correction loop, output comparison and metric
-//!   collection for a single (application, direction) scenario.
+//!   self-prompted summaries), code generation, the self-correction loop,
+//!   output comparison and metric collection for a single (application,
+//!   direction) scenario. The loop parses, checks and runs each attempt once;
+//!   a program that does not compile goes back to the model with a
+//!   compile-correction prompt, one that fails at run time with an
+//!   execution-correction prompt, and both spend one iteration budget.
 //! * [`experiment`] — one (model, application, direction) scenario, the
 //!   unit that `lassi-harness` sweeps over the 10 HeCBench applications ×
 //!   4 LLMs × 2 directions (80 scenarios), and the paper's tables.

@@ -1,10 +1,10 @@
 //! The LASSI pipeline: source preparation, context preparation, code
-//! generation and the self-correcting loops (Fig. 1 / §III of the paper).
+//! generation and the self-correcting loop (Fig. 1 / §III of the paper).
 
 use std::time::Instant;
 
 use lassi_hecbench::{Application, Machine};
-use lassi_lang::{parse, Diagnostic, Dialect, Program};
+use lassi_lang::{parse, Diagnostic, Dialect};
 use lassi_llm::prompts::{extract_code_block, PromptDictionary};
 use lassi_llm::ChatModel;
 use lassi_metrics::{runtime_ratio, with_engine};
@@ -78,9 +78,11 @@ pub enum ScenarioStatus {
     /// The original source or target reference failed to run (pipeline halts
     /// before translation, §III-A).
     BaselineFailed,
-    /// The compile self-correction loop hit the iteration cap.
+    /// The self-correction loop hit the iteration cap on code that did not
+    /// compile (or the model returned no code at all).
     CompileGaveUp,
-    /// The execution self-correction loop hit the iteration cap.
+    /// The self-correction loop hit the iteration cap on code that compiled
+    /// but failed at run time.
     ExecuteGaveUp,
     /// The generated code ran but its output differed from the reference.
     OutputMismatch,
@@ -94,8 +96,8 @@ impl ScenarioStatus {
 }
 
 /// Structured diagnostics captured from one attempt of one pipeline stage:
-/// one entry per failed compile/execute attempt of the self-correction loops
-/// (plus one entry for warnings surfaced by the final successful compile),
+/// one entry per failed attempt of the self-correction loop (plus one entry
+/// for warnings surfaced by the final successful check),
 /// so a record explains *why* a scenario needed repair instead of flattening
 /// everything into rendered text.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,7 +112,7 @@ pub struct AttemptDiagnostics {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// A stage failure inside `compile_and_run`, before it is anchored to a
+/// A stage failure inside [`Lassi::attempt`], before it is anchored to a
 /// self-correction round.
 struct StageFailure {
     stage: &'static str,
@@ -118,6 +120,10 @@ struct StageFailure {
 }
 
 impl StageFailure {
+    fn new(stage: &'static str, diagnostics: Vec<Diagnostic>) -> StageFailure {
+        StageFailure { stage, diagnostics }
+    }
+
     fn at_round(self, round: u32) -> AttemptDiagnostics {
         AttemptDiagnostics {
             round,
@@ -167,8 +173,8 @@ pub struct TranslationRecord {
     /// Total response tokens received from the model.
     pub response_tokens: usize,
     /// Per-attempt diagnostics history: every failed parse/sema/execute
-    /// attempt in the self-correction loops, plus warnings from the final
-    /// successful compile. Empty for clean zero-correction successes.
+    /// attempt in the self-correction loop, plus warnings from the final
+    /// successful check. Empty for clean zero-correction successes.
     pub diagnostics: Vec<AttemptDiagnostics>,
 }
 
@@ -177,8 +183,6 @@ pub struct Lassi<M: ChatModel> {
     llm: M,
     machine: Machine,
     config: PipelineConfig,
-    prompt_tokens: usize,
-    response_tokens: usize,
     stages: StageTimers,
 }
 
@@ -189,8 +193,6 @@ impl<M: ChatModel> Lassi<M> {
             llm,
             machine: Machine::a100(),
             config,
-            prompt_tokens: 0,
-            response_tokens: 0,
             stages: StageTimers::register(),
         }
     }
@@ -200,18 +202,20 @@ impl<M: ChatModel> Lassi<M> {
         &self.llm
     }
 
-    fn complete(&mut self, system: &str, user: &str) -> String {
+    /// One model call, its tokens counted into `record`.
+    fn complete(&mut self, record: &mut TranslationRecord, system: &str, user: &str) -> String {
         let llm = &mut self.llm;
         let resp = timed(&self.stages.llm, || llm.complete(system, user));
-        self.prompt_tokens += resp.prompt_tokens;
-        self.response_tokens += resp.response_tokens;
+        record.prompt_tokens += resp.prompt_tokens;
+        record.response_tokens += resp.response_tokens;
         resp.text
     }
 
-    /// Compile and execute a program once, reporting the average of
+    /// Parse, check and execute `code` once, reporting the average of
     /// `timing_runs` runs the way the paper averages three (see
     /// [`average_of_runs`]: execution is deterministic, so every run would
-    /// take the same simulated time).
+    /// take the same simulated time). The baselines and every generated
+    /// attempt go through here, so each program is checked by sema once.
     ///
     /// With [`ExecEngine::Bytecode`] the report memo is consulted first,
     /// keyed by [`crate::progcache::cache_key`]; only a miss lowers the
@@ -221,27 +225,27 @@ impl<M: ChatModel> Lassi<M> {
     /// [`ExecEngine::Reference`] the tree-walking interpreter runs the AST
     /// directly, memo-free. Reports are bit-identical either way.
     ///
-    /// On success the compile's non-fatal warnings ride along so callers can
+    /// On success sema's non-fatal warnings ride along so callers can
     /// record them; on failure the coded diagnostics come back attached to
     /// the stage that produced them (execution errors are wrapped as
     /// `exec/runtime-error`).
-    fn compile_and_run(
+    fn attempt(
         &self,
-        program: &Program,
+        code: &str,
+        dialect: Dialect,
     ) -> Result<(ExecutionReport, Vec<Diagnostic>), StageFailure> {
-        let warnings = timed(&self.stages.sema, || lassi_sema::compile(program))
-            .map_err(|diagnostics| StageFailure {
-                stage: "sema",
-                diagnostics,
-            })?
+        let program = timed(&self.stages.parse, || parse(code, dialect))
+            .map_err(|d| StageFailure::new("parse", vec![d]))?;
+        let warnings = timed(&self.stages.sema, || lassi_sema::compile(&program))
+            .map_err(|d| StageFailure::new("sema", d))?
             .warnings;
         let config = &self.config.run_config;
         let outcome = match self.config.engine {
             ExecEngine::Bytecode => {
-                let key = crate::progcache::cache_key(program, config, 0);
+                let key = crate::progcache::cache_key(&program, config, 0);
                 crate::progcache::get_or_run(key, || {
                     let compiled =
-                        timed(&self.stages.compile, || lassi_runtime::compile(program, 0));
+                        timed(&self.stages.compile, || lassi_runtime::compile(&program, 0));
                     timed(&self.stages.execute, || {
                         lassi_runtime::run_compiled(&compiled, config, &self.machine, &[])
                     })
@@ -249,14 +253,14 @@ impl<M: ChatModel> Lassi<M> {
                 })
             }
             ExecEngine::Reference => {
-                let mut interp = HostInterpreter::new(program, config.clone());
+                let mut interp = HostInterpreter::new(&program, config.clone());
                 timed(&self.stages.execute, || interp.run(&self.machine, &[]))
                     .map_err(|e| e.to_string())
             }
         };
-        let mut report = outcome.map_err(|msg| StageFailure {
-            stage: "execute",
-            diagnostics: vec![Diagnostic::error(0, msg).with_code("exec/runtime-error")],
+        let mut report = outcome.map_err(|msg| {
+            let error = Diagnostic::error(0, msg).with_code("exec/runtime-error");
+            StageFailure::new("execute", vec![error])
         })?;
         report.simulated_seconds =
             average_of_runs(report.simulated_seconds, self.config.timing_runs);
@@ -273,11 +277,6 @@ impl<M: ChatModel> Lassi<M> {
         let target_dialect = source_dialect.other();
         let source_code = app.source(source_dialect);
         let reference_code = app.source(target_dialect);
-
-        // The struct-level accumulators survive across scenarios on a reused
-        // pipeline instance; the record must report this scenario's delta.
-        let prompt_token_base = self.prompt_tokens;
-        let response_token_base = self.response_tokens;
 
         let mut record = TranslationRecord {
             application: app.name.to_string(),
@@ -301,39 +300,11 @@ impl<M: ChatModel> Lassi<M> {
         // ------------------------------------------------ source preparation
         // §III-A: both the original source and the target-language reference
         // must compile and run locally before translation proceeds.
-        let source_program = match timed(&self.stages.parse, || parse(source_code, source_dialect))
-        {
-            Ok(p) => p,
-            Err(d) => {
-                record.diagnostics.push(AttemptDiagnostics {
-                    round: 0,
-                    stage: "parse".to_string(),
-                    diagnostics: vec![d],
-                });
-                return record;
-            }
-        };
-        let source_report = match self.compile_and_run(&source_program) {
-            Ok((r, _)) => r,
-            Err(failure) => {
-                record.diagnostics.push(failure.at_round(0));
-                return record;
-            }
-        };
-        let reference_program =
-            match timed(&self.stages.parse, || parse(reference_code, target_dialect)) {
-                Ok(p) => p,
-                Err(d) => {
-                    record.diagnostics.push(AttemptDiagnostics {
-                        round: 0,
-                        stage: "parse".to_string(),
-                        diagnostics: vec![d],
-                    });
-                    return record;
-                }
-            };
-        let reference_report = match self.compile_and_run(&reference_program) {
-            Ok((r, _)) => r,
+        let baselines = self
+            .attempt(source_code, source_dialect)
+            .and_then(|(source, _)| Ok((source, self.attempt(reference_code, target_dialect)?.0)));
+        let (source_report, reference_report) = match baselines {
+            Ok(reports) => reports,
             Err(failure) => {
                 record.diagnostics.push(failure.at_round(0));
                 return record;
@@ -346,10 +317,12 @@ impl<M: ChatModel> Lassi<M> {
         // §III-B: self-prompted knowledge summary and code description.
         let system = PromptDictionary::system_prompt(source_dialect, target_dialect);
         let knowledge_summary = self.complete(
+            &mut record,
             system,
             &PromptDictionary::build_knowledge_summary_prompt(target_dialect),
         );
         let code_description = self.complete(
+            &mut record,
             system,
             &PromptDictionary::build_code_description_prompt(source_code),
         );
@@ -362,76 +335,31 @@ impl<M: ChatModel> Lassi<M> {
             &code_description,
             source_code,
         );
-        let response = self.complete(system, &translation_prompt);
-        let mut code = match extract_code_block(&response) {
-            Some(c) => c,
-            None => {
-                record.status = ScenarioStatus::CompileGaveUp;
-                record.diagnostics.push(AttemptDiagnostics {
-                    round: 0,
-                    stage: "llm".to_string(),
-                    diagnostics: vec![Diagnostic::error(
-                        0,
-                        "model response contained no fenced code block",
-                    )
-                    .with_code("llm/no-code-block")],
-                });
-                record.prompt_tokens = self.prompt_tokens - prompt_token_base;
-                record.response_tokens = self.response_tokens - response_token_base;
-                return record;
-            }
+        let response = self.complete(&mut record, system, &translation_prompt);
+        let Some(mut code) = extract_code_block(&response) else {
+            record.status = ScenarioStatus::CompileGaveUp;
+            record.diagnostics.push(AttemptDiagnostics {
+                round: 0,
+                stage: "llm".to_string(),
+                diagnostics: vec![Diagnostic::error(
+                    0,
+                    "model response contained no fenced code block",
+                )
+                .with_code("llm/no-code-block")],
+            });
+            return record;
         };
 
-        // -------------------------------------------- self-correcting loops
+        // -------------------------------------------- self-correcting loop
+        // §III-D: a program that does not compile goes back to the model with
+        // the compiler's errors, one that fails at run time with the
+        // execution error; both spend the one iteration budget.
         let compiler_command = target_dialect.compiler_command();
-        let mut final_report: Option<ExecutionReport> = None;
-        loop {
-            // Compile loop (§III-D1): keep re-prompting until it compiles.
-            let program = loop {
-                let compile_result = timed(&self.stages.parse, || parse(&code, target_dialect))
-                    .map_err(|d| StageFailure {
-                        stage: "parse",
-                        diagnostics: vec![d],
-                    })
-                    .and_then(|p| {
-                        timed(&self.stages.sema, || lassi_sema::compile(&p))
-                            .map(|_| p)
-                            .map_err(|diagnostics| StageFailure {
-                                stage: "sema",
-                                diagnostics,
-                            })
-                    });
-                match compile_result {
-                    Ok(program) => break Some(program),
-                    Err(failure) => {
-                        let error_text = failure.render();
-                        record
-                            .diagnostics
-                            .push(failure.at_round(record.self_corrections));
-                        if record.self_corrections >= self.config.max_self_corrections {
-                            record.status = ScenarioStatus::CompileGaveUp;
-                            break None;
-                        }
-                        record.self_corrections += 1;
-                        let prompt = PromptDictionary::build_compile_correction_prompt(
-                            &code,
-                            compiler_command,
-                            &error_text,
-                        );
-                        let response = self.complete(system, &prompt);
-                        if let Some(new_code) = extract_code_block(&response) {
-                            code = new_code;
-                        }
-                    }
-                }
-            };
-            let Some(program) = program else { break };
-
-            // Execution loop (§III-D2).
-            match self.compile_and_run(&program) {
+        let report = loop {
+            let failure = match self.attempt(&code, target_dialect) {
                 Ok((report, warnings)) => {
                     // Surface non-fatal warnings from the final successful
-                    // compile instead of dropping them on the floor.
+                    // check instead of dropping them on the floor.
                     if !warnings.is_empty() {
                         record.diagnostics.push(AttemptDiagnostics {
                             round: record.self_corrections,
@@ -439,64 +367,56 @@ impl<M: ChatModel> Lassi<M> {
                             diagnostics: warnings,
                         });
                     }
-                    final_report = Some(report);
-                    break;
+                    break Some(report);
                 }
-                Err(failure) => {
-                    let error_text = failure.render();
-                    record
-                        .diagnostics
-                        .push(failure.at_round(record.self_corrections));
-                    if record.self_corrections >= self.config.max_self_corrections {
-                        record.status = ScenarioStatus::ExecuteGaveUp;
-                        break;
-                    }
-                    record.self_corrections += 1;
-                    let prompt = PromptDictionary::build_execution_correction_prompt(
-                        &code,
-                        compiler_command,
-                        &error_text,
-                    );
-                    let response = self.complete(system, &prompt);
-                    if let Some(new_code) = extract_code_block(&response) {
-                        code = new_code;
-                    }
-                    // Back to the compile loop with the new code.
-                }
+                Err(failure) => failure,
+            };
+            let ran = failure.stage == "execute";
+            let error_text = failure.render();
+            record
+                .diagnostics
+                .push(failure.at_round(record.self_corrections));
+            if record.self_corrections >= self.config.max_self_corrections {
+                record.status = if ran {
+                    ScenarioStatus::ExecuteGaveUp
+                } else {
+                    ScenarioStatus::CompileGaveUp
+                };
+                break None;
             }
-        }
+            record.self_corrections += 1;
+            let correction_prompt = if ran {
+                PromptDictionary::build_execution_correction_prompt
+            } else {
+                PromptDictionary::build_compile_correction_prompt
+            };
+            let prompt = correction_prompt(&code, compiler_command, &error_text);
+            let response = self.complete(&mut record, system, &prompt);
+            if let Some(new_code) = extract_code_block(&response) {
+                code = new_code;
+            }
+        };
 
         record.generated_code = Some(code.clone());
-        record.prompt_tokens = self.prompt_tokens - prompt_token_base;
-        record.response_tokens = self.response_tokens - response_token_base;
-
-        let Some(report) = final_report else {
+        let Some(report) = report else {
             return record;
         };
 
         // ------------------------------------------------- output comparison
         // The prototype pipeline in the paper compares standard output by
-        // hand; here the comparison is automated and exact.
-        if normalize_output(&report.stdout) != normalize_output(&reference_report.stdout) {
-            // The generated code *did* run — keep the measured runtime and
-            // similarity scores as diagnostics. Ratio stays `None` so the
-            // row still renders as the paper's N/A.
-            record.status = ScenarioStatus::OutputMismatch;
-            record.generated_runtime = Some(report.simulated_seconds);
-            // The thread-local engine reuses one symbol table and one set of
-            // DP scratch buffers across every scenario a worker thread runs.
-            timed(&self.stages.similarity, || {
-                with_engine(|engine| {
-                    record.sim_t = Some(engine.sim_t(reference_code, &code));
-                    record.sim_l = Some(engine.sim_l(reference_code, &code));
-                })
-            });
-            return record;
-        }
-
-        record.status = ScenarioStatus::Success;
+        // hand; here the comparison is automated and exact. Code that ran
+        // with the wrong output keeps its measured runtime and similarity
+        // scores as diagnostics; its ratio stays `None`, so the row still
+        // renders as the paper's N/A.
         record.generated_runtime = Some(report.simulated_seconds);
-        record.ratio = runtime_ratio(record.reference_runtime, report.simulated_seconds);
+        if normalize_output(&report.stdout) == normalize_output(&reference_report.stdout) {
+            record.status = ScenarioStatus::Success;
+            record.ratio = runtime_ratio(record.reference_runtime, report.simulated_seconds);
+        } else {
+            record.status = ScenarioStatus::OutputMismatch;
+        }
+        // The thread-local engine reuses one symbol table and one set of DP
+        // scratch buffers across every scenario a worker thread runs.
         timed(&self.stages.similarity, || {
             with_engine(|engine| {
                 record.sim_t = Some(engine.sim_t(reference_code, &code));
@@ -628,7 +548,7 @@ mod tests {
         );
         assert!(
             record.self_corrections >= 1,
-            "the compile loop must have iterated"
+            "the self-correction loop must have iterated"
         );
         // Every repaired attempt must have left a coded, span-anchored trail.
         assert!(
@@ -645,6 +565,53 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A pipeline whose model injects one fault of the given kind into
+    /// every translation and never repairs it, under a cap of two
+    /// corrections.
+    fn never_repairs(compile: bool, seed: u64) -> Lassi<SimulatedLlm> {
+        let mut spec = models::gpt4();
+        spec.profile.p_compile_fault = if compile { 1.0 } else { 0.0 };
+        spec.profile.p_runtime_fault = if compile { 0.0 } else { 1.0 };
+        spec.profile.p_semantic_fault = 0.0;
+        spec.profile.p_perf_regression = 0.0;
+        spec.profile.p_repair_success = 0.0;
+        spec.profile.p_repair_regression = 0.0;
+        let config = PipelineConfig {
+            max_self_corrections: 2,
+            ..PipelineConfig::default()
+        };
+        Lassi::new(SimulatedLlm::with_seed(spec, seed), config)
+    }
+
+    #[test]
+    fn an_unrepaired_compile_fault_gives_up_after_the_cap() {
+        let app = application("entropy").unwrap();
+        let record = never_repairs(true, 5).translate_application(&app, Dialect::CudaLite);
+        assert_eq!(record.status, ScenarioStatus::CompileGaveUp);
+        assert_eq!(record.self_corrections, 2);
+        let rounds: Vec<u32> = record.diagnostics.iter().map(|a| a.round).collect();
+        assert_eq!(rounds, [0, 1, 2]);
+        for attempt in &record.diagnostics {
+            assert!(
+                attempt.stage == "parse" || attempt.stage == "sema",
+                "{attempt:?}"
+            );
+        }
+        assert!(record.generated_runtime.is_none());
+    }
+
+    #[test]
+    fn an_unrepaired_runtime_fault_gives_up_after_the_cap() {
+        // The injected fault makes this translation fail when it runs.
+        let app = application("matrix-rotate").unwrap();
+        let record = never_repairs(false, 1).translate_application(&app, Dialect::CudaLite);
+        assert_eq!(record.status, ScenarioStatus::ExecuteGaveUp);
+        assert_eq!(record.self_corrections, 2);
+        let last = record.diagnostics.last().expect("failed attempts recorded");
+        assert_eq!((last.round, last.stage.as_str()), (2, "execute"));
+        assert_eq!(last.diagnostics[0].code, "exec/runtime-error");
     }
 
     #[test]

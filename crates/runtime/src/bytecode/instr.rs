@@ -77,6 +77,8 @@
 
 use lassi_lang::BinOp;
 
+use crate::value::Value;
+
 /// A frame-relative register index.
 pub type Reg = u32;
 
@@ -185,6 +187,34 @@ impl MathFn {
             "abs" => MathFn::AbsInt,
             _ => return None,
         })
+    }
+
+    /// The builtin over its first two arguments, `None` where the call
+    /// passed fewer (read as `0`). The VM and the lockstep lanes both
+    /// compute it here.
+    pub fn apply(self, a: Option<Value>, b: Option<Value>) -> Value {
+        let f0 = a.map_or(0.0, |v| v.as_float());
+        let f1 = b.map_or(0.0, |v| v.as_float());
+        let n0 = a.map_or(0, |v| v.as_int());
+        let n1 = b.map_or(0, |v| v.as_int());
+        match self {
+            MathFn::Sqrt => Value::Float(f0.sqrt()),
+            MathFn::Fabs => Value::Float(f0.abs()),
+            MathFn::Exp => Value::Float(f0.exp()),
+            MathFn::Log => Value::Float(f0.ln()),
+            MathFn::Log2 => Value::Float(f0.log2()),
+            MathFn::Sin => Value::Float(f0.sin()),
+            MathFn::Cos => Value::Float(f0.cos()),
+            MathFn::Atan2 => Value::Float(f0.atan2(f1)),
+            MathFn::Pow => Value::Float(f0.powf(f1)),
+            MathFn::Floor => Value::Float(f0.floor()),
+            MathFn::Ceil => Value::Float(f0.ceil()),
+            MathFn::Fmin => Value::Float(f0.min(f1)),
+            MathFn::Fmax => Value::Float(f0.max(f1)),
+            MathFn::MinInt => Value::Int(n0.min(n1)),
+            MathFn::MaxInt => Value::Int(n0.max(n1)),
+            MathFn::AbsInt => Value::Int(n0.abs()),
+        }
     }
 }
 

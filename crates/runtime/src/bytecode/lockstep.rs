@@ -60,7 +60,7 @@ use std::cell::Cell;
 
 use lassi_lang::BinOp;
 
-use super::instr::{FlowKind, Instr, MathFn, Reg, Rk, RkBr, Rr, RrBr, SpecialIdent};
+use super::instr::{FlowKind, Instr, Reg, Rk, RkBr, Rr, RrBr, SpecialIdent};
 use super::CompiledProgram;
 use crate::cost::CostCounter;
 use crate::eval::{apply_binop, EvalContext};
@@ -728,7 +728,7 @@ impl Lanes {
                     charge!(*pre);
                     let d = row(*dst);
                     let arg = |i: u32, l: usize| (i < *argc).then(|| row(args_base + i)[l].get());
-                    each!(s.cur, w, |l| d[l].set(math(*f, arg(0, l), arg(1, l))));
+                    each!(s.cur, w, |l| d[l].set(f.apply(arg(0, l), arg(1, l))));
                     cost.special_ops += s.cur.len() as u64;
                 }
                 _ => unreachable!("analyse admits only the instructions above"),
@@ -769,32 +769,6 @@ fn index(base: Value, idx: Value, buffer: BufferId) -> Result<i64, Fallback> {
         Value::Ptr(p) if p.buffer == buffer => Ok(p.offset.wrapping_add(idx.as_int())),
         Value::Ptr(_) => Err(Fallback::Sequential),
         _ => Err(Fallback::Replay),
-    }
-}
-
-/// A math builtin over its first two arguments, as the VM computes it.
-fn math(f: MathFn, a: Option<Value>, b: Option<Value>) -> Value {
-    let f0 = a.map_or(0.0, |v| v.as_float());
-    let f1 = b.map_or(0.0, |v| v.as_float());
-    let n0 = a.map_or(0, |v| v.as_int());
-    let n1 = b.map_or(0, |v| v.as_int());
-    match f {
-        MathFn::Sqrt => Value::Float(f0.sqrt()),
-        MathFn::Fabs => Value::Float(f0.abs()),
-        MathFn::Exp => Value::Float(f0.exp()),
-        MathFn::Log => Value::Float(f0.ln()),
-        MathFn::Log2 => Value::Float(f0.log2()),
-        MathFn::Sin => Value::Float(f0.sin()),
-        MathFn::Cos => Value::Float(f0.cos()),
-        MathFn::Atan2 => Value::Float(f0.atan2(f1)),
-        MathFn::Pow => Value::Float(f0.powf(f1)),
-        MathFn::Floor => Value::Float(f0.floor()),
-        MathFn::Ceil => Value::Float(f0.ceil()),
-        MathFn::Fmin => Value::Float(f0.min(f1)),
-        MathFn::Fmax => Value::Float(f0.max(f1)),
-        MathFn::MinInt => Value::Int(n0.min(n1)),
-        MathFn::MaxInt => Value::Int(n0.max(n1)),
-        MathFn::AbsInt => Value::Int(n0.abs()),
     }
 }
 

@@ -29,7 +29,7 @@ use std::cell::{Cell, RefCell};
 
 use lassi_lang::{BinOp, OmpDirective, ReductionOp, Type};
 
-use super::instr::{FlowKind, Instr, MathFn, Reg, Rk, RkBr, Rr, RrBr, SpecialIdent};
+use super::instr::{FlowKind, Instr, Reg, Rk, RkBr, Rr, RrBr, SpecialIdent};
 use super::lockstep::{Fallback, Group, Lanes, MAX_LANES};
 use super::{CompiledKernel, CompiledProgram, CompiledRegion, SharedLen};
 use crate::cost::CostCounter;
@@ -1119,31 +1119,8 @@ impl<'p> Vm<'p> {
                     pre,
                 } => {
                     self.charge(*pre)?;
-                    let v = {
-                        let vals = self.args(*args_base, *argc);
-                        let f0 = vals.first().map_or(0.0, |v| v.as_float());
-                        let f1 = vals.get(1).map_or(0.0, |v| v.as_float());
-                        let n0 = vals.first().map_or(0, |v| v.as_int());
-                        let n1 = vals.get(1).map_or(0, |v| v.as_int());
-                        match f {
-                            MathFn::Sqrt => Value::Float(f0.sqrt()),
-                            MathFn::Fabs => Value::Float(f0.abs()),
-                            MathFn::Exp => Value::Float(f0.exp()),
-                            MathFn::Log => Value::Float(f0.ln()),
-                            MathFn::Log2 => Value::Float(f0.log2()),
-                            MathFn::Sin => Value::Float(f0.sin()),
-                            MathFn::Cos => Value::Float(f0.cos()),
-                            MathFn::Atan2 => Value::Float(f0.atan2(f1)),
-                            MathFn::Pow => Value::Float(f0.powf(f1)),
-                            MathFn::Floor => Value::Float(f0.floor()),
-                            MathFn::Ceil => Value::Float(f0.ceil()),
-                            MathFn::Fmin => Value::Float(f0.min(f1)),
-                            MathFn::Fmax => Value::Float(f0.max(f1)),
-                            MathFn::MinInt => Value::Int(n0.min(n1)),
-                            MathFn::MaxInt => Value::Int(n0.max(n1)),
-                            MathFn::AbsInt => Value::Int(n0.abs()),
-                        }
-                    };
+                    let vals = self.args(*args_base, *argc);
+                    let v = f.apply(vals.first().copied(), vals.get(1).copied());
                     self.cost.special_ops += 1;
                     self.set_reg(*dst, v);
                 }

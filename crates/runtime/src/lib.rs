@@ -31,8 +31,9 @@
 //! * [`bytecode`] — the default: lowers the checked AST once into flat
 //!   register bytecode ([`bytecode::compile`]) and executes it on a
 //!   dispatch-loop VM ([`bytecode::Vm`]) with preallocated register frames.
-//! * [`reference`](mod@reference) — the original tree-walking interpreter,
-//!   kept as the semantic reference the VM is differentially tested against.
+//! * [`eval`] / [`interp::HostInterpreter`] — the original tree-walking
+//!   interpreter, kept as the semantic reference the VM is differentially
+//!   tested against.
 
 pub mod bytecode;
 pub mod cost;
@@ -45,16 +46,6 @@ pub mod memory;
 pub mod printf;
 mod schedule;
 pub mod value;
-
-/// The tree-walking interpreter, preserved verbatim as the semantic
-/// reference for the bytecode engine. `reference::Evaluator` and
-/// `reference::HostInterpreter` are the same items as [`eval::Evaluator`]
-/// and [`interp::HostInterpreter`]; the alias exists so call sites can say
-/// which engine they mean.
-pub mod reference {
-    pub use crate::eval::{ControlFlow, EvalContext, Evaluator};
-    pub use crate::interp::HostInterpreter;
-}
 
 pub use bytecode::{compile, run_compiled, run_compiled_with_memory, CompiledProgram, Vm};
 pub use cost::CostCounter;

@@ -288,17 +288,16 @@ impl OmpSpec {
         RegionResources { threads, dynamic }
     }
 
-    /// Simulated seconds of a region of `iterations` iterations under
-    /// `directive` that executed `cost` in total, excluding `map`
-    /// transfers, which the host charges as copies.
+    /// Simulated seconds of a region of `iterations` iterations, granted
+    /// `resources` by [`OmpSpec::region_resources`], that executed `cost` in
+    /// total, excluding `map` transfers, which the host charges as copies.
     pub(crate) fn region_seconds(
         &self,
-        directive: &OmpDirective,
+        resources: &RegionResources,
         offload: bool,
         iterations: u64,
         cost: &CostCounter,
     ) -> f64 {
-        let resources = self.region_resources(directive, offload, iterations);
         let ops = cost.total_ops() as f64;
         let bytes = cost.total_bytes() as f64;
         let (overhead, peak_ops, bandwidth, capacity) = if offload {
@@ -343,6 +342,18 @@ mod tests {
             atomics,
             ..Default::default()
         }
+    }
+
+    /// `region_seconds` of `directive`, with the resources it grants.
+    fn seconds(
+        spec: &OmpSpec,
+        directive: &OmpDirective,
+        offload: bool,
+        iterations: u64,
+        cost: &CostCounter,
+    ) -> f64 {
+        let resources = spec.region_resources(directive, offload, iterations);
+        spec.region_seconds(&resources, offload, iterations, cost)
     }
 
     fn directive(clauses: Vec<OmpClause>) -> OmpDirective {
@@ -456,8 +467,8 @@ mod tests {
             OmpClause::NumThreads(Expr::IntLit(1)),
         ]);
         assert_eq!(spec.region_resources(&wide, true, 100_000).threads, 100_000);
-        let wide = spec.region_seconds(&wide, true, 100_000, &cost);
-        let narrow = spec.region_seconds(&narrow, true, 100_000, &cost);
+        let wide = seconds(&spec, &wide, true, 100_000, &cost);
+        let narrow = seconds(&spec, &narrow, true, 100_000, &cost);
         assert!(narrow > wide * 50.0);
     }
 
@@ -477,8 +488,8 @@ mod tests {
             ..Default::default()
         };
         let iterations = 100_000;
-        let ts = spec.region_seconds(&d_static, true, iterations, &cost);
-        let td = spec.region_seconds(&d_dynamic, true, iterations, &cost);
+        let ts = seconds(&spec, &d_static, true, iterations, &cost);
+        let td = seconds(&spec, &d_dynamic, true, iterations, &cost);
         assert!(td > ts);
     }
 
@@ -494,8 +505,8 @@ mod tests {
             bytes_read: 1_000,
             ..Default::default()
         };
-        let host = spec.region_seconds(&d, false, 1_000, &cost);
-        let off = spec.region_seconds(&d, true, 1_000, &cost);
+        let host = seconds(&spec, &d, false, 1_000, &cost);
+        let off = seconds(&spec, &d, true, 1_000, &cost);
         assert!(
             host < off,
             "tiny loops should not benefit from offload ({host} vs {off})"

@@ -344,10 +344,8 @@ pub(crate) fn work_share<L: RegionLane>(
             "line {line}: work-sharing loop of {iterations} iterations exceeds the simulator limit of {MAX_SIMULATED_ITERATIONS}"
         )));
     }
-    let threads = machine
-        .omp
-        .region_resources(directive, offload, iterations)
-        .threads;
+    let resources = machine.omp.region_resources(directive, offload, iterations);
+    let threads = resources.threads;
 
     let identities: Vec<Value> = (0..lane.reductions())
         .map(|r| {
@@ -403,7 +401,7 @@ pub(crate) fn work_share<L: RegionLane>(
     Ok(LaunchStats {
         simulated_seconds: machine
             .omp
-            .region_seconds(directive, offload, iterations, &cost),
+            .region_seconds(&resources, offload, iterations, &cost),
         cost,
         reductions,
         lane_steps,

@@ -9,6 +9,13 @@
 //! the `target data` region around a per-row offload. An ignored test runs
 //! the whole 80-scenario paper grid against `tests/golden/paper-grid-hashes.txt`.
 //!
+//! The same subset runs again with every model degraded the way
+//! `lassi-perfbench`'s `repair-storm` workload degrades it (a compile fault
+//! every time, 10% repair success, 30% repair regression, no other fault),
+//! against `tests/golden/repair-storm-hashes.txt`. The default models rarely
+//! need repair, so this is the test that pins records of the
+//! self-correction loop.
+//!
 //! A third test pins the Table IV reference runs (10 applications x both
 //! dialects on the paper's machine) against `tests/golden/table4.txt`: the
 //! bits of each run's simulated seconds, its host and lane steps and an
@@ -21,19 +28,28 @@
 
 use lassi::harness::codec::record_to_json;
 use lassi::harness::fnv1a64;
+use lassi::llm::ModelSpec;
 use lassi::prelude::*;
 
 const GOLDEN: &str = include_str!("golden/record-hashes.txt");
 const PAPER_GRID_GOLDEN: &str = include_str!("golden/paper-grid-hashes.txt");
 const TABLE4_GOLDEN: &str = include_str!("golden/table4.txt");
+const REPAIR_STORM_GOLDEN: &str = include_str!("golden/repair-storm-hashes.txt");
 const APPS: [&str; 3] = ["matrix-rotate", "atomicCost", "pathfinder"];
 
-/// Run `apps` x every model x both directions cold through
-/// `Harness::submit` and render one line per scenario with its record hash.
-fn record_hashes(apps: Vec<Application>) -> String {
+/// The tier-1 subset of applications.
+fn subset() -> Vec<Application> {
+    APPS.iter()
+        .map(|name| application(name).expect("benchmark exists"))
+        .collect()
+}
+
+/// Run `apps` x `models` x both directions cold through `Harness::submit`
+/// and render one line per scenario with its record hash.
+fn record_hashes(models: Vec<ModelSpec>, apps: Vec<Application>) -> String {
     let grid = SweepGrid::single(
         PipelineConfig::default(),
-        all_models(),
+        models,
         apps,
         Direction::both().to_vec(),
     );
@@ -60,14 +76,32 @@ fn record_hashes(apps: Vec<Application>) -> String {
 
 #[test]
 fn cold_subset_grid_reproduces_the_golden_record_hashes() {
-    let actual = record_hashes(
-        APPS.iter()
-            .map(|name| application(name).expect("benchmark exists"))
-            .collect(),
-    );
+    let actual = record_hashes(all_models(), subset());
     assert_eq!(
         actual, GOLDEN,
         "record hashes differ from tests/golden/record-hashes.txt; actual:\n{actual}"
+    );
+}
+
+/// A model that always injects a compile fault and rarely repairs it, as
+/// `lassi-perfbench`'s `repair-storm` workload degrades every model.
+fn degrade(mut model: ModelSpec) -> ModelSpec {
+    model.profile.p_compile_fault = 1.0;
+    model.profile.p_repair_success = 0.1;
+    model.profile.p_repair_regression = 0.3;
+    model.profile.p_runtime_fault = 0.0;
+    model.profile.p_semantic_fault = 0.0;
+    model.profile.p_perf_regression = 0.0;
+    model
+}
+
+#[test]
+fn degraded_models_reproduce_the_repair_storm_golden() {
+    let models = all_models().into_iter().map(degrade).collect();
+    let actual = record_hashes(models, subset());
+    assert_eq!(
+        actual, REPAIR_STORM_GOLDEN,
+        "record hashes differ from tests/golden/repair-storm-hashes.txt; actual:\n{actual}"
     );
 }
 
@@ -78,7 +112,7 @@ fn cold_subset_grid_reproduces_the_golden_record_hashes() {
 #[test]
 #[ignore]
 fn cold_paper_grid_reproduces_the_golden_record_hashes() {
-    let actual = record_hashes(applications());
+    let actual = record_hashes(all_models(), applications());
     assert_eq!(
         actual, PAPER_GRID_GOLDEN,
         "record hashes differ from tests/golden/paper-grid-hashes.txt; actual:\n{actual}"
