@@ -5,12 +5,32 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use lassi_hecbench::applications;
-use lassi_lang::{parse, print_program, Dialect};
+use lassi_lang::{parse, print_program, Dialect, Lexer};
+use lassi_llm::translate_program;
 use lassi_metrics::{sim_l, sim_t};
 
 fn bench_frontend(c: &mut Criterion) {
     let apps = applications();
     let jacobi = apps.iter().find(|a| a.name == "jacobi").unwrap();
+
+    // The 20 reference programs and their 20 golden translations: the
+    // texts the repair loop parses most.
+    let mut sources: Vec<String> = Vec::new();
+    for app in &apps {
+        for dialect in [Dialect::CudaLite, Dialect::OmpLite] {
+            let program = parse(app.source(dialect), dialect).unwrap();
+            let translated = translate_program(&program, dialect.other()).unwrap();
+            sources.push(app.source(dialect).to_string());
+            sources.push(print_program(&translated));
+        }
+    }
+    c.bench_function("lex_all_sources", |b| {
+        b.iter(|| {
+            for src in &sources {
+                black_box(Lexer::tokenize(black_box(src)).unwrap());
+            }
+        })
+    });
 
     c.bench_function("parse_all_cuda_sources", |b| {
         b.iter(|| {

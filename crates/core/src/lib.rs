@@ -12,8 +12,9 @@
 //!   source-code preparation, language-context preparation (with
 //!   self-prompted summaries), code generation, the self-correction loop,
 //!   output comparison and metric collection for a single (application,
-//!   direction) scenario. The loop parses, checks and runs each attempt once;
-//!   a program that does not compile goes back to the model with a
+//!   direction) scenario. The loop parses, checks and runs each distinct
+//!   program text once (a repair that returns the failed program keeps its
+//!   verdict); a program that does not compile goes back to the model with a
 //!   compile-correction prompt, one that fails at run time with an
 //!   execution-correction prompt, and both spend one iteration budget.
 //! * [`experiment`] — one (model, application, direction) scenario, the

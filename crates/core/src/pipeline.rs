@@ -113,7 +113,8 @@ pub struct AttemptDiagnostics {
 }
 
 /// A stage failure inside [`Lassi::attempt`], before it is anchored to a
-/// self-correction round.
+/// self-correction round. The same program text always fails the same way,
+/// so one failure can be anchored to several rounds.
 struct StageFailure {
     stage: &'static str,
     diagnostics: Vec<Diagnostic>,
@@ -124,11 +125,11 @@ impl StageFailure {
         StageFailure { stage, diagnostics }
     }
 
-    fn at_round(self, round: u32) -> AttemptDiagnostics {
+    fn at_round(&self, round: u32) -> AttemptDiagnostics {
         AttemptDiagnostics {
             round,
             stage: self.stage.to_string(),
-            diagnostics: self.diagnostics,
+            diagnostics: self.diagnostics.clone(),
         }
     }
 
@@ -355,8 +356,9 @@ impl<M: ChatModel> Lassi<M> {
         // the compiler's errors, one that fails at run time with the
         // execution error; both spend the one iteration budget.
         let compiler_command = target_dialect.compiler_command();
+        let mut verdict = self.attempt(&code, target_dialect);
         let report = loop {
-            let failure = match self.attempt(&code, target_dialect) {
+            let failure = match verdict {
                 Ok((report, warnings)) => {
                     // Surface non-fatal warnings from the final successful
                     // check instead of dropping them on the floor.
@@ -392,9 +394,15 @@ impl<M: ChatModel> Lassi<M> {
             };
             let prompt = correction_prompt(&code, compiler_command, &error_text);
             let response = self.complete(&mut record, system, &prompt);
-            if let Some(new_code) = extract_code_block(&response) {
-                code = new_code;
-            }
+            verdict = match extract_code_block(&response) {
+                Some(new_code) if new_code != code => {
+                    code = new_code;
+                    self.attempt(&code, target_dialect)
+                }
+                // No code, or the very program that just failed: the same
+                // bytes get the same verdict, anchored to this round.
+                _ => Err(failure),
+            };
         };
 
         record.generated_code = Some(code.clone());

@@ -82,6 +82,13 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_output_prints_verbatim() {
+        let src = "int main() { printf(\"café %d\\n\", 1); return 0; }";
+        let report = run_source(src, Dialect::CudaLite).unwrap();
+        assert_eq!(report.stdout, "café 1\n");
+    }
+
+    #[test]
     fn bsearch_openmp_is_faster_than_cuda() {
         // Table IV: bsearch runs in 0.3273 s (CUDA) vs 0.0140 s (OpenMP).
         let app = application("bsearch").unwrap();

@@ -4,6 +4,12 @@
 //! legality (e.g. a kernel launch appearing in an OpenMP program) is checked
 //! by `lassi-sema` so that such mistakes surface as *compile errors* that the
 //! LASSI self-correction loop can feed back to the LLM.
+//!
+//! The parser reads the lexer's borrowed tokens by reference and copies
+//! text only into the AST nodes it builds. Statements and expressions nest
+//! at most [`MAX_NESTING`] levels deep: a deeper input is refused with a
+//! coded `parse/nesting-too-deep` diagnostic instead of exhausting the
+//! stack of the thread that parses it.
 
 use crate::ast::*;
 use crate::diag::Diagnostic;
@@ -23,37 +29,46 @@ pub fn parse(src: &str, dialect: Dialect) -> Result<Program, Diagnostic> {
         .map_err(|d| d.with_default_code("parse/syntax-error"))
 }
 
+/// How many statements and expressions may enclose one another: blocks,
+/// `if`/`for`/`while` and pragma bodies, parenthesised, unary and cast
+/// operands, ternary branches, subscripts and call arguments each count
+/// one level. Far beyond any real program, and shallow enough to parse on
+/// a 2 MiB thread stack.
+pub const MAX_NESTING: usize = 256;
+
 /// The ParC parser. Construct via [`Parser::new`] or use the [`parse`]
 /// convenience function.
-pub struct Parser {
-    tokens: Vec<Token>,
+pub struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     dialect: Dialect,
+    depth: usize,
 }
 
 const TYPE_KEYWORDS: &[&str] = &[
     "void", "bool", "int", "long", "float", "double", "dim3", "size_t", "unsigned",
 ];
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Create a parser over pre-lexed tokens.
-    pub fn new(tokens: Vec<Token>, dialect: Dialect) -> Self {
+    pub fn new(tokens: Vec<Token<'a>>, dialect: Dialect) -> Self {
         Parser {
             tokens,
             pos: 0,
             dialect,
+            depth: 0,
         }
     }
 
-    fn peek(&self) -> &Token {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
+    fn peek_kind(&self) -> &TokenKind<'a> {
         &self.peek().kind
     }
 
-    fn peek_ahead(&self, n: usize) -> &TokenKind {
+    fn peek_ahead(&self, n: usize) -> &TokenKind<'a> {
         &self.tokens[(self.pos + n).min(self.tokens.len() - 1)].kind
     }
 
@@ -61,16 +76,49 @@ impl Parser {
         self.peek().line
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    /// Step past the current token; the trailing `Eof` is never passed.
+    fn bump(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
+    }
+
+    /// Enter one more nesting level, or refuse past [`MAX_NESTING`]. The
+    /// caller leaves it with `self.depth -= 1` once its construct parsed; an
+    /// error ends the whole parse, so the error paths need not.
+    ///
+    /// Each level costs the stack frames of the functions between two
+    /// `descend` calls, so those functions keep their frames small: cold
+    /// error formatting and the arms of a statement or primary expression
+    /// live in functions of their own.
+    fn descend(&mut self) -> Result<(), Diagnostic> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    #[cold]
+    fn too_deep(&self) -> Diagnostic {
+        Diagnostic::error(
+            self.line(),
+            format!("nesting deeper than {MAX_NESTING} levels"),
+        )
+        .with_code("parse/nesting-too-deep")
+    }
+
+    /// An unclassified "unexpected token" error at the current token.
+    #[cold]
+    fn unexpected(&self, context: &str) -> Diagnostic {
+        Diagnostic::error(
+            self.line(),
+            format!("unexpected token '{}' {context}", self.peek_kind()),
+        )
     }
 
     fn at_ident(&self, word: &str) -> bool {
-        matches!(self.peek_kind(), TokenKind::Ident(s) if s == word)
+        matches!(*self.peek_kind(), TokenKind::Ident(s) if s == word)
     }
 
     fn eat_ident(&mut self, word: &str) -> bool {
@@ -91,9 +139,10 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token, Diagnostic> {
+    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<(), Diagnostic> {
         if self.peek_kind() == kind {
-            Ok(self.bump())
+            self.bump();
+            Ok(())
         } else {
             Err(Diagnostic::error(
                 self.line(),
@@ -103,23 +152,21 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, Diagnostic> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            other => Err(Diagnostic::error(
-                self.line(),
-                format!("expected {what}, found '{other}'"),
-            )
-            .with_code("parse/expected-ident")),
+    fn expect_ident(&mut self, what: &str) -> Result<&'a str, Diagnostic> {
+        if let TokenKind::Ident(s) = *self.peek_kind() {
+            self.bump();
+            return Ok(s);
         }
+        Err(Diagnostic::error(
+            self.line(),
+            format!("expected {what}, found '{}'", self.peek_kind()),
+        )
+        .with_code("parse/expected-ident"))
     }
 
     fn at_type_keyword(&self) -> bool {
-        match self.peek_kind() {
-            TokenKind::Ident(s) => TYPE_KEYWORDS.contains(&s.as_str()) || s == "const",
+        match *self.peek_kind() {
+            TokenKind::Ident(s) => TYPE_KEYWORDS.contains(&s) || s == "const",
             _ => false,
         }
     }
@@ -128,8 +175,7 @@ impl Parser {
 
     fn parse_base_type(&mut self) -> Result<Type, Diagnostic> {
         let line = self.line();
-        let name = self.expect_ident("a type name")?;
-        let base = match name.as_str() {
+        let base = match self.expect_ident("a type name")? {
             "void" => Type::Void,
             "bool" => Type::Bool,
             "int" => Type::Int,
@@ -202,14 +248,14 @@ impl Parser {
             }
         }
         let ret = self.parse_type()?;
-        let name = self.expect_ident("a function name")?;
+        let name = self.expect_ident("a function name")?.to_string();
         self.expect(&TokenKind::LParen, "'(' after function name")?;
         let mut params = Vec::new();
         if !self.eat(&TokenKind::RParen) {
             loop {
                 let is_const = self.eat_ident("const");
                 let ty = self.parse_type()?;
-                let pname = self.expect_ident("a parameter name")?;
+                let pname = self.expect_ident("a parameter name")?.to_string();
                 params.push(Param {
                     name: pname,
                     ty,
@@ -253,65 +299,72 @@ impl Parser {
 
     /// Parse a single statement (the body of a pragma, a loop, etc.).
     pub fn parse_stmt(&mut self) -> Result<Stmt, Diagnostic> {
+        self.descend()?;
+        let stmt = match *self.peek_kind() {
+            TokenKind::PragmaLine(text) => self.parse_pragma_stmt(text),
+            TokenKind::LBrace => self.parse_block_stmt(),
+            TokenKind::Ident("if") => self.parse_if(),
+            TokenKind::Ident("for") => self.parse_for(),
+            TokenKind::Ident("while") => self.parse_while(),
+            TokenKind::Ident("return") => self.parse_return(),
+            TokenKind::Ident("break") => self.parse_jump(StmtKind::Break, "';' after break"),
+            TokenKind::Ident("continue") => {
+                self.parse_jump(StmtKind::Continue, "';' after continue")
+            }
+            TokenKind::Ident(_) | TokenKind::PlusPlus | TokenKind::MinusMinus => {
+                self.parse_simple_stmt_semi()
+            }
+            _ => Err(self.unexpected("at start of statement")),
+        }?;
+        self.depth -= 1;
+        Ok(stmt)
+    }
+
+    fn parse_pragma_stmt(&mut self, text: &str) -> Result<Stmt, Diagnostic> {
         let line = self.line();
-        match self.peek_kind().clone() {
-            TokenKind::PragmaLine(text) => {
-                self.bump();
-                let directive = parse_pragma(&text, line)?;
-                let body = if directive.kind.takes_body() {
-                    Some(Box::new(self.parse_stmt()?))
-                } else {
-                    None
-                };
-                Ok(Stmt::new(
-                    StmtKind::Pragma(PragmaStmt { directive, body }),
-                    line,
-                ))
-            }
-            TokenKind::LBrace => {
-                let block = self.parse_block()?;
-                Ok(Stmt::new(StmtKind::Block(block), line))
-            }
-            TokenKind::Ident(word) => match word.as_str() {
-                "if" => self.parse_if(),
-                "for" => self.parse_for(),
-                "while" => self.parse_while(),
-                "return" => {
-                    self.bump();
-                    let value = if self.peek_kind() == &TokenKind::Semi {
-                        None
-                    } else {
-                        Some(self.parse_expr()?)
-                    };
-                    self.expect(&TokenKind::Semi, "';' after return")?;
-                    Ok(Stmt::new(StmtKind::Return(value), line))
-                }
-                "break" => {
-                    self.bump();
-                    self.expect(&TokenKind::Semi, "';' after break")?;
-                    Ok(Stmt::new(StmtKind::Break, line))
-                }
-                "continue" => {
-                    self.bump();
-                    self.expect(&TokenKind::Semi, "';' after continue")?;
-                    Ok(Stmt::new(StmtKind::Continue, line))
-                }
-                _ => {
-                    let stmt = self.parse_simple_stmt()?;
-                    self.expect(&TokenKind::Semi, "';' after statement")?;
-                    Ok(stmt)
-                }
-            },
-            TokenKind::PlusPlus | TokenKind::MinusMinus => {
-                let stmt = self.parse_simple_stmt()?;
-                self.expect(&TokenKind::Semi, "';' after statement")?;
-                Ok(stmt)
-            }
-            other => Err(Diagnostic::error(
-                line,
-                format!("unexpected token '{other}' at start of statement"),
-            )),
-        }
+        self.bump();
+        let directive = parse_pragma(text, line)?;
+        let body = if directive.kind.takes_body() {
+            Some(Box::new(self.parse_stmt()?))
+        } else {
+            None
+        };
+        Ok(Stmt::new(
+            StmtKind::Pragma(PragmaStmt { directive, body }),
+            line,
+        ))
+    }
+
+    fn parse_block_stmt(&mut self) -> Result<Stmt, Diagnostic> {
+        let line = self.line();
+        let block = self.parse_block()?;
+        Ok(Stmt::new(StmtKind::Block(block), line))
+    }
+
+    fn parse_return(&mut self) -> Result<Stmt, Diagnostic> {
+        let line = self.line();
+        self.bump();
+        let value = if self.peek_kind() == &TokenKind::Semi {
+            None
+        } else {
+            Some(self.parse_expr()?)
+        };
+        self.expect(&TokenKind::Semi, "';' after return")?;
+        Ok(Stmt::new(StmtKind::Return(value), line))
+    }
+
+    /// `break;` or `continue;`.
+    fn parse_jump(&mut self, kind: StmtKind, semi: &str) -> Result<Stmt, Diagnostic> {
+        let line = self.line();
+        self.bump();
+        self.expect(&TokenKind::Semi, semi)?;
+        Ok(Stmt::new(kind, line))
+    }
+
+    fn parse_simple_stmt_semi(&mut self) -> Result<Stmt, Diagnostic> {
+        let stmt = self.parse_simple_stmt()?;
+        self.expect(&TokenKind::Semi, "';' after statement")?;
+        Ok(stmt)
     }
 
     fn parse_if(&mut self) -> Result<Stmt, Diagnostic> {
@@ -348,6 +401,13 @@ impl Parser {
 
     fn parse_for(&mut self) -> Result<Stmt, Diagnostic> {
         let line = self.line();
+        let mut for_stmt = self.parse_for_clauses()?;
+        for_stmt.body = self.parse_stmt_as_block()?;
+        Ok(Stmt::new(StmtKind::For(for_stmt), line))
+    }
+
+    /// `for (init; cond; step)`, each clause optional, with an empty body.
+    fn parse_for_clauses(&mut self) -> Result<ForStmt, Diagnostic> {
         self.bump(); // for
         self.expect(&TokenKind::LParen, "'(' after for")?;
         let init = if self.peek_kind() == &TokenKind::Semi {
@@ -368,16 +428,12 @@ impl Parser {
             Some(Box::new(self.parse_simple_stmt()?))
         };
         self.expect(&TokenKind::RParen, "')' after for clauses")?;
-        let body = self.parse_stmt_as_block()?;
-        Ok(Stmt::new(
-            StmtKind::For(ForStmt {
-                init,
-                cond,
-                step,
-                body,
-            }),
-            line,
-        ))
+        Ok(ForStmt {
+            init,
+            cond,
+            step,
+            body: Block::default(),
+        })
     }
 
     fn parse_while(&mut self) -> Result<Stmt, Diagnostic> {
@@ -400,11 +456,12 @@ impl Parser {
             self.peek_kind(),
             TokenKind::PlusPlus | TokenKind::MinusMinus
         ) {
-            let op = if self.bump().kind == TokenKind::PlusPlus {
+            let op = if self.peek_kind() == &TokenKind::PlusPlus {
                 AssignOp::AddAssign
             } else {
                 AssignOp::SubAssign
             };
+            self.bump();
             let target = self.parse_postfix_expr()?;
             return Ok(Stmt::new(
                 StmtKind::Assign {
@@ -434,7 +491,7 @@ impl Parser {
         if matches!(self.peek_kind(), TokenKind::Ident(_))
             && self.peek_ahead(1) == &TokenKind::TripleLt
         {
-            let kernel = self.expect_ident("kernel name")?;
+            let kernel = self.expect_ident("kernel name")?.to_string();
             self.expect(&TokenKind::TripleLt, "'<<<' in kernel launch")?;
             let grid = self.parse_expr()?;
             self.expect(&TokenKind::Comma, "',' between grid and block dims")?;
@@ -515,7 +572,7 @@ impl Parser {
     fn parse_var_decl(&mut self) -> Result<VarDecl, Diagnostic> {
         let is_const = self.eat_ident("const");
         let ty = self.parse_type()?;
-        let name = self.expect_ident("a variable name")?;
+        let name = self.expect_ident("a variable name")?.to_string();
 
         // dim3 constructor form: dim3 block(x, y, z);
         if ty == Type::Dim3 && self.peek_kind() == &TokenKind::LParen {
@@ -569,23 +626,28 @@ impl Parser {
 
     /// Parse an expression.
     pub fn parse_expr(&mut self) -> Result<Expr, Diagnostic> {
-        self.parse_ternary()
+        self.descend()?;
+        let cond = self.parse_binary(0)?;
+        let expr = if self.peek_kind() == &TokenKind::Question {
+            self.parse_ternary(cond)?
+        } else {
+            cond
+        };
+        self.depth -= 1;
+        Ok(expr)
     }
 
-    fn parse_ternary(&mut self) -> Result<Expr, Diagnostic> {
-        let cond = self.parse_binary(0)?;
-        if self.eat(&TokenKind::Question) {
-            let then_expr = self.parse_expr()?;
-            self.expect(&TokenKind::Colon, "':' in ternary expression")?;
-            let else_expr = self.parse_expr()?;
-            Ok(Expr::Ternary {
-                cond: Box::new(cond),
-                then_expr: Box::new(then_expr),
-                else_expr: Box::new(else_expr),
-            })
-        } else {
-            Ok(cond)
-        }
+    /// `? then : else` after the condition `cond`.
+    fn parse_ternary(&mut self, cond: Expr) -> Result<Expr, Diagnostic> {
+        self.bump(); // ?
+        let then_expr = self.parse_expr()?;
+        self.expect(&TokenKind::Colon, "':' in ternary expression")?;
+        let else_expr = self.parse_expr()?;
+        Ok(Expr::Ternary {
+            cond: Box::new(cond),
+            then_expr: Box::new(then_expr),
+            else_expr: Box::new(else_expr),
+        })
     }
 
     fn binop_for(&self, kind: &TokenKind) -> Option<(BinOp, u8)> {
@@ -627,67 +689,51 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<Expr, Diagnostic> {
-        match self.peek_kind() {
-            TokenKind::Minus => {
-                self.bump();
-                let operand = self.parse_unary()?;
-                Ok(Expr::Unary {
-                    op: UnOp::Neg,
-                    operand: Box::new(operand),
-                })
-            }
-            TokenKind::Not => {
-                self.bump();
-                let operand = self.parse_unary()?;
-                Ok(Expr::Unary {
-                    op: UnOp::Not,
-                    operand: Box::new(operand),
-                })
-            }
-            TokenKind::Amp => {
-                self.bump();
-                let operand = self.parse_unary()?;
-                Ok(Expr::Unary {
-                    op: UnOp::AddrOf,
-                    operand: Box::new(operand),
-                })
-            }
-            TokenKind::Star => {
-                self.bump();
-                let operand = self.parse_unary()?;
-                Ok(Expr::Unary {
-                    op: UnOp::Deref,
-                    operand: Box::new(operand),
-                })
-            }
-            _ => self.parse_postfix_expr(),
-        }
+        let op = match self.peek_kind() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Not => UnOp::Not,
+            TokenKind::Amp => UnOp::AddrOf,
+            TokenKind::Star => UnOp::Deref,
+            _ => return self.parse_postfix_expr(),
+        };
+        self.bump();
+        let operand = self.parse_operand()?;
+        Ok(Expr::Unary {
+            op,
+            operand: Box::new(operand),
+        })
+    }
+
+    /// The operand of a unary operator or a cast, one level deeper.
+    fn parse_operand(&mut self) -> Result<Expr, Diagnostic> {
+        self.descend()?;
+        let operand = self.parse_unary()?;
+        self.depth -= 1;
+        Ok(operand)
     }
 
     fn parse_postfix_expr(&mut self) -> Result<Expr, Diagnostic> {
         let mut expr = self.parse_primary()?;
-        loop {
-            match self.peek_kind() {
-                TokenKind::LBracket => {
-                    self.bump();
-                    let index = self.parse_expr()?;
-                    self.expect(&TokenKind::RBracket, "']' after subscript")?;
-                    expr = Expr::index(expr, index);
-                }
-                TokenKind::Dot => {
-                    self.bump();
-                    let field = self.expect_ident("a member name")?;
-                    expr = Expr::member(expr, field);
-                }
-                _ => break,
-            }
+        while matches!(self.peek_kind(), TokenKind::LBracket | TokenKind::Dot) {
+            expr = self.parse_suffix(expr)?;
         }
         Ok(expr)
     }
 
+    /// A subscript `[index]` or member `.field` applied to `base`.
+    fn parse_suffix(&mut self, base: Expr) -> Result<Expr, Diagnostic> {
+        if self.eat(&TokenKind::Dot) {
+            let field = self.expect_ident("a member name")?;
+            return Ok(Expr::member(base, field));
+        }
+        self.bump(); // [
+        let index = self.parse_expr()?;
+        self.expect(&TokenKind::RBracket, "']' after subscript")?;
+        Ok(Expr::index(base, index))
+    }
+
     fn parse_primary(&mut self) -> Result<Expr, Diagnostic> {
-        let line = self.line();
-        match self.peek_kind().clone() {
+        match *self.peek_kind() {
             TokenKind::IntLit(v) => {
                 self.bump();
                 Ok(Expr::IntLit(v))
@@ -696,62 +742,70 @@ impl Parser {
                 self.bump();
                 Ok(Expr::FloatLit(v))
             }
-            TokenKind::StrLit(s) => {
+            TokenKind::StrLit(ref s) => {
+                let s = s.to_string();
                 self.bump();
                 Ok(Expr::StrLit(s))
             }
+            TokenKind::Ident("sizeof") => self.parse_sizeof(),
+            TokenKind::Ident(name) if self.peek_ahead(1) == &TokenKind::LParen => {
+                self.parse_call(name)
+            }
             TokenKind::Ident(name) => {
-                if name == "sizeof" {
-                    self.bump();
-                    self.expect(&TokenKind::LParen, "'(' after sizeof")?;
-                    let ty = self.parse_type()?;
-                    self.expect(&TokenKind::RParen, "')' after sizeof type")?;
-                    return Ok(Expr::Sizeof(ty));
-                }
-                // Function call: ident '('
-                if self.peek_ahead(1) == &TokenKind::LParen {
-                    self.bump();
-                    self.bump();
-                    let mut args = Vec::new();
-                    if !self.eat(&TokenKind::RParen) {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if self.eat(&TokenKind::Comma) {
-                                continue;
-                            }
-                            self.expect(&TokenKind::RParen, "')' after call arguments")?;
-                            break;
-                        }
-                    }
-                    return Ok(Expr::call(name, args));
-                }
                 self.bump();
-                Ok(Expr::Ident(name))
+                Ok(Expr::Ident(name.to_string()))
             }
-            TokenKind::LParen => {
-                // Either a cast `(T*) expr` / `(T) expr` or a parenthesized expression.
-                if let TokenKind::Ident(word) = self.peek_ahead(1) {
-                    if TYPE_KEYWORDS.contains(&word.as_str()) {
-                        self.bump(); // (
-                        let ty = self.parse_type()?;
-                        self.expect(&TokenKind::RParen, "')' after cast type")?;
-                        let expr = self.parse_unary()?;
-                        return Ok(Expr::Cast {
-                            ty,
-                            expr: Box::new(expr),
-                        });
-                    }
-                }
-                self.bump();
-                let expr = self.parse_expr()?;
-                self.expect(&TokenKind::RParen, "')' after parenthesized expression")?;
-                Ok(expr)
-            }
-            other => Err(Diagnostic::error(
-                line,
-                format!("unexpected token '{other}' in expression"),
-            )),
+            TokenKind::LParen => match *self.peek_ahead(1) {
+                // A cast `(T*) expr` / `(T) expr`.
+                TokenKind::Ident(word) if TYPE_KEYWORDS.contains(&word) => self.parse_cast(),
+                _ => self.parse_parenthesized(),
+            },
+            _ => Err(self.unexpected("in expression")),
         }
+    }
+
+    fn parse_sizeof(&mut self) -> Result<Expr, Diagnostic> {
+        self.bump();
+        self.expect(&TokenKind::LParen, "'(' after sizeof")?;
+        let ty = self.parse_type()?;
+        self.expect(&TokenKind::RParen, "')' after sizeof type")?;
+        Ok(Expr::Sizeof(ty))
+    }
+
+    /// `name(args...)`, at `name`.
+    fn parse_call(&mut self, name: &str) -> Result<Expr, Diagnostic> {
+        self.bump();
+        self.bump();
+        let mut args = Vec::new();
+        if !self.eat(&TokenKind::RParen) {
+            loop {
+                args.push(self.parse_expr()?);
+                if self.eat(&TokenKind::Comma) {
+                    continue;
+                }
+                self.expect(&TokenKind::RParen, "')' after call arguments")?;
+                break;
+            }
+        }
+        Ok(Expr::call(name, args))
+    }
+
+    fn parse_cast(&mut self) -> Result<Expr, Diagnostic> {
+        self.bump(); // (
+        let ty = self.parse_type()?;
+        self.expect(&TokenKind::RParen, "')' after cast type")?;
+        let expr = self.parse_operand()?;
+        Ok(Expr::Cast {
+            ty,
+            expr: Box::new(expr),
+        })
+    }
+
+    fn parse_parenthesized(&mut self) -> Result<Expr, Diagnostic> {
+        self.bump();
+        let expr = self.parse_expr()?;
+        self.expect(&TokenKind::RParen, "')' after parenthesized expression")?;
+        Ok(expr)
     }
 }
 
@@ -761,16 +815,16 @@ impl Parser {
 pub fn parse_pragma(text: &str, line: u32) -> Result<OmpDirective, Diagnostic> {
     let tokens = Lexer::tokenize(text).map_err(|d| Diagnostic::error(line, d.message))?;
     let mut p = PragmaParser {
-        tokens,
-        pos: 0,
+        p: Parser::new(tokens, Dialect::OmpLite),
         line,
     };
     p.parse()
 }
 
-struct PragmaParser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Directive words and clauses over the pragma's own tokens; clause
+/// expressions go to the wrapped expression parser.
+struct PragmaParser<'a> {
+    p: Parser<'a>,
     line: u32,
 }
 
@@ -788,19 +842,13 @@ const CLAUSE_NAMES: &[&str] = &[
     "simd",
 ];
 
-impl PragmaParser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+impl<'a> PragmaParser<'a> {
+    fn peek(&self) -> &TokenKind<'a> {
+        self.p.peek_kind()
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .kind
-            .clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
-        }
-        t
+    fn bump(&mut self) {
+        self.p.bump();
     }
 
     fn err(&self, msg: impl Into<String>) -> Diagnostic {
@@ -819,52 +867,64 @@ impl PragmaParser {
         }
     }
 
-    fn parse(&mut self) -> Result<OmpDirective, Diagnostic> {
-        match self.peek().clone() {
-            TokenKind::Ident(s) if s == "omp" => {
-                self.bump();
-            }
-            other => return Err(self.err(format!("unsupported pragma '{other}' (expected 'omp')"))),
-        }
+    /// The current token as an identifier, stepped past, or `None` with
+    /// the position left on it.
+    fn ident(&mut self) -> Option<&'a str> {
+        let TokenKind::Ident(s) = *self.peek() else {
+            return None;
+        };
+        self.bump();
+        Some(s)
+    }
 
-        // Collect directive words until a clause name followed by '(' or EOF.
-        let mut words: Vec<String> = Vec::new();
-        while let TokenKind::Ident(w) = self.peek().clone() {
-            if CLAUSE_NAMES.contains(&w.as_str()) {
+    fn parse(&mut self) -> Result<OmpDirective, Diagnostic> {
+        if self.peek() != &TokenKind::Ident("omp") {
+            return Err(self.err(format!(
+                "unsupported pragma '{}' (expected 'omp')",
+                self.peek()
+            )));
+        }
+        self.bump();
+
+        // Collect directive words until a clause name or a non-word.
+        let mut words: Vec<&str> = Vec::new();
+        while let TokenKind::Ident(w) = *self.peek() {
+            if CLAUSE_NAMES.contains(&w) {
                 break;
             }
             words.push(w);
             self.bump();
         }
-        let joined = words.join(" ");
-        let kind = match joined.as_str() {
-            "parallel for" => OmpDirectiveKind::ParallelFor,
-            "target teams distribute parallel for" => {
+        let kind = match words.as_slice() {
+            ["parallel", "for"] => OmpDirectiveKind::ParallelFor,
+            ["target", "teams", "distribute", "parallel", "for"] => {
                 OmpDirectiveKind::TargetTeamsDistributeParallelFor
             }
-            "target data" => OmpDirectiveKind::TargetData,
-            "atomic" | "atomic update" => OmpDirectiveKind::Atomic,
-            "barrier" => OmpDirectiveKind::Barrier,
-            other => {
+            ["target", "data"] => OmpDirectiveKind::TargetData,
+            ["atomic"] | ["atomic", "update"] => OmpDirectiveKind::Atomic,
+            ["barrier"] => OmpDirectiveKind::Barrier,
+            _ => {
                 return Err(self.err(format!(
-                    "unknown or unsupported OpenMP directive 'omp {other}'"
+                    "unknown or unsupported OpenMP directive 'omp {}'",
+                    words.join(" ")
                 )))
             }
         };
 
         let mut clauses = Vec::new();
         loop {
-            match self.peek().clone() {
+            match *self.peek() {
                 TokenKind::Eof => break,
-                TokenKind::Comma => {
-                    self.bump();
-                }
+                TokenKind::Comma => self.bump(),
                 TokenKind::Ident(name) => {
                     self.bump();
-                    clauses.push(self.parse_clause(&name)?);
+                    clauses.push(self.parse_clause(name)?);
                 }
-                other => {
-                    return Err(self.err(format!("unexpected token '{other}' in pragma clauses")))
+                _ => {
+                    return Err(self.err(format!(
+                        "unexpected token '{}' in pragma clauses",
+                        self.peek()
+                    )))
                 }
             }
         }
@@ -873,23 +933,18 @@ impl PragmaParser {
     }
 
     fn parse_expr(&mut self) -> Result<Expr, Diagnostic> {
-        // Reuse the main expression parser over the remaining tokens.
-        let rest: Vec<Token> = self.tokens[self.pos..].to_vec();
-        let mut sub = Parser::new(rest, Dialect::OmpLite);
-        let expr = sub
+        self.p
             .parse_expr()
-            .map_err(|d| Diagnostic::error(self.line, d.message))?;
-        self.pos += sub.pos;
-        Ok(expr)
+            .map_err(|d| Diagnostic::error(self.line, d.message))
     }
 
     fn parse_var_list(&mut self) -> Result<Vec<String>, Diagnostic> {
         let mut vars = Vec::new();
         loop {
-            match self.bump() {
-                TokenKind::Ident(v) => vars.push(v),
-                other => return Err(self.err(format!("expected a variable name, found '{other}'"))),
-            }
+            let Some(v) = self.ident() else {
+                return Err(self.err(format!("expected a variable name, found '{}'", self.peek())));
+            };
+            vars.push(v.to_string());
             if self.peek() == &TokenKind::Comma {
                 self.bump();
                 continue;
@@ -911,15 +966,14 @@ impl PragmaParser {
             "map" => {
                 self.expect_kind(&TokenKind::LParen, "'(' after map")?;
                 // map kind is optional; defaults to tofrom
-                let kind = match self.peek().clone() {
+                let kind = match *self.peek() {
                     TokenKind::Ident(k)
-                        if matches!(k.as_str(), "to" | "from" | "tofrom" | "alloc")
-                            && self.tokens.get(self.pos + 1).map(|t| &t.kind)
-                                == Some(&TokenKind::Colon) =>
+                        if matches!(k, "to" | "from" | "tofrom" | "alloc")
+                            && self.p.peek_ahead(1) == &TokenKind::Colon =>
                     {
                         self.bump();
                         self.bump(); // ':'
-                        match k.as_str() {
+                        match k {
                             "to" => MapKind::To,
                             "from" => MapKind::From,
                             "alloc" => MapKind::Alloc,
@@ -930,14 +984,13 @@ impl PragmaParser {
                 };
                 let mut sections = Vec::new();
                 loop {
-                    let var = match self.bump() {
-                        TokenKind::Ident(v) => v,
-                        other => {
-                            return Err(
-                                self.err(format!("expected a mapped variable, found '{other}'"))
-                            )
-                        }
+                    let Some(var) = self.ident() else {
+                        return Err(self.err(format!(
+                            "expected a mapped variable, found '{}'",
+                            self.peek()
+                        )));
                     };
+                    let var = var.to_string();
                     let (lower, len) = if self.peek() == &TokenKind::LBracket {
                         self.bump();
                         let lower = self.parse_expr()?;
@@ -960,15 +1013,16 @@ impl PragmaParser {
             }
             "reduction" => {
                 self.expect_kind(&TokenKind::LParen, "'(' after reduction")?;
-                let op = match self.bump() {
+                let op = match *self.peek() {
                     TokenKind::Plus => ReductionOp::Add,
                     TokenKind::Star => ReductionOp::Mul,
-                    TokenKind::Ident(s) if s == "min" => ReductionOp::Min,
-                    TokenKind::Ident(s) if s == "max" => ReductionOp::Max,
-                    other => {
+                    TokenKind::Ident("min") => ReductionOp::Min,
+                    TokenKind::Ident("max") => ReductionOp::Max,
+                    ref other => {
                         return Err(self.err(format!("unsupported reduction operator '{other}'")))
                     }
                 };
+                self.bump();
                 self.expect_kind(&TokenKind::Colon, "':' in reduction clause")?;
                 let vars = self.parse_var_list()?;
                 self.expect_kind(&TokenKind::RParen, "')' after reduction clause")?;
@@ -986,12 +1040,13 @@ impl PragmaParser {
             }
             "schedule" => {
                 self.expect_kind(&TokenKind::LParen, "'(' after schedule")?;
-                let kind = match self.bump() {
-                    TokenKind::Ident(s) if s == "static" => ScheduleKind::Static,
-                    TokenKind::Ident(s) if s == "dynamic" => ScheduleKind::Dynamic,
-                    TokenKind::Ident(s) if s == "guided" => ScheduleKind::Guided,
-                    other => return Err(self.err(format!("unknown schedule kind '{other}'"))),
+                let kind = match *self.peek() {
+                    TokenKind::Ident("static") => ScheduleKind::Static,
+                    TokenKind::Ident("dynamic") => ScheduleKind::Dynamic,
+                    TokenKind::Ident("guided") => ScheduleKind::Guided,
+                    ref other => return Err(self.err(format!("unknown schedule kind '{other}'"))),
                 };
+                self.bump();
                 let chunk = if self.peek() == &TokenKind::Comma {
                     self.bump();
                     Some(self.parse_expr()?)
@@ -1003,14 +1058,15 @@ impl PragmaParser {
             }
             "collapse" => {
                 self.expect_kind(&TokenKind::LParen, "'(' after collapse")?;
-                let n = match self.bump() {
+                let n = match *self.peek() {
                     TokenKind::IntLit(v) if v >= 1 => v as u32,
-                    other => {
+                    ref other => {
                         return Err(self.err(format!(
                             "collapse expects a positive integer, found '{other}'"
                         )))
                     }
                 };
+                self.bump();
                 self.expect_kind(&TokenKind::RParen, "')' after collapse clause")?;
                 Ok(OmpClause::Collapse(n))
             }
@@ -1324,6 +1380,51 @@ mod tests {
             "__global__ void k(float* a) { int i = blockIdx.x * blockDim.x + threadIdx.x; a[i] = sqrt(fabs(a[i])); } int main() { return 0; }",
         );
         assert_eq!(p.kernels().count(), 1);
+    }
+
+    /// Each form that nests, `depth` levels deep.
+    fn nested_forms(depth: usize) -> Vec<(&'static str, String)> {
+        let main = |body: String| format!("int main() {{ int x = 0; int a[4]; {body} return 0; }}");
+        let nest = |open: &str, inner: &str, close: &str| {
+            format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+        };
+        let expr = |open: &str, close: &str| main(format!("x = {};", nest(open, "0", close)));
+        vec![
+            ("parentheses", expr("(", ")")),
+            ("negation", expr("- ", "")),
+            ("not", expr("!", "")),
+            ("casts", expr("(int)", "")),
+            ("ternaries", expr("1 ? 1 : ", "")),
+            ("subscripts", expr("a[", "]")),
+            ("calls", expr("abs(", ")")),
+            ("blocks", main(nest("{", "", "}"))),
+            ("ifs", main(nest("if (x) ", "x = 1;", ""))),
+            ("fors", main(nest("for (;;) ", "break;", ""))),
+            ("whiles", main(nest("while (x) ", "break;", ""))),
+            ("pragmas", main(nest("#pragma omp atomic\n", "x += 1;", ""))),
+        ]
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_without_exhausting_the_stack() {
+        for (form, src) in nested_forms(100_000) {
+            let err = parse(&src, Dialect::OmpLite).unwrap_err();
+            assert_eq!(err.code, "parse/nesting-too-deep", "{form}: {err:?}");
+            assert_eq!(
+                err.message,
+                format!("nesting deeper than {MAX_NESTING} levels"),
+                "{form}"
+            );
+        }
+    }
+
+    #[test]
+    fn nesting_below_the_cap_parses() {
+        for (form, src) in nested_forms(MAX_NESTING - 4) {
+            if let Err(err) = parse(&src, Dialect::OmpLite) {
+                panic!("{form}: {err:?}");
+            }
+        }
     }
 
     #[test]

@@ -398,6 +398,14 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_keeps_non_ascii_text() {
+        let src = "int main() {\n    double s = 0.0;\n    #pragma omp atomic // somme partielle, déjà réduite\n    s += 1.0;\n    printf(\"café %d ✓\\n\", 1);\n    return 0;\n}\n";
+        roundtrip(src, Dialect::OmpLite);
+        let printed = print_program(&parse(src, Dialect::OmpLite).unwrap());
+        assert!(printed.contains("\"café %d ✓\\n\""), "{printed}");
+    }
+
+    #[test]
     fn roundtrip_cuda_kernel() {
         roundtrip(
             r#"

@@ -1,21 +1,27 @@
 //! Token definitions for the ParC lexer.
+//!
+//! Tokens borrow their text from the source they were lexed from: an
+//! identifier, a pragma line and a string literal without escapes are
+//! slices of it, so lexing allocates nothing per token.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// The kind of a lexed token.
+/// The kind of a lexed token, borrowing its payload from the source `'a`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     // Literals and identifiers
     /// Integer literal, e.g. `42`.
     IntLit(i64),
     /// Floating-point literal, e.g. `3.5`, `1e-6`, `2.0f`.
     FloatLit(f64),
-    /// String literal with escapes already resolved, e.g. `"a\n"`.
-    StrLit(String),
+    /// String literal with escapes already resolved, e.g. `"a\n"`: a slice
+    /// of the source unless the literal has an escape.
+    StrLit(Cow<'a, str>),
     /// Identifier or keyword-like word (`int`, `__global__`, `foo`).
-    Ident(String),
+    Ident(&'a str),
     /// A `#pragma ...` line: the raw text after `#pragma`, without the newline.
-    PragmaLine(String),
+    PragmaLine(&'a str),
 
     // Punctuation
     /// `(`
@@ -103,7 +109,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::IntLit(v) => write!(f, "{v}"),
@@ -157,22 +163,22 @@ impl fmt::Display for TokenKind {
 
 /// A token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// 1-based line on which the token starts.
     pub line: u32,
 }
 
-impl Token {
+impl<'a> Token<'a> {
     /// Construct a token.
-    pub fn new(kind: TokenKind, line: u32) -> Self {
+    pub fn new(kind: TokenKind<'a>, line: u32) -> Self {
         Token { kind, line }
     }
 
     /// Returns the identifier text if this token is an identifier.
-    pub fn as_ident(&self) -> Option<&str> {
-        match &self.kind {
+    pub fn as_ident(&self) -> Option<&'a str> {
+        match self.kind {
             TokenKind::Ident(s) => Some(s),
             _ => None,
         }
@@ -185,7 +191,7 @@ mod tests {
 
     #[test]
     fn ident_accessor() {
-        let t = Token::new(TokenKind::Ident("foo".into()), 3);
+        let t = Token::new(TokenKind::Ident("foo"), 3);
         assert_eq!(t.as_ident(), Some("foo"));
         let t = Token::new(TokenKind::IntLit(1), 3);
         assert_eq!(t.as_ident(), None);
