@@ -115,16 +115,17 @@ fn host_program(vars: &str, body: &str) -> String {
 }
 
 /// `body` run by each thread of a one-block kernel, which stores the result
-/// variables for `main` to print.
+/// variables for `main` to print. The pointer `p` is a parameter: a
+/// `long* p = ol;` declaration would keep the kernel out of lockstep.
 fn kernel_program(vars: &str, body: &str) -> String {
     format!(
-        "__global__ void k(long* ol, double* od) {{ {vars} int t = threadIdx.x; i = i + t; \
-         long* p = ol; long* q; long s = 0; int n = 1; float g = 1.5; double w = 0.25; {body} \
+        "__global__ void k(long* ol, double* od, long* p) {{ {vars} int t = threadIdx.x; i = i + t; \
+         long* q; long s = 0; int n = 1; float g = 1.5; double w = 0.25; {body} \
          ol[t * 2] = s; ol[t * 2 + 1] = n; od[t * 2] = g; od[t * 2 + 1] = w; }} \
          int main() {{ long* hl = (long*)malloc(8 * sizeof(long)); \
          double* hd = (double*)malloc(8 * sizeof(double)); long* dl; double* dd; \
          cudaMalloc(&dl, 8 * sizeof(long)); cudaMalloc(&dd, 8 * sizeof(double)); \
-         k<<<1, 4>>>(dl, dd); \
+         k<<<1, 4>>>(dl, dd, dl); \
          cudaMemcpy(hl, dl, 8 * sizeof(long), cudaMemcpyDeviceToHost); \
          cudaMemcpy(hd, dd, 8 * sizeof(double), cudaMemcpyDeviceToHost); \
          for (int t = 0; t < 8; t++) {{ printf(\"%ld %.17e\\n\", hl[t], hd[t]); }} \
@@ -194,11 +195,14 @@ fn assert_engines_agree(src: &str, dialect: Dialect) -> Result<ExecutionReport, 
     vm
 }
 
-/// Every context of `e`, in a host program and in a kernel.
+/// Every context of `e`, in a host program and in a kernel that runs in
+/// lockstep.
 fn assert_operator_parity(vars: &str, e: &str) {
     for body in contexts(e) {
         let _ = assert_engines_agree(&host_program(vars, &body), Dialect::CudaLite);
-        let _ = assert_engines_agree(&kernel_program(vars, &body), Dialect::CudaLite);
+        let kernel = kernel_program(vars, &body);
+        assert_eq!(lockstep_marks(&kernel, Dialect::CudaLite), [true], "{kernel}");
+        let _ = assert_engines_agree(&kernel, Dialect::CudaLite);
     }
 }
 
