@@ -70,13 +70,23 @@
 //! Any other operator feeding a branch (`if (x % 2)`) is followed by a
 //! separate `JumpIfFalse`, which charges nothing.
 //!
+//! What these operators compute over two `Int`s or two `Float`s is written
+//! once, in `int_result` and `float_result`, and every form's operands
+//! decode to one [`Form`] (`Instr::operator`). The VM's dispatch loop and
+//! the lockstep lanes both call them, like the other shared handlers below
+//! (`neg`, `not`, `SpecialIdent::load`, `omp_query`, `rmw_var`,
+//! [`MathFn::apply`]).
+//!
 //! A plain store to an `int`/`long`/`bool`, `float` or `double` binding is
 //! [`Instr::StoreInt`], [`Instr::StoreF32`] or [`Instr::StoreF64`], chosen
 //! by the binding's declared type; pointer, `dim3` and `void` bindings keep
 //! the coercing [`Instr::StoreVar`].
 
-use lassi_lang::BinOp;
+use lassi_lang::{BinOp, Type};
 
+use crate::cost::CostCounter;
+use crate::error::ExecError;
+use crate::eval::{apply_binop, EvalContext};
 use crate::value::Value;
 
 /// A frame-relative register index.
@@ -115,6 +125,31 @@ impl SpecialIdent {
             SpecialIdent::BlockDim => "blockDim",
             SpecialIdent::GridDim => "gridDim",
         }
+    }
+
+    /// [`Instr::LoadDim`]'s read in `ctx`: the whole `dim3`, or component
+    /// `axis` of it; `None` outside a device thread.
+    #[inline(always)]
+    pub(crate) fn load(self, ctx: &EvalContext, axis: Option<u8>) -> Option<Value> {
+        let EvalContext::DeviceThread {
+            thread_idx,
+            block_idx,
+            block_dim,
+            grid_dim,
+        } = *ctx
+        else {
+            return None;
+        };
+        let d = match self {
+            SpecialIdent::ThreadIdx => thread_idx,
+            SpecialIdent::BlockIdx => block_idx,
+            SpecialIdent::BlockDim => block_dim,
+            SpecialIdent::GridDim => grid_dim,
+        };
+        Some(match axis {
+            Some(a) => Value::Int(d.axis(a) as i64),
+            None => Value::Dim3(d),
+        })
     }
 }
 
@@ -229,6 +264,98 @@ pub enum FlowKind {
     Continue,
 }
 
+// ------------------------------------------------------ shared semantics
+//
+// What an instruction computes, over plain values: the VM's dispatch loop
+// and the lockstep lanes both call these, so the two cannot drift. The
+// tree-walking evaluator keeps its own copy, because it is the oracle.
+
+/// `a op b` over two `Int`s, for an operator with instructions of its own,
+/// like `int_binop`: wrapping, and `None` for a zero divisor. Inlined with
+/// `op` fixed at each call site, it folds to that one operator.
+#[inline(always)]
+pub(crate) fn int_result(op: BinOp, a: i64, b: i64) -> Option<i64> {
+    Some(match op {
+        BinOp::Add => a.wrapping_add(b),
+        BinOp::Sub => a.wrapping_sub(b),
+        BinOp::Mul => a.wrapping_mul(b),
+        BinOp::Div | BinOp::Rem if b == 0 => return None,
+        BinOp::Div => a.wrapping_div(b),
+        BinOp::Rem => a.wrapping_rem(b),
+        BinOp::Lt => (a < b) as i64,
+        BinOp::Gt => (a > b) as i64,
+        BinOp::Le => (a <= b) as i64,
+        BinOp::Ge => (a >= b) as i64,
+        BinOp::Eq => (a == b) as i64,
+        BinOp::Ne => (a != b) as i64,
+        BinOp::And => (a != 0 && b != 0) as i64,
+        _ => unreachable!("{op:?} has no instruction of its own"),
+    })
+}
+
+/// `a op b` over two `Float`s, for an operator with instructions of its
+/// own, like `mixed_binop`: comparisons and `&&` yield `Int(0|1)`.
+#[inline(always)]
+pub(crate) fn float_result(op: BinOp, a: f64, b: f64) -> Value {
+    let flag = |c: bool| Value::Int(c as i64);
+    match op {
+        BinOp::Add => Value::Float(a + b),
+        BinOp::Sub => Value::Float(a - b),
+        BinOp::Mul => Value::Float(a * b),
+        BinOp::Div => Value::Float(a / b),
+        BinOp::Rem => Value::Float(a % b),
+        BinOp::Lt => flag(a < b),
+        BinOp::Gt => flag(a > b),
+        BinOp::Le => flag(a <= b),
+        BinOp::Ge => flag(a >= b),
+        BinOp::Eq => flag(a == b),
+        BinOp::Ne => flag(a != b),
+        BinOp::And => flag(a != 0.0 && b != 0.0),
+        _ => unreachable!("{op:?} has no instruction of its own"),
+    }
+}
+
+/// [`Instr::Neg`], and the delta of an atomic `-=`: wrapping on an `Int`,
+/// like the binary operators.
+#[inline(always)]
+pub(crate) fn neg(v: Value) -> Value {
+    match v {
+        Value::Int(i) => Value::Int(i.wrapping_neg()),
+        other => Value::Float(-other.as_float()),
+    }
+}
+
+/// [`Instr::Not`].
+#[inline(always)]
+pub(crate) fn not(v: Value) -> Value {
+    Value::Int(!v.is_truthy() as i64)
+}
+
+/// [`Instr::RmwVar`]: `old op v`, coerced to the binding's type `ty`.
+#[inline(always)]
+pub(crate) fn rmw_var(
+    op: BinOp,
+    old: Value,
+    v: Value,
+    ty: &Type,
+    cost: &mut CostCounter,
+    line: u32,
+) -> Result<Value, ExecError> {
+    Ok(apply_binop(op, &old, &v, cost, line)?.coerce_to(ty))
+}
+
+/// [`Instr::OmpInt`] in `ctx`.
+#[inline(always)]
+pub(crate) fn omp_query(which: u8, ctx: &EvalContext) -> Value {
+    Value::Int(match (which, ctx) {
+        (0, EvalContext::OmpWorker { thread_num, .. }) => *thread_num,
+        (0, _) => 0,
+        (1, EvalContext::OmpWorker { num_threads, .. }) => *num_threads,
+        (1, _) => 1,
+        _ => 64,
+    })
+}
+
 /// Operands of a binary operator over two registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rr {
@@ -284,6 +411,49 @@ pub struct RkBr {
     pub target: u32,
     /// Steps charged on entry.
     pub pre: u32,
+}
+
+/// The right operand of an operator instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rhs {
+    /// A register.
+    Reg(Reg),
+    /// A constant-pool index.
+    Const(u32),
+}
+
+/// The operands of an operator instruction in any of the four forms. Where
+/// the form is known, converting it folds away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Form {
+    /// Destination register.
+    pub dst: Reg,
+    /// Left operand register.
+    pub l: Reg,
+    /// Right operand.
+    pub r: Rhs,
+    /// For a branch-fused form, the pc to jump to when the result is falsy.
+    pub target: Option<u32>,
+    /// Steps charged on entry.
+    pub pre: u32,
+}
+
+macro_rules! forms {
+    ($($form:ident: |$o:ident| $r:expr, $target:expr;)*) => {
+        $(impl From<$form> for Form {
+            #[inline(always)]
+            fn from($o: $form) -> Form {
+                Form { dst: $o.dst, l: $o.l, r: $r, target: $target, pre: $o.pre }
+            }
+        })*
+    };
+}
+
+forms! {
+    Rr: |o| Rhs::Reg(o.r), None;
+    Rk: |o| Rhs::Const(o.k), None;
+    RrBr: |o| Rhs::Reg(o.r), Some(o.target);
+    RkBr: |o| Rhs::Const(o.k), Some(o.target);
 }
 
 /// One VM instruction. `u32` payloads index the compiled program's constant,
@@ -1024,6 +1194,51 @@ impl Instr {
             Instr::Ne(o) if o.dst == cond => Instr::NeBr(o.branch()),
             Instr::NeK(o) if o.dst == cond => Instr::NeKBr(o.branch()),
             Instr::And(o) if o.dst == cond => Instr::AndBr(o.branch()),
+            _ => return None,
+        })
+    }
+
+    /// The operator and operands of an operator instruction.
+    pub(crate) fn operator(&self) -> Option<(BinOp, Form)> {
+        Some(match *self {
+            Instr::Binary(op, o) => (op, o.into()),
+            Instr::BinaryK(op, o) => (op, o.into()),
+            Instr::Add(o) => (BinOp::Add, o.into()),
+            Instr::AddK(o) => (BinOp::Add, o.into()),
+            Instr::Sub(o) => (BinOp::Sub, o.into()),
+            Instr::SubK(o) => (BinOp::Sub, o.into()),
+            Instr::Mul(o) => (BinOp::Mul, o.into()),
+            Instr::MulK(o) => (BinOp::Mul, o.into()),
+            Instr::Div(o) => (BinOp::Div, o.into()),
+            Instr::DivK(o) => (BinOp::Div, o.into()),
+            Instr::Rem(o) => (BinOp::Rem, o.into()),
+            Instr::RemK(o) => (BinOp::Rem, o.into()),
+            Instr::Lt(o) => (BinOp::Lt, o.into()),
+            Instr::LtK(o) => (BinOp::Lt, o.into()),
+            Instr::LtBr(o) => (BinOp::Lt, o.into()),
+            Instr::LtKBr(o) => (BinOp::Lt, o.into()),
+            Instr::Gt(o) => (BinOp::Gt, o.into()),
+            Instr::GtK(o) => (BinOp::Gt, o.into()),
+            Instr::GtBr(o) => (BinOp::Gt, o.into()),
+            Instr::GtKBr(o) => (BinOp::Gt, o.into()),
+            Instr::Le(o) => (BinOp::Le, o.into()),
+            Instr::LeK(o) => (BinOp::Le, o.into()),
+            Instr::LeBr(o) => (BinOp::Le, o.into()),
+            Instr::LeKBr(o) => (BinOp::Le, o.into()),
+            Instr::Ge(o) => (BinOp::Ge, o.into()),
+            Instr::GeK(o) => (BinOp::Ge, o.into()),
+            Instr::GeBr(o) => (BinOp::Ge, o.into()),
+            Instr::GeKBr(o) => (BinOp::Ge, o.into()),
+            Instr::Eq(o) => (BinOp::Eq, o.into()),
+            Instr::EqK(o) => (BinOp::Eq, o.into()),
+            Instr::EqBr(o) => (BinOp::Eq, o.into()),
+            Instr::EqKBr(o) => (BinOp::Eq, o.into()),
+            Instr::Ne(o) => (BinOp::Ne, o.into()),
+            Instr::NeK(o) => (BinOp::Ne, o.into()),
+            Instr::NeBr(o) => (BinOp::Ne, o.into()),
+            Instr::NeKBr(o) => (BinOp::Ne, o.into()),
+            Instr::And(o) => (BinOp::And, o.into()),
+            Instr::AndBr(o) => (BinOp::And, o.into()),
             _ => return None,
         })
     }

@@ -14,6 +14,13 @@
 //! mask stack: the compiler's code is structured, so a join point always
 //! lies above the paths that reach it.
 //!
+//! What an instruction computes is not written here: operators, `Neg`,
+//! `Not`, `LoadDim`, `OmpInt`, `RmwVar` and `MathOp` call the functions in
+//! [`super::instr`] that the VM's dispatch loop calls too, and operator
+//! instructions are read through `Instr::operator`'s one decode. This
+//! runner adds only the lane loops: one per operator with instructions of
+//! its own and form of right operand, each compiled on its own.
+//!
 //! ## Eligibility
 //!
 //! The compiler marks a unit eligible (`analyse`) when it holds only
@@ -60,7 +67,9 @@ use std::cell::Cell;
 
 use lassi_lang::BinOp;
 
-use super::instr::{FlowKind, Instr, Reg, Rk, RkBr, Rr, RrBr, SpecialIdent};
+use super::instr::{
+    float_result, int_result, neg, not, omp_query, rmw_var, FlowKind, Instr, Reg, Rhs, SpecialIdent,
+};
 use super::CompiledProgram;
 use crate::cost::CostCounter;
 use crate::eval::{apply_binop, EvalContext};
@@ -382,43 +391,6 @@ impl Lanes {
                 continue;
             }};
         }
-        // An operator over every current lane.
-        macro_rules! op {
-            ($o:expr, $op:ident, |$a:ident, $b:ident| $int:expr, $float:expr) => {{
-                let o = $o;
-                charge!(o.pre);
-                let right = o.right(regs, w, &prog.consts);
-                let (d, a) = (row(o.dst), row(o.l));
-                arith(
-                    &s.cur,
-                    w,
-                    d,
-                    a,
-                    right,
-                    cost,
-                    BinOp::$op,
-                    |$a, $b| $int,
-                    |$a, $b| $float,
-                )?;
-            }};
-        }
-        // The branch-fused form: the operator, then lanes with a falsy
-        // result go to its target.
-        macro_rules! op_br {
-            ($o:expr, $op:ident, |$a:ident, $b:ident| $int:expr, $float:expr) => {{
-                let o = $o;
-                op!(o, $op, |$a, $b| $int, $float);
-                s.branch(o.target, row(o.dst), true);
-                settle!();
-            }};
-        }
-        // A comparison, through `op!` or `op_br!`: `Int(0|1)` for two
-        // `Int`s and for two `Float`s.
-        macro_rules! cmp {
-            ($form:ident, $o:expr, $op:ident, $t:tt) => {
-                $form!($o, $op, |a, b| Some((a $t b) as i64), Value::Int((a $t b) as i64))
-            };
-        }
         loop {
             match &prog.code[s.pc] {
                 Instr::Branch { pre } => {
@@ -462,32 +434,13 @@ impl Lanes {
                     pre,
                 } => {
                     charge!(*pre);
-                    let EvalContext::DeviceThread {
-                        block_idx,
-                        block_dim,
-                        grid_dim,
-                        ..
-                    } = g.ctx
-                    else {
-                        return Err(Fallback::Replay);
-                    };
-                    let read = |d: Dim3Val| match axis {
-                        Some(a) => Value::Int(d.axis(*a) as i64),
-                        None => Value::Dim3(d),
-                    };
                     let d = row(*dst);
-                    match which {
-                        SpecialIdent::ThreadIdx => {
-                            each!(s.cur, w, |l| d[l].set(read(thread_of(l as u32, block_dim))))
-                        }
-                        uniform => {
-                            let v = read(match uniform {
-                                SpecialIdent::BlockIdx => block_idx,
-                                SpecialIdent::BlockDim => block_dim,
-                                _ => grid_dim,
-                            });
-                            each!(s.cur, w, |l| d[l].set(v));
-                        }
+                    let load = |ctx| which.load(&ctx, *axis).ok_or(Fallback::Replay);
+                    if *which == SpecialIdent::ThreadIdx {
+                        each!(s.cur, w, |l| d[l].set(load(lane_ctx(g.ctx, l))?));
+                    } else {
+                        let v = load(g.ctx)?;
+                        each!(s.cur, w, |l| d[l].set(v));
                     }
                 }
                 Instr::StoreInt { slot, src, pre } => {
@@ -527,109 +480,20 @@ impl Lanes {
                     charge!(*pre);
                     let (d, b, ty) = (row(*slot), row(*src), prog.ty(*ty));
                     each!(s.cur, w, |l| {
-                        let v = apply_binop(*op, &d[l].get(), &b[l].get(), cost, 0)
-                            .map_err(|_| Fallback::Replay)?;
-                        d[l].set(v.coerce_to(ty));
+                        let v = rmw_var(*op, d[l].get(), b[l].get(), ty, cost, 0);
+                        d[l].set(v.map_err(|_| Fallback::Replay)?);
                     });
                 }
-                Instr::Binary(op, o) => {
-                    charge!(o.pre);
-                    let (d, a, b) = (row(o.dst), row(o.l), row(o.r));
-                    each!(s.cur, w, |l| {
-                        let v = apply_binop(*op, &a[l].get(), &b[l].get(), cost, 0)
-                            .map_err(|_| Fallback::Replay)?;
-                        d[l].set(v);
-                    });
-                }
-                Instr::BinaryK(op, o) => {
-                    charge!(o.pre);
-                    let (d, a, b) = (row(o.dst), row(o.l), prog.consts[o.k as usize]);
-                    each!(s.cur, w, |l| {
-                        let v = apply_binop(*op, &a[l].get(), &b, cost, 0)
-                            .map_err(|_| Fallback::Replay)?;
-                        d[l].set(v);
-                    });
-                }
-                Instr::Add(o) => op!(o, Add, |a, b| Some(a.wrapping_add(b)), Value::Float(a + b)),
-                Instr::AddK(o) => op!(o, Add, |a, b| Some(a.wrapping_add(b)), Value::Float(a + b)),
-                Instr::Sub(o) => op!(o, Sub, |a, b| Some(a.wrapping_sub(b)), Value::Float(a - b)),
-                Instr::SubK(o) => op!(o, Sub, |a, b| Some(a.wrapping_sub(b)), Value::Float(a - b)),
-                Instr::Mul(o) => op!(o, Mul, |a, b| Some(a.wrapping_mul(b)), Value::Float(a * b)),
-                Instr::MulK(o) => op!(o, Mul, |a, b| Some(a.wrapping_mul(b)), Value::Float(a * b)),
-                Instr::Div(o) => op!(
-                    o,
-                    Div,
-                    |a, b| (b != 0).then(|| a.wrapping_div(b)),
-                    Value::Float(a / b)
-                ),
-                Instr::DivK(o) => op!(
-                    o,
-                    Div,
-                    |a, b| (b != 0).then(|| a.wrapping_div(b)),
-                    Value::Float(a / b)
-                ),
-                Instr::Rem(o) => op!(
-                    o,
-                    Rem,
-                    |a, b| (b != 0).then(|| a.wrapping_rem(b)),
-                    Value::Float(a % b)
-                ),
-                Instr::RemK(o) => op!(
-                    o,
-                    Rem,
-                    |a, b| (b != 0).then(|| a.wrapping_rem(b)),
-                    Value::Float(a % b)
-                ),
-                Instr::Lt(o) => cmp!(op, o, Lt, <),
-                Instr::LtK(o) => cmp!(op, o, Lt, <),
-                Instr::Gt(o) => cmp!(op, o, Gt, >),
-                Instr::GtK(o) => cmp!(op, o, Gt, >),
-                Instr::Le(o) => cmp!(op, o, Le, <=),
-                Instr::LeK(o) => cmp!(op, o, Le, <=),
-                Instr::Ge(o) => cmp!(op, o, Ge, >=),
-                Instr::GeK(o) => cmp!(op, o, Ge, >=),
-                Instr::Eq(o) => cmp!(op, o, Eq, ==),
-                Instr::EqK(o) => cmp!(op, o, Eq, ==),
-                Instr::Ne(o) => cmp!(op, o, Ne, !=),
-                Instr::NeK(o) => cmp!(op, o, Ne, !=),
-                Instr::And(o) => op!(
-                    o,
-                    And,
-                    |a, b| Some((a != 0 && b != 0) as i64),
-                    Value::Int((a != 0.0 && b != 0.0) as i64)
-                ),
-                Instr::LtBr(o) => cmp!(op_br, o, Lt, <),
-                Instr::LtKBr(o) => cmp!(op_br, o, Lt, <),
-                Instr::GtBr(o) => cmp!(op_br, o, Gt, >),
-                Instr::GtKBr(o) => cmp!(op_br, o, Gt, >),
-                Instr::LeBr(o) => cmp!(op_br, o, Le, <=),
-                Instr::LeKBr(o) => cmp!(op_br, o, Le, <=),
-                Instr::GeBr(o) => cmp!(op_br, o, Ge, >=),
-                Instr::GeKBr(o) => cmp!(op_br, o, Ge, >=),
-                Instr::EqBr(o) => cmp!(op_br, o, Eq, ==),
-                Instr::EqKBr(o) => cmp!(op_br, o, Eq, ==),
-                Instr::NeBr(o) => cmp!(op_br, o, Ne, !=),
-                Instr::NeKBr(o) => cmp!(op_br, o, Ne, !=),
-                Instr::AndBr(o) => op_br!(
-                    o,
-                    And,
-                    |a, b| Some((a != 0 && b != 0) as i64),
-                    Value::Int((a != 0.0 && b != 0.0) as i64)
-                ),
                 Instr::Neg { dst, src, pre } => {
                     charge!(*pre);
                     let (d, a) = (row(*dst), row(*src));
-                    each!(s.cur, w, |l| d[l].set(match a[l].get() {
-                        Value::Int(i) => Value::Int(-i),
-                        other => Value::Float(-other.as_float()),
-                    }));
+                    each!(s.cur, w, |l| d[l].set(neg(a[l].get())));
                     cost.int_ops += s.cur.len() as u64;
                 }
                 Instr::Not { dst, src, pre } => {
                     charge!(*pre);
                     let (d, a) = (row(*dst), row(*src));
-                    each!(s.cur, w, |l| d[l]
-                        .set(Value::Int(!a[l].get().is_truthy() as i64)));
+                    each!(s.cur, w, |l| d[l].set(not(a[l].get())));
                 }
                 Instr::IndexLoad {
                     dst,
@@ -708,14 +572,7 @@ impl Lanes {
                     cost.calls += s.cur.len() as u64;
                 }
                 Instr::OmpInt { dst, which } => {
-                    let v = Value::Int(match (which, g.ctx) {
-                        (0, EvalContext::OmpWorker { thread_num, .. }) => thread_num,
-                        (0, _) => 0,
-                        (1, EvalContext::OmpWorker { num_threads, .. }) => num_threads,
-                        (1, _) => 1,
-                        _ => 64,
-                    });
-                    let d = row(*dst);
+                    let (d, v) = (row(*dst), omp_query(*which, &g.ctx));
                     each!(s.cur, w, |l| d[l].set(v));
                 }
                 Instr::MathOp {
@@ -731,7 +588,56 @@ impl Lanes {
                     each!(s.cur, w, |l| d[l].set(f.apply(arg(0, l), arg(1, l))));
                     cost.special_ops += s.cur.len() as u64;
                 }
-                _ => unreachable!("analyse admits only the instructions above"),
+                instr => {
+                    let (op, f) = instr
+                        .operator()
+                        .expect("analyse admits only the instructions above");
+                    charge!(f.pre);
+                    let (d, a) = (row(f.dst), row(f.l));
+                    // One lane loop per operator with instructions of its
+                    // own and form of right operand; other operators lane by
+                    // lane through `apply_binop`.
+                    macro_rules! arith {
+                        ($($op:ident)*) => {
+                            match (op, f.r) {
+                                $((BinOp::$op, Rhs::Reg(r)) => {
+                                    let b = row(r);
+                                    arith!(@lanes BinOp::$op, |l| b[l].get())
+                                }
+                                (BinOp::$op, Rhs::Const(k)) => {
+                                    let b = prog.consts[k as usize];
+                                    arith!(@lanes BinOp::$op, |_| b)
+                                })*
+                                (op, r) => each!(s.cur, w, |l| {
+                                    let b = match r {
+                                        Rhs::Reg(r) => row(r)[l].get(),
+                                        Rhs::Const(k) => prog.consts[k as usize],
+                                    };
+                                    let v = apply_binop(op, &a[l].get(), &b, cost, 0);
+                                    d[l].set(v.map_err(|_| Fallback::Replay)?);
+                                }),
+                            }
+                        };
+                        (@lanes $op:expr, $right:expr) => {
+                            arith(
+                                &s.cur,
+                                w,
+                                d,
+                                a,
+                                $right,
+                                cost,
+                                $op,
+                                |x, y| int_result($op, x, y),
+                                |x, y| float_result($op, x, y),
+                            )?
+                        };
+                    }
+                    arith!(Add Sub Mul Div Rem Lt Gt Le Ge Eq Ne And);
+                    if let Some(target) = f.target {
+                        s.branch(target, d, true);
+                        settle!();
+                    }
+                }
             }
             s.pc += 1;
             settle!();
@@ -739,18 +645,29 @@ impl Lanes {
     }
 }
 
-/// The thread index of lane `l` in a block of `block` threads, x fastest.
+/// Lane `l`'s context: in a block, thread `l` of lane 0's block, x
+/// fastest.
 #[inline(always)]
-fn thread_of(l: u32, block: Dim3Val) -> Dim3Val {
-    if l < block.x {
-        // Every lane of a one-dimensional block: no division.
-        return Dim3Val { x: l, y: 0, z: 0 };
+fn lane_ctx(mut ctx: EvalContext, l: usize) -> EvalContext {
+    if let EvalContext::DeviceThread {
+        thread_idx,
+        block_dim: b,
+        ..
+    } = &mut ctx
+    {
+        let l = l as u32;
+        *thread_idx = if l < b.x {
+            // Every lane of a one-dimensional block: no division.
+            Dim3Val { x: l, y: 0, z: 0 }
+        } else {
+            Dim3Val {
+                x: l % b.x,
+                y: l / b.x % b.y,
+                z: l / (b.x * b.y),
+            }
+        };
     }
-    Dim3Val {
-        x: l % block.x,
-        y: l / block.x % block.y,
-        z: l / (block.x * block.y),
-    }
+    ctx
 }
 
 /// The buffer the first current lane's pointer in `base` names.
@@ -772,70 +689,13 @@ fn index(base: Value, idx: Value, buffer: BufferId) -> Result<i64, Fallback> {
     }
 }
 
-/// The right operand of an operator instruction, per lane.
-trait Right {
-    fn right<'r>(
-        &self,
-        regs: &'r [Cell<Value>],
-        w: usize,
-        consts: &[Value],
-    ) -> impl Fn(usize) -> Value + 'r;
-}
-
-impl Right for Rr {
-    fn right<'r>(
-        &self,
-        regs: &'r [Cell<Value>],
-        w: usize,
-        _: &[Value],
-    ) -> impl Fn(usize) -> Value + 'r {
-        let row = &regs[self.r as usize * w..][..w];
-        move |l| row[l].get()
-    }
-}
-
-impl Right for RrBr {
-    fn right<'r>(
-        &self,
-        regs: &'r [Cell<Value>],
-        w: usize,
-        _: &[Value],
-    ) -> impl Fn(usize) -> Value + 'r {
-        let row = &regs[self.r as usize * w..][..w];
-        move |l| row[l].get()
-    }
-}
-
-impl Right for Rk {
-    fn right<'r>(
-        &self,
-        _: &'r [Cell<Value>],
-        _: usize,
-        consts: &[Value],
-    ) -> impl Fn(usize) -> Value + 'r {
-        let k = consts[self.k as usize];
-        move |_| k
-    }
-}
-
-impl Right for RkBr {
-    fn right<'r>(
-        &self,
-        _: &'r [Cell<Value>],
-        _: usize,
-        consts: &[Value],
-    ) -> impl Fn(usize) -> Value + 'r {
-        let k = consts[self.k as usize];
-        move |_| k
-    }
-}
-
-/// An operator over every current lane, like the VM's per-operator
-/// handlers: two `Int`s inline (one `int_op`; `int` returns `None` for a
-/// zero divisor), two `Float`s inline (one `flop`), and in a second pass,
-/// only when a lane has some other pair, the rest through `apply_binop`,
-/// whose call would otherwise slow the common loop down. Out of line, so
-/// each operator's loop is compiled on its own.
+/// An operator over every current lane, like the VM's operator handler:
+/// two `Int`s through `int`, the operator's [`int_result`] (one `int_op`; a
+/// zero divisor gives up), two `Float`s through `float`, its
+/// [`float_result`] (one `flop`), and in a second pass, only when a lane
+/// has some other pair, the rest through `apply_binop`, whose call would
+/// otherwise slow the common loop down. Out of line, so each operator's
+/// loop is compiled on its own.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn arith(
@@ -883,6 +743,14 @@ fn arith(
 /// Visit the registers `instr` reads, then the one it writes, if the runner
 /// executes it; false otherwise.
 fn operands(instr: &Instr, read: &mut impl FnMut(Reg), write: &mut impl FnMut(Reg)) -> bool {
+    if let Some((_, f)) = instr.operator() {
+        read(f.l);
+        if let Rhs::Reg(r) = f.r {
+            read(r);
+        }
+        write(f.dst);
+        return true;
+    }
     let dst = match instr {
         Instr::Branch { .. }
         | Instr::Charge { .. }
@@ -934,58 +802,6 @@ fn operands(instr: &Instr, read: &mut impl FnMut(Reg), write: &mut impl FnMut(Re
             (0..*argc).for_each(|i| read(args_base + i));
             *dst
         }
-        Instr::Binary(_, o)
-        | Instr::Add(o)
-        | Instr::Sub(o)
-        | Instr::Mul(o)
-        | Instr::Div(o)
-        | Instr::Rem(o)
-        | Instr::Lt(o)
-        | Instr::Gt(o)
-        | Instr::Le(o)
-        | Instr::Ge(o)
-        | Instr::Eq(o)
-        | Instr::Ne(o)
-        | Instr::And(o) => {
-            read(o.l);
-            read(o.r);
-            o.dst
-        }
-        Instr::BinaryK(_, o)
-        | Instr::AddK(o)
-        | Instr::SubK(o)
-        | Instr::MulK(o)
-        | Instr::DivK(o)
-        | Instr::RemK(o)
-        | Instr::LtK(o)
-        | Instr::GtK(o)
-        | Instr::LeK(o)
-        | Instr::GeK(o)
-        | Instr::EqK(o)
-        | Instr::NeK(o) => {
-            read(o.l);
-            o.dst
-        }
-        Instr::LtBr(o)
-        | Instr::GtBr(o)
-        | Instr::LeBr(o)
-        | Instr::GeBr(o)
-        | Instr::EqBr(o)
-        | Instr::NeBr(o)
-        | Instr::AndBr(o) => {
-            read(o.l);
-            read(o.r);
-            o.dst
-        }
-        Instr::LtKBr(o)
-        | Instr::GtKBr(o)
-        | Instr::LeKBr(o)
-        | Instr::GeKBr(o)
-        | Instr::EqKBr(o)
-        | Instr::NeKBr(o) => {
-            read(o.l);
-            o.dst
-        }
         _ => return false,
     };
     write(dst);
@@ -1002,7 +818,10 @@ fn successors(instr: &Instr, pc: usize) -> [Option<usize>; 2] {
         Instr::Ret { .. } | Instr::EndUnit { .. } => [None, None],
         other => [
             Some(pc + 1),
-            other.clone().branch_target_mut().map(|t| *t as usize),
+            other
+                .operator()
+                .and_then(|(_, f)| f.target)
+                .map(|t| t as usize),
         ],
     }
 }

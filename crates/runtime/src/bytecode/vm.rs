@@ -29,7 +29,9 @@ use std::cell::{Cell, RefCell};
 
 use lassi_lang::{BinOp, OmpDirective, ReductionOp, Type};
 
-use super::instr::{FlowKind, Instr, Reg, Rk, RkBr, Rr, RrBr, SpecialIdent};
+use super::instr::{
+    float_result, int_result, neg, not, omp_query, rmw_var, FlowKind, Form, Instr, Reg, Rhs,
+};
 use super::lockstep::{Fallback, Group, Lanes, MAX_LANES};
 use super::{CompiledKernel, CompiledProgram, CompiledRegion, SharedLen};
 use crate::cost::CostCounter;
@@ -40,7 +42,7 @@ use crate::machine::Machine;
 use crate::memory::{BufferId, MemSpace, Memory};
 use crate::printf;
 use crate::schedule::{self, Costed, KernelLane, RegionLane, SHARED_LEN_STEP_LIMIT};
-use crate::value::{Dim3Val, Value};
+use crate::value::{Dim3Val, PtrValue, Value};
 
 /// Where a unit goes when it exits its entry frame. Read only on that path.
 enum Resume {
@@ -235,10 +237,54 @@ impl<'p> Vm<'p> {
     }
 
     /// Charge an operator instruction's `pre` and run the generic operator.
-    fn binop_instr(&mut self, op: BinOp, o: &impl Operands, pc: usize) -> Result<(), ExecError> {
-        self.charge(o.pre())?;
-        let (l, r) = o.operands(self);
-        self.binop(op, o.dst(), l, r, pc)
+    fn binop_instr(&mut self, op: BinOp, f: Form, pc: usize) -> Result<(), ExecError> {
+        self.charge(f.pre)?;
+        let (l, r) = self.operands(f);
+        self.binop(op, f.dst, l, r, pc)
+    }
+
+    /// An operator instruction's two operand values.
+    #[inline(always)]
+    fn operands(&self, f: Form) -> (Value, Value) {
+        let r = match f.r {
+            Rhs::Reg(r) => *self.reg(r),
+            Rhs::Const(k) => self.prog.consts[k as usize],
+        };
+        (*self.reg(f.l), r)
+    }
+
+    /// Charge `pre`, apply `op`, write `dst` and return whether the result
+    /// is truthy (for the branch-fused forms). Two `Int`s take
+    /// [`int_result`] (one `int_op`; a zero divisor faults after the
+    /// charge), two `Float`s [`float_result`] (one `flop`), and every other
+    /// operand pair (pointers, mixed int/float, `NullPtr`) `apply_binop`.
+    /// `pc` locates the instruction for a fault's line.
+    #[inline(always)]
+    fn op(&mut self, op: BinOp, form: impl Into<Form>, pc: usize) -> Result<bool, ExecError> {
+        let f = form.into();
+        self.charge(f.pre)?;
+        match self.operands(f) {
+            (Value::Int(a), Value::Int(b)) => {
+                self.cost.int_ops += 1;
+                let Some(v) = int_result(op, a, b) else {
+                    return Err(ExecError::DivisionByZero {
+                        line: self.line(pc),
+                    });
+                };
+                self.set_reg(f.dst, Value::Int(v));
+                Ok(v != 0)
+            }
+            (Value::Float(a), Value::Float(b)) => {
+                self.cost.flops += 1;
+                let v = float_result(op, a, b);
+                self.set_reg(f.dst, v);
+                Ok(v.is_truthy())
+            }
+            (l, r) => {
+                self.binop(op, f.dst, l, r, pc)?;
+                Ok(self.reg(f.dst).is_truthy())
+            }
+        }
     }
 
     #[inline]
@@ -263,6 +309,46 @@ impl<'p> Vm<'p> {
 
     fn err_line(&self, pc: usize, msg: &str) -> ExecError {
         ExecError::other(format!("line {}: {}", self.line(pc), msg))
+    }
+
+    /// The pointer `*r` reads through, or the fault of a non-pointer.
+    fn deref_ptr(&self, r: Reg, pc: usize) -> Result<PtrValue, ExecError> {
+        match self.reg(r) {
+            Value::Ptr(p) => Ok(*p),
+            _ => Err(ExecError::NullPointer {
+                line: self.line(pc),
+            }),
+        }
+    }
+
+    /// The pointer `base[i]` indexes, or the fault of a non-pointer.
+    fn index_ptr(&self, base: Reg, pc: usize) -> Result<PtrValue, ExecError> {
+        match self.reg(base) {
+            Value::Ptr(p) => Ok(*p),
+            Value::NullPtr => Err(ExecError::NullPointer {
+                line: self.line(pc),
+            }),
+            _ => Err(self.err_line(pc, "subscripted value is not a pointer")),
+        }
+    }
+
+    /// `RmwIndex` / `RmwDeref` at `pc`: `p[i] = p[i] op v`.
+    fn rmw_mem(
+        &mut self,
+        mem: &Memory,
+        p: PtrValue,
+        i: i64,
+        op: BinOp,
+        v: Reg,
+        pc: usize,
+    ) -> Result<(), ExecError> {
+        let (device, line) = (self.is_device_access(), self.line(pc));
+        let (old, elem) = mem.load_counted(&p, i, device, line)?;
+        self.cost.bytes_read += elem;
+        let v = *self.reg(v);
+        let new = apply_binop(op, &old, &v, &mut self.cost, line)?;
+        self.cost.bytes_written += elem;
+        mem.store(&p, i, &new, device, line)
     }
 
     /// Element size used for byte-traffic accounting, like the interpreter's
@@ -517,27 +603,11 @@ impl<'p> Vm<'p> {
                     pre,
                 } => {
                     self.charge(*pre)?;
-                    let EvalContext::DeviceThread {
-                        thread_idx,
-                        block_idx,
-                        block_dim,
-                        grid_dim,
-                    } = self.ctx
-                    else {
+                    let Some(v) = which.load(&self.ctx, *axis) else {
                         return Err(self.err_line(
                             pc,
                             &format!("use of unbound identifier '{}'", which.name()),
                         ));
-                    };
-                    let d = match which {
-                        SpecialIdent::ThreadIdx => thread_idx,
-                        SpecialIdent::BlockIdx => block_idx,
-                        SpecialIdent::BlockDim => block_dim,
-                        SpecialIdent::GridDim => grid_dim,
-                    };
-                    let v = match axis {
-                        Some(a) => Value::Int(d.axis(*a) as i64),
-                        None => Value::Dim3(d),
                     };
                     self.set_reg(*dst, v);
                 }
@@ -593,74 +663,59 @@ impl<'p> Vm<'p> {
                     self.set_reg(*slot, Value::Ptr(ptr));
                 }
 
-                Instr::Binary(op, o) => self.binop_instr(*op, o, pc)?,
-                Instr::BinaryK(op, o) => self.binop_instr(*op, o, pc)?,
-                Instr::Add(o) => _ = self.op_add(o, pc)?,
-                Instr::AddK(o) => _ = self.op_add(o, pc)?,
-                Instr::Sub(o) => _ = self.op_sub(o, pc)?,
-                Instr::SubK(o) => _ = self.op_sub(o, pc)?,
-                Instr::Mul(o) => _ = self.op_mul(o, pc)?,
-                Instr::MulK(o) => _ = self.op_mul(o, pc)?,
-                Instr::Div(o) => _ = self.op_div(o, pc)?,
-                Instr::DivK(o) => _ = self.op_div(o, pc)?,
-                Instr::Rem(o) => _ = self.op_rem(o, pc)?,
-                Instr::RemK(o) => _ = self.op_rem(o, pc)?,
-                Instr::Lt(o) => _ = self.op_lt(o, pc)?,
-                Instr::LtK(o) => _ = self.op_lt(o, pc)?,
-                Instr::Gt(o) => _ = self.op_gt(o, pc)?,
-                Instr::GtK(o) => _ = self.op_gt(o, pc)?,
-                Instr::Le(o) => _ = self.op_le(o, pc)?,
-                Instr::LeK(o) => _ = self.op_le(o, pc)?,
-                Instr::Ge(o) => _ = self.op_ge(o, pc)?,
-                Instr::GeK(o) => _ = self.op_ge(o, pc)?,
-                Instr::Eq(o) => _ = self.op_eq(o, pc)?,
-                Instr::EqK(o) => _ = self.op_eq(o, pc)?,
-                Instr::Ne(o) => _ = self.op_ne(o, pc)?,
-                Instr::NeK(o) => _ = self.op_ne(o, pc)?,
-                Instr::And(o) => _ = self.op_and(o, pc)?,
-                Instr::LtBr(o) => jump_unless!(self.op_lt(o, pc)?, o.target),
-                Instr::LtKBr(o) => jump_unless!(self.op_lt(o, pc)?, o.target),
-                Instr::GtBr(o) => jump_unless!(self.op_gt(o, pc)?, o.target),
-                Instr::GtKBr(o) => jump_unless!(self.op_gt(o, pc)?, o.target),
-                Instr::LeBr(o) => jump_unless!(self.op_le(o, pc)?, o.target),
-                Instr::LeKBr(o) => jump_unless!(self.op_le(o, pc)?, o.target),
-                Instr::GeBr(o) => jump_unless!(self.op_ge(o, pc)?, o.target),
-                Instr::GeKBr(o) => jump_unless!(self.op_ge(o, pc)?, o.target),
-                Instr::EqBr(o) => jump_unless!(self.op_eq(o, pc)?, o.target),
-                Instr::EqKBr(o) => jump_unless!(self.op_eq(o, pc)?, o.target),
-                Instr::NeBr(o) => jump_unless!(self.op_ne(o, pc)?, o.target),
-                Instr::NeKBr(o) => jump_unless!(self.op_ne(o, pc)?, o.target),
-                Instr::AndBr(o) => jump_unless!(self.op_and(o, pc)?, o.target),
+                Instr::Binary(op, o) => self.binop_instr(*op, (*o).into(), pc)?,
+                Instr::BinaryK(op, o) => self.binop_instr(*op, (*o).into(), pc)?,
+                Instr::Add(o) => _ = self.op(BinOp::Add, *o, pc)?,
+                Instr::AddK(o) => _ = self.op(BinOp::Add, *o, pc)?,
+                Instr::Sub(o) => _ = self.op(BinOp::Sub, *o, pc)?,
+                Instr::SubK(o) => _ = self.op(BinOp::Sub, *o, pc)?,
+                Instr::Mul(o) => _ = self.op(BinOp::Mul, *o, pc)?,
+                Instr::MulK(o) => _ = self.op(BinOp::Mul, *o, pc)?,
+                Instr::Div(o) => _ = self.op(BinOp::Div, *o, pc)?,
+                Instr::DivK(o) => _ = self.op(BinOp::Div, *o, pc)?,
+                Instr::Rem(o) => _ = self.op(BinOp::Rem, *o, pc)?,
+                Instr::RemK(o) => _ = self.op(BinOp::Rem, *o, pc)?,
+                Instr::Lt(o) => _ = self.op(BinOp::Lt, *o, pc)?,
+                Instr::LtK(o) => _ = self.op(BinOp::Lt, *o, pc)?,
+                Instr::Gt(o) => _ = self.op(BinOp::Gt, *o, pc)?,
+                Instr::GtK(o) => _ = self.op(BinOp::Gt, *o, pc)?,
+                Instr::Le(o) => _ = self.op(BinOp::Le, *o, pc)?,
+                Instr::LeK(o) => _ = self.op(BinOp::Le, *o, pc)?,
+                Instr::Ge(o) => _ = self.op(BinOp::Ge, *o, pc)?,
+                Instr::GeK(o) => _ = self.op(BinOp::Ge, *o, pc)?,
+                Instr::Eq(o) => _ = self.op(BinOp::Eq, *o, pc)?,
+                Instr::EqK(o) => _ = self.op(BinOp::Eq, *o, pc)?,
+                Instr::Ne(o) => _ = self.op(BinOp::Ne, *o, pc)?,
+                Instr::NeK(o) => _ = self.op(BinOp::Ne, *o, pc)?,
+                Instr::And(o) => _ = self.op(BinOp::And, *o, pc)?,
+                Instr::LtBr(o) => jump_unless!(self.op(BinOp::Lt, *o, pc)?, o.target),
+                Instr::LtKBr(o) => jump_unless!(self.op(BinOp::Lt, *o, pc)?, o.target),
+                Instr::GtBr(o) => jump_unless!(self.op(BinOp::Gt, *o, pc)?, o.target),
+                Instr::GtKBr(o) => jump_unless!(self.op(BinOp::Gt, *o, pc)?, o.target),
+                Instr::LeBr(o) => jump_unless!(self.op(BinOp::Le, *o, pc)?, o.target),
+                Instr::LeKBr(o) => jump_unless!(self.op(BinOp::Le, *o, pc)?, o.target),
+                Instr::GeBr(o) => jump_unless!(self.op(BinOp::Ge, *o, pc)?, o.target),
+                Instr::GeKBr(o) => jump_unless!(self.op(BinOp::Ge, *o, pc)?, o.target),
+                Instr::EqBr(o) => jump_unless!(self.op(BinOp::Eq, *o, pc)?, o.target),
+                Instr::EqKBr(o) => jump_unless!(self.op(BinOp::Eq, *o, pc)?, o.target),
+                Instr::NeBr(o) => jump_unless!(self.op(BinOp::Ne, *o, pc)?, o.target),
+                Instr::NeKBr(o) => jump_unless!(self.op(BinOp::Ne, *o, pc)?, o.target),
+                Instr::AndBr(o) => jump_unless!(self.op(BinOp::And, *o, pc)?, o.target),
                 Instr::Neg { dst, src, pre } => {
                     self.charge(*pre)?;
-                    let v = match self.reg(*src) {
-                        Value::Int(i) => Value::Int(-i),
-                        other => Value::Float(-other.as_float()),
-                    };
                     self.cost.int_ops += 1;
-                    self.set_reg(*dst, v);
+                    self.set_reg(*dst, neg(*self.reg(*src)));
                 }
                 Instr::Not { dst, src, pre } => {
                     self.charge(*pre)?;
-                    let v = Value::Int(if self.reg(*src).is_truthy() { 0 } else { 1 });
-                    self.set_reg(*dst, v);
+                    self.set_reg(*dst, not(*self.reg(*src)));
                 }
                 Instr::DerefLoad { dst, ptr, pre } => {
                     self.charge(*pre)?;
-                    let v = match self.reg(*ptr) {
-                        Value::Ptr(p) => {
-                            let p = *p;
-                            let (v, elem) =
-                                mem.load_counted(&p, 0, self.is_device_access(), self.line(pc))?;
-                            self.cost.bytes_read += elem;
-                            v
-                        }
-                        _ => {
-                            return Err(ExecError::NullPointer {
-                                line: self.line(pc),
-                            })
-                        }
-                    };
+                    let p = self.deref_ptr(*ptr, pc)?;
+                    let (v, elem) =
+                        mem.load_counted(&p, 0, self.is_device_access(), self.line(pc))?;
+                    self.cost.bytes_read += elem;
                     self.set_reg(*dst, v);
                 }
                 Instr::IndexLoad {
@@ -670,22 +725,10 @@ impl<'p> Vm<'p> {
                     pre,
                 } => {
                     self.charge(*pre)?;
-                    let i = self.reg(*idx).as_int();
-                    let v = match self.reg(*base) {
-                        Value::Ptr(p) => {
-                            let p = *p;
-                            let (v, elem) =
-                                mem.load_counted(&p, i, self.is_device_access(), self.line(pc))?;
-                            self.cost.bytes_read += elem;
-                            v
-                        }
-                        Value::NullPtr => {
-                            return Err(ExecError::NullPointer {
-                                line: self.line(pc),
-                            })
-                        }
-                        _ => return Err(self.err_line(pc, "subscripted value is not a pointer")),
-                    };
+                    let (p, i) = (self.index_ptr(*base, pc)?, self.reg(*idx).as_int());
+                    let (v, elem) =
+                        mem.load_counted(&p, i, self.is_device_access(), self.line(pc))?;
+                    self.cost.bytes_read += elem;
                     self.set_reg(*dst, v);
                 }
                 Instr::MemberGet {
@@ -736,27 +779,10 @@ impl<'p> Vm<'p> {
                     pre,
                 } => {
                     self.charge(*pre)?;
-                    let i = self.reg(*idx).as_int();
-                    let v = *self.reg(*src);
-                    match self.reg(*base) {
-                        Value::Ptr(p) => {
-                            let p = *p;
-                            let elem = mem.store_counted(
-                                &p,
-                                i,
-                                &v,
-                                self.is_device_access(),
-                                self.line(pc),
-                            )?;
-                            self.cost.bytes_written += elem;
-                        }
-                        Value::NullPtr => {
-                            return Err(ExecError::NullPointer {
-                                line: self.line(pc),
-                            })
-                        }
-                        _ => return Err(self.err_line(pc, "subscripted value is not a pointer")),
-                    }
+                    let (p, i) = (self.index_ptr(*base, pc)?, self.reg(*idx).as_int());
+                    let (v, device) = (self.reg(*src), self.is_device_access());
+                    self.cost.bytes_written +=
+                        mem.store_counted(&p, i, v, device, self.line(pc))?;
                 }
                 Instr::RmwIndex {
                     op,
@@ -766,73 +792,20 @@ impl<'p> Vm<'p> {
                     pre,
                 } => {
                     self.charge(*pre)?;
-                    let i = self.reg(*idx).as_int();
-                    let p = match self.reg(*base) {
-                        Value::Ptr(p) => *p,
-                        Value::NullPtr => {
-                            return Err(ExecError::NullPointer {
-                                line: self.line(pc),
-                            })
-                        }
-                        _ => return Err(self.err_line(pc, "subscripted value is not a pointer")),
-                    };
-                    let (old, elem) =
-                        mem.load_counted(&p, i, self.is_device_access(), self.line(pc))?;
-                    self.cost.bytes_read += elem;
-                    let new = apply_binop(
-                        *op,
-                        &old,
-                        &self.regs[self.base + *src as usize],
-                        &mut self.cost,
-                        prog.lines[pc],
-                    )?;
-                    self.cost.bytes_written += elem;
-                    mem.store(&p, i, &new, self.is_device_access(), self.line(pc))?;
+                    let (p, i) = (self.index_ptr(*base, pc)?, self.reg(*idx).as_int());
+                    self.rmw_mem(mem, p, i, *op, *src, pc)?;
                 }
                 Instr::StoreDeref { ptr, src, pre } => {
                     self.charge(*pre)?;
-                    let v = *self.reg(*src);
-                    match self.reg(*ptr) {
-                        Value::Ptr(p) => {
-                            let p = *p;
-                            let elem = mem.store_counted(
-                                &p,
-                                0,
-                                &v,
-                                self.is_device_access(),
-                                self.line(pc),
-                            )?;
-                            self.cost.bytes_written += elem;
-                        }
-                        _ => {
-                            return Err(ExecError::NullPointer {
-                                line: self.line(pc),
-                            })
-                        }
-                    }
+                    let p = self.deref_ptr(*ptr, pc)?;
+                    let (v, device) = (self.reg(*src), self.is_device_access());
+                    self.cost.bytes_written +=
+                        mem.store_counted(&p, 0, v, device, self.line(pc))?;
                 }
                 Instr::RmwDeref { op, ptr, src, pre } => {
                     self.charge(*pre)?;
-                    let p = match self.reg(*ptr) {
-                        Value::Ptr(p) => *p,
-                        _ => {
-                            return Err(ExecError::NullPointer {
-                                line: self.line(pc),
-                            })
-                        }
-                    };
-                    let (old, elem) =
-                        mem.load_counted(&p, 0, self.is_device_access(), self.line(pc))?;
-                    self.cost.bytes_read += elem;
-                    let new = apply_binop(
-                        *op,
-                        &old,
-                        &self.regs[self.base + *src as usize],
-                        &mut self.cost,
-                        prog.lines[pc],
-                    )?;
-                    self.cost.bytes_written += elem;
-                    mem.store(&p, 0, &new, self.is_device_access(), self.line(pc))?;
+                    let p = self.deref_ptr(*ptr, pc)?;
+                    self.rmw_mem(mem, p, 0, *op, *src, pc)?;
                 }
                 Instr::RmwVar {
                     op,
@@ -843,14 +816,8 @@ impl<'p> Vm<'p> {
                 } => {
                     self.charge(*pre)?;
                     let (si, vi) = (self.base + *slot as usize, self.base + *src as usize);
-                    let new = apply_binop(
-                        *op,
-                        &self.regs[si],
-                        &self.regs[vi],
-                        &mut self.cost,
-                        prog.lines[pc],
-                    )?;
-                    self.regs[si] = new.coerce_to(prog.ty(*ty));
+                    let (old, v, ty) = (self.regs[si], self.regs[vi], prog.ty(*ty));
+                    self.regs[si] = rmw_var(*op, old, v, ty, &mut self.cost, prog.lines[pc])?;
                 }
                 Instr::ErrPlain { msg } => {
                     return Err(ExecError::other(prog.name(*msg)));
@@ -1043,16 +1010,9 @@ impl<'p> Vm<'p> {
                     self.charge(*pre)?;
                     let delta = *self.reg(*delta);
                     self.cost.atomics += 1;
-                    let v = match self.reg(*target) {
-                        Value::Ptr(p) => {
-                            mem.atomic_add(p, 0, &delta, self.is_device_access(), self.line(pc))?
-                        }
-                        _ => {
-                            return Err(ExecError::NullPointer {
-                                line: self.line(pc),
-                            })
-                        }
-                    };
+                    let p = self.deref_ptr(*target, pc)?;
+                    let v =
+                        mem.atomic_add(&p, 0, &delta, self.is_device_access(), self.line(pc))?;
                     self.set_reg(*dst, v);
                 }
                 Instr::AtomicMinMax {
@@ -1065,41 +1025,16 @@ impl<'p> Vm<'p> {
                     self.charge(*pre)?;
                     let operand = *self.reg(*delta);
                     self.cost.atomics += 1;
-                    let v = match self.reg(*target) {
-                        Value::Ptr(p) => mem.atomic_minmax(
-                            p,
-                            0,
-                            &operand,
-                            *is_max,
-                            self.is_device_access(),
-                            self.line(pc),
-                        )?,
-                        _ => {
-                            return Err(ExecError::NullPointer {
-                                line: self.line(pc),
-                            })
-                        }
-                    };
+                    let p = self.deref_ptr(*target, pc)?;
+                    let (device, line) = (self.is_device_access(), self.line(pc));
+                    let v = mem.atomic_minmax(&p, 0, &operand, *is_max, device, line)?;
                     self.set_reg(*dst, v);
                 }
                 Instr::WTime { dst } => {
                     let v = Value::Float(self.extra_seconds + self.steps as f64 * 1e-9);
                     self.set_reg(*dst, v);
                 }
-                Instr::OmpInt { dst, which } => {
-                    let v = match which {
-                        0 => match self.ctx {
-                            EvalContext::OmpWorker { thread_num, .. } => thread_num,
-                            _ => 0,
-                        },
-                        1 => match self.ctx {
-                            EvalContext::OmpWorker { num_threads, .. } => num_threads,
-                            _ => 1,
-                        },
-                        _ => 64,
-                    };
-                    self.set_reg(*dst, Value::Int(v));
-                }
+                Instr::OmpInt { dst, which } => self.set_reg(*dst, omp_query(*which, &self.ctx)),
                 Instr::Dim3Ctor {
                     args_base,
                     argc,
@@ -1186,26 +1121,10 @@ impl<'p> Vm<'p> {
                     pre,
                 } => {
                     self.charge(*pre)?;
-                    let i = self.reg(*idx).as_int();
-                    let p = match self.reg(*base) {
-                        Value::Ptr(p) => *p,
-                        Value::NullPtr => {
-                            return Err(ExecError::NullPointer {
-                                line: self.line(pc),
-                            })
-                        }
-                        _ => return Err(self.err_line(pc, "subscripted value is not a pointer")),
-                    };
+                    let (p, i) = (self.index_ptr(*base, pc)?, self.reg(*idx).as_int());
                     self.cost.atomics += 1;
                     let delta = *self.reg(*src);
-                    let signed = if *negate {
-                        match delta {
-                            Value::Int(v) => Value::Int(-v),
-                            other => Value::Float(-other.as_float()),
-                        }
-                    } else {
-                        delta
-                    };
+                    let signed = if *negate { neg(delta) } else { delta };
                     mem.atomic_add(&p, i, &signed, self.is_device_access(), self.line(pc))?;
                 }
                 Instr::MapFramePush => {
@@ -1567,101 +1486,6 @@ impl<'p> RegionLane for RegionOnVm<'p> {
     fn private(&self, vm: &Vm<'p>, r: usize) -> Value {
         *vm.reg(self.region.reductions[r].read_slot)
     }
-}
-
-/// The four operand forms of an operator instruction, as its handler sees
-/// them: the steps to charge, the destination and the two operand values.
-trait Operands {
-    fn pre(&self) -> u32;
-    fn dst(&self) -> Reg;
-    fn operands(&self, vm: &Vm<'_>) -> (Value, Value);
-}
-
-macro_rules! operands {
-    ($($form:ident: |$o:ident, $vm:ident| $right:expr;)*) => {
-        $(impl Operands for $form {
-            fn pre(&self) -> u32 {
-                self.pre
-            }
-            fn dst(&self) -> Reg {
-                self.dst
-            }
-            #[inline(always)]
-            fn operands(&self, $vm: &Vm<'_>) -> (Value, Value) {
-                let $o = self;
-                (*$vm.reg($o.l), $right)
-            }
-        })*
-    };
-}
-
-operands! {
-    Rr: |o, vm| *vm.reg(o.r);
-    RrBr: |o, vm| *vm.reg(o.r);
-    Rk: |o, vm| vm.prog.consts[o.k as usize];
-    RkBr: |o, vm| vm.prog.consts[o.k as usize];
-}
-
-/// The operators with instructions of their own. Each gets a `Vm` method
-/// that computes two `Int`s inline like `int_binop` (one `int_op`, wrapping,
-/// a zero divisor faults after the charge) and two `Float`s inline like
-/// `mixed_binop` (one `flop`, compares yield `Int(0|1)`); every other operand
-/// pair (pointers, mixed int/float, `NullPtr`) goes through `apply_binop`.
-macro_rules! binary_ops {
-    ($($name:ident($op:ident): |$a:ident, $b:ident $(, $line:ident)?| $int:expr, $float:expr;)*) => {
-        impl Vm<'_> {
-            $(
-                /// Charge `pre`, apply the operator, write `dst` and return
-                /// whether the result is truthy (for the branch-fused forms).
-                /// `pc` locates the instruction for a fault's line.
-                #[inline(always)]
-                fn $name(&mut self, o: &impl Operands, pc: usize) -> Result<bool, ExecError> {
-                    self.charge(o.pre())?;
-                    let dst = o.dst();
-                    match o.operands(self) {
-                        (Value::Int($a), Value::Int($b)) => {
-                            self.cost.int_ops += 1;
-                            $(let $line = || self.line(pc);)?
-                            let v = $int;
-                            self.set_reg(dst, Value::Int(v));
-                            Ok(v != 0)
-                        }
-                        (Value::Float($a), Value::Float($b)) => {
-                            self.cost.flops += 1;
-                            let v = $float;
-                            self.set_reg(dst, v);
-                            Ok(v.is_truthy())
-                        }
-                        (l, r) => {
-                            self.binop(BinOp::$op, dst, l, r, pc)?;
-                            Ok(self.reg(dst).is_truthy())
-                        }
-                    }
-                }
-            )*
-        }
-    };
-}
-
-binary_ops! {
-    op_add(Add): |a, b| a.wrapping_add(b), Value::Float(a + b);
-    op_sub(Sub): |a, b| a.wrapping_sub(b), Value::Float(a - b);
-    op_mul(Mul): |a, b| a.wrapping_mul(b), Value::Float(a * b);
-    op_div(Div): |a, b, line| match b {
-        0 => return Err(ExecError::DivisionByZero { line: line() }),
-        _ => a.wrapping_div(b),
-    }, Value::Float(a / b);
-    op_rem(Rem): |a, b, line| match b {
-        0 => return Err(ExecError::DivisionByZero { line: line() }),
-        _ => a.wrapping_rem(b),
-    }, Value::Float(a % b);
-    op_lt(Lt): |a, b| (a < b) as i64, Value::Int((a < b) as i64);
-    op_gt(Gt): |a, b| (a > b) as i64, Value::Int((a > b) as i64);
-    op_le(Le): |a, b| (a <= b) as i64, Value::Int((a <= b) as i64);
-    op_ge(Ge): |a, b| (a >= b) as i64, Value::Int((a >= b) as i64);
-    op_eq(Eq): |a, b| (a == b) as i64, Value::Int((a == b) as i64);
-    op_ne(Ne): |a, b| (a != b) as i64, Value::Int((a != b) as i64);
-    op_and(And): |a, b| (a != 0 && b != 0) as i64, Value::Int((a != 0.0 && b != 0.0) as i64);
 }
 
 /// Run a compiled program's host unit end to end, creating a fresh [`Memory`].

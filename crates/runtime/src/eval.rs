@@ -541,7 +541,7 @@ impl<'a> Evaluator<'a> {
                     let v = self.eval_expr(operand, env, mem)?;
                     self.cost.int_ops += 1;
                     Ok(match v {
-                        Value::Int(i) => Value::Int(-i),
+                        Value::Int(i) => Value::Int(i.wrapping_neg()),
                         other => Value::Float(-other.as_float()),
                     })
                 }
@@ -1033,7 +1033,7 @@ impl<'a> Evaluator<'a> {
                                 self.cost.atomics += 1;
                                 let signed = match op {
                                     AssignOp::SubAssign => match delta {
-                                        Value::Int(i) => Value::Int(-i),
+                                        Value::Int(i) => Value::Int(i.wrapping_neg()),
                                         other => Value::Float(-other.as_float()),
                                     },
                                     _ => delta,

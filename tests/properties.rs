@@ -201,7 +201,11 @@ fn assert_operator_parity(vars: &str, e: &str) {
     for body in contexts(e) {
         let _ = assert_engines_agree(&host_program(vars, &body), Dialect::CudaLite);
         let kernel = kernel_program(vars, &body);
-        assert_eq!(lockstep_marks(&kernel, Dialect::CudaLite), [true], "{kernel}");
+        assert_eq!(
+            lockstep_marks(&kernel, Dialect::CudaLite),
+            [true],
+            "{kernel}"
+        );
         let _ = assert_engines_agree(&kernel, Dialect::CudaLite);
     }
 }
@@ -799,6 +803,45 @@ fn parallel_parity_long_product_reduction_wraps() {
         }
         "#));
     assert_eq!(out, "-5642588177638596095\n");
+}
+
+/// Negating the least `long` wraps to itself, like the binary operators, in
+/// host code, in a lockstep kernel and in the delta of an atomic `-=`.
+#[test]
+fn parallel_parity_negating_the_least_long_wraps() {
+    let kernel = r#"
+        __global__ void neg(long* out, long m) { out[threadIdx.x] = -m; }
+        int main() {
+            long m = 1;
+            for (int i = 0; i < 63; i++) { m *= 2; }
+            long* h = (long*)malloc(4 * sizeof(long));
+            long* d;
+            cudaMalloc(&d, 4 * sizeof(long));
+            neg<<<1, 4>>>(d, m);
+            cudaMemcpy(h, d, 4 * sizeof(long), cudaMemcpyDeviceToHost);
+            printf("%ld %ld\n", -m, h[3]);
+            return 0;
+        }
+        "#;
+    assert_eq!(lockstep_marks(kernel, Dialect::CudaLite), [true]);
+    let out = stdout(cuda(kernel));
+    assert_eq!(out, "-9223372036854775808 -9223372036854775808\n");
+    let out = stdout(omp(r#"
+        int main() {
+            long m = 1;
+            for (int i = 0; i < 63; i++) { m *= 2; }
+            long* a = (long*)malloc(1 * sizeof(long));
+            a[0] = 0;
+            #pragma omp parallel for
+            for (int i = 0; i < 1; i++) {
+                #pragma omp atomic
+                a[0] -= m;
+            }
+            printf("%ld\n", a[0]);
+            return 0;
+        }
+        "#));
+    assert_eq!(out, "-9223372036854775808\n");
 }
 
 /// Region memory semantics: writes are visible after the region, `omp
