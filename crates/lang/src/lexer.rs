@@ -54,6 +54,12 @@ impl<'a> Lexer<'a> {
         Ok(out)
     }
 
+    /// Whether the whole input has been consumed. The `peek` functions
+    /// read 0 there, so a 0 byte alone does not tell the end.
+    fn at_end(&self) -> bool {
+        self.pos >= self.src.len()
+    }
+
     fn peek(&self) -> u8 {
         *self.src.get(self.pos).unwrap_or(&0)
     }
@@ -75,13 +81,13 @@ impl<'a> Lexer<'a> {
         c
     }
 
-    /// Consume the bytes that satisfy `keep` and return them as a slice of
-    /// the source. `keep` must reject `\n` (lines are not counted here) and
-    /// `0` (the end of input), and stop only at ASCII bytes so the slice
-    /// ends on a character boundary.
+    /// Consume the bytes that satisfy `keep`, up to the end of input, and
+    /// return them as a slice of the source. `keep` must reject `\n` (lines
+    /// are not counted here) and stop only at ASCII bytes so the slice ends
+    /// on a character boundary.
     fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
         let start = self.pos;
-        while keep(self.peek()) {
+        while !self.at_end() && keep(self.peek()) {
             self.pos += 1;
         }
         &self.text[start..self.pos]
@@ -102,14 +108,14 @@ impl<'a> Lexer<'a> {
                     self.bump();
                 }
                 b'/' if self.peek2() == b'/' => {
-                    self.take_while(|c| c != b'\n' && c != 0);
+                    self.take_while(|c| c != b'\n');
                 }
                 b'/' if self.peek2() == b'*' => {
                     let start_line = self.line;
                     self.bump();
                     self.bump();
                     loop {
-                        if self.peek() == 0 {
+                        if self.at_end() {
                             return Err(Diagnostic::error(
                                 start_line,
                                 "unterminated block comment",
@@ -133,10 +139,10 @@ impl<'a> Lexer<'a> {
     pub fn next_token(&mut self) -> Result<Token<'a>, Diagnostic> {
         self.skip_trivia()?;
         let line = self.line;
-        let c = self.peek();
-        if c == 0 {
+        if self.at_end() {
             return Ok(Token::new(TokenKind::Eof, line));
         }
+        let c = self.peek();
         // Preprocessor-style pragma line.
         if c == b'#' {
             return self.lex_hash_line();
@@ -166,7 +172,7 @@ impl<'a> Lexer<'a> {
             )
             .with_code("lex/unknown-directive"));
         }
-        let rest = self.take_while(|c| c != b'\n' && c != 0);
+        let rest = self.take_while(|c| c != b'\n');
         Ok(Token::new(TokenKind::PragmaLine(rest.trim()), line))
     }
 
@@ -219,11 +225,11 @@ impl<'a> Lexer<'a> {
         let mut owned: Option<String> = None;
         let mut run = self.pos;
         loop {
+            if self.at_end() || self.peek() == b'\n' {
+                return Err(Diagnostic::error(line, "unterminated string literal")
+                    .with_code("lex/unterminated-string"));
+            }
             match self.peek() {
-                0 | b'\n' => {
-                    return Err(Diagnostic::error(line, "unterminated string literal")
-                        .with_code("lex/unterminated-string"))
-                }
                 b'"' => break,
                 b'\\' => {
                     let s = owned.get_or_insert_with(String::new);
@@ -516,6 +522,22 @@ mod tests {
         assert_eq!(err.message, "unexpected character '€'");
         let err = Lexer::tokenize("\"\\é\"").unwrap_err();
         assert_eq!(err.message, "unknown escape sequence '\\é'");
+    }
+
+    #[test]
+    fn a_nul_byte_in_code_is_an_unexpected_character() {
+        let err = Lexer::tokenize("int main() { return 0; }\0 @@@").unwrap_err();
+        assert_eq!(err.code, "lex/unexpected-char");
+        assert_eq!(err.line, 1);
+    }
+
+    #[test]
+    fn a_nul_byte_in_a_string_or_comment_is_kept() {
+        let ks = kinds("printf(\"a\0b\"); // c\0d\n/* e\0f */ x");
+        assert_eq!(ks[2], TokenKind::StrLit("a\0b".into()));
+        assert_eq!(ks[5], TokenKind::Ident("x"));
+        let err = Lexer::tokenize("\"a\0b").unwrap_err();
+        assert_eq!(err.code, "lex/unterminated-string");
     }
 
     #[test]
