@@ -87,7 +87,7 @@ use lassi_lang::{BinOp, Type};
 use crate::cost::CostCounter;
 use crate::error::ExecError;
 use crate::eval::{apply_binop, EvalContext};
-use crate::value::Value;
+use crate::value::{Dim3Val, Value};
 
 /// A frame-relative register index.
 pub type Reg = u32;
@@ -146,10 +146,16 @@ impl SpecialIdent {
             SpecialIdent::BlockDim => block_dim,
             SpecialIdent::GridDim => grid_dim,
         };
-        Some(match axis {
-            Some(a) => Value::Int(d.axis(a) as i64),
-            None => Value::Dim3(d),
-        })
+        Some(dim_value(d, axis))
+    }
+}
+
+/// A `dim3` read whole (`axis` `None`) or one component of it.
+#[inline(always)]
+pub(crate) fn dim_value(d: Dim3Val, axis: Option<u8>) -> Value {
+    match axis {
+        Some(a) => Value::Int(d.axis(a) as i64),
+        None => Value::Dim3(d),
     }
 }
 
@@ -332,16 +338,16 @@ pub(crate) fn not(v: Value) -> Value {
 }
 
 /// [`Instr::RmwVar`]: `old op v`, coerced to the binding's type `ty`.
-#[inline(always)]
+#[inline]
 pub(crate) fn rmw_var(
     op: BinOp,
-    old: Value,
-    v: Value,
+    old: &Value,
+    v: &Value,
     ty: &Type,
     cost: &mut CostCounter,
     line: u32,
 ) -> Result<Value, ExecError> {
-    Ok(apply_binop(op, &old, &v, cost, line)?.coerce_to(ty))
+    Ok(apply_binop(op, old, v, cost, line)?.coerce_to(ty))
 }
 
 /// [`Instr::OmpInt`] in `ctx`.
@@ -1200,46 +1206,30 @@ impl Instr {
 
     /// The operator and operands of an operator instruction.
     pub(crate) fn operator(&self) -> Option<(BinOp, Form)> {
-        Some(match *self {
-            Instr::Binary(op, o) => (op, o.into()),
-            Instr::BinaryK(op, o) => (op, o.into()),
-            Instr::Add(o) => (BinOp::Add, o.into()),
-            Instr::AddK(o) => (BinOp::Add, o.into()),
-            Instr::Sub(o) => (BinOp::Sub, o.into()),
-            Instr::SubK(o) => (BinOp::Sub, o.into()),
-            Instr::Mul(o) => (BinOp::Mul, o.into()),
-            Instr::MulK(o) => (BinOp::Mul, o.into()),
-            Instr::Div(o) => (BinOp::Div, o.into()),
-            Instr::DivK(o) => (BinOp::Div, o.into()),
-            Instr::Rem(o) => (BinOp::Rem, o.into()),
-            Instr::RemK(o) => (BinOp::Rem, o.into()),
-            Instr::Lt(o) => (BinOp::Lt, o.into()),
-            Instr::LtK(o) => (BinOp::Lt, o.into()),
-            Instr::LtBr(o) => (BinOp::Lt, o.into()),
-            Instr::LtKBr(o) => (BinOp::Lt, o.into()),
-            Instr::Gt(o) => (BinOp::Gt, o.into()),
-            Instr::GtK(o) => (BinOp::Gt, o.into()),
-            Instr::GtBr(o) => (BinOp::Gt, o.into()),
-            Instr::GtKBr(o) => (BinOp::Gt, o.into()),
-            Instr::Le(o) => (BinOp::Le, o.into()),
-            Instr::LeK(o) => (BinOp::Le, o.into()),
-            Instr::LeBr(o) => (BinOp::Le, o.into()),
-            Instr::LeKBr(o) => (BinOp::Le, o.into()),
-            Instr::Ge(o) => (BinOp::Ge, o.into()),
-            Instr::GeK(o) => (BinOp::Ge, o.into()),
-            Instr::GeBr(o) => (BinOp::Ge, o.into()),
-            Instr::GeKBr(o) => (BinOp::Ge, o.into()),
-            Instr::Eq(o) => (BinOp::Eq, o.into()),
-            Instr::EqK(o) => (BinOp::Eq, o.into()),
-            Instr::EqBr(o) => (BinOp::Eq, o.into()),
-            Instr::EqKBr(o) => (BinOp::Eq, o.into()),
-            Instr::Ne(o) => (BinOp::Ne, o.into()),
-            Instr::NeK(o) => (BinOp::Ne, o.into()),
-            Instr::NeBr(o) => (BinOp::Ne, o.into()),
-            Instr::NeKBr(o) => (BinOp::Ne, o.into()),
-            Instr::And(o) => (BinOp::And, o.into()),
-            Instr::AndBr(o) => (BinOp::And, o.into()),
-            _ => return None,
+        // Each operator with instructions of its own, then its variants.
+        macro_rules! decode {
+            ($($op:ident: $($variant:ident)*;)*) => {
+                match *self {
+                    Instr::Binary(op, o) => (op, o.into()),
+                    Instr::BinaryK(op, o) => (op, o.into()),
+                    $($(Instr::$variant(o) => (BinOp::$op, o.into()),)*)*
+                    _ => return None,
+                }
+            };
+        }
+        Some(decode! {
+            Add: Add AddK;
+            Sub: Sub SubK;
+            Mul: Mul MulK;
+            Div: Div DivK;
+            Rem: Rem RemK;
+            Lt: Lt LtK LtBr LtKBr;
+            Gt: Gt GtK GtBr GtKBr;
+            Le: Le LeK LeBr LeKBr;
+            Ge: Ge GeK GeBr GeKBr;
+            Eq: Eq EqK EqBr EqKBr;
+            Ne: Ne NeK NeBr NeKBr;
+            And: And AndBr;
         })
     }
 

@@ -16,10 +16,9 @@
 //!
 //! What an instruction computes is not written here: operators, `Neg`,
 //! `Not`, `LoadDim`, `OmpInt`, `RmwVar` and `MathOp` call the functions in
-//! [`super::instr`] that the VM's dispatch loop calls too, and operator
-//! instructions are read through `Instr::operator`'s one decode. This
-//! runner adds only the lane loops: one per operator with instructions of
-//! its own and form of right operand, each compiled on its own.
+//! [`super::instr`] that the VM's dispatch loop calls too, and an operator's
+//! operands are its one [`super::instr::Form`]. This runner adds only the
+//! lane loops, one per operator instruction, each compiled on its own.
 //!
 //! ## Eligibility
 //!
@@ -68,7 +67,8 @@ use std::cell::Cell;
 use lassi_lang::BinOp;
 
 use super::instr::{
-    float_result, int_result, neg, not, omp_query, rmw_var, FlowKind, Instr, Reg, Rhs, SpecialIdent,
+    dim_value, float_result, int_result, neg, not, omp_query, rmw_var, FlowKind, Form, Instr, Reg,
+    Rhs, SpecialIdent,
 };
 use super::CompiledProgram;
 use crate::cost::CostCounter;
@@ -391,6 +391,32 @@ impl Lanes {
                 continue;
             }};
         }
+        // An operator with instructions of its own over every current lane,
+        // in a lane loop of its own per operator and form of right operand,
+        // then, for a branch-fused form, the branch on its result.
+        macro_rules! op {
+            ($op:ident, $o:expr) => {{
+                let f = Form::from(*$o);
+                charge!(f.pre);
+                let (d, a, op) = (row(f.dst), row(f.l), BinOp::$op);
+                let int = |x, y| int_result(BinOp::$op, x, y);
+                let float = |x, y| float_result(BinOp::$op, x, y);
+                match f.r {
+                    Rhs::Reg(r) => {
+                        let b = row(r);
+                        arith(&s.cur, w, d, a, |l| b[l].get(), cost, op, int, float)?
+                    }
+                    Rhs::Const(k) => {
+                        let b = prog.consts[k as usize];
+                        arith(&s.cur, w, d, a, |_| b, cost, op, int, float)?
+                    }
+                }
+                if let Some(target) = f.target {
+                    s.branch(target, d, true);
+                    settle!();
+                }
+            }};
+        }
         loop {
             match &prog.code[s.pc] {
                 Instr::Branch { pre } => {
@@ -435,12 +461,17 @@ impl Lanes {
                 } => {
                     charge!(*pre);
                     let d = row(*dst);
-                    let load = |ctx| which.load(&ctx, *axis).ok_or(Fallback::Replay);
-                    if *which == SpecialIdent::ThreadIdx {
-                        each!(s.cur, w, |l| d[l].set(load(lane_ctx(g.ctx, l))?));
-                    } else {
-                        let v = load(g.ctx)?;
-                        each!(s.cur, w, |l| d[l].set(v));
+                    match g.ctx {
+                        EvalContext::DeviceThread { block_dim, .. }
+                            if *which == SpecialIdent::ThreadIdx =>
+                        {
+                            each!(s.cur, w, |l| d[l]
+                                .set(dim_value(thread_of(l as u32, block_dim), *axis)))
+                        }
+                        ctx => {
+                            let v = which.load(&ctx, *axis).ok_or(Fallback::Replay)?;
+                            each!(s.cur, w, |l| d[l].set(v));
+                        }
                     }
                 }
                 Instr::StoreInt { slot, src, pre } => {
@@ -480,7 +511,7 @@ impl Lanes {
                     charge!(*pre);
                     let (d, b, ty) = (row(*slot), row(*src), prog.ty(*ty));
                     each!(s.cur, w, |l| {
-                        let v = rmw_var(*op, d[l].get(), b[l].get(), ty, cost, 0);
+                        let v = rmw_var(*op, &d[l].get(), &b[l].get(), ty, cost, 0);
                         d[l].set(v.map_err(|_| Fallback::Replay)?);
                     });
                 }
@@ -588,56 +619,56 @@ impl Lanes {
                     each!(s.cur, w, |l| d[l].set(f.apply(arg(0, l), arg(1, l))));
                     cost.special_ops += s.cur.len() as u64;
                 }
-                instr => {
-                    let (op, f) = instr
-                        .operator()
-                        .expect("analyse admits only the instructions above");
+                instr @ (Instr::Binary(..) | Instr::BinaryK(..)) => {
+                    let (op, f) = instr.operator().expect("an operator instruction");
                     charge!(f.pre);
                     let (d, a) = (row(f.dst), row(f.l));
-                    // One lane loop per operator with instructions of its
-                    // own and form of right operand; other operators lane by
-                    // lane through `apply_binop`.
-                    macro_rules! arith {
-                        ($($op:ident)*) => {
-                            match (op, f.r) {
-                                $((BinOp::$op, Rhs::Reg(r)) => {
-                                    let b = row(r);
-                                    arith!(@lanes BinOp::$op, |l| b[l].get())
-                                }
-                                (BinOp::$op, Rhs::Const(k)) => {
-                                    let b = prog.consts[k as usize];
-                                    arith!(@lanes BinOp::$op, |_| b)
-                                })*
-                                (op, r) => each!(s.cur, w, |l| {
-                                    let b = match r {
-                                        Rhs::Reg(r) => row(r)[l].get(),
-                                        Rhs::Const(k) => prog.consts[k as usize],
-                                    };
-                                    let v = apply_binop(op, &a[l].get(), &b, cost, 0);
-                                    d[l].set(v.map_err(|_| Fallback::Replay)?);
-                                }),
-                            }
+                    each!(s.cur, w, |l| {
+                        let b = match f.r {
+                            Rhs::Reg(r) => row(r)[l].get(),
+                            Rhs::Const(k) => prog.consts[k as usize],
                         };
-                        (@lanes $op:expr, $right:expr) => {
-                            arith(
-                                &s.cur,
-                                w,
-                                d,
-                                a,
-                                $right,
-                                cost,
-                                $op,
-                                |x, y| int_result($op, x, y),
-                                |x, y| float_result($op, x, y),
-                            )?
-                        };
-                    }
-                    arith!(Add Sub Mul Div Rem Lt Gt Le Ge Eq Ne And);
-                    if let Some(target) = f.target {
-                        s.branch(target, d, true);
-                        settle!();
-                    }
+                        let v = apply_binop(op, &a[l].get(), &b, cost, 0);
+                        d[l].set(v.map_err(|_| Fallback::Replay)?);
+                    });
                 }
+                Instr::Add(o) => op!(Add, o),
+                Instr::AddK(o) => op!(Add, o),
+                Instr::Sub(o) => op!(Sub, o),
+                Instr::SubK(o) => op!(Sub, o),
+                Instr::Mul(o) => op!(Mul, o),
+                Instr::MulK(o) => op!(Mul, o),
+                Instr::Div(o) => op!(Div, o),
+                Instr::DivK(o) => op!(Div, o),
+                Instr::Rem(o) => op!(Rem, o),
+                Instr::RemK(o) => op!(Rem, o),
+                Instr::Lt(o) => op!(Lt, o),
+                Instr::LtK(o) => op!(Lt, o),
+                Instr::LtBr(o) => op!(Lt, o),
+                Instr::LtKBr(o) => op!(Lt, o),
+                Instr::Gt(o) => op!(Gt, o),
+                Instr::GtK(o) => op!(Gt, o),
+                Instr::GtBr(o) => op!(Gt, o),
+                Instr::GtKBr(o) => op!(Gt, o),
+                Instr::Le(o) => op!(Le, o),
+                Instr::LeK(o) => op!(Le, o),
+                Instr::LeBr(o) => op!(Le, o),
+                Instr::LeKBr(o) => op!(Le, o),
+                Instr::Ge(o) => op!(Ge, o),
+                Instr::GeK(o) => op!(Ge, o),
+                Instr::GeBr(o) => op!(Ge, o),
+                Instr::GeKBr(o) => op!(Ge, o),
+                Instr::Eq(o) => op!(Eq, o),
+                Instr::EqK(o) => op!(Eq, o),
+                Instr::EqBr(o) => op!(Eq, o),
+                Instr::EqKBr(o) => op!(Eq, o),
+                Instr::Ne(o) => op!(Ne, o),
+                Instr::NeK(o) => op!(Ne, o),
+                Instr::NeBr(o) => op!(Ne, o),
+                Instr::NeKBr(o) => op!(Ne, o),
+                Instr::And(o) => op!(And, o),
+                Instr::AndBr(o) => op!(And, o),
+                _ => unreachable!("analyse admits only the instructions above"),
             }
             s.pc += 1;
             settle!();
@@ -645,29 +676,18 @@ impl Lanes {
     }
 }
 
-/// Lane `l`'s context: in a block, thread `l` of lane 0's block, x
-/// fastest.
+/// The thread index of lane `l` in a block of `block` threads, x fastest.
 #[inline(always)]
-fn lane_ctx(mut ctx: EvalContext, l: usize) -> EvalContext {
-    if let EvalContext::DeviceThread {
-        thread_idx,
-        block_dim: b,
-        ..
-    } = &mut ctx
-    {
-        let l = l as u32;
-        *thread_idx = if l < b.x {
-            // Every lane of a one-dimensional block: no division.
-            Dim3Val { x: l, y: 0, z: 0 }
-        } else {
-            Dim3Val {
-                x: l % b.x,
-                y: l / b.x % b.y,
-                z: l / (b.x * b.y),
-            }
-        };
+fn thread_of(l: u32, block: Dim3Val) -> Dim3Val {
+    if l < block.x {
+        // Every lane of a one-dimensional block: no division.
+        return Dim3Val { x: l, y: 0, z: 0 };
     }
-    ctx
+    Dim3Val {
+        x: l % block.x,
+        y: l / block.x % block.y,
+        z: l / (block.x * block.y),
+    }
 }
 
 /// The buffer the first current lane's pointer in `base` names.

@@ -311,24 +311,20 @@ impl<'p> Vm<'p> {
         ExecError::other(format!("line {}: {}", self.line(pc), msg))
     }
 
-    /// The pointer `*r` reads through, or the fault of a non-pointer.
-    fn deref_ptr(&self, r: Reg, pc: usize) -> Result<PtrValue, ExecError> {
-        match self.reg(r) {
-            Value::Ptr(p) => Ok(*p),
-            _ => Err(ExecError::NullPointer {
-                line: self.line(pc),
-            }),
+    /// The fault of reading through a non-pointer at `pc`.
+    #[cold]
+    fn null_pointer(&self, pc: usize) -> ExecError {
+        ExecError::NullPointer {
+            line: self.line(pc),
         }
     }
 
-    /// The pointer `base[i]` indexes, or the fault of a non-pointer.
-    fn index_ptr(&self, base: Reg, pc: usize) -> Result<PtrValue, ExecError> {
+    /// The fault of indexing the non-pointer in `base` at `pc`.
+    #[cold]
+    fn index_fault(&self, base: Reg, pc: usize) -> ExecError {
         match self.reg(base) {
-            Value::Ptr(p) => Ok(*p),
-            Value::NullPtr => Err(ExecError::NullPointer {
-                line: self.line(pc),
-            }),
-            _ => Err(self.err_line(pc, "subscripted value is not a pointer")),
+            Value::NullPtr => self.null_pointer(pc),
+            _ => self.err_line(pc, "subscripted value is not a pointer"),
         }
     }
 
@@ -712,7 +708,9 @@ impl<'p> Vm<'p> {
                 }
                 Instr::DerefLoad { dst, ptr, pre } => {
                     self.charge(*pre)?;
-                    let p = self.deref_ptr(*ptr, pc)?;
+                    let Value::Ptr(p) = *self.reg(*ptr) else {
+                        return Err(self.null_pointer(pc));
+                    };
                     let (v, elem) =
                         mem.load_counted(&p, 0, self.is_device_access(), self.line(pc))?;
                     self.cost.bytes_read += elem;
@@ -725,7 +723,10 @@ impl<'p> Vm<'p> {
                     pre,
                 } => {
                     self.charge(*pre)?;
-                    let (p, i) = (self.index_ptr(*base, pc)?, self.reg(*idx).as_int());
+                    let Value::Ptr(p) = *self.reg(*base) else {
+                        return Err(self.index_fault(*base, pc));
+                    };
+                    let i = self.reg(*idx).as_int();
                     let (v, elem) =
                         mem.load_counted(&p, i, self.is_device_access(), self.line(pc))?;
                     self.cost.bytes_read += elem;
@@ -779,10 +780,13 @@ impl<'p> Vm<'p> {
                     pre,
                 } => {
                     self.charge(*pre)?;
-                    let (p, i) = (self.index_ptr(*base, pc)?, self.reg(*idx).as_int());
-                    let (v, device) = (self.reg(*src), self.is_device_access());
-                    self.cost.bytes_written +=
-                        mem.store_counted(&p, i, v, device, self.line(pc))?;
+                    let Value::Ptr(p) = *self.reg(*base) else {
+                        return Err(self.index_fault(*base, pc));
+                    };
+                    let (i, v) = (self.reg(*idx).as_int(), *self.reg(*src));
+                    let elem =
+                        mem.store_counted(&p, i, &v, self.is_device_access(), self.line(pc))?;
+                    self.cost.bytes_written += elem;
                 }
                 Instr::RmwIndex {
                     op,
@@ -792,19 +796,27 @@ impl<'p> Vm<'p> {
                     pre,
                 } => {
                     self.charge(*pre)?;
-                    let (p, i) = (self.index_ptr(*base, pc)?, self.reg(*idx).as_int());
+                    let Value::Ptr(p) = *self.reg(*base) else {
+                        return Err(self.index_fault(*base, pc));
+                    };
+                    let i = self.reg(*idx).as_int();
                     self.rmw_mem(mem, p, i, *op, *src, pc)?;
                 }
                 Instr::StoreDeref { ptr, src, pre } => {
                     self.charge(*pre)?;
-                    let p = self.deref_ptr(*ptr, pc)?;
-                    let (v, device) = (self.reg(*src), self.is_device_access());
-                    self.cost.bytes_written +=
-                        mem.store_counted(&p, 0, v, device, self.line(pc))?;
+                    let Value::Ptr(p) = *self.reg(*ptr) else {
+                        return Err(self.null_pointer(pc));
+                    };
+                    let v = *self.reg(*src);
+                    let elem =
+                        mem.store_counted(&p, 0, &v, self.is_device_access(), self.line(pc))?;
+                    self.cost.bytes_written += elem;
                 }
                 Instr::RmwDeref { op, ptr, src, pre } => {
                     self.charge(*pre)?;
-                    let p = self.deref_ptr(*ptr, pc)?;
+                    let Value::Ptr(p) = *self.reg(*ptr) else {
+                        return Err(self.null_pointer(pc));
+                    };
                     self.rmw_mem(mem, p, 0, *op, *src, pc)?;
                 }
                 Instr::RmwVar {
@@ -816,7 +828,7 @@ impl<'p> Vm<'p> {
                 } => {
                     self.charge(*pre)?;
                     let (si, vi) = (self.base + *slot as usize, self.base + *src as usize);
-                    let (old, v, ty) = (self.regs[si], self.regs[vi], prog.ty(*ty));
+                    let (old, v, ty) = (&self.regs[si], &self.regs[vi], prog.ty(*ty));
                     self.regs[si] = rmw_var(*op, old, v, ty, &mut self.cost, prog.lines[pc])?;
                 }
                 Instr::ErrPlain { msg } => {
@@ -940,9 +952,7 @@ impl<'p> Vm<'p> {
                 } => {
                     let n = self.reg(*bytes).as_int().max(0) as u64;
                     let (Value::Ptr(d), Value::Ptr(s)) = (self.reg(*dptr), self.reg(*sptr)) else {
-                        return Err(ExecError::NullPointer {
-                            line: self.line(pc),
-                        });
+                        return Err(self.null_pointer(pc));
                     };
                     mem.copy(d, s, n, self.line(pc))?;
                     if let Some(machine) = self.machine {
@@ -1010,7 +1020,9 @@ impl<'p> Vm<'p> {
                     self.charge(*pre)?;
                     let delta = *self.reg(*delta);
                     self.cost.atomics += 1;
-                    let p = self.deref_ptr(*target, pc)?;
+                    let Value::Ptr(p) = *self.reg(*target) else {
+                        return Err(self.null_pointer(pc));
+                    };
                     let v =
                         mem.atomic_add(&p, 0, &delta, self.is_device_access(), self.line(pc))?;
                     self.set_reg(*dst, v);
@@ -1025,7 +1037,9 @@ impl<'p> Vm<'p> {
                     self.charge(*pre)?;
                     let operand = *self.reg(*delta);
                     self.cost.atomics += 1;
-                    let p = self.deref_ptr(*target, pc)?;
+                    let Value::Ptr(p) = *self.reg(*target) else {
+                        return Err(self.null_pointer(pc));
+                    };
                     let (device, line) = (self.is_device_access(), self.line(pc));
                     let v = mem.atomic_minmax(&p, 0, &operand, *is_max, device, line)?;
                     self.set_reg(*dst, v);
@@ -1121,7 +1135,10 @@ impl<'p> Vm<'p> {
                     pre,
                 } => {
                     self.charge(*pre)?;
-                    let (p, i) = (self.index_ptr(*base, pc)?, self.reg(*idx).as_int());
+                    let Value::Ptr(p) = *self.reg(*base) else {
+                        return Err(self.index_fault(*base, pc));
+                    };
+                    let i = self.reg(*idx).as_int();
                     self.cost.atomics += 1;
                     let delta = *self.reg(*src);
                     let signed = if *negate { neg(delta) } else { delta };
