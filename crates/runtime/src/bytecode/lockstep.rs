@@ -392,8 +392,8 @@ impl Lanes {
             }};
         }
         // An operator with instructions of its own over every current lane,
-        // in a lane loop of its own per operator and form of right operand,
-        // then, for a branch-fused form, the branch on its result.
+        // in a lane loop of its own per operator instruction, then, for a
+        // branch-fused form, the branch on its result.
         macro_rules! op {
             ($op:ident, $o:expr) => {{
                 let f = Form::from(*$o);
