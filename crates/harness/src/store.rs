@@ -99,12 +99,19 @@ impl RunManifest {
     }
 }
 
-/// True for identifiers safe to embed in a filename: non-empty ASCII
-/// `[A-Za-z0-9._-]` and not composed entirely of dots (`.`/`..`), which
-/// rules out traversal, empty segments and separators. This is the single
-/// definition both the artifact store and the HTTP router validate against.
+/// Longest slug [`is_slug`] accepts, in bytes: a `run-<id>` directory name
+/// (or a `.tmp` sibling of a file in it) stays well inside the 255-byte
+/// file-name limit of common file systems.
+const MAX_SLUG_BYTES: usize = 128;
+
+/// True for identifiers safe to embed in a filename: 1 to 128 bytes of
+/// ASCII `[A-Za-z0-9._-]`, not composed entirely of dots (`.`/`..`), which
+/// rules out traversal, empty segments, separators and names the file
+/// system would refuse as too long. This is the single definition both the
+/// artifact store and the HTTP router validate against.
 pub fn is_slug(s: &str) -> bool {
     !s.is_empty()
+        && s.len() <= MAX_SLUG_BYTES
         && s.bytes()
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'.' | b'_' | b'-'))
         && !s.bytes().all(|b| b == b'.')

@@ -932,10 +932,11 @@ impl<'a> PragmaParser<'a> {
         Ok(OmpDirective { kind, clauses })
     }
 
+    /// A clause expression. Its diagnostic keeps its code and column; only
+    /// the line moves from the pragma's own text to the pragma's line.
     fn parse_expr(&mut self) -> Result<Expr, Diagnostic> {
-        self.p
-            .parse_expr()
-            .map_err(|d| Diagnostic::error(self.line, d.message))
+        let line = self.line;
+        self.p.parse_expr().map_err(|d| Diagnostic { line, ..d })
     }
 
     fn parse_var_list(&mut self) -> Result<Vec<String>, Diagnostic> {
@@ -1416,6 +1417,20 @@ mod tests {
                 "{form}"
             );
         }
+    }
+
+    #[test]
+    fn a_too_deep_clause_expression_keeps_its_code_and_line() {
+        let depth = 300;
+        let src = format!(
+            "int main() {{\n#pragma omp parallel for num_threads({}1{})\n\
+             for (int i = 0; i < 4; i++) {{ }}\nreturn 0; }}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        );
+        let err = parse(&src, Dialect::OmpLite).unwrap_err();
+        assert_eq!(err.code, "parse/nesting-too-deep", "{err:?}");
+        assert_eq!(err.line, 2, "{err:?}");
     }
 
     #[test]

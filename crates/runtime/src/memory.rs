@@ -380,7 +380,10 @@ impl Memory {
         self.with_access(ptr, index, from_device, line, |buf, idx| {
             let old = buf.load_raw(idx);
             let new = match buf.elem {
-                Type::Int | Type::Long | Type::Bool => Value::Int(old.as_int() + delta.as_int()),
+                // Integers wrap, like the binary operators and `neg`.
+                Type::Int | Type::Long | Type::Bool => {
+                    Value::Int(old.as_int().wrapping_add(delta.as_int()))
+                }
                 _ => Value::Float(old.as_float() + delta.as_float()),
             };
             buf.store_raw(idx, &new);

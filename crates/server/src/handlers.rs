@@ -538,12 +538,11 @@ fn get_manifest(state: &AppState, id: &str) -> Response {
 /// queued/running run (or a bare reservation) is a 409, because removing
 /// it would let another client claim the id and race the executor's
 /// artifact write. Terminal runs (done, failed, cancelled) are deletable;
-/// the registry entry goes with the directory so listings don't resurrect
-/// the id from memory.
+/// the live-run registry no longer holds them, so the directory is all
+/// there is to remove.
 fn delete_run(state: &AppState, id: &str) -> Response {
     match state.store().delete_run(id) {
         Ok(()) => {
-            state.forget_run(id);
             let body = Json::Object(vec![("deleted".into(), Json::Str(id.into()))]);
             Response::json(200, body.to_compact())
         }

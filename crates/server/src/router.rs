@@ -281,5 +281,9 @@ mod tests {
         assert!(!is_slug("."));
         assert!(!is_slug("a b"));
         assert!(!is_slug("a/b"));
+        // 128 bytes is the longest slug; one more would make `reserve_run`
+        // fail with a file-name-too-long error instead of a 400.
+        assert!(is_slug(&"a".repeat(128)));
+        assert!(!is_slug(&"a".repeat(129)));
     }
 }

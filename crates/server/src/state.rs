@@ -1,8 +1,7 @@
 //! Shared service state: one long-lived [`Harness`] (worker pool + scenario
 //! cache) and one [`ArtifactStore`], plus the machinery behind asynchronous
-//! sweep submission — a registry of run resources ([`RunStatus`] per run), a
-//! bounded queue of accepted runs, and the background sweep-executor thread
-//! pool that pulls queued runs and feeds them through the job scheduler.
+//! sweep submission — a registry of live runs with a bounded queue, and the
+//! sweep-executor thread pool that pulls queued runs through the scheduler.
 //!
 //! Submission ([`AppState::submit_sweep`]) only validates, reserves the run
 //! directory, persists `state.json` (`queued`) and enqueues — constant-time
@@ -10,19 +9,28 @@
 //! `202 Accepted` in milliseconds. Executors own the expensive part: they
 //! advance runs `queued → running`, stream scenario outputs (counting live
 //! progress), write the artifact and land the run in a terminal state, with
-//! every transition persisted beside the artifact.
+//! every transition persisted beside the artifact. Once a run's terminal
+//! `state.json` is on disk the registry lets it go, and disk answers for it.
 //!
 //! While a worker is live, an executor drains its run through the fleet
 //! instead: the run's [`LeaseTable`] is the one record of its grants,
 //! expiries, requeues and duplicates, and [`AppState::fleet_snapshot`]
 //! sums those tables (live runs plus retired ones). The draining executor
-//! does not poll. It sleeps on the run's condvar until the earliest lease
-//! deadline, and a grant, a completion, a cancel or a shutdown wakes it.
+//! sleeps on the run's condvar until the earliest lease deadline, and a
+//! grant, a completion, a cancel or a shutdown wakes it.
+//!
+//! Locks come in two levels, taken in this order only: the registry (live
+//! runs, queue, draining flag, retired lease stats), then one run (status,
+//! cancel token, lease table). Each has one condvar: the registry's wakes
+//! idle executors, a run's wakes its fleet drain and is notified only under
+//! the run's lock, so a drain cannot miss a wake-up. The worker-contact
+//! map, the executor handles, the debug ring and the run trace are leaves:
+//! nothing is taken under them.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -125,43 +133,6 @@ pub struct FleetSnapshot {
     pub remote_runs: u64,
 }
 
-/// The process-wide fleet counters no lease table keeps.
-#[derive(Default)]
-struct FleetCounters {
-    records_accepted: AtomicU64,
-    heartbeats: AtomicU64,
-}
-
-/// A run being drained by remote workers: the lease table, the
-/// first-write-wins output slots the completions land in, and the
-/// condvar its drain waits on.
-struct RemoteRun {
-    run_id: String,
-    jobs: Vec<Job>,
-    table: Mutex<LeaseTable>,
-    /// Notified under `table` when a lease is granted, settled or failed,
-    /// and when the run is cancelled or the server drains.
-    wake: std::sync::Condvar,
-    outputs: Mutex<Vec<Option<JobOutput>>>,
-}
-
-impl RemoteRun {
-    /// Wake the drain after setting a flag it reads. Taking the table lock
-    /// first means a drain between its checks and its wait cannot miss it.
-    fn wake(&self) {
-        let _table = self.table.lock();
-        self.wake.notify_all();
-    }
-}
-
-/// The runs the fleet is draining, and the summed stats of the drains
-/// already retired: together, the process's lease accounting.
-#[derive(Default)]
-struct FleetRuns {
-    live: Vec<Arc<RemoteRun>>,
-    retired: FleetStats,
-}
-
 /// Check a completion body against the jobs its lease holds: the record
 /// count must match, and each record must identify the scenario it claims
 /// to answer. Catches truncated and chaos-corrupted completions before
@@ -198,37 +169,96 @@ fn unix_now_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// A run waiting for an executor.
-struct QueuedRun {
-    run_id: String,
-    grid: SweepGrid,
+/// The process-wide run bookkeeping, behind the one level-1 lock.
+#[derive(Default)]
+struct Registry {
+    /// Runs not yet terminal on disk, in submission order.
+    runs: Vec<Arc<RunEntry>>,
+    /// Accepted runs waiting for an executor, oldest first. A run
+    /// cancelled while queued stays here until an executor skips it.
+    queue: VecDeque<Arc<RunEntry>>,
+    /// Shutdown was requested: no new runs, executors exit once idle.
+    draining: bool,
+    /// Summed lease stats of the fleet drains already finished.
+    retired: FleetStats,
 }
 
-/// The queue executors pull from. `open` flips false on drain: executors
-/// finish their current run and exit instead of pulling more work.
-struct RunQueue {
-    items: VecDeque<QueuedRun>,
-    open: bool,
-}
-
-/// Live bookkeeping for one run resource. The persisted [`RunStatus`] is
-/// the durable truth; the atomics carry what changes too often to persist
-/// (per-scenario progress, live wall-clock).
+/// One live run: its request, its mutable [`Run`] behind the level-2
+/// lock, the condvar its fleet drain sleeps on (notified under `run`), and
+/// its trace: lifecycle events, stamped relative to submission, that land
+/// in the artifact's `trace.jsonl` beside the per-job spans.
 struct RunEntry {
-    status: Mutex<RunStatus>,
-    /// Scenarios completed so far (bumped per streamed output).
-    completed: AtomicUsize,
-    /// The running sweep's cancel token, present only while executing.
-    cancel: Mutex<Option<CancelToken>>,
-    /// A client asked for cancellation (consulted by the executor when the
-    /// output stream comes up short, to pick `cancelled` over `failed`).
-    cancel_requested: AtomicBool,
-    /// When the executor started the sweep (live wall-clock source).
-    started: Mutex<Option<Instant>>,
-    /// The run's structured trace: lifecycle events accumulate here (with
-    /// times relative to submission) and land in the artifact's
-    /// `trace.jsonl` alongside the per-job spans.
+    id: String,
+    grid: SweepGrid,
+    run: Mutex<Run>,
+    wake: std::sync::Condvar,
     trace: TraceSink,
+}
+
+/// Everything a run owns that changes while it is live.
+struct Run {
+    /// The persisted state, with the live `completed` count.
+    status: RunStatus,
+    /// When the executor started the sweep (live wall-clock source).
+    started: Option<Instant>,
+    /// Fired by a client cancel or a shutdown; the running local stream's
+    /// own token once one starts, so firing it stops the stream.
+    cancel: CancelToken,
+    /// A client asked for cancellation (picks `cancelled` over `failed`
+    /// when the outputs come up short).
+    cancel_requested: bool,
+    /// The lease table while the fleet drains the run.
+    fleet: Option<FleetDrain>,
+}
+
+/// A run being drained by remote workers: the jobs, the lease table, and
+/// the first-write-wins output slots the completions land in.
+struct FleetDrain {
+    jobs: Vec<Job>,
+    table: LeaseTable,
+    outputs: Vec<Option<JobOutput>>,
+}
+
+impl FleetDrain {
+    /// Land a job's output first-write-wins; `false` for a duplicate.
+    fn land(&mut self, output: JobOutput) -> bool {
+        let index = output.index;
+        let fresh = self.table.record_job(index) == JobWrite::Fresh;
+        if fresh {
+            self.outputs[index] = Some(output);
+        }
+        fresh
+    }
+}
+
+impl Run {
+    /// Take one lifecycle step: set the state (a fresh status is already
+    /// `queued`), persist `state.json`, and record the step in the run's
+    /// trace and the debug ring. Callers make only legal steps.
+    fn transition(
+        &mut self,
+        app: &AppState,
+        trace: &TraceSink,
+        to: RunState,
+        reason: Option<&str>,
+    ) -> io::Result<()> {
+        if to != RunState::Queued {
+            let step = self.status.advance(to);
+            step.expect("callers take only legal lifecycle steps");
+            self.status.reason = reason.map(str::to_string);
+        }
+        let mut event = TraceEvent::event("runstate", app.events.now_us())
+            .with("run_id", self.status.run_id.as_str())
+            .with("state", to.slug());
+        if let Some(reason) = reason {
+            event = event.with("reason", reason);
+        }
+        let mut run_event = event.clone();
+        run_event.t_us = trace.now_us();
+        trace.push(run_event);
+        app.events.push(event);
+        self.status.save(&app.store.run_dir(&self.status.run_id))
+    }
 }
 
 /// Everything the request handlers share, kept behind one `Arc`.
@@ -236,26 +266,22 @@ pub struct AppState {
     harness: Harness,
     store: ArtifactStore,
     run_counter: AtomicU64,
-    shutdown: AtomicBool,
-    queue: Mutex<RunQueue>,
-    queue_signal: Condvar,
-    runs: Mutex<HashMap<String, Arc<RunEntry>>>,
+    registry: Mutex<Registry>,
+    /// Signalled when a run is queued or the server drains.
+    queued: Condvar,
     executors: Mutex<Vec<JoinHandle<()>>>,
-    executors_started: AtomicBool,
     /// Recent trace events across all runs, for `GET /v1/debug/events`.
     events: EventRing,
-    /// Executors currently inside a run (vs. waiting on the queue).
-    busy_executors: AtomicUsize,
-    /// Size of the executor pool once started.
+    /// Size of the executor pool; 0 until started.
     executor_count: AtomicUsize,
-    /// Runs currently drained by the fleet (lease/work calls search these).
-    remote_runs: Mutex<FleetRuns>,
     /// Worker id → last contact, for fleet liveness.
     workers: Mutex<HashMap<String, Instant>>,
     /// Lease time-to-live handed to workers.
     lease_ttl_ms: AtomicU64,
-    /// Heartbeats and remote records for `/v1/metrics`.
-    fleet: FleetCounters,
+    /// Heartbeat extensions served, for `/v1/metrics`.
+    heartbeats: AtomicU64,
+    /// Remote records accepted as first writes, for `/v1/metrics`.
+    records_accepted: AtomicU64,
 }
 
 impl AppState {
@@ -265,22 +291,15 @@ impl AppState {
             harness,
             store,
             run_counter: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            queue: Mutex::new(RunQueue {
-                items: VecDeque::new(),
-                open: true,
-            }),
-            queue_signal: Condvar::new(),
-            runs: Mutex::new(HashMap::new()),
+            registry: Mutex::default(),
+            queued: Condvar::new(),
             executors: Mutex::new(Vec::new()),
-            executors_started: AtomicBool::new(false),
             events: EventRing::new(DEBUG_EVENT_CAPACITY),
-            busy_executors: AtomicUsize::new(0),
             executor_count: AtomicUsize::new(0),
-            remote_runs: Mutex::default(),
             workers: Mutex::new(HashMap::new()),
             lease_ttl_ms: AtomicU64::new(DEFAULT_LEASE_TTL_MS),
-            fleet: FleetCounters::default(),
+            heartbeats: AtomicU64::new(0),
+            records_accepted: AtomicU64::new(0),
         }
     }
 
@@ -291,40 +310,51 @@ impl AppState {
 
     /// Accepted-but-not-started runs waiting for an executor.
     pub fn queue_depth(&self) -> usize {
-        self.queue.lock().items.len()
+        self.registry.lock().queue.len()
     }
 
-    /// `(busy, total)` sweep executors — busy means inside a run.
+    /// `(busy, total)` sweep executors — busy means inside a `running` run.
     pub fn executor_counts(&self) -> (usize, usize) {
-        (
-            self.busy_executors.load(Ordering::Relaxed),
-            self.executor_count.load(Ordering::Relaxed),
-        )
+        let busy = self.count_live(|state| state == RunState::Running);
+        (busy, self.executor_count.load(Ordering::Relaxed))
     }
 
-    /// Record a run-lifecycle transition as a structured trace event: into
-    /// the process-wide debug ring always, and into the run's own trace
-    /// sink (re-stamped on the run's submission-relative clock) when the
-    /// run still has a live registry entry.
-    fn record_transition(
+    /// Live runs whose state satisfies `pred`.
+    fn count_live(&self, pred: impl Fn(RunState) -> bool) -> usize {
+        let live = self.live();
+        live.iter()
+            .filter(|entry| pred(entry.run.lock().status.state))
+            .count()
+    }
+
+    /// The live run `id`, if the registry still holds it.
+    fn find(&self, id: &str) -> Option<Arc<RunEntry>> {
+        self.live().into_iter().find(|entry| entry.id == id)
+    }
+
+    /// Every live run, in submission order.
+    fn live(&self) -> Vec<Arc<RunEntry>> {
+        self.registry.lock().runs.clone()
+    }
+
+    /// Land `entry` in a terminal state. Once `state.json` says so, disk
+    /// answers for the run and the registry lets it go; if the write
+    /// failed, the entry stays and keeps answering.
+    fn finish(
         &self,
-        entry: Option<&RunEntry>,
-        run_id: &str,
-        state: RunState,
+        entry: &Arc<RunEntry>,
+        mut run: MutexGuard<'_, Run>,
+        to: RunState,
         reason: Option<&str>,
-    ) {
-        let mut event = TraceEvent::event("runstate", self.events.now_us())
-            .with("run_id", run_id)
-            .with("state", state.slug());
-        if let Some(reason) = reason {
-            event = event.with("reason", reason);
+    ) -> RunStatus {
+        let saved = run.transition(self, &entry.trace, to, reason).is_ok();
+        let status = run.status.clone();
+        drop(run);
+        if saved {
+            let mut registry = self.registry.lock();
+            registry.runs.retain(|live| !Arc::ptr_eq(live, entry));
         }
-        if let Some(entry) = entry {
-            let mut run_event = event.clone();
-            run_event.t_us = entry.trace.now_us();
-            entry.trace.push(run_event);
-        }
-        self.events.push(event);
+        status
     }
 
     /// The shared experiment service.
@@ -345,7 +375,7 @@ impl AppState {
 
     /// Has a cooperative shutdown been requested?
     pub fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.registry.lock().draining
     }
 
     /// Override the lease TTL handed to workers (tests shrink it so
@@ -380,26 +410,15 @@ impl AppState {
         self.liveness_window().checked_sub(freshest)
     }
 
-    fn live_remote_runs(&self) -> Vec<Arc<RemoteRun>> {
-        self.remote_runs.lock().live.clone()
-    }
-
-    /// Wake the fleet drain of `run_id` (of every run with `None`) so it
-    /// re-reads the cancel and shutdown flags.
-    fn wake_drains(&self, run_id: Option<&str>) {
-        for remote in self.live_remote_runs() {
-            if run_id.is_none_or(|id| id == remote.run_id) {
-                remote.wake();
-            }
-        }
-    }
-
     /// Record a `/v1/work/*` contact from a worker (implicit registration:
-    /// the first lease poll is what makes a worker part of the fleet).
+    /// the first lease poll is what makes a worker part of the fleet), and
+    /// forget workers dark for longer than the liveness window, so ids the
+    /// fleet no longer uses do not pile up.
     fn touch_worker(&self, worker: &str) {
-        self.workers
-            .lock()
-            .insert(worker.to_string(), Instant::now());
+        let window = self.liveness_window();
+        let mut workers = self.workers.lock();
+        workers.retain(|_, last| last.elapsed() <= window);
+        workers.insert(worker.to_string(), Instant::now());
     }
 
     /// Push a lease lifecycle event into the debug ring.
@@ -414,6 +433,18 @@ impl AppState {
         );
     }
 
+    /// Call `f` under each fleet-drained live run's lock, in submission
+    /// order, until it answers `Some`; `f` wakes the drain if it must.
+    fn find_drain<T>(
+        &self,
+        mut f: impl FnMut(&RunEntry, &mut FleetDrain) -> Option<T>,
+    ) -> Option<T> {
+        self.live().iter().find_map(|entry| {
+            let mut run = entry.run.lock();
+            f(entry, run.fleet.as_mut()?)
+        })
+    }
+
     /// `POST /v1/work/lease`: register the worker and hand it a batch of
     /// up to `capacity` jobs from the first fleet-drained run with pending
     /// work. `None` means no work right now — the worker should back off
@@ -422,34 +453,22 @@ impl AppState {
         self.touch_worker(worker);
         let ttl_ms = self.lease_ttl_ms();
         let now_ms = unix_now_ms();
-        for remote in self.live_remote_runs() {
-            let mut table = remote.table.lock();
-            let Some(lease) = table.grant(worker, capacity, now_ms, ttl_ms) else {
-                continue;
-            };
-            let grant = LeaseGrant {
-                lease_id: lease.lease_id.clone(),
-                run_id: remote.run_id.clone(),
-                ttl_ms,
-                jobs: lease
-                    .jobs
-                    .iter()
-                    .map(|&index| (index, remote.jobs[index].clone()))
-                    .collect(),
-            };
+        self.find_drain(|entry, drain| {
+            let lease = drain.table.grant(worker, capacity, now_ms, ttl_ms)?;
+            let job = |&index: &usize| (index, drain.jobs[index].clone());
+            let jobs: Vec<(usize, Job)> = lease.jobs.iter().map(job).collect();
             // The drain's wait now ends at this lease's deadline at latest.
-            remote.wake.notify_all();
-            drop(table);
-            self.lease_event(
-                "granted",
-                &grant.run_id,
-                &grant.lease_id,
-                worker,
-                grant.jobs.len() as u64,
-            );
-            return Some(grant);
-        }
-        None
+            entry.wake.notify_all();
+            let (lease_id, run_id) = (lease.lease_id.clone(), entry.id.clone());
+            self.lease_event("granted", &run_id, &lease_id, worker, jobs.len() as u64);
+            let grant = LeaseGrant {
+                lease_id,
+                run_id,
+                ttl_ms,
+                jobs,
+            };
+            Some(grant)
+        })
     }
 
     /// `POST /v1/work/heartbeat`: extend an active lease's deadline by one
@@ -461,17 +480,18 @@ impl AppState {
         let ttl_ms = self.lease_ttl_ms();
         let now_ms = unix_now_ms();
         let mut refusal = LeaseError::UnknownLease(lease_id.to_string());
-        for remote in self.live_remote_runs() {
-            match remote.table.lock().heartbeat(lease_id, now_ms, ttl_ms) {
-                Ok(_) => {
-                    self.fleet.heartbeats.fetch_add(1, Ordering::Relaxed);
-                    return Ok(ttl_ms);
+        let extended = self.find_drain(|_, drain| {
+            let outcome = drain.table.heartbeat(lease_id, now_ms, ttl_ms);
+            if let Err(e) = outcome {
+                if !matches!(e, LeaseError::UnknownLease(_)) {
+                    refusal = e;
                 }
-                Err(LeaseError::UnknownLease(_)) => continue,
-                Err(e) => refusal = e,
+                return None;
             }
-        }
-        Err(refusal)
+            self.heartbeats.fetch_add(1, Ordering::Relaxed);
+            Some(ttl_ms)
+        });
+        extended.ok_or(refusal)
     }
 
     /// `POST /v1/work/complete`: settle a lease with the records its
@@ -485,113 +505,74 @@ impl AppState {
         &self,
         worker: &str,
         lease_id: &str,
-        records: Vec<TranslationRecord>,
+        mut records: Vec<TranslationRecord>,
     ) -> Result<(usize, usize), CompleteError> {
         self.touch_worker(worker);
-        let remote = self
-            .live_remote_runs()
-            .into_iter()
-            .find(|remote| {
-                remote
-                    .table
-                    .lock()
-                    .leases()
-                    .iter()
-                    .any(|l| l.lease_id == lease_id)
-            })
-            .ok_or_else(|| CompleteError::UnknownLease(lease_id.to_string()))?;
-        let mut table = remote.table.lock();
-        let leased: Vec<usize> = table
-            .leases()
-            .iter()
-            .find(|l| l.lease_id == lease_id)
-            .expect("lease found above")
-            .jobs
-            .clone();
-        if let Err(reason) = validate_completion(&leased, &remote.jobs, &records) {
-            // Fail-and-requeue only an active lease; a stale corrupt
-            // completion (lease already reclaimed) is simply dropped.
-            if let Ok(requeued) = table.fail_lease(lease_id) {
-                remote.wake.notify_all();
-                self.lease_event(
-                    "failed",
-                    &remote.run_id,
-                    lease_id,
-                    worker,
-                    requeued.len() as u64,
-                );
-            }
-            return Err(CompleteError::Invalid(reason));
-        }
-
-        let (jobs, _was_active) = table
-            .settle(lease_id)
-            .expect("lease found above stays known");
-        let mut accepted = 0usize;
-        let mut duplicates = 0usize;
-        {
-            let mut slots = remote.outputs.lock();
-            for (index, record) in jobs.into_iter().zip(records) {
-                match table.record_job(index) {
-                    // A remote completion carries no timing.
-                    JobWrite::Fresh => {
-                        slots[index] = Some(JobOutput {
-                            index,
-                            direction: remote.jobs[index].direction,
-                            record,
-                            wall_seconds: 0.0,
-                            queue_seconds: 0.0,
-                            from_cache: false,
-                        });
-                        accepted += 1;
-                    }
-                    JobWrite::Duplicate => duplicates += 1,
+        let settled = self.find_drain(|entry, drain| {
+            let leases = drain.table.leases();
+            let leased = leases.iter().find(|l| l.lease_id == lease_id)?.jobs.clone();
+            if let Err(reason) = validate_completion(&leased, &drain.jobs, &records) {
+                // Fail-and-requeue only an active lease; a stale corrupt
+                // completion (lease already reclaimed) is simply dropped.
+                if let Ok(requeued) = drain.table.fail_lease(lease_id) {
+                    entry.wake.notify_all();
+                    let jobs = requeued.len() as u64;
+                    self.lease_event("failed", &entry.id, lease_id, worker, jobs);
                 }
+                return Some(Err(CompleteError::Invalid(reason)));
             }
-        }
-        remote.wake.notify_all();
-        drop(table);
-        self.fleet
-            .records_accepted
-            .fetch_add(accepted as u64, Ordering::Relaxed);
-        self.lease_event(
-            "completed",
-            &remote.run_id,
-            lease_id,
-            worker,
-            accepted as u64,
-        );
-        Ok((accepted, duplicates))
+            let (jobs, _was_active) =
+                (drain.table.settle(lease_id)).expect("lease found above stays known");
+            let mut accepted = 0;
+            for (index, record) in jobs.iter().zip(std::mem::take(&mut records)) {
+                // A remote completion carries no timing.
+                accepted += usize::from(drain.land(JobOutput {
+                    index: *index,
+                    direction: drain.jobs[*index].direction,
+                    record,
+                    wall_seconds: 0.0,
+                    queue_seconds: 0.0,
+                    from_cache: false,
+                }));
+            }
+            let duplicates = jobs.len() - accepted;
+            entry.wake.notify_all();
+            self.records_accepted
+                .fetch_add(accepted as u64, Ordering::Relaxed);
+            self.lease_event("completed", &entry.id, lease_id, worker, accepted as u64);
+            Some(Ok((accepted, duplicates)))
+        });
+        settled.unwrap_or_else(|| Err(CompleteError::UnknownLease(lease_id.to_string())))
     }
 
     /// Point-in-time fleet accounting for the metrics endpoint. The lease
-    /// counters are the sum of every drain's lease table, live or retired.
+    /// counters sum every drain's table, live or retired, under the registry
+    /// lock, so no counter ever goes backwards between two scrapes.
     pub fn fleet_snapshot(&self) -> FleetSnapshot {
         let window = self.liveness_window();
-        let workers_active = self
-            .workers
-            .lock()
-            .values()
-            .filter(|last| last.elapsed() <= window)
-            .count() as u64;
-        let runs = self.remote_runs.lock();
-        let mut leases = runs.retired;
-        let mut leases_active = 0;
-        for remote in &runs.live {
-            let table = remote.table.lock();
-            leases = leases + table.stats();
-            leases_active += table.active_leases() as u64;
+        let workers = self.workers.lock();
+        let workers_active = workers.values().filter(|t| t.elapsed() <= window).count() as u64;
+        drop(workers);
+        let registry = self.registry.lock();
+        let mut leases = registry.retired;
+        let (mut leases_active, mut remote_runs) = (0, 0);
+        for entry in &registry.runs {
+            if let Some(drain) = &entry.run.lock().fleet {
+                leases = leases + drain.table.stats();
+                leases_active += drain.table.active_leases() as u64;
+                remote_runs += 1;
+            }
         }
         FleetSnapshot {
             leases_granted: leases.leases_granted,
             leases_expired: leases.leases_expired,
             jobs_requeued: leases.jobs_requeued,
             duplicate_completions: leases.duplicate_completions,
-            records_accepted: self.fleet.records_accepted.load(Ordering::Relaxed),
-            heartbeats: self.fleet.heartbeats.load(Ordering::Relaxed),
+            records_accepted: self.records_accepted.load(Ordering::Relaxed),
+            heartbeats: self.heartbeats.load(Ordering::Relaxed),
             workers_active,
             leases_active,
-            remote_runs: runs.live.len() as u64,
+            remote_runs,
         }
     }
 
@@ -610,93 +591,80 @@ impl AppState {
         }
         // Reserve before any other work, so a colliding client-chosen id —
         // even one submitted concurrently — is a fast 409.
-        let run_id = match requested_id {
-            Some(id) => match self.store.reserve_run(&id) {
-                Ok(()) => id,
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    return Err(SubmitError::RunExists(id));
+        let run_id = loop {
+            let id = requested_id.clone().unwrap_or_else(|| self.next_run_id());
+            match self.store.reserve_run(&id) {
+                Ok(()) => break id,
+                Err(e) if e.kind() != io::ErrorKind::AlreadyExists => {
+                    return Err(SubmitError::Io(e))
                 }
-                Err(e) => return Err(SubmitError::Io(e)),
-            },
-            None => loop {
-                let id = self.next_run_id();
-                match self.store.reserve_run(&id) {
-                    Ok(()) => break id,
-                    Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
-                    Err(e) => return Err(SubmitError::Io(e)),
-                }
-            },
+                Err(_) if requested_id.is_some() => return Err(SubmitError::RunExists(id)),
+                // A server-assigned id taken by an earlier process: next.
+                Err(_) => continue,
+            }
         };
-        let release = |run_id: &str| {
-            let _ = std::fs::remove_dir_all(self.store.run_dir(run_id));
+        let refuse = |error: SubmitError| {
+            let _ = std::fs::remove_dir_all(self.store.run_dir(&run_id));
+            Err(error)
         };
 
-        let status = RunStatus::queued(&run_id, grid.len());
-        if let Err(e) = status.save(&self.store.run_dir(&run_id)) {
-            release(&run_id);
-            return Err(SubmitError::Io(e));
+        let mut run = Run {
+            status: RunStatus::queued(&run_id, grid.len()),
+            started: None,
+            cancel: CancelToken::default(),
+            cancel_requested: false,
+            fleet: None,
+        };
+        let trace = TraceSink::new();
+        if let Err(e) = run.transition(self, &trace, RunState::Queued, None) {
+            return refuse(SubmitError::Io(e));
         }
+        let status = run.status.clone();
         let entry = Arc::new(RunEntry {
-            status: Mutex::new(status.clone()),
-            completed: AtomicUsize::new(0),
-            cancel: Mutex::new(None),
-            cancel_requested: AtomicBool::new(false),
-            started: Mutex::new(None),
-            trace: TraceSink::new(),
+            id: run_id.clone(),
+            grid,
+            run: Mutex::new(run),
+            wake: std::sync::Condvar::new(),
+            trace,
         });
-        self.runs.lock().insert(run_id.clone(), Arc::clone(&entry));
-        self.record_transition(Some(&entry), &run_id, RunState::Queued, None);
-        {
-            let mut queue = self.queue.lock();
-            if !queue.open {
-                // Shutdown raced in between the check above and here.
-                drop(queue);
-                self.runs.lock().remove(&run_id);
-                release(&run_id);
-                return Err(SubmitError::Draining);
-            }
-            if queue.items.len() >= MAX_QUEUED_RUNS {
-                drop(queue);
-                self.runs.lock().remove(&run_id);
-                release(&run_id);
-                return Err(SubmitError::QueueFull);
-            }
-            queue.items.push_back(QueuedRun {
-                run_id: run_id.clone(),
-                grid,
-            });
+        let mut registry = self.registry.lock();
+        if registry.draining {
+            // Shutdown raced in between the check above and here.
+            return refuse(SubmitError::Draining);
         }
-        self.queue_signal.notify_one();
+        if registry.queue.len() >= MAX_QUEUED_RUNS {
+            return refuse(SubmitError::QueueFull);
+        }
+        registry.runs.push(Arc::clone(&entry));
+        registry.queue.push_back(entry);
+        drop(registry);
+        self.queued.notify_one();
         Ok(status)
     }
 
-    /// The queryable status of a run: live registry first (with fresh
-    /// progress counts and wall-clock), then `state.json` from disk (runs
-    /// from a previous process).
+    /// The queryable status of a run: the live registry first (with fresh
+    /// progress counts and wall-clock), then `state.json` from disk
+    /// (finished runs, and runs from a previous process).
     pub fn run_status(&self, id: &str) -> Option<RunStatus> {
-        if let Some(entry) = self.runs.lock().get(id).cloned() {
-            let mut status = entry.status.lock().clone();
-            if status.state == RunState::Running {
-                status.completed = entry.completed.load(Ordering::Relaxed);
-                status.wall_seconds = entry
-                    .started
-                    .lock()
-                    .map(|started| started.elapsed().as_secs_f64());
-            }
-            return Some(status);
+        let Some(entry) = self.find(id) else {
+            return RunStatus::load(&self.store.run_dir(id)).ok();
+        };
+        let run = entry.run.lock();
+        let mut status = run.status.clone();
+        if status.state == RunState::Running {
+            status.wall_seconds = run.started.map(|t| t.elapsed().as_secs_f64());
         }
-        RunStatus::load(&self.store.run_dir(id)).ok()
+        Some(status)
     }
 
     /// Every known run as `(id, state, created_unix)`, sorted by id — the
     /// source for the paginated `GET /v1/runs`. Disk is the base (it has
     /// runs from previous processes); the live registry overlays it with
-    /// fresher states.
+    /// fresher states, and fills in a run whose directory is empty while
+    /// its artifact is rewritten.
     pub fn list_run_summaries(&self) -> io::Result<Vec<(String, RunState, Option<u64>)>> {
-        let mut rows: Vec<(String, RunState, Option<u64>)> = self
-            .store
-            .scan_runs()?
-            .into_iter()
+        let on_disk = self.store.scan_runs()?;
+        let mut rows: Vec<_> = (on_disk.into_iter())
             .map(|(id, scanned)| match scanned {
                 ScannedRun::Status(status) => (id, status.state, status.created_unix),
                 // No readable state.json (recovery repairs it at startup;
@@ -704,12 +672,12 @@ impl AppState {
                 ScannedRun::Corrupt(_) => (id, RunState::Failed, None),
             })
             .collect();
-        let runs = self.runs.lock();
-        for row in rows.iter_mut() {
-            if let Some(entry) = runs.get(&row.0) {
-                let status = entry.status.lock();
-                row.1 = status.state;
-                row.2 = status.created_unix;
+        for entry in self.live() {
+            let run = entry.run.lock();
+            let row = (entry.id.clone(), run.status.state, run.status.created_unix);
+            match rows.binary_search_by(|(id, _, _)| id.cmp(&entry.id)) {
+                Ok(at) => rows[at] = row,
+                Err(at) => rows.insert(at, row),
             }
         }
         Ok(rows)
@@ -722,44 +690,29 @@ impl AppState {
     /// before the token took effect still finishes `done`. Returns the
     /// status as of the cancel request.
     pub fn cancel_run(&self, id: &str) -> Result<RunStatus, CancelError> {
-        let Some(entry) = self.runs.lock().get(id).cloned() else {
-            // Runs from a previous process are terminal by construction
-            // (recovery failed any that were live when it died).
+        let Some(entry) = self.find(id) else {
+            // Runs on disk only are terminal: finished here, or failed by
+            // recovery if a previous process died with them live.
             return match self.run_status(id) {
                 Some(status) => Err(CancelError::NotCancellable(status.state)),
                 None => Err(CancelError::NotFound),
             };
         };
-        let mut status = entry.status.lock();
-        match status.state {
+        let mut run = entry.run.lock();
+        match run.status.state {
             RunState::Queued => {
-                entry.cancel_requested.store(true, Ordering::SeqCst);
-                status
-                    .finish(RunState::Cancelled, "cancelled by client before start")
-                    .expect("queued → cancelled is legal");
-                let _ = status.save(&self.store.run_dir(id));
-                self.record_transition(
-                    Some(&entry),
-                    id,
-                    RunState::Cancelled,
-                    Some("cancelled by client before start"),
-                );
-                Ok(status.clone())
+                run.cancel_requested = true;
+                let reason = Some("cancelled by client before start");
+                Ok(self.finish(&entry, run, RunState::Cancelled, reason))
             }
             RunState::Running => {
-                entry.cancel_requested.store(true, Ordering::SeqCst);
-                if let Some(token) = entry.cancel.lock().as_ref() {
-                    token.cancel();
-                }
+                run.cancel_requested = true;
+                run.cancel.cancel();
+                entry.wake.notify_all();
                 let event =
                     TraceEvent::event("cancel_requested", self.events.now_us()).with("run_id", id);
                 self.events.push(event);
-                let requested = status.clone();
-                // A fleet drain locks its table, then the status: wake it
-                // only once the status is released.
-                drop(status);
-                self.wake_drains(Some(id));
-                Ok(requested)
+                Ok(run.status.clone())
             }
             terminal => Err(CancelError::NotCancellable(terminal)),
         }
@@ -771,49 +724,31 @@ impl AppState {
     /// queued jobs are discarded, in-flight scenarios finish, and the
     /// executor marks them `failed` — the client did not ask for the stop).
     pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        let live = {
+            let mut registry = self.registry.lock();
+            registry.draining = true;
+            registry.queue.clear();
+            registry.runs.clone()
+        };
         self.events
             .push(TraceEvent::event("drain", self.events.now_us()));
-        let drained: Vec<QueuedRun> = {
-            let mut queue = self.queue.lock();
-            queue.open = false;
-            queue.items.drain(..).collect()
-        };
-        self.queue_signal.notify_all();
-        for run in &drained {
-            if let Some(entry) = self.runs.lock().get(&run.run_id).cloned() {
-                let mut status = entry.status.lock();
-                if status.state == RunState::Queued {
-                    status
-                        .finish(RunState::Failed, "server drained before the run started")
-                        .expect("queued → failed is legal");
-                    let _ = status.save(&self.store.run_dir(&run.run_id));
-                    self.record_transition(
-                        Some(&entry),
-                        &run.run_id,
-                        RunState::Failed,
-                        Some("server drained before the run started"),
-                    );
-                }
+        self.queued.notify_all();
+        for entry in live {
+            let run = entry.run.lock();
+            if run.status.state == RunState::Queued {
+                let reason = Some("server drained before the run started");
+                self.finish(&entry, run, RunState::Failed, reason);
+            } else {
+                run.cancel.cancel();
+                entry.wake.notify_all();
             }
         }
-        let entries: Vec<Arc<RunEntry>> = self.runs.lock().values().cloned().collect();
-        for entry in entries {
-            if let Some(token) = entry.cancel.lock().as_ref() {
-                token.cancel();
-            }
-        }
-        self.wake_drains(None);
     }
 
     /// Number of runs currently in a non-terminal state (tests and
     /// introspection).
     pub fn live_runs(&self) -> usize {
-        self.runs
-            .lock()
-            .values()
-            .filter(|entry| !entry.status.lock().state.is_terminal())
-            .count()
+        self.count_live(|state| !state.is_terminal())
     }
 
     /// Spawn the sweep-executor pool (idempotent; first call wins). Runs
@@ -821,19 +756,22 @@ impl AppState {
     /// previous process provably lost its executor and is marked `failed`
     /// with a reason, so the API never reports phantom progress.
     pub fn start_executors(self: &Arc<AppState>, count: usize) {
-        if self.executors_started.swap(true, Ordering::SeqCst) {
+        if self.executor_count.swap(count.max(1), Ordering::SeqCst) > 0 {
             return;
         }
         if let Err(e) = self.recover_runs() {
             eprintln!("lassi-server: run recovery failed: {e}");
         }
-        self.executor_count.store(count.max(1), Ordering::Relaxed);
         let mut handles = self.executors.lock();
         for i in 0..count.max(1) {
             let state = Arc::clone(self);
             let handle = thread::Builder::new()
                 .name(format!("sweep-executor-{i}"))
-                .spawn(move || executor_loop(&state))
+                .spawn(move || {
+                    while let Some(entry) = state.next_queued() {
+                        state.execute(&entry);
+                    }
+                })
                 .expect("spawn sweep executor");
             handles.push(handle);
         }
@@ -847,33 +785,22 @@ impl AppState {
     pub fn recover_runs(&self) -> io::Result<usize> {
         let mut recovered = 0;
         for (id, scanned) in self.store.scan_runs()? {
-            let dir = self.store.run_dir(&id);
-            match scanned {
-                ScannedRun::Status(mut status) => {
-                    if status.state.is_terminal() {
-                        continue;
-                    }
-                    status
-                        .finish(
-                            RunState::Failed,
-                            "server restarted before the run finished".to_string(),
-                        )
-                        .expect("queued/running → failed is legal");
-                    let _ = status.save(&dir);
-                    recovered += 1;
+            let (mut status, reason) = match scanned {
+                ScannedRun::Status(status) if status.state.is_terminal() => continue,
+                ScannedRun::Status(status) => {
+                    let reason = "server restarted before the run finished".to_string();
+                    (status, reason)
                 }
                 ScannedRun::Corrupt(err) => {
-                    let mut status = RunStatus::queued(&id, 0);
-                    status
-                        .finish(
-                            RunState::Failed,
-                            format!("{err} (crash mid-write?); marked failed by recovery"),
-                        )
-                        .expect("queued → failed is legal");
-                    let _ = status.save(&dir);
-                    recovered += 1;
+                    let reason = format!("{err} (crash mid-write?); marked failed by recovery");
+                    (RunStatus::queued(&id, 0), reason)
                 }
-            }
+            };
+            status
+                .finish(RunState::Failed, reason)
+                .expect("queued/running → failed is legal");
+            let _ = status.save(&self.store.run_dir(&id));
+            recovered += 1;
         }
         Ok(recovered)
     }
@@ -881,211 +808,160 @@ impl AppState {
     /// Wait for every executor to exit (the queue must already be closed
     /// via [`AppState::begin_shutdown`], or this blocks forever).
     pub fn join_executors(&self) {
-        let handles: Vec<JoinHandle<()>> = self.executors.lock().drain(..).collect();
+        let handles = std::mem::take(&mut *self.executors.lock());
         for handle in handles {
             let _ = handle.join();
         }
     }
 
-    /// Forget a run's registry entry (after its directory is deleted), so
-    /// listings don't resurrect it from memory.
-    pub fn forget_run(&self, id: &str) {
-        self.runs.lock().remove(id);
+    /// Block until a run is queued; `None` once the server drains.
+    fn next_queued(&self) -> Option<Arc<RunEntry>> {
+        let mut registry = self.registry.lock();
+        loop {
+            if let Some(entry) = registry.queue.pop_front() {
+                return Some(entry);
+            }
+            if registry.draining {
+                return None;
+            }
+            registry = self.queued.wait(registry);
+        }
     }
 
     /// One executor's run-to-completion of a single queued run, with a
     /// panic fence: a panicking scenario must fail its run, not kill the
     /// executor thread and wedge the queue behind it.
-    fn execute(&self, run: QueuedRun) {
-        let run_id = run.run_id.clone();
-        self.busy_executors.fetch_add(1, Ordering::Relaxed);
+    fn execute(&self, entry: &Arc<RunEntry>) {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.execute_inner(&run);
+            self.execute_inner(entry);
         }));
-        self.busy_executors.fetch_sub(1, Ordering::Relaxed);
         if outcome.is_err() {
-            eprintln!("lassi-server: sweep `{run_id}` panicked");
-            if let Some(entry) = self.runs.lock().get(&run_id).cloned() {
-                let mut status = entry.status.lock();
-                if !status.state.is_terminal() {
-                    let _ = status.finish(RunState::Failed, "sweep panicked; see server log");
-                    let _ = status.save(&self.store.run_dir(&run_id));
-                    self.record_transition(
-                        Some(&entry),
-                        &run_id,
-                        RunState::Failed,
-                        Some("sweep panicked; see server log"),
-                    );
-                }
+            eprintln!("lassi-server: sweep `{}` panicked", entry.id);
+            self.detach_fleet(entry);
+            let run = entry.run.lock();
+            if !run.status.state.is_terminal() {
+                let reason = Some("sweep panicked; see server log");
+                self.finish(entry, run, RunState::Failed, reason);
             }
         }
     }
 
-    fn execute_inner(&self, run: &QueuedRun) {
-        let Some(entry) = self.runs.lock().get(&run.run_id).cloned() else {
-            return;
-        };
-        let dir = self.store.run_dir(&run.run_id);
+    fn execute_inner(&self, entry: &Arc<RunEntry>) {
         {
-            let mut status = entry.status.lock();
+            let mut run = entry.run.lock();
             // Cancelled (or drain-failed) while queued: nothing to do.
-            if status.state != RunState::Queued {
+            if run.status.state != RunState::Queued {
                 return;
             }
-            status
-                .advance(RunState::Running)
-                .expect("queued → running is legal");
-            *entry.started.lock() = Some(Instant::now());
-            let _ = status.save(&dir);
+            run.started = Some(Instant::now());
+            let _ = run.transition(self, &entry.trace, RunState::Running, None);
         }
-        self.record_transition(Some(&entry), &run.run_id, RunState::Running, None);
 
         // The per-run cache delta is measured around the submission; under
         // concurrent runs the counters interleave, so the delta is
         // attributed, not exact — /v1/cache/stats has the authoritative
         // totals.
-        let jobs = run.grid.jobs();
+        let jobs = entry.grid.jobs();
         let total = jobs.len();
         let before = self.harness.cache_snapshot();
         // Scheduling mode: a live worker fleet drains the run through the
         // lease table; otherwise (the zero-worker fleet) the local pool
         // does, exactly as before the work-pull protocol existed.
         let (outputs, fleet) = if total > 0 && self.fleet_available() {
-            self.drain_remote(run, &entry, &jobs)
+            self.drain_remote(entry, &jobs)
         } else {
-            (self.drain_local(&entry, jobs.clone()), None)
+            (self.drain_local(entry, jobs.clone()), None)
         };
 
-        let wall = entry
-            .started
-            .lock()
-            .map(|started| started.elapsed().as_secs_f64());
-        let mut status = entry.status.lock();
-        status.completed = outputs.len();
-        status.wall_seconds = wall;
-        status.fleet = fleet;
-        if outputs.len() == total {
+        let written = (outputs.len() == total).then(|| {
             let delta = self.harness.cache_snapshot().since(before);
             // The completion event goes into the sink *before* the artifact
             // write, so it makes it into `trace.jsonl`; the terminal
             // runstate transition below necessarily post-dates the file.
             entry.trace.push(
                 TraceEvent::event("run_complete", entry.trace.now_us())
-                    .with("run_id", run.run_id.as_str())
-                    .with("scenarios", outputs.len() as u64),
+                    .with("run_id", entry.id.as_str())
+                    .with("scenarios", total as u64),
             );
-            match run.grid.write_artifact(
-                &self.store,
-                &run.run_id,
-                true,
-                &jobs,
-                &outputs,
-                delta,
-                &entry.trace.snapshot(),
-            ) {
-                Ok(_) => {
-                    status
-                        .advance(RunState::Done)
-                        .expect("running → done is legal");
-                    self.record_transition(Some(&entry), &run.run_id, RunState::Done, None);
-                }
-                Err(e) => {
-                    let reason = format!("cannot write artifact: {e}");
-                    let _ = status.finish(RunState::Failed, reason.clone());
-                    self.record_transition(
-                        Some(&entry),
-                        &run.run_id,
-                        RunState::Failed,
-                        Some(&reason),
-                    );
-                }
-            }
-        } else if entry.cancel_requested.load(Ordering::SeqCst) {
-            let _ = status.finish(RunState::Cancelled, "cancelled by client");
-            self.record_transition(
-                Some(&entry),
-                &run.run_id,
-                RunState::Cancelled,
-                Some("cancelled by client"),
-            );
-        } else {
-            let _ = status.finish(
+            // Written without the run lock, so reads of this run (and the
+            // registry walks that lock every run) never wait on disk.
+            let (store, trace) = (&self.store, entry.trace.snapshot());
+            (entry.grid).write_artifact(store, &entry.id, true, &jobs, &outputs, delta, &trace)
+        });
+        let mut run = entry.run.lock();
+        run.status.completed = outputs.len();
+        run.status.wall_seconds = run.started.map(|started| started.elapsed().as_secs_f64());
+        run.status.fleet = fleet;
+        let (to, reason) = match written {
+            Some(Ok(_)) => (RunState::Done, String::new()),
+            Some(Err(e)) => (RunState::Failed, format!("cannot write artifact: {e}")),
+            None if run.cancel_requested => (RunState::Cancelled, "cancelled by client".into()),
+            None => (
                 RunState::Failed,
-                "server drained mid-run; partial outputs discarded",
-            );
-            self.record_transition(
-                Some(&entry),
-                &run.run_id,
-                RunState::Failed,
-                Some("server drained mid-run; partial outputs discarded"),
-            );
-        }
-        let _ = status.save(&dir);
+                "server drained mid-run; partial outputs discarded".into(),
+            ),
+        };
+        // Only a run that did not finish carries a reason.
+        let reason = (to != RunState::Done).then_some(reason.as_str());
+        self.finish(entry, run, to, reason);
     }
 
     /// Run `jobs` through the local worker pool under the run's cancel,
     /// counting each output into the run's live progress. Used for a whole
     /// run (no fleet) and for the jobs a dark fleet left behind.
     fn drain_local(&self, entry: &RunEntry, jobs: Vec<Job>) -> Vec<JobOutput> {
-        let mut outputs = Vec::with_capacity(jobs.len());
         let stream = self.harness.submit(jobs);
+        let mut run = entry.run.lock();
         let token = stream.cancel_token();
-        *entry.cancel.lock() = Some(token.clone());
-        // Re-check after publishing the token: a cancel or drain that raced
-        // in before the token existed must still take effect.
-        if entry.cancel_requested.load(Ordering::SeqCst) || self.shutting_down() {
+        // A cancel or drain that fired the run's token before this stream
+        // existed must still take effect.
+        if run.cancel.is_cancelled() {
             token.cancel();
         }
-        for output in stream {
-            outputs.push(output);
-            entry.completed.fetch_add(1, Ordering::Relaxed);
-        }
-        *entry.cancel.lock() = None;
-        outputs
+        run.cancel = token;
+        drop(run);
+        let count = |_: &JobOutput| entry.run.lock().status.completed += 1;
+        stream.inspect(count).collect()
     }
 
-    /// Drain a run through the worker fleet: publish a lease table, let
+    /// Drain a run through the worker fleet: attach a lease table, let
     /// `/v1/work/*` hand out and settle leases, and reclaim expired leases
     /// into the requeue set until every job has its record (or the run is
     /// cancelled/drained). Between those events the drain sleeps on the
     /// run's condvar until the earliest lease deadline. If the whole fleet
     /// goes dark mid-run the remaining jobs fall back to the local pool:
     /// graceful degradation in the other direction.
-    fn drain_remote(
-        &self,
-        run: &QueuedRun,
-        entry: &RunEntry,
-        jobs: &[Job],
-    ) -> (Vec<JobOutput>, Option<FleetStats>) {
+    fn drain_remote(&self, entry: &RunEntry, jobs: &[Job]) -> (Vec<JobOutput>, Option<FleetStats>) {
         let total = jobs.len();
-        let remote = Arc::new(RemoteRun {
-            run_id: run.run_id.clone(),
+        let mut run = entry.run.lock();
+        run.fleet = Some(FleetDrain {
             jobs: jobs.to_vec(),
-            table: Mutex::new(LeaseTable::new(&run.run_id, total)),
-            wake: std::sync::Condvar::new(),
-            outputs: Mutex::new(vec![None; total]),
+            table: LeaseTable::new(&entry.id, total),
+            outputs: vec![None; total],
         });
-        self.remote_runs.lock().live.push(Arc::clone(&remote));
         self.events.push(
             TraceEvent::event("remote_drain", self.events.now_us())
-                .with("run_id", run.run_id.as_str())
+                .with("run_id", entry.id.as_str())
                 .with("jobs", total as u64),
         );
-
-        let mut table = remote.table.lock();
         loop {
+            let Run {
+                status,
+                cancel,
+                fleet,
+                ..
+            } = &mut *run;
+            let table = &mut fleet
+                .as_mut()
+                .expect("attached until this drain ends")
+                .table;
             let requeued = table.reclaim_expired(unix_now_ms());
             if !requeued.is_empty() {
-                self.lease_event("reclaimed", &run.run_id, "-", "-", requeued.len() as u64);
+                self.lease_event("reclaimed", &entry.id, "-", "-", requeued.len() as u64);
             }
-            entry
-                .completed
-                .store(table.completed_count(), Ordering::Relaxed);
-            entry.status.lock().fleet = Some(table.stats());
-            if table.is_complete()
-                || entry.cancel_requested.load(Ordering::SeqCst)
-                || self.shutting_down()
-            {
+            status.completed = table.completed_count();
+            status.fleet = Some(table.stats());
+            if table.is_complete() || cancel.is_cancelled() {
                 break;
             }
             let wait = match table.next_deadline_ms() {
@@ -1099,96 +975,72 @@ impl AppState {
                     None => {
                         // Every worker is presumed dead: finish the run
                         // ourselves rather than stall.
-                        drop(table);
-                        self.local_fallback(&remote, entry);
-                        table = remote.table.lock();
+                        run = self.local_fallback(entry, run);
                         continue;
                     }
                 },
             };
-            table = remote
+            run = entry
                 .wake
-                .wait_timeout(table, wait)
+                .wait_timeout(run, wait)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
-        drop(table);
+        drop(run);
+        let drain = self
+            .detach_fleet(entry)
+            .expect("attached until this drain ends");
+        let stats = drain.table.stats();
+        (drain.outputs.into_iter().flatten().collect(), Some(stats))
+    }
 
-        let stats = {
-            // Retire the run under the lock `fleet_snapshot` sums under, so
-            // no scraped counter ever goes backwards.
-            let mut runs = self.remote_runs.lock();
-            runs.live.retain(|r| !Arc::ptr_eq(r, &remote));
-            let stats = remote.table.lock().stats();
-            runs.retired = runs.retired + stats;
-            stats
-        };
-        let outputs = std::mem::take(&mut *remote.outputs.lock());
-        (outputs.into_iter().flatten().collect(), Some(stats))
+    /// End a run's fleet drain: stop leasing its jobs and fold its stats
+    /// into the retired total under the registry lock, which
+    /// [`AppState::fleet_snapshot`] sums under too.
+    fn detach_fleet(&self, entry: &RunEntry) -> Option<FleetDrain> {
+        let mut registry = self.registry.lock();
+        let drain = entry.run.lock().fleet.take()?;
+        registry.retired = registry.retired + drain.table.stats();
+        Some(drain)
     }
 
     /// Run every still-pending job of a fleet-drained run through the
     /// local pool, under a lease of its own so the partition of pending and
     /// in-flight jobs (and the first-write-wins rule against late stale
-    /// workers) stays uniform. It is not counted as a worker lease.
-    fn local_fallback(&self, remote: &RemoteRun, entry: &RunEntry) {
-        let (lease_id, indices) = {
-            let mut table = remote.table.lock();
-            let Some(lease) = table.grant_local("local-pool", unix_now_ms()) else {
-                return;
-            };
-            (lease.lease_id.clone(), lease.jobs.clone())
+    /// workers) stays uniform. It is not counted as a worker lease. The
+    /// run's lock is released while the pool runs.
+    fn local_fallback<'a>(
+        &self,
+        entry: &'a RunEntry,
+        mut run: MutexGuard<'a, Run>,
+    ) -> MutexGuard<'a, Run> {
+        let drain = run.fleet.as_mut().expect("attached until the drain ends");
+        let Some(lease) = drain.table.grant_local("local-pool", unix_now_ms()) else {
+            return run;
         };
-        self.lease_event(
-            "granted",
-            &remote.run_id,
-            &lease_id,
-            "local-pool",
-            indices.len() as u64,
-        );
+        let (lease_id, indices) = (lease.lease_id.clone(), lease.jobs.clone());
+        let subset = indices.iter().map(|&i| drain.jobs[i].clone()).collect();
+        drop(run);
+        let jobs = indices.len() as u64;
+        self.lease_event("granted", &entry.id, &lease_id, "local-pool", jobs);
 
-        let subset = indices.iter().map(|&i| remote.jobs[i].clone()).collect();
         let outputs = self.drain_local(entry, subset);
         let finished = outputs.len();
-        let mut table = remote.table.lock();
+        let mut run = entry.run.lock();
+        let drain = run.fleet.as_mut().expect("attached until the drain ends");
         for mut output in outputs {
-            let index = indices[output.index];
-            output.index = index;
-            if table.record_job(index) == JobWrite::Fresh {
-                remote.outputs.lock()[index] = Some(output);
-            }
+            output.index = indices[output.index];
+            drain.land(output);
         }
         if finished == indices.len() {
-            let _ = table.settle(&lease_id);
+            let _ = drain.table.settle(&lease_id);
         } else {
             // Cancelled mid-fallback: put the unfinished jobs back so the
             // table's partition invariant holds for whoever reads it. Like
             // the grant, this reclaim is not counted in the fleet stats.
-            let _ = table.fail_lease(&lease_id);
+            let _ = drain.table.fail_lease(&lease_id);
         }
-    }
-}
-
-/// The executor thread body: pull queued runs until the queue is closed
-/// *and* empty, executing each to a terminal state.
-fn executor_loop(state: &Arc<AppState>) {
-    loop {
-        let next = {
-            let mut queue = state.queue.lock();
-            loop {
-                if let Some(run) = queue.items.pop_front() {
-                    break Some(run);
-                }
-                if !queue.open {
-                    break None;
-                }
-                queue = state.queue_signal.wait(queue);
-            }
-        };
-        match next {
-            Some(run) => state.execute(run),
-            None => return,
-        }
+        run
     }
 }
 
@@ -1199,6 +1051,7 @@ mod tests {
     use lassi_harness::{HarnessOptions, STATE_FILE};
     use lassi_hecbench::application;
     use lassi_llm::gpt4;
+    use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
     fn test_store(name: &str) -> ArtifactStore {
@@ -1573,5 +1426,195 @@ mod tests {
         let status = restarted.run_status("orphan").unwrap();
         assert_eq!(status.state, RunState::Failed);
         assert!(status.reason.as_deref().unwrap().contains("restarted"));
+    }
+
+    #[test]
+    fn workers_dark_past_the_liveness_window_are_forgotten() {
+        let s = state("dark");
+        s.set_lease_ttl_ms(1);
+        for i in 0..100 {
+            assert!(s.lease_work(&format!("w{i}"), 1).is_none());
+        }
+        thread::sleep(Duration::from_millis(20));
+        assert!(s.lease_work("last", 1).is_none());
+        assert_eq!(s.workers.lock().len(), 1);
+    }
+
+    fn six_job_grid() -> SweepGrid {
+        SweepGrid::single(
+            PipelineConfig::default(),
+            vec![gpt4()],
+            ["layout", "bsearch", "entropy"]
+                .iter()
+                .map(|name| application(name).unwrap())
+                .collect(),
+            vec![
+                lassi_core::Direction::CudaToOmp,
+                lassi_core::Direction::OmpToCuda,
+            ],
+        )
+    }
+
+    /// The slowest call a contended thread made must stay well under any
+    /// lock-convoy or missed-wake-up stall.
+    const CALL_BOUND: Duration = Duration::from_secs(5);
+
+    /// Time `call`, failing the test if it blocked past [`CALL_BOUND`].
+    fn bounded<T>(what: &str, call: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let out = call();
+        assert!(
+            started.elapsed() < CALL_BOUND,
+            "{what} blocked {:?}",
+            started.elapsed()
+        );
+        out
+    }
+
+    /// One fleet-drained run under contention: 4 workers lease, heartbeat
+    /// and complete (each worker's first grant, and every third after it,
+    /// gets a corrupt completion; every even grant's completion is sent
+    /// twice), 2 threads poll the run and
+    /// the listing, and 1 thread scrapes the fleet snapshot, whose lease
+    /// counters must never go backwards. With `cancel`, no worker ever
+    /// completes job 0, so the run cannot finish before it is cancelled.
+    fn contended_fleet_drain(name: &str, cancel: bool) -> RunStatus {
+        let s = state(name);
+        s.set_lease_ttl_ms(60_000);
+        let workers: Vec<String> = (0..4).map(|i| format!("{name}-w{i}")).collect();
+        for worker in &workers {
+            assert!(s.lease_work(worker, 1).is_none());
+        }
+        s.start_executors(1);
+        let total = s
+            .submit_sweep(six_job_grid(), Some(name.into()))
+            .unwrap()
+            .total;
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut threads = Vec::new();
+        for worker in workers {
+            let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
+            threads.push(thread::spawn(move || {
+                let mut grants = 0;
+                while !stop.load(Ordering::SeqCst) {
+                    let Some(grant) = bounded("lease", || s.lease_work(&worker, 1)) else {
+                        thread::sleep(Duration::from_millis(2));
+                        continue;
+                    };
+                    grants += 1;
+                    let _ = bounded("heartbeat", || s.heartbeat_work(&worker, &grant.lease_id));
+                    if cancel && grant.jobs.iter().any(|(index, _)| *index == 0) {
+                        continue;
+                    }
+                    let records: Vec<_> = grant.jobs.iter().map(|(_, job)| job.run()).collect();
+                    if grants % 3 == 1 {
+                        let mut corrupt = records.clone();
+                        corrupt[0].model = "chaos-corrupted".into();
+                        let refused = bounded("complete", || {
+                            s.complete_work(&worker, &grant.lease_id, corrupt)
+                        });
+                        assert!(matches!(refused, Err(CompleteError::Invalid(_))));
+                        continue;
+                    }
+                    let copies = if grants % 2 == 0 { 2 } else { 1 };
+                    for _ in 0..copies {
+                        let records = records.clone();
+                        let _ = bounded("complete", || {
+                            s.complete_work(&worker, &grant.lease_id, records)
+                        });
+                    }
+                }
+            }));
+        }
+        for poller in 0..2 {
+            let (s, stop, id) = (Arc::clone(&s), Arc::clone(&stop), name.to_string());
+            threads.push(thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    let status = bounded("run_status", || s.run_status(&id)).unwrap();
+                    assert!(status.completed <= status.total, "{status:?}");
+                    if poller == 1 {
+                        let rows = bounded("list", || s.list_run_summaries()).unwrap();
+                        assert!(rows.iter().any(|(row, _, _)| *row == id));
+                    }
+                    thread::sleep(Duration::from_millis(1));
+                }
+            }));
+        }
+        let (scraper, scraper_stop) = (Arc::clone(&s), Arc::clone(&stop));
+        threads.push(thread::spawn(move || {
+            let mut last = FleetSnapshot::default();
+            while !scraper_stop.load(Ordering::SeqCst) {
+                let now = bounded("fleet_snapshot", || scraper.fleet_snapshot());
+                let counters = |snap: &FleetSnapshot| {
+                    [
+                        snap.leases_granted,
+                        snap.leases_expired,
+                        snap.jobs_requeued,
+                        snap.duplicate_completions,
+                        snap.records_accepted,
+                        snap.heartbeats,
+                    ]
+                };
+                for (before, after) in counters(&last).into_iter().zip(counters(&now)) {
+                    assert!(after >= before, "{last:?} then {now:?}");
+                }
+                last = now;
+                thread::sleep(Duration::from_millis(1));
+            }
+        }));
+
+        let status = if cancel {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while s.run_status(name).unwrap().completed < total - 1 {
+                assert!(Instant::now() < deadline, "the drain made no progress");
+                thread::sleep(Duration::from_millis(5));
+            }
+            let cancelled = Instant::now();
+            s.cancel_run(name).unwrap();
+            loop {
+                let status = s.run_status(name).unwrap();
+                if status.state.is_terminal() {
+                    let waited = cancelled.elapsed();
+                    assert!(waited < Duration::from_secs(2), "{waited:?}");
+                    break status;
+                }
+                assert!(
+                    cancelled.elapsed() < Duration::from_secs(2),
+                    "cancel never landed"
+                );
+                thread::sleep(Duration::from_millis(5));
+            }
+        } else {
+            wait_terminal(&s, name)
+        };
+        stop.store(true, Ordering::SeqCst);
+        for handle in threads {
+            handle.join().expect("a contending thread failed");
+        }
+        s.begin_shutdown();
+        s.join_executors();
+        status
+    }
+
+    #[test]
+    fn contended_fleet_drain_reaches_done() {
+        let status = contended_fleet_drain("contend-done", false);
+        assert_eq!(status.state, RunState::Done, "reason: {:?}", status.reason);
+        assert_eq!(status.completed, 6);
+        // At least the first grant was completed corrupt and requeued.
+        let fleet = status.fleet.expect("fleet-drained run carries stats");
+        assert!(fleet.leases_expired >= 1, "{fleet:?}");
+        assert_eq!(fleet.jobs_requeued, fleet.leases_expired, "{fleet:?}");
+    }
+
+    #[test]
+    fn contended_fleet_drain_cancels_promptly() {
+        let status = contended_fleet_drain("contend-cancel", true);
+        assert_eq!(
+            status.state,
+            RunState::Cancelled,
+            "reason: {:?}",
+            status.reason
+        );
     }
 }

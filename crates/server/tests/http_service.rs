@@ -992,3 +992,26 @@ fn concurrent_clients_share_one_cache() {
     join.join().expect("server thread exits cleanly");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+#[test]
+fn an_overlong_run_id_is_a_bad_request() {
+    let root = test_root("longid");
+    let _ = std::fs::remove_dir_all(&root);
+    let (addr, join, _state) = start_server(&root);
+
+    // Past the slug cap, the id is refused before any directory is made
+    // (a file-system "name too long" error would be a 500).
+    let body = format!(
+        r#"{{"models": ["GPT-4"], "apps": ["layout"], "directions": ["cuda-to-omp"],
+            "run_id": "{}"}}"#,
+        "a".repeat(300)
+    );
+    let resp = http::request(addr, "POST", "/v1/sweeps", Some(body.as_bytes())).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert_eq!(error_code(&resp), "invalid_sweep");
+
+    let resp = http::request(addr, "POST", "/v1/shutdown", None).expect("shutdown");
+    assert_eq!(resp.status, 200);
+    join.join().expect("server drains");
+    let _ = std::fs::remove_dir_all(&root);
+}

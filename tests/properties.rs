@@ -844,6 +844,43 @@ fn parallel_parity_negating_the_least_long_wraps() {
     assert_eq!(out, "-9223372036854775808\n");
 }
 
+/// An atomic add past the greatest `long` wraps to the least, like the
+/// binary operators, in a CUDA `atomicAdd` and in an OpenMP `atomic +=`.
+#[test]
+fn parallel_parity_atomic_add_past_the_greatest_long_wraps() {
+    let out = stdout(cuda(
+        r#"
+        __global__ void bump(long* x) { atomicAdd(x, 1); }
+        int main() {
+            long* h = (long*)malloc(1 * sizeof(long));
+            h[0] = 9223372036854775807;
+            long* d;
+            cudaMalloc(&d, 1 * sizeof(long));
+            cudaMemcpy(d, h, 1 * sizeof(long), cudaMemcpyHostToDevice);
+            bump<<<1, 1>>>(d);
+            cudaMemcpy(h, d, 1 * sizeof(long), cudaMemcpyDeviceToHost);
+            printf("%ld\n", h[0]);
+            return 0;
+        }
+        "#,
+    ));
+    assert_eq!(out, "-9223372036854775808\n");
+    let out = stdout(omp(r#"
+        int main() {
+            long* a = (long*)malloc(1 * sizeof(long));
+            a[0] = 9223372036854775807;
+            #pragma omp parallel for
+            for (int i = 0; i < 1; i++) {
+                #pragma omp atomic
+                a[0] += 1;
+            }
+            printf("%ld\n", a[0]);
+            return 0;
+        }
+        "#));
+    assert_eq!(out, "-9223372036854775808\n");
+}
+
 /// Region memory semantics: writes are visible after the region, `omp
 /// atomic` updates land, faults propagate, an offload region needs its
 /// buffers mapped and a host region does not.
